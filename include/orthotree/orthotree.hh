@@ -73,7 +73,6 @@
 #include "otn/sort.hh"
 #include "scenario/arrivals.hh"
 #include "scenario/engine.hh"
-#include "scenario/prng.hh"
 #include "scenario/scheduler.hh"
 #include "scenario/spec.hh"
 #include "sim/rng.hh"

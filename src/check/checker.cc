@@ -133,101 +133,8 @@ diagEqual(const Diagnostic &l, const Diagnostic &r)
 
 } // namespace
 
-std::uint64_t
-contentHash(const std::string &source)
-{
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-    for (char c : source) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull; // FNV prime
-    }
-    return h;
-}
-
-namespace {
-
-/** Cache file stamp: bump kCacheVersion on any format change; the
- *  catalog size invalidates on rule additions (new rules must see
- *  every file once). */
-constexpr int kCacheVersion = 1;
-
-} // namespace
-
-AnalysisCache
-loadAnalysisCache(const std::string &path)
-{
-    AnalysisCache cache;
-    std::ifstream in(path);
-    if (!in)
-        return cache;
-    std::string tag;
-    int version = 0;
-    std::size_t catalogSize = 0;
-    in >> tag >> version >> catalogSize;
-    if (tag != "otcheck-cache" || version != kCacheVersion ||
-        catalogSize != ruleCatalog().size())
-        return cache;
-    in.ignore(1, '\n');
-    std::string line;
-    CacheEntry *entry = nullptr;
-    while (std::getline(in, line)) {
-        if (line.compare(0, 2, "f ") == 0) {
-            std::size_t sep = line.find(' ', 2);
-            if (sep == std::string::npos) {
-                entry = nullptr;
-                continue;
-            }
-            std::uint64_t hash =
-                std::strtoull(line.c_str() + 2, nullptr, 16);
-            entry = &cache.entries[line.substr(sep + 1)];
-            entry->hash = hash;
-        } else if (line.compare(0, 2, "d ") == 0 && entry) {
-            // d <file> <line> <rule>\t<message>\t<hint>
-            std::size_t s1 = line.find(' ', 2);
-            std::size_t s2 = line.find(' ', s1 + 1);
-            std::size_t t1 = line.find('\t', s2 + 1);
-            std::size_t t2 = t1 == std::string::npos
-                                 ? std::string::npos
-                                 : line.find('\t', t1 + 1);
-            if (s1 == std::string::npos ||
-                s2 == std::string::npos ||
-                t1 == std::string::npos || t2 == std::string::npos)
-                continue;
-            Diagnostic d;
-            d.file = line.substr(2, s1 - 2);
-            d.line = std::atoi(line.c_str() + s1 + 1);
-            d.rule = line.substr(s2 + 1, t1 - (s2 + 1));
-            d.message = line.substr(t1 + 1, t2 - (t1 + 1));
-            d.hint = line.substr(t2 + 1);
-            entry->diags.push_back(std::move(d));
-        }
-    }
-    return cache;
-}
-
-bool
-saveAnalysisCache(const std::string &path, const AnalysisCache &cache)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << "otcheck-cache " << kCacheVersion << " "
-        << ruleCatalog().size() << "\n";
-    char hex[32];
-    for (const auto &[file, entry] : cache.entries) {
-        std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(entry.hash));
-        out << "f " << hex << " " << file << "\n";
-        for (const Diagnostic &d : entry.diags)
-            out << "d " << d.file << " " << d.line << " " << d.rule
-                << "\t" << d.message << "\t" << d.hint << "\n";
-    }
-    return static_cast<bool>(out);
-}
-
 Report
-checkProject(const std::vector<SourceFile> &files, RunStats *stats,
-             AnalysisCache *cache)
+checkProject(const std::vector<SourceFile> &files, RunStats *stats)
 {
     using Clock = std::chrono::steady_clock;
     auto msSince = [](Clock::time_point t0) {
@@ -256,38 +163,9 @@ checkProject(const std::vector<SourceFile> &files, RunStats *stats,
 
     std::map<std::string, std::vector<Diagnostic>> byFile;
     Clock::time_point t1 = Clock::now();
-    std::map<std::string, CacheEntry> fresh;
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
-        const FileContext &ctx = ctxs[i];
-        if (cache) {
-            std::uint64_t hash = contentHash(files[i].source);
-            auto it = cache->entries.find(files[i].path);
-            if (it != cache->entries.end() &&
-                it->second.hash == hash) {
-                for (const Diagnostic &d : it->second.diags)
-                    byFile[d.file].push_back(d);
-                fresh[files[i].path] = it->second;
-                if (stats)
-                    ++stats->cacheHits;
-                continue;
-            }
-            std::vector<Diagnostic> diags = runFileRules(ctx);
-            CacheEntry &e = fresh[files[i].path];
-            e.hash = hash;
-            e.diags = diags;
-            for (Diagnostic &d : diags)
-                byFile[d.file].push_back(std::move(d));
-            if (stats)
-                ++stats->cacheMisses;
-            continue;
-        }
-        if (stats)
-            ++stats->cacheMisses;
+    for (const FileContext &ctx : ctxs)
         for (Diagnostic &d : runFileRules(ctx))
             byFile[d.file].push_back(std::move(d));
-    }
-    if (cache)
-        cache->entries = std::move(fresh);
     if (stats)
         stats->fileRulesMs = msSince(t1);
 
@@ -377,15 +255,14 @@ collectFiles(const std::string &root,
 
 Report
 checkTree(const std::string &root,
-          const std::vector<std::string> &files, RunStats *stats,
-          AnalysisCache *cache)
+          const std::vector<std::string> &files, RunStats *stats)
 {
     std::vector<SourceFile> sources;
     sources.reserve(files.size());
     for (const std::string &rel : files)
         sources.push_back(
             {rel, readFile((fs::path(root) / rel).string())});
-    return checkProject(sources, stats, cache);
+    return checkProject(sources, stats);
 }
 
 Baseline
@@ -487,8 +364,6 @@ renderStatsText(const RunStats &stats)
         << "functions-analyzed: " << stats.functionsAnalyzed << "\n"
         << "summary-evaluations: " << stats.summaryEvaluations << "\n"
         << "taint-rounds: " << stats.taintRounds << "\n"
-        << "cache-hits: " << stats.cacheHits << "\n"
-        << "cache-misses: " << stats.cacheMisses << "\n"
         << "lex-parse-ms: " << fmtMs(stats.lexParseMs) << "\n"
         << "file-rules-ms: " << fmtMs(stats.fileRulesMs) << "\n"
         << "project-rules-ms: " << fmtMs(stats.projectRulesMs) << "\n"
@@ -507,8 +382,6 @@ renderStatsJson(const RunStats &stats)
         << " \"summaryEvaluations\": " << stats.summaryEvaluations
         << ",\n"
         << " \"taintRounds\": " << stats.taintRounds << ",\n"
-        << " \"cacheHits\": " << stats.cacheHits << ",\n"
-        << " \"cacheMisses\": " << stats.cacheMisses << ",\n"
         << " \"lexParseMs\": " << fmtMs(stats.lexParseMs) << ",\n"
         << " \"fileRulesMs\": " << fmtMs(stats.fileRulesMs) << ",\n"
         << " \"projectRulesMs\": " << fmtMs(stats.projectRulesMs)

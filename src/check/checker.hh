@@ -19,8 +19,6 @@
 
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -50,39 +48,6 @@ struct Baseline
     std::set<std::pair<std::string, std::string>> entries;
 };
 
-/** One cached per-TU result: the content hash the single-file rule
- *  pass ran against and the raw findings it produced. */
-struct CacheEntry
-{
-    std::uint64_t hash = 0;
-    std::vector<Diagnostic> diags;
-};
-
-/**
- * Incremental analysis cache, keyed by input path.  Only the
- * single-file rule pass is cached: a TU whose content hash is
- * unchanged reuses its recorded findings, while the cross-file
- * passes always re-run over the full context set — they depend on
- * every file, so caching them per-TU would be unsound.  The on-disk
- * form is stamped with a format version and the rule-catalog size;
- * either changing invalidates the whole cache.
- */
-struct AnalysisCache
-{
-    std::map<std::string, CacheEntry> entries;
-};
-
-/** FNV-1a 64-bit content hash. */
-std::uint64_t contentHash(const std::string &source);
-
-/** Load a cache file; missing, unreadable or stamp-mismatched files
- *  yield an empty cache (i.e. a cold run). */
-AnalysisCache loadAnalysisCache(const std::string &path);
-
-/** Persist the cache (deterministic order).  False on I/O failure. */
-bool saveAnalysisCache(const std::string &path,
-                       const AnalysisCache &cache);
-
 /** Work and wall-time counters for one run (--stats).  Timing uses
  *  the host clock, which is why the check layer is exempt from the
  *  determinism scope: stats are diagnostics about the checker, never
@@ -93,8 +58,6 @@ struct RunStats
     std::size_t functionsAnalyzed = 0;
     std::size_t summaryEvaluations = 0; ///< accounting fixpoint work
     std::size_t taintRounds = 0;        ///< taint fixpoint sweeps
-    std::size_t cacheHits = 0;   ///< TUs reusing cached file rules
-    std::size_t cacheMisses = 0; ///< TUs (re)analyzed this run
     double lexParseMs = 0.0;  ///< lex + parse, all files
     double fileRulesMs = 0.0; ///< single-file rule passes
     double projectRulesMs = 0.0; ///< cross-file passes (summaries,
@@ -106,12 +69,9 @@ struct RunStats
  *  allows) over an in-memory file set.  A fixture-path marker in a
  *  source re-classifies that file under the path it names (used by
  *  the fixture corpus).  Diagnostics come back sorted by
- *  (file, line, rule).  With `cache`, unchanged TUs skip the
- *  single-file pass and the cache is updated in place (entries for
- *  files not in this run are dropped). */
+ *  (file, line, rule). */
 Report checkProject(const std::vector<SourceFile> &files,
-                    RunStats *stats = nullptr,
-                    AnalysisCache *cache = nullptr);
+                    RunStats *stats = nullptr);
 
 /** Single-file convenience over checkProject. */
 std::vector<Diagnostic> checkSource(const std::string &path,
@@ -136,8 +96,7 @@ collectFiles(const std::string &root,
  *  `root`) as one project. */
 Report checkTree(const std::string &root,
                  const std::vector<std::string> &files,
-                 RunStats *stats = nullptr,
-                 AnalysisCache *cache = nullptr);
+                 RunStats *stats = nullptr);
 
 /** Parse a baseline file; a missing file yields an empty baseline. */
 Baseline loadBaseline(const std::string &path);

@@ -7,7 +7,7 @@
  * -----------------
  * The flat determinism rule bans nondeterminism tokens *inside* the
  * lane-reachable layers, so a one-line wrapper in an unscoped layer
- * (`uint64_t jitter() { return splitmix64(s); }` in src/analysis)
+ * (`uint64_t jitter() { return rand(); }` in src/analysis)
  * laundered the ban: the wrapper's file is not scanned, and the
  * in-scope caller only mentions the innocent name `jitter`.  This
  * pass closes the hole: any function whose body uses a banned

@@ -145,10 +145,6 @@ const BannedName kDeterminismBans[] = {
     {"unordered_multiset", false,
      "std::unordered_multiset iteration order is unspecified",
      "use std::multiset or a sorted vector"},
-    {"splitmix64", true,
-     "raw splitmix64 stream outside the sanctioned PRNG wrappers",
-     "draw through ot::sim::Rng or ot::scenario::StreamRng; the only "
-     "allowed raw call sites live in src/scenario/prng.hh"},
 };
 
 const BannedName kHotpathBans[] = {
@@ -1191,8 +1187,7 @@ ruleCatalog()
          "pointer-keyed std::map/std::set template arguments.",
          "call to rand() is a nondeterminism source",
          "only for constructs provably outside the replayed state, "
-         "e.g. the sanctioned raw PRNG call sites in "
-         "src/scenario/prng.hh",
+         "e.g. host-time diagnostics that never reach a report",
          true},
         {"layering",
          "#include edges must follow the layer DAG",
@@ -1281,7 +1276,7 @@ ruleCatalog()
          "references (all-candidate resolution); diagnosed at the "
          "boundary crossing so each defect surfaces once.",
          "call to 'jitter' reaches a nondeterminism source outside "
-         "the determinism scope: jitter() → splitmix64 at "
+         "the determinism scope: jitter() → rand at "
          "src/analysis/noise.cc:12",
          "only when the tainted callee is provably outside the "
          "replayed state (logging, diagnostics)", true},

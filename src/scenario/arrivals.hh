@@ -3,7 +3,7 @@
  * Deterministic arrival generation: spec -> the instance stream.
  *
  * generateArrivals() is a pure function of the ScenarioSpec — the
- * arrival seed fans out into five independent StreamRng streams
+ * arrival seed fans out into five independent sim::Rng streams
  * (gaps, burst dwells, client pick, mix pick, input seeds), so the
  * sequence is bit-identical across runs, hosts and OT_HOST_THREADS,
  * and two processes sharing a seed see the same traffic.  Arrival
@@ -16,10 +16,20 @@
 #include <vector>
 
 #include "scenario/spec.hh"
+#include "sim/rng.hh"
 #include "vlsi/delay.hh"
 #include "workload/spec.hh"
 
 namespace ot::scenario {
+
+/** Exponential variate with the given mean (> 0), as a double. */
+double expReal(sim::Rng &rng, double mean);
+
+/**
+ * Exponential inter-arrival gap in model time: rounded to the nearest
+ * tick and floored at 1 so time always advances.
+ */
+vlsi::ModelTime exponentialGap(sim::Rng &rng, vlsi::ModelTime mean);
 
 /** One generated arrival: an instance entering the system. */
 struct Arrival

@@ -1,11 +1,12 @@
 /**
  * @file
- * Deterministic pseudo-random number generation for workloads.
+ * Deterministic pseudo-random number generation.
  *
- * Every workload generator in tests/benches takes an explicit seed so
- * all experiments are reproducible bit-for-bit across runs and hosts.
- * The generator is splitmix64 (Steele, Lea & Flood) — tiny, fast, and
- * with well-understood statistical quality for simulation workloads.
+ * Every generator in the tree — workload inputs, the scenario layer's
+ * arrival streams, tests and benches — takes an explicit seed, so all
+ * experiments are reproducible bit-for-bit across runs and hosts.  The
+ * generator is SplitMix64 (Steele, Lea & Flood): tiny, fast, and with
+ * well-understood statistical quality for simulation workloads.
  */
 
 #pragma once
@@ -16,11 +17,25 @@
 
 namespace ot::sim {
 
-/** splitmix64 generator with convenience distributions. */
+/** SplitMix64 generator with convenience distributions. */
 class Rng
 {
   public:
+    /** The SplitMix64 sequence from state `seed`. */
     explicit Rng(std::uint64_t seed) : _state(seed) {}
+
+    /**
+     * Stream `stream` of `seed`, so one seed splits into any number of
+     * independent sequences.  Streams are offset by a multiplier that
+     * is *not* the SplitMix64 increment (otherwise stream k would be
+     * stream 0 shifted by k draws), plus one warm-up draw to
+     * decorrelate nearby (seed, stream) pairs.
+     */
+    Rng(std::uint64_t seed, std::uint64_t stream)
+        : _state(seed ^ (0x94d049bb133111ebULL * (stream + 1)))
+    {
+        (void)next();
+    }
 
     /** Next raw 64-bit value. */
     std::uint64_t
@@ -56,6 +71,14 @@ class Rng
     uniformReal()
     {
         return static_cast<double>(next() >> 11) / 9007199254740992.0;
+    }
+
+    /** Uniform double in (0, 1] — never 0, so std::log is safe. */
+    double
+    unitOpen()
+    {
+        return (static_cast<double>(next() >> 11) + 1.0) *
+               (1.0 / 9007199254740992.0);
     }
 
     /** Fisher-Yates shuffle. */

@@ -162,7 +162,7 @@ class Machine
     virtual void charge(ModelTime dt) = 0;
 
     /** Attach a model-time tracer (nullptr detaches). */
-    virtual void setTracer(trace::Tracer *tracer) { (void)tracer; }
+    virtual void setTracer(trace::Tracer *tracer) = 0;
 
     // ---- Per-primitive accounting hooks.  These three durations are
     // the topology's microarchitecture description: how long one

@@ -229,7 +229,9 @@ BatchEngine::run(const WorkloadSpec &spec)
         for (std::size_t idx : sh.members) {
             const InstanceSpec &inst = spec.instances[idx];
             InstanceReport &r = report.instances[idx];
-            ModelTime dt = runInstance(inst, sh, r);
+            sh.machine->reset();
+            runInstance(inst, *sh.machine, r);
+            const ModelTime dt = r.time;
             sim::ChainEngine::SpanArgs args;
             args.tree = static_cast<std::int64_t>(idx);
             args.words = inst.n;
@@ -246,14 +248,10 @@ BatchEngine::run(const WorkloadSpec &spec)
     return report;
 }
 
-ModelTime
-BatchEngine::runInstance(const InstanceSpec &inst, const Shard &shard,
-                         InstanceReport &out)
+void
+runInstance(const InstanceSpec &inst, topo::Machine &m, InstanceReport &out)
 {
     sim::Rng rng(inst.seed);
-    topo::Machine &m = *shard.machine;
-    m.reset();
-
     std::uint64_t areaOverride = 0;
     switch (inst.algo) {
       case Algo::Sort: {
@@ -317,7 +315,6 @@ BatchEngine::runInstance(const InstanceSpec &inst, const Shard &shard,
     }
     out.steps = m.steps();
     out.area = areaOverride ? areaOverride : m.area();
-    return out.time;
 }
 
 } // namespace ot::workload

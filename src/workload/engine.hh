@@ -78,6 +78,16 @@ struct InstanceReport
     std::uint64_t area = 0;
 };
 
+/**
+ * Run one instance on `m`: generate its seeded inputs, call the
+ * machine's algorithm entry point, and check the result against the
+ * sequential reference.  Fills out.verified, time, steps and area.
+ * The machine is not reset first: a reused machine must be reset()
+ * by the caller, a fresh one (with a tracer attached) need not be.
+ */
+void runInstance(const InstanceSpec &inst, topo::Machine &m,
+                 InstanceReport &out);
+
 /** Per-batch aggregate + per-instance outcomes. */
 struct BatchReport
 {
@@ -158,10 +168,6 @@ class BatchEngine
         topo::Machine *machine = nullptr;
         std::vector<std::size_t> members;
     };
-
-    /** Reset, run and verify one instance; fills the report entry. */
-    ModelTime runInstance(const InstanceSpec &inst, const Shard &shard,
-                          InstanceReport &out);
 
     sim::TimeAccountant _acct;
     sim::StatSet _stats;

@@ -3,7 +3,7 @@
 // Known-bad scheduler-purity fixture: the ranking function draws
 // entropy through a wrapper two call-graph hops from a banned
 // primitive.  The call site looks clean — only the interprocedural
-// taint walk connects it to splitmix64, and the purity diagnostic
+// taint walk connects it to rand(), and the purity diagnostic
 // must spell out the whole chain.  (The taint boundary rule fires on
 // the same line: scenario is determinism scope.)  This file is
 // checker input, never compiled.

@@ -3,7 +3,7 @@
 // Known-bad determinism-taint fixture: a determinism-scope file
 // calling a wrapper that is two call-graph hops away from a banned
 // nondeterminism source.  The call site itself looks clean — only
-// the interprocedural taint walk can connect it to splitmix64.
+// the interprocedural taint walk can connect it to rand().
 #include <cstdint>
 
 std::uint64_t fixtureJitter();

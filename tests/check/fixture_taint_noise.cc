@@ -7,14 +7,12 @@
 // determinism-scope caller.  fixtureMixHash is the clean sibling the
 // good sink fixture calls.
 #include <cstdint>
-
-std::uint64_t splitmix64(std::uint64_t &state);
+#include <cstdlib>
 
 std::uint64_t
 fixtureRawNoise()
 {
-    std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    return splitmix64(state);
+    return static_cast<std::uint64_t>(std::rand());
 }
 
 std::uint64_t

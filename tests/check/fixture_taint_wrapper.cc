@@ -2,7 +2,7 @@
 //
 // Taint-propagation fixture: an innocent-looking wrapper one hop
 // from the source.  Nothing here mentions a banned identifier — the
-// taint must flow fixtureJitter → fixtureRawNoise → splitmix64
+// taint must flow fixtureJitter → fixtureRawNoise → rand
 // through the call graph for the sink diagnostic to carry the full
 // witness chain.
 #include <cstdint>

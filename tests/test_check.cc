@@ -103,8 +103,8 @@ TEST(CheckFixtures, CorpusMatchesAnnotations)
         "bad_determinism.cc",       "bad_hotpath.cc",
         "bad_intrinsics.cc",        "bad_lane_capture.cc",
         "bad_layering.cc",          "bad_lexer_resync.cc",
-        "bad_scenario_prng.cc",     "bad_sched_byref.cc",
-        "bad_sched_static.cc",      "bad_shared_mutation.cc",
+        "bad_sched_byref.cc",       "bad_sched_static.cc",
+        "bad_shared_mutation.cc",
         "bad_topo_dupname.cc",      "bad_topo_fallback.cc",
         "bad_topo_layering.cc",     "bad_topo_unregistered.cc",
         "bad_unreachable.cc",
@@ -112,8 +112,8 @@ TEST(CheckFixtures, CorpusMatchesAnnotations)
         "good_accounting_split.cc", "good_determinism.cc",
         "good_hotpath.cc",          "good_intrinsics.cc",
         "good_lane_indexed.cc",     "good_layering.cc",
-        "good_lexer.cc",            "good_scenario_prng.cc",
-        "good_sched_pure.cc",       "good_shared_api.cc",
+        "good_lexer.cc",            "good_sched_pure.cc",
+        "good_shared_api.cc",
         "good_topo_fallback_allow.cc", "good_topo_layering.cc",
         "good_unreachable.cc",
     };
@@ -221,8 +221,8 @@ TEST(CheckFixtures, DeterminismTaintProject)
     EXPECT_EQ("determinism-taint", diags[0].rule);
     EXPECT_NE(std::string::npos,
               diags[0].message.find(
-                  "fixtureJitter() → fixtureRawNoise() → splitmix64 "
-                  "at src/analysis/fixture_taint_noise.cc:"))
+                  "fixtureJitter() → fixtureRawNoise() → rand at "
+                  "src/analysis/fixture_taint_noise.cc:"))
         << diags[0].message;
 }
 
@@ -300,7 +300,7 @@ TEST(CheckFixtures, SchedPurityTaintProject)
         diags[1].message.find(
             "pure ranking function 'fixtureRankJittered': call to "
             "determinism-tainted 'fixtureJitter': fixtureJitter() → "
-            "fixtureRawNoise() → splitmix64 at "
+            "fixtureRawNoise() → rand at "
             "src/analysis/fixture_taint_noise.cc:"))
         << diags[1].message;
 }
@@ -358,7 +358,7 @@ TEST(CheckSarif, TaintWitnessChainIsEmitted)
               sarif.find("\"ruleId\": \"determinism-taint\""));
     EXPECT_NE(std::string::npos,
               sarif.find("fixtureJitter() → fixtureRawNoise() → "
-                         "splitmix64 at "
+                         "rand at "
                          "src/analysis/fixture_taint_noise.cc:"))
         << sarif;
 }
@@ -624,103 +624,6 @@ TEST(CheckSarif, EveryRuleIsDeclared)
         EXPECT_TRUE(ot::check::knownRule(rule)) << rule;
     EXPECT_FALSE(ot::check::knownRule("allow-syntax"));
     EXPECT_FALSE(ot::check::knownRule("unused-allow"));
-}
-
-// ---------------------------------------------------------------
-// The incremental per-TU cache.
-
-TEST(CheckCache, ContentHashIsStableAndSensitive)
-{
-    const std::string a = "int f() { return 1; }\n";
-    EXPECT_EQ(ot::check::contentHash(a), ot::check::contentHash(a));
-    EXPECT_NE(ot::check::contentHash(a),
-              ot::check::contentHash(a + " "));
-    // FNV-1a of the empty string is the offset basis, never zero.
-    EXPECT_NE(0u, ot::check::contentHash(""));
-}
-
-TEST(CheckCache, SaveLoadRoundTrip)
-{
-    ot::check::AnalysisCache cache;
-    ot::check::CacheEntry e;
-    e.hash = 0xdeadbeefcafef00dull;
-    ot::check::Diagnostic d;
-    d.file = "src/otn/a.cc";
-    d.line = 7;
-    d.rule = "determinism";
-    d.message = "rand() draws from global state";
-    d.hint = "use ot::sim::Rng";
-    e.diags.push_back(d);
-    cache.entries["src/otn/a.cc"] = e;
-    cache.entries["src/otn/empty.cc"] = {0x1234u, {}};
-
-    std::string path = ::testing::TempDir() + "otcheck_cache_rt";
-    ASSERT_TRUE(ot::check::saveAnalysisCache(path, cache));
-    ot::check::AnalysisCache back = ot::check::loadAnalysisCache(path);
-    ASSERT_EQ(2u, back.entries.size());
-    EXPECT_EQ(e.hash, back.entries["src/otn/a.cc"].hash);
-    EXPECT_TRUE(back.entries["src/otn/empty.cc"].diags.empty());
-    ASSERT_EQ(1u, back.entries["src/otn/a.cc"].diags.size());
-    const ot::check::Diagnostic &rd =
-        back.entries["src/otn/a.cc"].diags[0];
-    EXPECT_EQ(d.file, rd.file);
-    EXPECT_EQ(d.line, rd.line);
-    EXPECT_EQ(d.rule, rd.rule);
-    EXPECT_EQ(d.message, rd.message);
-    EXPECT_EQ(d.hint, rd.hint);
-}
-
-TEST(CheckCache, StampMismatchYieldsColdCache)
-{
-    std::string path = ::testing::TempDir() + "otcheck_cache_stamp";
-    {
-        std::ofstream out(path);
-        out << "otcheck-cache 999 0\n"
-            << "f 00000000000000aa src/otn/a.cc\n";
-    }
-    EXPECT_TRUE(ot::check::loadAnalysisCache(path).entries.empty());
-    // Missing files are a cold cache too, not an error.
-    EXPECT_TRUE(ot::check::loadAnalysisCache(
-                    ::testing::TempDir() + "otcheck_no_such_cache")
-                    .entries.empty());
-}
-
-TEST(CheckCache, SecondRunHitsAndReplaysDiagnostics)
-{
-    std::vector<ot::check::SourceFile> files = {
-        {"src/otn/a.cc", "int f() { return rand(); }\n"},
-        {"src/otn/b.cc", "int g() { return 2; }\n"},
-    };
-    ot::check::AnalysisCache cache;
-    ot::check::RunStats s1;
-    ot::check::Report r1 =
-        ot::check::checkProject(files, &s1, &cache);
-    EXPECT_EQ(0u, s1.cacheHits);
-    EXPECT_EQ(2u, s1.cacheMisses);
-
-    ot::check::RunStats s2;
-    ot::check::Report r2 =
-        ot::check::checkProject(files, &s2, &cache);
-    EXPECT_EQ(2u, s2.cacheHits);
-    EXPECT_EQ(0u, s2.cacheMisses);
-    ASSERT_EQ(1u, r2.diagnostics.size());
-    EXPECT_EQ("determinism", r2.diagnostics[0].rule);
-    EXPECT_EQ(r1.diagnostics.size(), r2.diagnostics.size());
-    EXPECT_EQ(r1.diagnostics[0].message, r2.diagnostics[0].message);
-
-    // An edit invalidates exactly the touched TU.
-    files[1].source = "int g() { return 3; }\n";
-    ot::check::RunStats s3;
-    ot::check::checkProject(files, &s3, &cache);
-    EXPECT_EQ(1u, s3.cacheHits);
-    EXPECT_EQ(1u, s3.cacheMisses);
-
-    // Entries for files no longer in the run are pruned.
-    files.pop_back();
-    ot::check::RunStats s4;
-    ot::check::checkProject(files, &s4, &cache);
-    EXPECT_EQ(1u, cache.entries.size());
-    EXPECT_EQ(1u, cache.entries.count("src/otn/a.cc"));
 }
 
 TEST(CheckBaseline, LoadParsesRuleFilePairs)

@@ -1,6 +1,6 @@
 /**
  * @file
- * The scenario engine: golden splitmix64/StreamRng sequences, arrival
+ * The scenario engine: golden sim::Rng sequences, arrival
  * process shape (Poisson rate, bursty dwells, diurnal modulation),
  * the scheduling policies' ranking functions, admission control
  * (quota, queue cap, drop vs defer), latency-SLO evaluation, and the
@@ -19,7 +19,6 @@
 
 #include "scenario/arrivals.hh"
 #include "scenario/engine.hh"
-#include "scenario/prng.hh"
 #include "scenario/scheduler.hh"
 #include "scenario/spec.hh"
 #include "trace/tracer.hh"
@@ -34,37 +33,39 @@ using ot::workload::InstanceSpec;
 
 // ---------------------------------------------------------------- PRNG
 
+using ot::sim::Rng;
+
 TEST(PrngTest, GoldenSplitmix64FromStateZero)
 {
-    std::uint64_t state = 0;
-    EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafULL);
-    EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ULL);
-    EXPECT_EQ(splitmix64(state), 0x06c45d188009454fULL);
-    EXPECT_EQ(splitmix64(state), 0xf88bb8a8724c81ecULL);
+    Rng rng(0);
+    EXPECT_EQ(rng.next(), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(rng.next(), 0x6e789e6aa1b965f4ULL);
+    EXPECT_EQ(rng.next(), 0x06c45d188009454fULL);
+    EXPECT_EQ(rng.next(), 0xf88bb8a8724c81ecULL);
 }
 
 TEST(PrngTest, GoldenSplitmix64FromState42)
 {
-    std::uint64_t state = 42;
-    EXPECT_EQ(splitmix64(state), 0xbdd732262feb6e95ULL);
-    EXPECT_EQ(splitmix64(state), 0x28efe333b266f103ULL);
-    EXPECT_EQ(splitmix64(state), 0x47526757130f9f52ULL);
-    EXPECT_EQ(splitmix64(state), 0x581ce1ff0e4ae394ULL);
+    Rng rng(42);
+    EXPECT_EQ(rng.next(), 0xbdd732262feb6e95ULL);
+    EXPECT_EQ(rng.next(), 0x28efe333b266f103ULL);
+    EXPECT_EQ(rng.next(), 0x47526757130f9f52ULL);
+    EXPECT_EQ(rng.next(), 0x581ce1ff0e4ae394ULL);
 }
 
 TEST(PrngTest, GoldenStreamSequences)
 {
-    StreamRng s10(1, 0);
+    Rng s10(1, 0);
     EXPECT_EQ(s10.next(), 0xe7d72f820b2d2d96ULL);
     EXPECT_EQ(s10.next(), 0x4a38e3bce4be6354ULL);
     EXPECT_EQ(s10.next(), 0x6190ba8f346ef84fULL);
 
-    StreamRng s11(1, 1);
+    Rng s11(1, 1);
     EXPECT_EQ(s11.next(), 0x14839fb735d0dbc4ULL);
     EXPECT_EQ(s11.next(), 0x555e3e56f98ea4e3ULL);
     EXPECT_EQ(s11.next(), 0x9880ada3411ab5e7ULL);
 
-    StreamRng s72(7, 2);
+    Rng s72(7, 2);
     EXPECT_EQ(s72.next(), 0xba55cac2a2764a3bULL);
     EXPECT_EQ(s72.next(), 0xb7239dcd92be9bb8ULL);
     EXPECT_EQ(s72.next(), 0xe013eedda1ac72f2ULL);
@@ -72,20 +73,20 @@ TEST(PrngTest, GoldenStreamSequences)
 
 TEST(PrngTest, StreamsAreNotShiftedCopies)
 {
-    // The stream multiplier is deliberately not the splitmix
+    // The stream multiplier is deliberately not the SplitMix64
     // increment: stream 1 must not appear anywhere early in stream 0.
-    StreamRng s0(1, 0);
+    Rng s0(1, 0);
     std::vector<std::uint64_t> head;
     for (int i = 0; i < 64; ++i)
         head.push_back(s0.next());
-    StreamRng s1(1, 1);
+    Rng s1(1, 1);
     std::uint64_t first = s1.next();
     EXPECT_EQ(std::count(head.begin(), head.end(), first), 0);
 }
 
 TEST(PrngTest, UniformStaysInBounds)
 {
-    StreamRng rng(3);
+    Rng rng(3, 0);
     for (int i = 0; i < 1000; ++i) {
         std::uint64_t v = rng.uniform(5, 9);
         EXPECT_GE(v, 5u);
@@ -96,7 +97,7 @@ TEST(PrngTest, UniformStaysInBounds)
 
 TEST(PrngTest, UnitOpenNeverZeroNeverAboveOne)
 {
-    StreamRng rng(9);
+    Rng rng(9, 0);
     for (int i = 0; i < 1000; ++i) {
         double u = rng.unitOpen();
         EXPECT_GT(u, 0.0);
@@ -106,12 +107,12 @@ TEST(PrngTest, UnitOpenNeverZeroNeverAboveOne)
 
 TEST(PrngTest, ExponentialMomentsMatchTheMean)
 {
-    StreamRng rng(1234);
+    Rng rng(1234, 0);
     const int n = 20000;
     const double mean = 100.0;
     double sum = 0.0, sumSq = 0.0;
     for (int i = 0; i < n; ++i) {
-        double x = rng.expReal(mean);
+        double x = expReal(rng, mean);
         sum += x;
         sumSq += x * x;
     }
@@ -125,9 +126,9 @@ TEST(PrngTest, ExponentialMomentsMatchTheMean)
 
 TEST(PrngTest, ExponentialTicksAreFlooredAtOne)
 {
-    StreamRng rng(5);
+    Rng rng(5, 0);
     for (int i = 0; i < 1000; ++i)
-        EXPECT_GE(rng.exponential(1), 1u);
+        EXPECT_GE(exponentialGap(rng, 1), 1u);
 }
 
 // ------------------------------------------------------------ arrivals

@@ -16,17 +16,14 @@
  *   otcheck [--root DIR] [--compile-commands FILE] [--json]
  *           [--sarif-out FILE] [--baseline FILE] [--no-baseline]
  *           [--self] [--list-files] [--stats] [--stats-json FILE]
- *           [--cache FILE] [--explain RULE] [FILE...]
+ *           [--explain RULE] [FILE...]
  *
  * With no FILE arguments, audits every *.cc / *.hh under root/src,
  * root/tools and root/bench (unioned with the translation units named
  * in the compile_commands.json, when given).  `--self` narrows the
  * set to src/check/ — the analyzer analyzing itself.  A baseline file
  * (default: root/.otcheck-baseline when present; disable with
- * --no-baseline) mutes known (rule, file) pairs.  `--cache FILE`
- * keeps an incremental per-TU cache across runs: unchanged files
- * skip the single-file rule pass (the cross-file passes always
- * re-run); --stats reports the hit/miss split.  `--explain RULE`
+ * --no-baseline) mutes known (rule, file) pairs.  `--explain RULE`
  * prints the rule's documentation (from the same catalog the SARIF
  * emitter renders) and exits.  Exit status: 0 clean, 1 diagnostics,
  * 2 usage error.
@@ -67,7 +64,7 @@ usage(const char *argv0)
         "[--no-baseline]\n"
         "          [--self] [--list-files] [--stats] "
         "[--stats-json FILE]\n"
-        "          [--cache FILE] [--explain RULE] [FILE...]\n"
+        "          [--explain RULE] [FILE...]\n"
         "rules: %s\n"
         "escape: // otcheck:allow(<rule>): <justification>\n",
         argv0, ruleList().c_str());
@@ -104,7 +101,6 @@ main(int argc, char **argv)
     std::string sarifOut;
     std::string baselinePath;
     std::string statsJsonOut;
-    std::string cachePath;
     bool noBaseline = false;
     bool selfCheck = false;
     bool json = false;
@@ -138,8 +134,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--stats-json") == 0 &&
                    i + 1 < argc) {
             statsJsonOut = argv[++i];
-        } else if (std::strcmp(arg, "--cache") == 0 && i + 1 < argc) {
-            cachePath = argv[++i];
         } else if (std::strcmp(arg, "--explain") == 0 &&
                    i + 1 < argc) {
             return explainRule(argv[++i]);
@@ -183,16 +177,8 @@ main(int argc, char **argv)
 
     const bool collectStats = wantStats || !statsJsonOut.empty();
     ot::check::RunStats stats;
-    ot::check::AnalysisCache cache;
-    if (!cachePath.empty())
-        cache = ot::check::loadAnalysisCache(cachePath);
     ot::check::Report report = ot::check::checkTree(
-        root, files, collectStats ? &stats : nullptr,
-        cachePath.empty() ? nullptr : &cache);
-    if (!cachePath.empty() &&
-        !ot::check::saveAnalysisCache(cachePath, cache))
-        std::fprintf(stderr, "otcheck: cannot write cache %s\n",
-                     cachePath.c_str());
+        root, files, collectStats ? &stats : nullptr);
 
     std::size_t muted = 0;
     if (!noBaseline) {

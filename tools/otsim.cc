@@ -3,24 +3,28 @@
  * otsim — command-line driver for the orthotree simulators.
  *
  * Usage:
- *   otsim sort    --net otn|otc|mesh|psn|ccc|tree|... [--n N] [--seed S]
- *                 [--model log|const|linear] [--scaled]
- *   otsim cc      --net otn|otc|mesh|... [--n N] [--p PROB] [--seed S]
- *   otsim mst     --net otn|otc|... [--n N] [--seed S]
- *   otsim matmul  --net otn|otc|mesh|hex|mot3d|... [--n N] [--seed S]
- *   otsim sssp    [--net otn|...] [--n N] [--seed S]
- *   otsim layout  --net otn|otc [--n N] [--art]
+ *   otsim <sort|matmul|boolmm|cc|mst|sssp> [--net NAME] [--n N]
+ *                 [--seed S] [--model log|const|linear] [--scaled]
+ *                 [--trace-out FILE] [--trace-summary FILE]
+ *   otsim layout  --net otn|otc [--n N] [--art] [--svg FILE]
  *   otsim tables  [--n N]
  *   otsim topo    --list
- *   otsim trace   [sort|cc|mst|matmul|sssp] [--net otn|otc] [--n N]
+ *   otsim trace   [sort|matmul|boolmm|cc|mst|sssp] [--net NAME] [--n N]
  *                 [--trace-out FILE] [--trace-summary FILE]
  *   otsim batch   [--demo] [--spec FILE.json]
  *                 [--inst algo:net:n:model[:scaled][:seed=K]]...
  *                 [--json FILE] [--trace-out FILE]
  *   otsim simd
  *
- * Every run prints the result summary, the machine's model time, chip
- * area and AT^2, and verifies against the sequential reference.
+ * A single run is a one-instance batch: the flags become a
+ * workload::InstanceSpec, `--net` names any topology of the topo
+ * registry (`otsim topo --list`), and workload::runInstance generates
+ * the seeded inputs, runs them and verifies the result against the
+ * sequential reference — the code `otsim batch` runs per instance, so
+ * both report the same model time and area.  N must be a power of two
+ * (machines round N up, which would silently change the problem).
+ * `matmul --net mot3d`, Leighton's 3-D mesh of trees, is not a
+ * registered topology and keeps its own runner.
  *
  * `batch` executes a workload of heterogeneous instances on a machine
  * farm (one simulated machine per distinct shape, cached and reused;
@@ -28,25 +32,21 @@
  * aggregate model-time throughput.  The report is deterministic:
  * byte-identical at every OT_HOST_THREADS setting.
  *
- * `--net` accepts any topology of the topo registry (`otsim topo
- * --list`): names with a native runner use it, everything else runs
- * the generic primitive-based algorithms of topo::Machine.
- *
- * Tracing: `--trace-out FILE` on sort/cc/mst/matmul/sssp records every
- * primitive and clock tick in model time and writes a Chrome
- * trace-event JSON loadable in ui.perfetto.dev; `--trace-summary FILE`
- * writes the analyzer's per-phase/per-tree breakdown as JSON.  The
- * `trace` subcommand runs a workload (default sort) and prints that
- * breakdown as text.
+ * Tracing: `--trace-out FILE` on a single run (any registered net)
+ * records every primitive and clock tick in model time and writes a
+ * Chrome trace-event JSON loadable in ui.perfetto.dev;
+ * `--trace-summary FILE` writes the analyzer's per-phase/per-tree
+ * breakdown as JSON.  The `trace` subcommand runs a workload (default
+ * sort) and prints that breakdown as text.
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,7 +77,6 @@ struct Options
     std::string scheduler_override;  // scenario: --scheduler
     std::string compare;             // scenario: comma list of policies
     std::size_t n = 64;
-    double p = 0.1;
     std::uint64_t seed = 1;
     vlsi::DelayModel model = vlsi::DelayModel::Logarithmic;
     bool scaled = false;
@@ -97,15 +96,16 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s <sort|cc|mst|matmul|sssp|layout|tables|trace|batch"
-        "|scenario|topo|simd> [options]\n"
+        "usage: %s <sort|matmul|boolmm|cc|mst|sssp|layout|tables|trace"
+        "|batch|scenario|topo|simd> [options]\n"
         "  --net <name>   any registered topology (otsim topo --list),\n"
         "                 plus mot3d for the 3-D mesh-of-trees matmul\n"
-        "  --n <size>   --seed <seed>   --p <edge prob>\n"
+        "  --n <size>   --seed <seed>   (single runs: N a power of two)\n"
         "  --model <log|const|linear>   --scaled   --art   --svg <file>\n"
         "  --trace-out <file>      write a Perfetto (Chrome trace) JSON\n"
         "  --trace-summary <file>  write the trace analyzer JSON\n"
-        "  trace [sort|cc|mst|matmul|sssp]  run traced, print breakdown\n"
+        "  trace [sort|matmul|boolmm|cc|mst|sssp]  run traced on any\n"
+        "        registered net, print the breakdown\n"
         "  batch --demo | --spec <file.json> |\n"
         "        --inst algo:net:n:model[:scaled][:seed=K] (repeatable)\n"
         "        [--json <file>]  run a workload batch on the machine "
@@ -118,6 +118,22 @@ usage(const char *argv0)
         "  simd  print the dispatched SIMD backend (OT_SIMD overrides)\n",
         argv0);
     std::exit(2);
+}
+
+/** A decimal flag value: digits only, wholly consumed, or exit 2. */
+std::uint64_t
+parseCount(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "otsim: %s: '%s' is not a number\n", flag,
+                     text);
+        std::exit(2);
+    }
+    return v;
 }
 
 Options
@@ -137,7 +153,7 @@ parse(int argc, char **argv)
         if (arg == "--net") {
             opt.net = next();
         } else if (arg == "--n" || arg == "-n") {
-            opt.n = std::strtoul(next(), nullptr, 10);
+            opt.n = parseCount("--n", next());
         } else if (arg == "--trace-out") {
             opt.trace_out = next();
         } else if (arg == "--trace-summary") {
@@ -163,9 +179,7 @@ parse(int argc, char **argv)
             opt.command = arg;
             opt.trace_text = true;
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--p") {
-            opt.p = std::strtod(next(), nullptr);
+            opt.seed = parseCount("--seed", next());
         } else if (arg == "--model") {
             std::string m = next();
             if (m == "log")
@@ -200,8 +214,8 @@ parse(int argc, char **argv)
 }
 
 /**
- * Tracing glue for the runners: one Tracer attached to the network
- * under test, flushed to the requested outputs after the run.
+ * Tracing glue for the runners: one Tracer attached to the machine or
+ * engine under test, flushed to the requested outputs after the run.
  */
 class TraceSession
 {
@@ -221,9 +235,12 @@ class TraceSession
             net.setTracer(&_tracer);
     }
 
-    /** Write/print the requested outputs.  Returns 0 or an exit code. */
+    /**
+     * Write/print the requested outputs; `stats_json` rides along in
+     * the Chrome export's otherData.  Returns 0 or an exit code.
+     */
     int
-    finish(sim::StatSet &stats)
+    finish(const std::string &stats_json = "")
     {
         if (!active())
             return 0;
@@ -235,7 +252,7 @@ class TraceSession
                              _opt.trace_out.c_str());
                 return 1;
             }
-            trace::writeChromeTrace(f, _tracer, stats.toJson());
+            trace::writeChromeTrace(f, _tracer, stats_json);
             std::printf("wrote %s (%zu events, %llu dropped) — load in "
                         "ui.perfetto.dev\n",
                         _opt.trace_out.c_str(), _tracer.events().size(),
@@ -256,17 +273,6 @@ class TraceSession
         return 0;
     }
 
-    /** Error exit for engines without tracer hooks. */
-    static int
-    unsupported(const std::string &net)
-    {
-        std::fprintf(stderr,
-                     "otsim: tracing is not supported for --net %s "
-                     "(use otn or otc)\n",
-                     net.c_str());
-        return 2;
-    }
-
   private:
     const Options &_opt;
     trace::Tracer _tracer;
@@ -282,344 +288,88 @@ printCost(const char *what, vlsi::ModelTime time, double area)
                 analysis::formatQuantity(area * t * t).c_str());
 }
 
+/** The verdict and cost lines of a single run; returns the exit code. */
 int
-runSort(const Options &opt)
+printVerdict(const workload::InstanceSpec &inst, bool verified,
+             vlsi::ModelTime time, double area)
 {
-    auto v = [&] {
-        sim::Rng rng(opt.seed);
-        std::vector<std::uint64_t> out(opt.n);
-        for (auto &x : out)
-            x = rng.uniform(0, opt.n - 1);
-        return out;
-    }();
-    auto expect = v;
-    std::sort(expect.begin(), expect.end());
-    vlsi::CostModel cost(opt.model, vlsi::WordFormat::forProblemSize(opt.n),
-                         opt.scaled);
-
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn" && opt.net != "otc")
-        return TraceSession::unsupported(opt.net);
-
-    std::vector<std::uint64_t> got;
-    vlsi::ModelTime time = 0;
-    double area = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::sortOtn(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        unsigned l = vlsi::logCeilAtLeast1(opt.n);
-        otc::OtcNetwork net(opt.n / l, l, cost);
-        ts.attach(net);
-        auto r = otc::sortOtc(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "mesh") {
-        baselines::MeshMachine net(opt.n, cost);
-        auto r = baselines::meshSort(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "psn") {
-        baselines::PsnMachine net(opt.n, cost);
-        auto r = baselines::psnSort(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "ccc") {
-        baselines::CccMachine net(opt.n, cost);
-        auto r = baselines::cccSort(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "tree") {
-        baselines::TreeMachine net(opt.n, cost);
-        got = net.extractMinSort(v);
-        time = net.now();
-        area = static_cast<double>(net.chipArea());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net, topo::Algo::Sort, opt.n,
-                                      opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto r = m->runSort(v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(r.area ? r.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown sorter '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
-        return 2;
-    }
-
-    if (got != expect) {
-        std::fprintf(stderr, "otsim: SORT MISMATCH\n");
+    const std::string algo = workload::toString(inst.algo);
+    if (!verified) {
+        std::fprintf(stderr,
+                     "otsim: %s on %s does not match the sequential "
+                     "reference\n",
+                     algo.c_str(), inst.net.c_str());
         return 1;
     }
-    std::printf("sorted %zu values on %s under %s%s — verified\n", opt.n,
-                opt.net.c_str(), vlsi::toString(opt.model).c_str(),
-                opt.scaled ? " (scaled trees)" : "");
-    printCost("sort", time, area);
+    std::printf("%s of N = %zu on %s under %s%s — verified\n",
+                algo.c_str(), inst.n, inst.net.c_str(),
+                vlsi::toString(inst.model).c_str(),
+                inst.scaled ? " (scaled trees)" : "");
+    printCost(algo.c_str(), time, area);
     return 0;
 }
 
+/**
+ * `matmul --net mot3d`: the 3-D mesh of trees is not a registered
+ * topology, so it draws the same seeded matrices and word format as
+ * the registered matmul machines here, untraced.
+ */
 int
-runCc(const Options &opt)
+runMot3d(const Options &opt, const workload::InstanceSpec &inst)
 {
-    sim::Rng rng(opt.seed);
-    auto g = graph::randomGnp(opt.n, opt.p, rng);
-    auto expect = graph::connectedComponents(g);
-    auto cost = defaultCostModel(opt.n, opt.model, opt.scaled);
-
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-
-    std::vector<std::size_t> got;
-    vlsi::ModelTime time = 0;
-    double area = 0;
-    std::size_t count = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::connectedComponentsOtn(net, g);
-        got = r.labels;
-        count = r.componentCount;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        auto r = otc::connectedComponentsOtc(g, cost);
-        got = r.result.labels;
-        count = r.result.componentCount;
-        time = r.result.time;
-        area = static_cast<double>(r.chip.area());
-    } else if (opt.net == "mesh") {
-        baselines::MeshMachine net(opt.n * opt.n, cost);
-        auto r = baselines::meshConnectedComponents(net, g);
-        got = r.labels;
-        count = r.componentCount;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net,
-                                      topo::Algo::ConnectedComponents,
-                                      opt.n, opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto r = m->runConnectedComponents(g);
-        got = r.labels;
-        for (std::size_t v = 0; v < got.size(); ++v)
-            count += got[v] == v ? 1 : 0;
-        time = r.time;
-        area = static_cast<double>(r.area ? r.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown cc engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
+    if (!vlsi::isPow2(inst.n)) {
+        std::fprintf(stderr, "otsim: size %zu is not a power of two\n",
+                     inst.n);
         return 2;
     }
-
-    if (got != expect) {
-        std::fprintf(stderr, "otsim: CC MISMATCH\n");
-        return 1;
+    if (opt.tracing()) {
+        std::fprintf(stderr, "otsim: mot3d is not a registered topology "
+                             "and cannot be traced\n");
+        return 2;
     }
-    std::printf("G(%zu, %.3f): %zu edges, %zu components on %s — "
-                "verified against union-find\n",
-                opt.n, opt.p, g.edgeCount(), count, opt.net.c_str());
-    printCost("cc", time, area);
-    return 0;
+    sim::Rng rng(inst.seed);
+    linalg::IntMatrix a(inst.n, inst.n), b(inst.n, inst.n);
+    for (linalg::IntMatrix *m : {&a, &b})
+        for (std::size_t i = 0; i < inst.n; ++i)
+            for (std::size_t j = 0; j < inst.n; ++j)
+                (*m)(i, j) = rng.uniform(0, 9);
+    vlsi::CostModel cost(inst.model,
+                         topo::wordFormatFor(inst.algo, inst.n),
+                         inst.scaled);
+    otn::MeshOfTrees3d mot(inst.n, cost);
+    auto r = mot.matMul(a, b);
+    return printVerdict(inst, r.product == linalg::matMul(a, b), r.time,
+                        static_cast<double>(mot.chipArea()));
 }
 
+/** `otsim <algo>`: one instance on a registry-built machine. */
 int
-runMst(const Options &opt)
+runSingle(const Options &opt, workload::Algo algo)
 {
-    sim::Rng rng(opt.seed);
-    auto g = graph::randomWeightedConnected(opt.n, 2 * opt.n, rng);
-    auto expect = graph::kruskalMsf(g);
-    vlsi::CostModel cost(opt.model,
-                         otn::mstWordFormat(opt.n, opt.n * opt.n),
-                         opt.scaled);
-
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-
-    otn::MstResult r;
-    double area = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        r = otn::mstOtn(net, g);
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        auto rr = otc::mstOtc(g, cost);
-        r = rr.result;
-        area = static_cast<double>(rr.chip.area());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net, topo::Algo::Mst, opt.n,
-                                      opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto rr = m->runMst(g);
-        r.edges = rr.edges;
-        r.time = rr.time;
-        for (const auto &e : r.edges)
-            r.totalWeight += e.w;
-        area = static_cast<double>(rr.area ? rr.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown mst engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
+    workload::InstanceSpec inst;
+    inst.algo = algo;
+    inst.net = opt.net;
+    inst.n = opt.n;
+    inst.model = opt.model;
+    inst.scaled = opt.scaled;
+    inst.seed = opt.seed;
+    if (algo == workload::Algo::MatMul && inst.net == "mot3d")
+        return runMot3d(opt, inst);
+    if (std::string bad = workload::describeInvalid({{inst}});
+        !bad.empty()) {
+        std::fprintf(stderr, "otsim: %s\n", bad.c_str());
         return 2;
     }
 
-    if (r.edges != expect) {
-        std::fprintf(stderr, "otsim: MST MISMATCH\n");
-        return 1;
-    }
-    std::printf("MST of %zu vertices: %zu edges, total weight %lu on %s "
-                "— matches Kruskal\n",
-                opt.n, r.edges.size(),
-                static_cast<unsigned long>(r.totalWeight),
-                opt.net.c_str());
-    printCost("mst", r.time, area);
-    return 0;
-}
-
-int
-runMatMul(const Options &opt)
-{
-    sim::Rng rng(opt.seed);
-    linalg::IntMatrix a(opt.n, opt.n), b(opt.n, opt.n);
-    for (std::size_t i = 0; i < opt.n; ++i)
-        for (std::size_t j = 0; j < opt.n; ++j) {
-            a(i, j) = rng.uniform(0, 9);
-            b(i, j) = rng.uniform(0, 9);
-        }
-    auto expect = linalg::matMul(a, b);
-    unsigned bits = vlsi::logCeilAtLeast1(opt.n * 81 + 1) + 2;
-    vlsi::CostModel cost(opt.model, vlsi::WordFormat(bits), opt.scaled);
-
+    auto machine = topo::registry().build(workload::cacheKeyFor(inst));
     TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-
-    linalg::IntMatrix got;
-    vlsi::ModelTime time = 0;
-    double area = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::matMulPipelined(net, a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        auto r = otc::matMulOtc(a, b, cost);
-        got = r.result.product;
-        time = r.result.time;
-        area = static_cast<double>(r.chip.area());
-    } else if (opt.net == "mesh") {
-        baselines::MeshMachine net(opt.n * opt.n, cost);
-        auto r = baselines::meshMatMul(net, a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "hex") {
-        baselines::HexArray hex(opt.n, cost);
-        auto t0 = hex.now();
-        got = hex.matMul(a, b);
-        time = hex.now() - t0;
-        area = static_cast<double>(hex.chipArea());
-    } else if (opt.net == "mot3d") {
-        otn::MeshOfTrees3d mot(opt.n, cost);
-        auto r = mot.matMul(a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(mot.chipArea());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net, topo::Algo::MatMul, opt.n,
-                                      opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto r = m->runMatMul(a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(r.area ? r.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown matmul engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
-        return 2;
-    }
-
-    if (got != expect) {
-        std::fprintf(stderr, "otsim: MATMUL MISMATCH\n");
-        return 1;
-    }
-    std::printf("%zux%zu product on %s — verified\n", opt.n, opt.n,
-                opt.net.c_str());
-    printCost("matmul", time, area);
-    return 0;
-}
-
-int
-runSssp(const Options &opt)
-{
-    sim::Rng rng(opt.seed);
-    auto g = graph::randomWeightedConnected(opt.n, 2 * opt.n, rng);
-    vlsi::CostModel cost(opt.model,
-                         otn::pathWordFormat(opt.n, opt.n * opt.n),
-                         opt.scaled);
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-    std::size_t src = rng.uniform(0, opt.n - 1);
-
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::ssspOtn(net, g, src);
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-        if (r.dist != graph::dijkstra(g, src)) {
-            std::fprintf(stderr, "otsim: SSSP MISMATCH\n");
-            return 1;
-        }
-        std::printf("SSSP from %zu over %zu vertices in %u rounds — "
-                    "matches Dijkstra\n",
-                    src, opt.n, r.rounds);
-        printCost("sssp", r.time,
-                  static_cast<double>(net.chipLayout().metrics().area()));
-        return 0;
-    }
-    if (!topo::isNetName(opt.net)) {
-        std::fprintf(stderr, "otsim: unknown sssp engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
-        return 2;
-    }
-    auto spec = topo::resolveSpec(opt.net, topo::Algo::ShortestPaths,
-                                  opt.n, opt.model, opt.scaled);
-    auto m = topo::registry().build(spec);
-    auto r = m->runShortestPaths(g, src);
-    if (r.dist != graph::dijkstra(g, src)) {
-        std::fprintf(stderr, "otsim: SSSP MISMATCH\n");
-        return 1;
-    }
-    std::printf("SSSP from %zu over %zu vertices on %s — matches "
-                "Dijkstra\n",
-                src, opt.n, opt.net.c_str());
-    printCost("sssp", r.time,
-              static_cast<double>(r.area ? r.area : m->area()));
-    return 0;
+    ts.attach(*machine);
+    workload::InstanceReport r;
+    workload::runInstance(inst, *machine, r);
+    if (int rc = ts.finish())
+        return rc;
+    return printVerdict(inst, r.verified, r.time,
+                        static_cast<double>(r.area));
 }
 
 int
@@ -683,7 +433,7 @@ runBatch(const Options &opt)
         f << report.toJson();
         std::printf("wrote %s\n", opt.json_out.c_str());
     }
-    if (int rc = ts.finish(engine.stats()))
+    if (int rc = ts.finish(engine.stats().toJson()))
         return rc;
     if (!report.allVerified()) {
         std::fprintf(stderr, "otsim: BATCH VERIFICATION FAILED\n");
@@ -784,7 +534,7 @@ runScenario(const Options &opt)
             f << scenario::compareJson(reports);
         std::printf("wrote %s\n", opt.json_out.c_str());
     }
-    if (int rc = ts.finish(engine.stats()))
+    if (int rc = ts.finish(engine.stats().toJson()))
         return rc;
     for (const scenario::ScenarioReport &rep : reports) {
         if (!rep.verified) {
@@ -922,16 +672,8 @@ int
 main(int argc, char **argv)
 {
     Options opt = parse(argc, argv);
-    if (opt.command == "sort")
-        return runSort(opt);
-    if (opt.command == "cc")
-        return runCc(opt);
-    if (opt.command == "mst")
-        return runMst(opt);
-    if (opt.command == "matmul")
-        return runMatMul(opt);
-    if (opt.command == "sssp")
-        return runSssp(opt);
+    if (workload::Algo algo; topo::algoFromString(opt.command, algo))
+        return runSingle(opt, algo);
     if (opt.command == "batch")
         return runBatch(opt);
     if (opt.command == "scenario")
