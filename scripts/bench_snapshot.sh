@@ -4,11 +4,8 @@
 #   scripts/bench_snapshot.sh [build-dir] [out.json] [min-time-seconds]
 #
 # Output goes through --benchmark_out (not stdout: the bench also prints
-# its human-readable paper table there).  OT_HOST_THREADS is honoured;
-# record it in the filename or environment when comparing runs, e.g.
-#
-#   OT_HOST_THREADS=1 scripts/bench_snapshot.sh build BENCH_seq.json
-#   OT_HOST_THREADS=8 scripts/bench_snapshot.sh build BENCH_par.json
+# its human-readable paper table there).  The sorting benches run each
+# network on one host thread, so OT_HOST_THREADS does not change them.
 #
 # The snapshot's "context" block records CMAKE_BUILD_TYPE, the
 # dispatched SIMD backend and OT_HOST_THREADS; OT_SIMD=scalar|avx2|neon

@@ -61,7 +61,7 @@ struct RunStats
     double lexParseMs = 0.0;  ///< lex + parse, all files
     double fileRulesMs = 0.0; ///< single-file rule passes
     double projectRulesMs = 0.0; ///< cross-file passes (summaries,
-                                 ///< taint, lane-safety, graphs)
+                                 ///< taint, graphs)
     double totalMs = 0.0;
 };
 

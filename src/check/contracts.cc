@@ -126,27 +126,11 @@ scanClassHead(const std::vector<Token> &toks, std::size_t j,
     return false;
 }
 
-/** Body facts: virtual member names, pure-virtual presence, and
- *  whether `name` is declared as a member function. */
+/** Body facts: pure-virtual presence. */
 void
 scanClassBody(const std::vector<Token> &toks, ClassInfo &info)
 {
     for (std::size_t m = info.bodyFirst + 1; m < info.bodyLast; ++m) {
-        if (isIdent(toks, m) && toks[m].text == "virtual") {
-            // The declared name is the identifier right before the
-            // next `(`, unless it is a destructor.
-            for (std::size_t q = m + 1;
-                 q < info.bodyLast && q < m + 32; ++q) {
-                const std::string &t = toks[q].text;
-                if (t == ";" || t == "{" || t == "}")
-                    break;
-                if (t == "(" && isIdent(toks, q - 1) &&
-                    at(toks, q - 2) != "~") {
-                    info.virtualNames.insert(toks[q - 1].text);
-                    break;
-                }
-            }
-        }
         // Pure-virtual declaration: `... ) ... = 0 ;` — the previous
         // token gate keeps `int _x = 0;` member initialisers out.
         if (isPunct(toks, m, "=") && at(toks, m + 1) == "0" &&
@@ -368,46 +352,6 @@ buildClassGraph(const std::vector<FileContext> &ctxs)
             cg.byName.emplace(info.name,
                               static_cast<int>(cg.classes.size()));
             cg.classes.push_back(std::move(info));
-        }
-        // Attach each shared marker to the first class defined at or
-        // after the marker line in this file.
-        for (const Marker &m : ctxs[i].lexed.sharedMarkers) {
-            int best = -1;
-            for (std::size_t c = 0; c < cg.classes.size(); ++c) {
-                const ClassInfo &ci = cg.classes[c];
-                if (ci.file != static_cast<int>(i) ||
-                    ci.line < m.line)
-                    continue;
-                if (best < 0 || ci.line < cg.classes[best].line)
-                    best = static_cast<int>(c);
-            }
-            if (best >= 0)
-                cg.classes[best].sharedMarked = true;
-        }
-    }
-    // Propagate sharedness and the virtual API down the hierarchy to
-    // a fixpoint (hierarchies are shallow; this converges in a few
-    // sweeps even with out-of-order definitions).
-    for (ClassInfo &c : cg.classes) {
-        c.shared = c.sharedMarked;
-        c.apiNames = c.virtualNames;
-    }
-    for (bool changed = true; changed;) {
-        changed = false;
-        for (ClassInfo &c : cg.classes) {
-            for (const std::string &b : c.bases) {
-                auto it = cg.byName.find(b);
-                if (it == cg.byName.end())
-                    continue;
-                const ClassInfo &base = cg.classes[it->second];
-                if (base.shared && !c.shared) {
-                    c.shared = true;
-                    changed = true;
-                }
-                for (const std::string &n : base.apiNames)
-                    if (c.apiNames.insert(n).second)
-                        changed = true;
-            }
         }
     }
     return cg;

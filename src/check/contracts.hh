@@ -1,16 +1,13 @@
 /**
  * @file
- * Class-contract analysis for otcheck: the class graph, the
- * shared(post-build) marker, and the topology plugin contracts.
+ * Class-contract analysis for otcheck: the class graph and the
+ * topology plugin contracts.
  *
  * The fifth analysis stage.  The lexer (stage 1) records structural
  * markers, the parser (stage 2) splits out function bodies, the
  * symbol/call graphs (stage 3) and the dataflow summaries (stage 4)
  * resolve names and mutations; this stage adds the *class* dimension:
- * which classes exist, how they inherit, which member functions are
- * part of a class's virtual API, and which classes carry the
- * shared(post-build) marker (inherited through the hierarchy, so
- * marking a plugin base covers every plugin).
+ * which classes exist, how they inherit, and which are abstract.
  *
  * Two rule families live here:
  *
@@ -26,17 +23,12 @@
  *                 machine that inherits another machine's costs is
  *                 describing the wrong network unless the fallback is
  *                 deliberate and justified with an allow escape.
- *
- * The shared-state immutability rule itself (rule id `shared`)
- * consumes the class graph but lives in dataflow.cc, next to the
- * mutation summaries it reuses for cross-TU witnesses.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -56,15 +48,6 @@ struct ClassInfo
     std::vector<std::string> bases;
     /** Body contains a pure-virtual (`= 0`) declaration. */
     bool isAbstract = false;
-    /** Carries the shared(post-build) marker directly. */
-    bool sharedMarked = false;
-    /** Marked, or derived (transitively) from a marked class. */
-    bool shared = false;
-    /** Member functions declared `virtual` in this body. */
-    std::set<std::string> virtualNames;
-    /** Virtual API: virtualNames unioned over all ancestors — the
-     *  sanctioned post-build mutation surface of a shared class. */
-    std::set<std::string> apiNames;
 };
 
 /** The run's class graph. */
@@ -76,8 +59,7 @@ struct ClassGraph
 };
 
 /** Build the class graph over the run's src-layer files: class
- *  definitions, bases, virtual APIs, and shared(post-build) marker
- *  propagation through the hierarchy. */
+ *  definitions, bases and abstractness. */
 ClassGraph buildClassGraph(const std::vector<FileContext> &ctxs);
 
 /** Topology plugin contract rules (topo-contract, topo-fallback)

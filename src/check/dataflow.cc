@@ -1,12 +1,9 @@
 #include "check/dataflow.hh"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
-
-#include "check/contracts.hh"
 
 namespace ot::check {
 
@@ -324,7 +321,7 @@ runDeterminismTaint(const std::vector<FileContext> &ctxs,
 }
 
 // ---------------------------------------------------------------------
-// lane-safety
+// by-reference parameter mutation summaries (for sched-purity)
 // ---------------------------------------------------------------------
 
 namespace {
@@ -345,7 +342,6 @@ isMutatingMethod(const std::string &t)
 /** One recorded mutation of a by-reference parameter. */
 struct ParamMutation
 {
-    std::set<std::size_t> idxParams; ///< empty ⇒ unconditional write
     std::string where; ///< " at file:line" (+ " via g()" per hop)
     int line = 0; ///< line in the summarized function's own file
 };
@@ -424,23 +420,18 @@ parseParams(const std::vector<Token> &toks, std::size_t paramOpen,
 /** A path through fields/subscripts starting at a root identifier. */
 struct PathInfo
 {
-    std::string root;
-    std::size_t end = 0;   ///< first token past the path
-    bool laneIndexed = false; ///< a subscript mentions a safe index
-    bool methodStop = false;  ///< ended at a non-mutating method call
-    std::string mutMethod;    ///< ended at this mutating method
+    std::size_t end = 0;     ///< first token past the path
+    bool methodStop = false; ///< ended at a non-mutating method call
+    std::string mutMethod;   ///< ended at this mutating method
     int mutLine = 0;
 };
 
 /** Walk `root . field [ expr ] -> field ...` from the identifier at
- *  `j`; `safeIdx` names identifiers that make a subscript
- *  lane-indexed. */
+ *  `j`. */
 PathInfo
-matchPath(const std::vector<Token> &toks, std::size_t j,
-          const std::set<std::string> &safeIdx)
+matchPath(const std::vector<Token> &toks, std::size_t j)
 {
     PathInfo p;
-    p.root = toks[j].text;
     std::size_t k = j + 1;
     while (k < toks.size()) {
         const std::string &t = toks[k].text;
@@ -459,11 +450,7 @@ matchPath(const std::vector<Token> &toks, std::size_t j,
             continue;
         }
         if (t == "[") {
-            std::size_t close = matchForward(toks, k, "[", "]");
-            for (std::size_t m = k + 1; m < close; ++m)
-                if (isIdent(toks, m) && safeIdx.count(toks[m].text))
-                    p.laneIndexed = true;
-            k = close + 1;
+            k = matchForward(toks, k, "[", "]") + 1;
             continue;
         }
         break;
@@ -534,13 +521,6 @@ class MutTable
         }
     }
 
-    const std::map<std::string,
-                   std::vector<std::pair<int, const FuncDef *>>> &
-    byName() const
-    {
-        return _byName;
-    }
-
     const MutSummary &
     summaryOf(int file, const FuncDef *f)
     {
@@ -574,26 +554,15 @@ class MutTable
         if (s.paramNames.empty())
             return s;
         std::map<std::string, std::size_t> paramIdx;
-        std::set<std::string> paramSet;
-        for (std::size_t p = 0; p < s.paramNames.size(); ++p) {
+        for (std::size_t p = 0; p < s.paramNames.size(); ++p)
             paramIdx[s.paramNames[p]] = p;
-            paramSet.insert(s.paramNames[p]);
-        }
-        auto record = [&](std::size_t p, const PathInfo &path,
-                          int line) {
+        auto record = [&](std::size_t p, int line) {
             if (!s.byRef[p])
                 return;
             ParamMutation m;
             m.where =
                 " at " + ctx.path + ":" + std::to_string(line);
             m.line = line;
-            if (path.laneIndexed) {
-                // Which parameters appeared in subscripts?  Re-walk
-                // cheaply: matchPath marked laneIndexed from the
-                // param set, so collect them here.
-                // (Recomputed below in the main walk.)
-            }
-            m.idxParams = _lastSubscriptParams;
             s.mutations[p].push_back(std::move(m));
         };
 
@@ -611,8 +580,7 @@ class MutTable
             std::size_t p = pit->second;
 
             // Direct write through the parameter?
-            _lastSubscriptParams.clear();
-            PathInfo path = collectPath(toks, j, paramSet, paramIdx);
+            PathInfo path = matchPath(toks, j);
             // A non-mutating method call ends the walk entirely: a
             // prefix ++ then targets the method's return value (a
             // reference the callee owns), not the parameter.
@@ -622,7 +590,7 @@ class MutTable
                           writeOpAt(toks, path.end));
             int line = path.mutLine ? path.mutLine : toks[j].line;
             if (write) {
-                record(p, path, line);
+                record(p, line);
                 continue;
             }
             if (path.methodStop)
@@ -630,47 +598,16 @@ class MutTable
 
             // Bare pass-through to another function: inherit its
             // mutation summary with parameter substitution.
-            inheritCall(s, toks, j, p, paramIdx);
+            inheritCall(s, toks, j, p);
         }
         return s;
-    }
-
-    std::set<std::size_t> _lastSubscriptParams;
-
-    /** matchPath specialised to also record which parameters appear
-     *  in subscripts along the way. */
-    PathInfo
-    collectPath(const std::vector<Token> &toks, std::size_t j,
-                const std::set<std::string> &paramSet,
-                const std::map<std::string, std::size_t> &paramIdx)
-    {
-        PathInfo p = matchPath(toks, j, paramSet);
-        // Re-walk the subscripts to collect the parameter indices.
-        std::size_t k = j + 1;
-        while (k < p.end && k < toks.size()) {
-            if (isPunct(toks, k, "[")) {
-                std::size_t close = matchForward(toks, k, "[", "]");
-                for (std::size_t m = k + 1; m < close; ++m) {
-                    auto it = isIdent(toks, m)
-                                  ? paramIdx.find(toks[m].text)
-                                  : paramIdx.end();
-                    if (it != paramIdx.end())
-                        _lastSubscriptParams.insert(it->second);
-                }
-                k = close + 1;
-            } else {
-                ++k;
-            }
-        }
-        return p;
     }
 
     /** `g(a, p, b)` with `p` a bare by-ref parameter: fold g's
      *  mutations of that position into the caller's summary. */
     void
     inheritCall(MutSummary &s, const std::vector<Token> &toks,
-                std::size_t j, std::size_t p,
-                const std::map<std::string, std::size_t> &paramIdx)
+                std::size_t j, std::size_t p)
     {
         // Find the innermost enclosing call `callee( ... p ... )`.
         // Scan backwards for `ident (` at one unclosed paren depth.
@@ -735,22 +672,6 @@ class MutTable
                     ParamMutation mapped;
                     mapped.where = m.where + " via " + callee + "()";
                     mapped.line = toks[j].line;
-                    for (std::size_t q : m.idxParams) {
-                        // Map the callee's subscript parameter to the
-                        // caller's argument at that position.
-                        if (q >= args.size())
-                            continue;
-                        std::size_t b = args[q].first,
-                                    e = args[q].second;
-                        if (e == b + 1 && isIdent(toks, b)) {
-                            auto it2 = paramIdx.find(toks[b].text);
-                            if (it2 != paramIdx.end())
-                                mapped.idxParams.insert(it2->second);
-                        }
-                        // Unmapped index expressions leave the set
-                        // smaller, i.e. closer to an unconditional
-                        // write — the conservative direction.
-                    }
                     inherited.push_back(std::move(mapped));
                 }
             }
@@ -760,604 +681,7 @@ class MutTable
     }
 };
 
-/** Capture-list classification for one lambda. */
-struct Captures
-{
-    bool defaultRef = false;
-    bool defaultVal = false;
-    bool capturesThis = false;
-    std::set<std::string> byRef;
-    std::set<std::string> byVal;
-};
-
-Captures
-parseCaptures(const std::vector<Token> &toks, std::size_t captureOpen)
-{
-    Captures c;
-    if (captureOpen == std::string::npos ||
-        !isPunct(toks, captureOpen, "["))
-        return c;
-    std::size_t close = matchForward(toks, captureOpen, "[", "]");
-    for (const auto &part : splitArgs(toks, captureOpen, close)) {
-        std::size_t b = part.first, e = part.second;
-        if (b >= e)
-            continue;
-        const std::string &first = toks[b].text;
-        if (e == b + 1 && first == "&") {
-            c.defaultRef = true;
-        } else if (e == b + 1 && first == "=") {
-            c.defaultVal = true;
-        } else if (first == "this") {
-            c.capturesThis = true;
-        } else if (first == "*" && at(toks, b + 1) == "this") {
-            // *this copies the object: member writes are lane-local.
-        } else if (first == "&" && isIdent(toks, b + 1)) {
-            c.byRef.insert(toks[b + 1].text);
-        } else if (isIdent(toks, b)) {
-            // `name` or `name = expr` init-capture: both by value.
-            c.byVal.insert(first);
-        }
-    }
-    return c;
-}
-
-/** Analysis state for one entry lambda. */
-class LaneScan
-{
-  public:
-    LaneScan(const FileContext &ctx, const FuncDef &lam,
-             MutTable &muts,
-             const std::vector<std::pair<std::size_t, std::size_t>>
-                 &otherLambdas,
-             std::vector<Diagnostic> &out)
-        : _ctx(ctx), _toks(ctx.lexed.tokens), _lam(lam), _muts(muts),
-          _out(out)
-    {
-        _caps = parseCaptures(_toks, lam.captureOpen);
-        std::vector<std::string> names;
-        std::vector<bool> refs;
-        parseParams(_toks, lam.paramOpen, names, refs);
-        for (const std::string &n : names)
-            _laneDerived.insert(n); // every lambda param is a lane id
-        (void)otherLambdas;
-    }
-
-    void
-    run()
-    {
-        for (std::size_t j = _lam.bodyFirst + 1;
-             j < _lam.bodyLast && j < _toks.size(); ++j) {
-            if (_toks[j].kind != Token::Kind::Ident)
-                continue;
-            const std::string &name = _toks[j].text;
-            if (isKeywordIdent(name))
-                continue;
-            if (tryDeclaration(j)) {
-                continue; // the declared name is not a write target
-            }
-            const std::string &prev = at(_toks, j - 1);
-            if (prev == "." || prev == "->")
-                continue; // path component, not a root
-            if (isIdent(_toks, j - 1) &&
-                !isKeywordIdent(at(_toks, j - 1)))
-                continue; // `Type name` handled by tryDeclaration
-            if (at(_toks, j + 1) == "(" && freeCallContext(_toks, j)) {
-                checkCallArgs(j);
-                continue;
-            }
-            checkWrite(j);
-        }
-    }
-
-  private:
-    const FileContext &_ctx;
-    const std::vector<Token> &_toks;
-    const FuncDef &_lam;
-    MutTable &_muts;
-    std::vector<Diagnostic> &_out;
-    Captures _caps;
-    std::set<std::string> _locals;      ///< per-iteration storage
-    std::set<std::string> _laneDerived; ///< safe lane-indexed names
-    std::set<std::string> _refAlias; ///< ref locals aliasing shared state
-    std::set<std::pair<int, std::string>> _seen;
-
-    bool
-    safeRoot(const std::string &root) const
-    {
-        if (_refAlias.count(root))
-            return false;
-        if (_locals.count(root) || _laneDerived.count(root))
-            return true;
-        if (_caps.byVal.count(root))
-            return true;
-        if (_caps.byRef.count(root))
-            return false;
-        if (_caps.defaultRef || _caps.capturesThis)
-            return false; // unknown name under [&] / [this]
-        return true; // by-value default or not captured at all
-    }
-
-    /** Handle `Type name = init;`, `Type &name = init;`,
-     *  `for (Type name : range)`, `Type name(init)`, `Type name;`.
-     *  Returns true when `j` is a declared name (caller skips it). */
-    bool
-    tryDeclaration(std::size_t j)
-    {
-        const std::string &prev = at(_toks, j - 1);
-        bool typeish =
-            (isIdent(_toks, j - 1) && !isKeywordIdent(prev) &&
-             prev != "return") ||
-            prev == "&" || prev == "*" || prev == ">";
-        if (prev == "&" || prev == "*") {
-            // require a type-ish token before the &/*: `a & b` is an
-            // expression, `Shard & sh` is a declarator.
-            const std::string &pp = at(_toks, j - 2);
-            if (!(isIdent(_toks, j - 2) && !isKeywordIdent(pp)) &&
-                pp != ">")
-                return false;
-        }
-        if (!typeish)
-            return false;
-        const std::string &next = at(_toks, j + 1);
-        bool decl = next == "=" || next == ";" || next == "{" ||
-                    next == "(" || next == ":" || next == ")" ||
-                    next == ",";
-        if (!decl)
-            return false;
-        if (next == "=" && at(_toks, j + 2) == "=")
-            return false; // `x == y` comparison, not a declaration
-        if (next == ":" && at(_toks, j + 1) == "::")
-            return false;
-
-        bool isRef = prev == "&";
-        bool mentionsLane = false;
-        if (next == "=" || next == ":") {
-            std::size_t end = initEnd(j + 2, next == ":");
-            for (std::size_t m = j + 2; m < end; ++m)
-                if (isIdent(_toks, m) &&
-                    _laneDerived.count(_toks[m].text))
-                    mentionsLane = true;
-        } else if (next == "{" || next == "(") {
-            const char *op = next == "{" ? "{" : "(";
-            const char *cl = next == "{" ? "}" : ")";
-            std::size_t close = matchForward(_toks, j + 1, op, cl);
-            for (std::size_t m = j + 2; m < close; ++m)
-                if (isIdent(_toks, m) &&
-                    _laneDerived.count(_toks[m].text))
-                    mentionsLane = true;
-        }
-
-        const std::string &name = _toks[j].text;
-        if (isRef) {
-            if (mentionsLane)
-                _laneDerived.insert(name);
-            else
-                _refAlias.insert(name);
-        } else {
-            _locals.insert(name);
-            if (mentionsLane)
-                _laneDerived.insert(name);
-        }
-        return true;
-    }
-
-    /** End of an initializer starting at `b`: the `;` at depth 0, or
-     *  for a range-for the `)` that closes the for-head. */
-    std::size_t
-    initEnd(std::size_t b, bool rangeFor) const
-    {
-        int paren = 0, brace = 0, bracket = 0;
-        for (std::size_t m = b; m < _toks.size(); ++m) {
-            const std::string &t = _toks[m].text;
-            if (_toks[m].kind != Token::Kind::Punct)
-                continue;
-            if (t == "(")
-                ++paren;
-            else if (t == ")") {
-                if (rangeFor && paren == 0)
-                    return m;
-                --paren;
-            } else if (t == "{")
-                ++brace;
-            else if (t == "}") {
-                if (brace == 0)
-                    return m;
-                --brace;
-            } else if (t == "[")
-                ++bracket;
-            else if (t == "]")
-                --bracket;
-            else if (t == ";" && paren == 0 && brace == 0 &&
-                     bracket == 0)
-                return m;
-        }
-        return _toks.size();
-    }
-
-    void
-    flag(int line, const std::string &message,
-         const std::string &hint)
-    {
-        if (!_seen.insert({line, message}).second)
-            return;
-        Diagnostic d;
-        d.file = _ctx.path;
-        d.line = line;
-        d.rule = "lane-safety";
-        d.message = message;
-        d.hint = hint;
-        _out.push_back(std::move(d));
-    }
-
-    void
-    checkWrite(std::size_t j)
-    {
-        PathInfo p = matchPath(_toks, j, _laneDerived);
-        // A non-mutating method call ends the walk entirely: a prefix
-        // ++ then targets the method's return value (e.g. the
-        // lane-aware reference counter() hands back), not the capture.
-        bool write = !p.methodStop &&
-                     (!p.mutMethod.empty() || prefixIncDec(_toks, j) ||
-                      writeOpAt(_toks, p.end));
-        if (!write || p.laneIndexed || safeRoot(p.root))
-            return;
-        int line = p.mutLine ? p.mutLine : _toks[j].line;
-        std::string what =
-            !p.mutMethod.empty()
-                ? "mutating call '" + p.mutMethod + "' on"
-                : "write through";
-        flag(line,
-             "parallelFor lane lambda: " + what +
-                 " shared capture '" + p.root +
-                 "' is not indexed by the lane parameter",
-             "give each lane its own slot (index by the lane id and "
-             "merge after the join), capture by value, or "
-             "restructure per the per-lane-buffer discipline "
-             "(sim::ChainEngine::HostLane)");
-    }
-
-    /** `callee(..., captured, ...)`: flag when every candidate
-     *  mutates the corresponding by-reference parameter and no
-     *  lane-derived index protects the write. */
-    void
-    checkCallArgs(std::size_t j)
-    {
-        const std::string &callee = _toks[j].text;
-        auto cit = _muts.byName().find(callee);
-        if (cit == _muts.byName().end())
-            return;
-        std::size_t open = j + 1;
-        std::size_t close = matchForward(_toks, open, "(", ")");
-        auto args = splitArgs(_toks, open, close);
-
-        for (std::size_t a = 0; a < args.size(); ++a) {
-            std::size_t b = args[a].first, e = args[a].second;
-            std::size_t rootAt = b;
-            if (e > b + 1 && isPunct(_toks, b, "&"))
-                rootAt = b + 1;
-            if (rootAt >= e || !isIdent(_toks, rootAt) ||
-                isKeywordIdent(_toks[rootAt].text))
-                continue;
-            PathInfo p = matchPath(_toks, rootAt, _laneDerived);
-            if (p.end != e)
-                continue; // not a bare path argument
-            if (p.methodStop || !p.mutMethod.empty())
-                continue;
-            if (p.laneIndexed || safeRoot(p.root))
-                continue;
-
-            // Every candidate must mutate position `a`.
-            const ParamMutation *witness = nullptr;
-            bool allMutate = true;
-            for (const auto &cand : cit->second) {
-                if (cand.second->isCtor || cand.second->isDtor) {
-                    allMutate = false;
-                    break;
-                }
-                const MutSummary &cs =
-                    _muts.summaryOf(cand.first, cand.second);
-                auto mit = cs.mutations.find(a);
-                if (mit == cs.mutations.end() ||
-                    mit->second.empty()) {
-                    allMutate = false;
-                    break;
-                }
-                // A mutation is excused only when one of its index
-                // parameters receives a lane-derived argument.
-                for (const ParamMutation &m : mit->second) {
-                    bool excused = false;
-                    for (std::size_t q : m.idxParams) {
-                        if (q >= args.size())
-                            continue;
-                        std::size_t qb = args[q].first,
-                                    qe = args[q].second;
-                        if (qe == qb + 1 && isIdent(_toks, qb) &&
-                            _laneDerived.count(_toks[qb].text))
-                            excused = true;
-                    }
-                    if (!excused && !witness)
-                        witness = &m;
-                }
-            }
-            if (!allMutate || !witness)
-                continue;
-            flag(_toks[rootAt].line,
-                 "parallelFor lane lambda: shared capture '" +
-                     p.root + "' is mutated by '" + callee + "'" +
-                     witness->where +
-                     " without a lane-derived index",
-                 "pass a per-lane slot instead, or index the "
-                 "callee's write by a lane-derived argument");
-        }
-    }
-};
-
 } // namespace
-
-void
-runLaneSafety(const std::vector<FileContext> &ctxs,
-              std::vector<Diagnostic> &out)
-{
-    MutTable muts(ctxs);
-    for (const FileContext &ctx : ctxs) {
-        const auto &toks = ctx.lexed.tokens;
-
-        // parallelFor call argument ranges in this file.
-        std::vector<std::pair<std::size_t, std::size_t>> ranges;
-        for (std::size_t j = 0; j + 1 < toks.size(); ++j) {
-            if (toks[j].kind != Token::Kind::Ident ||
-                toks[j].text != "parallelFor" ||
-                !isPunct(toks, j + 1, "("))
-                continue;
-            ranges.push_back(
-                {j + 1, matchForward(toks, j + 1, "(", ")")});
-        }
-        if (ranges.empty())
-            continue;
-
-        // Entry lambdas: lambdas inside some range.  Analyze only the
-        // outermost of nested entry lambdas — the linear scan covers
-        // nested bodies with the outer's lane-derived context.
-        std::vector<const FuncDef *> entries;
-        for (const FuncDef &f : ctx.parsed.funcs) {
-            if (!f.name.empty())
-                continue;
-            std::size_t pos = f.captureOpen != std::string::npos
-                                  ? f.captureOpen
-                                  : f.bodyFirst;
-            for (const auto &r : ranges)
-                if (pos > r.first && pos < r.second) {
-                    entries.push_back(&f);
-                    break;
-                }
-        }
-        std::vector<std::pair<std::size_t, std::size_t>> spans;
-        for (const FuncDef *f : entries)
-            spans.push_back({f->bodyFirst, f->bodyLast});
-        for (const FuncDef *f : entries) {
-            bool nested = false;
-            for (const auto &s : spans)
-                if (f->bodyFirst > s.first && f->bodyLast < s.second)
-                    nested = true;
-            if (nested)
-                continue;
-            LaneScan(ctx, *f, muts, spans, out).run();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// shared(post-build) immutability / escape
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** Member-variable root at token `j` inside a member function body:
- *  `_name` (the codebase's member naming convention) or
- *  `this->name`.  "" when the token is not a member root. */
-std::string
-memberRootAt(const std::vector<Token> &toks, std::size_t j)
-{
-    if (!isIdent(toks, j))
-        return "";
-    const std::string &prev = at(toks, j - 1);
-    if (prev == "->" && at(toks, j - 2) == "this")
-        return toks[j].text;
-    if (prev == "." || prev == "->" || prev == "::")
-        return ""; // someone else's field / qualified name
-    const std::string &t = toks[j].text;
-    if (t.size() > 1 && t[0] == '_')
-        return t;
-    return "";
-}
-
-/** Does the definition return a non-const reference?  Walks back
- *  from the name at `paramOpen - 1`, skipping `Class ::` qualifiers,
- *  and checks for `&` with no `const` in the preceding return-type
- *  tokens. */
-bool
-returnsNonConstRef(const std::vector<Token> &toks, const FuncDef &f)
-{
-    if (f.paramOpen == std::string::npos || f.paramOpen < 2)
-        return false;
-    std::size_t k = f.paramOpen - 1; // the declared name
-    while (k >= 2 && at(toks, k - 1) == "::" && isIdent(toks, k - 2))
-        k -= 2;
-    if (k == 0 || !isPunct(toks, k - 1, "&"))
-        return false;
-    for (std::size_t m = k - 1; m-- > 0;) {
-        const std::string &t = toks[m].text;
-        if (t == ";" || t == "}" || t == "{" || t == ")")
-            break;
-        if (t == "const")
-            return false;
-        if (f.paramOpen - m > 10)
-            break; // return types are short; stop rather than walk
-    }
-    return true;
-}
-
-/** Scan one non-API member function of a shared class. */
-void
-scanSharedMember(const FileContext &ctx, const FuncDef &f,
-                 const ClassInfo &cls, MutTable &muts,
-                 std::vector<Diagnostic> &out)
-{
-    const auto &toks = ctx.lexed.tokens;
-    const std::set<std::string> noIdx;
-    std::set<std::pair<int, std::string>> seen;
-    auto flag = [&](int line, const std::string &msg,
-                    const std::string &hint) {
-        if (!seen.insert({line, msg}).second)
-            return;
-        Diagnostic d;
-        d.file = ctx.path;
-        d.line = line;
-        d.rule = "shared";
-        d.message = msg;
-        d.hint = hint;
-        out.push_back(std::move(d));
-    };
-    const std::string head =
-        "shared(post-build) class '" + cls.name + "': ";
-    const char *kHint =
-        "post-build mutation must flow through the virtual plugin "
-        "API the engine serializes; rebuild the state in the "
-        "constructor or reset(), or justify the synchronization "
-        "with an allow(shared) escape";
-
-    for (std::size_t j = f.bodyFirst + 1;
-         j < f.bodyLast && j < toks.size(); ++j) {
-        if (!isIdent(toks, j))
-            continue;
-
-        // Member handed by reference to a free function whose every
-        // candidate mutates that position — the cross-TU escape.
-        if (isPunct(toks, j + 1, "(") && freeCallContext(toks, j) &&
-            !isKeywordIdent(toks[j].text)) {
-            const std::string &callee = toks[j].text;
-            auto cit = muts.byName().find(callee);
-            if (cit == muts.byName().end())
-                continue;
-            std::size_t close = matchForward(toks, j + 1, "(", ")");
-            auto args = splitArgs(toks, j + 1, close);
-            for (std::size_t a = 0; a < args.size(); ++a) {
-                std::size_t b = args[a].first, e = args[a].second;
-                std::size_t rootAt = b;
-                if (e > b + 1 && isPunct(toks, b, "&"))
-                    rootAt = b + 1;
-                std::string m = memberRootAt(toks, rootAt);
-                if (m.empty())
-                    continue;
-                PathInfo p = matchPath(toks, rootAt, noIdx);
-                if (p.end != e || p.methodStop ||
-                    !p.mutMethod.empty())
-                    continue;
-                const ParamMutation *witness = nullptr;
-                bool all = true;
-                for (const auto &cand : cit->second) {
-                    if (cand.second->isCtor || cand.second->isDtor) {
-                        all = false;
-                        break;
-                    }
-                    const MutSummary &cs =
-                        muts.summaryOf(cand.first, cand.second);
-                    auto mit = cs.mutations.find(a);
-                    if (mit == cs.mutations.end() ||
-                        mit->second.empty()) {
-                        all = false;
-                        break;
-                    }
-                    if (!witness)
-                        witness = &mit->second.front();
-                }
-                if (!all || !witness)
-                    continue;
-                flag(toks[rootAt].line,
-                     head + "member '" + m + "' is mutated by '" +
-                         callee + "'" + witness->where,
-                     kHint);
-            }
-            continue;
-        }
-
-        // Direct write / mutating container call through a member.
-        std::string m = memberRootAt(toks, j);
-        if (m.empty())
-            continue;
-        PathInfo p = matchPath(toks, j, noIdx);
-        bool write = !p.methodStop &&
-                     (!p.mutMethod.empty() || prefixIncDec(toks, j) ||
-                      writeOpAt(toks, p.end));
-        if (!write)
-            continue;
-        int line = p.mutLine ? p.mutLine : toks[j].line;
-        std::string what =
-            !p.mutMethod.empty()
-                ? "mutating call '" + p.mutMethod + "' on member '" +
-                      m + "'"
-                : "member '" + m + "' is written";
-        flag(line,
-             head + what + " in '" + f.name +
-                 "' outside the virtual plugin API",
-             kHint);
-    }
-
-    // Escaping non-const reference to a member: the caller can then
-    // mutate the shared object with no rule in sight.
-    if (returnsNonConstRef(toks, f)) {
-        for (std::size_t j = f.bodyFirst + 1;
-             j < f.bodyLast && j < toks.size(); ++j) {
-            if (!isIdent(toks, j) || toks[j].text != "return")
-                continue;
-            std::size_t r = j + 1;
-            if (isPunct(toks, r, "*") || isPunct(toks, r, "&"))
-                ++r;
-            std::string m = memberRootAt(toks, r);
-            if (m.empty() || !isPunct(toks, r + 1, ";"))
-                continue;
-            flag(toks[j].line,
-                 head + "'" + f.name +
-                     "' returns a non-const reference to member '" +
-                     m + "'",
-                 "hand out a const reference — the engine shares "
-                 "this object across shards — or justify the "
-                 "escape with an allow(shared) escape");
-        }
-    }
-}
-
-} // namespace
-
-void
-runSharedImmutability(const std::vector<FileContext> &ctxs,
-                      const ClassGraph &cg,
-                      std::vector<Diagnostic> &out)
-{
-    bool anyShared = false;
-    for (const ClassInfo &c : cg.classes)
-        if (c.shared)
-            anyShared = true;
-    if (!anyShared)
-        return;
-    MutTable muts(ctxs);
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
-        if (allowedIncludes(ctxs[i].layer).empty())
-            continue;
-        for (const FuncDef &f : ctxs[i].parsed.funcs) {
-            if (f.name.empty() || f.className.empty() || f.isCtor ||
-                f.isDtor)
-                continue;
-            auto it = cg.byName.find(f.className);
-            if (it == cg.byName.end())
-                continue;
-            const ClassInfo &cls = cg.classes[it->second];
-            if (!cls.shared || cls.apiNames.count(f.name))
-                continue;
-            scanSharedMember(ctxs[i], f, cls, muts, out);
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // sched-purity

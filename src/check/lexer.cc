@@ -88,10 +88,6 @@ scanCommentMarkers(const std::string &text, int line, LexedFile &out)
         int markerLine = line + extraLines;
         if (text.compare(j, 7, "hotpath") == 0) {
             out.hotpath = true;
-        } else if (text.compare(j, 18, "shared(post-build)") == 0) {
-            Marker m;
-            m.line = markerLine;
-            out.sharedMarkers.push_back(m);
         } else if (text.compare(j, 4, "pure") == 0 &&
                    (j + 4 >= text.size() || !identCont(text[j + 4]))) {
             Marker m;

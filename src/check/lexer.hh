@@ -99,9 +99,6 @@ struct LexedFile
     /** String literals with their lines, in source order (contents
      *  are excluded from `tokens`; see StrLit). */
     std::vector<StrLit> strings;
-    /** shared(post-build) markers: each flags the class defined at or
-     *  after the marker line as immutable once construction ends. */
-    std::vector<Marker> sharedMarkers;
     /** pure markers: each flags the function whose body starts at or
      *  after the marker line as side-effect-free. */
     std::vector<Marker> pureMarkers;

@@ -46,20 +46,6 @@
  *                 definition is diagnosed with the full source→sink
  *                 witness chain, so wrapper laundering cannot escape
  *                 the flat token scan.
- *   lane-safety — lambdas passed to parallelFor run concurrently on
- *                 host lanes; writes through by-reference captures
- *                 must be indexed by the lane parameter (per-lane
- *                 buffer, merge after the join), including writes
- *                 performed by callees through non-const reference
- *                 parameters.
- *   shared      — classes carrying the shared(post-build) marker
- *                 (inherited through the hierarchy) are cached and
- *                 shared across engine shards; after construction
- *                 they may only change through their virtual plugin
- *                 API.  Non-API member writes, mutating calls on
- *                 members (direct or through a callee's summary,
- *                 with a cross-TU witness) and escaping non-const
- *                 member references are diagnosed.
  *   topo-contract — topology registry hygiene: duplicate registry
  *                 names, and concrete machines in a registered
  *                 hierarchy that no registration resolves to.
@@ -190,9 +176,9 @@ std::vector<Diagnostic> runFileRules(const FileContext &ctx);
 
 /** Run the cross-file rules (accounting with interprocedural
  *  summaries, hotpath-propagation, include-hygiene, determinism
- *  taint, lane-safety, the class-contract family: shared /
- *  topo-contract / topo-fallback / sched-purity) over a whole run's
- *  file set.  Raw: allow() markers are NOT applied. */
+ *  taint, the class-contract family: topo-contract /
+ *  topo-fallback, and sched-purity) over a whole run's file set.
+ *  Raw: allow() markers are NOT applied. */
 std::vector<Diagnostic>
 runProjectRules(const std::vector<FileContext> &ctxs,
                 ProjectRuleStats *stats = nullptr);

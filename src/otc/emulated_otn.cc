@@ -26,8 +26,8 @@ cyclesPerSideFor(std::size_t n, unsigned l)
 } // namespace
 
 OtcEmulatedOtn::OtcEmulatedOtn(std::size_t n, const vlsi::CostModel &cost,
-                               unsigned cycle_len, unsigned host_threads)
-    : OrthogonalTreesNetwork(n, cost, {}, host_threads),
+                               unsigned cycle_len)
+    : OrthogonalTreesNetwork(n, cost),
       _cycleLen(defaultCycleLen(n, cycle_len)),
       _otcLayout(cyclesPerSideFor(n, _cycleLen), _cycleLen,
                  cost.word().bits())

@@ -40,10 +40,9 @@ class OtcEmulatedOtn : public otn::OrthogonalTreesNetwork
      * @param n     Emulated OTN side (the problem size).
      * @param cost  Cost rules.
      * @param cycle_len  L; 0 = the standard log N.
-     * @param host_threads  Host threads for parallelFor (see the base).
      */
     OtcEmulatedOtn(std::size_t n, const vlsi::CostModel &cost,
-                   unsigned cycle_len = 0, unsigned host_threads = 0);
+                   unsigned cycle_len = 0);
 
     /** The underlying OTC's cycle length L. */
     unsigned cycleLen() const { return _cycleLen; }

@@ -25,12 +25,12 @@ treeSpan(Axis axis, std::size_t idx, std::size_t k, std::uint64_t words)
 } // namespace
 
 OtcNetwork::OtcNetwork(std::size_t cycles_per_side, unsigned cycle_len,
-                       const CostModel &cost, unsigned host_threads)
+                       const CostModel &cost)
     : _k(vlsi::nextPow2(cycles_per_side ? cycles_per_side : 1)),
       _l(cycle_len ? cycle_len : 1),
       _cost(cost),
       _layout(_k, _l, cost.word().bits()),
-      _engine(_acct, _stats, host_threads),
+      _engine(_acct, _stats),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
       _regs(otn::kNumRegs, _k * _k * _l),

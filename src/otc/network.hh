@@ -127,12 +127,9 @@ class OtcNetwork
      * @param cycles_per_side  K (rounded up to a power of two).
      * @param cycle_len        L (>= 1); log N for the standard machine.
      * @param cost             Cost rules.
-     * @param host_threads     Host threads for parallelFor dispatch
-     *                         (0 = OT_HOST_THREADS / hardware
-     *                         concurrency, 1 = sequential).
      */
     OtcNetwork(std::size_t cycles_per_side, unsigned cycle_len,
-               const CostModel &cost, unsigned host_threads = 0);
+               const CostModel &cost);
 
     std::size_t k() const { return _k; }
     unsigned cycleLen() const { return _l; }
@@ -146,9 +143,6 @@ class OtcNetwork
     const TimeAccountant &acct() const { return _acct; }
     sim::StatSet &stats() { return _stats; }
     ModelTime now() const { return _acct.now(); }
-
-    /** Host threads the engine dispatches parallelFor onto. */
-    unsigned hostThreads() const { return _engine.hostThreads(); }
 
     /** Attach a model-time tracer (see otn::setTracer). */
     void

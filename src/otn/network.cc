@@ -36,13 +36,12 @@ baseSpan(std::uint64_t words)
 
 OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
                                                const CostModel &cost,
-                                               layout::LayoutParams params,
-                                               unsigned host_threads)
+                                               layout::LayoutParams params)
     : _n(vlsi::nextPow2(n ? n : 1)),
       _cost(cost),
       _layoutParams(params),
       _layout(_n, cost.word().bits(), params),
-      _engine(_acct, _stats, host_threads),
+      _engine(_acct, _stats),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
       _regs(kNumRegs, _n * _n),
@@ -419,11 +418,9 @@ OrthogonalTreesNetwork::baseOp(
 // Each runs the data movement of all N per-tree primitives through the
 // kernel table first (plane-contiguous, single-threaded), then replays
 // the per-tree model-time accounting — the same counters, trace spans
-// and charges, in the same per-iteration order — under parallelFor.
-// Counters sum, trace streams merge by iteration index and charges
-// take the max chain exactly as they would have in the per-tree
-// formulation, so every accounting observable is bit-identical at any
-// OT_HOST_THREADS.
+// and charges, in the same per-iteration order — under parallelFor, so
+// every accounting observable is bit-identical to the per-tree
+// formulation.
 // ----------------------------------------------------------------------
 
 ModelTime

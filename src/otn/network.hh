@@ -15,14 +15,14 @@
  * computed from the wire geometry of a concrete OtnLayout through a
  * CostModel, and accumulated in a TimeAccountant.  Algorithms express
  * the paper's "for each i pardo" with parallelFor, which charges the
- * maximum cost of the enclosed operations instead of their sum — and,
- * through the sim::ChainEngine, spreads the iterations over host
- * threads (OT_HOST_THREADS) with bit-identical model-time accounting.
+ * maximum cost of the enclosed operations instead of their sum (the
+ * sim::ChainEngine's max-of-chains rule).  The iterations run
+ * sequentially on the host; one machine is only ever driven by one
+ * thread.
  */
 
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -173,14 +173,9 @@ class OrthogonalTreesNetwork
      * @param n      Side of the base; rounded up to a power of two.
      * @param cost   Cost rules (delay model, word width, scaling).
      * @param params Layout constants for the chip geometry.
-     * @param host_threads Host threads for parallelFor dispatch:
-     *               0 = the OT_HOST_THREADS environment switch
-     *               (default: hardware concurrency), 1 = sequential.
-     *               Model time is bit-identical for every setting.
      */
     OrthogonalTreesNetwork(std::size_t n, const CostModel &cost,
-                           layout::LayoutParams params = {},
-                           unsigned host_threads = 0);
+                           layout::LayoutParams params = {});
 
     virtual ~OrthogonalTreesNetwork() = default;
 
@@ -192,9 +187,6 @@ class OrthogonalTreesNetwork
     TimeAccountant &acct() { return _acct; }
     const TimeAccountant &acct() const { return _acct; }
     sim::StatSet &stats() { return _stats; }
-
-    /** Host threads the engine dispatches parallelFor onto. */
-    unsigned hostThreads() const { return _engine.hostThreads(); }
 
     /**
      * Attach a model-time tracer: every primitive becomes a Span event
@@ -325,14 +317,8 @@ class OrthogonalTreesNetwork
      * that hardware), but across iterations only the maximum chain
      * is charged.  Nested parallelFor composes: an inner pardo
      * contributes its (max) cost to the enclosing iteration's chain.
-     * Returns the charged (max-of-chains) cost.
-     *
-     * When the engine is configured with more than one host thread,
-     * top-level calls dispatch contiguous iteration blocks onto the
-     * shared pool; the charged time is bit-identical either way (see
-     * sim/chain_engine.hh).  Iteration bodies must then only touch
-     * disjoint machine state, which every "pardo over disjoint
-     * trees" algorithm of the paper does by construction.
+     * Returns the charged (max-of-chains) cost.  The iterations run
+     * in order on the calling thread.
      */
     ModelTime
     parallelFor(std::size_t count,
@@ -410,8 +396,7 @@ class OrthogonalTreesNetwork
     // contiguous register planes.  Model-time accounting is then
     // replayed per tree under parallelFor exactly as the per-tree
     // formulation would have produced it, so counters, trace streams
-    // and the clock are bit-identical to the scalar per-tree path at
-    // any OT_HOST_THREADS.
+    // and the clock are bit-identical to the scalar per-tree path.
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
@@ -516,24 +501,18 @@ class OrthogonalTreesNetwork
     ModelTime
     treeTraversalCost() const
     {
-        ModelTime c = _traversalCost.load(std::memory_order_relaxed);
-        if (c == kCostUnset) {
-            c = computeTreeTraversalCost();
-            _traversalCost.store(c, std::memory_order_relaxed);
-        }
-        return c;
+        if (_traversalCost == kCostUnset)
+            _traversalCost = computeTreeTraversalCost();
+        return _traversalCost;
     }
 
     /** Per-word cost of a combining traversal (COUNT/SUM/MIN). */
     ModelTime
     treeReduceCost() const
     {
-        ModelTime c = _reduceCost.load(std::memory_order_relaxed);
-        if (c == kCostUnset) {
-            c = computeTreeReduceCost();
-            _reduceCost.store(c, std::memory_order_relaxed);
-        }
-        return c;
+        if (_reduceCost == kCostUnset)
+            _reduceCost = computeTreeReduceCost();
+        return _reduceCost;
     }
 
     /** Charge an explicitly computed pipeline cost (pipedo blocks). */
@@ -588,8 +567,8 @@ class OrthogonalTreesNetwork
     void
     invalidateCostCaches()
     {
-        _traversalCost.store(kCostUnset, std::memory_order_relaxed);
-        _reduceCost.store(kCostUnset, std::memory_order_relaxed);
+        _traversalCost = kCostUnset;
+        _reduceCost = kCostUnset;
     }
 
   private:
@@ -661,8 +640,8 @@ class OrthogonalTreesNetwork
     sim::StatSet _stats;
     sim::ChainEngine _engine;
 
-    mutable std::atomic<ModelTime> _traversalCost{kCostUnset};
-    mutable std::atomic<ModelTime> _reduceCost{kCostUnset};
+    mutable ModelTime _traversalCost = kCostUnset;
+    mutable ModelTime _reduceCost = kCostUnset;
 
     simd::Backend _backend;
     const simd::KernelTable *_kernels;

@@ -28,12 +28,6 @@ ThreadPool::defaultThreads()
     return hw ? hw : 1;
 }
 
-bool
-ThreadPool::inWorker()
-{
-    return t_in_worker;
-}
-
 ThreadPool::~ThreadPool()
 {
     {

@@ -1,19 +1,19 @@
 /**
  * @file
- * A small fixed-size host thread pool for parallelFor dispatch.
+ * A small fixed-size host thread pool for the batch farm.
  *
- * The simulator's `pardo` loops iterate over disjoint row/column trees,
- * so their host execution can be spread over real cores without
- * changing any model-time arithmetic.  The pool is deliberately
- * work-stealing-free: a job splits its iteration range into one
- * contiguous block per lane, every worker runs exactly one block, and
- * the caller joins at the end.  That static schedule is what makes the
- * engine's per-lane accounting deterministic (see chain_engine.hh).
+ * The one threaded path in the simulator is the BatchEngine's host
+ * phase (workload/engine.hh), reached through ChainEngine::hostFor:
+ * whole instances run on separate machines, one contiguous block of
+ * farm shards per lane.  The pool is deliberately work-stealing-free:
+ * every worker runs exactly one block and the caller joins at the
+ * end.  That static schedule only balances the lanes; determinism
+ * comes from the farm replaying its accounting sequentially after
+ * the join.
  *
  * One job runs at a time (callers serialize on the job mutex); nested
  * `run` calls from inside a worker fall back to running all lanes
- * inline on the calling thread, which preserves the lane-indexed
- * accounting exactly.
+ * inline on the calling thread.
  */
 
 #pragma once
@@ -37,9 +37,9 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * Process-wide pool shared by every network instance.  Workers are
-     * spawned lazily, so a program that never runs with more than one
-     * host thread never creates any.
+     * Process-wide pool shared by every batch farm.  Workers are
+     * spawned lazily, so a program that never runs a farm on more
+     * than one host thread never creates any.
      */
     static ThreadPool &shared();
 
@@ -49,9 +49,6 @@ class ThreadPool
      * std::thread::hardware_concurrency() (min 1).
      */
     static unsigned defaultThreads();
-
-    /** True on a thread currently executing a pool job. */
-    static bool inWorker();
 
     /**
      * Run `fn(lane)` for every lane in [0, lanes).  Lane 0 executes on

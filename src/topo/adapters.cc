@@ -37,8 +37,7 @@ resetOtnState(otn::OrthogonalTreesNetwork &net)
 OtnTopoMachine::OtnTopoMachine(const MachineSpec &spec)
     : OtnTopoMachine(spec,
                      std::make_unique<otn::OrthogonalTreesNetwork>(
-                         spec.n, spec.cost(), layout::LayoutParams{},
-                         /*host_threads=*/1))
+                         spec.n, spec.cost()))
 {
 }
 
@@ -131,8 +130,7 @@ OtnTopoMachine::runShortestPaths(const graph::WeightedGraph &g,
 OtcEmulatedTopoMachine::OtcEmulatedTopoMachine(const MachineSpec &spec)
     : OtnTopoMachine(spec,
                      std::make_unique<otc::OtcEmulatedOtn>(
-                         spec.n, spec.cost(), spec.cycleLen,
-                         /*host_threads=*/1)),
+                         spec.n, spec.cost(), spec.cycleLen)),
       _emu(static_cast<otc::OtcEmulatedOtn *>(_net.get()))
 {
     assert(spec.cycleLen >= 1 && "otc-emu: cycle length not set");
@@ -169,8 +167,7 @@ OtcNativeTopoMachine::OtcNativeTopoMachine(const MachineSpec &spec)
     // the network constructor makes both roundings identical at every
     // other power-of-two size, so cached model times are unchanged.
     _net = std::make_unique<otc::OtcNetwork>(
-        vlsi::ceilDiv(spec.n, spec.cycleLen), spec.cycleLen, spec.cost(),
-        /*host_threads=*/1);
+        vlsi::ceilDiv(spec.n, spec.cycleLen), spec.cycleLen, spec.cost());
 }
 
 void
@@ -258,10 +255,6 @@ MeshTopoMachine::setTracer(trace::Tracer *tracer)
         _grid->acct().setTracer(tracer);
 }
 
-// otcheck:allow(shared): lazy build of the Cannon grid on first use;
-// the engine serializes all calls on one machine, reset() leaves the
-// grid rebuilt-on-demand, and the reference only feeds the run*
-// entry points above, so the cache never races across shards.
 baselines::MeshMachine &
 MeshTopoMachine::grid()
 {

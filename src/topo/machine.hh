@@ -125,11 +125,8 @@ struct SsspRun
 /** One pluggable network topology under the VLSI cost model.
  *
  *  Machines are cached by workload::NetworkCache and handed out to
- *  BatchEngine shards; once construction completes they may only
- *  change through the virtual API below, which the engine serializes
- *  per machine.  otcheck enforces this (rule `shared`; the marker is
- *  inherited, so every registered plugin is covered). */
-// otcheck:shared(post-build)
+ *  BatchEngine shards; a machine is only ever driven by the one farm
+ *  lane that owns its shard. */
 class Machine
 {
   public:

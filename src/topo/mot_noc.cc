@@ -24,7 +24,7 @@ gridSide(std::size_t n)
 MotNocMachine::MotNocMachine(const MachineSpec &spec, bool diametrical)
     : Machine(spec), _k(gridSide(spec.n)), _diametrical(diametrical),
       _layout(_k, spec.wordBits),
-      _engine(_acct, _stats, /*host_threads=*/1)
+      _engine(_acct, _stats)
 {
 }
 
@@ -125,9 +125,6 @@ MotNocMachine::runTraffic(
         args.words = ro.rootCrossings;
         _engine.traceSpan("mot", "route", ro.time, args);
         _engine.charge(ro.time);
-        // otcheck:allow(shared): per-run traffic accumulator — the
-        // driver owns its machine exclusively and reset() clears it,
-        // so the post-build write never crosses a shard boundary.
         _rootWords += ro.rootCrossings;
         total += ro.time;
     }

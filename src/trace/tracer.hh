@@ -17,12 +17,11 @@
  *              track: its durations sum exactly to now().
  *  - PhaseBegin / PhaseEnd — the TimeAccountant phase stack.
  *
- * Determinism under OT_HOST_THREADS: pool lanes record into private
- * LaneLog buffers (no locks, no atomics); sim::ChainEngine merges
- * them in lane order after the join.  Lanes own contiguous iteration
- * blocks in index order, so the concatenation equals the sequential
- * recording order and the merged stream is bit-identical for every
- * host-thread count (test_trace.cc asserts this).
+ * Determinism: the stream is recorded on the one thread that drives
+ * the simulation.  Network pardo loops run sequentially, and the
+ * batch farm replays its per-instance spans and charges after its
+ * host phase, so the stream is bit-identical for every
+ * OT_HOST_THREADS (test_workload.cc asserts this).
  *
  * Overhead: with no tracer attached the hooks are one pointer test;
  * compiled out entirely when OT_TRACE is not defined (CMake option
@@ -30,9 +29,7 @@
  * events are held, further events are counted in `dropped()` and
  * discarded — earlier events are never overwritten, so long sweeps
  * cannot exhaust memory and a truncated trace is still a valid
- * prefix.  The bound is applied to the merged stream (lanes cap at
- * the capacity remaining when their pardo started), which keeps even
- * the *truncation point* thread-count-independent.
+ * prefix.
  */
 
 #pragma once
@@ -82,32 +79,10 @@ struct Event
 bool eventsEqual(const Event &a, const Event &b);
 
 /**
- * Private, lock-free event buffer for one ChainEngine pool lane.
- * Bounded by the capacity the owning Tracer had left when the pardo
- * was dispatched; `attempts` counts every record so the merge can
- * account drops exactly.
- */
-struct LaneLog
-{
-    std::vector<Event> events;
-    std::uint64_t attempts = 0;
-    std::size_t cap = 0;
-
-    void
-    record(Event &&e)
-    {
-        ++attempts;
-        if (events.size() < cap)
-            events.push_back(std::move(e));
-    }
-};
-
-/**
  * Collects the event stream of one run.
  *
  * Single-owner: record() may only be called from the thread driving
- * the simulation (the ChainEngine routes lane-side spans through
- * LaneLogs instead).  Off by default — construct, setEnabled(true),
+ * the simulation.  Off by default — construct, setEnabled(true),
  * attach with net.setTracer(&tracer).
  */
 class Tracer
@@ -124,13 +99,6 @@ class Tracer
     void setEnabled(bool on) { _enabled = on; }
 
     std::size_t capacity() const { return _capacity; }
-
-    /** Events the buffer can still take before dropping. */
-    std::size_t
-    remainingCapacity() const
-    {
-        return _capacity - _events.size();
-    }
 
     /** Events discarded because the buffer was full. */
     std::uint64_t dropped() const { return _dropped; }
@@ -178,27 +146,6 @@ class Tracer
         e.start = t;
         e.phase = phase;
         record(std::move(e));
-    }
-
-    /**
-     * Fold one lane's log into the stream (called by the ChainEngine
-     * after the pool join, in lane-index order).  Keeps the lane's
-     * events up to the global capacity and accounts every recording
-     * attempt beyond that as dropped.
-     */
-    void
-    mergeLane(LaneLog &log)
-    {
-        std::uint64_t kept = 0;
-        for (Event &e : log.events) {
-            if (_events.size() >= _capacity)
-                break;
-            _events.push_back(std::move(e));
-            ++kept;
-        }
-        _dropped += log.attempts - kept;
-        log.events.clear();
-        log.attempts = 0;
     }
 
   private:

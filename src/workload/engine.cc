@@ -220,18 +220,25 @@ BatchEngine::run(const WorkloadSpec &spec)
     _stats.counter("workload.cache.hit") += report.cacheHits;
     _stats.counter("workload.cache.miss") += report.cacheMisses;
 
-    // The farm: shards run in parallel (disjoint machines), instances
-    // within a shard queue on their shared machine.  parallelFor
-    // charges the longest shard chain — the farm makespan.
-    sim::ScopedPhase phase(_acct, "workload.batch");
-    report.makespan = _engine.parallelFor(shards.size(), [&](std::size_t s) {
+    // Host phase: shards run in parallel (disjoint machines), instances
+    // within a shard queue on their shared machine.  A lane touches
+    // only its own shards' machines and report slots.
+    _engine.hostFor(shards.size(), [&](std::size_t s) {
         const Shard &sh = shards[s];
         for (std::size_t idx : sh.members) {
-            const InstanceSpec &inst = spec.instances[idx];
-            InstanceReport &r = report.instances[idx];
             sh.machine->reset();
-            runInstance(inst, *sh.machine, r);
-            const ModelTime dt = r.time;
+            runInstance(spec.instances[idx], *sh.machine,
+                        report.instances[idx]);
+        }
+    });
+
+    // Model phase: replay the farm's accounting in shard order.
+    // parallelFor charges the longest shard chain — the farm makespan.
+    sim::ScopedPhase phase(_acct, "workload.batch");
+    report.makespan = _engine.parallelFor(shards.size(), [&](std::size_t s) {
+        for (std::size_t idx : shards[s].members) {
+            const InstanceSpec &inst = spec.instances[idx];
+            const ModelTime dt = report.instances[idx].time;
             sim::ChainEngine::SpanArgs args;
             args.tree = static_cast<std::int64_t>(idx);
             args.words = inst.n;

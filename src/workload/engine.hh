@@ -7,19 +7,26 @@
  * problem instances — and executes it as a *machine farm*: instances
  * are grouped by machine shape (one NetworkCache entry per shape),
  * each group runs sequentially on its shared machine, and the groups
- * run in parallel, one farm shard per group.  The engine's own
- * ChainEngine shards the groups over host threads (OT_HOST_THREADS)
- * and charges model time with the same max-of-chains rule as the
- * networks' pardo loops, so the aggregate makespan is the farm's
- * parallel completion time:
+ * run in parallel, one farm shard per group.  run() works in two
+ * steps:
  *
- *     makespan = max over shards of (sum of the shard's instance
- *                times);  total work = sum of all instance times.
+ *  1. Host phase — the only threaded code in the simulator.  The
+ *     shards are split into contiguous blocks over OT_HOST_THREADS
+ *     lanes (ChainEngine::hostFor); each lane runs its shards'
+ *     instances and writes only its own machines and report slots.
+ *  2. Model phase — on the calling thread, a parallelFor over the
+ *     shards replays each instance's span, charge and stat counter
+ *     in shard order.  The max-of-chains rule of the networks' pardo
+ *     loops makes the aggregate makespan the farm's parallel
+ *     completion time:
+ *
+ *         makespan = max over shards of (sum of the shard's instance
+ *                    times);  total work = sum of all instance times.
  *
  * Everything reported — per-instance model times, the aggregate, the
  * cache counters, the trace stream — derives from model time and
- * deterministic inputs only, so reports are byte-identical at every
- * host-thread count (the PR 1 determinism contract, enforced by
+ * deterministic inputs and is recorded in step 2, so reports are
+ * byte-identical at every host-thread count (enforced by
  * tests/test_workload.cc).
  *
  * Every instance is verified against its sequential reference (sorted
@@ -144,12 +151,10 @@ class BatchEngine
     /** Model time accumulated over all run() calls. */
     ModelTime now() const { return _acct.now(); }
 
-    unsigned hostThreads() const { return _engine.hostThreads(); }
-
     /**
      * Attach a model-time tracer: per-instance spans, the charge
-     * stream and the batch phase markers are recorded, merged in
-     * deterministic (submission) order.  nullptr detaches.
+     * stream and the batch phase markers are recorded by the model
+     * phase, in shard order.  nullptr detaches.
      */
     void
     setTracer(trace::Tracer *tracer)

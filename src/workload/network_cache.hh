@@ -18,10 +18,9 @@
  * a batch can never run an instance under a different delay model than
  * the machine it shares was built for.
  *
- * Cached machines are built with host_threads = 1: the BatchEngine
- * shards whole instances across host lanes, and the machines' inner
- * pardo loops then run inline on their lane (model time is
- * bit-identical at any setting — see sim/chain_engine.hh).
+ * Every machine runs its pardo loops sequentially.  Host parallelism
+ * lives one level up: the BatchEngine runs whole shards, each on its
+ * own machine, on separate host lanes.
  */
 
 #pragma once
@@ -49,12 +48,8 @@ using topo::toString;
  * hits() / misses() count the lookups.  Machines keep register state
  * between acquisitions — the BatchEngine resets them per instance —
  * and their model-time accountants are per-machine, so callers measure
- * runs with reset() + now().
- *
- * The handed-out machines are shared(post-build): topo::Machine
- * carries the otcheck marker, so any post-construction mutation
- * outside the virtual API the engine serializes is a static analysis
- * error (rule `shared`), not just a TSan finding.
+ * runs with reset() + now().  acquire() is not thread-safe: the
+ * BatchEngine calls it on the main thread before the farm starts.
  */
 class NetworkCache
 {

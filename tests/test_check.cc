@@ -101,21 +101,17 @@ TEST(CheckFixtures, CorpusMatchesAnnotations)
         "bad_accounting.cc",        "bad_accounting_cfg.cc",
         "bad_accounting_split.cc",  "bad_allow.cc",
         "bad_determinism.cc",       "bad_hotpath.cc",
-        "bad_intrinsics.cc",        "bad_lane_capture.cc",
-        "bad_layering.cc",          "bad_lexer_resync.cc",
-        "bad_sched_byref.cc",       "bad_sched_static.cc",
-        "bad_shared_mutation.cc",
-        "bad_topo_dupname.cc",      "bad_topo_fallback.cc",
-        "bad_topo_layering.cc",     "bad_topo_unregistered.cc",
-        "bad_unreachable.cc",
+        "bad_intrinsics.cc",        "bad_layering.cc",
+        "bad_lexer_resync.cc",      "bad_sched_byref.cc",
+        "bad_sched_static.cc",      "bad_topo_dupname.cc",
+        "bad_topo_fallback.cc",     "bad_topo_layering.cc",
+        "bad_topo_unregistered.cc", "bad_unreachable.cc",
         "good_accounting.cc",       "good_accounting_cfg.cc",
         "good_accounting_split.cc", "good_determinism.cc",
         "good_hotpath.cc",          "good_intrinsics.cc",
-        "good_lane_indexed.cc",     "good_layering.cc",
-        "good_lexer.cc",            "good_sched_pure.cc",
-        "good_shared_api.cc",
-        "good_topo_fallback_allow.cc", "good_topo_layering.cc",
-        "good_unreachable.cc",
+        "good_layering.cc",         "good_lexer.cc",
+        "good_sched_pure.cc",       "good_topo_fallback_allow.cc",
+        "good_topo_layering.cc",    "good_unreachable.cc",
     };
     for (const std::string &name : names) {
         SCOPED_TRACE(name);
@@ -174,32 +170,6 @@ TEST(CheckFixtures, IncludeHygieneProject)
         << "expected:\n" << show(expected) << "actual:\n" << show(actual);
 }
 
-// The transitive lane-safety rule needs the callee's translation
-// unit: the lambda only passes the capture to a helper whose
-// summary says "unconditional by-ref mutation".  The diagnostic must
-// cite the helper's file and line as the cross-file witness; the
-// good twin feeds the callee's index parameter the lane id and the
-// summary substitution excuses it.
-TEST(CheckFixtures, LaneSafetyTransitiveProject)
-{
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    Findings expected =
-        expectedFindings(slurp(dir + "/bad_lane_transitive.cc"));
-    ASSERT_FALSE(expected.empty());
-    std::vector<Diagnostic> diags = checkFixtureProject(
-        {"fixture_lane_helper.cc", "bad_lane_transitive.cc",
-         "good_lane_transitive.cc"});
-    Findings actual = findingsOf(diags);
-    EXPECT_EQ(expected, actual)
-        << "expected:\n" << show(expected) << "actual:\n" << show(actual);
-    ASSERT_EQ(1u, diags.size());
-    EXPECT_NE(std::string::npos,
-              diags[0].message.find(
-                  "is mutated by 'appendSample' at "
-                  "src/otn/fixture_lane_helper.cc:"))
-        << diags[0].message;
-}
-
 // The determinism-taint rule fires only at the scope boundary: the
 // workload-layer sink calls a wrapper that is two call-graph hops
 // from the banned primitive, and the diagnostic must spell out the
@@ -243,35 +213,6 @@ TEST(CheckFixtures, TaintThroughFunctionPointerTable)
     ASSERT_EQ(1u, diags.size());
     EXPECT_NE(std::string::npos,
               diags[0].message.find("reference to"))
-        << diags[0].message;
-}
-
-// The shared rule's cross-TU arm: the flagged member never appears
-// in a write expression in its own translation unit — it is handed
-// by reference to a helper whose mutation summary says
-// "unconditional push_back on parameter 0".  The diagnostic must
-// cite the helper's file and line; the good twin (all mutation
-// inside the serialized virtual API) must stay silent.
-TEST(CheckFixtures, SharedEscapeProject)
-{
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    Findings expected =
-        expectedFindings(slurp(dir + "/bad_shared_escape.cc"));
-    ASSERT_FALSE(expected.empty());
-    std::vector<Diagnostic> diags = checkFixtureProject(
-        {"fixture_lane_helper.cc", "bad_shared_escape.cc",
-         "good_shared_api.cc"});
-    Findings actual = findingsOf(diags);
-    EXPECT_EQ(expected, actual)
-        << "expected:\n" << show(expected) << "actual:\n" << show(actual);
-    ASSERT_EQ(1u, diags.size());
-    EXPECT_EQ("shared", diags[0].rule);
-    EXPECT_NE(
-        std::string::npos,
-        diags[0].message.find(
-            "shared(post-build) class 'FixtureSharedEscapeMachine': "
-            "member '_samples' is mutated by 'appendSample' at "
-            "src/otn/fixture_lane_helper.cc:"))
         << diags[0].message;
 }
 
@@ -608,8 +549,8 @@ TEST(CheckSarif, EveryRuleIsDeclared)
          {"determinism", "layering", "accounting", "hotpath",
           "hotpath-propagation", "include-hygiene", "unreachable",
           "allow-syntax", "unused-allow", "intrinsics",
-          "determinism-taint", "lane-safety", "shared",
-          "topo-contract", "topo-fallback", "sched-purity"}) {
+          "determinism-taint", "topo-contract", "topo-fallback",
+          "sched-purity"}) {
         EXPECT_NE(std::string::npos,
                   sarif.find("\"id\": \"" + std::string(rule) + "\""))
             << rule;
@@ -619,8 +560,8 @@ TEST(CheckSarif, EveryRuleIsDeclared)
     for (const char *rule :
          {"determinism", "layering", "accounting", "hotpath",
           "hotpath-propagation", "include-hygiene", "unreachable",
-          "intrinsics", "determinism-taint", "lane-safety", "shared",
-          "topo-contract", "topo-fallback", "sched-purity"})
+          "intrinsics", "determinism-taint", "topo-contract",
+          "topo-fallback", "sched-purity"})
         EXPECT_TRUE(ot::check::knownRule(rule)) << rule;
     EXPECT_FALSE(ot::check::knownRule("allow-syntax"));
     EXPECT_FALSE(ot::check::knownRule("unused-allow"));

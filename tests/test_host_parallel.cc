@@ -1,49 +1,25 @@
 /**
  * @file
- * Tests for the host-parallel execution engine (sim/thread_pool,
- * sim/chain_engine): the thread pool's dispatch contract, and the
- * bit-identical-accounting guarantee — model time, step counts,
- * register contents and stats counters must not depend on
- * OT_HOST_THREADS.
+ * Tests for the host thread pool behind the batch farm
+ * (sim/thread_pool): every lane runs exactly once, lane 0 runs on the
+ * caller, nested jobs run inline, and OT_HOST_THREADS sets the
+ * default width.  The farm's byte-identical reports at any thread
+ * count are asserted in test_workload.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "graph/generators.hh"
-#include "graph/reference_algorithms.hh"
-#include "otc/emulated_otn.hh"
-#include "otc/network.hh"
-#include "otc/sort.hh"
-#include "otn/connected_components.hh"
-#include "otn/matmul.hh"
-#include "otn/network.hh"
-#include "otn/sort.hh"
-#include "sim/rng.hh"
 #include "sim/thread_pool.hh"
 
 namespace {
 
-using namespace ot::otn;
-using ot::sim::Rng;
 using ot::sim::ThreadPool;
-using ot::vlsi::CostModel;
-using ot::vlsi::DelayModel;
-using ot::vlsi::WordFormat;
-
-CostModel
-logCost(std::size_t n)
-{
-    return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
-}
-
-// ----------------------------------------------------------------------
-// ThreadPool
-// ----------------------------------------------------------------------
 
 TEST(ThreadPool, RunsEveryLaneExactlyOnce)
 {
@@ -96,264 +72,6 @@ TEST(ThreadPool, DefaultThreadsHonoursEnvironment)
         ::setenv("OT_HOST_THREADS", saved_value.c_str(), 1);
     else
         ::unsetenv("OT_HOST_THREADS");
-}
-
-// ----------------------------------------------------------------------
-// Engine equivalence: OT_HOST_THREADS must not change any observable
-// ----------------------------------------------------------------------
-
-/** Everything a run can observe about a network's final state. */
-void
-expectSameMachineState(OrthogonalTreesNetwork &a, OrthogonalTreesNetwork &b)
-{
-    ASSERT_EQ(a.n(), b.n());
-    EXPECT_EQ(a.now(), b.now()) << "model time diverged";
-    EXPECT_EQ(a.acct().steps(), b.acct().steps()) << "step count diverged";
-    for (unsigned r = 0; r < kNumRegs; ++r) {
-        auto ra = a.readBase(static_cast<Reg>(r));
-        auto rb = b.readBase(static_cast<Reg>(r));
-        for (std::size_t i = 0; i < a.n(); ++i)
-            for (std::size_t j = 0; j < a.n(); ++j)
-                ASSERT_EQ(ra(i, j), rb(i, j))
-                    << "reg " << r << " @(" << i << "," << j << ")";
-    }
-    for (std::size_t i = 0; i < a.n(); ++i) {
-        ASSERT_EQ(a.rowRoot(i), b.rowRoot(i)) << "rowRoot " << i;
-        ASSERT_EQ(a.colRoot(i), b.colRoot(i)) << "colRoot " << i;
-    }
-    const auto &ca = a.stats().counters();
-    const auto &cb = b.stats().counters();
-    ASSERT_EQ(ca.size(), cb.size()) << "stat counter sets diverged";
-    for (const auto &[name, c] : ca) {
-        auto it = cb.find(name);
-        ASSERT_NE(it, cb.end()) << "missing counter " << name;
-        EXPECT_EQ(c.value(), it->second.value()) << "counter " << name;
-    }
-}
-
-class EngineEquivalence : public ::testing::TestWithParam<std::size_t>
-{
-};
-
-TEST_P(EngineEquivalence, SortOtn)
-{
-    const std::size_t n = GetParam();
-    Rng rng(2026 + n);
-    std::vector<std::uint64_t> values(n);
-    for (auto &v : values)
-        v = rng.uniform(0, n - 1);
-
-    OrthogonalTreesNetwork seq(n, logCost(n), {}, /*host_threads=*/1);
-    OrthogonalTreesNetwork par(n, logCost(n), {}, /*host_threads=*/4);
-    ASSERT_EQ(par.hostThreads(), 4u);
-    auto rs = sortOtn(seq, values);
-    auto rp = sortOtn(par, values);
-
-    EXPECT_EQ(rs.sorted, rp.sorted);
-    EXPECT_EQ(rs.time, rp.time);
-    expectSameMachineState(seq, par);
-}
-
-TEST_P(EngineEquivalence, MatMulOtn)
-{
-    const std::size_t n = GetParam();
-    Rng rng(77 + n);
-    ot::linalg::IntMatrix a(n, n, 0), b(n, n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            a(i, j) = rng.uniform(0, 9);
-            b(i, j) = rng.uniform(0, 9);
-        }
-
-    OrthogonalTreesNetwork seq(n, logCost(n * n * 81), {}, 1);
-    OrthogonalTreesNetwork par(n, logCost(n * n * 81), {}, 4);
-    auto rs = matMulPipelined(seq, a, b);
-    auto rp = matMulPipelined(par, a, b);
-
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            ASSERT_EQ(rs.product(i, j), rp.product(i, j));
-    EXPECT_EQ(rs.time, rp.time);
-    EXPECT_EQ(rs.firstRowLatency, rp.firstRowLatency);
-    expectSameMachineState(seq, par);
-}
-
-TEST_P(EngineEquivalence, ConnectedComponentsOtn)
-{
-    const std::size_t n = GetParam();
-    Rng rng(4242 + n);
-    auto g = ot::graph::randomGnp(n, 0.3, rng);
-
-    OrthogonalTreesNetwork seq(n, logCost(n), {}, 1);
-    OrthogonalTreesNetwork par(n, logCost(n), {}, 4);
-    auto rs = connectedComponentsOtn(seq, g);
-    auto rp = connectedComponentsOtn(par, g);
-
-    EXPECT_EQ(rs.labels, rp.labels);
-    EXPECT_EQ(rs.componentCount, rp.componentCount);
-    EXPECT_EQ(rs.iterations, rp.iterations);
-    EXPECT_EQ(rs.time, rp.time);
-    expectSameMachineState(seq, par);
-    // And the labels are actually right.
-    EXPECT_EQ(rs.labels, ot::graph::connectedComponents(g));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, EngineEquivalence,
-                         ::testing::Values(4, 8, 16));
-
-TEST(EngineEquivalenceOtc, SortOtc)
-{
-    Rng rng(99);
-    std::vector<std::uint64_t> values(24);
-    for (auto &v : values)
-        v = rng.uniform(0, 60);
-    CostModel cost(DelayModel::Logarithmic, WordFormat::forProblemSize(64));
-
-    ot::otc::OtcNetwork seq(8, 4, cost, /*host_threads=*/1);
-    ot::otc::OtcNetwork par(8, 4, cost, /*host_threads=*/4);
-    ASSERT_EQ(par.hostThreads(), 4u);
-    auto rs = ot::otc::sortOtc(seq, values);
-    auto rp = ot::otc::sortOtc(par, values);
-
-    EXPECT_EQ(rs.sorted, rp.sorted);
-    EXPECT_EQ(rs.time, rp.time);
-    EXPECT_EQ(seq.now(), par.now());
-    EXPECT_EQ(seq.acct().steps(), par.acct().steps());
-    const auto &ca = seq.stats().counters();
-    const auto &cb = par.stats().counters();
-    ASSERT_EQ(ca.size(), cb.size());
-    for (const auto &[name, c] : ca)
-        EXPECT_EQ(c.value(), cb.at(name).value()) << "counter " << name;
-}
-
-TEST(EngineEquivalenceOtc, SortOnEmulatedOtn)
-{
-    Rng rng(7);
-    std::vector<std::uint64_t> values(16);
-    for (auto &v : values)
-        v = rng.uniform(0, 15);
-
-    ot::otc::OtcEmulatedOtn seq(16, logCost(16), 0, /*host_threads=*/1);
-    ot::otc::OtcEmulatedOtn par(16, logCost(16), 0, /*host_threads=*/4);
-    auto rs = sortOtn(seq, values);
-    auto rp = sortOtn(par, values);
-
-    EXPECT_EQ(rs.sorted, rp.sorted);
-    EXPECT_EQ(rs.time, rp.time);
-    expectSameMachineState(seq, par);
-}
-
-// ----------------------------------------------------------------------
-// Determinism of the accounting primitives themselves
-// ----------------------------------------------------------------------
-
-TEST(HostParallelDeterminism, UnevenChainsChargeTheMax)
-{
-    const std::size_t n = 8;
-    OrthogonalTreesNetwork seq(n, logCost(n), {}, 1);
-    OrthogonalTreesNetwork par(n, logCost(n), {}, 4);
-    for (auto *net : {&seq, &par}) {
-        ModelTime one = net->treeTraversalCost();
-        net->resetTime();
-        // Row i's chain is (i % 3) + 1 traversals long; the pardo must
-        // charge exactly the longest chain.
-        ModelTime charged = net->parallelFor(n, [&](std::size_t i) {
-            for (std::size_t rep = 0; rep <= i % 3; ++rep)
-                net->rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
-        });
-        EXPECT_EQ(charged, 3 * one);
-        EXPECT_EQ(net->now(), 3 * one);
-        EXPECT_EQ(net->acct().steps(), 1u);
-    }
-    expectSameMachineState(seq, par);
-}
-
-TEST(HostParallelDeterminism, NestedParallelForIsRaceFreeAndIdentical)
-{
-    // Race-free nesting: the outer pardo splits the rows in halves and
-    // the inner pardo works each half's rows — every leaf iteration
-    // touches a distinct row tree.
-    const std::size_t n = 8;
-    auto run = [&](unsigned threads) {
-        OrthogonalTreesNetwork net(n, logCost(n), {}, threads);
-        ModelTime one = net.treeTraversalCost();
-        ModelTime charged = net.parallelFor(2, [&](std::size_t half) {
-            net.parallelFor(n / 2, [&](std::size_t r) {
-                std::size_t row = half * (n / 2) + r;
-                net.rowRoot(row) = row;
-                for (std::size_t rep = 0; rep <= row % 4; ++rep)
-                    net.rootToLeaf(Axis::Row, row, Sel::all(), Reg::C);
-            });
-        });
-        EXPECT_EQ(charged, 4 * one);
-        return std::make_pair(net.now(), net.readBase(Reg::C));
-    };
-    auto [t1, m1] = run(1);
-    auto [t4, m4] = run(4);
-    EXPECT_EQ(t1, t4);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            ASSERT_EQ(m1(i, j), m4(i, j)) << "@(" << i << "," << j << ")";
-}
-
-TEST(HostParallelDeterminism, RunUnchargedComposesWithPooledLoops)
-{
-    const std::size_t n = 8;
-    auto run = [&](unsigned threads) {
-        OrthogonalTreesNetwork net(n, logCost(n), {}, threads);
-        for (std::size_t i = 0; i < n; ++i)
-            net.rowRoot(i) = i;
-        // The pipedo idiom: the would-be cost of a parallel section,
-        // with the clock stopped.
-        ModelTime would = net.runUncharged([&] {
-            net.parallelFor(n, [&](std::size_t i) {
-                net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
-                net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::B);
-            });
-        });
-        EXPECT_EQ(net.now(), 0u);
-        return would;
-    };
-    EXPECT_EQ(run(1), run(4));
-    OrthogonalTreesNetwork probe(n, logCost(n), {}, 1);
-    EXPECT_EQ(run(1), 2 * probe.treeTraversalCost());
-}
-
-TEST(HostParallelDeterminism, StatCountersMergeExactly)
-{
-    const std::size_t n = 16;
-    auto counts = [&](unsigned threads) {
-        OrthogonalTreesNetwork net(n, logCost(n), {}, threads);
-        net.parallelFor(n, [&](std::size_t i) {
-            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
-            net.countLeafToRoot(Axis::Row, i, Reg::A);
-        });
-        return std::make_pair(
-            net.stats().counter("otn.rootToLeaf").value(),
-            net.stats().counter("otn.countLeafToRoot").value());
-    };
-    auto [bc1, cc1] = counts(1);
-    auto [bc4, cc4] = counts(4);
-    EXPECT_EQ(bc1, n);
-    EXPECT_EQ(cc1, n);
-    EXPECT_EQ(bc1, bc4);
-    EXPECT_EQ(cc1, cc4);
-}
-
-TEST(HostParallelDeterminism, VectorCirculateChargesOneStep)
-{
-    CostModel cost(DelayModel::Logarithmic, WordFormat::forProblemSize(64));
-    for (unsigned threads : {1u, 4u}) {
-        ot::otc::OtcNetwork net(4, 4, cost, threads);
-        net.resetTime();
-        ModelTime dt = net.vectorCirculate(ot::otc::Axis::Row, 0, {Reg::A});
-        EXPECT_EQ(dt, net.circulateCost());
-        EXPECT_EQ(net.now(), dt);
-        // K circulates happened functionally...
-        EXPECT_EQ(net.stats().counter("otc.circulate").value(), net.k());
-        // ...but only one step advanced the clock.
-        EXPECT_EQ(net.acct().steps(), 1u);
-    }
 }
 
 } // namespace

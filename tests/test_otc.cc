@@ -89,6 +89,19 @@ TEST(OtcNetwork, VectorCirculateTouchesWholeRow)
     }
 }
 
+TEST(OtcNetwork, VectorCirculateChargesOneStep)
+{
+    OtcNetwork net(4, 4, CostModel(DelayModel::Logarithmic,
+                                   WordFormat::forProblemSize(64)));
+    ModelTime dt = net.vectorCirculate(Axis::Row, 0, {Reg::A});
+    EXPECT_EQ(dt, net.circulateCost());
+    EXPECT_EQ(net.now(), dt);
+    // K circulates happened functionally...
+    EXPECT_EQ(net.stats().counter("otc.circulate").value(), net.k());
+    // ...but only one step advanced the clock.
+    EXPECT_EQ(net.acct().steps(), 1u);
+}
+
 TEST(OtcNetwork, RootToCyclePlacesWordQInBpQ)
 {
     OtcNetwork net(4, 3, logCost(12));

@@ -170,13 +170,27 @@ TEST(OtnNetwork, ParallelForChargesMaxOfChains)
     EXPECT_EQ(net.now(), 2 * one);
 }
 
+TEST(OtnNetwork, UnevenChainsChargeTheMax)
+{
+    const std::size_t n = 8;
+    OrthogonalTreesNetwork net(n, logCost(n));
+    ModelTime one = net.treeTraversalCost();
+    // Row i's chain is (i % 3) + 1 traversals long; the pardo must
+    // charge exactly the longest chain, as one step.
+    ModelTime charged = net.parallelFor(n, [&](std::size_t i) {
+        for (std::size_t rep = 0; rep <= i % 3; ++rep)
+            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+    });
+    EXPECT_EQ(charged, 3 * one);
+    EXPECT_EQ(net.now(), 3 * one);
+    EXPECT_EQ(net.acct().steps(), 1u);
+}
+
 TEST(OtnNetwork, NestedParallelForComposes)
 {
-    // host_threads = 1: the outer iterations of this synthetic nest
-    // deliberately touch the SAME rows, so they must run sequentially
-    // (real pardo bodies use disjoint trees; see test_host_parallel.cc
-    // for the race-free nested determinism test).
-    OrthogonalTreesNetwork net(4, logCost(4), {}, /*host_threads=*/1);
+    // The outer iterations of this synthetic nest deliberately touch
+    // the SAME rows; pardo iterations run in order, so that is safe.
+    OrthogonalTreesNetwork net(4, logCost(4));
     ModelTime one = net.treeTraversalCost();
     net.resetTime();
     net.parallelFor(4, [&](std::size_t i) {
@@ -191,6 +205,29 @@ TEST(OtnNetwork, NestedParallelForComposes)
     EXPECT_EQ(net.now(), 2 * one);
 }
 
+TEST(OtnNetwork, NestedParallelForChargesTheLongestInnerChain)
+{
+    // The outer pardo splits the rows in halves and the inner pardo
+    // works each half's rows; row r's chain is (r % 4) + 1 traversals.
+    const std::size_t n = 8;
+    OrthogonalTreesNetwork net(n, logCost(n));
+    ModelTime one = net.treeTraversalCost();
+    ModelTime charged = net.parallelFor(2, [&](std::size_t half) {
+        net.parallelFor(n / 2, [&](std::size_t r) {
+            std::size_t row = half * (n / 2) + r;
+            net.rowRoot(row) = row;
+            for (std::size_t rep = 0; rep <= row % 4; ++rep)
+                net.rootToLeaf(Axis::Row, row, Sel::all(), Reg::C);
+        });
+    });
+    EXPECT_EQ(charged, 4 * one);
+    EXPECT_EQ(net.now(), 4 * one);
+    auto c = net.readBase(Reg::C);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            ASSERT_EQ(c(i, j), i) << "@(" << i << "," << j << ")";
+}
+
 TEST(OtnNetwork, RunUnchargedStopsClock)
 {
     OrthogonalTreesNetwork net(4, logCost(4));
@@ -201,6 +238,24 @@ TEST(OtnNetwork, RunUnchargedStopsClock)
     EXPECT_EQ(net.now(), 0u);
     // The data still moved.
     EXPECT_EQ(net.reg(Reg::A, 0, 2), 3u);
+}
+
+TEST(OtnNetwork, RunUnchargedComposesWithParallelFor)
+{
+    // The pipedo idiom: the would-be cost of a parallel section, with
+    // the clock stopped.
+    const std::size_t n = 8;
+    OrthogonalTreesNetwork net(n, logCost(n));
+    for (std::size_t i = 0; i < n; ++i)
+        net.rowRoot(i) = i;
+    ModelTime would = net.runUncharged([&] {
+        net.parallelFor(n, [&](std::size_t i) {
+            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::B);
+        });
+    });
+    EXPECT_EQ(would, 2 * net.treeTraversalCost());
+    EXPECT_EQ(net.now(), 0u);
 }
 
 TEST(OtnNetwork, TraversalCostIsLog2UnderThompson)
@@ -313,6 +368,18 @@ TEST(OtnNetwork, StatsCountPrimitives)
     net.countLeafToRoot(Axis::Row, 0, Reg::F);
     EXPECT_EQ(net.stats().counter("otn.rootToLeaf").value(), 2u);
     EXPECT_EQ(net.stats().counter("otn.countLeafToRoot").value(), 1u);
+}
+
+TEST(OtnNetwork, StatCountersCountEveryPardoIteration)
+{
+    const std::size_t n = 16;
+    OrthogonalTreesNetwork net(n, logCost(n));
+    net.parallelFor(n, [&](std::size_t i) {
+        net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+        net.countLeafToRoot(Axis::Row, i, Reg::A);
+    });
+    EXPECT_EQ(net.stats().counter("otn.rootToLeaf").value(), n);
+    EXPECT_EQ(net.stats().counter("otn.countLeafToRoot").value(), n);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "otn/pipeline.hh"
+#include "sim/chain_engine.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -114,20 +115,28 @@ TEST_P(SortPipelineProperties, PipelineBeatsSequentialRepetition)
 INSTANTIATE_TEST_SUITE_P(StreamLengths, SortPipelineProperties,
                          ::testing::Values(1, 2, 3, 8));
 
-// The pipeline must charge the same total on every host-thread
-// count (the sortOtn instances inside run through runUncharged).
+// The pipeline must charge the same total however many machines run
+// it at once, one per host lane as in the batch farm (the sortOtn
+// instances inside run through runUncharged).
 TEST(SortPipelineProperties2, TotalTimeIsHostThreadInvariant)
 {
     const std::size_t n = 16;
     auto problems = randomProblems(4, n, 997);
 
-    std::vector<ModelTime> totals;
-    for (unsigned threads : {1u, 2u, 8u}) {
-        OrthogonalTreesNetwork net(n, logCost(n), {}, threads);
-        totals.push_back(sortPipelineOtn(net, problems).totalTime);
+    OrthogonalTreesNetwork ref(n, logCost(n));
+    const ModelTime expect = sortPipelineOtn(ref, problems).totalTime;
+    for (unsigned lanes : {2u, 8u}) {
+        std::vector<ModelTime> totals(lanes);
+        ot::sim::TimeAccountant acct;
+        ot::sim::StatSet stats;
+        ot::sim::ChainEngine(acct, stats, lanes)
+            .hostFor(lanes, [&](std::size_t k) {
+                OrthogonalTreesNetwork net(n, logCost(n));
+                totals[k] = sortPipelineOtn(net, problems).totalTime;
+            });
+        for (ModelTime t : totals)
+            EXPECT_EQ(t, expect) << "lanes=" << lanes;
     }
-    EXPECT_EQ(totals[0], totals[1]);
-    EXPECT_EQ(totals[0], totals[2]);
 }
 
 } // namespace

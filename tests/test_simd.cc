@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -25,6 +26,7 @@
 #include "otn/network.hh"
 #include "otn/patterns.hh"
 #include "otn/sort.hh"
+#include "sim/chain_engine.hh"
 #include "sim/rng.hh"
 #include "simd/backend.hh"
 #include "simd/kernels.hh"
@@ -284,7 +286,7 @@ TEST(SimdBackendDeathTest, BadEnvValueAborts)
 }
 
 // ----------------------------------------------------------------------
-// Network-level differential: scalar vs vector, threads 1 and 8
+// Network-level differential: scalar vs vector, on 1 and 8 farm lanes
 // ----------------------------------------------------------------------
 
 /** Registers, roots, clock, steps and counters must match exactly. */
@@ -329,8 +331,25 @@ expectSameTrace(const trace::Tracer &a, const trace::Tracer &b)
 struct DiffCase
 {
     std::size_t n;
+    /** Farm lanes that each run the whole differential at once. */
     unsigned threads;
 };
+
+/**
+ * Run `body` once on each of `lanes` host lanes at the same time, the
+ * way BatchEngine's host phase drives machines: every lane builds and
+ * runs its own networks, so concurrent machines (sharing kernel
+ * tables and per-thread scratch) must still match scalar bit for bit.
+ */
+void
+onFarmLanes(unsigned lanes, const std::function<void()> &body)
+{
+    sim::TimeAccountant acct;
+    sim::StatSet stats;
+    sim::ChainEngine(acct, stats, lanes).hostFor(lanes, [&](std::size_t) {
+        body();
+    });
+}
 
 class NetworkDifferential : public ::testing::TestWithParam<DiffCase>
 {
@@ -338,177 +357,193 @@ class NetworkDifferential : public ::testing::TestWithParam<DiffCase>
 
 TEST_P(NetworkDifferential, SortOtn)
 {
-    const auto [n, threads] = GetParam();
-    Rng rng(515 + n);
-    std::vector<std::uint64_t> values(n);
-    for (auto &v : values)
-        v = rng.uniform(0, n - 1);
-    std::vector<std::uint64_t> expect = values;
-    std::sort(expect.begin(), expect.end());
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(515 + n);
+        std::vector<std::uint64_t> values(n);
+        for (auto &v : values)
+            v = rng.uniform(0, n - 1);
+        std::vector<std::uint64_t> expect = values;
+        std::sort(expect.begin(), expect.end());
 
-    OrthogonalTreesNetwork ref(n, logCost(n), {}, threads);
-    ref.setSimdBackend(simd::Backend::Scalar);
-    trace::Tracer ref_trace;
-    ref_trace.setEnabled(true);
-    ref.setTracer(&ref_trace);
-    auto rs = sortOtn(ref, values);
-    EXPECT_EQ(rs.sorted, expect);
+        OrthogonalTreesNetwork ref(n, logCost(n));
+        ref.setSimdBackend(simd::Backend::Scalar);
+        trace::Tracer ref_trace;
+        ref_trace.setEnabled(true);
+        ref.setTracer(&ref_trace);
+        auto rs = sortOtn(ref, values);
+        EXPECT_EQ(rs.sorted, expect);
 
-    for (simd::Backend backend : vectorBackends()) {
-        SCOPED_TRACE(simd::toString(backend));
-        OrthogonalTreesNetwork net(n, logCost(n), {}, threads);
-        net.setSimdBackend(backend);
-        ASSERT_EQ(net.simdBackend(), backend);
-        trace::Tracer tr;
-        tr.setEnabled(true);
-        net.setTracer(&tr);
-        auto rv = sortOtn(net, values);
-        EXPECT_EQ(rv.sorted, expect);
-        EXPECT_EQ(rs.time, rv.time);
-        expectSameOtnState(ref, net);
-        expectSameTrace(ref_trace, tr);
-    }
+        for (simd::Backend backend : vectorBackends()) {
+            SCOPED_TRACE(simd::toString(backend));
+            OrthogonalTreesNetwork net(n, logCost(n));
+            net.setSimdBackend(backend);
+            ASSERT_EQ(net.simdBackend(), backend);
+            trace::Tracer tr;
+            tr.setEnabled(true);
+            net.setTracer(&tr);
+            auto rv = sortOtn(net, values);
+            EXPECT_EQ(rv.sorted, expect);
+            EXPECT_EQ(rs.time, rv.time);
+            expectSameOtnState(ref, net);
+            expectSameTrace(ref_trace, tr);
+        }
+    });
 }
 
 TEST_P(NetworkDifferential, BitonicSortOtn)
 {
-    const auto [n, threads] = GetParam();
-    Rng rng(77 + n);
-    std::vector<std::uint64_t> values(n * n);
-    for (auto &v : values)
-        v = rng.uniform(0, n * n - 1);
-    std::vector<std::uint64_t> expect = values;
-    std::sort(expect.begin(), expect.end());
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(77 + n);
+        std::vector<std::uint64_t> values(n * n);
+        for (auto &v : values)
+            v = rng.uniform(0, n * n - 1);
+        std::vector<std::uint64_t> expect = values;
+        std::sort(expect.begin(), expect.end());
 
-    OrthogonalTreesNetwork ref(n, logCost(n * n), {}, threads);
-    ref.setSimdBackend(simd::Backend::Scalar);
-    trace::Tracer ref_trace;
-    ref_trace.setEnabled(true);
-    ref.setTracer(&ref_trace);
-    auto rs = bitonicSortOtn(ref, values, otn::CompexSchedule::Streamed);
-    EXPECT_EQ(rs.sorted, expect);
+        OrthogonalTreesNetwork ref(n, logCost(n * n));
+        ref.setSimdBackend(simd::Backend::Scalar);
+        trace::Tracer ref_trace;
+        ref_trace.setEnabled(true);
+        ref.setTracer(&ref_trace);
+        auto rs = bitonicSortOtn(ref, values, otn::CompexSchedule::Streamed);
+        EXPECT_EQ(rs.sorted, expect);
 
-    for (simd::Backend backend : vectorBackends()) {
-        SCOPED_TRACE(simd::toString(backend));
-        OrthogonalTreesNetwork net(n, logCost(n * n), {}, threads);
-        net.setSimdBackend(backend);
-        trace::Tracer tr;
-        tr.setEnabled(true);
-        net.setTracer(&tr);
-        auto rv = bitonicSortOtn(net, values, otn::CompexSchedule::Streamed);
-        EXPECT_EQ(rv.sorted, expect);
-        EXPECT_EQ(rs.time, rv.time);
-        EXPECT_EQ(rs.stages, rv.stages);
-        expectSameOtnState(ref, net);
-        expectSameTrace(ref_trace, tr);
-    }
+        for (simd::Backend backend : vectorBackends()) {
+            SCOPED_TRACE(simd::toString(backend));
+            OrthogonalTreesNetwork net(n, logCost(n * n));
+            net.setSimdBackend(backend);
+            trace::Tracer tr;
+            tr.setEnabled(true);
+            net.setTracer(&tr);
+            auto rv =
+                bitonicSortOtn(net, values, otn::CompexSchedule::Streamed);
+            EXPECT_EQ(rv.sorted, expect);
+            EXPECT_EQ(rs.time, rv.time);
+            EXPECT_EQ(rs.stages, rv.stages);
+            expectSameOtnState(ref, net);
+            expectSameTrace(ref_trace, tr);
+        }
+    });
 }
 
 TEST_P(NetworkDifferential, PatternsAndGather)
 {
-    const auto [n, threads] = GetParam();
-    Rng rng(909 + n);
-    // key(i): a permutation-ish indirection with some kNull holes.
-    std::vector<std::uint64_t> key(n), val(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        key[i] = rng.uniform(0, 4) == 0 ? otn::kNull
-                                        : rng.uniform(0, n - 1);
-        val[i] = rng.uniform(0, n - 1);
-    }
-
-    auto run = [&](simd::Backend backend, trace::Tracer &tr,
-                   std::unique_ptr<OrthogonalTreesNetwork> &out) {
-        out = std::make_unique<OrthogonalTreesNetwork>(
-            n, logCost(n), ot::layout::LayoutParams{}, threads);
-        auto &net = *out;
-        net.setSimdBackend(backend);
-        tr.setEnabled(true);
-        net.setTracer(&tr);
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(909 + n);
+        // key(i): a permutation-ish indirection with some kNull holes.
+        std::vector<std::uint64_t> key(n), val(n);
         for (std::size_t i = 0; i < n; ++i) {
-            net.reg(Reg::A, i, i) = key[i];
-            net.reg(Reg::B, i, i) = val[i];
+            key[i] = rng.uniform(0, 4) == 0 ? otn::kNull
+                                            : rng.uniform(0, n - 1);
+            val[i] = rng.uniform(0, n - 1);
         }
-        diagToRows(net, Reg::A, Reg::C);
-        diagToCols(net, Reg::B, Reg::D);
-        gatherAtIndex(net, Reg::C, Reg::D, Reg::E, Reg::T);
-    };
 
-    trace::Tracer ref_trace;
-    std::unique_ptr<OrthogonalTreesNetwork> ref;
-    run(simd::Backend::Scalar, ref_trace, ref);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t want =
-            key[i] < n ? val[key[i]] : otn::kNull;
-        EXPECT_EQ(ref->reg(Reg::E, i, i), want) << "gather @" << i;
-    }
+        auto run = [&](simd::Backend backend, trace::Tracer &tr,
+                       std::unique_ptr<OrthogonalTreesNetwork> &out) {
+            out = std::make_unique<OrthogonalTreesNetwork>(
+                n, logCost(n));
+            auto &net = *out;
+            net.setSimdBackend(backend);
+            tr.setEnabled(true);
+            net.setTracer(&tr);
+            for (std::size_t i = 0; i < n; ++i) {
+                net.reg(Reg::A, i, i) = key[i];
+                net.reg(Reg::B, i, i) = val[i];
+            }
+            diagToRows(net, Reg::A, Reg::C);
+            diagToCols(net, Reg::B, Reg::D);
+            gatherAtIndex(net, Reg::C, Reg::D, Reg::E, Reg::T);
+        };
 
-    for (simd::Backend backend : vectorBackends()) {
-        SCOPED_TRACE(simd::toString(backend));
-        trace::Tracer tr;
-        std::unique_ptr<OrthogonalTreesNetwork> net;
-        run(backend, tr, net);
-        expectSameOtnState(*ref, *net);
-        expectSameTrace(ref_trace, tr);
-    }
+        trace::Tracer ref_trace;
+        std::unique_ptr<OrthogonalTreesNetwork> ref;
+        run(simd::Backend::Scalar, ref_trace, ref);
+        for (std::size_t i = 0; i < n; ++i) {
+            std::uint64_t want =
+                key[i] < n ? val[key[i]] : otn::kNull;
+            EXPECT_EQ(ref->reg(Reg::E, i, i), want) << "gather @" << i;
+        }
+
+        for (simd::Backend backend : vectorBackends()) {
+            SCOPED_TRACE(simd::toString(backend));
+            trace::Tracer tr;
+            std::unique_ptr<OrthogonalTreesNetwork> net;
+            run(backend, tr, net);
+            expectSameOtnState(*ref, *net);
+            expectSameTrace(ref_trace, tr);
+        }
+    });
 }
 
 TEST_P(NetworkDifferential, SortOtc)
 {
-    const auto [n, threads] = GetParam();
-    Rng rng(1234 + n);
-    std::vector<std::uint64_t> values(n);
-    for (auto &v : values)
-        v = rng.uniform(0, 4 * n);
-    std::vector<std::uint64_t> expect = values;
-    std::sort(expect.begin(), expect.end());
-    CostModel cost(DelayModel::Logarithmic,
-                   WordFormat::forProblemSize(4 * n + 1));
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(1234 + n);
+        std::vector<std::uint64_t> values(n);
+        for (auto &v : values)
+            v = rng.uniform(0, 4 * n);
+        std::vector<std::uint64_t> expect = values;
+        std::sort(expect.begin(), expect.end());
+        CostModel cost(DelayModel::Logarithmic,
+                       WordFormat::forProblemSize(4 * n + 1));
 
-    auto run = [&](simd::Backend backend, trace::Tracer &tr) {
-        otc::OtcNetwork net(n / 2, 4, cost, threads);
-        net.setSimdBackend(backend);
-        tr.setEnabled(true);
-        net.setTracer(&tr);
-        auto r = otc::sortOtc(net, values);
-        EXPECT_EQ(r.sorted, expect);
-        return std::make_tuple(r.time, net.now(), net.acct().steps());
-    };
+        auto run = [&](simd::Backend backend, trace::Tracer &tr) {
+            otc::OtcNetwork net(n / 2, 4, cost);
+            net.setSimdBackend(backend);
+            tr.setEnabled(true);
+            net.setTracer(&tr);
+            auto r = otc::sortOtc(net, values);
+            EXPECT_EQ(r.sorted, expect);
+            return std::make_tuple(r.time, net.now(), net.acct().steps());
+        };
 
-    trace::Tracer ref_trace;
-    auto ref = run(simd::Backend::Scalar, ref_trace);
-    for (simd::Backend backend : vectorBackends()) {
-        SCOPED_TRACE(simd::toString(backend));
-        trace::Tracer tr;
-        auto got = run(backend, tr);
-        EXPECT_EQ(ref, got);
-        expectSameTrace(ref_trace, tr);
-    }
+        trace::Tracer ref_trace;
+        auto ref = run(simd::Backend::Scalar, ref_trace);
+        for (simd::Backend backend : vectorBackends()) {
+            SCOPED_TRACE(simd::toString(backend));
+            trace::Tracer tr;
+            auto got = run(backend, tr);
+            EXPECT_EQ(ref, got);
+            expectSameTrace(ref_trace, tr);
+        }
+    });
 }
 
 TEST_P(NetworkDifferential, SortOnEmulatedOtn)
 {
-    const auto [n, threads] = GetParam();
-    Rng rng(4321 + n);
-    std::vector<std::uint64_t> values(n);
-    for (auto &v : values)
-        v = rng.uniform(0, n - 1);
-    std::vector<std::uint64_t> expect = values;
-    std::sort(expect.begin(), expect.end());
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(4321 + n);
+        std::vector<std::uint64_t> values(n);
+        for (auto &v : values)
+            v = rng.uniform(0, n - 1);
+        std::vector<std::uint64_t> expect = values;
+        std::sort(expect.begin(), expect.end());
 
-    otc::OtcEmulatedOtn ref(n, logCost(n), 0, threads);
-    ref.setSimdBackend(simd::Backend::Scalar);
-    auto rs = sortOtn(ref, values);
-    EXPECT_EQ(rs.sorted, expect);
+        otc::OtcEmulatedOtn ref(n, logCost(n));
+        ref.setSimdBackend(simd::Backend::Scalar);
+        auto rs = sortOtn(ref, values);
+        EXPECT_EQ(rs.sorted, expect);
 
-    for (simd::Backend backend : vectorBackends()) {
-        SCOPED_TRACE(simd::toString(backend));
-        otc::OtcEmulatedOtn net(n, logCost(n), 0, threads);
-        net.setSimdBackend(backend);
-        auto rv = sortOtn(net, values);
-        EXPECT_EQ(rv.sorted, expect);
-        EXPECT_EQ(rs.time, rv.time);
-        expectSameOtnState(ref, net);
-    }
+        for (simd::Backend backend : vectorBackends()) {
+            SCOPED_TRACE(simd::toString(backend));
+            otc::OtcEmulatedOtn net(n, logCost(n));
+            net.setSimdBackend(backend);
+            auto rv = sortOtn(net, values);
+            EXPECT_EQ(rv.sorted, expect);
+            EXPECT_EQ(rs.time, rv.time);
+            expectSameOtnState(ref, net);
+        }
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -533,14 +568,14 @@ TEST(NetworkDifferentialLarge, SortOtn1024)
     std::vector<std::uint64_t> expect = values;
     std::sort(expect.begin(), expect.end());
 
-    OrthogonalTreesNetwork ref(n, logCost(n), {}, 8);
+    OrthogonalTreesNetwork ref(n, logCost(n));
     ref.setSimdBackend(simd::Backend::Scalar);
     auto rs = sortOtn(ref, values);
     EXPECT_EQ(rs.sorted, expect);
 
     for (simd::Backend backend : vectorBackends()) {
         SCOPED_TRACE(simd::toString(backend));
-        OrthogonalTreesNetwork net(n, logCost(n), {}, 8);
+        OrthogonalTreesNetwork net(n, logCost(n));
         net.setSimdBackend(backend);
         auto rv = sortOtn(net, values);
         EXPECT_EQ(rv.sorted, expect);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the model-time tracing subsystem (src/trace): the
- * determinism contract (event streams are bit-identical for any
- * OT_HOST_THREADS), the accounting contract (Charge durations sum
- * exactly to TimeAccountant::now() and match phaseTimes()), the
- * bounded-buffer drop semantics, and the Chrome trace-event export.
+ * accounting contract (Charge durations sum exactly to
+ * TimeAccountant::now() and match phaseTimes()), the bounded-buffer
+ * drop semantics, and the Chrome trace-event export.  Trace streams
+ * at different OT_HOST_THREADS are compared in test_workload.cc.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "graph/generators.hh"
 #include "otc/network.hh"
 #include "otc/sort.hh"
-#include "otn/connected_components.hh"
-#include "otn/matmul.hh"
 #include "otn/network.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
@@ -43,24 +40,12 @@ logCost(std::size_t n)
     return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
 }
 
-void
-expectSameEvents(const Tracer &a, const Tracer &b)
-{
-    ASSERT_EQ(a.events().size(), b.events().size())
-        << "event counts diverged";
-    for (std::size_t i = 0; i < a.events().size(); ++i)
-        ASSERT_TRUE(ot::trace::eventsEqual(a.events()[i], b.events()[i]))
-            << "event " << i << " diverged ("
-            << a.events()[i].name << " vs " << b.events()[i].name << ")";
-    EXPECT_EQ(a.dropped(), b.dropped());
-}
-
 // ----------------------------------------------------------------------
-// Determinism: the merged stream must not depend on host threads
+// Accounting: charges are the stream of record
 // ----------------------------------------------------------------------
 
 Tracer
-traceSort(unsigned threads, std::size_t capacity = Tracer::kDefaultCapacity)
+traceSort(std::size_t capacity = Tracer::kDefaultCapacity)
 {
     const std::size_t n = 8;
     Rng rng(2026);
@@ -70,69 +55,12 @@ traceSort(unsigned threads, std::size_t capacity = Tracer::kDefaultCapacity)
 
     Tracer tracer(capacity);
     tracer.setEnabled(true);
-    OrthogonalTreesNetwork net(n, logCost(n), {}, threads);
+    OrthogonalTreesNetwork net(n, logCost(n));
     net.setTracer(&tracer);
     sortOtn(net, values);
     net.setTracer(nullptr);
     return tracer;
 }
-
-TEST(TraceDeterminism, SortOtnIdenticalAcrossThreads)
-{
-    Tracer seq = traceSort(1);
-    Tracer par = traceSort(4);
-    EXPECT_GT(seq.events().size(), 0u);
-    expectSameEvents(seq, par);
-}
-
-TEST(TraceDeterminism, MatMulOtnIdenticalAcrossThreads)
-{
-    const std::size_t n = 8;
-    auto run = [&](unsigned threads) {
-        Rng rng(77);
-        ot::linalg::IntMatrix a(n, n, 0), b(n, n, 0);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j) {
-                a(i, j) = rng.uniform(0, 9);
-                b(i, j) = rng.uniform(0, 9);
-            }
-        Tracer tracer;
-        tracer.setEnabled(true);
-        OrthogonalTreesNetwork net(n, logCost(n * n * 81), {}, threads);
-        net.setTracer(&tracer);
-        matMulPipelined(net, a, b);
-        net.setTracer(nullptr);
-        return tracer;
-    };
-    Tracer seq = run(1);
-    Tracer par = run(4);
-    EXPECT_GT(seq.events().size(), 0u);
-    expectSameEvents(seq, par);
-}
-
-TEST(TraceDeterminism, ConnectedComponentsIdenticalAcrossThreads)
-{
-    const std::size_t n = 8;
-    auto run = [&](unsigned threads) {
-        Rng rng(4242);
-        auto g = ot::graph::randomGnp(n, 0.3, rng);
-        Tracer tracer;
-        tracer.setEnabled(true);
-        OrthogonalTreesNetwork net(n, logCost(n), {}, threads);
-        net.setTracer(&tracer);
-        connectedComponentsOtn(net, g);
-        net.setTracer(nullptr);
-        return tracer;
-    };
-    Tracer seq = run(1);
-    Tracer par = run(4);
-    EXPECT_GT(seq.events().size(), 0u);
-    expectSameEvents(seq, par);
-}
-
-// ----------------------------------------------------------------------
-// Accounting: charges are the stream of record
-// ----------------------------------------------------------------------
 
 TEST(TraceAccounting, ChargesSumToNowAndMatchPhaseTimes)
 {
@@ -144,7 +72,7 @@ TEST(TraceAccounting, ChargesSumToNowAndMatchPhaseTimes)
 
     Tracer tracer;
     tracer.setEnabled(true);
-    OrthogonalTreesNetwork net(n, logCost(n), {}, 4);
+    OrthogonalTreesNetwork net(n, logCost(n));
     net.setTracer(&tracer);
     sortOtn(net, values);
 
@@ -182,7 +110,7 @@ TEST(TraceAccounting, UnchargedSpansAreMarkedAndExcluded)
     const std::size_t n = 8;
     Tracer tracer;
     tracer.setEnabled(true);
-    OrthogonalTreesNetwork net(n, logCost(n), {}, 4);
+    OrthogonalTreesNetwork net(n, logCost(n));
     net.setTracer(&tracer);
 
     // A pipedo block: the spans happen, the clock does not move.
@@ -218,21 +146,16 @@ TEST(TraceAccounting, OtcRunSumsToNow)
         v = rng.uniform(0, 60);
     CostModel cost(DelayModel::Logarithmic, WordFormat::forProblemSize(64));
 
-    auto run = [&](unsigned threads) {
-        Tracer tracer;
-        tracer.setEnabled(true);
-        ot::otc::OtcNetwork net(8, 4, cost, threads);
-        net.setTracer(&tracer);
-        ot::otc::sortOtc(net, values);
-        auto summary = ot::trace::analyze(tracer);
-        EXPECT_EQ(summary.total, net.now());
-        EXPECT_EQ(summary.steps, net.acct().steps());
-        net.setTracer(nullptr);
-        return tracer;
-    };
-    Tracer seq = run(1);
-    Tracer par = run(4);
-    expectSameEvents(seq, par);
+    Tracer tracer;
+    tracer.setEnabled(true);
+    ot::otc::OtcNetwork net(8, 4, cost);
+    net.setTracer(&tracer);
+    ot::otc::sortOtc(net, values);
+    auto summary = ot::trace::analyze(tracer);
+    EXPECT_GT(tracer.events().size(), 0u);
+    EXPECT_EQ(summary.total, net.now());
+    EXPECT_EQ(summary.steps, net.acct().steps());
+    net.setTracer(nullptr);
 }
 
 // ----------------------------------------------------------------------
@@ -241,11 +164,11 @@ TEST(TraceAccounting, OtcRunSumsToNow)
 
 TEST(TraceOverflow, DropsCountAndPreserveThePrefix)
 {
-    Tracer full = traceSort(1);
+    Tracer full = traceSort();
     ASSERT_GT(full.events().size(), 20u) << "workload too small to cap";
 
     const std::size_t cap = 20;
-    Tracer capped = traceSort(1, cap);
+    Tracer capped = traceSort(cap);
     EXPECT_EQ(capped.events().size(), cap);
     EXPECT_EQ(capped.dropped(), full.events().size() - cap);
     // The retained events are exactly the first `cap` of the full run.
@@ -253,20 +176,16 @@ TEST(TraceOverflow, DropsCountAndPreserveThePrefix)
         ASSERT_TRUE(
             ot::trace::eventsEqual(capped.events()[i], full.events()[i]))
             << "event " << i << " corrupted by overflow";
-
-    // Even the truncation point is thread-count independent.
-    Tracer capped_par = traceSort(4, cap);
-    expectSameEvents(capped, capped_par);
 }
 
 TEST(TraceOverflow, ClearResetsEventsAndDropCount)
 {
-    Tracer tracer = traceSort(1, 20);
+    Tracer tracer = traceSort(20);
     EXPECT_GT(tracer.dropped(), 0u);
     tracer.clear();
     EXPECT_EQ(tracer.events().size(), 0u);
     EXPECT_EQ(tracer.dropped(), 0u);
-    EXPECT_EQ(tracer.remainingCapacity(), 20u);
+    EXPECT_EQ(tracer.capacity(), 20u);
 }
 
 // ----------------------------------------------------------------------
@@ -444,7 +363,7 @@ class JsonChecker
 
 TEST(TraceExport, ChromeTraceJsonParses)
 {
-    Tracer tracer = traceSort(4);
+    Tracer tracer = traceSort();
     std::string json = ot::trace::toChromeTraceJson(tracer);
     EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -461,7 +380,7 @@ TEST(TraceExport, StatsJsonEmbedsAndParses)
 
     Tracer tracer;
     tracer.setEnabled(true);
-    OrthogonalTreesNetwork net(n, logCost(n), {}, 1);
+    OrthogonalTreesNetwork net(n, logCost(n));
     net.setTracer(&tracer);
     sortOtn(net, values);
     net.setTracer(nullptr);
@@ -475,7 +394,7 @@ TEST(TraceExport, StatsJsonEmbedsAndParses)
 
 TEST(TraceExport, SummaryJsonParses)
 {
-    Tracer tracer = traceSort(1);
+    Tracer tracer = traceSort();
     std::string json = ot::trace::analyze(tracer).toJson();
     EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
     EXPECT_NE(json.find("\"perPhase\""), std::string::npos);
@@ -502,11 +421,11 @@ TEST(TraceOverhead, DisabledTracerRecordsNothingAndTimeIsUnchanged)
     for (auto &v : values)
         v = rng.uniform(0, n - 1);
 
-    OrthogonalTreesNetwork plain(n, logCost(n), {}, 4);
+    OrthogonalTreesNetwork plain(n, logCost(n));
     sortOtn(plain, values);
 
     Tracer off; // never enabled
-    OrthogonalTreesNetwork attached(n, logCost(n), {}, 4);
+    OrthogonalTreesNetwork attached(n, logCost(n));
     attached.setTracer(&off);
     sortOtn(attached, values);
     EXPECT_EQ(off.events().size(), 0u);
@@ -515,7 +434,7 @@ TEST(TraceOverhead, DisabledTracerRecordsNothingAndTimeIsUnchanged)
 
     Tracer on;
     on.setEnabled(true);
-    OrthogonalTreesNetwork traced(n, logCost(n), {}, 4);
+    OrthogonalTreesNetwork traced(n, logCost(n));
     traced.setTracer(&on);
     sortOtn(traced, values);
     EXPECT_GT(on.events().size(), 0u);

@@ -2,15 +2,18 @@
  * @file
  * The batched workload engine: cache hit/miss semantics, the farm
  * makespan rule (max over shards of summed instance times), and the
- * determinism contract — reports and trace streams byte-identical at
- * every host-thread count.
+ * determinism contract — reports, trace streams and their truncation
+ * point byte-identical at every host-thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/tracer.hh"
@@ -148,29 +151,66 @@ TEST(BatchEngineTest, CachePersistsAcrossRuns)
     }
 }
 
+/** A mixed batch with repeated shapes on four topologies: the two
+ *  repeats reuse a cached machine within their shard, and the four
+ *  distinct machines run on parallel farm shards. */
+WorkloadSpec
+farmBatch()
+{
+    WorkloadSpec spec;
+    const std::pair<const char *, std::uint64_t> runs[] = {
+        {"otn", 3}, {"otc", 5},  {"fattree", 7},
+        {"tree", 11}, {"otn", 13}, {"otc", 17},
+    };
+    for (const auto &[net, seed] : runs)
+        spec.instances.push_back(
+            inst(Algo::Sort, net, 32, DelayModel::Logarithmic, seed));
+    return spec;
+}
+
 TEST(BatchEngineTest, ReportsAreByteIdenticalAcrossHostThreads)
 {
     std::vector<std::string> jsons;
     std::vector<std::string> texts;
-    for (unsigned threads : {1u, 2u, 8u}) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
         BatchEngine engine(threads);
         auto report = engine.run(demoWorkload());
+        EXPECT_TRUE(report.allVerified()) << "threads=" << threads;
+        EXPECT_EQ(report.cacheHits, 3u) << "threads=" << threads;
+        EXPECT_EQ(report.shards, 9u) << "threads=" << threads;
         jsons.push_back(report.toJson());
         std::ostringstream os;
         report.writeText(os);
         texts.push_back(os.str());
     }
-    EXPECT_EQ(jsons[0], jsons[1]);
-    EXPECT_EQ(jsons[0], jsons[2]);
-    EXPECT_EQ(texts[0], texts[1]);
-    EXPECT_EQ(texts[0], texts[2]);
+    for (std::size_t i = 1; i < jsons.size(); ++i) {
+        EXPECT_EQ(jsons[0], jsons[i]) << "thread sweep " << i;
+        EXPECT_EQ(texts[0], texts[i]) << "thread sweep " << i;
+    }
+}
+
+// Farm shards on parallel lanes each own their cached machines; the
+// repeated shapes are served from the cache within their shard.
+TEST(SharedTwin, FarmShardsShareMachinesRaceFreeAndDeterministic)
+{
+    std::vector<std::string> jsons;
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        BatchEngine engine(threads);
+        BatchReport report = engine.run(farmBatch());
+        EXPECT_TRUE(report.allVerified()) << "threads=" << threads;
+        EXPECT_EQ(report.cacheHits, 2u) << "threads=" << threads;
+        EXPECT_EQ(report.shards, 4u) << "threads=" << threads;
+        jsons.push_back(report.toJson());
+    }
+    for (std::size_t i = 1; i < jsons.size(); ++i)
+        EXPECT_EQ(jsons[0], jsons[i]) << "thread sweep " << i;
 }
 
 #ifdef OT_TRACE
 TEST(BatchEngineTest, TraceStreamsAreIdenticalAcrossHostThreads)
 {
-    auto trace_of = [](unsigned threads) {
-        auto tracer = std::make_unique<ot::trace::Tracer>();
+    auto trace_of = [](unsigned threads, std::size_t capacity) {
+        auto tracer = std::make_unique<ot::trace::Tracer>(capacity);
         tracer->setEnabled(true);
         BatchEngine engine(threads);
         engine.setTracer(tracer.get());
@@ -178,18 +218,33 @@ TEST(BatchEngineTest, TraceStreamsAreIdenticalAcrossHostThreads)
         engine.setTracer(nullptr);
         return tracer;
     };
+    auto expectPrefixOf = [](const ot::trace::Tracer &full,
+                             const ot::trace::Tracer &got,
+                             unsigned threads) {
+        ASSERT_LE(got.events().size(), full.events().size());
+        EXPECT_EQ(got.dropped(),
+                  full.events().size() - got.events().size())
+            << "threads=" << threads;
+        for (std::size_t i = 0; i < got.events().size(); ++i)
+            ASSERT_TRUE(ot::trace::eventsEqual(full.events()[i],
+                                               got.events()[i]))
+                << "threads=" << threads << " event " << i;
+    };
 
-    auto seq = trace_of(1);
-    EXPECT_GT(seq->events().size(), 0u);
+    auto seq = trace_of(1, ot::trace::Tracer::kDefaultCapacity);
+    EXPECT_GT(seq->events().size(), 2u);
     EXPECT_EQ(seq->dropped(), 0u);
-    for (unsigned threads : {2u, 8u}) {
-        auto par = trace_of(threads);
+    // A capacity that cuts the stream inside the farm's replay.
+    const std::size_t cap = seq->events().size() / 2;
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        auto par = trace_of(threads, ot::trace::Tracer::kDefaultCapacity);
         ASSERT_EQ(par->events().size(), seq->events().size())
             << "threads=" << threads;
-        for (std::size_t i = 0; i < seq->events().size(); ++i)
-            ASSERT_TRUE(ot::trace::eventsEqual(seq->events()[i],
-                                               par->events()[i]))
-                << "threads=" << threads << " event " << i;
+        expectPrefixOf(*seq, *par, threads);
+
+        auto capped = trace_of(threads, cap);
+        ASSERT_EQ(capped->events().size(), cap) << "threads=" << threads;
+        expectPrefixOf(*seq, *capped, threads);
     }
 }
 #endif

@@ -6,8 +6,8 @@
  * OT_HOST_THREADS guarantee rests on: no nondeterminism sources in
  * lane-reachable code (flat scan plus interprocedural taint), no
  * layering back-edges, path-sensitive beginPhase/endPhase accounting
- * with cross-function net-delta summaries, lane-safe parallelFor
- * lambdas, allocation-free hotpath files (and call chains),
+ * with cross-function net-delta summaries, allocation-free hotpath
+ * files (and call chains),
  * used-and-direct includes, and no unreachable statements.  See
  * src/check/rules.hh for the rule catalogue and DESIGN.md for the
  * layer DAG and analysis pipeline.
