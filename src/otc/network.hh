@@ -224,6 +224,13 @@ class OtcNetwork
         return _colStream[j];
     }
 
+    /**
+     * Zero every register of every BP (the power-on state).  Costs
+     * only the planes written since construction or the last
+     * clearRegs() (see simd::RegFile).
+     */
+    void clearRegs() { _regs.clear(); }
+
     /** Fill register r of every BP. */
     void fillReg(Reg r, std::uint64_t value);
 

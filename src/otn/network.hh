@@ -294,6 +294,13 @@ class OrthogonalTreesNetwork
         return _colRoot;
     }
 
+    /**
+     * Zero every register of every BP (the power-on state).  Costs
+     * only the planes written since construction or the last
+     * clearRegs() (see simd::RegFile).
+     */
+    void clearRegs() { _regs.clear(); }
+
     /** Fill register r of every BP with `value`. */
     void fillReg(Reg r, std::uint64_t value);
 

@@ -11,9 +11,21 @@
  * one register is one contiguous span, and every plane starts on a
  * vector-friendly boundary.
  *
- * RegFile owns storage only: it performs no model-time accounting and
- * allocates exactly once, at construction (planes are zero-filled,
- * matching the machines' power-on state).
+ * RegFile owns storage only: it performs no model-time accounting.
+ * A run pays only for the planes it writes:
+ *  - The block comes from calloc, so every plane reads zero (the
+ *    machines' power-on state) without a memset; the OS hands out
+ *    zero pages on first touch, and a plane never written never
+ *    becomes resident.
+ *  - A dirty mask records the planes handed out for writing: the
+ *    non-const plane() and at() set the plane's bit, the const
+ *    accessors do not.  Writes must go through a pointer or reference
+ *    obtained after the last clear().
+ *  - clear() zeroes only the dirty planes, then resets the mask.
+ *    Unoptimized (Debug) builds also assert that every clean plane is
+ *    still all-zero, which catches a write that bypassed the mark.
+ *    Optimized builds keep their other assertions but skip this scan:
+ *    it would read every clean plane on every clear.
  */
 
 #pragma once
@@ -21,6 +33,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <new>
@@ -39,10 +52,17 @@ class RegFile
         : _planes(planes),
           _planeSize(plane_size),
           _stride(roundUp(plane_size)),
-          _data(allocate(_stride * planes))
+          _block(std::calloc(_stride * planes * sizeof(std::uint64_t) +
+                                 kAlign,
+                             1),
+                 &std::free)
     {
-        std::memset(_data.get(), 0,
-                    _stride * planes * sizeof(std::uint64_t));
+        assert(planes <= 32); // one dirty bit per plane
+        if (!_block)
+            throw std::bad_alloc();
+        const auto addr = reinterpret_cast<std::uintptr_t>(_block.get());
+        _data = reinterpret_cast<std::uint64_t *>((addr + kAlign - 1) &
+                                                  ~(kAlign - 1));
     }
 
     /** Number of planes (named registers). */
@@ -51,46 +71,63 @@ class RegFile
     /** Words per plane (the machine's base-processor count). */
     std::size_t planeSize() const { return _planeSize; }
 
-    /** Contiguous lane of register `p` (aligned to kAlign). */
+    /** Bit p is set iff plane p was handed out for writing since
+     *  construction or the last clear(). */
+    std::uint32_t dirtyMask() const { return _dirty; }
+
+    /** Contiguous lane of register `p` (aligned to kAlign); marks
+     *  the plane dirty. */
     std::uint64_t *
     plane(unsigned p)
     {
         assert(p < _planes);
-        return _data.get() + p * _stride;
+        _dirty |= 1u << p;
+        return _data + p * _stride;
     }
 
     const std::uint64_t *
     plane(unsigned p) const
     {
         assert(p < _planes);
-        return _data.get() + p * _stride;
+        return _data + p * _stride;
     }
 
-    /** Word `i` of plane `p` (the scalar element accessor). */
+    /** Word `i` of plane `p` (the scalar element accessor); marks the
+     *  plane dirty. */
     std::uint64_t &
     at(unsigned p, std::size_t i)
     {
         assert(p < _planes && i < _planeSize);
-        return _data.get()[p * _stride + i];
+        _dirty |= 1u << p;
+        return _data[p * _stride + i];
     }
 
     std::uint64_t
     at(unsigned p, std::size_t i) const
     {
         assert(p < _planes && i < _planeSize);
-        return _data.get()[p * _stride + i];
+        return _data[p * _stride + i];
+    }
+
+    /** Zero every dirty plane and mark all planes clean. */
+    void
+    clear()
+    {
+        for (unsigned p = 0; p < _planes; ++p) {
+            std::uint64_t *lane = _data + p * _stride;
+            if (_dirty >> p & 1u) {
+                std::memset(lane, 0, _stride * sizeof(std::uint64_t));
+                continue;
+            }
+#if !defined(NDEBUG) && !defined(__OPTIMIZE__)
+            for (std::size_t i = 0; i < _stride; ++i)
+                assert(lane[i] == 0 && "plane written without marking it");
+#endif
+        }
+        _dirty = 0;
     }
 
   private:
-    struct Deleter
-    {
-        void
-        operator()(std::uint64_t *p) const
-        {
-            ::operator delete[](p, std::align_val_t{kAlign});
-        }
-    };
-
     static std::size_t
     roundUp(std::size_t words)
     {
@@ -98,19 +135,14 @@ class RegFile
         return (words + per - 1) / per * per;
     }
 
-    static std::unique_ptr<std::uint64_t[], Deleter>
-    allocate(std::size_t words)
-    {
-        void *raw = ::operator new[](words * sizeof(std::uint64_t),
-                                     std::align_val_t{kAlign});
-        return std::unique_ptr<std::uint64_t[], Deleter>(
-            static_cast<std::uint64_t *>(raw));
-    }
-
     unsigned _planes;
     std::size_t _planeSize;
     std::size_t _stride;
-    std::unique_ptr<std::uint64_t[], Deleter> _data;
+    std::unique_ptr<void, decltype(&std::free)> _block;
+    std::uint64_t *_data;
+    // A uint32 on purpose: a uint64 member could alias the plane words
+    // and force a reload and store on every at().
+    std::uint32_t _dirty = 0;
 };
 
 } // namespace ot::simd

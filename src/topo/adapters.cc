@@ -21,8 +21,7 @@ namespace {
 void
 resetOtnState(otn::OrthogonalTreesNetwork &net)
 {
-    for (unsigned r = 0; r < otn::kNumRegs; ++r)
-        net.fillReg(static_cast<otn::Reg>(r), 0);
+    net.clearRegs();
     for (std::size_t i = 0; i < net.n(); ++i) {
         net.rowRoot(i) = otn::kNull;
         net.colRoot(i) = otn::kNull;
@@ -174,8 +173,7 @@ void
 OtcNativeTopoMachine::reset()
 {
     otc::OtcNetwork &net = *_net;
-    for (unsigned r = 0; r < otn::kNumRegs; ++r)
-        net.fillReg(static_cast<otn::Reg>(r), 0);
+    net.clearRegs();
     for (std::size_t i = 0; i < net.k(); ++i) {
         net.rowStream(i).assign(net.cycleLen(), otn::kNull);
         net.colStream(i).assign(net.cycleLen(), otn::kNull);

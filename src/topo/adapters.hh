@@ -69,6 +69,9 @@ class OtnTopoMachine : public Machine
     SsspRun runShortestPaths(const graph::WeightedGraph &g,
                              std::size_t src) override;
 
+    /** The simulated network (register-level inspection in tests). */
+    otn::OrthogonalTreesNetwork &network() { return *_net; }
+
   protected:
     OtnTopoMachine(const MachineSpec &spec,
                    std::unique_ptr<otn::OrthogonalTreesNetwork> net);
@@ -117,6 +120,9 @@ class OtcNativeTopoMachine : public Machine
     ModelTime reduceCost() const override;
 
     SortRun runSort(const std::vector<std::uint64_t> &values) override;
+
+    /** The simulated network (register-level inspection in tests). */
+    otc::OtcNetwork &network() { return *_net; }
 
   private:
     std::unique_ptr<otc::OtcNetwork> _net;

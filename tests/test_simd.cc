@@ -96,6 +96,73 @@ TEST(RegFile, PlanesAreZeroedDisjointAndAligned)
     }
 }
 
+/** True iff every word of plane p reads zero through the const view. */
+bool
+planeIsZero(const simd::RegFile &rf, unsigned p)
+{
+    const std::uint64_t *lane = rf.plane(p);
+    return std::all_of(lane, lane + rf.planeSize(),
+                       [](std::uint64_t w) { return w == 0; });
+}
+
+TEST(RegFile, FreshFileReadsZeroWithoutDirtyingAnyPlane)
+{
+    // 2^20 words (8 MB) per plane: above glibc's mmap threshold, so
+    // the zeros come from fresh OS pages rather than a memset.
+    for (std::size_t words : {std::size_t{37}, std::size_t{1} << 20}) {
+        const simd::RegFile rf(4, words);
+        for (unsigned p = 0; p < 4; ++p) {
+            EXPECT_TRUE(planeIsZero(rf, p)) << words << " plane " << p;
+            EXPECT_EQ(rf.at(p, words - 1), 0u);
+        }
+        EXPECT_EQ(rf.dirtyMask(), 0u);
+    }
+}
+
+TEST(RegFile, WritesDirtyOnlyTheirPlane)
+{
+    simd::RegFile rf(5, 100);
+    rf.at(1, 7) = 42;
+    EXPECT_EQ(rf.dirtyMask(), 1u << 1);
+    rf.plane(3)[99] = 9;
+    EXPECT_EQ(rf.dirtyMask(), (1u << 1) | (1u << 3));
+    const simd::RegFile &view = rf;
+    for (unsigned p : {0u, 2u, 4u})
+        EXPECT_TRUE(planeIsZero(view, p)) << "plane " << p;
+    EXPECT_EQ(view.at(1, 7), 42u);
+    EXPECT_EQ(view.at(3, 99), 9u);
+    EXPECT_EQ(rf.dirtyMask(), (1u << 1) | (1u << 3));
+}
+
+TEST(RegFile, ClearZeroesEveryPlaneAndResetsTheMask)
+{
+    simd::RegFile rf(12, 1000);
+    for (unsigned p = 0; p < 12; p += 2)
+        std::fill(rf.plane(p), rf.plane(p) + 1000, p + 1);
+    rf.at(11, 0) = 5;
+    rf.clear();
+    EXPECT_EQ(rf.dirtyMask(), 0u);
+    for (unsigned p = 0; p < 12; ++p)
+        EXPECT_TRUE(planeIsZero(rf, p)) << "plane " << p;
+    // Reusable after a clear: writes mark again, clear zeroes again.
+    rf.at(4, 999) = 1;
+    EXPECT_EQ(rf.dirtyMask(), 1u << 4);
+    rf.clear();
+    EXPECT_TRUE(planeIsZero(rf, 4));
+}
+
+// The clean-plane scan in clear() runs in unoptimized builds only.
+#if !defined(NDEBUG) && !defined(__OPTIMIZE__)
+TEST(RegFileDeathTest, ClearCatchesAWriteThatBypassedTheMark)
+{
+    simd::RegFile rf(3, 64);
+    std::uint64_t *stale = rf.plane(2);
+    rf.clear();
+    stale[5] = 1; // plane 2 is clean again, so this write is unmarked
+    EXPECT_DEATH(rf.clear(), "without marking");
+}
+#endif
+
 // ----------------------------------------------------------------------
 // Kernel-level differential: every vector kernel vs the scalar one
 // ----------------------------------------------------------------------

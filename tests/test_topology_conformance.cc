@@ -11,17 +11,25 @@
  * machines must be well-formed, and the D2D-MoT's diametrical links
  * must strictly reduce root bandwidth against the plain MoT on the
  * same traffic (the arXiv:1212.2874 property, read off the tracer).
+ * Finally, reset() after a run that wrote the registers must leave
+ * the OTN and native OTC machines indistinguishable from fresh ones.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "graph/generators.hh"
+#include "otc/connected_components_native.hh"
+#include "otn/registers.hh"
+#include "sim/rng.hh"
+#include "topo/adapters.hh"
 #include "topo/algo.hh"
 #include "topo/machine.hh"
 #include "topo/mot_noc.hh"
@@ -203,6 +211,100 @@ TEST(TopologyConformance, ResetRestartsEveryTopologyClock)
         EXPECT_EQ(first.time, second.time) << net;
         EXPECT_EQ(first.sorted, second.sorted) << net;
     }
+}
+
+// ------------------------------------------- reset of the register file
+
+/** Number of register planes of `net` holding a nonzero word, read
+ *  through the const accessor (which leaves the dirty mask alone). */
+template <typename Net>
+unsigned
+nonzeroPlanes(const Net &net, std::size_t words)
+{
+    unsigned count = 0;
+    for (unsigned r = 0; r < otn::kNumRegs; ++r) {
+        const std::uint64_t *p = net.regPlane(static_cast<otn::Reg>(r));
+        count += std::any_of(p, p + words,
+                             [](std::uint64_t w) { return w != 0; });
+    }
+    return count;
+}
+
+/** Every register plane of `used` equals the one of `fresh`. */
+template <typename Net>
+void
+expectSamePlanes(const Net &used, const Net &fresh, std::size_t words)
+{
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        EXPECT_EQ(std::memcmp(used.regPlane(static_cast<otn::Reg>(r)),
+                              fresh.regPlane(static_cast<otn::Reg>(r)),
+                              words * sizeof(std::uint64_t)),
+                  0)
+            << "register plane " << r;
+}
+
+std::vector<std::uint64_t>
+sortInput(std::size_t n)
+{
+    sim::Rng rng(2024);
+    std::vector<std::uint64_t> v(n);
+    for (auto &x : v)
+        x = rng.uniform(0, n - 1);
+    return v;
+}
+
+TEST(TopologyConformance, OtnResetAfterMstMatchesAFreshMachine)
+{
+    const std::size_t n = 16;
+    auto spec = topo::resolveSpec("otn", topo::Algo::Mst, n,
+                                  vlsi::DelayModel::Logarithmic, false);
+    sim::Rng rng(11);
+    topo::OtnTopoMachine used(spec);
+    used.runMst(graph::randomWeightedConnected(n, 2 * n, rng));
+    const std::size_t words = used.network().n() * used.network().n();
+    EXPECT_EQ(nonzeroPlanes(std::as_const(used.network()), words),
+              otn::kNumRegs);
+
+    used.reset();
+    EXPECT_EQ(nonzeroPlanes(std::as_const(used.network()), words), 0u);
+
+    topo::OtnTopoMachine fresh(spec);
+    const auto values = sortInput(n);
+    auto a = used.runSort(values);
+    auto b = fresh.runSort(values);
+    EXPECT_EQ(a.sorted, b.sorted);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(used.steps(), fresh.steps());
+    expectSamePlanes(std::as_const(used.network()),
+                     std::as_const(fresh.network()), words);
+}
+
+TEST(TopologyConformance, OtcNativeResetAfterCcMatchesAFreshMachine)
+{
+    const std::size_t n = 16;
+    auto spec = topo::resolveSpec("otc", topo::Algo::Sort, n,
+                                  vlsi::DelayModel::Logarithmic, false);
+    sim::Rng rng(12);
+    topo::OtcNativeTopoMachine used(spec);
+    otc::OtcNetwork &net = used.network();
+    const std::size_t words = net.k() * net.k() * net.cycleLen();
+    otc::connectedComponentsOtcNative(net, graph::randomGnp(n, 0.1, rng));
+    // CC writes every register but F, which no native OTC algorithm
+    // uses.
+    EXPECT_EQ(nonzeroPlanes(std::as_const(net), words), otn::kNumRegs - 1);
+
+    used.reset();
+    EXPECT_EQ(nonzeroPlanes(std::as_const(net), words), 0u);
+
+    topo::OtcNativeTopoMachine fresh(spec);
+    const auto values = sortInput(n);
+    auto a = used.runSort(values);
+    auto b = fresh.runSort(values);
+    EXPECT_EQ(a.sorted, b.sorted);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(used.steps(), fresh.steps());
+    expectSamePlanes(std::as_const(net), std::as_const(fresh.network()),
+                     words);
 }
 
 } // namespace
