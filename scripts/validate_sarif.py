@@ -7,9 +7,9 @@ Two modes:
         Validate an existing SARIF file.
 
     validate_sarif.py --otcheck BIN --root DIR
-        Run `BIN --root DIR --no-baseline --sarif-out TMP` (the
-        otcheck exit status is ignored — findings are fine, we are
-        testing the serialisation) and validate what it wrote.
+        Run `BIN --root DIR --sarif-out TMP` (the otcheck exit status
+        is ignored — findings are fine, we are testing the
+        serialisation) and validate what it wrote.
 
 Validation is a JSON-Schema check of the SARIF 2.1.0 core the GitHub
 code-scanning ingester relies on, embedded below so the test runs
@@ -169,8 +169,7 @@ def main():
         out = tempfile.NamedTemporaryFile(suffix=".sarif", delete=False)
         out.close()
         proc = subprocess.run(
-            [args.otcheck, "--root", args.root, "--no-baseline",
-             "--sarif-out", out.name],
+            [args.otcheck, "--root", args.root, "--sarif-out", out.name],
             stdout=subprocess.DEVNULL)
         if proc.returncode not in (0, 1):
             fail(f"otcheck exited {proc.returncode} (usage/IO error)")

@@ -123,54 +123,6 @@ class Parser
         return std::string::npos;
     }
 
-    /** Index of the `[` matching the `]` at `close` (or npos). */
-    std::size_t
-    backMatchBracket(std::size_t close) const
-    {
-        int depth = 0;
-        for (std::size_t j = close + 1; j-- > 0;) {
-            if (punct(j, "]"))
-                ++depth;
-            else if (punct(j, "[") && --depth == 0)
-                return j;
-        }
-        return std::string::npos;
-    }
-
-    /** For the lambda body `{` at `j`, locate the capture-list `[`
-     *  and parameter-list `(` (npos when absent).  Mirrors the
-     *  look-back walk of isLambdaBrace. */
-    void
-    lambdaShape(std::size_t j, std::size_t &captureOpen,
-                std::size_t &paramOpen) const
-    {
-        captureOpen = std::string::npos;
-        paramOpen = std::string::npos;
-        std::size_t steps = 0;
-        for (std::size_t k = j; k-- > 0 && steps < 24; ++steps) {
-            const std::string &t = text(k);
-            if (t == "]") {
-                captureOpen = backMatchBracket(k);
-                return; // no parameter list
-            }
-            if (t == ")") {
-                std::size_t open = backMatchParen(k);
-                if (open != std::string::npos && open > 0 &&
-                    punct(open - 1, "]")) {
-                    paramOpen = open;
-                    captureOpen = backMatchBracket(open - 1);
-                }
-                return;
-            }
-            bool specifier =
-                isIdent(_t, k) || t == "::" || t == "->" || t == "<" ||
-                t == ">" || t == "*" || t == "&" || t == "," ||
-                _t[k].kind == Token::Kind::Number;
-            if (!specifier)
-                return;
-        }
-    }
-
     void
     skipToSemicolon()
     {
@@ -405,8 +357,6 @@ class Parser
                     ++_i;
                     FuncDef lam;
                     lam.bodyFirst = _i > 0 ? _i - 1 : 0;
-                    lambdaShape(lam.bodyFirst, lam.captureOpen,
-                                lam.paramOpen);
                     lam.line = line(_i);
                     lam.body = parseBlock();
                     lam.bodyLast = _i > 0 ? _i - 1 : 0;
@@ -851,7 +801,6 @@ class Parser
         f.isCtor = !f.className.empty() && f.name == f.className;
         f.isVirtual = sawVirtual;
         f.line = line(firstParen);
-        f.paramOpen = firstParen;
         f.bodyFirst = j;
         _i = j + 1;
         f.body = parseBlock();

@@ -104,12 +104,6 @@ struct FuncDef
     int line = 1;
     std::size_t bodyFirst = 0; ///< token index of the opening brace
     std::size_t bodyLast = 0;  ///< token index of the closing brace
-    /** Token index of the parameter-list `(`; npos when the function
-     *  has no recognizable parameter list (lambdas without one). */
-    std::size_t paramOpen = static_cast<std::size_t>(-1);
-    /** Lambdas only: token index of the capture-list `[`; npos for
-     *  named functions. */
-    std::size_t captureOpen = static_cast<std::size_t>(-1);
     Stmt body;                 ///< Kind::Seq
     std::vector<CallSite> calls; ///< flattened over the whole body
 };

@@ -46,43 +46,6 @@ relativeTo(const fs::path &root, const fs::path &p)
     return s;
 }
 
-/**
- * Pull the "file" entries out of a compile_commands.json.  The format
- * is fixed (an array of objects with "directory"/"command"/"file"
- * string members), so a targeted scan beats carrying a JSON parser:
- * find each `"file"` key and take its string value, honouring
- * escapes.
- */
-std::vector<std::string>
-compileCommandsFiles(const std::string &json)
-{
-    std::vector<std::string> files;
-    const std::string key = "\"file\"";
-    std::size_t pos = 0;
-    while ((pos = json.find(key, pos)) != std::string::npos) {
-        pos += key.size();
-        while (pos < json.size() &&
-               (json[pos] == ' ' || json[pos] == '\t' ||
-                json[pos] == ':' || json[pos] == '\n'))
-            ++pos;
-        if (pos >= json.size() || json[pos] != '"')
-            continue;
-        ++pos;
-        std::string value;
-        while (pos < json.size() && json[pos] != '"') {
-            if (json[pos] == '\\' && pos + 1 < json.size()) {
-                ++pos;
-                value += json[pos] == 'n' ? '\n' : json[pos];
-            } else {
-                value += json[pos];
-            }
-            ++pos;
-        }
-        files.push_back(std::move(value));
-    }
-    return files;
-}
-
 void
 jsonEscape(std::ostringstream &out, const std::string &s)
 {
@@ -215,8 +178,7 @@ checkFile(const std::string &filePath, const std::string &displayPath)
 }
 
 std::vector<std::string>
-collectFiles(const std::string &root,
-             const std::string &compileCommandsPath)
+collectFiles(const std::string &root)
 {
     std::vector<std::string> files;
     const fs::path rootPath(root);
@@ -233,21 +195,7 @@ collectFiles(const std::string &root,
                 files.push_back(relativeTo(rootPath, it->path()));
     }
 
-    if (!compileCommandsPath.empty()) {
-        for (const std::string &f :
-             compileCommandsFiles(readFile(compileCommandsPath))) {
-            std::string rel = relativeTo(rootPath, fs::path(f));
-            if (rel.empty())
-                continue;
-            if (rel.compare(0, 4, "src/") == 0 ||
-                rel.compare(0, 6, "tools/") == 0 ||
-                rel.compare(0, 6, "bench/") == 0)
-                files.push_back(std::move(rel));
-        }
-    }
-
     std::sort(files.begin(), files.end());
-    files.erase(std::unique(files.begin(), files.end()), files.end());
     files.erase(std::remove(files.begin(), files.end(), std::string()),
                 files.end());
     return files;
@@ -263,47 +211,6 @@ checkTree(const std::string &root,
         sources.push_back(
             {rel, readFile((fs::path(root) / rel).string())});
     return checkProject(sources, stats);
-}
-
-Baseline
-loadBaseline(const std::string &path)
-{
-    Baseline b;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::size_t begin = line.find_first_not_of(" \t");
-        if (begin == std::string::npos || line[begin] == '#')
-            continue;
-        std::size_t sep = line.find_first_of(" \t", begin);
-        if (sep == std::string::npos)
-            continue;
-        std::string rule = line.substr(begin, sep - begin);
-        std::size_t fbegin = line.find_first_not_of(" \t", sep);
-        if (fbegin == std::string::npos)
-            continue;
-        std::size_t fend = line.find_last_not_of(" \t\r");
-        b.entries.insert(
-            {rule, line.substr(fbegin, fend - fbegin + 1)});
-    }
-    return b;
-}
-
-std::size_t
-applyBaseline(const Baseline &baseline, Report &report)
-{
-    if (baseline.entries.empty())
-        return 0;
-    std::size_t before = report.diagnostics.size();
-    report.diagnostics.erase(
-        std::remove_if(report.diagnostics.begin(),
-                       report.diagnostics.end(),
-                       [&](const Diagnostic &d) {
-                           return baseline.entries.count(
-                                      {d.rule, d.file}) != 0;
-                       }),
-        report.diagnostics.end());
-    return before - report.diagnostics.size();
 }
 
 std::string

@@ -2,26 +2,17 @@
  * @file
  * otcheck driver: file collection, rule dispatch, rendering.
  *
- * The checker walks src/, tools/ and bench/ under a repo root (and/or
- * the translation units named in a compile_commands.json) and runs
- * every rule over the whole file set at once — the cross-file rules
- * (hotpath-propagation, include-hygiene) need the full project in
- * view.  File order, diagnostic order and all output formats are
+ * The checker walks src/, tools/ and bench/ under a repo root and
+ * runs every rule over the whole file set at once — the cross-file
+ * rules (hotpath-propagation, include-hygiene) need the full project
+ * in view.  File order, diagnostic order and all output formats are
  * deterministic — the checker holds itself to the same standard it
  * enforces.
- *
- * A baseline file (one `rule path` pair per line, `#` comments) mutes
- * known pre-existing findings so new rules can land strict on new
- * code without a big-bang cleanup; the policy (enforced by tests, not
- * here) is that src/ entries are forbidden — only the app-level
- * trees may carry debt.
  */
 
 #pragma once
 
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "check/rules.hh"
@@ -40,12 +31,6 @@ struct Report
 {
     std::vector<std::string> files; ///< repo-relative, sorted
     std::vector<Diagnostic> diagnostics;
-};
-
-/** Known findings to mute: (rule, file) pairs. */
-struct Baseline
-{
-    std::set<std::pair<std::string, std::string>> entries;
 };
 
 /** Work and wall-time counters for one run (--stats).  Timing uses
@@ -82,28 +67,15 @@ std::vector<Diagnostic> checkSource(const std::string &path,
 std::vector<Diagnostic> checkFile(const std::string &filePath,
                                   const std::string &displayPath);
 
-/**
- * Collect the audit set under `root`: every *.cc / *.hh beneath
- * root/src, root/tools and root/bench, unioned with any file listed
- * in `compileCommandsPath` (may be empty) that lies in those trees.
- * Returned paths are repo-relative and sorted.
- */
-std::vector<std::string>
-collectFiles(const std::string &root,
-             const std::string &compileCommandsPath);
+/** Collect the audit set under `root`: every *.cc / *.hh beneath
+ *  root/src, root/tools and root/bench, repo-relative and sorted. */
+std::vector<std::string> collectFiles(const std::string &root);
 
 /** Check every file in `files` (repo-relative, resolved against
  *  `root`) as one project. */
 Report checkTree(const std::string &root,
                  const std::vector<std::string> &files,
                  RunStats *stats = nullptr);
-
-/** Parse a baseline file; a missing file yields an empty baseline. */
-Baseline loadBaseline(const std::string &path);
-
-/** Drop diagnostics whose (rule, file) pair the baseline carries.
- *  Returns how many were muted. */
-std::size_t applyBaseline(const Baseline &baseline, Report &report);
 
 /** `file:line: error: [rule] message` lines plus a summary line. */
 std::string renderText(const Report &report);

@@ -1,12 +1,9 @@
 /**
  * @file
- * Interprocedural dataflow rules for otcheck: determinism taint and
- * scheduler purity.
+ * Interprocedural determinism taint for otcheck.
  *
- * determinism-taint
- * -----------------
  * The flat determinism rule bans nondeterminism tokens *inside* the
- * lane-reachable layers, so a one-line wrapper in an unscoped layer
+ * determinism-scope layers, so a one-line wrapper in an unscoped layer
  * (`uint64_t jitter() { return rand(); }` in src/analysis)
  * laundered the ban: the wrapper's file is not scanned, and the
  * in-scope caller only mentions the innocent name `jitter`.  This
@@ -22,18 +19,6 @@
  * In-scope sources are NOT re-diagnosed here — the flat rule already
  * flags the banned token itself; this rule only reports the boundary
  * crossing, so each defect surfaces exactly once.
- *
- * sched-purity
- * ------------
- * A function carrying the pure marker (the scenario ranking
- * functions) must be a pure ordering: no by-reference argument
- * mutation (checked through per-parameter mutation summaries over
- * the call graph, so a helper that writes for it is caught with a
- * cross-TU witness), no non-const static local
- * state, and no call whose every candidate is determinism-tainted
- * (reusing the taint graph, so a wrapper in an unscoped layer cannot
- * launder entropy into the schedule).  Nested lambdas are part of
- * the marked function.
  */
 
 #pragma once
@@ -50,10 +35,5 @@ namespace ot::check {
 void runDeterminismTaint(const std::vector<FileContext> &ctxs,
                          std::vector<Diagnostic> &out,
                          std::size_t *rounds = nullptr);
-
-/** Scheduler-purity rule over the functions carrying the pure
- *  marker. */
-void runSchedPurity(const std::vector<FileContext> &ctxs,
-                    std::vector<Diagnostic> &out);
 
 } // namespace ot::check

@@ -88,11 +88,6 @@ scanCommentMarkers(const std::string &text, int line, LexedFile &out)
         int markerLine = line + extraLines;
         if (text.compare(j, 7, "hotpath") == 0) {
             out.hotpath = true;
-        } else if (text.compare(j, 4, "pure") == 0 &&
-                   (j + 4 >= text.size() || !identCont(text[j + 4]))) {
-            Marker m;
-            m.line = markerLine;
-            out.pureMarkers.push_back(m);
         } else if (text.compare(j, 13, "fixture-path ") == 0) {
             std::size_t e = text.find_first_of("\n", j + 13);
             out.fixturePath = trim(text.substr(j + 13, e - (j + 13)));
@@ -307,31 +302,16 @@ lex(const std::string &source)
             }
         }
 
-        // String / char literal (with escapes).  String contents are
-        // retained in the out-of-band `strings` list (the contract
-        // rules read registry names from them) but never enter the
-        // token stream.
+        // String / char literal (with escapes); contents never enter
+        // the token stream.
         if (ch == '"' || ch == '\'') {
-            int line = c.line();
             char quote = c.take();
-            std::string text;
             while (!c.done() && c.peek() != quote) {
-                if (c.peek() == '\\') {
-                    text += c.take();
-                    if (!c.done())
-                        text += c.take();
-                } else {
-                    text += c.take();
-                }
+                if (c.take() == '\\' && !c.done())
+                    c.take();
             }
             if (!c.done())
                 c.take();
-            if (quote == '"') {
-                StrLit lit;
-                lit.text = std::move(text);
-                lit.line = line;
-                out.strings.push_back(std::move(lit));
-            }
             lineHasToken = true;
             continue;
         }

@@ -69,22 +69,6 @@ struct Define
     int line = 1;
 };
 
-/** One string literal, retained out-of-band.  The token stream stays
- *  literal-free (no rule can false-positive on string contents), but
- *  the contract rules need registry names, which are string literals
- *  at the registration call sites. */
-struct StrLit
-{
-    std::string text; ///< contents between the quotes, unescaped raw
-    int line = 1;
-};
-
-/** One structural marker attached to the next declaration. */
-struct Marker
-{
-    int line = 1; ///< line the marker text sits on
-};
-
 /** A file reduced to what the rules consume. */
 struct LexedFile
 {
@@ -96,12 +80,6 @@ struct LexedFile
      *  (`#if FOO`, `#define A B`); the include-hygiene rule counts
      *  them as uses even though directives produce no tokens. */
     std::vector<std::string> ppIdents;
-    /** String literals with their lines, in source order (contents
-     *  are excluded from `tokens`; see StrLit). */
-    std::vector<StrLit> strings;
-    /** pure markers: each flags the function whose body starts at or
-     *  after the marker line as side-effect-free. */
-    std::vector<Marker> pureMarkers;
     bool hotpath = false;    ///< file carries the hotpath marker
     std::string fixturePath; ///< fixture-path override, or empty
 };

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "check/callgraph.hh"
-#include "check/contracts.hh"
 #include "check/dataflow.hh"
 #include "check/summaries.hh"
 #include "check/symgraph.hh"
@@ -1176,12 +1175,12 @@ determinismBans()
 const std::vector<RuleDoc> &
 ruleCatalog()
 {
-    // ruleIndex order — append-only (see rules.hh).
+    // SARIF ruleIndex order.
     static const std::vector<RuleDoc> catalog = {
         {"determinism",
          "No nondeterminism sources or iteration-order hazards in "
-         "lane-reachable layers",
-         "Flat token scan over src/sim, src/otn, src/otc, "
+         "the determinism-scope layers",
+         "Flat token scan over src/sim, src/otn, src/otc, src/topo, "
          "src/workload and src/scenario: banned identifiers (wall "
          "clocks, rand(), thread ids, std::unordered_*) and "
          "pointer-keyed std::map/std::set template arguments.",
@@ -1280,46 +1279,6 @@ ruleCatalog()
          "src/analysis/noise.cc:12",
          "only when the tainted callee is provably outside the "
          "replayed state (logging, diagnostics)", true},
-        {"topo-contract",
-         "Topology registry names must be unique and every concrete "
-         "machine in a registered hierarchy must be registered",
-         "Registration sites (`reg.add({\"name\", ...})` in the "
-         "topo layer) are tied to their machine classes through the "
-         "argument list or the factory's make_unique<...> body; "
-         "duplicate names and concrete plugin-hierarchy classes no "
-         "registration resolves to are diagnosed.",
-         "concrete machine 'TorusMachine' is never registered in "
-         "the topology registry",
-         "never — register the machine or make it abstract", true},
-        {"topo-fallback",
-         "A registered machine must override the three accounting "
-         "hooks (exchangeStepCost, broadcastCost, reduceCost)",
-         "The hooks are the topology's microarchitecture "
-         "description; a registered class that does not declare all "
-         "three in its own body is costing itself with an "
-         "ancestor's network and is flagged with the providing "
-         "base named.",
-         "registered machine 'OtcEmulatedTopoMachine' does not "
-         "override accounting hook(s) exchangeStepCost, "
-         "broadcastCost, reduceCost; it inherits the costs of "
-         "'OtnTopoMachine'",
-         "only when the inherited cost model is the topology's own "
-         "by construction (emulation layers) — say why in the "
-         "justification",
-         true},
-        {"sched-purity",
-         "Functions marked pure (the scenario ranking functions) "
-         "must be side-effect-free and determinism-clean",
-         "For each marked definition (nested lambdas included): "
-         "by-reference parameter mutations via the summary table "
-         "(cross-TU witness), non-const static locals, and calls "
-         "whose every candidate is determinism-tainted via the "
-         "taint graph.",
-         "pure ranking function 'pickNext': static local state "
-         "survives across calls",
-         "never — a ranking function that needs state is a "
-         "scheduler redesign, not an escape",
-         true},
     };
     return catalog;
 }
@@ -1367,8 +1326,6 @@ runProjectRules(const std::vector<FileContext> &ctxs,
     runIncludeHygiene(ctxs, sg, out);
     std::size_t taintRounds = 0;
     runDeterminismTaint(ctxs, out, &taintRounds);
-    runTopoContracts(ctxs, buildClassGraph(ctxs), out);
-    runSchedPurity(ctxs, out);
     if (stats) {
         for (const FileContext &ctx : ctxs)
             stats->functionsAnalyzed += ctx.parsed.funcs.size();

@@ -9,8 +9,8 @@
  *   determinism — no nondeterminism sources (wall clocks, rand(),
  *                 thread ids) and no iteration-order hazards
  *                 (std::unordered_*, pointer-keyed map/set) inside
- *                 the lane-reachable layers src/sim, src/otn,
- *                 src/otc.
+ *                 the determinism scope: src/sim, src/otn, src/otc,
+ *                 src/topo, src/workload and src/scenario.
  *   layering    — `#include` edges must follow the layer DAG (see
  *                 DESIGN.md); no back-edges, and no
  *                 include/orthotree umbrella includes from src/.
@@ -37,6 +37,8 @@
  *                 unrelated transitive path.
  *   unreachable — no statements after an unconditional
  *                 return/throw/abort in a block.
+ *   intrinsics  — raw SIMD intrinsics (intrinsic headers, _mm* /
+ *                 __m* and NEON names) only inside src/simd.
  *   determinism-taint — interprocedural form of determinism: a
  *                 function whose body draws from a raw nondeterminism
  *                 source (outside an allow(determinism) extent) taints
@@ -46,16 +48,6 @@
  *                 definition is diagnosed with the full source→sink
  *                 witness chain, so wrapper laundering cannot escape
  *                 the flat token scan.
- *   topo-contract — topology registry hygiene: duplicate registry
- *                 names, and concrete machines in a registered
- *                 hierarchy that no registration resolves to.
- *   topo-fallback — a registered machine must override the three
- *                 accounting hooks; inheriting an ancestor's costs
- *                 is flagged with the providing base named.
- *   sched-purity — functions carrying the pure marker (scenario
- *                 ranking functions) must be side-effect-free: no
- *                 by-reference argument mutation, no non-const
- *                 static locals, no determinism-tainted calls.
  *
  * Accounting is additionally interprocedural: per-function net
  * begin/end deltas are fixpointed over the call graph (conservative ⊤
@@ -115,8 +107,8 @@ std::string classifyLayer(const std::string &path);
 /** Layers a given layer may include (empty ⇒ unrestricted). */
 const std::vector<std::string> &allowedIncludes(const std::string &layer);
 
-/** True for the lane-reachable layers the determinism rules scope to
- *  (sim, otn, otc, workload, scenario). */
+/** True for the layers the determinism rules scope to (sim, otn, otc,
+ *  topo, workload, scenario). */
 bool inDeterminismScope(const std::string &layer);
 
 /** One banned identifier shared by the flat determinism scan and the
@@ -147,8 +139,7 @@ struct RuleDoc
     bool allowable;          ///< may appear in an allow() marker
 };
 
-/** Every rule id otcheck can emit, in stable SARIF ruleIndex order.
- *  Append-only: reordering would re-map cached indices downstream. */
+/** Every rule id otcheck can emit, in stable SARIF ruleIndex order. */
 const std::vector<RuleDoc> &ruleCatalog();
 
 /** Lookup by id; nullptr when unknown. */
@@ -176,9 +167,8 @@ std::vector<Diagnostic> runFileRules(const FileContext &ctx);
 
 /** Run the cross-file rules (accounting with interprocedural
  *  summaries, hotpath-propagation, include-hygiene, determinism
- *  taint, the class-contract family: topo-contract /
- *  topo-fallback, and sched-purity) over a whole run's file set.
- *  Raw: allow() markers are NOT applied. */
+ *  taint) over a whole run's file set.  Raw: allow() markers are
+ *  NOT applied. */
 std::vector<Diagnostic>
 runProjectRules(const std::vector<FileContext> &ctxs,
                 ProjectRuleStats *stats = nullptr);

@@ -5,8 +5,10 @@
 namespace ot::scenario {
 
 // The deterministic-replay story assumes ranking is a pure function
-// of (kind, queue, served); otcheck proves it (rule `sched-purity`).
-// otcheck:pure
+// of (kind, queue, served).  The signature guards it: `kind` is a
+// value and `queue`/`served` are const references, so a write fails
+// to compile; EngineTest.RepeatRunsAreIdentical catches hidden static
+// state, and otcheck's determinism rules cover entropy.
 std::size_t
 pickNext(SchedulerKind kind, const std::vector<QueueJob> &queue,
          const std::vector<vlsi::ModelTime> &served)

@@ -39,7 +39,9 @@
 
 namespace ot::topo {
 
-/** The plain (N x N) orthogonal trees network ("otn"). */
+/** The plain (N x N) orthogonal trees network ("otn").  The one
+ *  non-final adapter: OtcEmulatedTopoMachine derives from it to share
+ *  OTN's cost model. */
 class OtnTopoMachine : public Machine
 {
   public:
@@ -80,11 +82,11 @@ class OtnTopoMachine : public Machine
 };
 
 /** The OTC-emulated OTN ("otc-emu", Section V-A). */
-// otcheck:allow(topo-fallback): the emulation charges OTN's per-hook
-// costs by construction (Section V-A maps every OTN primitive onto
-// the OTC cell grid); overriding them would fork the cost model the
-// emulation is defined to share.
-class OtcEmulatedTopoMachine : public OtnTopoMachine
+// It inherits OTN's three accounting hooks on purpose: the emulation
+// charges OTN's per-hook costs by construction (Section V-A maps every
+// OTN primitive onto the OTC cell grid); overriding them would fork
+// the cost model the emulation is defined to share.
+class OtcEmulatedTopoMachine final : public OtnTopoMachine
 {
   public:
     explicit OtcEmulatedTopoMachine(const MachineSpec &spec);
@@ -100,7 +102,7 @@ class OtcEmulatedTopoMachine : public OtnTopoMachine
 };
 
 /** The native streaming OTC ("otc", SORT-OTC). */
-class OtcNativeTopoMachine : public Machine
+class OtcNativeTopoMachine final : public Machine
 {
   public:
     explicit OtcNativeTopoMachine(const MachineSpec &spec);
@@ -129,7 +131,7 @@ class OtcNativeTopoMachine : public Machine
 };
 
 /** The sqrt(N) x sqrt(N) mesh ("mesh", Thompson-Kung + Cannon). */
-class MeshTopoMachine : public Machine
+class MeshTopoMachine final : public Machine
 {
   public:
     explicit MeshTopoMachine(const MachineSpec &spec);
@@ -162,7 +164,7 @@ class MeshTopoMachine : public Machine
 };
 
 /** Stone's perfect shuffle network ("psn"). */
-class PsnTopoMachine : public Machine
+class PsnTopoMachine final : public Machine
 {
   public:
     explicit PsnTopoMachine(const MachineSpec &spec);
@@ -186,7 +188,7 @@ class PsnTopoMachine : public Machine
 };
 
 /** The cube-connected cycles ("ccc", Preparata-Vuillemin). */
-class CccTopoMachine : public Machine
+class CccTopoMachine final : public Machine
 {
   public:
     explicit CccTopoMachine(const MachineSpec &spec);
@@ -210,7 +212,7 @@ class CccTopoMachine : public Machine
 };
 
 /** The single-tree machine ("tree", the root-bottleneck ablation). */
-class TreeTopoMachine : public Machine
+class TreeTopoMachine final : public Machine
 {
   public:
     explicit TreeTopoMachine(const MachineSpec &spec);
@@ -234,7 +236,7 @@ class TreeTopoMachine : public Machine
 };
 
 /** The hexagonal systolic array ("hex", Kung-Leiserson). */
-class HexTopoMachine : public Machine
+class HexTopoMachine final : public Machine
 {
   public:
     explicit HexTopoMachine(const MachineSpec &spec);

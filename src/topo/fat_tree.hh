@@ -37,7 +37,7 @@
 namespace ot::topo {
 
 /** A two-layer fat-tree of p-port switches over N nodes ("fattree"). */
-class FatTreeMachine : public Machine
+class FatTreeMachine final : public Machine
 {
   public:
     /**

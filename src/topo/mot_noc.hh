@@ -39,7 +39,7 @@
 namespace ot::topo {
 
 /** MoT NoC over N nodes ("mot"); diametrical links make "d2d-mot". */
-class MotNocMachine : public Machine
+class MotNocMachine final : public Machine
 {
   public:
     MotNocMachine(const MachineSpec &spec, bool diametrical);

@@ -2,7 +2,7 @@
 //
 // Known-bad determinism fixture.  Every construct below is a
 // nondeterminism source or an iteration-order hazard in a
-// lane-reachable layer (src/otn); each annotated line must produce
+// determinism-scope layer (src/otn); each annotated line must produce
 // exactly the listed diagnostics.  This file is checker input, never
 // compiled.
 #include <cstdlib>

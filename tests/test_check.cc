@@ -2,10 +2,9 @@
  * @file
  * Tests for otcheck (src/check): the lexer, each rule family (the
  * CFG-based ones included), the fixture corpus under tests/check/,
- * the SARIF emitter and baseline machinery, and — the gate the tool
- * exists for — that the shipped src/ + tools/ + bench/ tree checks
- * clean (src/ absolutely, the rest modulo the checked-in baseline)
- * while seeded violations do not.
+ * the SARIF emitter, and — the gate the tool exists for — that the
+ * shipped src/ + tools/ + bench/ tree checks clean while seeded
+ * violations do not.
  */
 
 #include <algorithm>
@@ -102,16 +101,13 @@ TEST(CheckFixtures, CorpusMatchesAnnotations)
         "bad_accounting_split.cc",  "bad_allow.cc",
         "bad_determinism.cc",       "bad_hotpath.cc",
         "bad_intrinsics.cc",        "bad_layering.cc",
-        "bad_lexer_resync.cc",      "bad_sched_byref.cc",
-        "bad_sched_static.cc",      "bad_topo_dupname.cc",
-        "bad_topo_fallback.cc",     "bad_topo_layering.cc",
-        "bad_topo_unregistered.cc", "bad_unreachable.cc",
-        "good_accounting.cc",       "good_accounting_cfg.cc",
-        "good_accounting_split.cc", "good_determinism.cc",
-        "good_hotpath.cc",          "good_intrinsics.cc",
-        "good_layering.cc",         "good_lexer.cc",
-        "good_sched_pure.cc",       "good_topo_fallback_allow.cc",
-        "good_topo_layering.cc",    "good_unreachable.cc",
+        "bad_lexer_resync.cc",      "bad_topo_layering.cc",
+        "bad_unreachable.cc",       "good_accounting.cc",
+        "good_accounting_cfg.cc",   "good_accounting_split.cc",
+        "good_determinism.cc",      "good_hotpath.cc",
+        "good_intrinsics.cc",       "good_layering.cc",
+        "good_lexer.cc",            "good_topo_layering.cc",
+        "good_unreachable.cc",
     };
     for (const std::string &name : names) {
         SCOPED_TRACE(name);
@@ -216,11 +212,10 @@ TEST(CheckFixtures, TaintThroughFunctionPointerTable)
         << diags[0].message;
 }
 
-// A pure-marked ranking function that draws entropy through a
-// wrapper: both the taint boundary rule and the purity rule fire on
-// the call line, and the purity diagnostic spells out the full
-// source → sink chain.  The good twin ranks from its arguments
-// alone (its static constexpr constant is exempt).
+// A scheduler ranking function that draws entropy through a wrapper
+// two call-graph hops from rand(): the call site looks clean, and
+// only the taint walk connects it to the banned primitive, with the
+// whole source → sink chain spelled out.
 TEST(CheckFixtures, SchedPurityTaintProject)
 {
     const std::string dir = OT_CHECK_FIXTURE_DIR;
@@ -229,58 +224,16 @@ TEST(CheckFixtures, SchedPurityTaintProject)
     ASSERT_FALSE(expected.empty());
     std::vector<Diagnostic> diags = checkFixtureProject(
         {"fixture_taint_noise.cc", "fixture_taint_wrapper.cc",
-         "bad_sched_taint.cc", "good_sched_pure.cc"});
+         "bad_sched_taint.cc"});
     Findings actual = findingsOf(diags);
     EXPECT_EQ(expected, actual)
         << "expected:\n" << show(expected) << "actual:\n" << show(actual);
-    ASSERT_EQ(2u, diags.size());
+    ASSERT_EQ(1u, diags.size());
     EXPECT_EQ("determinism-taint", diags[0].rule);
-    EXPECT_EQ("sched-purity", diags[1].rule);
-    EXPECT_NE(
-        std::string::npos,
-        diags[1].message.find(
-            "pure ranking function 'fixtureRankJittered': call to "
-            "determinism-tainted 'fixtureJitter': fixtureJitter() → "
-            "fixtureRawNoise() → rand at "
-            "src/analysis/fixture_taint_noise.cc:"))
-        << diags[1].message;
-}
-
-// The fallback diagnostic must name the ancestor whose costs the
-// hook-less machine silently inherits — that name is what makes the
-// finding actionable.
-TEST(CheckFixtures, TopoFallbackNamesTheCostProvider)
-{
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    std::vector<Diagnostic> diags = ot::check::checkSource(
-        "tests/check/bad_topo_fallback.cc",
-        slurp(dir + "/bad_topo_fallback.cc"));
-    ASSERT_EQ(1u, diags.size());
-    EXPECT_EQ("topo-fallback", diags[0].rule);
     EXPECT_NE(std::string::npos,
               diags[0].message.find(
-                  "registered machine 'FixtureLazyMachine' does not "
-                  "override accounting hook(s) exchangeStepCost, "
-                  "broadcastCost, reduceCost; it inherits the costs "
-                  "of 'FixtureCostedMachine'"))
-        << diags[0].message;
-}
-
-// A registry-name collision lands on the second add() and cites the
-// first registration's location.
-TEST(CheckFixtures, DuplicateRegistryNameCitesTheFirst)
-{
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    std::vector<Diagnostic> diags = ot::check::checkSource(
-        "tests/check/bad_topo_dupname.cc",
-        slurp(dir + "/bad_topo_dupname.cc"));
-    ASSERT_EQ(1u, diags.size());
-    EXPECT_EQ("topo-contract", diags[0].rule);
-    EXPECT_NE(std::string::npos,
-              diags[0].message.find(
-                  "registry name 'fixture-mesh' is registered more "
-                  "than once (first at "
-                  "src/topo/fixture_bad_topo_dupname.cc:"))
+                  "fixtureJitter() → fixtureRawNoise() → rand at "
+                  "src/analysis/fixture_taint_noise.cc:"))
         << diags[0].message;
 }
 
@@ -311,7 +264,7 @@ TEST(CheckSarif, TaintWitnessChainIsEmitted)
 TEST(CheckTree, CollectFilesCoversToolsAndBench)
 {
     const std::string root = OT_CHECK_SOURCE_ROOT;
-    std::vector<std::string> files = ot::check::collectFiles(root, "");
+    std::vector<std::string> files = ot::check::collectFiles(root);
     auto anyWith = [&](const std::string &prefix) {
         return std::any_of(files.begin(), files.end(),
                            [&](const std::string &f) {
@@ -324,24 +277,12 @@ TEST(CheckTree, CollectFilesCoversToolsAndBench)
     EXPECT_TRUE(anyWith("bench/"));
 }
 
-TEST(CheckTree, ShippedTreeIsCleanModuloBaseline)
+TEST(CheckTree, ShippedTreeIsClean)
 {
     const std::string root = OT_CHECK_SOURCE_ROOT;
-    std::vector<std::string> files =
-        ot::check::collectFiles(root, "");
+    std::vector<std::string> files = ot::check::collectFiles(root);
     EXPECT_GT(files.size(), 80u) << "directory walk found too little";
     ot::check::Report report = ot::check::checkTree(root, files);
-
-    // The baseline file exists as a pressure valve but must stay
-    // EMPTY: the shipped tree carries zero parked debt.  Park a
-    // finding only as a last resort, and expect this test to hold
-    // you to un-parking it.
-    ot::check::Baseline baseline =
-        ot::check::loadBaseline(root + "/.otcheck-baseline");
-    EXPECT_TRUE(baseline.entries.empty())
-        << "baseline must stay empty; fix or allow() findings "
-           "instead of parking them";
-    ot::check::applyBaseline(baseline, report);
     EXPECT_TRUE(report.diagnostics.empty())
         << ot::check::renderText(report);
 }
@@ -517,7 +458,7 @@ TEST(CheckRules, RaiiWrapperNeedsNoAllow)
 }
 
 // ---------------------------------------------------------------
-// SARIF output and the baseline machinery.
+// SARIF output.
 
 TEST(CheckSarif, OutputIsWellFormed)
 {
@@ -549,59 +490,21 @@ TEST(CheckSarif, EveryRuleIsDeclared)
          {"determinism", "layering", "accounting", "hotpath",
           "hotpath-propagation", "include-hygiene", "unreachable",
           "allow-syntax", "unused-allow", "intrinsics",
-          "determinism-taint", "topo-contract", "topo-fallback",
-          "sched-purity"}) {
+          "determinism-taint"}) {
         EXPECT_NE(std::string::npos,
                   sarif.find("\"id\": \"" + std::string(rule) + "\""))
             << rule;
     }
+    EXPECT_EQ(11u, ot::check::ruleCatalog().size());
     // The allow() escape hatch covers exactly the suppressible rules
     // (the two allow-meta rules themselves cannot be allowed away).
     for (const char *rule :
          {"determinism", "layering", "accounting", "hotpath",
           "hotpath-propagation", "include-hygiene", "unreachable",
-          "intrinsics", "determinism-taint", "topo-contract",
-          "topo-fallback", "sched-purity"})
+          "intrinsics", "determinism-taint"})
         EXPECT_TRUE(ot::check::knownRule(rule)) << rule;
     EXPECT_FALSE(ot::check::knownRule("allow-syntax"));
     EXPECT_FALSE(ot::check::knownRule("unused-allow"));
-}
-
-TEST(CheckBaseline, LoadParsesRuleFilePairs)
-{
-    std::string path = ::testing::TempDir() + "otcheck_baseline_test";
-    {
-        std::ofstream out(path);
-        out << "# comment\n"
-            << "\n"
-            << "include-hygiene  tools/otsim.cc\n"
-            << "determinism\tbench/bench_mst.cc\n";
-    }
-    ot::check::Baseline b = ot::check::loadBaseline(path);
-    EXPECT_EQ(2u, b.entries.size());
-    EXPECT_EQ(1u, b.entries.count({"include-hygiene", "tools/otsim.cc"}));
-    EXPECT_EQ(1u, b.entries.count({"determinism", "bench/bench_mst.cc"}));
-}
-
-TEST(CheckBaseline, ApplyMutesOnlyListedPairs)
-{
-    ot::check::Report report;
-    report.files = {"tools/a.cc", "src/otn/b.cc"};
-    ot::check::Diagnostic d1;
-    d1.file = "tools/a.cc";
-    d1.line = 3;
-    d1.rule = "include-hygiene";
-    d1.message = "unused include";
-    ot::check::Diagnostic d2 = d1;
-    d2.file = "src/otn/b.cc";
-    d2.rule = "determinism";
-    report.diagnostics = {d1, d2};
-    ot::check::Baseline b;
-    b.entries.insert({"include-hygiene", "tools/a.cc"});
-    std::size_t muted = ot::check::applyBaseline(b, report);
-    EXPECT_EQ(1u, muted);
-    ASSERT_EQ(1u, report.diagnostics.size());
-    EXPECT_EQ("determinism", report.diagnostics[0].rule);
 }
 
 } // namespace

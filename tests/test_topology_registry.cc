@@ -2,8 +2,8 @@
  * @file
  * The topology registry contract: unique names, sorted iteration,
  * spec resolution (the pre-plugin cache-key semantics, preserved),
- * spec-token and JSON round-trips with topology names, and the
- * malformed-spec diagnostics.
+ * spec-token and JSON round-trips with topology names, the
+ * malformed-spec diagnostics, and the final leaf machine classes.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,12 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 
+#include "topo/adapters.hh"
 #include "topo/fat_tree.hh"
 #include "topo/machine.hh"
+#include "topo/mot_noc.hh"
 #include "topo/registry.hh"
 #include "workload/spec.hh"
 
@@ -22,6 +25,22 @@ namespace {
 using namespace ot;
 using topo::Algo;
 using topo::MachineSpec;
+
+// Every registered machine is a leaf: a new machine derives from
+// topo::Machine, whose three accounting hooks are pure virtual, so it
+// cannot inherit another network's cost model by accident.  The one
+// exception is OtnTopoMachine, the documented emulation base.
+static_assert(std::is_final_v<topo::OtcEmulatedTopoMachine>);
+static_assert(std::is_final_v<topo::OtcNativeTopoMachine>);
+static_assert(std::is_final_v<topo::MeshTopoMachine>);
+static_assert(std::is_final_v<topo::PsnTopoMachine>);
+static_assert(std::is_final_v<topo::CccTopoMachine>);
+static_assert(std::is_final_v<topo::TreeTopoMachine>);
+static_assert(std::is_final_v<topo::HexTopoMachine>);
+static_assert(std::is_final_v<topo::FatTreeMachine>);
+static_assert(std::is_final_v<topo::MotNocMachine>);
+static_assert(!std::is_final_v<topo::OtnTopoMachine>);
+static_assert(std::is_abstract_v<topo::Machine>);
 
 TEST(TopoRegistry, NamesAreSortedAndSummarized)
 {

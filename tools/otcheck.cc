@@ -4,29 +4,22 @@
  *
  * Enforces the invariants the engine's bit-identical-at-any-
  * OT_HOST_THREADS guarantee rests on: no nondeterminism sources in
- * lane-reachable code (flat scan plus interprocedural taint), no
- * layering back-edges, path-sensitive beginPhase/endPhase accounting
- * with cross-function net-delta summaries, allocation-free hotpath
- * files (and call chains),
- * used-and-direct includes, and no unreachable statements.  See
- * src/check/rules.hh for the rule catalogue and DESIGN.md for the
- * layer DAG and analysis pipeline.
+ * the determinism-scope layers (flat scan plus interprocedural
+ * taint), no layering back-edges, path-sensitive beginPhase/endPhase
+ * accounting with cross-function net-delta summaries,
+ * allocation-free hotpath files (and call chains), used-and-direct
+ * includes, raw SIMD intrinsics confined to src/simd, and no
+ * unreachable statements.  See src/check/rules.hh for the rule
+ * catalogue and DESIGN.md for the layer DAG and analysis pipeline.
  *
  * Usage:
- *   otcheck [--root DIR] [--compile-commands FILE] [--json]
- *           [--sarif-out FILE] [--baseline FILE] [--no-baseline]
- *           [--self] [--list-files] [--stats] [--stats-json FILE]
- *           [--explain RULE] [FILE...]
+ *   otcheck [--root DIR] [--json] [--sarif-out FILE] [--stats]
+ *           [--stats-json FILE] [--explain RULE] [FILE...]
  *
  * With no FILE arguments, audits every *.cc / *.hh under root/src,
- * root/tools and root/bench (unioned with the translation units named
- * in the compile_commands.json, when given).  `--self` narrows the
- * set to src/check/ — the analyzer analyzing itself.  A baseline file
- * (default: root/.otcheck-baseline when present; disable with
- * --no-baseline) mutes known (rule, file) pairs.  `--explain RULE`
- * prints the rule's documentation (from the same catalog the SARIF
- * emitter renders) and exits.  Exit status: 0 clean, 1 diagnostics,
- * 2 usage error.
+ * root/tools and root/bench.  `--explain RULE` prints the rule's
+ * documentation (from the same catalog the SARIF emitter renders)
+ * and exits.  Exit status: 0 clean, 1 diagnostics, 2 usage error.
  */
 
 #include <cstdio>
@@ -59,12 +52,8 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--root DIR] [--compile-commands FILE] [--json]\n"
-        "          [--sarif-out FILE] [--baseline FILE] "
-        "[--no-baseline]\n"
-        "          [--self] [--list-files] [--stats] "
-        "[--stats-json FILE]\n"
-        "          [--explain RULE] [FILE...]\n"
+        "usage: %s [--root DIR] [--json] [--sarif-out FILE] [--stats]\n"
+        "          [--stats-json FILE] [--explain RULE] [FILE...]\n"
         "rules: %s\n"
         "escape: // otcheck:allow(<rule>): <justification>\n",
         argv0, ruleList().c_str());
@@ -97,14 +86,9 @@ int
 main(int argc, char **argv)
 {
     std::string root = ".";
-    std::string compileCommands;
     std::string sarifOut;
-    std::string baselinePath;
     std::string statsJsonOut;
-    bool noBaseline = false;
-    bool selfCheck = false;
     bool json = false;
-    bool listFiles = false;
     bool wantStats = false;
     std::vector<std::string> explicitFiles;
 
@@ -112,23 +96,11 @@ main(int argc, char **argv)
         const char *arg = argv[i];
         if (std::strcmp(arg, "--root") == 0 && i + 1 < argc) {
             root = argv[++i];
-        } else if (std::strcmp(arg, "--compile-commands") == 0 &&
-                   i + 1 < argc) {
-            compileCommands = argv[++i];
         } else if (std::strcmp(arg, "--sarif-out") == 0 &&
                    i + 1 < argc) {
             sarifOut = argv[++i];
-        } else if (std::strcmp(arg, "--baseline") == 0 &&
-                   i + 1 < argc) {
-            baselinePath = argv[++i];
-        } else if (std::strcmp(arg, "--no-baseline") == 0) {
-            noBaseline = true;
-        } else if (std::strcmp(arg, "--self") == 0) {
-            selfCheck = true;
         } else if (std::strcmp(arg, "--json") == 0) {
             json = true;
-        } else if (std::strcmp(arg, "--list-files") == 0) {
-            listFiles = true;
         } else if (std::strcmp(arg, "--stats") == 0) {
             wantStats = true;
         } else if (std::strcmp(arg, "--stats-json") == 0 &&
@@ -150,48 +122,14 @@ main(int argc, char **argv)
                      root.c_str());
         return 2;
     }
-    // A missing compile_commands.json is not an error: the directory
-    // walk already covers the tree; the database only adds files.
-    if (!compileCommands.empty() &&
-        !std::filesystem::is_regular_file(compileCommands, ec))
-        compileCommands.clear();
-
-    std::vector<std::string> files =
-        explicitFiles.empty()
-            ? ot::check::collectFiles(root, compileCommands)
-            : explicitFiles;
-
-    if (selfCheck) {
-        std::vector<std::string> narrowed;
-        for (const std::string &f : files)
-            if (f.compare(0, 10, "src/check/") == 0)
-                narrowed.push_back(f);
-        files = std::move(narrowed);
-    }
-
-    if (listFiles) {
-        for (const std::string &f : files)
-            std::printf("%s\n", f.c_str());
-        return 0;
-    }
+    std::vector<std::string> files = explicitFiles.empty()
+                                         ? ot::check::collectFiles(root)
+                                         : explicitFiles;
 
     const bool collectStats = wantStats || !statsJsonOut.empty();
     ot::check::RunStats stats;
     ot::check::Report report = ot::check::checkTree(
         root, files, collectStats ? &stats : nullptr);
-
-    std::size_t muted = 0;
-    if (!noBaseline) {
-        if (baselinePath.empty()) {
-            std::filesystem::path def =
-                std::filesystem::path(root) / ".otcheck-baseline";
-            if (std::filesystem::is_regular_file(def, ec) && !ec)
-                baselinePath = def.string();
-        }
-        if (!baselinePath.empty())
-            muted = ot::check::applyBaseline(
-                ot::check::loadBaseline(baselinePath), report);
-    }
 
     if (!sarifOut.empty()) {
         std::ofstream out(sarifOut, std::ios::binary);
@@ -217,10 +155,5 @@ main(int argc, char **argv)
     std::fputs(rendered.c_str(), stdout);
     if (wantStats)
         std::fputs(ot::check::renderStatsText(stats).c_str(), stderr);
-    if (muted)
-        std::fprintf(stderr,
-                     "otcheck: %zu baselined finding%s muted (%s)\n",
-                     muted, muted == 1 ? "" : "s",
-                     baselinePath.c_str());
     return report.diagnostics.empty() ? 0 : 1;
 }
