@@ -1,19 +1,18 @@
 /**
  * @file
  * Workload-engine benchmark: the batched multi-instance farm from
- * src/workload, cold versus warm NetworkCache.
+ * src/workload.
  *
  * Prints the demo batch's report (the same mix `otsim batch --demo`
  * runs: both machine families, sizes {16, 32}, delay models
- * {log, const}, all five algorithms), then benchmarks:
+ * {log, const}, all five algorithms) and a warm rerun's cache
+ * counters, then benchmarks:
  *
- *   - BM_BatchCold: a fresh BatchEngine per iteration, so every
- *     machine shape is constructed from scratch (all misses);
- *   - BM_BatchWarm: one engine across iterations, so after the first
- *     pass every acquire is a cache hit — the delta is the machine
- *     construction cost the cache saves;
  *   - BM_BatchWide: a warm sort-only batch swept over batch size, to
  *     see how host-side farm sharding scales with OT_HOST_THREADS.
+ *
+ * End-to-end host time of cold and warm batches is measured by
+ * perfbench (large_cold, farm_mid).
  */
 
 #include <iostream>
@@ -43,39 +42,6 @@ printTables()
                 static_cast<unsigned long long>(rerun.makespan),
                 rerun.makespan == report.makespan ? "yes" : "NO");
 }
-
-void
-BM_BatchCold(benchmark::State &state)
-{
-    auto spec = workload::demoWorkload();
-    for (auto _ : state) {
-        workload::BatchEngine engine;
-        auto report = engine.run(spec);
-        benchmark::DoNotOptimize(report.makespan);
-        state.counters["model_makespan"] =
-            static_cast<double>(report.makespan);
-        state.counters["cache_misses"] =
-            static_cast<double>(report.cacheMisses);
-    }
-}
-BENCHMARK(BM_BatchCold);
-
-void
-BM_BatchWarm(benchmark::State &state)
-{
-    auto spec = workload::demoWorkload();
-    workload::BatchEngine engine;
-    engine.run(spec); // prime the cache
-    for (auto _ : state) {
-        auto report = engine.run(spec);
-        benchmark::DoNotOptimize(report.makespan);
-        state.counters["model_makespan"] =
-            static_cast<double>(report.makespan);
-        state.counters["cache_hits"] =
-            static_cast<double>(report.cacheHits);
-    }
-}
-BENCHMARK(BM_BatchWarm);
 
 void
 BM_BatchWide(benchmark::State &state)

@@ -209,8 +209,8 @@ emitTaint(std::vector<Diagnostic> &out, const FileContext &ctx,
                 "determinism scope: " +
                 name + "() → " + chain;
     d.hint = "draw through a seeded ot::sim::Rng, "
-             "or move the wrapper into a lane-reachable layer where "
-             "the flat determinism rule audits it";
+             "or move the wrapper into a layer inside the determinism "
+             "scope, where the flat determinism rule audits it";
     out.push_back(std::move(d));
 }
 

@@ -128,10 +128,10 @@ const BannedName kDeterminismBans[] = {
     {"getpid", false, "getpid() varies run to run",
      "derive ids from loop indices, not the host"},
     {"pthread_self", false, "pthread_self() is host-thread-dependent",
-     "lane identity must come from the dispatch index"},
+     "derive identity from the loop or instance index"},
     {"get_id", false,
      "thread ids are host-dependent and vary with OT_HOST_THREADS",
-     "lane identity must come from the dispatch index"},
+     "derive identity from the loop or instance index"},
     {"unordered_map", false,
      "std::unordered_map iteration order is unspecified",
      "use std::map or a sorted vector of pairs"},

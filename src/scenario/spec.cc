@@ -120,23 +120,6 @@ splitCommas(const std::string &s)
     return parts;
 }
 
-/** Shared by the .scn and JSON readers for mix instance tokens. */
-bool
-parseMix(const std::vector<std::string> &tokens,
-         std::vector<workload::InstanceSpec> &out, std::string &badTok,
-         std::string &instErr)
-{
-    for (const std::string &tok : tokens) {
-        workload::InstanceSpec inst;
-        if (!workload::parseInstance(tok, inst, instErr)) {
-            badTok = tok;
-            return false;
-        }
-        out.push_back(inst);
-    }
-    return true;
-}
-
 /**
  * Line-parser state: the spec under construction plus which
  * directives have been seen (duplicates are errors — a .scn file is
@@ -312,11 +295,14 @@ struct ScnParser
                 return fail("expected key=value, got '" + words[i] +
                             "'");
             if (key == "mix") {
-                std::string badTok, instErr;
-                if (!parseMix(splitCommas(value), client.mix, badTok,
-                              instErr))
-                    return fail("bad mix instance '" + badTok +
-                                "': " + instErr);
+                for (const std::string &tok : splitCommas(value)) {
+                    workload::InstanceSpec inst;
+                    std::string instErr;
+                    if (!workload::parseInstance(tok, inst, instErr))
+                        return fail("bad mix instance '" + tok +
+                                    "': " + instErr);
+                    client.mix.push_back(inst);
+                }
                 continue;
             }
             std::uint64_t v = 0;
@@ -360,211 +346,7 @@ struct ScnParser
     }
 };
 
-/**
- * Cursor over a JSON text for the one document shape
- * parseScenarioJson accepts (same discipline as workload/spec.cc:
- * all failures funnel through fail(), which records the byte offset
- * of the first error).
- */
-struct JsonCursor
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::string err;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (err.empty())
-            err = what + " at byte " + std::to_string(pos);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos;
-        return true;
-    }
-
-    /** Peek the next non-whitespace character ('\0' at end). */
-    char
-    peek()
-    {
-        skipWs();
-        return pos < text.size() ? text[pos] : '\0';
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\') {
-                ++pos;
-                if (pos >= text.size())
-                    break;
-            }
-            out += text[pos++];
-        }
-        if (pos >= text.size())
-            return fail("unterminated string");
-        ++pos; // closing quote
-        return true;
-    }
-
-    bool
-    parseNumber(std::uint64_t &out)
-    {
-        skipWs();
-        std::string digits;
-        while (pos < text.size() && text[pos] >= '0' &&
-               text[pos] <= '9')
-            digits += text[pos++];
-        if (!parseUint(digits, out))
-            return fail("expected a non-negative integer");
-        return true;
-    }
-};
-
-bool
-parseArrivalObject(JsonCursor &cur, ArrivalConfig &out)
-{
-    if (!cur.consume('{'))
-        return false;
-    bool first = true;
-    while (cur.peek() != '}') {
-        if (!first && !cur.consume(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!cur.parseString(key) || !cur.consume(':'))
-            return false;
-        if (key == "process") {
-            std::string v;
-            if (!cur.parseString(v))
-                return false;
-            if (!arrivalFromString(v, out.kind))
-                return cur.fail("unknown arrival process '" + v +
-                                "'");
-        } else if (key == "seeds") {
-            std::string v;
-            if (!cur.parseString(v))
-                return false;
-            if (v == "vary")
-                out.varySeeds = true;
-            else if (v == "fixed")
-                out.varySeeds = false;
-            else
-                return cur.fail("seeds must be vary or fixed");
-        } else {
-            std::uint64_t v = 0;
-            if (!cur.parseNumber(v))
-                return false;
-            if (key == "mean")
-                out.mean = v;
-            else if (key == "duration")
-                out.duration = v;
-            else if (key == "max")
-                out.maxArrivals = static_cast<std::size_t>(v);
-            else if (key == "seed")
-                out.seed = v;
-            else if (key == "on")
-                out.onMean = v;
-            else if (key == "off")
-                out.offMean = v;
-            else if (key == "period")
-                out.period = v;
-            else if (key == "amp")
-                out.ampPct = static_cast<unsigned>(v);
-            else
-                return cur.fail("unknown arrival key '" + key + "'");
-        }
-    }
-    return cur.consume('}');
-}
-
-bool
-parseClientObject(JsonCursor &cur, ClientConfig &out)
-{
-    if (!cur.consume('{'))
-        return false;
-    bool first = true;
-    while (cur.peek() != '}') {
-        if (!first && !cur.consume(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!cur.parseString(key) || !cur.consume(':'))
-            return false;
-        if (key == "name") {
-            if (!cur.parseString(out.name))
-                return false;
-        } else if (key == "mix") {
-            if (!cur.consume('['))
-                return false;
-            std::vector<std::string> tokens;
-            while (cur.peek() != ']') {
-                if (!tokens.empty() && !cur.consume(','))
-                    return false;
-                std::string tok;
-                if (!cur.parseString(tok))
-                    return false;
-                tokens.push_back(tok);
-            }
-            if (!cur.consume(']'))
-                return false;
-            std::string badTok, instErr;
-            if (!parseMix(tokens, out.mix, badTok, instErr))
-                return cur.fail("bad mix token '" + badTok +
-                                "': " + instErr);
-        } else {
-            std::uint64_t v = 0;
-            if (!cur.parseNumber(v))
-                return false;
-            if (key == "weight")
-                out.weight = static_cast<unsigned>(v);
-            else if (key == "quota")
-                out.quota = static_cast<unsigned>(v);
-            else if (key == "slo")
-                out.slo = v;
-            else if (key == "slo_pct")
-                out.sloPct = static_cast<unsigned>(v);
-            else
-                return cur.fail("unknown client key '" + key + "'");
-        }
-    }
-    return cur.consume('}');
-}
-
 } // namespace
-
-std::string
-toString(ArrivalKind kind)
-{
-    switch (kind) {
-      case ArrivalKind::Poisson:
-        return "poisson";
-      case ArrivalKind::Bursty:
-        return "bursty";
-      case ArrivalKind::Diurnal:
-        return "diurnal";
-    }
-    return "?";
-}
 
 std::string
 toString(SchedulerKind kind)
@@ -580,12 +362,6 @@ toString(SchedulerKind kind)
         return "edf";
     }
     return "?";
-}
-
-std::string
-toString(ShedPolicy shed)
-{
-    return shed == ShedPolicy::Drop ? "drop" : "defer";
 }
 
 bool
@@ -679,135 +455,12 @@ parseScenario(const std::string &text, ScenarioSpec &out,
     return true;
 }
 
-bool
-parseScenarioJson(const std::string &text, ScenarioSpec &out,
-                  std::string &err)
-{
-    JsonCursor cur{text, 0, ""};
-    ScenarioSpec spec;
-
-    bool ok = [&] {
-        if (!cur.consume('{'))
-            return false;
-        bool first = true;
-        while (cur.peek() != '}') {
-            if (!first && !cur.consume(','))
-                return false;
-            first = false;
-            std::string key;
-            if (!cur.parseString(key) || !cur.consume(':'))
-                return false;
-            if (key == "scenario") {
-                if (!cur.parseString(spec.name))
-                    return false;
-            } else if (key == "arrival") {
-                if (!parseArrivalObject(cur, spec.arrival))
-                    return false;
-            } else if (key == "scheduler") {
-                std::string v;
-                if (!cur.parseString(v))
-                    return false;
-                if (!schedulerFromString(v, spec.scheduler))
-                    return cur.fail("unknown scheduler '" + v + "'");
-            } else if (key == "workers") {
-                std::uint64_t v = 0;
-                if (!cur.parseNumber(v))
-                    return false;
-                spec.workers = static_cast<unsigned>(v);
-            } else if (key == "queue_cap") {
-                std::uint64_t v = 0;
-                if (!cur.parseNumber(v))
-                    return false;
-                spec.queueCap = static_cast<std::size_t>(v);
-            } else if (key == "shed") {
-                std::string v;
-                if (!cur.parseString(v))
-                    return false;
-                if (!shedFromString(v, spec.shed))
-                    return cur.fail("unknown shed policy '" + v +
-                                    "'");
-            } else if (key == "clients") {
-                if (!cur.consume('['))
-                    return false;
-                while (cur.peek() != ']') {
-                    if (!spec.clients.empty() && !cur.consume(','))
-                        return false;
-                    ClientConfig client;
-                    if (!parseClientObject(cur, client))
-                        return false;
-                    spec.clients.push_back(client);
-                }
-                if (!cur.consume(']'))
-                    return false;
-            } else {
-                return cur.fail("unknown scenario key '" + key +
-                                "'");
-            }
-        }
-        if (!cur.consume('}'))
-            return false;
-        cur.skipWs();
-        if (cur.pos != text.size())
-            return cur.fail("trailing garbage");
-        return true;
-    }();
-
-    if (!ok) {
-        err = cur.err.empty() ? "malformed scenario JSON" : cur.err;
-        return false;
-    }
-    out = std::move(spec);
-    return true;
-}
-
-std::string
-toJson(const ScenarioSpec &spec)
-{
-    const ArrivalConfig &a = spec.arrival;
-    std::string out = "{\"scenario\": \"" + spec.name + "\",\n";
-    out += " \"arrival\": {\"process\": \"" + toString(a.kind) + "\"";
-    out += ", \"mean\": " + std::to_string(a.mean);
-    out += ", \"duration\": " + std::to_string(a.duration);
-    out += ", \"max\": " + std::to_string(a.maxArrivals);
-    out += ", \"seed\": " + std::to_string(a.seed);
-    out += ", \"on\": " + std::to_string(a.onMean);
-    out += ", \"off\": " + std::to_string(a.offMean);
-    out += ", \"period\": " + std::to_string(a.period);
-    out += ", \"amp\": " + std::to_string(a.ampPct);
-    out += std::string(", \"seeds\": \"") +
-           (a.varySeeds ? "vary" : "fixed") + "\"},\n";
-    out += " \"scheduler\": \"" + toString(spec.scheduler) + "\"";
-    out += ", \"workers\": " + std::to_string(spec.workers);
-    out += ", \"queue_cap\": " + std::to_string(spec.queueCap);
-    out += ", \"shed\": \"" + toString(spec.shed) + "\",\n";
-    out += " \"clients\": [";
-    for (std::size_t i = 0; i < spec.clients.size(); ++i) {
-        const ClientConfig &c = spec.clients[i];
-        if (i)
-            out += ",";
-        out += "\n  {\"name\": \"" + c.name + "\"";
-        out += ", \"weight\": " + std::to_string(c.weight);
-        out += ", \"quota\": " + std::to_string(c.quota);
-        out += ", \"slo\": " + std::to_string(c.slo);
-        out += ", \"slo_pct\": " + std::to_string(c.sloPct);
-        out += ", \"mix\": [";
-        for (std::size_t j = 0; j < c.mix.size(); ++j) {
-            if (j)
-                out += ", ";
-            out += "\"" + workload::toToken(c.mix[j]) + "\"";
-        }
-        out += "]}";
-    }
-    out += "\n]}\n";
-    return out;
-}
-
 ScenarioSpec
 demoScenario()
 {
     // Two traffic classes over mixed sort/matmul shapes: enough load
     // on two workers that the queue forms (so the policies differ)
-    // but bounded, so tests and benches stay fast.
+    // but bounded, so tests and the smoke run stay fast.
     ScenarioSpec spec;
     spec.name = "smoke";
     spec.arrival.kind = ArrivalKind::Poisson;

@@ -10,10 +10,10 @@
  * scheduler admits them to the machines the BatchEngine measures
  * (engine.hh).  Specs live in checked-in, diffable `.scn` files — a
  * line-oriented grammar that reuses the workload
- * `algo:net:n:model[:scaled][:seed=K]` instance tokens — and round-
- * trip through JSON.  Both parsers report errors ("line N: ..." /
- * byte offsets) instead of dying, mirroring workload/spec.hh, and
- * describeInvalid() covers the semantic rules the grammar cannot.
+ * `algo:net:n:model[:scaled][:seed=K]` instance tokens.  The parser
+ * reports errors ("line N: ...") instead of dying, mirroring
+ * workload/spec.hh, and describeInvalid() covers the semantic rules
+ * the grammar cannot.
  *
  * The `.scn` grammar, one directive per line, `#` starts a comment:
  *
@@ -60,14 +60,8 @@ enum class ShedPolicy : std::uint8_t {
     Defer, ///< park it in a backlog; re-admitted when space frees
 };
 
-/** "poisson", "bursty" or "diurnal". */
-std::string toString(ArrivalKind kind);
-
 /** "fifo", "sjf", "fair" or "edf". */
 std::string toString(SchedulerKind kind);
-
-/** "drop" or "defer". */
-std::string toString(ShedPolicy shed);
 
 /** Parse a scheduler name; false on anything but the four above. */
 bool schedulerFromString(const std::string &s, SchedulerKind &out);
@@ -94,8 +88,6 @@ struct ArrivalConfig
     unsigned ampPct = 0;
     /** Give every arrival a fresh input seed (else keep the mix's). */
     bool varySeeds = true;
-
-    bool operator==(const ArrivalConfig &other) const = default;
 };
 
 /** One traffic class: a weighted mix of instances plus its SLO. */
@@ -112,8 +104,6 @@ struct ClientConfig
     unsigned sloPct = 95;
     /** Instances this client draws from, uniformly. */
     std::vector<workload::InstanceSpec> mix;
-
-    bool operator==(const ClientConfig &other) const = default;
 };
 
 /** A complete scenario: traffic, policy and clients. */
@@ -128,8 +118,6 @@ struct ScenarioSpec
     std::size_t queueCap = 0;
     ShedPolicy shed = ShedPolicy::Drop;
     std::vector<ClientConfig> clients;
-
-    bool operator==(const ScenarioSpec &other) const = default;
 };
 
 /**
@@ -157,20 +145,10 @@ bool parseScenario(const std::string &text, ScenarioSpec &out,
                    std::string &err);
 
 /**
- * Parse the JSON form toJson() emits (keys in any order; this is a
- * scenario reader, not a general JSON library).  Returns false and
- * sets `err` (with a byte offset) on malformed input.
- */
-bool parseScenarioJson(const std::string &text, ScenarioSpec &out,
-                       std::string &err);
-
-/** The spec as JSON, in the form parseScenarioJson accepts. */
-std::string toJson(const ScenarioSpec &spec);
-
-/**
  * A small two-client smoke scenario (Poisson arrivals over mixed
  * sort/matmul sizes, two workers, bounded queue) used by tests and
- * benches; examples/demo.scn is the checked-in acceptance scenario.
+ * `otsim scenario --demo`; examples/demo.scn is the checked-in
+ * acceptance scenario.
  */
 ScenarioSpec demoScenario();
 

@@ -190,6 +190,9 @@ TEST(CheckFixtures, DeterminismTaintProject)
                   "fixtureJitter() → fixtureRawNoise() → rand at "
                   "src/analysis/fixture_taint_noise.cc:"))
         << diags[0].message;
+    EXPECT_NE(std::string::npos,
+              diags[0].hint.find("inside the determinism scope"))
+        << diags[0].hint;
 }
 
 // Taint also flows through non-call references: a kernel table that
@@ -363,6 +366,12 @@ TEST(CheckRules, DeterminismScopedToLaneLayers)
     // Host-side layers may use host randomness.
     EXPECT_TRUE(checkAs("src/analysis/a.cc", body).empty());
     EXPECT_TRUE(checkAs("tools/a.cc", body).empty());
+
+    const std::string tid = "long f() { return pthread_self(); }\n";
+    std::vector<Diagnostic> diags = checkAs("src/sim/a.cc", tid);
+    ASSERT_EQ(1u, diags.size());
+    EXPECT_EQ("derive identity from the loop or instance index",
+              diags[0].hint);
 }
 
 TEST(CheckRules, UmbrellaBannedOnlyInsideSrc)
