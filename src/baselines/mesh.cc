@@ -112,6 +112,24 @@ meshOddEvenSort(MeshMachine &mesh, const std::vector<std::uint64_t> &values)
 
 namespace {
 
+/** c[j] += a[j] * b[j] for j in [0, n), or c[j] |= a[j] & b[j]. */
+void
+macRow(std::uint64_t *c, const std::uint64_t *a, const std::uint64_t *b,
+       std::size_t n, bool boolean)
+{
+    if (boolean) {
+        // (x | -x) >> 63 is x != 0 without a compare, so the loop
+        // vectorizes on the baseline instruction set.
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint64_t x = a[j] & b[j];
+            c[j] |= (x | (0 - x)) >> 63;
+        }
+    } else {
+        for (std::size_t j = 0; j < n; ++j)
+            c[j] += a[j] * b[j];
+    }
+}
+
 /** Cannon's algorithm over a configurable (add, multiply) semiring. */
 linalg::IntMatrix
 cannon(MeshMachine &mesh, const linalg::IntMatrix &a,
@@ -130,27 +148,22 @@ cannon(MeshMachine &mesh, const linalg::IntMatrix &a,
         }
     mesh.chargeRoute(n - 1);
 
+    // After s rotations (A left, B up) PE(i, j) holds as(i, (j+s) mod n)
+    // and bs((i+s) mod n, j).  The host indexes the skewed matrices
+    // instead of moving them: B's operand row is one whole row, and
+    // A's splits at column n - s where the index wraps.
     for (std::size_t step = 0; step < n; ++step) {
+        const std::size_t split = n - step;
         for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < n; ++j) {
-                if (boolean)
-                    c(i, j) |= (as(i, j) & bs(i, j)) ? 1 : 0;
-                else
-                    c(i, j) += as(i, j) * bs(i, j);
-            }
+            std::uint64_t *crow = &c(i, 0);
+            const std::uint64_t *arow = &as(i, 0);
+            const std::uint64_t *brow = &bs((i + step) % n, 0);
+            macRow(crow, arow + step, brow, split, boolean);
+            macRow(crow + split, arow, brow + split, step, boolean);
         }
         // Multiply-accumulate plus one rotation hop of A and B.
         mesh.charge(mesh.cost().bitSerialMultiply());
         mesh.chargeRoute(1);
-        // Rotate A left, B up.
-        linalg::IntMatrix an(n, n), bn(n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j) {
-                an(i, j) = as(i, (j + 1) % n);
-                bn(i, j) = bs((i + 1) % n, j);
-            }
-        as = std::move(an);
-        bs = std::move(bn);
     }
     return c;
 }

@@ -67,12 +67,4 @@ OtcEmulatedOtn::baseOpCost(vlsi::ModelTime op_cost) const
     return op_cost * _cycleLen;
 }
 
-vlsi::ModelTime
-OtcEmulatedOtn::baseOp(
-    vlsi::ModelTime op_cost,
-    const std::function<void(std::size_t i, std::size_t j)> &op)
-{
-    return OrthogonalTreesNetwork::baseOp(baseOpCost(op_cost), op);
-}
-
 } // namespace ot::otc

@@ -53,14 +53,8 @@ class OtcEmulatedOtn : public otn::OrthogonalTreesNetwork
     /** The physical chip: the OTC layout (area Theta(N^2)). */
     const layout::OtcLayout &otcLayout() const { return _otcLayout; }
 
-    /** Base ops dilated by the cycle serialisation factor L. */
-    vlsi::ModelTime
-    baseOp(vlsi::ModelTime op_cost,
-           const std::function<void(std::size_t i, std::size_t j)> &op)
-        override;
-
   protected:
-    /** Base-step dilation by L (shared with the batch base ops). */
+    /** Base-step dilation by the cycle serialisation factor L. */
     vlsi::ModelTime baseOpCost(vlsi::ModelTime op_cost) const override;
 
     /** Streamed tree-op cost: L words pipelined through a K-leaf tree. */

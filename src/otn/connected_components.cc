@@ -55,10 +55,8 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
     loadAdjacency(net, g, charge_load);
 
     // D(i) := i on the diagonal.
-    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
-        if (i == j)
-            net.reg(Reg::D, i, j) = i;
-    });
+    net.baseOpDiag(net.cost().bitSerialOp(),
+                   [&](std::size_t i) { net.reg(Reg::D, i, i) = i; });
 
     const unsigned iterations = log_n + 1;
     for (unsigned iter = 0; iter < iterations; ++iter) {
@@ -76,28 +74,24 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
                            (edge && theirs != mine) ? theirs : kNull;
                    });
 
-        // (3) Per-vertex minimum candidate, fanned back along the row.
-        net.parallelFor(n, [&](std::size_t i) {
-            net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
-            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
-        });
+        // (3) Per-vertex minimum candidate, fanned back along the row:
+        // for each row i pardo, minLeafToRoot(Row, i, all, T) then
+        // rootToLeaf(Row, i, all, E).
+        net.batchMinRowsToLeaves(Reg::T, Sel::all(), Reg::E);
 
         // (4) Per-component minimum over the members' candidates; each
         // vertex i deposits its candidate at BP(i, D(i)), and column
         // D(i)'s tree reduces.  The result is fanned back down the
         // column and latched on the diagonal as newC.
-        // Membership test along column j: B(i, j) == j.
-        net.parallelFor(n, [&](std::size_t j) {
-            net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j), Reg::E);
-            net.rootToLeaf(Axis::Col, j, Sel::all(), Reg::H);
+        // Membership test along column j: B(i, j) == j.  For each
+        // col j pardo, minLeafToRoot(Col, j, regEq(B, j), E) then
+        // rootToLeaf(Col, j, all, H).
+        net.batchMinColsByKeyIndexToLeaves(Reg::B, Reg::E, Sel::all(),
+                                           Reg::H);
+        net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
+            std::uint64_t h = net.reg(Reg::H, j, j);
+            net.reg(Reg::G, j, j) = h == kNull ? j : h;
         });
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t h = net.reg(Reg::H, i, j);
-                       net.reg(Reg::G, i, j) = h == kNull ? j : h;
-                   });
 
         // (5) Remove mutual hooks (the only cycles min-hooking can
         // create are 2-cycles [12]): of a pair hooking to each other,
@@ -105,37 +99,29 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         diagToRows(net, Reg::G, Reg::X);
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t new_c = net.reg(Reg::G, i, j);
-                       std::uint64_t back = net.reg(Reg::Y, i, j);
-                       if (back == j && new_c != j && j < new_c)
-                           net.reg(Reg::G, i, j) = j;
-                   });
+        net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
+            std::uint64_t new_c = net.reg(Reg::G, j, j);
+            std::uint64_t back = net.reg(Reg::Y, j, j);
+            if (back == j && new_c != j && j < new_c)
+                net.reg(Reg::G, j, j) = j;
+        });
 
         // (6) Relabel every vertex with its root's new label:
         // D(i) := newC(D(i)).
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i == j)
-                           net.reg(Reg::D, i, j) = net.reg(Reg::Y, i, j);
-                   });
+        net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+            net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+        });
 
         // (7) Pointer jumping to a star: D := D(D), log N times.
         for (unsigned jump = 0; jump < log_n; ++jump) {
             diagToRows(net, Reg::D, Reg::B);
             diagToCols(net, Reg::D, Reg::C);
             gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
-            net.baseOp(net.cost().bitSerialOp(),
-                       [&](std::size_t i, std::size_t j) {
-                           if (i == j)
-                               net.reg(Reg::D, i, j) =
-                                   net.reg(Reg::Y, i, j);
-                       });
+            net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+                net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+            });
         }
     }
 

@@ -12,25 +12,14 @@ vecMatBody(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &a,
            bool boolean)
 {
     net.setRowRootInputs(a);
-    net.parallelFor(net.n(), [&](std::size_t k) {
-        net.rootToLeaf(Axis::Row, k, Sel::all(), Reg::A);
-    });
-    ModelTime mul_cost = boolean ? 1 : net.cost().bitSerialMultiply();
-    net.baseOp(mul_cost, [&](std::size_t i, std::size_t j) {
-        std::uint64_t av = net.reg(Reg::A, i, j);
-        std::uint64_t bv = net.reg(Reg::B, i, j);
-        std::uint64_t prod;
-        if (av == kNull || bv == kNull)
-            prod = 0; // absent operands contribute nothing to the sum
-        else if (boolean)
-            prod = (av && bv) ? 1 : 0;
-        else
-            prod = av * bv;
-        net.reg(Reg::C, i, j) = prod;
-    });
-    net.parallelFor(net.n(), [&](std::size_t j) {
-        net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-    });
+    // For each row k pardo: rootToLeaf(Row, k, all, A).
+    net.batchRowBroadcast(Reg::A);
+    // C := A * B (absent operands contribute nothing to the sum).
+    const auto &kt = net.kernelTable();
+    net.baseOpRows(boolean ? 1 : net.cost().bitSerialMultiply(),
+                   boolean ? kt.andRow : kt.mulRow, Reg::A, Reg::B, Reg::C);
+    // For each col j pardo: sumLeafToRoot(Col, j, all, C).
+    net.batchColSum(Reg::C);
 }
 
 /** Convert a BoolMatrix to the machine's IntMatrix form. */

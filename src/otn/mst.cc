@@ -87,10 +87,8 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         net.loadBase(Reg::A, w, charge_load);
     }
 
-    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
-        if (i == j)
-            net.reg(Reg::D, i, j) = i;
-    });
+    net.baseOpDiag(net.cost().bitSerialOp(),
+                   [&](std::size_t i) { net.reg(Reg::D, i, i) = i; });
 
     std::set<std::pair<std::size_t, std::size_t>> chosen;
     const unsigned iterations = log_n + 1;
@@ -111,83 +109,67 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
                                : kNull;
                    });
 
-        // Per-vertex minimum edge, fanned along the row.
-        net.parallelFor(n, [&](std::size_t i) {
-            net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
-            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
-        });
+        // Per-vertex minimum edge, fanned along the row: for each row
+        // i pardo, minLeafToRoot(Row, i, all, T) then
+        // rootToLeaf(Row, i, all, E).
+        net.batchMinRowsToLeaves(Reg::T, Sel::all(), Reg::E);
 
         // Per-component minimum edge (members have B(i, j) == j),
-        // latched on the diagonal.
-        net.parallelFor(n, [&](std::size_t j) {
-            net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j), Reg::E);
-            net.rootToLeaf(Axis::Col, j, Sel::diag(), Reg::H);
-        });
+        // latched on the diagonal: for each col j pardo,
+        // minLeafToRoot(Col, j, regEq(B, j), E) then
+        // rootToLeaf(Col, j, diag, H).
+        net.batchMinColsByKeyIndexToLeaves(Reg::B, Reg::E, Sel::diag(),
+                                           Reg::H);
 
         // Record chosen edges (the roots output them) and derive the
         // hook key: the far endpoint v of the chosen edge.
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t best = net.reg(Reg::H, i, j);
-                       if (best == kNull) {
-                           net.reg(Reg::X, i, j) = kNull;
-                           return;
-                       }
-                       auto u = packedU(best, idx_bits);
-                       auto v = packedV(best, idx_bits);
-                       assert(packedW(best, idx_bits) == g.weight(u, v));
-                       chosen.insert({std::min(u, v), std::max(u, v)});
-                       net.reg(Reg::X, i, j) = v;
-                   });
+        net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+            std::uint64_t best = net.reg(Reg::H, i, i);
+            if (best == kNull) {
+                net.reg(Reg::X, i, i) = kNull;
+                return;
+            }
+            auto u = packedU(best, idx_bits);
+            auto v = packedV(best, idx_bits);
+            assert(packedW(best, idx_bits) == g.weight(u, v));
+            chosen.insert({std::min(u, v), std::max(u, v)});
+            net.reg(Reg::X, i, i) = v;
+        });
 
         // newC(r) = D(v): label of the component at the far end.
         diagToRows(net, Reg::X, Reg::X); // fan the key along rows
         gatherAtIndex(net, Reg::X, Reg::C, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t target = net.reg(Reg::Y, i, j);
-                       net.reg(Reg::G, i, j) =
-                           target == kNull ? j : target;
-                   });
+        net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
+            std::uint64_t target = net.reg(Reg::Y, j, j);
+            net.reg(Reg::G, j, j) = target == kNull ? j : target;
+        });
 
         // 2-cycle fix: mutual hooks keep the smaller label.
         diagToRows(net, Reg::G, Reg::X);
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t new_c = net.reg(Reg::G, i, j);
-                       std::uint64_t back = net.reg(Reg::Y, i, j);
-                       if (back == j && new_c != j && j < new_c)
-                           net.reg(Reg::G, i, j) = j;
-                   });
+        net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
+            std::uint64_t new_c = net.reg(Reg::G, j, j);
+            std::uint64_t back = net.reg(Reg::Y, j, j);
+            if (back == j && new_c != j && j < new_c)
+                net.reg(Reg::G, j, j) = j;
+        });
 
         // Relabel all vertices: D(i) := newC(D(i)).
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i == j)
-                           net.reg(Reg::D, i, j) = net.reg(Reg::Y, i, j);
-                   });
+        net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+            net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+        });
 
         // Pointer jumping to a star.
         for (unsigned jump = 0; jump < log_n; ++jump) {
             diagToRows(net, Reg::D, Reg::B);
             diagToCols(net, Reg::D, Reg::C);
             gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
-            net.baseOp(net.cost().bitSerialOp(),
-                       [&](std::size_t i, std::size_t j) {
-                           if (i == j)
-                               net.reg(Reg::D, i, j) =
-                                   net.reg(Reg::Y, i, j);
-                       });
+            net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+                net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+            });
         }
     }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "vlsi/bitmath.hh"
@@ -32,6 +33,28 @@ baseSpan(std::uint64_t words)
     return args;
 }
 
+/** Stat and span names of each OrthogonalTreesNetwork::Ctr. */
+struct CounterName
+{
+    const char *stat;
+    const char *span;
+};
+
+constexpr CounterName kCounterNames[] = {
+    {"otn.rootToLeaf", "rootToLeaf"},
+    {"otn.leafToRoot", "leafToRoot"},
+    {"otn.countLeafToRoot", "countLeafToRoot"},
+    {"otn.sumLeafToRoot", "sumLeafToRoot"},
+    {"otn.minLeafToRoot", "minLeafToRoot"},
+    {"otn.leafToLeaf", "leafToLeaf"},
+    {"otn.countLeafToLeaf", "countLeafToLeaf"},
+    {"otn.sumLeafToLeaf", "sumLeafToLeaf"},
+    {"otn.minLeafToLeaf", "minLeafToLeaf"},
+    {"otn.permuteLeafToLeaf", "permuteLeafToLeaf"},
+    {"otn.prefixSumLeafToLeaf", "prefixSumLeafToLeaf"},
+    {"otn.baseOp", "baseOp"},
+};
+
 } // namespace
 
 OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
@@ -48,6 +71,41 @@ OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
       _rowRoot(_n, kNull),
       _colRoot(_n, kNull)
 {
+}
+
+sim::Counter &
+OrthogonalTreesNetwork::counter(Ctr c)
+{
+    static_assert(std::size(kCounterNames) ==
+                  static_cast<std::size_t>(Ctr::Count));
+    sim::Counter *&slot = _counters[static_cast<std::size_t>(c)];
+    if (!slot)
+        slot = &_engine.counter(kCounterNames[static_cast<unsigned>(c)].stat);
+    return *slot;
+}
+
+sim::ChainEngine::ReplayStep
+OrthogonalTreesNetwork::treeStep(Ctr c, Axis axis, ModelTime dur)
+{
+    return {&counter(c), kCounterNames[static_cast<unsigned>(c)].span, dur,
+            treeSpan(axis, 0, _n, 1)};
+}
+
+ModelTime
+OrthogonalTreesNetwork::chargeTree(Ctr c, ModelTime dt, Axis axis,
+                                   std::size_t idx, std::uint64_t words)
+{
+    ++counter(c);
+    _engine.traceSpan("otn", kCounterNames[static_cast<unsigned>(c)].span, dt,
+                      treeSpan(axis, idx, _n, words));
+    charge(dt);
+    return dt;
+}
+
+sim::ChainEngine::ReplayStep
+OrthogonalTreesNetwork::countStep(Ctr c)
+{
+    return {&counter(c), nullptr, 0, {}};
 }
 
 void
@@ -111,11 +169,7 @@ OrthogonalTreesNetwork::rootToLeaf(Axis axis, std::size_t idx,
                 reg(dest, i, j) = value;
         }
     }
-    ++_engine.counter("otn.rootToLeaf");
-    ModelTime dt = treeTraversalCost();
-    _engine.traceSpan("otn", "rootToLeaf", dt, treeSpan(axis, idx, _n, 1));
-    charge(dt);
-    return dt;
+    return chargeTree(Ctr::RootToLeaf, treeTraversalCost(), axis, idx, 1);
 }
 
 ModelTime
@@ -133,11 +187,7 @@ OrthogonalTreesNetwork::leafToRoot(Axis axis, std::size_t idx,
     }
     assert(n_selected <= 1 && "LEAFTOROOT requires a unique source leaf");
     rootReg(axis, idx) = value;
-    ++_engine.counter("otn.leafToRoot");
-    ModelTime dt = treeTraversalCost();
-    _engine.traceSpan("otn", "leafToRoot", dt, treeSpan(axis, idx, _n, 1));
-    charge(dt);
-    return dt;
+    return chargeTree(Ctr::LeafToRoot, treeTraversalCost(), axis, idx, 1);
 }
 
 template <typename LeafValue, typename Combine>
@@ -174,12 +224,7 @@ OrthogonalTreesNetwork::countLeafToRoot(Axis axis, std::size_t idx, Reg flag)
             },
             [](std::uint64_t a, std::uint64_t b) { return a + b; });
     }
-    ++_engine.counter("otn.countLeafToRoot");
-    ModelTime dt = treeReduceCost();
-    _engine.traceSpan("otn", "countLeafToRoot", dt,
-                      treeSpan(axis, idx, _n, 1));
-    charge(dt);
-    return dt;
+    return chargeTree(Ctr::CountLeafToRoot, treeReduceCost(), axis, idx, 1);
 }
 
 ModelTime
@@ -197,12 +242,7 @@ OrthogonalTreesNetwork::sumLeafToRoot(Axis axis, std::size_t idx,
             },
             [](std::uint64_t a, std::uint64_t b) { return a + b; });
     }
-    ++_engine.counter("otn.sumLeafToRoot");
-    ModelTime dt = treeReduceCost();
-    _engine.traceSpan("otn", "sumLeafToRoot", dt,
-                      treeSpan(axis, idx, _n, 1));
-    charge(dt);
-    return dt;
+    return chargeTree(Ctr::SumLeafToRoot, treeReduceCost(), axis, idx, 1);
 }
 
 ModelTime
@@ -221,12 +261,7 @@ OrthogonalTreesNetwork::minLeafToRoot(Axis axis, std::size_t idx,
                 return std::min(a, b);
             });
     }
-    ++_engine.counter("otn.minLeafToRoot");
-    ModelTime dt = treeReduceCost();
-    _engine.traceSpan("otn", "minLeafToRoot", dt,
-                      treeSpan(axis, idx, _n, 1));
-    charge(dt);
-    return dt;
+    return chargeTree(Ctr::MinLeafToRoot, treeReduceCost(), axis, idx, 1);
 }
 
 ModelTime
@@ -236,7 +271,7 @@ OrthogonalTreesNetwork::leafToLeaf(Axis axis, std::size_t idx,
 {
     ModelTime dt = leafToRoot(axis, idx, src_sel, src);
     dt += rootToLeaf(axis, idx, dst_sel, dst);
-    ++_engine.counter("otn.leafToLeaf");
+    ++counter(Ctr::LeafToLeaf);
     return dt;
 }
 
@@ -246,7 +281,7 @@ OrthogonalTreesNetwork::countLeafToLeaf(Axis axis, std::size_t idx, Reg flag,
 {
     ModelTime dt = countLeafToRoot(axis, idx, flag);
     dt += rootToLeaf(axis, idx, dst_sel, dst);
-    ++_engine.counter("otn.countLeafToLeaf");
+    ++counter(Ctr::CountLeafToLeaf);
     return dt;
 }
 
@@ -257,7 +292,7 @@ OrthogonalTreesNetwork::sumLeafToLeaf(Axis axis, std::size_t idx,
 {
     ModelTime dt = sumLeafToRoot(axis, idx, src_sel, src);
     dt += rootToLeaf(axis, idx, dst_sel, dst);
-    ++_engine.counter("otn.sumLeafToLeaf");
+    ++counter(Ctr::SumLeafToLeaf);
     return dt;
 }
 
@@ -268,7 +303,7 @@ OrthogonalTreesNetwork::minLeafToLeaf(Axis axis, std::size_t idx,
 {
     ModelTime dt = minLeafToRoot(axis, idx, src_sel, src);
     dt += rootToLeaf(axis, idx, dst_sel, dst);
-    ++_engine.counter("otn.minLeafToLeaf");
+    ++counter(Ctr::MinLeafToLeaf);
     return dt;
 }
 
@@ -367,12 +402,8 @@ OrthogonalTreesNetwork::permuteLeafToLeaf(Axis axis, std::size_t idx,
         auto [i, j] = leafAddr(axis, idx, k);
         reg(dst, i, j) = moved[k];
     }
-    ++_engine.counter("otn.permuteLeafToLeaf");
-    ModelTime dt = permutationCost(perm);
-    _engine.traceSpan("otn", "permuteLeafToLeaf", dt,
-                      treeSpan(axis, idx, _n, 0));
-    charge(dt);
-    return dt;
+    return chargeTree(Ctr::PermuteLeafToLeaf, permutationCost(perm), axis,
+                      idx, 0);
 }
 
 ModelTime
@@ -390,26 +421,27 @@ OrthogonalTreesNetwork::prefixSumLeafToLeaf(Axis axis, std::size_t idx,
             running += reg(src, i, j);
         reg(dst, i, j) = running;
     }
-    ++_engine.counter("otn.prefixSumLeafToLeaf");
-    ModelTime dt = 2 * treeReduceCost();
-    _engine.traceSpan("otn", "prefixSumLeafToLeaf", dt,
-                      treeSpan(axis, idx, _n, 0));
+    return chargeTree(Ctr::PrefixSumLeafToLeaf, 2 * treeReduceCost(), axis,
+                      idx, 0);
+}
+
+ModelTime
+OrthogonalTreesNetwork::chargeBaseOp(ModelTime op_cost)
+{
+    ModelTime dt = baseOpCost(op_cost);
+    ++counter(Ctr::BaseOp);
+    _engine.traceSpan("otn", "baseOp", dt, baseSpan(0));
     charge(dt);
     return dt;
 }
 
 ModelTime
-OrthogonalTreesNetwork::baseOp(
-    ModelTime op_cost,
-    const std::function<void(std::size_t i, std::size_t j)> &op)
+OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
+                                   Reg a, Reg b, Reg out)
 {
     for (std::size_t i = 0; i < _n; ++i)
-        for (std::size_t j = 0; j < _n; ++j)
-            op(i, j);
-    ++_engine.counter("otn.baseOp");
-    _engine.traceSpan("otn", "baseOp", op_cost, baseSpan(0));
-    charge(op_cost);
-    return op_cost;
+        fn(regRow(out, i), regRow(a, i), regRow(b, i), _n);
+    return chargeBaseOp(op_cost);
 }
 
 // ----------------------------------------------------------------------
@@ -418,8 +450,8 @@ OrthogonalTreesNetwork::baseOp(
 // Each runs the data movement of all N per-tree primitives through the
 // kernel table first (plane-contiguous, single-threaded), then replays
 // the per-tree model-time accounting — the same counters, trace spans
-// and charges, in the same per-iteration order — under parallelFor, so
-// every accounting observable is bit-identical to the per-tree
+// and charges, in the same per-iteration order — through replayTrees,
+// so every accounting observable is bit-identical to the per-tree
 // formulation.
 // ----------------------------------------------------------------------
 
@@ -428,13 +460,76 @@ OrthogonalTreesNetwork::batchRowBroadcast(Reg dest)
 {
     for (std::size_t i = 0; i < _n; ++i)
         _kernels->fill(regRow(dest, i), _n, _rowRoot[i]);
-    ModelTime dt = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", dt,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(dt);
-    });
+    return replayTrees(
+        {treeStep(Ctr::RootToLeaf, Axis::Row, treeTraversalCost())});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchColSum(Reg src)
+{
+    // Modular sum is associative: accumulating row after row equals
+    // each column tree's pairwise sum bit for bit.
+    _kernels->fill(_colRoot.data(), _n, 0);
+    for (std::size_t i = 0; i < _n; ++i)
+        _kernels->accumSumRow(_colRoot.data(), regRow(src, i), _n);
+    return replayTrees(
+        {treeStep(Ctr::SumLeafToRoot, Axis::Col, treeReduceCost())});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchColMin(Reg src)
+{
+    _kernels->fill(_colRoot.data(), _n, kNull);
+    for (std::size_t i = 0; i < _n; ++i)
+        _kernels->accumMinRow(_colRoot.data(), regRow(src, i), _n);
+    return replayTrees(
+        {treeStep(Ctr::MinLeafToRoot, Axis::Col, treeReduceCost())});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchMinColsByKeyIndexToLeaves(Reg key, Reg src,
+                                                       const Sel &dst_sel,
+                                                       Reg dst)
+{
+    assert(dst_sel.kind() == Sel::Kind::All ||
+           dst_sel.kind() == Sel::Kind::Diag);
+    _kernels->fill(_colRoot.data(), _n, kNull);
+    for (std::size_t i = 0; i < _n; ++i)
+        _kernels->accumMinEqIndexRow(_colRoot.data(), regRow(key, i),
+                                     regRow(src, i), _n);
+    // Every column tree touches only its own column, so broadcasting
+    // after all the reductions equals the interleaved per-tree order.
+    if (dst_sel.kind() == Sel::Kind::All) {
+        for (std::size_t k = 0; k < _n; ++k)
+            std::memcpy(regRow(dst, k), _colRoot.data(),
+                        _n * sizeof(std::uint64_t));
+    } else {
+        for (std::size_t j = 0; j < _n; ++j)
+            reg(dst, j, j) = _colRoot[j];
+    }
+    return replayTrees(
+        {treeStep(Ctr::MinLeafToRoot, Axis::Col, treeReduceCost()),
+         treeStep(Ctr::RootToLeaf, Axis::Col, treeTraversalCost())});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchMinRowsToLeaves(Reg src, const Sel &dst_sel,
+                                             Reg dst)
+{
+    assert(dst_sel.kind() == Sel::Kind::All ||
+           dst_sel.kind() == Sel::Kind::Diag);
+    const bool all = dst_sel.kind() == Sel::Kind::All;
+    for (std::size_t i = 0; i < _n; ++i) {
+        std::uint64_t m = _kernels->reduceMin(regRow(src, i), _n);
+        _rowRoot[i] = m;
+        if (all)
+            _kernels->fill(regRow(dst, i), _n, m);
+        else
+            reg(dst, i, i) = m;
+    }
+    return replayTrees(
+        {treeStep(Ctr::MinLeafToRoot, Axis::Row, treeReduceCost()),
+         treeStep(Ctr::RootToLeaf, Axis::Row, treeTraversalCost())});
 }
 
 ModelTime
@@ -446,17 +541,9 @@ OrthogonalTreesNetwork::batchDiagToRows(Reg src, Reg dst)
         _kernels->fill(regRow(dst, i), _n, v);
     }
     ModelTime leg = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.leafToRoot");
-        _engine.traceSpan("otn", "leafToRoot", leg,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", leg,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.leafToLeaf");
-    });
+    return replayTrees({treeStep(Ctr::LeafToRoot, Axis::Row, leg),
+                        treeStep(Ctr::RootToLeaf, Axis::Row, leg),
+                        countStep(Ctr::LeafToLeaf)});
 }
 
 ModelTime
@@ -465,27 +552,15 @@ OrthogonalTreesNetwork::batchDiagToCols(Reg src, Reg dst)
     // Every column j delivers reg(src, j, j) to all of its leaves, so
     // each destination row is the same vector of diagonal values: one
     // strided gather, then N contiguous row copies.
-    thread_local std::vector<std::uint64_t> diagvals;
-    diagvals.resize(_n);
-    for (std::size_t j = 0; j < _n; ++j) {
-        diagvals[j] = reg(src, j, j);
-        _colRoot[j] = diagvals[j];
-    }
+    for (std::size_t j = 0; j < _n; ++j)
+        _colRoot[j] = reg(src, j, j);
     for (std::size_t k = 0; k < _n; ++k)
-        std::memcpy(regRow(dst, k), diagvals.data(),
+        std::memcpy(regRow(dst, k), _colRoot.data(),
                     _n * sizeof(std::uint64_t));
     ModelTime leg = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t j) {
-        ++_engine.counter("otn.leafToRoot");
-        _engine.traceSpan("otn", "leafToRoot", leg,
-                          treeSpan(Axis::Col, j, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", leg,
-                          treeSpan(Axis::Col, j, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.leafToLeaf");
-    });
+    return replayTrees({treeStep(Ctr::LeafToRoot, Axis::Col, leg),
+                        treeStep(Ctr::RootToLeaf, Axis::Col, leg),
+                        countStep(Ctr::LeafToLeaf)});
 }
 
 ModelTime
@@ -496,19 +571,10 @@ OrthogonalTreesNetwork::batchCountRowsToLeaves(Reg flag, Reg dst)
         _rowRoot[i] = c;
         _kernels->fill(regRow(dst, i), _n, c);
     }
-    ModelTime up = treeReduceCost();
-    ModelTime down = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.countLeafToRoot");
-        _engine.traceSpan("otn", "countLeafToRoot", up,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(up);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", down,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(down);
-        ++_engine.counter("otn.countLeafToLeaf");
-    });
+    return replayTrees(
+        {treeStep(Ctr::CountLeafToRoot, Axis::Row, treeReduceCost()),
+         treeStep(Ctr::RootToLeaf, Axis::Row, treeTraversalCost()),
+         countStep(Ctr::CountLeafToLeaf)});
 }
 
 ModelTime
@@ -523,35 +589,8 @@ OrthogonalTreesNetwork::batchPickColByKeyIndex(Reg key, Reg src)
     for (std::size_t j = 0; j < _n; ++j)
         assert(cnt[j] <= 1 &&
                "LEAFTOROOT requires a unique source leaf");
-    ModelTime dt = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t j) {
-        ++_engine.counter("otn.leafToRoot");
-        _engine.traceSpan("otn", "leafToRoot", dt,
-                          treeSpan(Axis::Col, j, _n, 1));
-        charge(dt);
-    });
-}
-
-ModelTime
-OrthogonalTreesNetwork::batchMinRowsToDiag(Reg src, Reg out)
-{
-    for (std::size_t i = 0; i < _n; ++i) {
-        std::uint64_t m = _kernels->reduceMin(regRow(src, i), _n);
-        _rowRoot[i] = m;
-        reg(out, i, i) = m;
-    }
-    ModelTime up = treeReduceCost();
-    ModelTime down = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.minLeafToRoot");
-        _engine.traceSpan("otn", "minLeafToRoot", up,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(up);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", down,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(down);
-    });
+    return replayTrees(
+        {treeStep(Ctr::LeafToRoot, Axis::Col, treeTraversalCost())});
 }
 
 ModelTime
@@ -560,11 +599,7 @@ OrthogonalTreesNetwork::batchCompareRank(Reg a, Reg b, Reg flag)
     for (std::size_t i = 0; i < _n; ++i)
         _kernels->cmpRankRow(regRow(flag, i), regRow(a, i),
                              regRow(b, i), _n, i);
-    ModelTime op_cost = baseOpCost(_cost.bitSerialOp());
-    ++_engine.counter("otn.baseOp");
-    _engine.traceSpan("otn", "baseOp", op_cost, baseSpan(0));
-    charge(op_cost);
-    return op_cost;
+    return chargeBaseOp(_cost.bitSerialOp());
 }
 
 ModelTime
@@ -573,11 +608,7 @@ OrthogonalTreesNetwork::batchSelectValAtKeyIndex(Reg key, Reg val, Reg out)
     for (std::size_t i = 0; i < _n; ++i)
         _kernels->selectEqIndexRow(regRow(out, i), regRow(key, i),
                                    regRow(val, i), _n);
-    ModelTime op_cost = baseOpCost(_cost.bitSerialOp());
-    ++_engine.counter("otn.baseOp");
-    _engine.traceSpan("otn", "baseOp", op_cost, baseSpan(0));
-    charge(op_cost);
-    return op_cost;
+    return chargeBaseOp(_cost.bitSerialOp());
 }
 
 } // namespace ot::otn

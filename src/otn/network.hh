@@ -23,9 +23,11 @@
 
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -399,14 +401,39 @@ class OrthogonalTreesNetwork
     //
     // Each batch call is semantically the parallelFor over all N trees
     // (or the whole-base op) written in its doc comment, but the data
-    // movement runs level-at-a-time through the SIMD kernel table over
-    // contiguous register planes.  Model-time accounting is then
-    // replayed per tree under parallelFor exactly as the per-tree
-    // formulation would have produced it, so counters, trace streams
-    // and the clock are bit-identical to the scalar per-tree path.
+    // movement runs row-at-a-time through the SIMD kernel table over
+    // contiguous register planes (a column reduction is N row-wise
+    // accumulations).  Model-time accounting is then replayed through
+    // sim::ChainEngine::replayPardo exactly as the per-tree formulation
+    // would have produced it, so counters, trace streams and the clock
+    // are bit-identical to the per-tree path.  A composite (a reduction
+    // then a broadcast) replays as one chain: two batches would charge
+    // two pardos, one clock step more.
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
+
+    /** For each col j pardo: sumLeafToRoot(Col, j, all, src). */
+    ModelTime batchColSum(Reg src);
+
+    /** For each col j pardo: minLeafToRoot(Col, j, all, src). */
+    ModelTime batchColMin(Reg src);
+
+    /**
+     * For each col j pardo: minLeafToRoot(Col, j, regEq(key, j), src)
+     * then rootToLeaf(Col, j, dst_sel, dst), with dst_sel Sel::all()
+     * or Sel::diag() — the graph algorithms' per-component minimum
+     * (members of component j have key == j).
+     */
+    ModelTime batchMinColsByKeyIndexToLeaves(Reg key, Reg src,
+                                             const Sel &dst_sel, Reg dst);
+
+    /**
+     * For each row i pardo: minLeafToRoot(Row, i, all, src) then
+     * rootToLeaf(Row, i, dst_sel, dst), with dst_sel Sel::all() or
+     * Sel::diag().
+     */
+    ModelTime batchMinRowsToLeaves(Reg src, const Sel &dst_sel, Reg dst);
 
     /** For each row i pardo: leafToLeaf(Row, i, diag, src, all, dst). */
     ModelTime batchDiagToRows(Reg src, Reg dst);
@@ -424,13 +451,6 @@ class OrthogonalTreesNetwork
      * if none; more than one is asserted, as in leafToRoot).
      */
     ModelTime batchPickColByKeyIndex(Reg key, Reg src);
-
-    /**
-     * For each row i pardo: minLeafToRoot(Row, i, all, src) then
-     * rootToLeaf(Row, i, diag, out) — the gather pattern's second
-     * phase (row minima delivered to the diagonal).
-     */
-    ModelTime batchMinRowsToDiag(Reg src, Reg out);
 
     /**
      * baseOp computing flag = (a > b || (a == b && i > j)) ? 1 : 0 at
@@ -490,15 +510,42 @@ class OrthogonalTreesNetwork
 
     /**
      * One parallel step of processing in the base: apply `op(i, j)` to
-     * every BP and charge `cost` once (all BPs run concurrently).
+     * every BP and charge `op_cost` once (all BPs run concurrently).
      * Typical costs: cost().bitSerialOp() for compare/add,
-     * cost().bitSerialMultiply() for multiply.  Virtual so machines
-     * that *emulate* the OTN base with fewer processors (the OTC,
-     * Section V-A) can dilate processing time.
+     * cost().bitSerialMultiply() for multiply.  Machines that
+     * *emulate* the OTN base with fewer processors (the OTC,
+     * Section V-A) dilate the charge through baseOpCost().
      */
-    virtual ModelTime baseOp(ModelTime op_cost,
-                             const std::function<void(std::size_t i,
-                                                      std::size_t j)> &op);
+    template <typename Op>
+    ModelTime
+    baseOp(ModelTime op_cost, Op &&op)
+    {
+        for (std::size_t i = 0; i < _n; ++i)
+            for (std::size_t j = 0; j < _n; ++j)
+                op(i, j);
+        return chargeBaseOp(op_cost);
+    }
+
+    /**
+     * A baseOp whose op acts on the diagonal BPs only (every other BP
+     * idles): applies `op(i)` at BP(i, i), charged like baseOp.
+     */
+    template <typename Op>
+    ModelTime
+    baseOpDiag(ModelTime op_cost, Op &&op)
+    {
+        for (std::size_t i = 0; i < _n; ++i)
+            op(i);
+        return chargeBaseOp(op_cost);
+    }
+
+    /**
+     * A baseOp computing out = fn(a, b) elementwise, one plane row at
+     * a time through a kernel-table slot (kernelTable().mulRow,
+     * .andRow or .addSatRow).
+     */
+    ModelTime baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn, Reg a,
+                         Reg b, Reg out);
 
     /**
      * Per-word transfer cost of one tree traversal (root<->leaf).
@@ -554,9 +601,9 @@ class OrthogonalTreesNetwork
      * Model time one base-processing step of nominal cost `op_cost`
      * actually takes on this machine.  The OTN runs the base at full
      * width (identity); emulating machines dilate it (the OTC
-     * multiplies by the cycle length).  baseOp() and the batch base
-     * ops charge through this hook so both formulations price base
-     * work identically.
+     * multiplies by the cycle length).  This is the one virtual
+     * base-op hook: baseOp() and every batch base op charge through
+     * it, so all formulations price base work identically.
      */
     virtual ModelTime
     baseOpCost(ModelTime op_cost) const
@@ -580,6 +627,53 @@ class OrthogonalTreesNetwork
 
   private:
     static constexpr ModelTime kCostUnset = ~ModelTime{0};
+
+    /** The network's stat counters, one per primitive. */
+    enum class Ctr : unsigned {
+        RootToLeaf,
+        LeafToRoot,
+        CountLeafToRoot,
+        SumLeafToRoot,
+        MinLeafToRoot,
+        LeafToLeaf,
+        CountLeafToLeaf,
+        SumLeafToLeaf,
+        MinLeafToLeaf,
+        PermuteLeafToLeaf,
+        PrefixSumLeafToLeaf,
+        BaseOp,
+        Count,
+    };
+
+    /**
+     * Counter `c`, looked up in the stat set on its first bump and
+     * cached: the hot path builds no string and walks no map, and a
+     * counter never bumped stays absent from stats().
+     */
+    sim::Counter &counter(Ctr c);
+
+    /**
+     * Count, trace and charge one per-tree primitive `c` of cost `dt`
+     * on tree `idx` of `axis`, moving `words` through its root.
+     */
+    ModelTime chargeTree(Ctr c, ModelTime dt, Axis axis, std::size_t idx,
+                         std::uint64_t words);
+
+    /** Replay step of primitive `c` on one tree of `axis`. */
+    sim::ChainEngine::ReplayStep treeStep(Ctr c, Axis axis, ModelTime dur);
+
+    /** Replay step that only bumps `c` (a composite's own counter). */
+    sim::ChainEngine::ReplayStep countStep(Ctr c);
+
+    /** replayPardo over all N trees. */
+    ModelTime
+    replayTrees(std::initializer_list<sim::ChainEngine::ReplayStep> chain)
+    {
+        return _engine.replayPardo(_n, "otn", {chain.begin(), chain.size()});
+    }
+
+    /** Count, trace and charge one base step of nominal `op_cost`. */
+    ModelTime chargeBaseOp(ModelTime op_cost);
 
     /** Resolve (axis, idx, k) to a BP address. */
     std::pair<std::size_t, std::size_t>
@@ -646,6 +740,8 @@ class OrthogonalTreesNetwork
     TimeAccountant _acct;
     sim::StatSet _stats;
     sim::ChainEngine _engine;
+    std::array<sim::Counter *, static_cast<std::size_t>(Ctr::Count)>
+        _counters{};
 
     mutable ModelTime _traversalCost = kCostUnset;
     mutable ModelTime _reduceCost = kCostUnset;

@@ -30,7 +30,7 @@ gatherAtIndex(OrthogonalTreesNetwork &net, Reg key_by_row, Reg val_by_col,
 
     // Row reduction brings the (unique or absent) value to the root,
     // and the root writes it back to the diagonal.
-    dt += net.batchMinRowsToDiag(scratch, out);
+    dt += net.batchMinRowsToLeaves(scratch, Sel::diag(), out);
     return dt;
 }
 

@@ -11,13 +11,23 @@ using graph::kUnreachable;
 
 namespace {
 
-/** Saturating (min, +) "multiply": a + b with infinity absorbing. */
-std::uint64_t
-addSat(std::uint64_t a, std::uint64_t b)
+/**
+ * One (min, +) vector-matrix step with the vector at the row roots and
+ * the weights in Reg::A: fan d(k) along row k, relax in the base with
+ * the saturating add (kUnreachable absorbs), and take each column's
+ * minimum at its root.
+ */
+void
+relaxRound(OrthogonalTreesNetwork &net)
 {
-    if (a == kUnreachable || b == kUnreachable)
-        return kUnreachable;
-    return a + b;
+    static_assert(kUnreachable == kNull,
+                  "addSatRow's absent word is the unreachable distance");
+    // For each row k pardo: rootToLeaf(Row, k, all, B).
+    net.batchRowBroadcast(Reg::B);
+    net.baseOpRows(net.cost().bitSerialOp(), net.kernelTable().addSatRow,
+                   Reg::B, Reg::A, Reg::C);
+    // For each col j pardo: minLeafToRoot(Col, j, all, C).
+    net.batchColMin(Reg::C);
 }
 
 /** Load the weight matrix (kUnreachable off-diagonal, 0 diagonal). */
@@ -70,19 +80,7 @@ ssspOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
     for (std::size_t round = 0; round + 1 < v; ++round) {
         net.setRowRootInputs(dist);
 
-        // Fan d(k) along row k; relax in the base; column MIN.
-        net.parallelFor(n, [&](std::size_t k) {
-            net.rootToLeaf(Axis::Row, k, Sel::all(), Reg::B);
-        });
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       net.reg(Reg::C, i, j) =
-                           addSat(net.reg(Reg::B, i, j),
-                                  net.reg(Reg::A, i, j));
-                   });
-        net.parallelFor(n, [&](std::size_t j) {
-            net.minLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-        });
+        relaxRound(net);
         ++result.rounds;
 
         // Convergence: compare at the ports; an OR (COUNT) reduction
@@ -136,18 +134,7 @@ apspOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g)
         for (std::size_t i = 0; i < n; ++i) {
             auto row_body = [&] {
                 net.setRowRootInputs(d.row(i));
-                net.parallelFor(n, [&](std::size_t k) {
-                    net.rootToLeaf(Axis::Row, k, Sel::all(), Reg::B);
-                });
-                net.baseOp(net.cost().bitSerialOp(),
-                           [&](std::size_t r, std::size_t c) {
-                               net.reg(Reg::C, r, c) =
-                                   addSat(net.reg(Reg::B, r, c),
-                                          net.reg(Reg::A, r, c));
-                           });
-                net.parallelFor(n, [&](std::size_t j) {
-                    net.minLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-                });
+                relaxRound(net);
             };
             if (i == 0) {
                 ModelTime t0 = net.now();

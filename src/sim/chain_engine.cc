@@ -47,6 +47,41 @@ ChainEngine::parallelFor(std::size_t count,
 }
 
 ModelTime
+ChainEngine::replayPardo(std::size_t count, const char *cat,
+                         std::span<const ReplayStep> chain)
+{
+    ModelTime chain_len = 0;
+    if (count > 0) {
+        for (const ReplayStep &step : chain) {
+            *step.counter += count;
+            chain_len += step.dur;
+        }
+#ifdef OT_TRACE
+        if (_tracer && _tracer->enabled()) {
+            // parallelFor rebases every iteration to the offset at
+            // entry; the chain then advances by each step's duration.
+            const ModelTime base = _acct.now() + _traceBase + _chainAccum;
+            for (std::size_t k = 0; k < count; ++k) {
+                ModelTime offset = base;
+                for (const ReplayStep &step : chain) {
+                    if (step.name) {
+                        SpanArgs args = step.args;
+                        args.tree = static_cast<std::int64_t>(k);
+                        recordSpan(cat, step.name, step.dur, args, offset);
+                    }
+                    offset += step.dur;
+                }
+            }
+        }
+#else
+        (void)cat;
+#endif
+    }
+    charge(chain_len);
+    return chain_len;
+}
+
+ModelTime
 ChainEngine::runUncharged(const std::function<void()> &body)
 {
     ++_parallelDepth;
@@ -83,8 +118,15 @@ void
 ChainEngine::traceSpan(const char *cat, const char *name, ModelTime dur,
                        const SpanArgs &args)
 {
-    if (!_tracer || !_tracer->enabled())
-        return;
+    if (_tracer && _tracer->enabled())
+        recordSpan(cat, name, dur, args,
+                   _acct.now() + _traceBase + _chainAccum);
+}
+
+void
+ChainEngine::recordSpan(const char *cat, const char *name, ModelTime dur,
+                        const SpanArgs &args, ModelTime start)
+{
     trace::Event e;
     e.kind = trace::EventKind::Span;
     e.cat = cat;
@@ -94,7 +136,7 @@ ChainEngine::traceSpan(const char *cat, const char *name, ModelTime dur,
     e.tree = args.tree;
     e.levels = args.levels;
     e.words = args.words;
-    e.start = _acct.now() + _traceBase + _chainAccum;
+    e.start = start;
     e.charged = _unchargedDepth == 0;
     _tracer->record(std::move(e));
 }

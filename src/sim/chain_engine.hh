@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "sim/stats.hh"
@@ -100,6 +101,28 @@ class ChainEngine
     ModelTime parallelFor(std::size_t count,
                           const std::function<void(std::size_t)> &body);
 
+    /** One primitive of a replayed pardo iteration (see replayPardo). */
+    struct ReplayStep
+    {
+        Counter *counter;   ///< gains one per iteration
+        const char *name;   ///< span name; nullptr = counter only
+        ModelTime dur;      ///< charged per iteration
+        SpanArgs args;      ///< span addressing; `tree` is the iteration
+    };
+
+    /**
+     * The accounting of parallelFor(count, body) in which iteration k
+     * runs the same `chain` of primitives on tree k, without running
+     * body: each step's counter gains `count`, each named step is
+     * traced once per tree at the offsets the loop would stamp (only
+     * with an enabled tracer), and the chain — the max of `count`
+     * equal chains — is charged once.  Batch primitives call this
+     * after moving the data of all trees at once.  Returns the
+     * charged cost.
+     */
+    ModelTime replayPardo(std::size_t count, const char *cat,
+                          std::span<const ReplayStep> chain);
+
     /** Run body with the clock stopped; return what it would charge. */
     ModelTime runUncharged(const std::function<void()> &body);
 
@@ -114,6 +137,12 @@ class ChainEngine
                  const std::function<void(std::size_t)> &body) const;
 
   private:
+#ifdef OT_TRACE
+    /** Record one span starting at model time `start`. */
+    void recordSpan(const char *cat, const char *name, ModelTime dur,
+                    const SpanArgs &args, ModelTime start);
+#endif
+
     TimeAccountant &_acct;
     StatSet &_stats;
     unsigned _threads;

@@ -102,6 +102,34 @@ using CompexLinearFn = void (*)(std::uint64_t *data, std::size_t total,
 using RotateCyclesFn = void (*)(std::uint64_t *base, std::size_t count,
                                 std::size_t stride, std::size_t l);
 
+/**
+ * out[j] = op(a[j], b[j]) for j in [0, n) — an elementwise base op
+ * over two register rows.  The three ops treat kNullWord as "absent":
+ *  - mulRow:    absent operand -> 0, else a * b (mod 2^64);
+ *  - andRow:    absent operand -> 0, else (a && b) ? 1 : 0;
+ *  - addSatRow: absent operand -> kNullWord, else a + b (mod 2^64).
+ */
+using BinaryRowFn = void (*)(std::uint64_t *out, const std::uint64_t *a,
+                             const std::uint64_t *b, std::size_t n);
+
+/**
+ * acc[j] = combine(acc[j], src[j]) for j in [0, n) — one row's
+ * contribution to N column reductions at once (accumSumRow: modular
+ * sum; accumMinRow: unsigned min).
+ */
+using AccumRowFn = void (*)(std::uint64_t *acc, const std::uint64_t *src,
+                            std::size_t n);
+
+/**
+ * acc[j] = min(acc[j], src[j]) for j in [0, n) with key[j] == j: one
+ * row's contribution to the column minima over the leaves whose key
+ * equals their column index.  Other columns are untouched.
+ */
+using AccumMinEqIndexRowFn = void (*)(std::uint64_t *acc,
+                                      const std::uint64_t *key,
+                                      const std::uint64_t *src,
+                                      std::size_t n);
+
 /** One backend's implementations of the batch primitives. */
 struct KernelTable
 {
@@ -115,6 +143,12 @@ struct KernelTable
     PickEqIndexAccumFn pickEqIndexAccum;
     CompexLinearFn compexLinear;
     RotateCyclesFn rotateCycles;
+    BinaryRowFn mulRow;
+    BinaryRowFn andRow;
+    BinaryRowFn addSatRow;
+    AccumRowFn accumSumRow;
+    AccumRowFn accumMinRow;
+    AccumMinEqIndexRowFn accumMinEqIndexRow;
 };
 
 /** Portable fallback table, always compiled. */

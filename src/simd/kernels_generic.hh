@@ -217,4 +217,94 @@ rotateCyclesT(std::uint64_t *base, std::size_t count, std::size_t stride,
     }
 }
 
+template <typename V>
+void
+mulRowT(std::uint64_t *out, const std::uint64_t *a, const std::uint64_t *b,
+        std::size_t n)
+{
+    // The views have no 64-bit multiply (neither AVX2 nor NEON does),
+    // so this one is a plain loop for every backend.
+    for (std::size_t j = 0; j < n; ++j)
+        out[j] = (a[j] == kNullWord || b[j] == kNullWord) ? 0 : a[j] * b[j];
+}
+
+template <typename V>
+void
+andRowT(std::uint64_t *out, const std::uint64_t *a, const std::uint64_t *b,
+        std::size_t n)
+{
+    const auto nullv = V::splat(kNullWord);
+    const auto zero = V::splat(0);
+    const auto one = V::splat(1);
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth) {
+        const auto va = V::load(a + j);
+        const auto vb = V::load(b + j);
+        const auto off = V::bitOr(V::bitOr(V::eq(va, nullv), V::eq(vb, nullv)),
+                                  V::bitOr(V::eq(va, zero), V::eq(vb, zero)));
+        V::store(out + j, V::blend(off, zero, one));
+    }
+    for (; j < n; ++j) {
+        const bool off = a[j] == kNullWord || b[j] == kNullWord ||
+                         a[j] == 0 || b[j] == 0;
+        out[j] = off ? 0 : 1;
+    }
+}
+
+template <typename V>
+void
+addSatRowT(std::uint64_t *out, const std::uint64_t *a,
+           const std::uint64_t *b, std::size_t n)
+{
+    const auto nullv = V::splat(kNullWord);
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth) {
+        const auto va = V::load(a + j);
+        const auto vb = V::load(b + j);
+        const auto absent = V::bitOr(V::eq(va, nullv), V::eq(vb, nullv));
+        V::store(out + j, V::blend(absent, nullv, V::add(va, vb)));
+    }
+    for (; j < n; ++j)
+        out[j] = (a[j] == kNullWord || b[j] == kNullWord) ? kNullWord
+                                                          : a[j] + b[j];
+}
+
+template <typename V>
+void
+accumSumRowT(std::uint64_t *acc, const std::uint64_t *src, std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth)
+        V::store(acc + j, V::add(V::load(acc + j), V::load(src + j)));
+    for (; j < n; ++j)
+        acc[j] += src[j];
+}
+
+template <typename V>
+void
+accumMinRowT(std::uint64_t *acc, const std::uint64_t *src, std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth)
+        V::store(acc + j, V::minU(V::load(acc + j), V::load(src + j)));
+    for (; j < n; ++j)
+        acc[j] = src[j] < acc[j] ? src[j] : acc[j];
+}
+
+template <typename V>
+void
+accumMinEqIndexRowT(std::uint64_t *acc, const std::uint64_t *key,
+                    const std::uint64_t *src, std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth) {
+        const auto m = V::eq(V::load(key + j), V::iota(j));
+        const auto va = V::load(acc + j);
+        V::store(acc + j, V::blend(m, V::minU(va, V::load(src + j)), va));
+    }
+    for (; j < n; ++j)
+        if (key[j] == j && src[j] < acc[j])
+            acc[j] = src[j];
+}
+
 } // namespace ot::simd

@@ -23,6 +23,12 @@ constexpr KernelTable kNeonTable = {
     .pickEqIndexAccum = pickEqIndexAccumT<NeonVec>,
     .compexLinear = compexLinearT<NeonVec>,
     .rotateCycles = rotateCyclesT<NeonVec>,
+    .mulRow = mulRowT<NeonVec>,
+    .andRow = andRowT<NeonVec>,
+    .addSatRow = addSatRowT<NeonVec>,
+    .accumSumRow = accumSumRowT<NeonVec>,
+    .accumMinRow = accumMinRowT<NeonVec>,
+    .accumMinEqIndexRow = accumMinEqIndexRowT<NeonVec>,
 };
 
 } // namespace

@@ -23,6 +23,12 @@ constexpr KernelTable kScalarTable = {
     .pickEqIndexAccum = pickEqIndexAccumT<ScalarVec>,
     .compexLinear = compexLinearT<ScalarVec>,
     .rotateCycles = rotateCyclesT<ScalarVec>,
+    .mulRow = mulRowT<ScalarVec>,
+    .andRow = andRowT<ScalarVec>,
+    .addSatRow = addSatRowT<ScalarVec>,
+    .accumSumRow = accumSumRowT<ScalarVec>,
+    .accumMinRow = accumMinRowT<ScalarVec>,
+    .accumMinEqIndexRow = accumMinEqIndexRowT<ScalarVec>,
 };
 
 } // namespace

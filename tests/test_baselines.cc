@@ -105,7 +105,8 @@ TEST(MeshSort, UnaffectedByDelayModel)
 TEST(MeshMatMul, MatchesReference)
 {
     Rng rng(4);
-    for (std::size_t n : {2, 4, 8, 16}) {
+    // Odd and size-1 sides wrap Cannon's rotated operands at n - s.
+    for (std::size_t n : {1, 2, 3, 4, 5, 7, 8, 16}) {
         ot::linalg::IntMatrix a(n, n), b(n, n);
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j) {
@@ -114,7 +115,14 @@ TEST(MeshMatMul, MatchesReference)
             }
         MeshMachine mesh(n * n, CostModel(DelayModel::Logarithmic,
                                           WordFormat(32)));
-        EXPECT_EQ(meshMatMul(mesh, a, b).product, ot::linalg::matMul(a, b))
+        auto r = meshMatMul(mesh, a, b);
+        EXPECT_EQ(r.product, ot::linalg::matMul(a, b)) << "n = " << n;
+        // Skew route, then n steps of multiply-accumulate plus one
+        // rotation hop (a route is hops * hop + 1).
+        const auto hop = mesh.hopCost();
+        EXPECT_EQ(r.time,
+                  (n - 1) * hop + 1 +
+                      n * (mesh.cost().bitSerialMultiply() + hop + 1))
             << "n = " << n;
     }
 }
@@ -138,19 +146,21 @@ TEST(MeshMatMul, TimeIsThetaN)
 TEST(MeshBoolMatMul, MatchesReference)
 {
     Rng rng(6);
-    std::size_t n = 16;
-    ot::linalg::BoolMatrix a(n, n, 0), b(n, n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            a(i, j) = rng.bernoulli(0.3);
-            b(i, j) = rng.bernoulli(0.3);
-        }
-    MeshMachine mesh(n * n, logCost(n));
-    auto r = meshBoolMatMul(mesh, a, b);
-    auto expect = ot::linalg::boolMatMul(a, b);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            EXPECT_EQ(r.product(i, j) != 0, expect(i, j) != 0);
+    for (std::size_t n : {1, 3, 5, 7, 16}) {
+        ot::linalg::BoolMatrix a(n, n, 0), b(n, n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = rng.bernoulli(0.3);
+                b(i, j) = rng.bernoulli(0.3);
+            }
+        MeshMachine mesh(n * n, logCost(n));
+        auto r = meshBoolMatMul(mesh, a, b);
+        auto expect = ot::linalg::boolMatMul(a, b);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                EXPECT_EQ(r.product(i, j) != 0, expect(i, j) != 0)
+                    << "n = " << n << " at " << i << "," << j;
+    }
 }
 
 TEST(MeshCc, MatchesUnionFind)

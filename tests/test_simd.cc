@@ -19,10 +19,16 @@
 #include <tuple>
 #include <vector>
 
+#include "graph/generators.hh"
+#include "graph/reference_algorithms.hh"
+#include "linalg/reference.hh"
 #include "otc/emulated_otn.hh"
 #include "otc/network.hh"
 #include "otc/sort.hh"
 #include "otn/bitonic.hh"
+#include "otn/connected_components.hh"
+#include "otn/matmul.hh"
+#include "otn/mst.hh"
 #include "otn/network.hh"
 #include "otn/patterns.hh"
 #include "otn/sort.hh"
@@ -236,6 +242,29 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
             EXPECT_EQ(smatches, vmatches);
         }
 
+        // Elementwise base-op rows, and one row's contribution to the
+        // column reductions (the accumulator starts from a mixed row).
+        for (auto fn : {&simd::KernelTable::mulRow,
+                        &simd::KernelTable::andRow,
+                        &simd::KernelTable::addSatRow}) {
+            (sc.*fn)(s.data(), a.data(), b.data(), n);
+            (vec.*fn)(v.data(), a.data(), b.data(), n);
+            EXPECT_EQ(s, v) << "binary row kernel";
+        }
+        for (auto fn : {&simd::KernelTable::accumSumRow,
+                        &simd::KernelTable::accumMinRow}) {
+            s = b;
+            v = b;
+            (sc.*fn)(s.data(), a.data(), n);
+            (vec.*fn)(v.data(), a.data(), n);
+            EXPECT_EQ(s, v) << "accumulating row kernel";
+        }
+        s = b;
+        v = b;
+        sc.accumMinEqIndexRow(s.data(), key.data(), a.data(), n);
+        vec.accumMinEqIndexRow(v.data(), key.data(), a.data(), n);
+        EXPECT_EQ(s, v) << "accumMinEqIndexRow";
+
         // rotateCycles: single segment, contiguous batch, and a
         // column-style strided batch.
         s = a;
@@ -393,6 +422,321 @@ expectSameTrace(const trace::Tracer &a, const trace::Tracer &b)
         ASSERT_TRUE(trace::eventsEqual(a.events()[i], b.events()[i]))
             << "trace event " << i << " diverged";
     EXPECT_EQ(trace::toChromeTraceJson(a), trace::toChromeTraceJson(b));
+}
+
+// ----------------------------------------------------------------------
+// Batch primitives against their written-out per-tree pardos
+// ----------------------------------------------------------------------
+
+using otn::Axis;
+using otn::Sel;
+using NetOp = std::function<void(OrthogonalTreesNetwork &)>;
+
+/** One batch primitive and the per-tree formulation it stands for. */
+struct BatchCase
+{
+    const char *name;
+    NetOp batch;
+    NetOp perTree;
+};
+
+using BinaryOp = std::uint64_t (*)(std::uint64_t, std::uint64_t);
+
+/** Absent operands contribute nothing (matmul's product). */
+std::uint64_t
+mulOrZero(std::uint64_t a, std::uint64_t b)
+{
+    return (a == otn::kNull || b == otn::kNull) ? 0 : a * b;
+}
+
+std::uint64_t
+andOrZero(std::uint64_t a, std::uint64_t b)
+{
+    return (a == otn::kNull || b == otn::kNull) ? 0 : (a && b) ? 1 : 0;
+}
+
+/** Saturating add (shortest paths' relaxation). */
+std::uint64_t
+addOrNull(std::uint64_t a, std::uint64_t b)
+{
+    return (a == otn::kNull || b == otn::kNull) ? otn::kNull : a + b;
+}
+
+std::vector<BatchCase>
+batchCases()
+{
+    auto pardo = [](OrthogonalTreesNetwork &net,
+                    const std::function<void(std::size_t)> &body) {
+        net.parallelFor(net.n(), body);
+    };
+    auto base = [](OrthogonalTreesNetwork &net, BinaryOp op) {
+        net.baseOp(net.cost().bitSerialOp(),
+                   [&](std::size_t i, std::size_t j) {
+                       net.reg(Reg::C, i, j) =
+                           op(net.reg(Reg::A, i, j), net.reg(Reg::B, i, j));
+                   });
+    };
+    auto rowsOp = [](OrthogonalTreesNetwork &net, simd::BinaryRowFn fn) {
+        net.baseOpRows(net.cost().bitSerialOp(), fn, Reg::A, Reg::B,
+                       Reg::C);
+    };
+    return {
+        {"batchRowBroadcast",
+         [](auto &net) { net.batchRowBroadcast(Reg::A); },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t i) {
+                 net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+             });
+         }},
+        {"batchColSum", [](auto &net) { net.batchColSum(Reg::C); },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t j) {
+                 net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
+             });
+         }},
+        {"batchColMin", [](auto &net) { net.batchColMin(Reg::C); },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t j) {
+                 net.minLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
+             });
+         }},
+        {"batchMinColsByKeyIndexToLeaves(all)",
+         [](auto &net) {
+             net.batchMinColsByKeyIndexToLeaves(Reg::B, Reg::E, Sel::all(),
+                                                Reg::H);
+         },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t j) {
+                 net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j),
+                                   Reg::E);
+                 net.rootToLeaf(Axis::Col, j, Sel::all(), Reg::H);
+             });
+         }},
+        {"batchMinColsByKeyIndexToLeaves(diag)",
+         [](auto &net) {
+             net.batchMinColsByKeyIndexToLeaves(Reg::B, Reg::E,
+                                                Sel::diag(), Reg::H);
+         },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t j) {
+                 net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j),
+                                   Reg::E);
+                 net.rootToLeaf(Axis::Col, j, Sel::diag(), Reg::H);
+             });
+         }},
+        {"batchMinRowsToLeaves(all)",
+         [](auto &net) {
+             net.batchMinRowsToLeaves(Reg::T, Sel::all(), Reg::E);
+         },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t i) {
+                 net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
+                 net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
+             });
+         }},
+        {"batchMinRowsToLeaves(diag)",
+         [](auto &net) {
+             net.batchMinRowsToLeaves(Reg::T, Sel::diag(), Reg::E);
+         },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t i) {
+                 net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
+                 net.rootToLeaf(Axis::Row, i, Sel::diag(), Reg::E);
+             });
+         }},
+        {"batchDiagToRows",
+         [](auto &net) { net.batchDiagToRows(Reg::D, Reg::X); },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t i) {
+                 net.leafToLeaf(Axis::Row, i, Sel::diag(), Reg::D,
+                                Sel::all(), Reg::X);
+             });
+         }},
+        {"batchDiagToCols",
+         [](auto &net) { net.batchDiagToCols(Reg::D, Reg::X); },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t j) {
+                 net.leafToLeaf(Axis::Col, j, Sel::diag(), Reg::D,
+                                Sel::all(), Reg::X);
+             });
+         }},
+        {"batchCountRowsToLeaves",
+         [](auto &net) { net.batchCountRowsToLeaves(Reg::F, Reg::Y); },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t i) {
+                 net.countLeafToLeaf(Axis::Row, i, Reg::F, Sel::all(),
+                                     Reg::Y);
+             });
+         }},
+        {"batchPickColByKeyIndex",
+         [](auto &net) { net.batchPickColByKeyIndex(Reg::R, Reg::G); },
+         [=](auto &net) {
+             pardo(net, [&](std::size_t j) {
+                 net.leafToRoot(Axis::Col, j, Sel::regEq(Reg::R, j),
+                                Reg::G);
+             });
+         }},
+        {"baseOpRows(mulRow)",
+         [=](auto &net) { rowsOp(net, net.kernelTable().mulRow); },
+         [=](auto &net) { base(net, mulOrZero); }},
+        {"baseOpRows(andRow)",
+         [=](auto &net) { rowsOp(net, net.kernelTable().andRow); },
+         [=](auto &net) { base(net, andOrZero); }},
+        {"baseOpRows(addSatRow)",
+         [=](auto &net) { rowsOp(net, net.kernelTable().addSatRow); },
+         [=](auto &net) { base(net, addOrNull); }},
+        {"baseOpDiag",
+         [](auto &net) {
+             net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+                 net.reg(Reg::G, i, i) = net.reg(Reg::H, i, i) + i;
+             });
+         },
+         [](auto &net) {
+             net.baseOp(net.cost().bitSerialOp(),
+                        [&](std::size_t i, std::size_t j) {
+                            if (i == j)
+                                net.reg(Reg::G, i, j) =
+                                    net.reg(Reg::H, i, j) + i;
+                        });
+         }},
+        {"batchCompareRank",
+         [](auto &net) { net.batchCompareRank(Reg::A, Reg::B, Reg::F); },
+         [](auto &net) {
+             net.baseOp(net.cost().bitSerialOp(),
+                        [&](std::size_t i, std::size_t j) {
+                            std::uint64_t a = net.reg(Reg::A, i, j);
+                            std::uint64_t b = net.reg(Reg::B, i, j);
+                            net.reg(Reg::F, i, j) =
+                                (a > b || (a == b && i > j)) ? 1 : 0;
+                        });
+         }},
+        {"batchSelectValAtKeyIndex",
+         [](auto &net) {
+             net.batchSelectValAtKeyIndex(Reg::B, Reg::A, Reg::T);
+         },
+         [](auto &net) {
+             net.baseOp(net.cost().bitSerialOp(),
+                        [&](std::size_t i, std::size_t j) {
+                            net.reg(Reg::T, i, j) =
+                                net.reg(Reg::B, i, j) == j
+                                    ? net.reg(Reg::A, i, j)
+                                    : otn::kNull;
+                        });
+         }},
+    };
+}
+
+/**
+ * Deterministic register contents: small words (so keys often equal
+ * their column index and the Boolean ops see zeros), some kNull, and
+ * in R a key with at most one match per column (leafToRoot's
+ * uniqueness precondition).
+ */
+void
+seedRegisters(OrthogonalTreesNetwork &net, std::uint64_t seed)
+{
+    const std::size_t n = net.n();
+    Rng rng(seed);
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                net.reg(static_cast<Reg>(r), i, j) =
+                    rng.uniform(0, 7) == 0 ? otn::kNull
+                                           : rng.uniform(0, n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t owner = rng.uniform(0, n); // n: no owner
+        for (std::size_t i = 0; i < n; ++i)
+            net.reg(Reg::R, i, j) = i == owner ? j : j + 1;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        net.rowRoot(i) = rng.uniform(0, n);
+        net.colRoot(i) = rng.uniform(0, n);
+    }
+}
+
+/** Where a case runs: the contexts a batch primitive is called from. */
+enum class Context { TopLevel, Uncharged, NestedPardo };
+
+/** Run `op` in `ctx`, after some model time has passed. */
+void
+runIn(Context ctx, OrthogonalTreesNetwork &net, const NetOp &op)
+{
+    net.charge(5);
+    switch (ctx) {
+    case Context::TopLevel:
+        op(net);
+        break;
+    case Context::Uncharged:
+        net.runUncharged([&] { op(net); });
+        break;
+    case Context::NestedPardo:
+        // Two levels of enclosing chains of unequal length: the outer
+        // one moves the trace base, the inner one the chain offset,
+        // and the longest chain sets the charged cost.
+        net.parallelFor(2, [&](std::size_t k) {
+            net.charge(3 * (k + 1));
+            net.parallelFor(3, [&](std::size_t m) {
+                net.charge(7 * (3 - m));
+                op(net);
+            });
+        });
+        break;
+    }
+}
+
+std::unique_ptr<OrthogonalTreesNetwork>
+makeNet(bool emulated, std::size_t n)
+{
+    if (emulated)
+        return std::make_unique<otc::OtcEmulatedOtn>(n, logCost(n));
+    return std::make_unique<OrthogonalTreesNetwork>(n, logCost(n));
+}
+
+/**
+ * Case `c` on two identically seeded, traced networks — the per-tree
+ * pardo on one, the batch primitive on the other — in context `ctx`:
+ * registers, roots, clock, counters and traces must match.
+ */
+void
+expectBatchMatchesPardo(const BatchCase &c, std::size_t n, bool emulated,
+                        Context ctx, simd::Backend backend)
+{
+    trace::Tracer ref_trace, tr;
+    auto ref = makeNet(emulated, n);
+    auto net = makeNet(emulated, n);
+    auto prepare = [&](OrthogonalTreesNetwork &m, trace::Tracer &t) {
+        m.setSimdBackend(backend);
+        t.setEnabled(true);
+        m.setTracer(&t);
+        seedRegisters(m, 77 + n);
+    };
+    prepare(*ref, ref_trace);
+    prepare(*net, tr);
+    runIn(ctx, *ref, c.perTree);
+    runIn(ctx, *net, c.batch);
+    expectSameOtnState(*ref, *net);
+    expectSameTrace(ref_trace, tr);
+}
+
+TEST(BatchVsPerTree, EveryBatchPrimitiveMatchesItsPardo)
+{
+    std::vector<simd::Backend> backends = vectorBackends();
+    backends.push_back(simd::Backend::Scalar);
+    const Context contexts[] = {Context::TopLevel, Context::Uncharged,
+                                Context::NestedPardo};
+    for (const BatchCase &c : batchCases())
+        for (std::size_t n : {1, 2, 4, 16})
+            for (bool emulated : {false, true})
+                for (Context ctx : contexts)
+                    for (simd::Backend backend : backends) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << c.name << " n=" << n
+                                     << " emulated=" << emulated
+                                     << " context=" << static_cast<int>(ctx)
+                                     << " " << simd::toString(backend));
+                        expectBatchMatchesPardo(c, n, emulated, ctx,
+                                                backend);
+                    }
 }
 
 struct DiffCase
@@ -610,6 +954,147 @@ TEST_P(NetworkDifferential, SortOnEmulatedOtn)
             EXPECT_EQ(rs.time, rv.time);
             expectSameOtnState(ref, net);
         }
+    });
+}
+
+/**
+ * Run `algo` (which checks its own result and returns its model time)
+ * on a scalar network and on one network per vector backend, all
+ * traced: times, registers, roots, clock, counters and traces must
+ * match.
+ */
+template <typename Make, typename Algo>
+void
+expectBackendsAgree(Make make, Algo algo)
+{
+    std::unique_ptr<OrthogonalTreesNetwork> ref = make();
+    ref->setSimdBackend(simd::Backend::Scalar);
+    trace::Tracer ref_trace;
+    ref_trace.setEnabled(true);
+    ref->setTracer(&ref_trace);
+    const vlsi::ModelTime ref_time = algo(*ref);
+
+    for (simd::Backend backend : vectorBackends()) {
+        SCOPED_TRACE(simd::toString(backend));
+        std::unique_ptr<OrthogonalTreesNetwork> net = make();
+        net->setSimdBackend(backend);
+        trace::Tracer tr;
+        tr.setEnabled(true);
+        net->setTracer(&tr);
+        EXPECT_EQ(algo(*net), ref_time);
+        expectSameOtnState(*ref, *net);
+        expectSameTrace(ref_trace, tr);
+    }
+}
+
+linalg::IntMatrix
+randomMatrix(Rng &rng, std::size_t n, std::uint64_t hi)
+{
+    linalg::IntMatrix m(n, n, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            m(i, j) = rng.uniform(0, hi);
+    return m;
+}
+
+TEST_P(NetworkDifferential, MatMulOtn)
+{
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(606 + n);
+        const linalg::IntMatrix a = randomMatrix(rng, n, n);
+        const linalg::IntMatrix b = randomMatrix(rng, n, n);
+        const CostModel cost(DelayModel::Logarithmic,
+                             WordFormat::forProblemSize(n * n * n * n));
+        expectBackendsAgree(
+            [&] { return std::make_unique<OrthogonalTreesNetwork>(n, cost); },
+            [&](OrthogonalTreesNetwork &net) {
+                auto r = otn::matMulPipelined(net, a, b);
+                EXPECT_EQ(r.product, linalg::matMul(a, b));
+                return r.time;
+            });
+    });
+}
+
+TEST_P(NetworkDifferential, BoolMatMulOtcEmu)
+{
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(707 + n);
+        linalg::BoolMatrix a(n, n, 0), b(n, n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = rng.uniform(0, 3) == 0;
+                b(i, j) = rng.uniform(0, 3) == 0;
+            }
+        const linalg::BoolMatrix expect = linalg::boolMatMul(a, b);
+        // The Table II machine: cycles of log^2 N one-bit BPs.
+        const unsigned logn = vlsi::logCeilAtLeast1(n);
+        expectBackendsAgree(
+            [&] {
+                return std::make_unique<otc::OtcEmulatedOtn>(
+                    n, logCost(n), logn * logn);
+            },
+            [&](OrthogonalTreesNetwork &net) {
+                auto r = otn::boolMatMulReplicated(net, a, b);
+                for (std::size_t i = 0; i < n; ++i)
+                    for (std::size_t j = 0; j < n; ++j)
+                        EXPECT_EQ(r.product(i, j) != 0, expect(i, j) != 0)
+                            << i << "," << j;
+                return r.time;
+            });
+    });
+}
+
+TEST_P(NetworkDifferential, CcOtn)
+{
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(808 + n);
+        const graph::Graph g =
+            graph::plantedComponents(n, std::max<std::size_t>(1, n / 4), 1,
+                                     rng);
+        const auto expect = graph::connectedComponents(g);
+        expectBackendsAgree(
+            [&] {
+                return std::make_unique<OrthogonalTreesNetwork>(n,
+                                                                logCost(n));
+            },
+            [&](OrthogonalTreesNetwork &net) {
+                auto r = otn::connectedComponentsOtn(net, g);
+                EXPECT_EQ(r.labels, expect);
+                return r.time;
+            });
+    });
+}
+
+TEST_P(NetworkDifferential, MstOtn)
+{
+    const DiffCase param = GetParam();
+    const std::size_t n = param.n;
+    onFarmLanes(param.threads, [&] {
+        Rng rng(909 + n);
+        const graph::WeightedGraph g =
+            graph::randomWeightedConnected(n, n, rng);
+        std::uint64_t max_w = 1;
+        for (const graph::Edge &e : graph::kruskalMsf(g))
+            max_w = std::max(max_w, e.w);
+        for (std::size_t u = 0; u < n; ++u)
+            for (std::size_t v = 0; v < n; ++v)
+                if (g.hasEdge(u, v))
+                    max_w = std::max(max_w, g.weight(u, v));
+        const CostModel cost(DelayModel::Logarithmic,
+                             otn::mstWordFormat(n, max_w));
+        expectBackendsAgree(
+            [&] { return std::make_unique<OrthogonalTreesNetwork>(n, cost); },
+            [&](OrthogonalTreesNetwork &net) {
+                auto r = otn::mstOtn(net, g);
+                EXPECT_EQ(r.edges, graph::kruskalMsf(g));
+                return r.time;
+            });
     });
 }
 
