@@ -1,5 +1,6 @@
 #include "check/cfg.hh"
 
+#include <algorithm>
 #include <set>
 
 namespace ot::check {
@@ -47,15 +48,6 @@ isBuiltinType(const std::string &t)
     return ty.count(t) != 0;
 }
 
-/** Calls that never return: a statement making one exits the flow. */
-bool
-isAbortLike(const std::string &t)
-{
-    return t == "abort" || t == "exit" || t == "_Exit" ||
-           t == "quick_exit" || t == "terminate" ||
-           t == "__builtin_trap" || t == "__builtin_unreachable";
-}
-
 class Parser
 {
   public:
@@ -64,7 +56,7 @@ class Parser
     ParsedFile
     run()
     {
-        parseScope("", false);
+        parseScope(false, false);
         return std::move(_out);
     }
 
@@ -162,47 +154,26 @@ class Parser
         }
     }
 
-    // -- event / call collection --------------------------------------
+    // -- function bodies ----------------------------------------------
 
-    /** Scan tokens in [first, last] for accounting events and call
-     *  sites.  Ranges never straddle a lambda body (the statement
-     *  parser splits around them). */
+    /** Record the call at `j`, if any.  `Type obj(args)` counts as a
+     *  call of Type's constructor, so the call graph sees RAII and
+     *  helper-object construction. */
     void
-    collect(std::size_t first, std::size_t last,
-            std::vector<PairEvent> &events,
-            std::vector<CallSite> &calls) const
+    collectCall(std::size_t j, std::vector<CallSite> &calls) const
     {
-        for (std::size_t j = first; j <= last && j < _t.size(); ++j) {
-            if (!ident(j) || !punct(j + 1, "("))
-                continue;
-            const std::string &name = text(j);
-            if (isCallKeyword(name))
-                continue;
-            const std::string &prev = at(_t, j - 1);
-            bool member = j > 0 && (prev == "." || prev == "->");
-            bool call = member || freeCallContext(_t, j);
-
-            if (call) {
-                for (std::size_t p = 0; p < kNPairs; ++p) {
-                    if (name == kPairs[p].begin)
-                        events.push_back(
-                            {static_cast<int>(p), true, line(j)});
-                    else if (name == kPairs[p].end)
-                        events.push_back(
-                            {static_cast<int>(p), false, line(j)});
-                }
-                calls.push_back({name, line(j), member});
-            } else if (j > 0 && isIdent(_t, j - 1) &&
-                       !isBuiltinType(prev) && !isCallKeyword(prev)) {
-                // `Type obj(args)` — a constructor invocation of
-                // Type; recorded so the call graph sees RAII and
-                // helper-object construction.
-                calls.push_back({prev, line(j), false});
-            }
-        }
+        if (!ident(j) || !punct(j + 1, "("))
+            return;
+        const std::string &name = text(j);
+        if (isCallKeyword(name))
+            return;
+        const std::string &prev = at(_t, j - 1);
+        if (prev == "." || prev == "->" || freeCallContext(_t, j))
+            calls.push_back({name, line(j)});
+        else if (j > 0 && isIdent(_t, j - 1) && !isBuiltinType(prev) &&
+                 !isCallKeyword(prev))
+            calls.push_back({prev, line(j)});
     }
-
-    // -- statement parsing --------------------------------------------
 
     /** Is the `{` at `j` a lambda body?  True when the declarator
      *  before it ends in `]` or in `](params) <specifiers>`. */
@@ -229,289 +200,35 @@ class Parser
         return false;
     }
 
-    /** Parse `( ... )` after a control keyword into `s`'s head
-     *  events/calls.  No-op when the paren is missing. */
-    void
-    parseHead(Stmt &s)
+    /** Scan the body whose `{` is at `open` into `f`: its calls, with
+     *  each lambda body split out as an anonymous function (recorded
+     *  before its encloser).  Returns the index of the closing `}`
+     *  (size() when the file ends first). */
+    std::size_t
+    scanBody(FuncDef f, std::size_t open)
     {
-        if (!punct(_i, "("))
-            return;
-        std::size_t open = _i;
+        f.bodyFirst = open;
         int depth = 0;
-        while (!done()) {
-            if (punct(_i, "("))
-                ++depth;
-            else if (punct(_i, ")") && --depth == 0) {
-                ++_i;
-                break;
-            }
-            ++_i;
-        }
-        std::size_t close = _i > 0 ? _i - 1 : 0;
-        if (close > open + 1) {
-            s.firstTok = open + 1;
-            s.lastTok = close - 1;
-            collect(open + 1, close - 1, s.events, s.calls);
-        }
-    }
-
-    Stmt
-    parseBlock()
-    {
-        Stmt s;
-        s.kind = Stmt::Kind::Seq;
-        s.line = line(_i);
-        while (!done() && !punct(_i, "}")) {
-            std::size_t before = _i;
-            s.children.push_back(parseStmt());
-            if (_i == before)
-                ++_i; // never stall on unrecognized input
-        }
-        if (!done())
-            ++_i; // consume '}'
-        return s;
-    }
-
-    Stmt
-    parseSwitch()
-    {
-        Stmt s;
-        s.kind = Stmt::Kind::Switch;
-        s.line = line(_i);
-        ++_i; // 'switch'
-        parseHead(s);
-        if (!punct(_i, "{")) {
-            // `switch (x) case 0: f();` — rare; treat the single
-            // statement as one section.
-            s.children.push_back(parseStmt());
-            return s;
-        }
-        ++_i;
-        Stmt section;
-        section.kind = Stmt::Kind::Seq;
-        section.line = line(_i);
-        bool nextLabeled = false;
-        auto flush = [&]() {
-            if (!section.children.empty()) {
-                s.children.push_back(std::move(section));
-                section = Stmt();
-                section.kind = Stmt::Kind::Seq;
-                section.line = line(_i);
-            }
-        };
-        while (!done() && !punct(_i, "}")) {
-            if (text(_i) == "case") {
-                flush();
-                while (!done() && !punct(_i, ":"))
-                    ++_i;
-                if (!done())
-                    ++_i;
-                nextLabeled = true;
-                continue;
-            }
-            if (text(_i) == "default" && punct(_i + 1, ":")) {
-                flush();
-                s.hasDefault = true;
-                _i += 2;
-                nextLabeled = true;
-                continue;
-            }
-            std::size_t before = _i;
-            Stmt st = parseStmt();
-            if (_i == before) {
-                ++_i;
-                continue;
-            }
-            st.labeled = st.labeled || nextLabeled;
-            nextLabeled = false;
-            section.children.push_back(std::move(st));
-        }
-        if (!section.children.empty())
-            s.children.push_back(std::move(section));
-        if (!done())
-            ++_i; // consume '}'
-        return s;
-    }
-
-    /** Consume an expression statement up to `;`, splitting around
-     *  lambda bodies (parsed as separate anonymous functions). */
-    Stmt
-    parseExprStmt(Stmt::Kind kind)
-    {
-        Stmt s;
-        s.kind = kind;
-        s.line = line(_i);
-        s.firstTok = _i;
-        std::size_t segStart = _i;
-        int paren = 0, brace = 0;
-        while (!done()) {
-            if (punct(_i, "(")) {
-                ++paren;
-            } else if (punct(_i, ")")) {
-                if (paren > 0)
-                    --paren;
-            } else if (punct(_i, "{")) {
-                if (brace == 0 && isLambdaBrace(_i)) {
-                    if (_i > segStart)
-                        collect(segStart, _i - 1, s.events, s.calls);
-                    ++_i;
+        std::size_t j = open + 1;
+        for (; j < size(); ++j) {
+            if (punct(j, "{")) {
+                if (isLambdaBrace(j)) {
                     FuncDef lam;
-                    lam.bodyFirst = _i > 0 ? _i - 1 : 0;
-                    lam.line = line(_i);
-                    lam.body = parseBlock();
-                    lam.bodyLast = _i > 0 ? _i - 1 : 0;
-                    finalize(std::move(lam));
-                    segStart = _i;
-                    continue;
+                    lam.line = line(j + 1);
+                    j = scanBody(std::move(lam), j);
+                } else {
+                    ++depth;
                 }
-                ++brace;
-            } else if (punct(_i, "}")) {
-                if (brace == 0)
-                    break; // enclosing block end; leave it
-                --brace;
-            } else if (punct(_i, ";") && paren == 0 && brace == 0) {
-                break;
+            } else if (punct(j, "}")) {
+                if (depth-- == 0)
+                    break;
+            } else {
+                collectCall(j, f.calls);
             }
-            ++_i;
         }
-        if (_i > segStart)
-            collect(segStart, _i - 1, s.events, s.calls);
-        s.lastTok = _i > 0 ? _i - 1 : 0;
-        if (punct(_i, ";"))
-            ++_i;
-        if (s.kind == Stmt::Kind::Simple)
-            for (const CallSite &c : s.calls)
-                if (!c.member && isAbortLike(c.name))
-                    s.kind = Stmt::Kind::Exit;
-        return s;
-    }
-
-    Stmt
-    parseStmt()
-    {
-        const std::string &t = text(_i);
-
-        if (punct(_i, "{")) {
-            ++_i;
-            return parseBlock();
-        }
-        if (punct(_i, ";")) {
-            Stmt s;
-            s.kind = Stmt::Kind::Simple;
-            s.line = line(_i);
-            ++_i;
-            return s;
-        }
-        if (t == "if") {
-            Stmt s;
-            s.kind = Stmt::Kind::If;
-            s.line = line(_i);
-            ++_i;
-            if (text(_i) == "constexpr")
-                ++_i;
-            parseHead(s);
-            s.children.push_back(parseStmt());
-            if (text(_i) == "else") {
-                ++_i;
-                s.hasElse = true;
-                s.children.push_back(parseStmt());
-            }
-            return s;
-        }
-        if (t == "while" || t == "for") {
-            Stmt s;
-            s.kind = Stmt::Kind::Loop;
-            s.line = line(_i);
-            ++_i;
-            parseHead(s);
-            s.children.push_back(parseStmt());
-            return s;
-        }
-        if (t == "do") {
-            Stmt s;
-            s.kind = Stmt::Kind::Loop;
-            s.isDoWhile = true;
-            s.line = line(_i);
-            ++_i;
-            s.children.push_back(parseStmt());
-            if (text(_i) == "while") {
-                ++_i;
-                parseHead(s);
-            }
-            if (punct(_i, ";"))
-                ++_i;
-            return s;
-        }
-        if (t == "switch")
-            return parseSwitch();
-        if (t == "return" || t == "co_return") {
-            ++_i;
-            Stmt s = parseExprStmt(Stmt::Kind::Return);
-            return s;
-        }
-        if (t == "throw" || t == "goto") {
-            ++_i;
-            return parseExprStmt(Stmt::Kind::Exit);
-        }
-        if (t == "break") {
-            Stmt s;
-            s.kind = Stmt::Kind::Break;
-            s.line = line(_i);
-            ++_i;
-            if (punct(_i, ";"))
-                ++_i;
-            return s;
-        }
-        if (t == "continue") {
-            Stmt s;
-            s.kind = Stmt::Kind::Continue;
-            s.line = line(_i);
-            ++_i;
-            if (punct(_i, ";"))
-                ++_i;
-            return s;
-        }
-        if (t == "try") {
-            Stmt s;
-            s.kind = Stmt::Kind::Try;
-            s.line = line(_i);
-            ++_i;
-            if (punct(_i, "{")) {
-                ++_i;
-                s.children.push_back(parseBlock());
-            }
-            while (text(_i) == "catch") {
-                ++_i;
-                Stmt head; // discard handler parameter
-                parseHead(head);
-                if (punct(_i, "{")) {
-                    ++_i;
-                    s.children.push_back(parseBlock());
-                }
-            }
-            return s;
-        }
-        // `label: stmt` — the labeled statement is a jump target and
-        // therefore reachable no matter what precedes it.
-        if (ident(_i) && punct(_i + 1, ":") && t != "case" &&
-            t != "default" && t != "public" && t != "private" &&
-            t != "protected") {
-            _i += 2;
-            Stmt s = parseStmt();
-            s.labeled = true;
-            return s;
-        }
-        if (t == "case" || t == "default") {
-            // Stray label outside a recognized switch body.
-            while (!done() && !punct(_i, ":"))
-                ++_i;
-            if (!done())
-                ++_i;
-            Stmt s = parseStmt();
-            s.labeled = true;
-            return s;
-        }
-        return parseExprStmt(Stmt::Kind::Simple);
+        f.bodyLast = std::min(j, size() - 1);
+        _out.funcs.push_back(std::move(f));
+        return j;
     }
 
     // -- declaration scope parsing ------------------------------------
@@ -523,50 +240,28 @@ class Parser
             _out.decls.push_back({name, ln});
     }
 
-    /** Flatten the per-statement call lists of a body tree. */
-    void
-    flattenCalls(const Stmt &s, std::vector<CallSite> &out) const
+    /** The function name left of the parameter-list `(` ("" when
+     *  none is recognizable). */
+    std::string
+    extractFuncName(std::size_t firstParen, std::size_t start) const
     {
-        out.insert(out.end(), s.calls.begin(), s.calls.end());
-        for (const Stmt &c : s.children)
-            flattenCalls(c, out);
-    }
-
-    void
-    finalize(FuncDef f)
-    {
-        flattenCalls(f.body, f.calls);
-        _out.funcs.push_back(std::move(f));
-    }
-
-    /** Extract the function name left of the parameter-list `(`. */
-    void
-    extractFuncName(std::size_t firstParen, std::size_t start,
-                    std::string &name, std::string &classQual,
-                    bool &isDtor) const
-    {
-        name.clear();
-        classQual.clear();
-        isDtor = false;
         if (firstParen <= start)
-            return;
+            return "";
         std::size_t k = firstParen - 1;
         if (ident(k)) {
-            name = text(k);
+            const std::string &name = text(k);
             if (name == "operator") {
                 // `operator()` — the parameter list is the second
                 // paren pair; the first is the symbol itself.
-                name = "operator()";
-            } else if (k > start && text(k - 1) == "operator") {
-                name = "operator " + name; // conversion operator
-                --k;
-            } else if (k > start && punct(k - 1, "~")) {
-                isDtor = true;
-                name = "~" + name;
-                --k;
+                return "operator()";
             }
-        } else if (_t[k].kind == Token::Kind::Punct &&
-                   text(k) != "::") {
+            if (k > start && text(k - 1) == "operator")
+                return "operator " + name; // conversion operator
+            if (k > start && punct(k - 1, "~"))
+                return "~" + name;
+            return name;
+        }
+        if (_t[k].kind == Token::Kind::Punct && text(k) != "::") {
             // operator+ / operator[] / operator() — collect the
             // punctuation run back to the keyword.
             std::string op;
@@ -574,19 +269,13 @@ class Parser
                    text(k) != "::")
                 op = text(k--) + op;
             if (text(k) == "operator")
-                name = "operator" + op;
-            else
-                return;
-        } else {
-            return;
+                return "operator" + op;
         }
-        // Innermost `Class::` qualifier, for out-of-line members.
-        if (k >= start + 2 && text(k - 1) == "::" && ident(k - 2))
-            classQual = text(k - 2);
+        return "";
     }
 
     void
-    parseClassLike(const std::string &className)
+    parseClassLike(bool inClass)
     {
         ++_i; // class/struct/union
         while (punct(_i, "[")) { // attributes
@@ -619,7 +308,7 @@ class Parser
                 return; // forward declaration
             } else if (punct(_i, "{") && angle == 0) {
                 ++_i;
-                parseScope(name.empty() ? className : name, true);
+                parseScope(inClass || !name.empty(), true);
                 skipToSemicolon(); // trailing declarators
                 return;
             } else if (punct(_i, "}")) {
@@ -670,7 +359,7 @@ class Parser
     }
 
     void
-    parseDeclOrFunc(const std::string &className)
+    parseDeclOrFunc(bool inClass)
     {
         std::size_t start = _i;
         std::size_t firstParen = std::string::npos;
@@ -740,11 +429,8 @@ class Parser
                           (eqPos == std::string::npos ||
                            eqPos > firstParen);
             if (fnDecl) {
-                std::string classQual;
-                bool isDtor = false;
-                extractFuncName(firstParen, start, name, classQual,
-                                isDtor);
-            } else if (!className.empty()) {
+                name = extractFuncName(firstParen, start);
+            } else if (inClass) {
                 // Data members are accessed through an object, never
                 // by bare name from another file; exporting them
                 // would only pollute the symbol graph (`pair`, `x`).
@@ -781,7 +467,7 @@ class Parser
         // was seen.
         if (firstParen == std::string::npos) {
             std::size_t close = matchBrace(j);
-            if (className.empty())
+            if (!inClass)
                 for (std::size_t k = j; k-- > start;)
                     if (ident(k) && !isCallKeyword(text(k))) {
                         recordDecl(text(k), line(start));
@@ -793,25 +479,15 @@ class Parser
         }
 
         FuncDef f;
-        bool isDtor = false;
-        std::string classQual;
-        extractFuncName(firstParen, start, f.name, classQual, isDtor);
-        f.className = classQual.empty() ? className : classQual;
-        f.isDtor = isDtor;
-        f.isCtor = !f.className.empty() && f.name == f.className;
+        f.name = extractFuncName(firstParen, start);
         f.isVirtual = sawVirtual;
         f.line = line(firstParen);
-        f.bodyFirst = j;
-        _i = j + 1;
-        f.body = parseBlock();
-        f.bodyLast = _i > 0 ? _i - 1 : 0;
-        if (!f.name.empty())
-            recordDecl(f.name, f.line);
-        finalize(std::move(f));
+        recordDecl(f.name, f.line);
+        _i = std::min(scanBody(std::move(f), j) + 1, size());
     }
 
     void
-    parseScope(const std::string &className, bool untilBrace)
+    parseScope(bool inClass, bool untilBrace)
     {
         while (!done()) {
             const std::string &t = text(_i);
@@ -831,7 +507,7 @@ class Parser
                     ++_i;
                 if (punct(_i, "{")) {
                     ++_i;
-                    parseScope("", true);
+                    parseScope(false, true);
                 } else {
                     skipToSemicolon(); // namespace alias
                 }
@@ -839,14 +515,14 @@ class Parser
             }
             if (t == "extern" && punct(_i + 1, "{")) {
                 _i += 2; // extern "C" { — the literal is stripped
-                parseScope(className, true);
+                parseScope(inClass, true);
                 continue;
             }
             if (t == "class" || t == "struct" || t == "union") {
                 // `struct Foo x;` / `class Foo *p` declarators are
                 // rare at audited scopes; treat every head as a
                 // definition or forward declaration.
-                parseClassLike(className);
+                parseClassLike(inClass);
                 continue;
             }
             if (t == "enum") {
@@ -917,7 +593,7 @@ class Parser
                 continue;
             }
             std::size_t before = _i;
-            parseDeclOrFunc(className);
+            parseDeclOrFunc(inClass);
             if (_i == before)
                 ++_i; // never stall
         }

@@ -139,7 +139,6 @@ checkProject(const std::vector<SourceFile> &files, RunStats *stats)
     if (stats) {
         stats->projectRulesMs = msSince(t2);
         stats->functionsAnalyzed = prs.functionsAnalyzed;
-        stats->summaryEvaluations = prs.summaryEvaluations;
         stats->taintRounds = prs.taintRounds;
     }
 
@@ -269,7 +268,6 @@ renderStatsText(const RunStats &stats)
     std::ostringstream out;
     out << "files: " << stats.files << "\n"
         << "functions-analyzed: " << stats.functionsAnalyzed << "\n"
-        << "summary-evaluations: " << stats.summaryEvaluations << "\n"
         << "taint-rounds: " << stats.taintRounds << "\n"
         << "lex-parse-ms: " << fmtMs(stats.lexParseMs) << "\n"
         << "file-rules-ms: " << fmtMs(stats.fileRulesMs) << "\n"
@@ -285,8 +283,6 @@ renderStatsJson(const RunStats &stats)
     out << "{\n"
         << " \"files\": " << stats.files << ",\n"
         << " \"functionsAnalyzed\": " << stats.functionsAnalyzed
-        << ",\n"
-        << " \"summaryEvaluations\": " << stats.summaryEvaluations
         << ",\n"
         << " \"taintRounds\": " << stats.taintRounds << ",\n"
         << " \"lexParseMs\": " << fmtMs(stats.lexParseMs) << ",\n"

@@ -41,12 +41,11 @@ struct RunStats
 {
     std::size_t files = 0;
     std::size_t functionsAnalyzed = 0;
-    std::size_t summaryEvaluations = 0; ///< accounting fixpoint work
-    std::size_t taintRounds = 0;        ///< taint fixpoint sweeps
+    std::size_t taintRounds = 0; ///< taint fixpoint sweeps
     double lexParseMs = 0.0;  ///< lex + parse, all files
     double fileRulesMs = 0.0; ///< single-file rule passes
-    double projectRulesMs = 0.0; ///< cross-file passes (summaries,
-                                 ///< taint, graphs)
+    double projectRulesMs = 0.0; ///< cross-file passes (taint,
+                                 ///< graphs)
     double totalMs = 0.0;
 };
 

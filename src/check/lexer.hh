@@ -3,7 +3,7 @@
  * C++ token scanner for otcheck.
  *
  * otcheck's rules work on a token stream, not an AST: the invariants
- * they enforce (banned identifiers, include edges, call pairing) are
+ * they enforce (banned identifiers, include edges, call sites) are
  * all visible at the lexical level, and a lexer has no build-flag or
  * header-resolution dependencies, so the checker runs in milliseconds
  * over the whole tree and never disagrees with the compiler about

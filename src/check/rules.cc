@@ -1,13 +1,11 @@
 #include "check/rules.hh"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <set>
 
 #include "check/callgraph.hh"
 #include "check/dataflow.hh"
-#include "check/summaries.hh"
 #include "check/symgraph.hh"
 
 namespace ot::check {
@@ -369,544 +367,6 @@ runIntrinsics(const FileContext &ctx, std::vector<Diagnostic> &out)
 }
 
 // ---------------------------------------------------------------------
-// accounting: path-sensitive begin/end balance over the parsed CFG
-// ---------------------------------------------------------------------
-
-/** Sum a subtree's events per pair (begin +1, end -1). */
-void
-sumEvents(const Stmt &s, std::array<int, kNPairs> &net)
-{
-    for (const PairEvent &e : s.events)
-        net[e.pair] += e.begin ? 1 : -1;
-    for (const Stmt &c : s.children)
-        sumEvents(c, net);
-}
-
-bool
-hasEvents(const Stmt &s)
-{
-    if (!s.events.empty())
-        return true;
-    for (const Stmt &c : s.children)
-        if (hasEvents(c))
-            return true;
-    return false;
-}
-
-/** First event line of `pair` in the subtree (begin or end per
- *  `wantBegin`), or 0. */
-int
-findEventLine(const Stmt &s, int pair, bool wantBegin)
-{
-    for (const PairEvent &e : s.events)
-        if (e.pair == pair && e.begin == wantBegin)
-            return e.line;
-    for (const Stmt &c : s.children) {
-        int l = findEventLine(c, pair, wantBegin);
-        if (l)
-            return l;
-    }
-    return 0;
-}
-
-/** RAII classification of one file's classes: a class whose ctor
- *  nets +1 and dtor nets -1 on a pair carries that pair by design. */
-struct RaiiPairs
-{
-    std::array<bool, kNPairs> ctorOpens{};
-    std::array<bool, kNPairs> dtorCloses{};
-
-    bool
-    raii(std::size_t p) const
-    {
-        return ctorOpens[p] && dtorCloses[p];
-    }
-};
-
-std::map<std::string, RaiiPairs>
-classifyRaii(const ParsedFile &parsed)
-{
-    std::map<std::string, RaiiPairs> out;
-    for (const FuncDef &f : parsed.funcs) {
-        if (f.className.empty() || (!f.isCtor && !f.isDtor))
-            continue;
-        std::array<int, kNPairs> net{};
-        sumEvents(f.body, net);
-        for (std::size_t p = 0; p < kNPairs; ++p) {
-            if (f.isCtor && net[p] == 1)
-                out[f.className].ctorOpens[p] = true;
-            if (f.isDtor && net[p] == -1)
-                out[f.className].dtorCloses[p] = true;
-        }
-    }
-    return out;
-}
-
-/**
- * Path-sensitive evaluator for one function body.  A state is the
- * vector of open counts per pair; branching forks the state set,
- * joins union it.  Loops are evaluated for one symbolic iteration:
- * the iteration must be balance-neutral or the imbalance compounds.
- * The state set and the counts are capped; an overflow abandons the
- * function silently (conservative: no diagnostics from code too
- * tangled to prove).
- *
- * Call sites fold in interprocedural summaries: a call whose
- * candidates agree on a Known net delta applies that delta to the
- * open counts (after the statement's own events), so a helper that
- * opens a phase for its caller to close — or vice versa — is proven
- * instead of flagged.  Top/Inconsistent callees apply 0, which is
- * exactly the pre-summary behavior.
- */
-class PhaseFlow
-{
-  public:
-    PhaseFlow(const FileContext &ctx, const FuncDef &func,
-              const std::array<bool, kNPairs> &skipLeak,
-              const std::array<bool, kNPairs> &skipUnderflow,
-              const SummaryTable &table)
-        : _ctx(ctx), _func(func), _skipLeak(skipLeak),
-          _skipUnderflow(skipUnderflow), _table(table)
-    {
-    }
-
-    void
-    run(std::vector<Diagnostic> &out)
-    {
-        States entry;
-        entry.insert(State{});
-        Flow f = eval(_func.body, entry);
-        if (_bailed)
-            return;
-        // Whatever completes the function normally (or dangles on a
-        // stray break/continue) must hold nothing open.
-        States end = f.normal;
-        end.insert(f.brk.begin(), f.brk.end());
-        end.insert(f.cont.begin(), f.cont.end());
-        for (std::size_t p = 0; p < kNPairs; ++p) {
-            if (_skipLeak[p])
-                continue;
-            for (const State &s : end) {
-                if (s[p] <= 0)
-                    continue;
-                int line = _lastBeginLine[p]
-                               ? _lastBeginLine[p]
-                               : _func.line;
-                note(p, line,
-                     std::string(kPairs[p].begin) +
-                         " never closed before the function ends",
-                     std::string("call ") + kPairs[p].end +
-                         " on every path, or use the RAII wrapper "
-                         "(sim::ScopedPhase)");
-                break;
-            }
-        }
-        if (!_bailed)
-            out.insert(out.end(), _diags.begin(), _diags.end());
-    }
-
-  private:
-    using State = std::array<int, kNPairs>;
-    using States = std::set<State>;
-
-    struct Flow
-    {
-        States normal, brk, cont;
-    };
-
-    static constexpr int kMaxCount = 4;
-    static constexpr std::size_t kMaxStates = 32;
-
-    const FileContext &_ctx;
-    const FuncDef &_func;
-    std::array<bool, kNPairs> _skipLeak;
-    std::array<bool, kNPairs> _skipUnderflow;
-    const SummaryTable &_table;
-    bool _bailed = false;
-    std::array<int, kNPairs> _lastBeginLine{};
-    std::set<std::pair<std::size_t, int>> _noted; // (pair, line)
-    std::vector<Diagnostic> _diags;
-
-    void
-    note(std::size_t pair, int line, const std::string &message,
-         const std::string &hint)
-    {
-        if (!_noted.insert({pair, line}).second)
-            return;
-        emit(_diags, _ctx, line, "accounting", message, hint);
-    }
-
-    States
-    apply(const States &in, const Stmt &stmt)
-    {
-        // Callee deltas for this statement, resolved once from the
-        // summary table; Top/Inconsistent candidates contribute 0.
-        struct CallDelta
-        {
-            std::array<int, kNPairs> net{};
-            const CallSite *site = nullptr;
-        };
-        std::vector<CallDelta> callDeltas;
-        for (const CallSite &c : stmt.calls) {
-            CallDelta cd;
-            cd.site = &c;
-            bool any = false;
-            for (std::size_t p = 0; p < kNPairs; ++p) {
-                PairDelta d = _table.callDelta(c.name, p);
-                if (d.kind == PairDelta::Kind::Known && d.net != 0) {
-                    cd.net[p] = d.net;
-                    any = true;
-                }
-            }
-            if (any)
-                callDeltas.push_back(cd);
-        }
-        if (stmt.events.empty() && callDeltas.empty())
-            return in;
-
-        States out;
-        for (State s : in) {
-            for (const PairEvent &e : stmt.events) {
-                std::size_t p = static_cast<std::size_t>(e.pair);
-                if (e.begin) {
-                    if (s[p] < kMaxCount)
-                        ++s[p];
-                    _lastBeginLine[p] = e.line;
-                } else if (s[p] > 0) {
-                    --s[p];
-                } else if (!_skipUnderflow[p]) {
-                    note(p, e.line,
-                         std::string(kPairs[p].end) +
-                             " without a matching " + kPairs[p].begin +
-                             " in this function",
-                         "balance the pair within one function body");
-                }
-            }
-            for (const CallDelta &cd : callDeltas) {
-                for (std::size_t p = 0; p < kNPairs; ++p) {
-                    if (cd.net[p] > 0) {
-                        s[p] = std::min(s[p] + cd.net[p], kMaxCount);
-                        _lastBeginLine[p] = cd.site->line;
-                    } else if (cd.net[p] < 0) {
-                        if (s[p] + cd.net[p] >= 0) {
-                            s[p] += cd.net[p];
-                        } else {
-                            if (!_skipUnderflow[p])
-                                note(p, cd.site->line,
-                                     "call to '" + cd.site->name +
-                                         "' closes " +
-                                         kPairs[p].begin +
-                                         " that is not open on this "
-                                         "path",
-                                     "open the pair before the call, "
-                                     "or balance it inside the "
-                                     "callee");
-                            s[p] = 0;
-                        }
-                    }
-                }
-            }
-            out.insert(s);
-        }
-        if (out.size() > kMaxStates)
-            _bailed = true;
-        return out;
-    }
-
-    void
-    checkReturn(const States &in, int line)
-    {
-        for (std::size_t p = 0; p < kNPairs; ++p) {
-            if (_skipLeak[p])
-                continue;
-            for (const State &s : in) {
-                if (s[p] <= 0)
-                    continue;
-                note(p, line,
-                     std::string("return with ") + kPairs[p].begin +
-                         " still open on this path",
-                     std::string("call ") + kPairs[p].end +
-                         " first, or use the RAII wrapper "
-                         "(sim::ScopedPhase)");
-                break;
-            }
-        }
-    }
-
-    static States
-    merge(const States &a, const States &b)
-    {
-        States out = a;
-        out.insert(b.begin(), b.end());
-        return out;
-    }
-
-    /** One symbolic loop iteration must leave the counts unchanged,
-     *  or iterations compound the imbalance. */
-    void
-    checkLoopCarried(const Stmt &s, const States &entry,
-                     const States &afterOne)
-    {
-        if (afterOne.empty() || afterOne == entry)
-            return;
-        for (std::size_t p = 0; p < kNPairs; ++p) {
-            int maxEntry = 0, maxAfter = 0;
-            for (const State &st : entry)
-                maxEntry = std::max(maxEntry, st[p]);
-            for (const State &st : afterOne)
-                maxAfter = std::max(maxAfter, st[p]);
-            if (maxAfter > maxEntry) {
-                int line = findEventLine(s, static_cast<int>(p), true);
-                note(p, line ? line : s.line,
-                     std::string(kPairs[p].begin) +
-                         " opened in a loop body is still open when "
-                         "the iteration ends; phases accumulate "
-                         "across iterations",
-                     "close the pair within the iteration, or hoist "
-                     "it out of the loop");
-            } else if (maxAfter < maxEntry) {
-                int line =
-                    findEventLine(s, static_cast<int>(p), false);
-                note(p, line ? line : s.line,
-                     std::string(kPairs[p].end) +
-                         " in a loop body closes a phase opened "
-                         "outside the loop; a later iteration "
-                         "underflows",
-                     "balance the pair within the iteration");
-            }
-        }
-    }
-
-    Flow
-    eval(const Stmt &s, const States &in)
-    {
-        Flow f;
-        if (_bailed || in.empty()) {
-            return f;
-        }
-        switch (s.kind) {
-        case Stmt::Kind::Seq: {
-            States cur = in;
-            for (const Stmt &c : s.children) {
-                Flow cf = eval(c, cur);
-                cur = cf.normal;
-                f.brk = merge(f.brk, cf.brk);
-                f.cont = merge(f.cont, cf.cont);
-                if (_bailed)
-                    return f;
-            }
-            f.normal = cur;
-            return f;
-        }
-        case Stmt::Kind::Simple:
-            f.normal = apply(in, s);
-            return f;
-        case Stmt::Kind::Return: {
-            States after = apply(in, s);
-            checkReturn(after, s.line);
-            return f;
-        }
-        case Stmt::Kind::Exit:
-            // throw/abort paths are exempt: the process or the
-            // exception machinery owns cleanup there.
-            apply(in, s);
-            return f;
-        case Stmt::Kind::Break:
-            f.brk = in;
-            return f;
-        case Stmt::Kind::Continue:
-            f.cont = in;
-            return f;
-        case Stmt::Kind::If: {
-            States head = apply(in, s);
-            Flow t = s.children.empty()
-                         ? Flow{head, {}, {}}
-                         : eval(s.children[0], head);
-            Flow e = (s.hasElse && s.children.size() > 1)
-                         ? eval(s.children[1], head)
-                         : Flow{head, {}, {}};
-            f.normal = merge(t.normal, e.normal);
-            f.brk = merge(t.brk, e.brk);
-            f.cont = merge(t.cont, e.cont);
-            return f;
-        }
-        case Stmt::Kind::Loop: {
-            States head =
-                s.isDoWhile ? in : apply(in, s);
-            Flow b = s.children.empty()
-                         ? Flow{head, {}, {}}
-                         : eval(s.children[0], head);
-            States afterOne = merge(b.normal, b.cont);
-            if (s.isDoWhile)
-                afterOne = apply(afterOne, s);
-            checkLoopCarried(s, head, afterOne);
-            // Zero iterations (head), one-plus iterations
-            // (afterOne), or a break out of the body.
-            f.normal = merge(merge(s.isDoWhile ? States{} : head,
-                                   afterOne),
-                             b.brk);
-            return f;
-        }
-        case Stmt::Kind::Switch: {
-            States head = apply(in, s);
-            States exitNormal = s.hasDefault ? States{} : head;
-            States carry; // fallthrough from the previous section
-            for (const Stmt &sec : s.children) {
-                Flow cf = eval(sec, merge(head, carry));
-                carry = cf.normal;
-                exitNormal = merge(exitNormal, cf.brk);
-                f.cont = merge(f.cont, cf.cont);
-                if (_bailed)
-                    return f;
-            }
-            f.normal = merge(exitNormal, carry);
-            return f;
-        }
-        case Stmt::Kind::Try: {
-            // Handlers are approximated as entered from the try
-            // entry: an exception can fire before any event runs.
-            for (std::size_t i = 0; i < s.children.size(); ++i) {
-                Flow cf = eval(s.children[i], in);
-                f.normal = merge(f.normal, cf.normal);
-                f.brk = merge(f.brk, cf.brk);
-                f.cont = merge(f.cont, cf.cont);
-                if (_bailed)
-                    return f;
-            }
-            if (s.children.empty())
-                f.normal = in;
-            return f;
-        }
-        }
-        f.normal = in;
-        return f;
-    }
-};
-
-/** Does any call in `f` carry a nonzero Known delta?  Functions with
- *  no events of their own still need evaluation when a callee opens
- *  or closes on their behalf. */
-bool
-hasDeltaCalls(const FuncDef &f, const SummaryTable &table)
-{
-    for (const CallSite &c : f.calls)
-        for (std::size_t p = 0; p < kNPairs; ++p) {
-            PairDelta d = table.callDelta(c.name, p);
-            if (d.kind == PairDelta::Kind::Known && d.net != 0)
-                return true;
-        }
-    return false;
-}
-
-void
-runAccounting(const std::vector<FileContext> &ctxs,
-              const SummaryTable &table, std::vector<Diagnostic> &out)
-{
-    for (const FileContext &ctx : ctxs) {
-        std::map<std::string, RaiiPairs> raii =
-            classifyRaii(ctx.parsed);
-        for (const FuncDef &f : ctx.parsed.funcs) {
-            if (!hasEvents(f.body) && !hasDeltaCalls(f, table))
-                continue;
-            std::array<bool, kNPairs> skipLeak{};
-            std::array<bool, kNPairs> skipUnderflow{};
-            auto it = raii.find(f.className);
-            if (it != raii.end()) {
-                for (std::size_t p = 0; p < kNPairs; ++p) {
-                    if (!it->second.raii(p))
-                        continue;
-                    // The ctor's +1 / dtor's -1 IS the pairing: the
-                    // open phase is the object's invariant, not a
-                    // leak.
-                    if (f.isCtor)
-                        skipLeak[p] = true;
-                    if (f.isDtor)
-                        skipUnderflow[p] = true;
-                }
-            }
-            // Opener/closer helpers: a named non-RAII function whose
-            // exit paths agree on a nonzero net, and whose name is
-            // actually called somewhere in the run, balances across
-            // its call edge — the callers' evaluations (which fold in
-            // the summary delta) prove the pairing instead.
-            if (!f.isCtor && !f.isDtor && !f.name.empty() &&
-                table.calledNames.count(f.name)) {
-                auto sit = table.funcs.find(&f);
-                if (sit != table.funcs.end()) {
-                    for (std::size_t p = 0; p < kNPairs; ++p) {
-                        const PairDelta &d = sit->second.pairs[p];
-                        if (d.kind != PairDelta::Kind::Known)
-                            continue;
-                        if (d.net > 0)
-                            skipLeak[p] = true;
-                        else if (d.net < 0)
-                            skipUnderflow[p] = true;
-                    }
-                }
-            }
-            PhaseFlow(ctx, f, skipLeak, skipUnderflow, table)
-                .run(out);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// unreachable: statements after an unconditional exit
-// ---------------------------------------------------------------------
-
-bool
-terminates(const Stmt &s)
-{
-    switch (s.kind) {
-    case Stmt::Kind::Return:
-    case Stmt::Kind::Exit:
-    case Stmt::Kind::Break:
-    case Stmt::Kind::Continue:
-        return true;
-    case Stmt::Kind::Seq:
-        for (const Stmt &c : s.children)
-            if (terminates(c))
-                return true;
-        return false;
-    case Stmt::Kind::If:
-        return s.hasElse && s.children.size() > 1 &&
-               terminates(s.children[0]) && terminates(s.children[1]);
-    default:
-        return false; // loops/switch/try: conservatively fall through
-    }
-}
-
-void
-walkUnreachable(const FileContext &ctx, const Stmt &s,
-                std::vector<Diagnostic> &out)
-{
-    if (s.kind == Stmt::Kind::Seq) {
-        bool dead = false;
-        bool flagged = false;
-        for (const Stmt &c : s.children) {
-            if (dead && !flagged && !c.labeled) {
-                emit(out, ctx, c.line, "unreachable",
-                     "statement is unreachable: every path above has "
-                     "already left the block",
-                     "delete it, or restructure the control flow");
-                flagged = true; // first casualty per block is enough
-            }
-            if (!dead && terminates(c))
-                dead = true;
-        }
-    }
-    for (const Stmt &c : s.children)
-        walkUnreachable(ctx, c, out);
-}
-
-void
-runUnreachable(const FileContext &ctx, std::vector<Diagnostic> &out)
-{
-    for (const FuncDef &f : ctx.parsed.funcs)
-        walkUnreachable(ctx, f.body, out);
-}
-
-// ---------------------------------------------------------------------
 // hotpath-propagation: transitive hotpath cleanliness over the call
 // graph
 // ---------------------------------------------------------------------
@@ -1195,17 +655,6 @@ ruleCatalog()
          "(orthotree/...) are banned inside src/.",
          "layer 'sim' may not include 'otn/network.hh'",
          "never — fix the dependency direction instead", true},
-        {"accounting",
-         "beginPhase/endPhase and spanBegin/spanEnd must balance on "
-         "every control-flow path",
-         "Path-sensitive evaluation of each function's statement "
-         "tree, with RAII wrappers recognized (ctor +1 / dtor -1) "
-         "and interprocedural net-delta summaries folded in at call "
-         "sites, fixpointed over the call graph (conservative Top on "
-         "recursion and opaque bodies).",
-         "beginPhase never closed before the function ends",
-         "for pairing schemes the summary lattice cannot express, "
-         "e.g. deltas routed through function pointers", true},
         {"hotpath",
          "Hotpath-marked files may not use std::function, virtual "
          "or heap allocation",
@@ -1234,14 +683,6 @@ ruleCatalog()
          "referenced",
          "for includes kept for documentation or platform-gated "
          "code the scanner cannot see", true},
-        {"unreachable",
-         "No statements after an unconditional return/throw/abort",
-         "Statement-tree walk: inside each block, any statement "
-         "after an unconditionally terminating one (and not a label "
-         "target) is dead.",
-         "statement is unreachable: every path above has already "
-         "left the block",
-         "never — delete the dead code", true},
         {"allow-syntax",
          "allow() markers must name a known rule and carry a "
          "justification",
@@ -1254,7 +695,7 @@ ruleCatalog()
          "After filtering, any well-formed marker with zero "
          "suppressions is stale; not allowable, or escapes could "
          "outlive their reason.",
-         "otcheck:allow(accounting) no longer suppresses anything",
+         "otcheck:allow(determinism) no longer suppresses anything",
          "never", false},
         {"intrinsics",
          "Raw SIMD intrinsics are confined to the simd layer; "
@@ -1309,7 +750,6 @@ runFileRules(const FileContext &ctx)
     runHotpath(ctx, raw);
     if (ctx.layer != "simd")
         runIntrinsics(ctx, raw);
-    runUnreachable(ctx, raw);
     return raw;
 }
 
@@ -1320,8 +760,6 @@ runProjectRules(const std::vector<FileContext> &ctxs,
     std::vector<Diagnostic> out;
     SymGraph sg = buildSymGraph(ctxs);
     CallGraph cg = buildCallGraph(ctxs);
-    SummaryTable summaries = buildSummaries(ctxs);
-    runAccounting(ctxs, summaries, out);
     runHotpathPropagation(ctxs, cg, out);
     runIncludeHygiene(ctxs, sg, out);
     std::size_t taintRounds = 0;
@@ -1329,7 +767,6 @@ runProjectRules(const std::vector<FileContext> &ctxs,
     if (stats) {
         for (const FileContext &ctx : ctxs)
             stats->functionsAnalyzed += ctx.parsed.funcs.size();
-        stats->summaryEvaluations = summaries.evaluations;
         stats->taintRounds = taintRounds;
     }
     return out;

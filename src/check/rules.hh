@@ -14,14 +14,6 @@
  *   layering    — `#include` edges must follow the layer DAG (see
  *                 DESIGN.md); no back-edges, and no
  *                 include/orthotree umbrella includes from src/.
- *   accounting  — TimeAccountant::beginPhase/endPhase (and any
- *                 spanBegin/spanEnd pairing) must balance on every
- *                 control-flow path through a function body: the
- *                 per-function CFG is walked path-sensitively, so
- *                 early returns, branches, switch fallthrough and
- *                 loop-carried imbalance are all proven, and RAII
- *                 wrappers (ctor net +1, dtor net -1) are recognized
- *                 without escapes.
  *   hotpath     — files carrying the hotpath marker may not mention
  *                 std::function, `virtual`, or heap-allocation
  *                 tokens (new/malloc/make_unique/...).
@@ -35,8 +27,6 @@
  *                 symbol with a unique declaring header must include
  *                 that header directly rather than rely on an
  *                 unrelated transitive path.
- *   unreachable — no statements after an unconditional
- *                 return/throw/abort in a block.
  *   intrinsics  — raw SIMD intrinsics (intrinsic headers, _mm* /
  *                 __m* and NEON names) only inside src/simd.
  *   determinism-taint — interprocedural form of determinism: a
@@ -49,11 +39,9 @@
  *                 witness chain, so wrapper laundering cannot escape
  *                 the flat token scan.
  *
- * Accounting is additionally interprocedural: per-function net
- * begin/end deltas are fixpointed over the call graph (conservative ⊤
- * on recursion and on opaque or disagreeing CFGs; see summaries.hh),
- * so a beginPhase in one function legally paired with the endPhase in
- * a callee or caller is verified instead of flagged.
+ * Phase accounting is not a rule: TimeAccountant's phase push/pop is
+ * private to sim::ScopedPhase, so the compiler already guarantees
+ * every phase closes on every path.
  *
  * Any diagnostic can be suppressed with an allow(rule): justification
  * marker comment; the marker covers the full statement that begins on
@@ -156,19 +144,17 @@ std::pair<int, int> allowExtent(const std::vector<Token> &toks,
 struct ProjectRuleStats
 {
     std::size_t functionsAnalyzed = 0;
-    std::size_t summaryEvaluations = 0; ///< accounting fixpoint work
-    std::size_t taintRounds = 0;        ///< taint fixpoint sweeps
+    std::size_t taintRounds = 0; ///< taint fixpoint sweeps
 };
 
 /** Run the single-file rules (determinism, layering, hotpath,
- *  intrinsics, unreachable) over one file.  Raw: allow() markers are
- *  NOT applied. */
+ *  intrinsics) over one file.  Raw: allow() markers are NOT
+ *  applied. */
 std::vector<Diagnostic> runFileRules(const FileContext &ctx);
 
-/** Run the cross-file rules (accounting with interprocedural
- *  summaries, hotpath-propagation, include-hygiene, determinism
- *  taint) over a whole run's file set.  Raw: allow() markers are
- *  NOT applied. */
+/** Run the cross-file rules (hotpath-propagation, include-hygiene,
+ *  determinism taint) over a whole run's file set.  Raw: allow()
+ *  markers are NOT applied. */
 std::vector<Diagnostic>
 runProjectRules(const std::vector<FileContext> &ctxs,
                 ProjectRuleStats *stats = nullptr);

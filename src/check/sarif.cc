@@ -7,7 +7,7 @@ namespace ot::check {
 
 namespace {
 
-/** ruleIndex order is the catalog order (see rules.hh: append-only —
+/** ruleIndex order is the catalog order (new rules go at the end —
  *  reordering would silently re-map indices in consumers that cache
  *  them). */
 int

@@ -56,7 +56,6 @@ ChainEngine::replayPardo(std::size_t count, const char *cat,
             *step.counter += count;
             chain_len += step.dur;
         }
-#ifdef OT_TRACE
         if (_tracer && _tracer->enabled()) {
             // parallelFor rebases every iteration to the offset at
             // entry; the chain then advances by each step's duration.
@@ -73,9 +72,6 @@ ChainEngine::replayPardo(std::size_t count, const char *cat,
                 }
             }
         }
-#else
-        (void)cat;
-#endif
     }
     charge(chain_len);
     return chain_len;
@@ -113,7 +109,6 @@ ChainEngine::hostFor(std::size_t count,
     });
 }
 
-#ifdef OT_TRACE
 void
 ChainEngine::traceSpan(const char *cat, const char *name, ModelTime dur,
                        const SpanArgs &args)
@@ -140,6 +135,5 @@ ChainEngine::recordSpan(const char *cat, const char *name, ModelTime dur,
     e.charged = _unchargedDepth == 0;
     _tracer->record(std::move(e));
 }
-#endif
 
 } // namespace ot::sim

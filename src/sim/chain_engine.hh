@@ -80,17 +80,10 @@ class ChainEngine
      * Record one primitive span of duration `dur` starting at the
      * current model-time offset (clock + enclosing chains + chain so
      * far).  Call *before* the matching charge(dur).  No-op without an
-     * enabled tracer; compiled out entirely without OT_TRACE.
+     * enabled tracer.
      */
-#ifdef OT_TRACE
     void traceSpan(const char *cat, const char *name, ModelTime dur,
                    const SpanArgs &args);
-#else
-    void
-    traceSpan(const char *, const char *, ModelTime, const SpanArgs &)
-    {
-    }
-#endif
 
     /**
      * Max-of-chains parallel loop: runs body(0..count-1) in order on
@@ -137,11 +130,9 @@ class ChainEngine
                  const std::function<void(std::size_t)> &body) const;
 
   private:
-#ifdef OT_TRACE
     /** Record one span starting at model time `start`. */
     void recordSpan(const char *cat, const char *name, ModelTime dur,
                     const SpanArgs &args, ModelTime start);
-#endif
 
     TimeAccountant &_acct;
     StatSet &_stats;

@@ -11,7 +11,8 @@
  *
  * Phases let an algorithm attribute time to named sections ("rank",
  * "hook", "pointer-jump"), which the benches print to show where the
- * asymptotic terms come from.
+ * asymptotic terms come from.  A phase is opened only by a
+ * ScopedPhase, so the compiler guarantees it is closed again.
  */
 
 #pragma once
@@ -44,14 +45,10 @@ class TimeAccountant
         ++_steps;
         if (!_phaseStack.empty())
             _phaseTimes[_phaseStack.back()] += dt;
-#ifdef OT_TRACE
         if (_tracer && _tracer->enabled())
             _tracer->recordCharge(
                 start, dt,
                 _phaseStack.empty() ? std::string() : _phaseStack.back());
-#else
-        (void)start;
-#endif
     }
 
     /** Current model time. */
@@ -71,45 +68,8 @@ class TimeAccountant
         _phaseStack.clear();
     }
 
-    /** Enter a named phase; time advanced until endPhase is attributed
-     *  to it (innermost phase only, so nested phases don't double
-     *  count). */
-    void
-    beginPhase(const std::string &name)
-    {
-        _phaseStack.push_back(name);
-#ifdef OT_TRACE
-        if (_tracer && _tracer->enabled())
-            _tracer->recordPhase(trace::EventKind::PhaseBegin, _now, name);
-#endif
-    }
-
-    /**
-     * Leave the innermost phase.  Popping with an empty stack is a
-     * phase-balance bug (an endPhase without its beginPhase — use
-     * ScopedPhase to make leaks impossible); it is asserted in debug
-     * builds and otherwise counted in phaseUnderflows() and ignored,
-     * so attribution stays well defined.
-     */
-    void
-    endPhase()
-    {
-        assert(!_phaseStack.empty() &&
-               "endPhase without matching beginPhase");
-        if (_phaseStack.empty()) {
-            ++_phaseUnderflows;
-            return;
-        }
-#ifdef OT_TRACE
-        if (_tracer && _tracer->enabled())
-            _tracer->recordPhase(trace::EventKind::PhaseEnd, _now,
-                                 _phaseStack.back());
-#endif
-        _phaseStack.pop_back();
-    }
-
-    /** endPhase calls that found the stack empty (always 0 in a
-     *  phase-balanced program). */
+    /** Phase closes that found the stack empty: only a reset() while a
+     *  ScopedPhase is still alive gets there. */
     std::uint64_t phaseUnderflows() const { return _phaseUnderflows; }
 
     /** Phases currently open. */
@@ -124,13 +84,50 @@ class TimeAccountant
 
     /**
      * Attach (or detach, with nullptr) a tracer; every advance emits a
-     * Charge event and every begin/endPhase a phase marker.  The
+     * Charge event and every phase open and close a phase marker.  The
      * tracer must outlive the accountant or be detached first.
      */
     void setTracer(trace::Tracer *tracer) { _tracer = tracer; }
     trace::Tracer *tracer() const { return _tracer; }
 
   private:
+    // Only ScopedPhase opens and closes phases, so every phase closes
+    // on every path out of its scope (early returns and exceptions
+    // included): phase balance is a type rule, not a convention.
+    friend class ScopedPhase;
+
+    /** Enter a named phase; time advanced until endPhase is attributed
+     *  to it (innermost phase only, so nested phases don't double
+     *  count). */
+    void
+    beginPhase(const std::string &name)
+    {
+        _phaseStack.push_back(name);
+        if (_tracer && _tracer->enabled())
+            _tracer->recordPhase(trace::EventKind::PhaseBegin, _now, name);
+    }
+
+    /**
+     * Leave the innermost phase.  Popping an empty stack (a reset()
+     * under a live ScopedPhase) is asserted in debug builds and
+     * otherwise counted in phaseUnderflows() and ignored, so
+     * attribution stays well defined.
+     */
+    void
+    endPhase()
+    {
+        assert(!_phaseStack.empty() &&
+               "endPhase without matching beginPhase");
+        if (_phaseStack.empty()) {
+            ++_phaseUnderflows;
+            return;
+        }
+        if (_tracer && _tracer->enabled())
+            _tracer->recordPhase(trace::EventKind::PhaseEnd, _now,
+                                 _phaseStack.back());
+        _phaseStack.pop_back();
+    }
+
     ModelTime _now = 0;
     std::uint64_t _steps = 0;
     std::uint64_t _phaseUnderflows = 0;
@@ -139,7 +136,8 @@ class TimeAccountant
     std::vector<std::string> _phaseStack;
 };
 
-/** RAII helper for TimeAccountant phases. */
+/** The one way to open a TimeAccountant phase: it closes when the
+ *  scope does. */
 class ScopedPhase
 {
   public:

@@ -15,7 +15,8 @@
  *              the machine clock, tagged with the innermost phase.
  *              The Charge stream is the authoritative accounting
  *              track: its durations sum exactly to now().
- *  - PhaseBegin / PhaseEnd — the TimeAccountant phase stack.
+ *  - PhaseBegin / PhaseEnd — the TimeAccountant phase stack, pushed
+ *              and popped by sim::ScopedPhase.
  *
  * Determinism: the stream is recorded on the one thread that drives
  * the simulation.  Network pardo loops run sequentially, and the
@@ -23,13 +24,11 @@
  * host phase, so the stream is bit-identical for every
  * OT_HOST_THREADS (test_workload.cc asserts this).
  *
- * Overhead: with no tracer attached the hooks are one pointer test;
- * compiled out entirely when OT_TRACE is not defined (CMake option
- * ORTHOTREE_TRACE).  The event buffer is bounded: once `capacity()`
- * events are held, further events are counted in `dropped()` and
- * discarded — earlier events are never overwritten, so long sweeps
- * cannot exhaust memory and a truncated trace is still a valid
- * prefix.
+ * Overhead: with no tracer attached the hooks are one pointer test.
+ * The event buffer is bounded: once `capacity()` events are held,
+ * further events are counted in `dropped()` and discarded — earlier
+ * events are never overwritten, so long sweeps cannot exhaust memory
+ * and a truncated trace is still a valid prefix.
  */
 
 #pragma once

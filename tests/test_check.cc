@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for otcheck (src/check): the lexer, each rule family (the
- * CFG-based ones included), the fixture corpus under tests/check/,
- * the SARIF emitter, and — the gate the tool exists for — that the
- * shipped src/ + tools/ + bench/ tree checks clean while seeded
- * violations do not.
+ * Tests for otcheck (src/check): the lexer, each rule family, the
+ * fixture corpus under tests/check/, the SARIF emitter, and — the
+ * gate the tool exists for — that the shipped src/ + tools/ + bench/
+ * tree checks clean while seeded violations do not.
  */
 
 #include <algorithm>
@@ -97,17 +96,13 @@ TEST(CheckFixtures, CorpusMatchesAnnotations)
 {
     const std::string dir = OT_CHECK_FIXTURE_DIR;
     const std::vector<std::string> names = {
-        "bad_accounting.cc",        "bad_accounting_cfg.cc",
-        "bad_accounting_split.cc",  "bad_allow.cc",
-        "bad_determinism.cc",       "bad_hotpath.cc",
-        "bad_intrinsics.cc",        "bad_layering.cc",
-        "bad_lexer_resync.cc",      "bad_topo_layering.cc",
-        "bad_unreachable.cc",       "good_accounting.cc",
-        "good_accounting_cfg.cc",   "good_accounting_split.cc",
-        "good_determinism.cc",      "good_hotpath.cc",
-        "good_intrinsics.cc",       "good_layering.cc",
-        "good_lexer.cc",            "good_topo_layering.cc",
-        "good_unreachable.cc",
+        "bad_allow.cc",         "bad_determinism.cc",
+        "bad_hotpath.cc",       "bad_intrinsics.cc",
+        "bad_layering.cc",      "bad_lexer_resync.cc",
+        "bad_topo_layering.cc", "good_determinism.cc",
+        "good_hotpath.cc",      "good_intrinsics.cc",
+        "good_layering.cc",     "good_lexer.cc",
+        "good_topo_layering.cc",
     };
     for (const std::string &name : names) {
         SCOPED_TRACE(name);
@@ -448,24 +443,6 @@ TEST(CheckRules, AllowCoversWholeStatement)
                     .empty());
 }
 
-TEST(CheckRules, RaiiWrapperNeedsNoAllow)
-{
-    // A ctor/dtor pair with net +1/-1 phase balance is recognised as
-    // RAII; neither side is flagged.
-    EXPECT_TRUE(checkAs("src/sim/a.hh",
-                        "struct A { void beginPhase(const char *);\n"
-                        "           void endPhase(); };\n"
-                        "class S {\n"
-                        "  public:\n"
-                        "    explicit S(A &a) : _a(a)\n"
-                        "    { _a.beginPhase(\"s\"); }\n"
-                        "    ~S() { _a.endPhase(); }\n"
-                        "  private:\n"
-                        "    A &_a;\n"
-                        "};\n")
-                    .empty());
-}
-
 // ---------------------------------------------------------------
 // SARIF output.
 
@@ -496,24 +473,33 @@ TEST(CheckSarif, EveryRuleIsDeclared)
     ot::check::Report report;
     std::string sarif = ot::check::renderSarif(report);
     for (const char *rule :
-         {"determinism", "layering", "accounting", "hotpath",
-          "hotpath-propagation", "include-hygiene", "unreachable",
-          "allow-syntax", "unused-allow", "intrinsics",
-          "determinism-taint"}) {
+         {"determinism", "layering", "hotpath", "hotpath-propagation",
+          "include-hygiene", "allow-syntax", "unused-allow",
+          "intrinsics", "determinism-taint"}) {
         EXPECT_NE(std::string::npos,
                   sarif.find("\"id\": \"" + std::string(rule) + "\""))
             << rule;
     }
-    EXPECT_EQ(11u, ot::check::ruleCatalog().size());
+    EXPECT_EQ(9u, ot::check::ruleCatalog().size());
     // The allow() escape hatch covers exactly the suppressible rules
     // (the two allow-meta rules themselves cannot be allowed away).
     for (const char *rule :
-         {"determinism", "layering", "accounting", "hotpath",
-          "hotpath-propagation", "include-hygiene", "unreachable",
-          "intrinsics", "determinism-taint"})
+         {"determinism", "layering", "hotpath", "hotpath-propagation",
+          "include-hygiene", "intrinsics", "determinism-taint"})
         EXPECT_TRUE(ot::check::knownRule(rule)) << rule;
     EXPECT_FALSE(ot::check::knownRule("allow-syntax"));
     EXPECT_FALSE(ot::check::knownRule("unused-allow"));
+    // Phase balance is enforced by the compiler (only ScopedPhase can
+    // open a phase), so the accounting and unreachable rules are gone
+    // and an allow() naming one is an unknown-rule error.
+    EXPECT_FALSE(ot::check::knownRule("accounting"));
+    EXPECT_FALSE(ot::check::knownRule("unreachable"));
+    std::vector<Diagnostic> diags =
+        checkAs("src/otn/a.cc", "// otcheck:allow(accounting): x\n"
+                                "int f() { return 2; }\n");
+    ASSERT_EQ(1u, diags.size());
+    EXPECT_EQ("allow-syntax", diags[0].rule);
+    EXPECT_NE(std::string::npos, diags[0].message.find("unknown rule"));
 }
 
 } // namespace

@@ -26,12 +26,24 @@ TEST(TimeAccountant, AdvanceAccumulates)
     EXPECT_EQ(acct.steps(), 2u);
 }
 
+// Phases open only through ScopedPhase: the raw push/pop is private,
+// so no caller can leave a phase open on some path.  (The checks sit
+// in concepts because GCC rejects an inaccessible member named in a
+// requires-expression outside a template instead of yielding false.)
+template <class T>
+concept OpensPhases = requires(T &a) { a.beginPhase(""); };
+template <class T>
+concept ClosesPhases = requires(T &a) { a.endPhase(); };
+static_assert(!OpensPhases<TimeAccountant>);
+static_assert(!ClosesPhases<TimeAccountant>);
+
 TEST(TimeAccountant, ResetClearsEverything)
 {
     TimeAccountant acct;
-    acct.beginPhase("x");
-    acct.advance(3);
-    acct.endPhase();
+    {
+        ScopedPhase p(acct, "x");
+        acct.advance(3);
+    }
     acct.reset();
     EXPECT_EQ(acct.now(), 0u);
     EXPECT_EQ(acct.steps(), 0u);
@@ -42,13 +54,15 @@ TEST(TimeAccountant, PhasesAttributeTime)
 {
     TimeAccountant acct;
     acct.advance(1); // outside any phase
-    acct.beginPhase("load");
-    acct.advance(10);
-    acct.endPhase();
-    acct.beginPhase("compute");
-    acct.advance(20);
-    acct.advance(2);
-    acct.endPhase();
+    {
+        ScopedPhase p(acct, "load");
+        acct.advance(10);
+    }
+    {
+        ScopedPhase p(acct, "compute");
+        acct.advance(20);
+        acct.advance(2);
+    }
     EXPECT_EQ(acct.phaseTimes().at("load"), 10u);
     EXPECT_EQ(acct.phaseTimes().at("compute"), 22u);
     EXPECT_EQ(acct.now(), 33u);
@@ -57,13 +71,15 @@ TEST(TimeAccountant, PhasesAttributeTime)
 TEST(TimeAccountant, NestedPhasesChargeInnermost)
 {
     TimeAccountant acct;
-    acct.beginPhase("outer");
-    acct.advance(5);
-    acct.beginPhase("inner");
-    acct.advance(7);
-    acct.endPhase();
-    acct.advance(3);
-    acct.endPhase();
+    {
+        ScopedPhase outer(acct, "outer");
+        acct.advance(5);
+        {
+            ScopedPhase inner(acct, "inner");
+            acct.advance(7);
+        }
+        acct.advance(3);
+    }
     EXPECT_EQ(acct.phaseTimes().at("outer"), 8u);
     EXPECT_EQ(acct.phaseTimes().at("inner"), 7u);
 }
@@ -81,16 +97,23 @@ TEST(TimeAccountant, ScopedPhaseIsExceptionSafeRaii)
 
 TEST(TimeAccountant, PhaseUnderflowIsCaught)
 {
-    // This repo keeps assertions on in every build type, so an
-    // endPhase without its beginPhase dies with a diagnostic rather
-    // than silently corrupting attribution.
+    // This repo keeps assertions on in every build type.  The one
+    // underflow a ScopedPhase can still reach is a reset() while it is
+    // alive: its destructor then pops an empty stack and dies with a
+    // diagnostic rather than silently corrupting attribution.
     TimeAccountant acct;
-    EXPECT_DEATH(acct.endPhase(), "endPhase without matching beginPhase");
+    EXPECT_DEATH(
+        {
+            ScopedPhase p(acct, "p");
+            acct.reset();
+        },
+        "endPhase without matching beginPhase");
 
     // Balanced usage reports a clean bill of health.
-    acct.beginPhase("p");
-    EXPECT_EQ(acct.phaseDepth(), 1u);
-    acct.endPhase();
+    {
+        ScopedPhase p(acct, "p");
+        EXPECT_EQ(acct.phaseDepth(), 1u);
+    }
     EXPECT_EQ(acct.phaseDepth(), 0u);
     EXPECT_EQ(acct.phaseUnderflows(), 0u);
 }

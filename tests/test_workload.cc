@@ -206,7 +206,6 @@ TEST(SharedTwin, FarmShardsShareMachinesRaceFreeAndDeterministic)
         EXPECT_EQ(jsons[0], jsons[i]) << "thread sweep " << i;
 }
 
-#ifdef OT_TRACE
 TEST(BatchEngineTest, TraceStreamsAreIdenticalAcrossHostThreads)
 {
     auto trace_of = [](unsigned threads, std::size_t capacity) {
@@ -247,7 +246,6 @@ TEST(BatchEngineTest, TraceStreamsAreIdenticalAcrossHostThreads)
         expectPrefixOf(*seq, *capped, threads);
     }
 }
-#endif
 
 TEST(BatchEngineTest, StatsSurfaceCacheAndAlgoCounters)
 {

@@ -2,15 +2,15 @@
  * @file
  * otcheck — project-specific static analysis for the orthotree tree.
  *
- * Enforces the invariants the engine's bit-identical-at-any-
- * OT_HOST_THREADS guarantee rests on: no nondeterminism sources in
- * the determinism-scope layers (flat scan plus interprocedural
- * taint), no layering back-edges, path-sensitive beginPhase/endPhase
- * accounting with cross-function net-delta summaries,
+ * Enforces the invariants behind the engine's bit-identical-at-any-
+ * OT_HOST_THREADS guarantee that the compiler cannot: no
+ * nondeterminism sources in the determinism-scope layers (flat scan
+ * plus interprocedural taint), no layering back-edges,
  * allocation-free hotpath files (and call chains), used-and-direct
- * includes, raw SIMD intrinsics confined to src/simd, and no
- * unreachable statements.  See src/check/rules.hh for the rule
- * catalogue and DESIGN.md for the layer DAG and analysis pipeline.
+ * includes, and raw SIMD intrinsics confined to src/simd.  Phase
+ * balance is the compiler's job (only sim::ScopedPhase opens a
+ * phase).  See src/check/rules.hh for the rule catalogue and
+ * DESIGN.md for the layer DAG and analysis pipeline.
  *
  * Usage:
  *   otcheck [--root DIR] [--json] [--sarif-out FILE] [--stats]
