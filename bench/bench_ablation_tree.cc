@@ -89,20 +89,10 @@ printTables()
                 "advantage is parallel *capacity*, not tree speed)\n");
 }
 
-void
-BM_TreeMachineExtractMinSort(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 3);
-    auto cost = ot::defaultCostModel(n);
-    baselines::TreeMachine tree(n, cost);
-    for (auto _ : state) {
-        auto sorted = tree.extractMinSort(v);
-        benchmark::DoNotOptimize(sorted.data());
-    }
-}
-BENCHMARK(BM_TreeMachineExtractMinSort)->Arg(256)->Arg(1024);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

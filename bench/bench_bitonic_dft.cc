@@ -119,41 +119,10 @@ printTables()
                 analysis::formatExponent("N", dfit.exponent).c_str());
 }
 
-void
-BM_BitonicSortOtn(benchmark::State &state)
-{
-    std::size_t k = static_cast<std::size_t>(state.range(0));
-    std::size_t n = k * k;
-    auto v = randomValues(n, 8);
-    auto cost = defaultCostModel(n);
-    otn::OrthogonalTreesNetwork net(k, cost);
-    for (auto _ : state) {
-        auto r = otn::bitonicSortOtn(net, v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_BitonicSortOtn)->Arg(16)->Arg(32)->Arg(64);
-
-void
-BM_DftOtn(benchmark::State &state)
-{
-    std::size_t k = static_cast<std::size_t>(state.range(0));
-    std::size_t n = k * k;
-    sim::Rng rng(3);
-    std::vector<linalg::Complex> x(n);
-    for (auto &c : x)
-        c = linalg::Complex(rng.uniformReal(), 0.0);
-    auto cost = defaultCostModel(n);
-    otn::OrthogonalTreesNetwork net(k, cost);
-    for (auto _ : state) {
-        auto r = otn::dftOtn(net, x);
-        benchmark::DoNotOptimize(r.spectrum.data());
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_DftOtn)->Arg(16)->Arg(32);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

@@ -1,20 +1,22 @@
 /**
  * @file
- * Shared helpers for the per-table/figure benchmark binaries.
+ * Shared helpers for the per-table/figure bench binaries.
  *
- * Every bench binary does three things:
+ * Every bench binary takes no arguments and does three things:
  *   1. prints the paper's asymptotic table (via analysis::paperFormula)
  *      for reference,
  *   2. sweeps N on the simulated machines, printing measured model
  *      time / layout area / AT^2 and the fitted growth exponents, so
  *      the *shape* of each row can be checked against the paper, and
- *   3. registers Google-Benchmark wall-clock benchmarks for the
- *      simulation kernels themselves (host performance).
+ *   3. ends with shape checks: ratios between rows that the paper
+ *      predicts.
+ *
+ * The printout is deterministic model time and area, so each binary's
+ * stdout is pinned byte for byte by bench/golden/<name>.txt (the
+ * bench.<name> ctest).  Host time is perfbench's job.
  */
 
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
@@ -34,19 +36,6 @@ randomValues(std::size_t n, std::uint64_t seed)
     for (auto &x : v)
         x = rng.uniform(0, n - 1);
     return v;
-}
-
-/**
- * Attach one run's (deterministic) model time as a counter so every
- * benchmark row shows simulated cycles next to host real time.  The
- * value is identical every iteration — the simulation is deterministic
- * — so last-write wins is exact, not an average.
- */
-inline void
-reportModelTime(benchmark::State &state, vlsi::ModelTime t)
-{
-    state.counters["model_time"] =
-        benchmark::Counter(static_cast<double>(t));
 }
 
 /** Print a titled section. */
@@ -82,6 +71,24 @@ struct MeasuredRow
 };
 
 /**
+ * Sort `values` on the registry-built machine for `net` (a topo
+ * registry name) and append N and the model time to `row`.  The area
+ * is the run's own when the machine reports one, else the machine's.
+ */
+inline void
+sortRow(MeasuredRow &row, const std::string &net,
+        const std::vector<std::uint64_t> &values, vlsi::DelayModel model)
+{
+    std::size_t n = values.size();
+    auto m = topo::registry().build(
+        topo::resolveSpec(net, topo::Algo::Sort, n, model, false));
+    auto r = m->runSort(values);
+    row.ns.push_back(static_cast<double>(n));
+    row.times.push_back(static_cast<double>(r.time));
+    row.area = static_cast<double>(r.area ? r.area : m->area());
+}
+
+/**
  * Print measured rows at the largest N plus fitted growth exponents
  * (in N and in log N) for each network's time.
  */
@@ -104,18 +111,5 @@ printMeasured(const std::vector<MeasuredRow> &rows)
     std::printf("Measured (model time units, layout lambda^2):\n%s",
                 t.str().c_str());
 }
-
-/** Standard main: print tables first, then run google-benchmark. */
-#define OT_BENCH_MAIN(PRINT_FN)                                            \
-    int main(int argc, char **argv)                                       \
-    {                                                                      \
-        PRINT_FN();                                                        \
-        ::benchmark::Initialize(&argc, argv);                              \
-        if (::benchmark::ReportUnrecognizedArguments(argc, argv))          \
-            return 1;                                                      \
-        ::benchmark::RunSpecifiedBenchmarks();                             \
-        ::benchmark::Shutdown();                                           \
-        return 0;                                                          \
-    }
 
 } // namespace ot::bench

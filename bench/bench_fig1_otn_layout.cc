@@ -59,29 +59,10 @@ printTables()
                 analysis::formatExponent("N", wfit.exponent).c_str());
 }
 
-void
-BM_OtnLayoutMetrics(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto cost = ot::defaultCostModel(n);
-    for (auto _ : state) {
-        layout::OtnLayout l(n, cost.word().bits());
-        benchmark::DoNotOptimize(l.metrics().area());
-    }
-}
-BENCHMARK(BM_OtnLayoutMetrics)->Arg(64)->Arg(1024)->Arg(16384);
-
-void
-BM_OtnAsciiArt(benchmark::State &state)
-{
-    for (auto _ : state) {
-        layout::OtnLayout l(8, 6);
-        auto art = l.asciiArt();
-        benchmark::DoNotOptimize(art.data());
-    }
-}
-BENCHMARK(BM_OtnAsciiArt);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

@@ -70,19 +70,10 @@ printTables()
     std::printf("%s", t2.str().c_str());
 }
 
-void
-BM_OtcLayoutMetrics(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    unsigned l = vlsi::logCeilAtLeast1(n);
-    auto cost = ot::defaultCostModel(n);
-    for (auto _ : state) {
-        layout::OtcLayout lay(n / l, l, cost.word().bits());
-        benchmark::DoNotOptimize(lay.metrics().area());
-    }
-}
-BENCHMARK(BM_OtcLayoutMetrics)->Arg(1024)->Arg(16384);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

@@ -88,40 +88,10 @@ printTables()
                 "speedup approaches log N as N grows.\n");
 }
 
-void
-BM_MatMulPipelined(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto a = randomMatrix(n, 7, 1);
-    auto b = randomMatrix(n, 7, 2);
-    auto cost = matCost(n);
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (auto _ : state) {
-        auto r = otn::matMulPipelined(net, a, b);
-        benchmark::DoNotOptimize(r.product(0, 0));
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_MatMulPipelined)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void
-BM_VecMatMul(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto b = randomMatrix(n, 7, 3);
-    auto cost = matCost(n);
-    otn::OrthogonalTreesNetwork net(n, cost);
-    net.loadBase(otn::Reg::B, b);
-    auto a = randomValues(n, 4);
-    for (auto &x : a)
-        x %= 7;
-    for (auto _ : state) {
-        auto c = otn::vecMatMulOtn(net, a);
-        benchmark::DoNotOptimize(c.data());
-    }
-}
-BENCHMARK(BM_VecMatMul)->Arg(16)->Arg(64);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

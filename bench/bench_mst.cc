@@ -78,36 +78,10 @@ printTables()
                 otn_row.area / otc_row.area);
 }
 
-void
-BM_MstOtn(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    sim::Rng rng(9);
-    auto g = graph::randomWeightedConnected(n, 2 * n, rng);
-    vlsi::CostModel cost(vlsi::DelayModel::Logarithmic,
-                         otn::mstWordFormat(n, n * n));
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (auto _ : state) {
-        auto r = otn::mstOtn(net, g);
-        benchmark::DoNotOptimize(r.totalWeight);
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_MstOtn)->Arg(16)->Arg(32)->Arg(64);
-
-void
-BM_KruskalReference(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    sim::Rng rng(9);
-    auto g = graph::randomWeightedConnected(n, 2 * n, rng);
-    for (auto _ : state) {
-        auto msf = graph::kruskalMsf(g);
-        benchmark::DoNotOptimize(msf.data());
-    }
-}
-BENCHMARK(BM_KruskalReference)->Arg(64)->Arg(256);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

@@ -93,25 +93,10 @@ printTables()
                 otn_at2 / otc_at2);
 }
 
-void
-BM_SortPipelineOtn(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    unsigned depth = vlsi::logCeilAtLeast1(n);
-    std::vector<std::vector<std::uint64_t>> problems;
-    for (unsigned p = 0; p < depth; ++p)
-        problems.push_back(randomValues(n, p));
-    auto cost = ot::defaultCostModel(n);
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (auto _ : state) {
-        auto r = otn::sortPipelineOtn(net, problems);
-        benchmark::DoNotOptimize(r.sorted.data());
-        state.counters["model_time"] =
-            static_cast<double>(r.totalTime);
-    }
-}
-BENCHMARK(BM_SortPipelineOtn)->Arg(64)->Arg(256);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

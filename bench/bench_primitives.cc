@@ -105,38 +105,10 @@ printTables()
                 "chip to O(N^4/log^2 N) without changing time)\n");
 }
 
-void
-BM_TreeTraversalCost(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto cost = ot::defaultCostModel(n);
-    layout::OtnLayout lay(n, cost.word().bits());
-    for (auto _ : state) {
-        auto c = cost.wordAlongPath(lay.tree().pathEdges());
-        benchmark::DoNotOptimize(c);
-    }
-}
-BENCHMARK(BM_TreeTraversalCost)->Arg(1024)->Arg(65536);
-
-void
-BM_GatherAtIndex(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto cost = ot::defaultCostModel(n);
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            net.reg(otn::Reg::X, i, j) = (i + 1) % n;
-            net.reg(otn::Reg::R, i, j) = j;
-        }
-    for (auto _ : state) {
-        otn::gatherAtIndex(net, otn::Reg::X, otn::Reg::R, otn::Reg::Y,
-                           otn::Reg::F);
-        benchmark::DoNotOptimize(net.reg(otn::Reg::Y, 0, 0));
-    }
-}
-BENCHMARK(BM_GatherAtIndex)->Arg(64)->Arg(256);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

@@ -68,40 +68,10 @@ printTables()
                 "Floyd-Warshall.\n");
 }
 
-void
-BM_SsspOtn(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    sim::Rng rng(3);
-    auto g = graph::randomWeightedConnected(n, 2 * n, rng);
-    vlsi::CostModel cost(vlsi::DelayModel::Logarithmic,
-                         otn::pathWordFormat(n, n * n));
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (auto _ : state) {
-        auto r = otn::ssspOtn(net, g, 0);
-        benchmark::DoNotOptimize(r.dist.data());
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_SsspOtn)->Arg(32)->Arg(64)->Arg(128);
-
-void
-BM_ApspOtn(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    sim::Rng rng(3);
-    auto g = graph::randomWeightedConnected(n, 2 * n, rng);
-    vlsi::CostModel cost(vlsi::DelayModel::Logarithmic,
-                         otn::pathWordFormat(n, n * n));
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (auto _ : state) {
-        auto r = otn::apspOtn(net, g);
-        benchmark::DoNotOptimize(r.dist(0, 0));
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_ApspOtn)->Arg(16)->Arg(32)->Arg(64);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

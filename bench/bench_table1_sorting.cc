@@ -41,65 +41,15 @@ printTables()
     MeasuredRow fattree{"fat-tree", {}, {}, 0};
     MeasuredRow d2dmot{"D2D-MoT", {}, {}, 0};
 
+    // The paper's five networks plus two registry challengers: a
+    // two-layer fat-tree and the MoT NoC with diametrical links.
+    const std::vector<std::pair<const char *, MeasuredRow *>> nets{
+        {"mesh", &mesh}, {"psn", &psn}, {"ccc", &ccc}, {"otn", &otn},
+        {"otc", &otc}, {"fattree", &fattree}, {"d2d-mot", &d2dmot}};
     for (std::size_t n : kSweep) {
         auto v = randomValues(n, 42 + n);
-        auto cost = defaultCostModel(n);
-        double dn = static_cast<double>(n);
-
-        {
-            baselines::MeshMachine m(n, cost);
-            auto r = baselines::meshSort(m, v);
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::PsnMachine m(n, cost);
-            auto r = baselines::psnSort(m, v);
-            psn.ns.push_back(dn);
-            psn.times.push_back(static_cast<double>(r.time));
-            psn.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::CccMachine m(n, cost);
-            auto r = baselines::cccSort(m, v);
-            ccc.ns.push_back(dn);
-            ccc.times.push_back(static_cast<double>(r.time));
-            ccc.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            otn::OrthogonalTreesNetwork m(n, cost);
-            auto r = otn::sortOtn(m, v);
-            otn.ns.push_back(dn);
-            otn.times.push_back(static_cast<double>(r.time));
-            otn.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            unsigned l = vlsi::logCeilAtLeast1(n);
-            otc::OtcNetwork m(n / l, l, cost);
-            auto r = otc::sortOtc(m, v);
-            otc.ns.push_back(dn);
-            otc.times.push_back(static_cast<double>(r.time));
-            otc.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        // The registry-built challengers ride the same sweep: a
-        // two-layer fat-tree and the MoT NoC with diametrical links.
-        for (auto *row : {&fattree, &d2dmot}) {
-            auto spec = topo::resolveSpec(
-                row == &fattree ? "fattree" : "d2d-mot", topo::Algo::Sort,
-                n, vlsi::DelayModel::Logarithmic, false);
-            auto m = topo::registry().build(spec);
-            auto r = m->runSort(v);
-            row->ns.push_back(dn);
-            row->times.push_back(static_cast<double>(r.time));
-            row->area =
-                static_cast<double>(r.area ? r.area : m->area());
-        }
+        for (auto [net, row] : nets)
+            sortRow(*row, net, v, vlsi::DelayModel::Logarithmic);
     }
 
     printMeasured({mesh, psn, ccc, otn, otc, fattree, d2dmot});
@@ -109,34 +59,12 @@ printTables()
     MeasuredRow mesh_x{"mesh (to 64K)", {}, {}, 0};
     MeasuredRow psn_x{"PSN (to 64K)", {}, {}, 0};
     MeasuredRow ccc_x{"CCC (to 64K)", {}, {}, 0};
+    const std::vector<std::pair<const char *, MeasuredRow *>> nets_x{
+        {"mesh", &mesh_x}, {"psn", &psn_x}, {"ccc", &ccc_x}};
     for (std::size_t n : {4096, 16384, 65536}) {
         auto v = randomValues(n, 17 + n);
-        auto cost = defaultCostModel(n);
-        double dn = static_cast<double>(n);
-        {
-            baselines::MeshMachine m(n, cost);
-            auto r = baselines::meshSort(m, v);
-            mesh_x.ns.push_back(dn);
-            mesh_x.times.push_back(static_cast<double>(r.time));
-            mesh_x.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::PsnMachine m(n, cost);
-            auto r = baselines::psnSort(m, v);
-            psn_x.ns.push_back(dn);
-            psn_x.times.push_back(static_cast<double>(r.time));
-            psn_x.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::CccMachine m(n, cost);
-            auto r = baselines::cccSort(m, v);
-            ccc_x.ns.push_back(dn);
-            ccc_x.times.push_back(static_cast<double>(r.time));
-            ccc_x.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
+        for (auto [net, row] : nets_x)
+            sortRow(*row, net, v, vlsi::DelayModel::Logarithmic);
     }
     std::printf("\nExtended baseline sweep (N = 4096...65536):\n");
     printMeasured({mesh_x, psn_x, ccc_x});
@@ -162,85 +90,10 @@ printTables()
                 d2dmot.area / otn.area);
 }
 
-void
-BM_SortOtn(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 7);
-    auto cost = defaultCostModel(n);
-    otn::OrthogonalTreesNetwork net(n, cost);
-    state.SetLabel(simd::toString(net.simdBackend()));
-    for (auto _ : state) {
-        auto r = otn::sortOtn(net, v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        reportModelTime(state, r.time);
-    }
-}
-BENCHMARK(BM_SortOtn)->Arg(64)->Arg(256)->Arg(1024);
-
-void
-BM_SortOtc(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 7);
-    auto cost = defaultCostModel(n);
-    unsigned l = vlsi::logCeilAtLeast1(n);
-    otc::OtcNetwork net(n / l, l, cost);
-    state.SetLabel(simd::toString(net.simdBackend()));
-    for (auto _ : state) {
-        auto r = otc::sortOtc(net, v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        reportModelTime(state, r.time);
-    }
-}
-BENCHMARK(BM_SortOtc)->Arg(64)->Arg(256)->Arg(1024);
-
-void
-BM_SortMesh(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 7);
-    auto cost = defaultCostModel(n);
-    baselines::MeshMachine mesh(n, cost);
-    for (auto _ : state) {
-        auto r = baselines::meshSort(mesh, v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        reportModelTime(state, r.time);
-    }
-}
-BENCHMARK(BM_SortMesh)->Arg(64)->Arg(256)->Arg(1024);
-
-/** Registry-built sort benchmark shared by the new topologies. */
-void
-sortViaRegistry(benchmark::State &state, const char *net)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 7);
-    auto spec = topo::resolveSpec(net, topo::Algo::Sort, n,
-                                  vlsi::DelayModel::Logarithmic, false);
-    auto machine = topo::registry().build(spec);
-    for (auto _ : state) {
-        machine->reset();
-        auto r = machine->runSort(v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        reportModelTime(state, r.time);
-    }
-}
-
-void
-BM_SortFatTree(benchmark::State &state)
-{
-    sortViaRegistry(state, "fattree");
-}
-BENCHMARK(BM_SortFatTree)->Arg(64)->Arg(256)->Arg(1024);
-
-void
-BM_SortD2dMot(benchmark::State &state)
-{
-    sortViaRegistry(state, "d2d-mot");
-}
-BENCHMARK(BM_SortD2dMot)->Arg(64)->Arg(256)->Arg(1024);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

@@ -166,38 +166,10 @@ printTables()
                 analysis::formatExponent("N", rfit.exponent).c_str());
 }
 
-void
-BM_BoolMatMulOtcReplicated(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto a = randomBool(n, 1);
-    auto b = randomBool(n, 2);
-    auto cost = defaultCostModel(n);
-    for (auto _ : state) {
-        auto r = otc::boolMatMulOtc(a, b, cost);
-        benchmark::DoNotOptimize(r.result.product(0, 0));
-        state.counters["model_time"] =
-            static_cast<double>(r.result.time);
-    }
-}
-BENCHMARK(BM_BoolMatMulOtcReplicated)->Arg(16)->Arg(32)->Arg(64);
-
-void
-BM_BoolMatMulMeshCannon(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto a = randomBool(n, 1);
-    auto b = randomBool(n, 2);
-    auto cost = defaultCostModel(n);
-    baselines::MeshMachine mesh(n * n, cost);
-    for (auto _ : state) {
-        auto r = baselines::meshBoolMatMul(mesh, a, b);
-        benchmark::DoNotOptimize(r.product(0, 0));
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_BoolMatMulMeshCannon)->Arg(16)->Arg(32)->Arg(64);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

@@ -115,36 +115,10 @@ printTables()
     std::printf("  (must grow — the polylog vs N separation)\n");
 }
 
-void
-BM_ConnectedComponentsOtn(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto g = workloadGraph(n, 5);
-    auto cost = defaultCostModel(n);
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (auto _ : state) {
-        auto r = otn::connectedComponentsOtn(net, g);
-        benchmark::DoNotOptimize(r.labels.data());
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_ConnectedComponentsOtn)->Arg(32)->Arg(64)->Arg(128);
-
-void
-BM_ConnectedComponentsMesh(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto g = workloadGraph(n, 5);
-    auto cost = defaultCostModel(n);
-    baselines::MeshMachine mesh(n * n, cost);
-    for (auto _ : state) {
-        auto r = baselines::meshConnectedComponents(mesh, g);
-        benchmark::DoNotOptimize(r.labels.data());
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_ConnectedComponentsMesh)->Arg(32)->Arg(64);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}

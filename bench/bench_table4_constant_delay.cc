@@ -32,44 +32,12 @@ printTables()
     MeasuredRow psn{"PSN", {}, {}, 0};
     MeasuredRow ccc{"CCC", {}, {}, 0};
     MeasuredRow otn{"OTN", {}, {}, 0};
-
+    const std::vector<std::pair<const char *, MeasuredRow *>> nets{
+        {"mesh", &mesh}, {"psn", &psn}, {"ccc", &ccc}, {"otn", &otn}};
     for (std::size_t n : kSweep) {
         auto v = randomValues(n, 4242 + n);
-        auto cost = defaultCostModel(n, vlsi::DelayModel::Constant);
-        double dn = static_cast<double>(n);
-
-        {
-            baselines::MeshMachine m(n, cost);
-            auto r = baselines::meshSort(m, v);
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::PsnMachine m(n, cost);
-            auto r = baselines::psnSort(m, v);
-            psn.ns.push_back(dn);
-            psn.times.push_back(static_cast<double>(r.time));
-            psn.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::CccMachine m(n, cost);
-            auto r = baselines::cccSort(m, v);
-            ccc.ns.push_back(dn);
-            ccc.times.push_back(static_cast<double>(r.time));
-            ccc.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            otn::OrthogonalTreesNetwork m(n, cost);
-            auto r = otn::sortOtn(m, v);
-            otn.ns.push_back(dn);
-            otn.times.push_back(static_cast<double>(r.time));
-            otn.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
+        for (auto [net, row] : nets)
+            sortRow(*row, net, v, vlsi::DelayModel::Constant);
     }
 
     printMeasured({mesh, psn, ccc, otn});
@@ -118,36 +86,10 @@ printTables()
                 ratio_at(256, otn_run), ratio_at(1024, otn_run));
 }
 
-void
-BM_SortOtnConstantDelay(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 7);
-    auto cost = defaultCostModel(n, vlsi::DelayModel::Constant);
-    otn::OrthogonalTreesNetwork net(n, cost);
-    for (auto _ : state) {
-        auto r = otn::sortOtn(net, v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_SortOtnConstantDelay)->Arg(256)->Arg(1024);
-
-void
-BM_SortPsnConstantDelay(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 7);
-    auto cost = defaultCostModel(n, vlsi::DelayModel::Constant);
-    baselines::PsnMachine psn(n, cost);
-    for (auto _ : state) {
-        auto r = baselines::psnSort(psn, v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        state.counters["model_time"] = static_cast<double>(r.time);
-    }
-}
-BENCHMARK(BM_SortPsnConstantDelay)->Arg(256)->Arg(1024);
-
 } // namespace
 
-OT_BENCH_MAIN(printTables)
+int
+main()
+{
+    printTables();
+}
