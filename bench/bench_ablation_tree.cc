@@ -32,25 +32,20 @@ printTables()
     std::vector<double> ns, speedups;
     for (std::size_t n : {64, 128, 256, 512, 1024}) {
         auto v = randomValues(n, 90 + n);
-        auto cost = defaultCostModel(n);
-
-        baselines::TreeMachine tree(n, cost);
-        auto sorted = tree.extractMinSort(v);
         auto expect = v;
         std::sort(expect.begin(), expect.end());
-        if (sorted != expect)
-            std::abort();
-        double t_tree = static_cast<double>(tree.now());
 
-        otn::OrthogonalTreesNetwork net(n, cost);
-        auto r = otn::sortOtn(net, v);
-        if (r.sorted != expect)
+        auto sort = [&](topo::Machine &m) { return m.runSort(v); };
+        MeasuredRow tree, otn;
+        if (registryRow(tree, "tree", topo::Algo::Sort, n,
+                        vlsi::DelayModel::Logarithmic, sort)
+                    .sorted != expect ||
+            registryRow(otn, "otn", topo::Algo::Sort, n,
+                        vlsi::DelayModel::Logarithmic, sort)
+                    .sorted != expect)
             std::abort();
-        double t_otn = static_cast<double>(r.time);
-
-        double a_tree = static_cast<double>(tree.chipArea());
-        double a_otn =
-            static_cast<double>(net.chipLayout().metrics().area());
+        double t_tree = tree.times.back(), a_tree = tree.area;
+        double t_otn = otn.times.back(), a_otn = otn.area;
 
         ns.push_back(static_cast<double>(n));
         speedups.push_back(t_tree / t_otn);

@@ -48,7 +48,9 @@ printTables()
         if (rs.sorted != expect)
             std::abort();
 
-        auto rm = baselines::meshSort(v, cost);
+        auto rm = registryRow(
+            mesh, "mesh", topo::Algo::Sort, n, vlsi::DelayModel::Logarithmic,
+            [&](topo::Machine &m) { return m.runSort(v); });
 
         double dn = static_cast<double>(n);
         double l = std::log2(dn);
@@ -59,11 +61,6 @@ printTables()
         bito_s.ns.push_back(dn);
         bito_s.times.push_back(static_cast<double>(rs.time));
         bito_s.area = bito.area;
-        mesh.ns.push_back(dn);
-        mesh.times.push_back(static_cast<double>(rm.time));
-        baselines::MeshMachine mm(n, cost);
-        mesh.area =
-            static_cast<double>(mm.chipLayout().metrics().area());
 
         t.addRow({std::to_string(n), std::to_string(k),
                   std::to_string(r.stages),

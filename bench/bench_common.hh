@@ -71,21 +71,26 @@ struct MeasuredRow
 };
 
 /**
- * Sort `values` on the registry-built machine for `net` (a topo
- * registry name) and append N and the model time to `row`.  The area
- * is the run's own when the machine reports one, else the machine's.
+ * The one way a bench row runs a registered (algo, net) pair: build
+ * the machine topo::resolveSpec() picks for size n, let `run` call
+ * the matching Machine::run*, and append N and the model time to
+ * `row`.  The area is the run's own when it reports one (the Table II
+ * OTC chip, the mesh's Cannon grid), else the machine's.  Returns the
+ * run record for verification.
  */
-inline void
-sortRow(MeasuredRow &row, const std::string &net,
-        const std::vector<std::uint64_t> &values, vlsi::DelayModel model)
+template <class Run>
+auto
+registryRow(MeasuredRow &row, const std::string &net, topo::Algo algo,
+            std::size_t n, vlsi::DelayModel model, Run &&run,
+            bool scaled = false)
 {
-    std::size_t n = values.size();
     auto m = topo::registry().build(
-        topo::resolveSpec(net, topo::Algo::Sort, n, model, false));
-    auto r = m->runSort(values);
+        topo::resolveSpec(net, algo, n, model, scaled));
+    auto r = run(*m);
     row.ns.push_back(static_cast<double>(n));
     row.times.push_back(static_cast<double>(r.time));
     row.area = static_cast<double>(r.area ? r.area : m->area());
+    return r;
 }
 
 /**

@@ -35,36 +35,26 @@ printTables()
         sim::Rng rng(50 + n);
         auto g = graph::randomWeightedConnected(n, 2 * n, rng);
         auto expect = graph::kruskalMsf(g);
-        vlsi::CostModel cost(vlsi::DelayModel::Logarithmic,
-                             otn::mstWordFormat(n, n * n));
 
-        otn::OrthogonalTreesNetwork net(n, cost);
-        auto r_otn = otn::mstOtn(net, g);
-        if (r_otn.edges != expect)
+        // The registry sizes both machines' words for packed
+        // (weight, u, v) edge keys; the OTC chip holds the resident
+        // weight matrix, hence its extra log N of area.
+        auto mst = [&](topo::Machine &m) { return m.runMst(g); };
+        auto r_otn = registryRow(otn_row, "otn", topo::Algo::Mst, n,
+                                 vlsi::DelayModel::Logarithmic, mst);
+        auto r_otc = registryRow(otc_row, "otc", topo::Algo::Mst, n,
+                                 vlsi::DelayModel::Logarithmic, mst);
+        if (r_otn.edges != expect || r_otc.edges != expect)
             std::abort();
-
-        auto r_otc = otc::mstOtc(g, cost);
-        if (r_otc.result.edges != expect)
-            std::abort();
-
-        double dn = static_cast<double>(n);
-        otn_row.ns.push_back(dn);
-        otn_row.times.push_back(static_cast<double>(r_otn.time));
-        otn_row.area =
-            static_cast<double>(net.chipLayout().metrics().area());
-        otc_row.ns.push_back(dn);
-        otc_row.times.push_back(
-            static_cast<double>(r_otc.result.time));
-        otc_row.area = static_cast<double>(r_otc.chip.area());
 
         t.addRow({std::to_string(n),
                   std::to_string(g.skeleton().edgeCount()),
-                  std::to_string(r_otn.totalWeight),
+                  std::to_string(graph::totalWeight(r_otn.edges)),
                   analysis::formatQuantity(
                       static_cast<double>(r_otn.time)),
                   analysis::formatQuantity(
-                      static_cast<double>(r_otc.result.time)),
-                  std::to_string(r_otn.iterations)});
+                      static_cast<double>(r_otc.time)),
+                  std::to_string(r_otn.phases)});
     }
     std::printf("%s", t.str().c_str());
     std::printf("\n");

@@ -70,11 +70,11 @@ printTables()
     unsigned l = vlsi::logCeilAtLeast1(n);
     auto v = randomValues(n, 99);
     auto cost = defaultCostModel(n);
-    otc::OtcNetwork otc_net(n / l, l, cost);
-    auto r_otc = otc::sortOtc(otc_net, v);
-    double otc_at2 =
-        static_cast<double>(otc_net.chipLayout().metrics().area()) *
-        static_cast<double>(r_otc.time) * static_cast<double>(r_otc.time);
+    MeasuredRow otc;
+    registryRow(otc, "otc", topo::Algo::Sort, n,
+                vlsi::DelayModel::Logarithmic,
+                [&](topo::Machine &m) { return m.runSort(v); });
+    double otc_at2 = otc.area * otc.times.back() * otc.times.back();
 
     std::vector<std::vector<std::uint64_t>> problems;
     for (unsigned p = 0; p < l; ++p)

@@ -68,11 +68,15 @@ printTables()
     {
         std::size_t n = 1024;
         auto v = randomValues(n, 5);
-        auto plain = defaultCostModel(n);
-        auto scaled = defaultCostModel(n, vlsi::DelayModel::Logarithmic,
-                                       /*scaled_trees=*/true);
-        auto t_plain = otn::sortOtn(v, plain).time;
-        auto t_scaledv = otn::sortOtn(v, scaled).time;
+        auto sort = [&](topo::Machine &m) { return m.runSort(v); };
+        MeasuredRow row;
+        auto t_plain = registryRow(row, "otn", topo::Algo::Sort, n,
+                                   vlsi::DelayModel::Logarithmic, sort)
+                           .time;
+        auto t_scaledv = registryRow(row, "otn", topo::Algo::Sort, n,
+                                     vlsi::DelayModel::Logarithmic, sort,
+                                     /*scaled=*/true)
+                             .time;
         std::printf("  SORT-OTN: plain %s vs scaled %s (%.2fx; paper: "
                     "Theta(log N) = %.0f)\n",
                     analysis::formatQuantity(

@@ -23,28 +23,31 @@ printTables()
 
     analysis::TextTable t({"N", "edges", "SSSP rounds", "SSSP time",
                            "APSP time", "log^2 N", "N log N"});
-    std::vector<double> ns, sssp_times, apsp_times;
+    MeasuredRow sssp_row{"OTN SSSP", {}, {}, 0};
+    std::vector<double> apsp_times;
     for (std::size_t n : {16, 32, 64, 128}) {
         sim::Rng rng(120 + n);
         auto g = graph::randomWeightedConnected(n, 2 * n, rng);
-        vlsi::CostModel cost(vlsi::DelayModel::Logarithmic,
-                             otn::pathWordFormat(n, n * n));
 
-        otn::OrthogonalTreesNetwork net(n, cost);
         std::size_t src = rng.uniform(0, n - 1);
-        auto sssp = otn::ssspOtn(net, g, src);
+        auto sssp = registryRow(
+            sssp_row, "otn", topo::Algo::ShortestPaths, n,
+            vlsi::DelayModel::Logarithmic,
+            [&](topo::Machine &m) { return m.runShortestPaths(g, src); });
         if (sssp.dist != graph::dijkstra(g, src))
             std::abort();
 
-        otn::OrthogonalTreesNetwork net2(n, cost);
-        auto apsp = otn::apspOtn(net2, g);
+        // APSP is not a registry algorithm: it runs on an OTN built
+        // with the same path-sum word width.
+        vlsi::CostModel cost(vlsi::DelayModel::Logarithmic,
+                             otn::pathWordFormat(n, n * n));
+        otn::OrthogonalTreesNetwork net(n, cost);
+        auto apsp = otn::apspOtn(net, g);
         if (apsp.dist != graph::floydWarshall(g))
             std::abort();
 
         double dn = static_cast<double>(n);
         double l = std::log2(dn);
-        ns.push_back(dn);
-        sssp_times.push_back(static_cast<double>(sssp.time));
         apsp_times.push_back(static_cast<double>(apsp.time));
         t.addRow({std::to_string(n),
                   std::to_string(g.skeleton().edgeCount()),
@@ -58,8 +61,8 @@ printTables()
     }
     std::printf("%s", t.str().c_str());
 
-    auto sfit = analysis::fitPowerLaw(ns, sssp_times);
-    auto afit = analysis::fitPowerLaw(ns, apsp_times);
+    auto sfit = analysis::fitPowerLaw(sssp_row.ns, sssp_row.times);
+    auto afit = analysis::fitPowerLaw(sssp_row.ns, apsp_times);
     std::printf("\nSSSP time ~ %s (diameter x log^2 N rounds); "
                 "APSP time ~ %s (log N pipelined products, ~N log^2 N)\n",
                 analysis::formatExponent("N", sfit.exponent).c_str(),

@@ -48,8 +48,10 @@ printTables()
         {"otc", &otc}, {"fattree", &fattree}, {"d2d-mot", &d2dmot}};
     for (std::size_t n : kSweep) {
         auto v = randomValues(n, 42 + n);
+        auto sort = [&](topo::Machine &m) { return m.runSort(v); };
         for (auto [net, row] : nets)
-            sortRow(*row, net, v, vlsi::DelayModel::Logarithmic);
+            registryRow(*row, net, topo::Algo::Sort, n,
+                        vlsi::DelayModel::Logarithmic, sort);
     }
 
     printMeasured({mesh, psn, ccc, otn, otc, fattree, d2dmot});
@@ -63,8 +65,10 @@ printTables()
         {"mesh", &mesh_x}, {"psn", &psn_x}, {"ccc", &ccc_x}};
     for (std::size_t n : {4096, 16384, 65536}) {
         auto v = randomValues(n, 17 + n);
+        auto sort = [&](topo::Machine &m) { return m.runSort(v); };
         for (auto [net, row] : nets_x)
-            sortRow(*row, net, v, vlsi::DelayModel::Logarithmic);
+            registryRow(*row, net, topo::Algo::Sort, n,
+                        vlsi::DelayModel::Logarithmic, sort);
     }
     std::printf("\nExtended baseline sweep (N = 4096...65536):\n");
     printMeasured({mesh_x, psn_x, ccc_x});

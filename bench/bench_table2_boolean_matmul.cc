@@ -51,6 +51,7 @@ printTables()
     MeasuredRow otc_rep{"OTC (Sec VI-B)", {}, {}, 0};
     MeasuredRow mot3d{"3D mesh of trees", {}, {}, 0};
     MeasuredRow hex{"hex array [15]", {}, {}, 0};
+    std::vector<double> otc_areas; // each N's own Table II OTC chip
 
     for (std::size_t n : kSweep) {
         auto a = randomBool(n, 10 + n);
@@ -58,29 +59,26 @@ printTables()
         auto cost = defaultCostModel(n);
         double dn = static_cast<double>(n);
 
-        // Verify all engines against the sequential reference once.
+        // Verify the registry-built engines against the sequential
+        // reference.
         auto expect = linalg::boolMatMul(a, b);
-
-        {
-            baselines::MeshMachine m(n * n, cost);
-            auto r = baselines::meshBoolMatMul(m, a, b);
+        auto boolmm = [&](const char *net, MeasuredRow &row) {
+            auto r = registryRow(
+                row, net, topo::Algo::BoolMatMul, n,
+                vlsi::DelayModel::Logarithmic,
+                [&](topo::Machine &m) { return m.runBoolMatMul(a, b); });
             for (std::size_t i = 0; i < n; ++i)
                 for (std::size_t j = 0; j < n; ++j)
                     if ((r.product(i, j) != 0) != (expect(i, j) != 0))
                         std::abort();
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            otn::OrthogonalTreesNetwork m(n, cost);
-            auto r = otn::boolMatMulPipelined(m, a, b);
-            otn_pipe.ns.push_back(dn);
-            otn_pipe.times.push_back(static_cast<double>(r.time));
-            otn_pipe.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
+        };
+        boolmm("mesh", mesh);
+        boolmm("otn", otn_pipe);
+        boolmm("otc", otc_rep);
+        otc_areas.push_back(otc_rep.area);
+        // The other low-area baseline the paper's Section I cites:
+        // the hexagonal systolic array [15].
+        boolmm("hex", hex);
         {
             // Time from the replicated-block run; area is the paper's
             // (N^2 x N^2)-OTN: K^2 log^2 K with K = N^2.
@@ -93,12 +91,6 @@ printTables()
             otn_rep.area = static_cast<double>(big.metrics().area());
         }
         {
-            auto r = otc::boolMatMulOtc(a, b, cost);
-            otc_rep.ns.push_back(dn);
-            otc_rep.times.push_back(static_cast<double>(r.result.time));
-            otc_rep.area = static_cast<double>(r.chip.area());
-        }
-        {
             // Section VII-B: Leighton's 3D mesh of trees — area
             // Theta(N^4), polylog time, AT^2 = O(N^4 log^2 N).
             otn::MeshOfTrees3d m(n, cost);
@@ -106,20 +98,6 @@ printTables()
             mot3d.ns.push_back(dn);
             mot3d.times.push_back(static_cast<double>(r.time));
             mot3d.area = static_cast<double>(m.chipArea());
-        }
-        {
-            // The other low-area baseline the paper's Section I
-            // cites: the hexagonal systolic array [15].
-            baselines::HexArray hx(n, cost);
-            auto t0 = hx.now();
-            auto c = hx.boolMatMul(a, b);
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t j = 0; j < n; ++j)
-                    if ((c(i, j) != 0) != (expect(i, j) != 0))
-                        std::abort();
-            hex.ns.push_back(dn);
-            hex.times.push_back(static_cast<double>(hx.now() - t0));
-            hex.area = static_cast<double>(hx.chipArea());
         }
     }
 
@@ -149,13 +127,7 @@ printTables()
                                           vlsi::DelayModel::Logarithmic,
                                           dn);
         double otc_at2 =
-            otc_rep.area * otc_rep.times[i] * otc_rep.times[i];
-        // Use each N's own OTC chip area.
-        unsigned l = vlsi::logCeilAtLeast1(kSweep[i]);
-        layout::OtcLayout chip(
-            vlsi::ceilDiv(kSweep[i] * kSweep[i], l * l), l * l, 1, true);
-        otc_at2 = static_cast<double>(chip.metrics().area()) *
-                  otc_rep.times[i] * otc_rep.times[i];
+            otc_areas[i] * otc_rep.times[i] * otc_rep.times[i];
         ratio_ns.push_back(dn);
         ratios.push_back(psn.at2() / otc_at2);
         std::printf(" N=%zu: %s", kSweep[i],

@@ -44,6 +44,8 @@ printTables()
     MeasuredRow otn_row{"OTN (CONNECT)", {}, {}, 0};
     MeasuredRow otc_row{"OTC (emulated)", {}, {}, 0};
     MeasuredRow otc_nat{"OTC (native)", {}, {}, 0};
+    const std::vector<std::pair<const char *, MeasuredRow *>> nets{
+        {"mesh", &mesh}, {"otn", &otn_row}, {"otc", &otc_row}};
 
     for (std::size_t n : kSweep) {
         auto g = workloadGraph(n, 30 + n);
@@ -51,34 +53,14 @@ printTables()
         auto expect = graph::connectedComponents(g);
         double dn = static_cast<double>(n);
 
-        {
-            baselines::MeshMachine m(n * n, cost);
-            auto r = baselines::meshConnectedComponents(m, g);
+        auto cc = [&](topo::Machine &m) {
+            return m.runConnectedComponents(g);
+        };
+        for (auto [net, row] : nets) {
+            auto r = registryRow(*row, net, topo::Algo::ConnectedComponents,
+                                 n, vlsi::DelayModel::Logarithmic, cc);
             if (r.labels != expect)
                 std::abort();
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            otn::OrthogonalTreesNetwork m(n, cost);
-            auto r = otn::connectedComponentsOtn(m, g);
-            if (r.labels != expect)
-                std::abort();
-            otn_row.ns.push_back(dn);
-            otn_row.times.push_back(static_cast<double>(r.time));
-            otn_row.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            auto r = otc::connectedComponentsOtc(g, cost);
-            if (r.result.labels != expect)
-                std::abort();
-            otc_row.ns.push_back(dn);
-            otc_row.times.push_back(
-                static_cast<double>(r.result.time));
-            otc_row.area = static_cast<double>(r.chip.area());
         }
         {
             // The Section VI-B machine driven with the cycle

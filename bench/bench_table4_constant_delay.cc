@@ -36,8 +36,10 @@ printTables()
         {"mesh", &mesh}, {"psn", &psn}, {"ccc", &ccc}, {"otn", &otn}};
     for (std::size_t n : kSweep) {
         auto v = randomValues(n, 4242 + n);
+        auto sort = [&](topo::Machine &m) { return m.runSort(v); };
         for (auto [net, row] : nets)
-            sortRow(*row, net, v, vlsi::DelayModel::Constant);
+            registryRow(*row, net, topo::Algo::Sort, n,
+                        vlsi::DelayModel::Constant, sort);
     }
 
     printMeasured({mesh, psn, ccc, otn});
@@ -51,39 +53,23 @@ printTables()
                 "(T_log-delay / T_constant-delay):\n");
     std::printf("  %-5s %10s %10s   expectation\n", "net", "N=256",
                 "N=16384");
-    auto ratio_at = [&](std::size_t n, auto run) {
+    auto ratio_at = [](const char *net, std::size_t n) {
         auto v = randomValues(n, 4242 + n);
-        double t_log = static_cast<double>(
-            run(v, defaultCostModel(n)));
-        double t_const = static_cast<double>(
-            run(v, defaultCostModel(n, vlsi::DelayModel::Constant)));
-        return t_log / t_const;
-    };
-    auto mesh_run = [](const std::vector<std::uint64_t> &v,
-                       const vlsi::CostModel &c) {
-        return baselines::meshSort(v, c).time;
-    };
-    auto psn_run = [](const std::vector<std::uint64_t> &v,
-                      const vlsi::CostModel &c) {
-        return baselines::psnSort(v, c).time;
-    };
-    auto ccc_run = [](const std::vector<std::uint64_t> &v,
-                      const vlsi::CostModel &c) {
-        return baselines::cccSort(v, c).time;
+        auto sort = [&](topo::Machine &m) { return m.runSort(v); };
+        MeasuredRow row;
+        for (auto model :
+             {vlsi::DelayModel::Logarithmic, vlsi::DelayModel::Constant})
+            registryRow(row, net, topo::Algo::Sort, n, model, sort);
+        return row.times[0] / row.times[1];
     };
     std::printf("  %-5s %10.2f %10.2f   ~flat (Theta(log log N))\n",
-                "mesh", ratio_at(256, mesh_run),
-                ratio_at(16384, mesh_run));
+                "mesh", ratio_at("mesh", 256), ratio_at("mesh", 16384));
     std::printf("  %-5s %10.2f %10.2f   grows (Theta(log N))\n", "PSN",
-                ratio_at(256, psn_run), ratio_at(16384, psn_run));
+                ratio_at("psn", 256), ratio_at("psn", 16384));
     std::printf("  %-5s %10.2f %10.2f   grows (Theta(log N))\n", "CCC",
-                ratio_at(256, ccc_run), ratio_at(16384, ccc_run));
-    auto otn_run = [](const std::vector<std::uint64_t> &v,
-                      const vlsi::CostModel &c) {
-        return otn::sortOtn(v, c).time;
-    };
+                ratio_at("ccc", 256), ratio_at("ccc", 16384));
     std::printf("  %-5s %10.2f %10.2f   grows (Theta(log N))\n", "OTN",
-                ratio_at(256, otn_run), ratio_at(1024, otn_run));
+                ratio_at("otn", 256), ratio_at("otn", 1024));
 }
 
 } // namespace

@@ -30,8 +30,10 @@ main()
         {60001, 54321, 16},
         {(1u << 24) - 7, (1u << 24) - 11, 24},
     };
+    bool products_ok = true;
     for (const auto &c : cases) {
         auto r = otn::integerMultiplyOtn(c.a, c.b, c.bits);
+        products_ok = products_ok && r.product == c.a * c.b;
         std::printf("  %10lu * %10lu = %20lu  (%2u-bit, model time "
                     "%6lu, %u carry passes) %s\n",
                     static_cast<unsigned long>(c.a),
@@ -77,6 +79,7 @@ main()
     for (const auto &[phase, t] : net.acct().phaseTimes())
         std::printf("  %-12s %8lu units\n", phase.c_str(),
                     static_cast<unsigned long>(t));
-    return best == static_cast<std::size_t>(tone_bin) && err < 1e-6 ? 0
-                                                                    : 1;
+    const bool ok = products_ok &&
+                    best == static_cast<std::size_t>(tone_bin) && err < 1e-6;
+    return ok ? 0 : 1;
 }

@@ -39,59 +39,66 @@ main(int argc, char **argv)
                 "communities\n",
                 g.vertices(), g.edgeCount(), communities);
 
-    auto cost = defaultCostModel(n);
-    auto cc = otc::connectedComponentsOtc(g, cost);
+    // The registry builds power-of-two machines; a smaller graph
+    // occupies the first n vertices of the next size up.
+    const std::size_t size = vlsi::nextPow2(n);
+    const auto model = vlsi::DelayModel::Logarithmic;
+    auto cc_machine = topo::registry().build(topo::resolveSpec(
+        "otc", topo::Algo::ConnectedComponents, size, model, false));
+    auto cc = cc_machine->runConnectedComponents(g);
+    const std::uint64_t cc_area = cc_machine->area();
+    std::size_t components = 0;
+    for (std::size_t v = 0; v < n; ++v)
+        components += cc.labels[v] == v;
 
     std::printf("\nconnected components on the OTC:\n");
-    std::printf("  components found : %zu\n", cc.result.componentCount);
+    std::printf("  components found : %zu\n", components);
     std::printf("  model time       : %lu units (paper: O(log^4 N))\n",
-                static_cast<unsigned long>(cc.result.time));
+                static_cast<unsigned long>(cc.time));
     std::printf("  chip area        : %lu lambda^2 (paper: O(N^2))\n",
-                static_cast<unsigned long>(cc.chip.area()));
+                static_cast<unsigned long>(cc_area));
 
-    auto expect = graph::connectedComponents(g);
+    const bool cc_ok = cc.labels == graph::connectedComponents(g);
     std::printf("  matches union-find reference: %s\n",
-                cc.result.labels == expect ? "yes" : "NO");
+                cc_ok ? "yes" : "NO");
 
     std::printf("  membership:");
     for (std::size_t v = 0; v < std::min<std::size_t>(n, 16); ++v)
-        std::printf(" %zu->%zu", v, cc.result.labels[v]);
+        std::printf(" %zu->%zu", v, cc.labels[v]);
     if (n > 16)
         std::printf(" ...");
     std::printf("\n");
 
     // --- MST on a weighted connected overlay -------------------------
     auto wg = graph::randomWeightedConnected(n, 2 * n, rng);
-    vlsi::CostModel mst_cost(vlsi::DelayModel::Logarithmic,
-                             otn::mstWordFormat(n, n * n));
-    auto mst = otc::mstOtc(wg, mst_cost);
+    auto mst_machine = topo::registry().build(
+        topo::resolveSpec("otc", topo::Algo::Mst, size, model, false));
+    auto mst = mst_machine->runMst(wg);
 
     std::printf("\nminimum spanning tree on the OTC (Boruvka):\n");
-    std::printf("  edges       : %zu (expect %zu)\n", mst.result.edges.size(),
+    std::printf("  edges       : %zu (expect %zu)\n", mst.edges.size(),
                 n - 1);
     std::printf("  total weight: %lu\n",
-                static_cast<unsigned long>(mst.result.totalWeight));
+                static_cast<unsigned long>(graph::totalWeight(mst.edges)));
     std::printf("  model time  : %lu units (paper: O(log^4 N))\n",
-                static_cast<unsigned long>(mst.result.time));
+                static_cast<unsigned long>(mst.time));
     std::printf("  chip area   : %lu lambda^2 (paper: O(N^2 log N))\n",
-                static_cast<unsigned long>(mst.chip.area()));
+                static_cast<unsigned long>(mst_machine->area()));
 
-    auto kruskal = graph::kruskalMsf(wg);
+    const bool mst_ok = mst.edges == graph::kruskalMsf(wg);
     std::printf("  matches Kruskal reference: %s\n",
-                mst.result.edges == kruskal ? "yes" : "NO");
+                mst_ok ? "yes" : "NO");
     std::printf("  first edges:");
-    for (std::size_t e = 0; e < std::min<std::size_t>(5,
-                                                      mst.result.edges.size());
+    for (std::size_t e = 0; e < std::min<std::size_t>(5, mst.edges.size());
          ++e)
-        std::printf(" (%zu-%zu w=%lu)", mst.result.edges[e].u,
-                    mst.result.edges[e].v,
-                    static_cast<unsigned long>(mst.result.edges[e].w));
+        std::printf(" (%zu-%zu w=%lu)", mst.edges[e].u, mst.edges[e].v,
+                    static_cast<unsigned long>(mst.edges[e].w));
     std::printf(" ...\n");
 
     // --- Why the OTC: the AT^2 comparison the paper makes -----------
-    double at2_otc = static_cast<double>(cc.chip.area()) *
-                     static_cast<double>(cc.result.time) *
-                     static_cast<double>(cc.result.time);
+    double at2_otc = static_cast<double>(cc_area) *
+                     static_cast<double>(cc.time) *
+                     static_cast<double>(cc.time);
     auto mesh_row = analysis::paperFormula(
         analysis::Network::Mesh, analysis::Problem::ConnectedComponents,
         vlsi::DelayModel::Logarithmic, static_cast<double>(n));
@@ -100,5 +107,5 @@ main(int argc, char **argv)
                 at2_otc);
     std::printf("asymptotic mesh AT^2 at this N (constants = 1): %.3g\n",
                 mesh_row.at2());
-    return 0;
+    return cc_ok && mst_ok ? 0 : 1;
 }

@@ -53,25 +53,30 @@ main()
                  static_cast<double>(result.time);
     std::printf("area * time^2: %.3g\n", at2);
 
-    // The same sort under the constant-delay model (Section VII-D):
-    // every tree traversal drops from O(log^2 N) to O(log N).
-    otn::OrthogonalTreesNetwork fast(
-        n, defaultCostModel(n, vlsi::DelayModel::Constant));
-    auto result2 = otn::sortOtn(fast, values);
+    // The topo registry builds every machine the paper compares, sized
+    // for the problem.  The same sort under the constant-delay model
+    // (Section VII-D): every tree traversal drops from O(log^2 N) to
+    // O(log N).
+    auto fast = topo::registry().build(topo::resolveSpec(
+        "otn", topo::Algo::Sort, n, vlsi::DelayModel::Constant, false));
+    auto result2 = fast->runSort(values);
     std::printf("\nconstant-delay model time: %lu units (vs %lu)\n",
                 static_cast<unsigned long>(result2.time),
                 static_cast<unsigned long>(result.time));
 
     // And on the area-efficient orthogonal tree cycles (Section V):
     // same asymptotic time, Theta(log^2 N) less silicon.
-    auto otc_result = otc::sortOtc(values, cost);
+    auto otc = topo::registry().build(topo::resolveSpec(
+        "otc", topo::Algo::Sort, n, vlsi::DelayModel::Logarithmic, false));
+    auto otc_result = otc->runSort(values);
+    const bool agree = otc_result.sorted == result.sorted;
     std::printf("OTC model time: %lu units; OTC sorts the same values: "
                 "%s\n",
                 static_cast<unsigned long>(otc_result.time),
-                otc_result.sorted == result.sorted ? "yes" : "NO");
+                agree ? "yes" : "NO");
 
     // What the machine did, in counters:
     std::printf("\nprimitive counts:\n");
     net.stats().dump(std::cout, "  ");
-    return 0;
+    return agree ? 0 : 1;
 }

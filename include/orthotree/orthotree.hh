@@ -8,11 +8,14 @@
  *
  *   #include "orthotree/orthotree.hh"
  *
- *   auto cost = ot::defaultCostModel(n);          // Thompson's model
- *   ot::otn::OrthogonalTreesNetwork net(n, cost); // an (n x n)-OTN
- *   auto sorted = ot::otn::sortOtn(net, values);  // SORT-OTN
- *   // sorted.sorted — the values; sorted.time — model time;
- *   // net.chipLayout().metrics().area() — chip area.
+ *   // The paper's (n x n)-OTN for sorting, Thompson's delay model:
+ *   auto spec = ot::topo::resolveSpec("otn", ot::topo::Algo::Sort, n,
+ *                                     ot::vlsi::DelayModel::Logarithmic,
+ *                                     false);
+ *   auto m = ot::topo::registry().build(spec);
+ *   auto r = m->runSort(values);                   // SORT-OTN
+ *   // r.sorted — the values; r.time — model time;
+ *   // r.area ? r.area : m->area() — chip area.
  *
  * The library is organised as:
  *   ot::vlsi      — Thompson's VLSI cost model (delay rules, words)
@@ -49,7 +52,6 @@
 #include "layout/svg.hh"
 #include "linalg/matrix.hh"
 #include "linalg/reference.hh"
-#include "otc/algorithms.hh"
 #include "otc/connected_components_native.hh"
 #include "otc/emulated_otn.hh"
 #include "otc/cycle_ops.hh"

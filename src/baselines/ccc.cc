@@ -79,11 +79,4 @@ cccSort(CccMachine &ccc, const std::vector<std::uint64_t> &values)
     return result;
 }
 
-CccSortResult
-cccSort(const std::vector<std::uint64_t> &values, const CostModel &cost)
-{
-    CccMachine ccc(values.size(), cost);
-    return cccSort(ccc, values);
-}
-
 } // namespace ot::baselines

@@ -73,7 +73,4 @@ struct CccSortResult
 CccSortResult cccSort(CccMachine &ccc,
                       const std::vector<std::uint64_t> &values);
 
-CccSortResult cccSort(const std::vector<std::uint64_t> &values,
-                      const CostModel &cost);
-
 } // namespace ot::baselines

@@ -74,13 +74,6 @@ meshSort(MeshMachine &mesh, const std::vector<std::uint64_t> &values)
 }
 
 MeshSortResult
-meshSort(const std::vector<std::uint64_t> &values, const CostModel &cost)
-{
-    MeshMachine mesh(values.size(), cost);
-    return meshSort(mesh, values);
-}
-
-MeshSortResult
 meshOddEvenSort(MeshMachine &mesh, const std::vector<std::uint64_t> &values)
 {
     const std::size_t k = mesh.side();

@@ -78,10 +78,6 @@ struct MeshSortResult
 MeshSortResult meshSort(MeshMachine &mesh,
                         const std::vector<std::uint64_t> &values);
 
-/** Convenience overload building the machine. */
-MeshSortResult meshSort(const std::vector<std::uint64_t> &values,
-                        const CostModel &cost);
-
 /**
  * Odd-even transposition sort on the mesh snake order: N rounds of
  * nearest-neighbour compare-exchange, Theta(N) time — the naive mesh

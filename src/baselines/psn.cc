@@ -91,11 +91,4 @@ psnSort(PsnMachine &psn, const std::vector<std::uint64_t> &values)
     return result;
 }
 
-PsnSortResult
-psnSort(const std::vector<std::uint64_t> &values, const CostModel &cost)
-{
-    PsnMachine psn(values.size(), cost);
-    return psnSort(psn, values);
-}
-
 } // namespace ot::baselines

@@ -75,7 +75,4 @@ struct PsnSortResult
 PsnSortResult psnSort(PsnMachine &psn,
                       const std::vector<std::uint64_t> &values);
 
-PsnSortResult psnSort(const std::vector<std::uint64_t> &values,
-                      const CostModel &cost);
-
 } // namespace ot::baselines

@@ -20,7 +20,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "layout/otc_layout.hh"
@@ -49,14 +48,12 @@ enum class Axis { Row, Col };
 /**
  * Cycle predicate over cycle addresses (i = row, j = column).  Like
  * otn::Sel, a flat value type: the per-cycle loops evaluate it with
- * one switch and no allocation (CSel::pred is the escape hatch).
+ * one switch and no allocation.
  */
 class CSel
 {
   public:
-    enum class Kind : std::uint8_t { All, None, RowIs, ColIs, Pred };
-
-    using Predicate = std::function<bool(std::size_t i, std::size_t j)>;
+    enum class Kind : std::uint8_t { All, None, RowIs, ColIs };
 
     static CSel all() { return CSel(Kind::All); }
     static CSel none() { return CSel(Kind::None); }
@@ -77,15 +74,6 @@ class CSel
         return s;
     }
 
-    /** Escape hatch: an arbitrary predicate over (i, j). */
-    static CSel
-    pred(Predicate p)
-    {
-        CSel s(Kind::Pred);
-        s._pred = std::make_shared<const Predicate>(std::move(p));
-        return s;
-    }
-
     Kind kind() const { return _kind; }
     std::size_t index() const { return _index; }
 
@@ -101,9 +89,6 @@ class CSel
             return i == _index;
         case Kind::ColIs:
             return j == _index;
-        case Kind::Pred:
-            assert(_pred);
-            return (*_pred)(i, j);
         }
         return false;
     }
@@ -113,7 +98,6 @@ class CSel
 
     Kind _kind;
     std::size_t _index = 0;
-    std::shared_ptr<const Predicate> _pred;
 };
 
 /** The primitives' cycle-selector argument type. */

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "vlsi/bitmath.hh"
-
 namespace ot::otc {
 
 SortOtcResult
@@ -90,17 +88,6 @@ sortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
         result.sorted[g] = net.colStream(g % k)[g / k];
     result.time = net.now() - start;
     return result;
-}
-
-SortOtcResult
-sortOtc(const std::vector<std::uint64_t> &values,
-        const vlsi::CostModel &cost)
-{
-    std::size_t n = values.size() ? values.size() : 1;
-    unsigned l = vlsi::logCeilAtLeast1(n);
-    std::size_t k = vlsi::nextPow2(vlsi::ceilDiv(n, l));
-    OtcNetwork net(k, l, cost);
-    return sortOtc(net, values);
 }
 
 } // namespace ot::otc

@@ -41,12 +41,4 @@ struct SortOtcResult
 SortOtcResult sortOtc(OtcNetwork &net,
                       const std::vector<std::uint64_t> &values);
 
-/**
- * Convenience: build the paper's standard machine for N values —
- * K = N / log N cycles per side with cycles of length log N — and
- * sort.  N is rounded so the machine exists (K a power of two).
- */
-SortOtcResult sortOtc(const std::vector<std::uint64_t> &values,
-                      const vlsi::CostModel &cost);
-
 } // namespace ot::otc

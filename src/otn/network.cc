@@ -62,7 +62,6 @@ OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
                                                layout::LayoutParams params)
     : _n(vlsi::nextPow2(n ? n : 1)),
       _cost(cost),
-      _layoutParams(params),
       _layout(_n, cost.word().bits(), params),
       _engine(_acct, _stats),
       _backend(simd::activeBackend()),
@@ -106,14 +105,6 @@ sim::ChainEngine::ReplayStep
 OrthogonalTreesNetwork::countStep(Ctr c)
 {
     return {&counter(c), nullptr, 0, {}};
-}
-
-void
-OrthogonalTreesNetwork::setCostModel(const CostModel &cost)
-{
-    _cost = cost;
-    _layout = layout::OtnLayout(_n, cost.word().bits(), _layoutParams);
-    invalidateCostCaches();
 }
 
 void

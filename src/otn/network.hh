@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,9 +60,7 @@ enum class Axis { Row, Col };
  * Sel is a flat value type (a tag plus a few indices), not a
  * std::function: the per-leaf inner loops of the primitives evaluate
  * it with one branch-predictable switch and zero allocations.  The
- * named factories cover every selector the paper's algorithms use;
- * Sel::pred is the escape hatch for arbitrary host predicates (it is
- * the only kind that allocates).
+ * named factories cover every selector the paper's algorithms use.
  */
 class Sel
 {
@@ -76,10 +73,7 @@ class Sel
         ColIs,     ///< j == index
         EvenAlong, ///< even position along the vector axis
         RegEq,     ///< machine register reg(r, i, j) == value
-        Pred,      ///< arbitrary host predicate
     };
-
-    using Predicate = std::function<bool(std::size_t i, std::size_t j)>;
 
     /** Every BP of the vector. */
     static Sel all() { return Sel(Kind::All); }
@@ -131,27 +125,11 @@ class Sel
         return s;
     }
 
-    /** Escape hatch: an arbitrary predicate over (i, j). */
-    static Sel
-    pred(Predicate p)
-    {
-        Sel s(Kind::Pred);
-        s._pred = std::make_shared<const Predicate>(std::move(p));
-        return s;
-    }
-
     Kind kind() const { return _kind; }
     std::size_t index() const { return _index; }
     Axis axis() const { return _axis; }
     Reg selReg() const { return _reg; }
     std::uint64_t value() const { return _value; }
-
-    const Predicate &
-    predicate() const
-    {
-        assert(_pred);
-        return *_pred;
-    }
 
   private:
     explicit Sel(Kind kind) : _kind(kind) {}
@@ -161,7 +139,6 @@ class Sel
     Reg _reg = Reg::A;
     std::size_t _index = 0;
     std::uint64_t _value = 0;
-    std::shared_ptr<const Predicate> _pred;
 };
 
 /** The primitives' selector argument type. */
@@ -215,13 +192,6 @@ class OrthogonalTreesNetwork
         _acct.reset();
         _stats.reset();
     }
-
-    /**
-     * Swap the cost rules (e.g. a different delay model).  Rebuilds
-     * the layout for the new word width and invalidates the cached
-     * tree costs; registers and the clock are untouched.
-     */
-    void setCostModel(const CostModel &cost);
 
     // ------------------------------------------------------------------
     // Register file and I/O ports
@@ -617,14 +587,6 @@ class OrthogonalTreesNetwork
     /** Geometry-derived combining cost; see treeReduceCost(). */
     virtual ModelTime computeTreeReduceCost() const;
 
-    /** Drop the cached tree costs (after a geometry/cost change). */
-    void
-    invalidateCostCaches()
-    {
-        _traversalCost = kCostUnset;
-        _reduceCost = kCostUnset;
-    }
-
   private:
     static constexpr ModelTime kCostUnset = ~ModelTime{0};
 
@@ -702,8 +664,6 @@ class OrthogonalTreesNetwork
             return (sel.axis() == Axis::Row ? j : i) % 2 == 0;
         case Sel::Kind::RegEq:
             return reg(sel.selReg(), i, j) == sel.value();
-        case Sel::Kind::Pred:
-            return sel.predicate()(i, j);
         }
         return false;
     }
@@ -735,7 +695,6 @@ class OrthogonalTreesNetwork
 
     std::size_t _n;
     CostModel _cost;
-    layout::LayoutParams _layoutParams;
     layout::OtnLayout _layout;
     TimeAccountant _acct;
     sim::StatSet _stats;

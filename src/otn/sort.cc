@@ -44,11 +44,4 @@ sortOtn(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &values)
     return result;
 }
 
-SortResult
-sortOtn(const std::vector<std::uint64_t> &values, const vlsi::CostModel &cost)
-{
-    OrthogonalTreesNetwork net(values.size(), cost);
-    return sortOtn(net, values);
-}
-
 } // namespace ot::otn

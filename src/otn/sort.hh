@@ -42,11 +42,4 @@ struct SortResult
 SortResult sortOtn(OrthogonalTreesNetwork &net,
                    const std::vector<std::uint64_t> &values);
 
-/**
- * Convenience: build an (n x n)-OTN sized for `values` under `cost`
- * rules and sort.
- */
-SortResult sortOtn(const std::vector<std::uint64_t> &values,
-                   const vlsi::CostModel &cost);
-
 } // namespace ot::otn

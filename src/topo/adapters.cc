@@ -113,7 +113,7 @@ MstRun
 OtnTopoMachine::runMst(const graph::WeightedGraph &g)
 {
     auto r = otn::mstOtn(*_net, g);
-    return {std::move(r.edges), r.time, 0};
+    return {std::move(r.edges), r.time, 0, r.iterations};
 }
 
 SsspRun
@@ -121,7 +121,7 @@ OtnTopoMachine::runShortestPaths(const graph::WeightedGraph &g,
                                  std::size_t src)
 {
     auto r = otn::ssspOtn(*_net, g, src);
-    return {std::move(r.dist), r.time, 0};
+    return {std::move(r.dist), r.time, 0, r.rounds};
 }
 
 // ------------------------------------------------------------ OTC-emu
@@ -145,9 +145,13 @@ MatMulRun
 OtcEmulatedTopoMachine::runBoolMatMul(const linalg::BoolMatrix &a,
                                       const linalg::BoolMatrix &b)
 {
+    // Time: the replicated-block machine of Table II (one vector
+    // product per row of A, all concurrent), driven at the OTC's
+    // streamed rates.
     auto r = otn::boolMatMulReplicated(*_net, a, b);
-    // The Table II chip: N^2/log^2 N cycles per side, cycles of
-    // log^2 N one-bit BPs (see otc::boolMatMulOtc).
+    // Area: N^2/log^2 N cycles per side, cycles of log^2 N one-bit BPs
+    // packed O(log N) x O(log N) (Section VI-B) — total
+    // O(N^4 / log^2 N).
     const unsigned logn = vlsi::logCeilAtLeast1(n());
     layout::OtcLayout chip(vlsi::ceilDiv(n() * n(), logn * logn),
                            logn * logn, /*word_bits=*/1,

@@ -2,7 +2,7 @@
 
 namespace ot::topo {
 
-std::string
+const char *
 toString(Algo algo)
 {
     switch (algo) {
@@ -25,21 +25,13 @@ toString(Algo algo)
 bool
 algoFromString(const std::string &s, Algo &out)
 {
-    if (s == "sort")
-        out = Algo::Sort;
-    else if (s == "matmul")
-        out = Algo::MatMul;
-    else if (s == "boolmm")
-        out = Algo::BoolMatMul;
-    else if (s == "cc")
-        out = Algo::ConnectedComponents;
-    else if (s == "mst")
-        out = Algo::Mst;
-    else if (s == "sssp")
-        out = Algo::ShortestPaths;
-    else
-        return false;
-    return true;
+    for (Algo algo : allAlgos()) {
+        if (s == toString(algo)) {
+            out = algo;
+            return true;
+        }
+    }
+    return false;
 }
 
 std::string
@@ -54,6 +46,20 @@ shortName(vlsi::DelayModel model)
         return "linear";
     }
     return "?";
+}
+
+bool
+modelFromShortName(const std::string &s, vlsi::DelayModel &out)
+{
+    for (vlsi::DelayModel model :
+         {vlsi::DelayModel::Constant, vlsi::DelayModel::Logarithmic,
+          vlsi::DelayModel::Linear}) {
+        if (s == shortName(model)) {
+            out = model;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace ot::topo

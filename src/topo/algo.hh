@@ -44,13 +44,17 @@ allAlgos()
             Algo::ShortestPaths};
 }
 
-/** Short spelling used by the CLI/JSON forms ("sort", "cc", ...). */
-std::string toString(Algo algo);
+/** Short spelling used by the CLI/JSON forms ("sort", "cc", ...);
+ *  a static string, so a tracer may keep the pointer as a span name. */
+const char *toString(Algo algo);
 
 /** Parse the short spelling; false on an unknown name. */
 bool algoFromString(const std::string &s, Algo &out);
 
 /** Short delay-model spelling: "log", "const" or "linear". */
 std::string shortName(vlsi::DelayModel model);
+
+/** Parse the short delay-model spelling; false on an unknown name. */
+bool modelFromShortName(const std::string &s, vlsi::DelayModel &out);
 
 } // namespace ot::topo

@@ -173,6 +173,7 @@ Machine::runMst(const graph::WeightedGraph &g)
     bool merged = true;
     while (merged) {
         merged = false;
+        ++r.phases;
         // comp -> (w, u, v) of the cheapest outgoing edge.
         std::vector<bool> has(m, false);
         std::vector<graph::Edge> best(m);
@@ -227,6 +228,7 @@ Machine::runShortestPaths(const graph::WeightedGraph &g, std::size_t src)
     bool changed = true;
     while (changed) {
         changed = false;
+        ++r.rounds;
         std::vector<std::uint64_t> next = r.dist;
         for (std::size_t u = 0; u < m; ++u) {
             if (r.dist[u] == graph::kUnreachable)

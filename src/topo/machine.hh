@@ -112,6 +112,8 @@ struct MstRun
     std::vector<graph::Edge> edges;
     ModelTime time = 0;
     std::uint64_t area = 0;
+    /** Boruvka phases executed. */
+    unsigned phases = 0;
 };
 
 struct SsspRun
@@ -120,6 +122,8 @@ struct SsspRun
     std::vector<std::uint64_t> dist;
     ModelTime time = 0;
     std::uint64_t area = 0;
+    /** Relaxation rounds executed (the last one detects convergence). */
+    unsigned rounds = 0;
 };
 
 /** One pluggable network topology under the VLSI cost model.

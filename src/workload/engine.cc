@@ -15,27 +15,6 @@ namespace ot::workload {
 
 namespace {
 
-/** Stable span label per algorithm (the tracer keeps the pointer). */
-const char *
-algoSpanName(Algo algo)
-{
-    switch (algo) {
-      case Algo::Sort:
-        return "sort";
-      case Algo::MatMul:
-        return "matmul";
-      case Algo::BoolMatMul:
-        return "boolmm";
-      case Algo::ConnectedComponents:
-        return "cc";
-      case Algo::Mst:
-        return "mst";
-      case Algo::ShortestPaths:
-        return "sssp";
-    }
-    return "?";
-}
-
 /** Input values of a sort instance. */
 std::vector<std::uint64_t>
 sortValues(std::size_t n, sim::Rng &rng)
@@ -242,7 +221,7 @@ BatchEngine::run(const WorkloadSpec &spec)
             sim::ChainEngine::SpanArgs args;
             args.tree = static_cast<std::int64_t>(idx);
             args.words = inst.n;
-            _engine.traceSpan("workload", algoSpanName(inst.algo), dt,
+            _engine.traceSpan("workload", toString(inst.algo), dt,
                               args);
             _engine.charge(dt);
             ++_engine.counter(std::string("workload.algo.") +

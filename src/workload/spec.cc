@@ -30,20 +30,6 @@ parseUint(const std::string &s, std::uint64_t &out)
     return true;
 }
 
-bool
-modelFromString(const std::string &s, vlsi::DelayModel &out)
-{
-    if (s == "log")
-        out = vlsi::DelayModel::Logarithmic;
-    else if (s == "const")
-        out = vlsi::DelayModel::Constant;
-    else if (s == "linear")
-        out = vlsi::DelayModel::Linear;
-    else
-        return false;
-    return true;
-}
-
 /**
  * Cursor over a JSON text for the one document shape parseWorkloadJson
  * accepts.  All failures funnel through fail(), which records the byte
@@ -170,7 +156,7 @@ parseInstanceObject(JsonCursor &cur, InstanceSpec &out)
             std::string v;
             if (!cur.parseString(v))
                 return false;
-            if (!modelFromString(v, out.model))
+            if (!topo::modelFromShortName(v, out.model))
                 return cur.fail("unknown model '" + v + "'");
         } else if (key == "n") {
             std::uint64_t v = 0;
@@ -265,7 +251,7 @@ parseInstance(const std::string &token, InstanceSpec &out, std::string &err)
         return false;
     }
     inst.n = static_cast<std::size_t>(n);
-    if (!modelFromString(parts[3], inst.model)) {
+    if (!topo::modelFromShortName(parts[3], inst.model)) {
         err = "unknown model '" + parts[3] + "' (log|const|linear)";
         return false;
     }
@@ -289,9 +275,9 @@ parseInstance(const std::string &token, InstanceSpec &out, std::string &err)
 std::string
 toToken(const InstanceSpec &inst)
 {
-    std::string out = toString(inst.algo) + ":" + inst.net + ":" +
-                      std::to_string(inst.n) + ":" +
-                      shortName(inst.model);
+    std::string out = toString(inst.algo);
+    out += ":" + inst.net + ":" + std::to_string(inst.n) + ":" +
+           shortName(inst.model);
     if (inst.scaled)
         out += ":scaled";
     if (inst.seed != 1)
@@ -348,7 +334,7 @@ toJson(const WorkloadSpec &spec)
         const InstanceSpec &inst = spec.instances[i];
         if (i)
             out += ",";
-        out += "\n  {\"algo\": \"" + toString(inst.algo) + "\"";
+        out += std::string("\n  {\"algo\": \"") + toString(inst.algo) + "\"";
         out += ", \"net\": \"" + inst.net + "\"";
         out += ", \"n\": " + std::to_string(inst.n);
         out += ", \"model\": \"" + shortName(inst.model) + "\"";

@@ -18,6 +18,7 @@
 #include "graph/reference_algorithms.hh"
 #include "linalg/reference.hh"
 #include "sim/rng.hh"
+#include "topo/registry.hh"
 
 namespace {
 
@@ -33,17 +34,21 @@ logCost(std::size_t n)
     return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
 }
 
-CostModel
-constCost(std::size_t n)
-{
-    return {DelayModel::Constant, WordFormat::forProblemSize(n)};
-}
-
 std::vector<std::uint64_t>
 sortedCopy(std::vector<std::uint64_t> v)
 {
     std::sort(v.begin(), v.end());
     return v;
+}
+
+/** Sort v on the registry's `net` machine for N = v.size(). */
+ot::topo::SortRun
+registrySort(const char *net, const std::vector<std::uint64_t> &v,
+             DelayModel model = DelayModel::Logarithmic)
+{
+    auto spec = ot::topo::resolveSpec(net, ot::topo::Algo::Sort, v.size(),
+                                      model, false);
+    return ot::topo::registry().build(spec)->runSort(v);
 }
 
 // ---------------------------------------------------------------- mesh
@@ -55,7 +60,7 @@ TEST(MeshSort, SortsRandomInputs)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        EXPECT_EQ(meshSort(v, logCost(n)).sorted, sortedCopy(v))
+        EXPECT_EQ(registrySort("mesh", v).sorted, sortedCopy(v))
             << "n = " << n;
     }
 }
@@ -63,7 +68,8 @@ TEST(MeshSort, SortsRandomInputs)
 TEST(MeshSort, PartialLoadAndDuplicates)
 {
     std::vector<std::uint64_t> v{7, 7, 1, 3, 3};
-    EXPECT_EQ(meshSort(v, logCost(8)).sorted, sortedCopy(v));
+    MeshMachine mesh(v.size(), logCost(8));
+    EXPECT_EQ(meshSort(mesh, v).sorted, sortedCopy(v));
 }
 
 TEST(MeshSort, TimeIsThetaSqrtN)
@@ -94,8 +100,8 @@ TEST(MeshSort, UnaffectedByDelayModel)
     std::vector<std::uint64_t> v(n);
     for (auto &x : v)
         x = rng.uniform(0, n - 1);
-    auto t_log = meshSort(v, logCost(n)).time;
-    auto t_const = meshSort(v, constCost(n)).time;
+    auto t_log = registrySort("mesh", v).time;
+    auto t_const = registrySort("mesh", v, DelayModel::Constant).time;
     double ratio = static_cast<double>(t_log) /
                    static_cast<double>(t_const);
     EXPECT_LT(ratio, 4.0);
@@ -185,7 +191,7 @@ TEST(PsnSort, SortsRandomInputs)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        EXPECT_EQ(psnSort(v, logCost(n)).sorted, sortedCopy(v))
+        EXPECT_EQ(registrySort("psn", v).sorted, sortedCopy(v))
             << "n = " << n;
     }
 }
@@ -195,7 +201,8 @@ TEST(PsnSort, StepCountIsThetaLog2N)
     Rng rng(9);
     for (std::size_t n : {64, 256, 1024}) {
         auto v = rng.permutation(n);
-        auto r = psnSort(v, logCost(n));
+        PsnMachine psn(n, logCost(n)); // the sort's own step count
+        auto r = psnSort(psn, v);
         double m = std::log2(static_cast<double>(n));
         EXPECT_GT(static_cast<double>(r.steps), 0.4 * m * m);
         EXPECT_LT(static_cast<double>(r.steps), 2.5 * m * m);
@@ -208,8 +215,8 @@ TEST(PsnSort, ConstantDelaySavesALogFactor)
     Rng rng(10);
     std::size_t n = 4096;
     auto v = rng.permutation(n);
-    auto t_log = psnSort(v, logCost(n)).time;
-    auto t_const = psnSort(v, constCost(n)).time;
+    auto t_log = registrySort("psn", v).time;
+    auto t_const = registrySort("psn", v, DelayModel::Constant).time;
     double ratio = static_cast<double>(t_log) /
                    static_cast<double>(t_const);
     // log2(4096) = 12; the wire delay factor is log(N/logN) ~ 8.4.
@@ -220,11 +227,11 @@ TEST(PsnSort, ConstantDelaySavesALogFactor)
 TEST(PsnSort, DuplicatesAndAdversarialOrders)
 {
     std::vector<std::uint64_t> rev{7, 6, 5, 4, 3, 2, 1, 0};
-    EXPECT_EQ(psnSort(rev, logCost(8)).sorted, sortedCopy(rev));
+    EXPECT_EQ(registrySort("psn", rev).sorted, sortedCopy(rev));
     std::vector<std::uint64_t> dup(32, 5);
     dup[7] = 1;
     dup[23] = 9;
-    EXPECT_EQ(psnSort(dup, logCost(32)).sorted, sortedCopy(dup));
+    EXPECT_EQ(registrySort("psn", dup).sorted, sortedCopy(dup));
 }
 
 // ----------------------------------------------------------------- CCC
@@ -236,7 +243,7 @@ TEST(CccSort, SortsRandomInputs)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        EXPECT_EQ(cccSort(v, logCost(n)).sorted, sortedCopy(v))
+        EXPECT_EQ(registrySort("ccc", v).sorted, sortedCopy(v))
             << "n = " << n;
     }
 }
@@ -246,7 +253,8 @@ TEST(CccSort, StepCountIsThetaLog2N)
     Rng rng(12);
     for (std::size_t n : {64, 256, 1024}) {
         auto v = rng.permutation(n);
-        auto r = cccSort(v, logCost(n));
+        CccMachine ccc(n, logCost(n)); // the sort's own step count
+        auto r = cccSort(ccc, v);
         double m = std::log2(static_cast<double>(n));
         EXPECT_GT(static_cast<double>(r.steps), 0.4 * m * m);
         EXPECT_LT(static_cast<double>(r.steps), 3.0 * m * m);
@@ -258,8 +266,8 @@ TEST(CccSort, ConstantDelaySavesALogFactor)
     Rng rng(13);
     std::size_t n = 4096;
     auto v = rng.permutation(n);
-    auto t_log = cccSort(v, logCost(n)).time;
-    auto t_const = cccSort(v, constCost(n)).time;
+    auto t_log = registrySort("ccc", v).time;
+    auto t_const = registrySort("ccc", v, DelayModel::Constant).time;
     double ratio = static_cast<double>(t_log) /
                    static_cast<double>(t_const);
     EXPECT_GT(ratio, 3.0);
@@ -273,9 +281,9 @@ TEST(Baselines, FastNetworksBeatMeshInTime)
     Rng rng(14);
     std::size_t n = 4096;
     auto v = rng.permutation(n);
-    auto t_mesh = meshSort(v, logCost(n)).time;
-    auto t_psn = psnSort(v, logCost(n)).time;
-    auto t_ccc = cccSort(v, logCost(n)).time;
+    auto t_mesh = registrySort("mesh", v).time;
+    auto t_psn = registrySort("psn", v).time;
+    auto t_ccc = registrySort("ccc", v).time;
     EXPECT_LT(t_psn, t_mesh);
     EXPECT_LT(t_ccc, t_mesh);
 

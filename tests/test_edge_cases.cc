@@ -47,7 +47,9 @@ TEST(EdgeCases, TwoElementSortEveryOrder)
                    std::vector<std::uint64_t>{1, 1}}) {
         auto expect = v;
         std::sort(expect.begin(), expect.end());
-        EXPECT_EQ(otn::sortOtn(v, logCost(2)).sorted, expect);
+        auto m = topo::registry().build(topo::resolveSpec(
+            "otn", topo::Algo::Sort, 2, DelayModel::Logarithmic, false));
+        EXPECT_EQ(m->runSort(v).sorted, expect);
     }
 }
 
@@ -73,7 +75,9 @@ TEST(EdgeCases, OtcWithCycleLengthOne)
 
 TEST(EdgeCases, SortOtcSingleValue)
 {
-    EXPECT_EQ(otc::sortOtc({3}, logCost(2)).sorted,
+    // N = 1: one cycle of length 1 (the registry builds N >= 2).
+    otc::OtcNetwork net(1, 1, logCost(2));
+    EXPECT_EQ(otc::sortOtc(net, {3}).sorted,
               (std::vector<std::uint64_t>{3}));
 }
 

@@ -169,11 +169,10 @@ TEST_P(FuzzOtn, RandomPrimitiveSequencesMatchShadow)
           case 1: { // LEAFTOROOT — needs a unique selection
             std::size_t k0 = rng.uniform(0, kN - 1);
             auto [si, sj] = leaf(k0);
-            // Exercises the Sel::pred escape hatch.
-            Selector unique = Sel::pred(
-                [si = si, sj = sj](std::size_t i, std::size_t j) {
-                    return i == si && j == sj;
-                });
+            // Leaf k0 of a row vector is column sj; of a column vector,
+            // row si.
+            Selector unique =
+                axis == Axis::Row ? Sel::colIs(sj) : Sel::rowIs(si);
             net.leafToRoot(axis, idx, unique, static_cast<Reg>(src));
             root = shadow.at(src, si, sj);
             break;

@@ -205,12 +205,11 @@ TEST_P(FuzzOtc, RandomPrimitiveSequencesMatchShadow)
         auto unique_sel = [&](bool empty) {
             std::size_t c0 = rng.uniform(0, kK - 1);
             auto [si, sj] = shadow.cycleAddr(axis, idx, c0);
-            CSel machine =
-                empty ? CSel::none()
-                      : CSel::pred([si = si, sj = sj](std::size_t i,
-                                                      std::size_t j) {
-                            return i == si && j == sj;
-                        });
+            // Cycle c0 of a row vector is column sj; of a column
+            // vector, row si.
+            CSel machine = empty               ? CSel::none()
+                           : axis == Axis::Row ? CSel::colIs(sj)
+                                               : CSel::rowIs(si);
             return std::make_tuple(machine, si, sj, empty);
         };
         // Mirror of reduceToRoot: per-position reduce over selected

@@ -34,6 +34,15 @@ logCost(std::size_t n)
     return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
 }
 
+/** The registry's machine for one (net, algo, n) instance. */
+std::unique_ptr<topo::Machine>
+machine(const char *net, topo::Algo algo, std::size_t n,
+        DelayModel model = DelayModel::Logarithmic)
+{
+    return topo::registry().build(
+        topo::resolveSpec(net, algo, n, model, false));
+}
+
 class SorterAgreement
     : public ::testing::TestWithParam<std::tuple<std::size_t, int>>
 {
@@ -50,11 +59,19 @@ TEST_P(SorterAgreement, AllMachinesAgree)
     std::sort(expect.begin(), expect.end());
     auto cost = logCost(n);
 
-    EXPECT_EQ(otn::sortOtn(v, cost).sorted, expect) << "SORT-OTN";
-    EXPECT_EQ(otc::sortOtc(v, cost).sorted, expect) << "SORT-OTC";
-    EXPECT_EQ(baselines::meshSort(v, cost).sorted, expect) << "mesh";
-    EXPECT_EQ(baselines::psnSort(v, cost).sorted, expect) << "PSN";
-    EXPECT_EQ(baselines::cccSort(v, cost).sorted, expect) << "CCC";
+    // N = 100 is no registered size, so every sorter here is built
+    // explicitly (each rounds its machine up to hold N keys).
+    otn::OrthogonalTreesNetwork otn_net(n, cost);
+    EXPECT_EQ(otn::sortOtn(otn_net, v).sorted, expect) << "SORT-OTN";
+    const unsigned l = vlsi::logCeilAtLeast1(n);
+    otc::OtcNetwork otc_net(vlsi::ceilDiv(n, l), l, cost);
+    EXPECT_EQ(otc::sortOtc(otc_net, v).sorted, expect) << "SORT-OTC";
+    baselines::MeshMachine mesh(n, cost);
+    EXPECT_EQ(baselines::meshSort(mesh, v).sorted, expect) << "mesh";
+    baselines::PsnMachine psn(n, cost);
+    EXPECT_EQ(baselines::psnSort(psn, v).sorted, expect) << "PSN";
+    baselines::CccMachine ccc(n, cost);
+    EXPECT_EQ(baselines::cccSort(ccc, v).sorted, expect) << "CCC";
 
     baselines::TreeMachine tree(n, cost);
     EXPECT_EQ(tree.extractMinSort(v), expect) << "tree machine";
@@ -96,7 +113,8 @@ TEST_P(MatMulAgreement, AllMachinesAgree)
     otn::OrthogonalTreesNetwork net(n, cost);
     EXPECT_EQ(otn::matMulPipelined(net, a, b).product, expect);
 
-    EXPECT_EQ(otc::matMulOtc(a, b, cost).result.product, expect);
+    EXPECT_EQ(machine("otc", topo::Algo::MatMul, n)->runMatMul(a, b).product,
+              expect);
 
     baselines::MeshMachine mesh(n * n, cost);
     EXPECT_EQ(baselines::meshMatMul(mesh, a, b).product, expect);
@@ -126,7 +144,10 @@ TEST_P(CcAgreement, FiveWaysAgree)
     EXPECT_EQ(otn::connectedComponentsOtn(net, g).labels, expect)
         << "CONNECT on OTN";
 
-    EXPECT_EQ(otc::connectedComponentsOtc(g, cost).result.labels, expect)
+    EXPECT_EQ(machine("otc", topo::Algo::ConnectedComponents, n)
+                  ->runConnectedComponents(g)
+                  .labels,
+              expect)
         << "CONNECT on OTC";
 
     otn::OrthogonalTreesNetwork net2(n, cost);
@@ -152,11 +173,10 @@ TEST(CrossMachine, SortTimeOrderingUnderThompson)
     std::size_t n = 1024;
     Rng rng(5);
     auto v = rng.permutation(n);
-    auto cost = logCost(n);
 
-    auto t_otn = otn::sortOtn(v, cost).time;
-    auto t_psn = baselines::psnSort(v, cost).time;
-    auto t_mesh = baselines::meshSort(v, cost).time;
+    auto t_otn = machine("otn", topo::Algo::Sort, n)->runSort(v).time;
+    auto t_psn = machine("psn", topo::Algo::Sort, n)->runSort(v).time;
+    auto t_mesh = machine("mesh", topo::Algo::Sort, n)->runSort(v).time;
     EXPECT_LT(t_otn, t_psn);
     EXPECT_LT(t_psn, t_mesh);
 }
@@ -191,7 +211,9 @@ TEST(CrossMachine, MstAgreesBetweenOtnOtcAndKruskal)
     auto expect = graph::kruskalMsf(g);
     otn::OrthogonalTreesNetwork net(n, cost);
     EXPECT_EQ(otn::mstOtn(net, g).edges, expect);
-    EXPECT_EQ(otc::mstOtc(g, cost).result.edges, expect);
+    // N = 24 is no registered size: build the emulated OTC directly.
+    otc::OtcEmulatedOtn emu(n, cost);
+    EXPECT_EQ(otn::mstOtn(emu, g).edges, expect);
 }
 
 TEST(CrossMachine, PipeliningNeverChangesResults)
@@ -208,7 +230,8 @@ TEST(CrossMachine, PipeliningNeverChangesResults)
     otn::OrthogonalTreesNetwork piped(n, cost);
     auto r = otn::sortPipelineOtn(piped, problems);
     for (std::size_t p = 0; p < problems.size(); ++p) {
-        auto isolated = otn::sortOtn(problems[p], cost).sorted;
+        auto isolated =
+            machine("otn", topo::Algo::Sort, n)->runSort(problems[p]).sorted;
         EXPECT_EQ(r.sorted[p], isolated) << "problem " << p;
     }
 }
@@ -226,8 +249,8 @@ TEST(CrossMachine, DelayModelNeverChangesResults)
     std::vector<std::uint64_t> expect;
     for (auto model : {DelayModel::Logarithmic, DelayModel::Constant,
                        DelayModel::Linear}) {
-        CostModel cost(model, WordFormat::forProblemSize(n));
-        auto sorted = otn::sortOtn(v, cost).sorted;
+        auto sorted =
+            machine("otn", topo::Algo::Sort, n, model)->runSort(v).sorted;
         if (expect.empty())
             expect = sorted;
         EXPECT_EQ(sorted, expect) << vlsi::toString(model);
@@ -240,8 +263,7 @@ TEST(CrossMachine, LinearDelayIsSlowestLogMiddleConstantFastest)
     Rng rng(9);
     auto v = rng.permutation(n);
     auto time_under = [&](DelayModel m) {
-        CostModel cost(m, WordFormat::forProblemSize(n));
-        return otn::sortOtn(v, cost).time;
+        return machine("otn", topo::Algo::Sort, n, m)->runSort(v).time;
     };
     auto t_const = time_under(DelayModel::Constant);
     auto t_log = time_under(DelayModel::Logarithmic);

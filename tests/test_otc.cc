@@ -13,18 +13,20 @@
 
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
-#include "otc/algorithms.hh"
 #include "otc/connected_components_native.hh"
+#include "otc/emulated_otn.hh"
 #include "otc/mst_native.hh"
 #include "linalg/reference.hh"
 #include "otc/network.hh"
 #include "otc/sort.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "topo/registry.hh"
 
 namespace {
 
 using namespace ot::otc;
+using ot::topo::Algo;
 using ot::sim::Rng;
 using ot::vlsi::CostModel;
 using ot::vlsi::DelayModel;
@@ -41,6 +43,23 @@ sortedCopy(std::vector<std::uint64_t> v)
 {
     std::sort(v.begin(), v.end());
     return v;
+}
+
+/** The registry's "otc" machine for one (algo, n) instance. */
+std::unique_ptr<ot::topo::Machine>
+otcMachine(Algo algo, std::size_t n,
+           DelayModel model = DelayModel::Logarithmic, bool scaled = false)
+{
+    return ot::topo::registry().build(
+        ot::topo::resolveSpec("otc", algo, n, model, scaled));
+}
+
+/** SORT-OTC on the registry's standard machine for N = v.size(). */
+ot::topo::SortRun
+registrySort(const std::vector<std::uint64_t> &v,
+             DelayModel model = DelayModel::Logarithmic, bool scaled = false)
+{
+    return otcMachine(Algo::Sort, v.size(), model, scaled)->runSort(v);
 }
 
 TEST(OtcNetwork, Shape)
@@ -179,7 +198,7 @@ TEST(SortOtc, TinyExample)
 {
     // 8 values: K = 4 ports (power of two), L = 3 -> capacity 12.
     std::vector<std::uint64_t> v{5, 1, 7, 3, 0, 6, 2, 4};
-    auto r = sortOtc(v, logCost(8));
+    auto r = registrySort(v);
     EXPECT_EQ(r.sorted, sortedCopy(v));
     EXPECT_GT(r.time, 0u);
 }
@@ -187,9 +206,9 @@ TEST(SortOtc, TinyExample)
 TEST(SortOtc, DuplicatesAndAllEqual)
 {
     std::vector<std::uint64_t> dup{3, 1, 3, 1, 3, 1, 3, 1};
-    EXPECT_EQ(sortOtc(dup, logCost(8)).sorted, sortedCopy(dup));
+    EXPECT_EQ(registrySort(dup).sorted, sortedCopy(dup));
     std::vector<std::uint64_t> eq(16, 9);
-    EXPECT_EQ(sortOtc(eq, logCost(16)).sorted, eq);
+    EXPECT_EQ(registrySort(eq).sorted, eq);
 }
 
 TEST(SortOtc, ExplicitMachineAndPartialLoad)
@@ -212,7 +231,7 @@ TEST_P(SortOtcRandom, MatchesStdSort)
     std::vector<std::uint64_t> v(n);
     for (auto &x : v)
         x = rng.uniform(0, n - 1);
-    EXPECT_EQ(sortOtc(v, logCost(n)).sorted, sortedCopy(v));
+    EXPECT_EQ(registrySort(v).sorted, sortedCopy(v));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -226,7 +245,7 @@ TEST(SortOtc, TimeShapeIsLogSquared)
     Rng rng(12);
     for (std::size_t n : {64, 256, 1024}) {
         auto v = rng.permutation(n);
-        auto r = sortOtc(v, logCost(n));
+        auto r = registrySort(v);
         double logn = std::log2(static_cast<double>(n));
         double ratio = static_cast<double>(r.time) / (logn * logn);
         lo = std::min(lo, ratio);
@@ -243,7 +262,7 @@ TEST(SortOtc, MatchesOtnTimeAsymptoticsWithLessArea)
     std::size_t n = 1024;
     auto v = rng.permutation(n);
 
-    auto r_otc = sortOtc(v, logCost(n));
+    auto r_otc = registrySort(v);
     ot::otn::OrthogonalTreesNetwork otn_net(n, logCost(n));
     auto r_otn = ot::otn::sortOtn(otn_net, v);
     EXPECT_EQ(r_otc.sorted, r_otn.sorted);
@@ -288,10 +307,11 @@ TEST(CcOtc, MatchesUnionFind)
     Rng rng(15);
     for (std::size_t n : {8, 16, 32}) {
         auto g = ot::graph::randomGnp(n, 1.8 / static_cast<double>(n), rng);
-        auto r = connectedComponentsOtc(g, logCost(n));
-        EXPECT_EQ(r.result.labels, ot::graph::connectedComponents(g))
+        auto m = otcMachine(Algo::ConnectedComponents, n);
+        auto r = m->runConnectedComponents(g);
+        EXPECT_EQ(r.labels, ot::graph::connectedComponents(g))
             << "n = " << n;
-        EXPECT_GT(r.chip.area(), 0u);
+        EXPECT_GT(m->area(), 0u);
     }
 }
 
@@ -300,10 +320,8 @@ TEST(MstOtc, MatchesKruskal)
     Rng rng(16);
     for (std::size_t n : {8, 16}) {
         auto g = ot::graph::randomWeightedConnected(n, n, rng);
-        CostModel cm(DelayModel::Logarithmic,
-                     ot::otn::mstWordFormat(n, n * n));
-        auto r = mstOtc(g, cm);
-        EXPECT_EQ(r.result.edges, ot::graph::kruskalMsf(g)) << "n = " << n;
+        auto r = otcMachine(Algo::Mst, n)->runMst(g);
+        EXPECT_EQ(r.edges, ot::graph::kruskalMsf(g)) << "n = " << n;
     }
 }
 
@@ -317,9 +335,8 @@ TEST(MatMulOtc, MatchesReference)
             a(i, j) = rng.uniform(0, 5);
             b(i, j) = rng.uniform(0, 5);
         }
-    CostModel cm(DelayModel::Logarithmic, WordFormat(16));
-    auto r = matMulOtc(a, b, cm);
-    EXPECT_EQ(r.result.product, ot::linalg::matMul(a, b));
+    auto r = otcMachine(Algo::MatMul, n)->runMatMul(a, b);
+    EXPECT_EQ(r.product, ot::linalg::matMul(a, b));
 }
 
 TEST(BoolMatMulOtc, MatchesReferenceAndUsesCompactChip)
@@ -332,12 +349,12 @@ TEST(BoolMatMulOtc, MatchesReferenceAndUsesCompactChip)
             a(i, j) = rng.bernoulli(0.3);
             b(i, j) = rng.bernoulli(0.3);
         }
-    auto r = boolMatMulOtc(a, b, logCost(n));
+    auto r = otcMachine(Algo::BoolMatMul, n)->runBoolMatMul(a, b);
     auto expect = ot::linalg::boolMatMul(a, b);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j)
-            EXPECT_EQ(r.result.product(i, j), expect(i, j));
-    EXPECT_GT(r.chip.area(), 0u);
+            EXPECT_EQ(r.product(i, j), expect(i, j));
+    EXPECT_GT(r.area, 0u); // the compact Table II chip
 }
 
 
@@ -397,13 +414,14 @@ TEST(CcOtcNative, AgreesWithEmulatedPathAndHasSameTimeClass)
 
     OtcNetwork net(n / l, l, logCost(n));
     auto native = connectedComponentsOtcNative(net, g);
-    auto emulated = connectedComponentsOtc(g, logCost(n));
+    auto emulated =
+        otcMachine(Algo::ConnectedComponents, n)->runConnectedComponents(g);
 
-    EXPECT_EQ(native.labels, emulated.result.labels);
+    EXPECT_EQ(native.labels, emulated.labels);
     // Same machine, same algorithm skeleton: times within a small
     // constant factor of each other.
     double ratio = static_cast<double>(native.time) /
-                   static_cast<double>(emulated.result.time);
+                   static_cast<double>(emulated.time);
     EXPECT_GT(ratio, 0.1);
     EXPECT_LT(ratio, 10.0);
 }
@@ -473,10 +491,10 @@ TEST(MstOtcNative, AgreesWithOtnAndEmulatedPaths)
 
     ot::otn::OrthogonalTreesNetwork otn_net(n, cm);
     auto on_otn = ot::otn::mstOtn(otn_net, g);
-    auto emulated = mstOtc(g, cm);
+    auto emulated = otcMachine(Algo::Mst, n)->runMst(g);
 
     EXPECT_EQ(native.edges, on_otn.edges);
-    EXPECT_EQ(native.edges, emulated.result.edges);
+    EXPECT_EQ(native.edges, emulated.edges);
 }
 
 
@@ -492,8 +510,7 @@ TEST(SortOtc, DelayModelNeverChangesResults)
     std::vector<std::uint64_t> expect;
     for (auto model : {DelayModel::Logarithmic, DelayModel::Constant,
                        DelayModel::Linear}) {
-        CostModel cost(model, WordFormat::forProblemSize(n));
-        auto sorted = sortOtc(v, cost).sorted;
+        auto sorted = registrySort(v, model).sorted;
         if (expect.empty())
             expect = sorted;
         EXPECT_EQ(sorted, expect);
@@ -505,13 +522,10 @@ TEST(SortOtc, ScaledTreesSpeedUpTheStreams)
     Rng rng(72);
     std::size_t n = 256;
     auto v = rng.permutation(n);
-    CostModel plain(DelayModel::Logarithmic,
-                    WordFormat::forProblemSize(n));
-    CostModel scaled(DelayModel::Logarithmic,
-                     WordFormat::forProblemSize(n),
-                     /*scaled_trees=*/true);
-    EXPECT_LT(sortOtc(v, scaled).time, sortOtc(v, plain).time);
-    EXPECT_EQ(sortOtc(v, scaled).sorted, sortOtc(v, plain).sorted);
+    auto plain = registrySort(v);
+    auto scaled = registrySort(v, DelayModel::Logarithmic, /*scaled=*/true);
+    EXPECT_LT(scaled.time, plain.time);
+    EXPECT_EQ(scaled.sorted, plain.sorted);
 }
 
 TEST(OtcNetwork, StreamCostScalesWithCycleLength)

@@ -21,8 +21,8 @@
 #include "otn/integer_multiply.hh"
 #include "otn/mesh_of_trees_3d.hh"
 #include "otn/network.hh"
-#include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "topo/registry.hh"
 
 namespace {
 
@@ -303,11 +303,12 @@ TEST(TreeMachine, RootBottleneckVsOtn)
         tree.extractMinSort(v);
         return tree.now();
     }();
-    auto t_otn = sortOtn(v, logCost(n)).time;
+    auto otn = topo::registry().build(topo::resolveSpec(
+        "otn", topo::Algo::Sort, n, DelayModel::Logarithmic, false));
+    auto t_otn = otn->runSort(v).time;
     EXPECT_GT(t_tree, 10 * t_otn);
     // But the tree machine is far smaller.
-    OrthogonalTreesNetwork net(n, logCost(n));
-    EXPECT_LT(tree.chipArea(), net.chipLayout().metrics().area() / 8);
+    EXPECT_LT(tree.chipArea(), otn->area() / 8);
 }
 
 TEST(TreeMachine, SemigroupOpsCostOneTraversalClass)

@@ -15,6 +15,7 @@
 #include "otn/selection.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "topo/registry.hh"
 
 namespace {
 
@@ -37,9 +38,19 @@ sortedCopy(std::vector<std::uint64_t> v)
     return v;
 }
 
+/** SORT-OTN on the registry's (N x N)-OTN, N = v.size(). */
+ot::topo::SortRun
+registrySort(const std::vector<std::uint64_t> &v,
+             DelayModel model = DelayModel::Logarithmic, bool scaled = false)
+{
+    auto spec = ot::topo::resolveSpec("otn", ot::topo::Algo::Sort, v.size(),
+                                      model, scaled);
+    return ot::topo::registry().build(spec)->runSort(v);
+}
+
 TEST(SortOtn, TinyExample)
 {
-    auto r = sortOtn({3, 1, 2, 0}, logCost(4));
+    auto r = registrySort({3, 1, 2, 0});
     EXPECT_EQ(r.sorted, (std::vector<std::uint64_t>{0, 1, 2, 3}));
     EXPECT_GT(r.time, 0u);
 }
@@ -48,36 +59,38 @@ TEST(SortOtn, AlreadySortedAndReversed)
 {
     std::vector<std::uint64_t> asc{0, 1, 2, 3, 4, 5, 6, 7};
     std::vector<std::uint64_t> desc(asc.rbegin(), asc.rend());
-    EXPECT_EQ(sortOtn(asc, logCost(8)).sorted, asc);
-    EXPECT_EQ(sortOtn(desc, logCost(8)).sorted, asc);
+    EXPECT_EQ(registrySort(asc).sorted, asc);
+    EXPECT_EQ(registrySort(desc).sorted, asc);
 }
 
 TEST(SortOtn, DuplicatesUseTieBreak)
 {
     // The modified step 3 must handle equal keys.
     std::vector<std::uint64_t> v{5, 5, 5, 5, 1, 1, 9, 9};
-    EXPECT_EQ(sortOtn(v, logCost(8)).sorted, sortedCopy(v));
+    EXPECT_EQ(registrySort(v).sorted, sortedCopy(v));
 }
 
 TEST(SortOtn, AllEqual)
 {
     std::vector<std::uint64_t> v(16, 7);
-    EXPECT_EQ(sortOtn(v, logCost(16)).sorted, v);
+    EXPECT_EQ(registrySort(v).sorted, v);
 }
 
 TEST(SortOtn, SingleElement)
 {
     // Machine words for a size-1 problem are 2 bits; 3 is the largest
     // legal input.
-    EXPECT_EQ(sortOtn({3}, logCost(2)).sorted,
-              (std::vector<std::uint64_t>{3}));
+    OrthogonalTreesNetwork net(1, logCost(2));
+    EXPECT_EQ(sortOtn(net, {3}).sorted, (std::vector<std::uint64_t>{3}));
 }
 
 TEST(SortOtn, ValueAtWordLimit)
 {
     auto limit = WordFormat::forProblemSize(8).maxValue();
     std::vector<std::uint64_t> v{limit, 0, limit - 1, 1};
-    EXPECT_EQ(sortOtn(v, logCost(8)).sorted, sortedCopy(v));
+    // Four keys on a machine with N = 8 words: no registered shape.
+    OrthogonalTreesNetwork net(v.size(), logCost(8));
+    EXPECT_EQ(sortOtn(net, v).sorted, sortedCopy(v));
 }
 
 TEST(SortOtn, PartialLoadPadsWithNull)
@@ -102,7 +115,7 @@ TEST_P(SortOtnRandom, MatchesStdSort)
     auto limit = WordFormat::forProblemSize(n).maxValue();
     for (auto &x : v)
         x = rng.uniform(0, std::min<std::uint64_t>(limit, n * n - 1));
-    EXPECT_EQ(sortOtn(v, logCost(n)).sorted, sortedCopy(v));
+    EXPECT_EQ(registrySort(v).sorted, sortedCopy(v));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -115,7 +128,7 @@ TEST(SortOtn, DistinctPermutationSweep)
     Rng rng(99);
     for (std::size_t n : {8, 16, 32}) {
         auto v = rng.permutation(n);
-        EXPECT_EQ(sortOtn(v, logCost(n)).sorted, sortedCopy(v));
+        EXPECT_EQ(registrySort(v).sorted, sortedCopy(v));
     }
 }
 
@@ -126,7 +139,7 @@ TEST(SortOtn, TimeShapeIsLogSquaredUnderThompson)
     Rng rng(4);
     for (std::size_t n : {16, 64, 256, 1024}) {
         auto v = rng.permutation(n);
-        auto r = sortOtn(v, logCost(n));
+        auto r = registrySort(v);
         double logn = std::log2(static_cast<double>(n));
         double ratio = static_cast<double>(r.time) / (logn * logn);
         lo = std::min(lo, ratio);
@@ -140,9 +153,8 @@ TEST(SortOtn, ConstantDelayIsAsymptoticallyFaster)
     Rng rng(5);
     std::size_t n = 512;
     auto v = rng.permutation(n);
-    auto t_log = sortOtn(v, logCost(n)).time;
-    CostModel cm(DelayModel::Constant, WordFormat::forProblemSize(n));
-    auto t_const = sortOtn(v, cm).time;
+    auto t_log = registrySort(v).time;
+    auto t_const = registrySort(v, DelayModel::Constant).time;
     EXPECT_LT(t_const, t_log);
 }
 
@@ -151,9 +163,8 @@ TEST(SortOtn, ScalingRecoversALogFactor)
     Rng rng(6);
     std::size_t n = 512;
     auto v = rng.permutation(n);
-    CostModel scaled(DelayModel::Logarithmic, WordFormat::forProblemSize(n),
-                     /*scaled_trees=*/true);
-    EXPECT_LT(sortOtn(v, scaled).time, sortOtn(v, logCost(n)).time);
+    EXPECT_LT(registrySort(v, DelayModel::Logarithmic, /*scaled=*/true).time,
+              registrySort(v).time);
 }
 
 TEST(SortPipeline, AllProblemsSortedCorrectly)
@@ -253,7 +264,7 @@ TEST(SelectOtn, MedianAndCostParityWithSort)
     // Selection costs a full sort's rank phases plus at most the
     // narrow extraction (two traversals and one base op for the
     // index).
-    auto sort_time = sortOtn(v, logCost(n)).time;
+    auto sort_time = registrySort(v).time;
     EXPECT_LE(med.time, sort_time + 2 * net.treeTraversalCost() +
                             net.cost().bitSerialOp());
 }

@@ -112,6 +112,73 @@ TEST(TopologyConformance, ReportsByteIdenticalAtOneVsEightThreads)
     EXPECT_EQ(texts[0], texts[1]);
 }
 
+TEST(TopologyConformance, RunAreaOverridesOnlyWhereTheChipDiffers)
+{
+    // A run reports its own chip area (nonzero run.area) exactly where
+    // the modeled chip is not the built one: the Table II compact OTC
+    // behind boolmm (the "otc" family runs it on "otc-emu") and the
+    // mesh's N^2-processor Cannon grid.  Bench rows and reports take
+    // run.area over area() on the strength of this.
+    const std::size_t n = 16;
+    sim::Rng rng(2);
+    std::vector<std::uint64_t> values(n);
+    for (auto &v : values)
+        v = rng.uniform(0, n - 1);
+    linalg::IntMatrix a(n, n), b(n, n);
+    linalg::BoolMatrix ba(n, n, 0), bb(n, n, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            a(i, j) = rng.uniform(0, 9);
+            b(i, j) = rng.uniform(0, 9);
+            ba(i, j) = rng.bernoulli(0.35) ? 1 : 0;
+            bb(i, j) = rng.bernoulli(0.35) ? 1 : 0;
+        }
+    auto g = graph::randomGnp(n, 0.1, rng);
+    auto wg = graph::randomWeightedConnected(n, 2 * n, rng);
+
+    for (const std::string &net : topo::registry().names()) {
+        for (topo::Algo algo : topo::allAlgos()) {
+            auto m = topo::registry().build(topo::resolveSpec(
+                net, algo, n, vlsi::DelayModel::Logarithmic, false));
+            std::uint64_t area = 0;
+            switch (algo) {
+              case topo::Algo::Sort:
+                area = m->runSort(values).area;
+                break;
+              case topo::Algo::MatMul:
+                area = m->runMatMul(a, b).area;
+                break;
+              case topo::Algo::BoolMatMul:
+                area = m->runBoolMatMul(ba, bb).area;
+                break;
+              case topo::Algo::ConnectedComponents:
+                area = m->runConnectedComponents(g).area;
+                break;
+              case topo::Algo::Mst:
+                area = m->runMst(wg).area;
+                break;
+              case topo::Algo::ShortestPaths:
+                area = m->runShortestPaths(wg, 0).area;
+                break;
+            }
+            const bool mesh_grid =
+                net == "mesh" && (algo == topo::Algo::MatMul ||
+                                  algo == topo::Algo::BoolMatMul ||
+                                  algo == topo::Algo::ConnectedComponents);
+            const bool compact_otc =
+                (net == "otc" || net == "otc-emu") &&
+                algo == topo::Algo::BoolMatMul;
+            EXPECT_EQ(area != 0, mesh_grid || compact_otc)
+                << toString(algo) << " on " << net;
+            if (mesh_grid) {
+                baselines::MeshMachine grid(n * n, m->cost());
+                EXPECT_EQ(area, grid.chipLayout().metrics().area())
+                    << toString(algo);
+            }
+        }
+    }
+}
+
 /** The sort AT^2 row of one topology at n (time from a real run). */
 std::pair<std::uint64_t, vlsi::ModelTime>
 sortRow(const std::string &net, std::size_t n)

@@ -181,14 +181,7 @@ parse(int argc, char **argv)
         } else if (arg == "--seed") {
             opt.seed = parseCount("--seed", next());
         } else if (arg == "--model") {
-            std::string m = next();
-            if (m == "log")
-                opt.model = vlsi::DelayModel::Logarithmic;
-            else if (m == "const")
-                opt.model = vlsi::DelayModel::Constant;
-            else if (m == "linear")
-                opt.model = vlsi::DelayModel::Linear;
-            else
+            if (!topo::modelFromShortName(next(), opt.model))
                 usage(argv[0]);
         } else if (arg == "--scaled") {
             opt.scaled = true;
