@@ -43,15 +43,12 @@ printTables()
     MeasuredRow mesh{"mesh (closure)", {}, {}, 0};
     MeasuredRow otn_row{"OTN (CONNECT)", {}, {}, 0};
     MeasuredRow otc_row{"OTC (emulated)", {}, {}, 0};
-    MeasuredRow otc_nat{"OTC (native)", {}, {}, 0};
     const std::vector<std::pair<const char *, MeasuredRow *>> nets{
         {"mesh", &mesh}, {"otn", &otn_row}, {"otc", &otc_row}};
 
     for (std::size_t n : kSweep) {
         auto g = workloadGraph(n, 30 + n);
-        auto cost = defaultCostModel(n);
         auto expect = graph::connectedComponents(g);
-        double dn = static_cast<double>(n);
 
         auto cc = [&](topo::Machine &m) {
             return m.runConnectedComponents(g);
@@ -62,22 +59,9 @@ printTables()
             if (r.labels != expect)
                 std::abort();
         }
-        {
-            // The Section VI-B machine driven with the cycle
-            // primitives directly (no emulation layer).
-            unsigned l = vlsi::logCeilAtLeast1(n);
-            otc::OtcNetwork machine(vlsi::ceilDiv(n, l), l, cost);
-            auto r = otc::connectedComponentsOtcNative(machine, g);
-            if (r.labels != expect)
-                std::abort();
-            otc_nat.ns.push_back(dn);
-            otc_nat.times.push_back(static_cast<double>(r.time));
-            otc_nat.area = static_cast<double>(
-                machine.chipLayout().metrics().area());
-        }
     }
 
-    printMeasured({mesh, otn_row, otc_row, otc_nat});
+    printMeasured({mesh, otn_row, otc_row});
 
     std::printf("\nShape checks at N = %zu:\n", kSweep.back());
     std::printf("  mesh time / OTC time = %.2f (paper: N/log^4 N, "

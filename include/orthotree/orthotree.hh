@@ -52,11 +52,7 @@
 #include "layout/svg.hh"
 #include "linalg/matrix.hh"
 #include "linalg/reference.hh"
-#include "otc/connected_components_native.hh"
 #include "otc/emulated_otn.hh"
-#include "otc/cycle_ops.hh"
-#include "otc/matmul_native.hh"
-#include "otc/mst_native.hh"
 #include "otc/network.hh"
 #include "otc/sort.hh"
 #include "otn/bitonic.hh"

@@ -60,13 +60,6 @@ OtcNetwork::fillReg(Reg r, std::uint64_t value)
     _kernels->fill(regPlane(r), std::size_t{_k} * _k * _l, value);
 }
 
-void
-OtcNetwork::configureMemory(unsigned slots)
-{
-    _memSlots = slots;
-    _mem.assign(std::size_t{_k} * _k * _l * slots, 0);
-}
-
 std::uint64_t &
 OtcNetwork::rootStream(Axis axis, std::size_t idx, std::size_t q)
 {

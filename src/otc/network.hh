@@ -218,33 +218,6 @@ class OtcNetwork
     /** Fill register r of every BP. */
     void fillReg(Reg r, std::uint64_t value);
 
-    /**
-     * Configure `slots` words of local memory per BP (beyond the named
-     * registers).  This is the Section VI-B storage configuration: the
-     * MST machine keeps the whole N x N weight matrix resident, i.e.
-     * Theta(L) words per BP, at the documented Theta(log N) area
-     * premium.  Existing contents are discarded.
-     */
-    void configureMemory(unsigned slots);
-
-    /** Local memory slots per BP (0 until configured). */
-    unsigned memSlots() const { return _memSlots; }
-
-    /** Local memory word `slot` of BP(i, j, q). */
-    std::uint64_t &
-    mem(std::size_t i, std::size_t j, std::size_t q, unsigned slot)
-    {
-        assert(slot < _memSlots);
-        return _mem[((i * _k + j) * _l + q) * _memSlots + slot];
-    }
-
-    std::uint64_t
-    mem(std::size_t i, std::size_t j, std::size_t q, unsigned slot) const
-    {
-        assert(slot < _memSlots);
-        return _mem[((i * _k + j) * _l + q) * _memSlots + slot];
-    }
-
     bool
     fitsWord(std::uint64_t v) const
     {
@@ -380,8 +353,6 @@ class OtcNetwork
     simd::RegFile _regs;
     std::vector<std::vector<std::uint64_t>> _rowStream;
     std::vector<std::vector<std::uint64_t>> _colStream;
-    std::vector<std::uint64_t> _mem;
-    unsigned _memSlots = 0;
 };
 
 } // namespace ot::otc

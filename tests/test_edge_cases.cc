@@ -1,9 +1,9 @@
 /**
  * @file
  * Edge-case and robustness tests across the library: degenerate
- * machine sizes, word-width boundaries, OTC local memory, layout
- * parameter variations, bit math against the standard library, CSV
- * rendering, and sentinel-value consistency.
+ * machine sizes, word-width boundaries, layout parameter variations,
+ * bit math against the standard library, CSV rendering, and
+ * sentinel-value consistency.
  */
 
 #include <gtest/gtest.h>
@@ -123,22 +123,6 @@ TEST(EdgeCases, SumReductionCanExceedInputWords)
     net.countLeafToRoot(otn::Axis::Row, 0, otn::Reg::F);
     EXPECT_EQ(net.rowRoot(0), n);
     EXPECT_TRUE(net.fitsWord(net.rowRoot(0)));
-}
-
-// ----------------------------------------------------- OTC memory
-
-TEST(EdgeCases, OtcLocalMemoryRoundTrip)
-{
-    otc::OtcNetwork net(2, 3, logCost(6));
-    EXPECT_EQ(net.memSlots(), 0u);
-    net.configureMemory(4);
-    EXPECT_EQ(net.memSlots(), 4u);
-    net.mem(1, 0, 2, 3) = 77;
-    EXPECT_EQ(net.mem(1, 0, 2, 3), 77u);
-    EXPECT_EQ(net.mem(0, 0, 0, 0), 0u);
-    // Reconfiguring clears.
-    net.configureMemory(2);
-    EXPECT_EQ(net.mem(1, 0, 1, 1), 0u);
 }
 
 // ---------------------------------------------- layout parameters

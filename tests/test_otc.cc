@@ -13,9 +13,7 @@
 
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
-#include "otc/connected_components_native.hh"
 #include "otc/emulated_otn.hh"
-#include "otc/mst_native.hh"
 #include "linalg/reference.hh"
 #include "otc/network.hh"
 #include "otc/sort.hh"
@@ -302,17 +300,45 @@ TEST(OtcEmulatedOtn, AreaSmallerTimeComparable)
     EXPECT_GT(ratio, 0.25);
 }
 
+/** CC of `g` on the registry's machine for the next power of two. */
+void
+expectCcMatchesUnionFind(const ot::graph::Graph &g)
+{
+    // The registry builds power-of-two machines; a smaller graph
+    // occupies the first vertices of the next size up.
+    auto m = otcMachine(Algo::ConnectedComponents,
+                        ot::vlsi::nextPow2(g.vertices()));
+    auto r = m->runConnectedComponents(g);
+    EXPECT_EQ(r.labels, ot::graph::connectedComponents(g))
+        << "n = " << g.vertices();
+    EXPECT_GT(m->area(), 0u);
+}
+
 TEST(CcOtc, MatchesUnionFind)
 {
     Rng rng(15);
-    for (std::size_t n : {8, 16, 32}) {
-        auto g = ot::graph::randomGnp(n, 1.8 / static_cast<double>(n), rng);
-        auto m = otcMachine(Algo::ConnectedComponents, n);
-        auto r = m->runConnectedComponents(g);
-        EXPECT_EQ(r.labels, ot::graph::connectedComponents(g))
-            << "n = " << n;
-        EXPECT_GT(m->area(), 0u);
-    }
+    for (std::size_t n : {8, 16, 32})
+        expectCcMatchesUnionFind(
+            ot::graph::randomGnp(n, 1.8 / static_cast<double>(n), rng));
+
+    ot::graph::Graph path(8);
+    for (std::size_t v = 0; v + 1 < 8; ++v)
+        path.addEdge(v, v + 1);
+    expectCcMatchesUnionFind(path);
+
+    // Star with a max-label centre.
+    ot::graph::Graph star(8);
+    for (std::size_t v = 0; v < 7; ++v)
+        star.addEdge(7, v);
+    expectCcMatchesUnionFind(star);
+
+    // G(n, 2/n) at larger N, and non-power-of-two vertex counts.
+    for (std::size_t n : {64, 128, 12, 24, 48})
+        for (std::uint64_t seed : {1, 2, 3}) {
+            Rng graph_rng(seed * 53 + n);
+            expectCcMatchesUnionFind(ot::graph::randomGnp(
+                n, 2.0 / static_cast<double>(n), graph_rng));
+        }
 }
 
 TEST(MstOtc, MatchesKruskal)
@@ -323,6 +349,15 @@ TEST(MstOtc, MatchesKruskal)
         auto r = otcMachine(Algo::Mst, n)->runMst(g);
         EXPECT_EQ(r.edges, ot::graph::kruskalMsf(g)) << "n = " << n;
     }
+
+    // A disconnected graph: three edges, five components.
+    ot::graph::WeightedGraph forest(8);
+    forest.addEdge(0, 1, 3);
+    forest.addEdge(2, 3, 1);
+    forest.addEdge(5, 6, 2);
+    auto r = otcMachine(Algo::Mst, 8)->runMst(forest);
+    EXPECT_EQ(r.edges, ot::graph::kruskalMsf(forest));
+    EXPECT_TRUE(ot::graph::isSpanningForest(forest, r.edges));
 }
 
 TEST(MatMulOtc, MatchesReference)
@@ -355,146 +390,6 @@ TEST(BoolMatMulOtc, MatchesReferenceAndUsesCompactChip)
         for (std::size_t j = 0; j < n; ++j)
             EXPECT_EQ(r.product(i, j), expect(i, j));
     EXPECT_GT(r.area, 0u); // the compact Table II chip
-}
-
-
-// --------------------------------------- native OTC connected components
-
-TEST(CcOtcNative, SmallShapes)
-{
-    // Path, two triangles, star with a max-label centre.
-    {
-        ot::graph::Graph g(8);
-        for (std::size_t v = 0; v + 1 < 8; ++v)
-            g.addEdge(v, v + 1);
-        OtcNetwork net(4, 2, logCost(8));
-        auto r = connectedComponentsOtcNative(net, g);
-        EXPECT_EQ(r.labels, ot::graph::connectedComponents(g));
-        EXPECT_EQ(r.componentCount, 1u);
-    }
-    {
-        ot::graph::Graph g(8);
-        for (std::size_t v = 0; v < 7; ++v)
-            g.addEdge(7, v);
-        OtcNetwork net(2, 4, logCost(8));
-        auto r = connectedComponentsOtcNative(net, g);
-        EXPECT_EQ(r.componentCount, 1u);
-    }
-}
-
-class CcOtcNativeRandom
-    : public ::testing::TestWithParam<std::tuple<std::size_t, unsigned, int>>
-{
-};
-
-TEST_P(CcOtcNativeRandom, MatchesUnionFind)
-{
-    auto [k, l, seed] = GetParam();
-    std::size_t n = k * l;
-    Rng rng(static_cast<std::uint64_t>(seed) * 53 + n);
-    auto g = ot::graph::randomGnp(n, 2.0 / static_cast<double>(n), rng);
-    OtcNetwork net(k, l, logCost(n));
-    auto r = connectedComponentsOtcNative(net, g);
-    EXPECT_EQ(r.labels, ot::graph::connectedComponents(g))
-        << "k=" << k << " l=" << l;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CcOtcNativeRandom,
-    ::testing::Combine(::testing::Values(2, 4, 8),
-                       ::testing::Values(2, 4, 6),
-                       ::testing::Values(1, 2, 3)));
-
-TEST(CcOtcNative, AgreesWithEmulatedPathAndHasSameTimeClass)
-{
-    Rng rng(44);
-    std::size_t n = 64;
-    unsigned l = ot::vlsi::logCeilAtLeast1(n);
-    auto g = ot::graph::randomGnp(n, 2.5 / static_cast<double>(n), rng);
-
-    OtcNetwork net(n / l, l, logCost(n));
-    auto native = connectedComponentsOtcNative(net, g);
-    auto emulated =
-        otcMachine(Algo::ConnectedComponents, n)->runConnectedComponents(g);
-
-    EXPECT_EQ(native.labels, emulated.labels);
-    // Same machine, same algorithm skeleton: times within a small
-    // constant factor of each other.
-    double ratio = static_cast<double>(native.time) /
-                   static_cast<double>(emulated.time);
-    EXPECT_GT(ratio, 0.1);
-    EXPECT_LT(ratio, 10.0);
-}
-
-TEST(CcOtcNative, TimeShapeIsPolylog)
-{
-    Rng rng(45);
-    double lo = 1e18, hi = 0;
-    for (std::size_t n : {32, 64, 128}) {
-        unsigned l = ot::vlsi::logCeilAtLeast1(n);
-        auto g = ot::graph::randomGnp(n, 2.0 / static_cast<double>(n),
-                                      rng);
-        OtcNetwork net(n / l, l, logCost(n));
-        auto r = connectedComponentsOtcNative(net, g,
-                                              /*charge_load=*/false);
-        double logn = std::log2(static_cast<double>(n));
-        double ratio = static_cast<double>(r.time) / std::pow(logn, 4);
-        lo = std::min(lo, ratio);
-        hi = std::max(hi, ratio);
-    }
-    EXPECT_LT(hi / lo, 10.0);
-}
-
-
-// --------------------------------------------------- native OTC MST
-
-TEST(MstOtcNative, MatchesKruskalOnSmallGraphs)
-{
-    Rng rng(61);
-    for (auto [k, l] : {std::pair<std::size_t, unsigned>{2, 4},
-                        {4, 4}, {8, 4}, {4, 8}}) {
-        std::size_t n = k * l;
-        auto g = ot::graph::randomWeightedConnected(n, 2 * n, rng);
-        CostModel cm(DelayModel::Logarithmic,
-                     ot::otn::mstWordFormat(n, n * n));
-        OtcNetwork net(k, l, cm);
-        auto r = mstOtcNative(net, g);
-        EXPECT_EQ(r.edges, ot::graph::kruskalMsf(g))
-            << "k=" << k << " l=" << l;
-    }
-}
-
-TEST(MstOtcNative, DisconnectedForest)
-{
-    ot::graph::WeightedGraph g(8);
-    g.addEdge(0, 1, 3);
-    g.addEdge(2, 3, 1);
-    g.addEdge(5, 6, 2);
-    CostModel cm(DelayModel::Logarithmic, ot::otn::mstWordFormat(8, 3));
-    OtcNetwork net(4, 2, cm);
-    auto r = mstOtcNative(net, g);
-    EXPECT_EQ(r.edges, ot::graph::kruskalMsf(g));
-    EXPECT_TRUE(ot::graph::isSpanningForest(g, r.edges));
-}
-
-TEST(MstOtcNative, AgreesWithOtnAndEmulatedPaths)
-{
-    Rng rng(62);
-    std::size_t n = 32;
-    unsigned l = ot::vlsi::logCeilAtLeast1(n);
-    auto g = ot::graph::randomWeightedConnected(n, 2 * n, rng);
-    CostModel cm(DelayModel::Logarithmic,
-                 ot::otn::mstWordFormat(n, n * n));
-
-    OtcNetwork net(n / l + ((n % l) ? 1 : 0), l, cm);
-    auto native = mstOtcNative(net, g);
-
-    ot::otn::OrthogonalTreesNetwork otn_net(n, cm);
-    auto on_otn = ot::otn::mstOtn(otn_net, g);
-    auto emulated = otcMachine(Algo::Mst, n)->runMst(g);
-
-    EXPECT_EQ(native.edges, on_otn.edges);
-    EXPECT_EQ(native.edges, emulated.edges);
 }
 
 

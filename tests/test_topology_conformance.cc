@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "graph/generators.hh"
-#include "otc/connected_components_native.hh"
 #include "otn/registers.hh"
 #include "sim/rng.hh"
 #include "topo/adapters.hh"
@@ -346,19 +345,17 @@ TEST(TopologyConformance, OtnResetAfterMstMatchesAFreshMachine)
                      std::as_const(fresh.network()), words);
 }
 
-TEST(TopologyConformance, OtcNativeResetAfterCcMatchesAFreshMachine)
+TEST(TopologyConformance, OtcNativeResetAfterFullWriteMatchesAFreshMachine)
 {
     const std::size_t n = 16;
     auto spec = topo::resolveSpec("otc", topo::Algo::Sort, n,
                                   vlsi::DelayModel::Logarithmic, false);
-    sim::Rng rng(12);
     topo::OtcNativeTopoMachine used(spec);
     otc::OtcNetwork &net = used.network();
     const std::size_t words = net.k() * net.k() * net.cycleLen();
-    otc::connectedComponentsOtcNative(net, graph::randomGnp(n, 0.1, rng));
-    // CC writes every register but F, which no native OTC algorithm
-    // uses.
-    EXPECT_EQ(nonzeroPlanes(std::as_const(net), words), otn::kNumRegs - 1);
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        net.fillReg(static_cast<otn::Reg>(r), 1);
+    EXPECT_EQ(nonzeroPlanes(std::as_const(net), words), otn::kNumRegs);
 
     used.reset();
     EXPECT_EQ(nonzeroPlanes(std::as_const(net), words), 0u);
