@@ -86,9 +86,8 @@ ModelTime
 OtcNetwork::vectorCirculate(Axis axis, std::size_t idx,
                             const std::vector<Reg> &regs)
 {
-    // All K cycles of the vector shift concurrently: one circulate's
-    // cost is charged, not K.  A row's K cycle streams are contiguous
-    // (stride L); a column's are strided by a whole row (K*L).
+    // A row's K cycle streams are contiguous (stride L); a column's
+    // are strided by a whole row (K*L).
     for (Reg r : regs) {
         std::uint64_t *plane = regPlane(r);
         if (axis == Axis::Row)
@@ -97,15 +96,27 @@ OtcNetwork::vectorCirculate(Axis axis, std::size_t idx,
             _kernels->rotateCycles(plane + idx * _l, _k,
                                    std::size_t{_k} * _l, _l);
     }
-    // Accounting replay of the per-cycle circulate calls.
+    return chargeVectorCirculate(axis, idx);
+}
+
+ModelTime
+OtcNetwork::chargeVectorCirculate(Axis axis, std::size_t idx)
+{
+    // All K cycles of the vector shift concurrently: one circulate's
+    // cost is charged, not K.
     ModelTime dt = circulateCost();
-    _engine.runUncharged([&] {
-        for (std::size_t c = 0; c < _k; ++c) {
-            ++_engine.counter("otc.circulate");
-            _engine.traceSpan("otc", "circulate", dt, {});
-            charge(dt);
-        }
-    });
+    _engine.counter("otc.circulate") += _k;
+    trace::Tracer *tracer = _engine.tracer();
+    if (tracer && tracer->enabled()) {
+        // The per-cycle circulate spans, uncharged, at the offsets the
+        // K circulate calls would stamp.
+        _engine.runUncharged([&] {
+            for (std::size_t c = 0; c < _k; ++c) {
+                _engine.traceSpan("otc", "circulate", dt, {});
+                charge(dt);
+            }
+        });
+    }
     ++_engine.counter("otc.vectorCirculate");
     _engine.traceSpan("otc", "vectorCirculate", dt,
                       treeSpan(axis, idx, _k, 0));
@@ -249,6 +260,12 @@ OtcNetwork::baseOp(ModelTime op_cost,
         for (std::size_t j = 0; j < _k; ++j)
             for (std::size_t q = 0; q < _l; ++q)
                 op(i, j, q);
+    return chargeBaseOp(op_cost);
+}
+
+ModelTime
+OtcNetwork::chargeBaseOp(ModelTime op_cost)
+{
     ++_engine.counter("otc.baseOp");
     _engine.traceSpan("otc", "baseOp", op_cost, {});
     charge(op_cost);

@@ -257,6 +257,16 @@ class OtcNetwork
                               const std::vector<Reg> &regs);
 
     /**
+     * The accounting half of vectorCirculate, without moving data:
+     * the K per-cycle circulates are counted in one bump and the
+     * vector charged once.  With an enabled tracer each cycle's
+     * uncharged `circulate` span precedes the `vectorCirculate` span.
+     * For algorithms that read the circulated registers at an index
+     * offset instead of rotating them.
+     */
+    ModelTime chargeVectorCirculate(Axis axis, std::size_t idx);
+
+    /**
      * ROOTTOCYCLE(Vector, Dest): stream the L words of the root port
      * into register `dest` of the selected cycles; word q lands in
      * BP(q).
@@ -302,6 +312,10 @@ class OtcNetwork
     ModelTime baseOp(ModelTime op_cost,
                      const std::function<void(std::size_t i, std::size_t j,
                                               std::size_t q)> &op);
+
+    /** The accounting half of baseOp: count, trace and charge one
+     *  base step of `op_cost` whose data the caller moves itself. */
+    ModelTime chargeBaseOp(ModelTime op_cost);
 
     // Cost building blocks (public for the benches).  All are derived
     // from the layout geometry once, at construction.

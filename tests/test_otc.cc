@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
@@ -19,13 +21,16 @@
 #include "otc/sort.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "simd/backend.hh"
 #include "topo/registry.hh"
+#include "trace/tracer.hh"
 
 namespace {
 
 using namespace ot::otc;
 using ot::topo::Algo;
 using ot::sim::Rng;
+using ot::simd::Backend;
 using ot::vlsi::CostModel;
 using ot::vlsi::DelayModel;
 using ot::vlsi::WordFormat;
@@ -58,6 +63,18 @@ registrySort(const std::vector<std::uint64_t> &v,
              DelayModel model = DelayModel::Logarithmic, bool scaled = false)
 {
     return otcMachine(Algo::Sort, v.size(), model, scaled)->runSort(v);
+}
+
+/** Number of `charged` (or uncharged) spans named `name` in a trace. */
+std::size_t
+countSpans(const ot::trace::Tracer &tracer, const std::string &name,
+           bool charged)
+{
+    return std::count_if(
+        tracer.events().begin(), tracer.events().end(), [&](const auto &e) {
+            return e.kind == ot::trace::EventKind::Span && e.name == name &&
+                   e.charged == charged;
+        });
 }
 
 TEST(OtcNetwork, Shape)
@@ -108,15 +125,31 @@ TEST(OtcNetwork, VectorCirculateTouchesWholeRow)
 
 TEST(OtcNetwork, VectorCirculateChargesOneStep)
 {
-    OtcNetwork net(4, 4, CostModel(DelayModel::Logarithmic,
-                                   WordFormat::forProblemSize(64)));
-    ModelTime dt = net.vectorCirculate(Axis::Row, 0, {Reg::A});
-    EXPECT_EQ(dt, net.circulateCost());
-    EXPECT_EQ(net.now(), dt);
-    // K circulates happened functionally...
-    EXPECT_EQ(net.stats().counter("otc.circulate").value(), net.k());
-    // ...but only one step advanced the clock.
-    EXPECT_EQ(net.acct().steps(), 1u);
+    // Untraced, the K circulates are counted in bulk; traced, each
+    // also leaves an uncharged span.  The accounting is the same.
+    for (bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "traced" : "untraced");
+        OtcNetwork net(4, 4, CostModel(DelayModel::Logarithmic,
+                                       WordFormat::forProblemSize(64)));
+        ot::trace::Tracer tracer;
+        tracer.setEnabled(true);
+        if (traced)
+            net.setTracer(&tracer);
+        ModelTime dt = net.vectorCirculate(Axis::Row, 0, {Reg::A});
+        EXPECT_EQ(dt, net.circulateCost());
+        EXPECT_EQ(net.now(), dt);
+        // K circulates happened functionally...
+        EXPECT_EQ(net.stats().counter("otc.circulate").value(), net.k());
+        EXPECT_EQ(net.stats().counter("otc.vectorCirculate").value(), 1u);
+        // ...but only one step advanced the clock.
+        EXPECT_EQ(net.acct().steps(), 1u);
+        // Traced, every cycle's circulate shows, uncharged.
+        EXPECT_EQ(countSpans(tracer, "circulate", false),
+                  traced ? net.k() : 0u);
+        EXPECT_EQ(countSpans(tracer, "circulate", true), 0u);
+        EXPECT_EQ(countSpans(tracer, "vectorCirculate", true),
+                  traced ? 1u : 0u);
+    }
 }
 
 TEST(OtcNetwork, RootToCyclePlacesWordQInBpQ)
@@ -214,6 +247,203 @@ TEST(SortOtc, ExplicitMachineAndPartialLoad)
     OtcNetwork net(4, 4, logCost(16));
     std::vector<std::uint64_t> v{9, 4, 11, 2, 7};
     EXPECT_EQ(sortOtc(net, v).sorted, sortedCopy(v));
+}
+
+// ------------------------------ SORT-OTC's data/accounting split
+
+/**
+ * SORT-OTC with steps 3 and 5 in their per-round formulation: base
+ * steps through baseOp lambdas, B circulated by vectorCirculate on
+ * every row in every round, and each output beat found by a scan of
+ * the whole column.  sortOtc must be indistinguishable from it.
+ */
+SortOtcResult
+perRoundSortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
+{
+    const std::size_t k = net.k();
+    const unsigned l = net.cycleLen();
+    ModelTime start = net.now();
+    ot::sim::ScopedPhase phase(net.acct(), "sort-otc");
+
+    for (std::size_t i = 0; i < k; ++i)
+        for (std::size_t q = 0; q < l; ++q) {
+            std::size_t g = i * l + q;
+            net.rowStream(i)[q] = g < values.size() ? values[g] : kNull;
+        }
+    net.parallelFor(k, [&](std::size_t i) {
+        net.rootToCycle(Axis::Row, i, CSel::all(), Reg::A);
+    });
+    net.parallelFor(k, [&](std::size_t i) {
+        net.cycleToCycle(Axis::Col, i, CSel::rowIs(i), Reg::A, CSel::all(),
+                         Reg::B);
+    });
+
+    net.baseOp(net.cost().bitSerialOp(),
+               [&](std::size_t i, std::size_t j, std::size_t q) {
+                   net.reg(Reg::C, i, j, q) = 0;
+               });
+    for (unsigned p = 0; p < l; ++p) {
+        net.baseOp(net.cost().bitSerialOp(),
+                   [&](std::size_t i, std::size_t j, std::size_t q) {
+                       std::uint64_t a = net.reg(Reg::A, i, j, q);
+                       std::uint64_t b = net.reg(Reg::B, i, j, q);
+                       std::uint64_t ga = i * l + q;
+                       std::uint64_t gb = j * l + (q + p) % l;
+                       if (a > b || (a == b && ga > gb))
+                           ++net.reg(Reg::C, i, j, q);
+                   });
+        net.parallelFor(k, [&](std::size_t i) {
+            net.vectorCirculate(Axis::Row, i, {Reg::B});
+        });
+    }
+
+    net.parallelFor(k, [&](std::size_t i) {
+        net.sumCycleToCycle(Axis::Row, i, CSel::all(), Reg::C, CSel::all(),
+                            Reg::R);
+    });
+
+    net.parallelFor(k, [&](std::size_t j) {
+        for (unsigned p = 0; p < l; ++p) {
+            std::uint64_t rank = std::uint64_t{p} * k + j;
+            std::uint64_t out = kNull;
+            for (std::size_t i = 0; i < k; ++i)
+                for (std::size_t q = 0; q < l; ++q)
+                    if (net.reg(Reg::R, i, j, q) == rank)
+                        out = net.reg(Reg::A, i, j, q);
+            net.colStream(j)[p] = out;
+        }
+        net.charge(net.streamCost() + (l - 1) * net.circulateCost());
+    });
+
+    SortOtcResult result;
+    result.sorted.resize(values.size());
+    for (std::size_t g = 0; g < values.size(); ++g)
+        result.sorted[g] = net.colStream(g % k)[g / k];
+    result.time = net.now() - start;
+    return result;
+}
+
+std::map<std::string, std::uint64_t>
+counterValues(OtcNetwork &net)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, c] : net.stats().counters())
+        out[name] = c.value();
+    return out;
+}
+
+std::vector<Backend>
+availableBackends()
+{
+    std::vector<Backend> out;
+    for (Backend b : {Backend::Scalar, Backend::Avx2, Backend::Neon})
+        if (ot::simd::backendAvailable(b))
+            out.push_back(b);
+    return out;
+}
+
+TEST(SortOtc, MatchesPerRoundFormulation)
+{
+    const std::pair<std::size_t, unsigned> shapes[] = {
+        {1, 1}, {2, 3}, {4, 4}, {8, 3}, {16, 5}};
+    for (auto [k, l] : shapes) {
+        const std::size_t cap = k * l;
+        const CostModel cost = logCost(cap);
+        Rng rng(31 * k + l);
+        // Duplicates, all-equal keys, and a partial load (N not a
+        // multiple of L) padded with kNull.
+        std::vector<std::uint64_t> dup(cap), partial(cap - 1 - l / 2);
+        for (auto &x : dup)
+            x = rng.uniform(0, cap / 3);
+        for (auto &x : partial)
+            x = rng.uniform(0, cap);
+        const std::vector<std::uint64_t> inputs[] = {
+            dup, std::vector<std::uint64_t>(cap, cap / 2), partial};
+        for (const auto &v : inputs) {
+            for (Backend backend : availableBackends()) {
+                for (bool traced : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "K=" << k << " L=" << l
+                                 << " N=" << v.size() << " "
+                                 << ot::simd::toString(backend)
+                                 << (traced ? " traced" : " untraced"));
+                    OtcNetwork ref(k, l, cost), net(k, l, cost);
+                    ref.setSimdBackend(backend);
+                    net.setSimdBackend(backend);
+                    ot::trace::Tracer ref_trace, trace;
+                    ref_trace.setEnabled(true);
+                    trace.setEnabled(true);
+                    if (traced) {
+                        ref.setTracer(&ref_trace);
+                        net.setTracer(&trace);
+                    }
+                    auto want = perRoundSortOtc(ref, v);
+                    auto got = sortOtc(net, v);
+                    EXPECT_EQ(got.sorted, sortedCopy(v));
+                    EXPECT_EQ(got.sorted, want.sorted);
+                    EXPECT_EQ(got.time, want.time);
+                    for (Reg r : {Reg::A, Reg::B, Reg::C, Reg::R})
+                        EXPECT_TRUE(std::equal(
+                            ref.regPlane(r), ref.regPlane(r) + k * k * l,
+                            net.regPlane(r)))
+                            << "plane " << static_cast<unsigned>(r);
+                    for (std::size_t j = 0; j < k; ++j) {
+                        EXPECT_EQ(net.colStream(j), ref.colStream(j));
+                        EXPECT_EQ(net.rowStream(j), ref.rowStream(j));
+                    }
+                    EXPECT_EQ(net.now(), ref.now());
+                    EXPECT_EQ(net.acct().steps(), ref.acct().steps());
+                    EXPECT_EQ(counterValues(net), counterValues(ref));
+                    ASSERT_EQ(trace.events().size(),
+                              ref_trace.events().size());
+                    for (std::size_t e = 0; e < trace.events().size(); ++e)
+                        ASSERT_TRUE(ot::trace::eventsEqual(
+                            trace.events()[e], ref_trace.events()[e]))
+                            << "event " << e;
+                    // The reference shares chargeVectorCirculate, so
+                    // pin the circulations' accounting on its own:
+                    // K per row per round, traced per cycle.
+                    auto &stats = net.stats();
+                    EXPECT_EQ(stats.counter("otc.baseOp").value(), l + 1);
+                    EXPECT_EQ(stats.counter("otc.vectorCirculate").value(),
+                              k * l);
+                    EXPECT_EQ(stats.counter("otc.circulate").value(),
+                              k * k * l);
+                    EXPECT_EQ(countSpans(trace, "circulate", false),
+                              traced ? k * k * l : 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(SortOtc, TracedAndUntracedAccountingAgree)
+{
+    // The differential tests attach a tracer; this pins the bulk
+    // (untraced) circulate accounting to exact totals.
+    Rng rng(23);
+    const std::size_t k = 8;
+    const unsigned l = 5;
+    std::vector<std::uint64_t> v(k * l - 2);
+    for (auto &x : v)
+        x = rng.uniform(0, k * l / 4);
+    OtcNetwork plain(k, l, logCost(k * l)), traced(k, l, logCost(k * l));
+    ot::trace::Tracer tracer;
+    tracer.setEnabled(true);
+    traced.setTracer(&tracer);
+    auto a = sortOtc(plain, v);
+    auto b = sortOtc(traced, v);
+    EXPECT_EQ(a.sorted, b.sorted);
+    EXPECT_EQ(plain.now(), traced.now());
+    EXPECT_EQ(plain.acct().steps(), traced.acct().steps());
+    EXPECT_EQ(countSpans(tracer, "circulate", false), k * k * l);
+    for (OtcNetwork *net : {&plain, &traced}) {
+        auto &stats = net->stats();
+        EXPECT_EQ(stats.counter("otc.baseOp").value(), l + 1);
+        EXPECT_EQ(stats.counter("otc.vectorCirculate").value(), k * l);
+        EXPECT_EQ(stats.counter("otc.circulate").value(), k * k * l);
+    }
+    EXPECT_EQ(counterValues(plain), counterValues(traced));
 }
 
 /** Property sweep: random inputs across sizes and seeds. */
