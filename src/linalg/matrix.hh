@@ -69,6 +69,22 @@ class Matrix
         return _data[i * _cols + j];
     }
 
+    /** Row i's cols() cells in place, for inner loops that should
+     *  not pay operator()'s per-cell bounds check. */
+    T *
+    rowData(std::size_t i)
+    {
+        assert(i < _rows);
+        return _data.data() + i * _cols;
+    }
+
+    const T *
+    rowData(std::size_t i) const
+    {
+        assert(i < _rows);
+        return _data.data() + i * _cols;
+    }
+
     /** Row i as a copy (convenient for feeding input ports). */
     std::vector<T>
     row(std::size_t i) const

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "linalg/bit_matrix.hh"
 #include "vlsi/bitmath.hh"
 
 namespace ot::linalg {
@@ -13,11 +14,20 @@ IntMatrix
 matMul(const IntMatrix &a, const IntMatrix &b)
 {
     assert(a.cols() == b.rows());
-    IntMatrix c(a.rows(), b.cols(), 0);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t k = 0; k < a.cols(); ++k)
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                c(i, j) += a(i, k) * b(k, j);
+    const std::size_t inner = a.cols();
+    const std::size_t cols = b.cols();
+    IntMatrix c(a.rows(), cols, 0);
+    // i-k-j over raw rows: row i of C accumulates a(i, k) * row k of B.
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const std::uint64_t *ai = a.rowData(i);
+        std::uint64_t *ci = c.rowData(i);
+        for (std::size_t k = 0; k < inner; ++k) {
+            const std::uint64_t aik = ai[k];
+            const std::uint64_t *bk = b.rowData(k);
+            for (std::size_t j = 0; j < cols; ++j)
+                ci[j] += aik * bk[j];
+        }
+    }
     return c;
 }
 
@@ -36,15 +46,18 @@ BoolMatrix
 boolMatMul(const BoolMatrix &a, const BoolMatrix &b)
 {
     assert(a.cols() == b.rows());
+    // Row i of C is the OR of the rows k of B with a(i, k) set; with B
+    // packed 64 columns to a word, each OR covers 64 cells.
+    const BitMatrix packed(b);
+    BitMatrix acc(a.rows(), b.cols());
     BoolMatrix c(a.rows(), b.cols(), 0);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            if (!a(i, k))
-                continue;
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                if (b(k, j))
-                    c(i, j) = 1;
-        }
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const std::uint8_t *ai = a.rowData(i);
+        for (std::size_t k = 0; k < a.cols(); ++k)
+            if (ai[k])
+                acc.orRow(i, packed, k);
+        acc.unpackRow(i, c.rowData(i));
+    }
     return c;
 }
 

@@ -28,6 +28,7 @@
 #include <tuple>
 #include <utility>
 
+#include "linalg/bit_matrix.hh"
 #include "vlsi/bitmath.hh"
 
 namespace ot::topo {
@@ -88,9 +89,13 @@ Machine::runMatMul(const linalg::IntMatrix &a, const linalg::IntMatrix &b)
     // Round k streams operand slice k to every node (one broadcast)
     // and accumulates c(i, j) += a(i, k) * b(k, j) everywhere.
     for (std::size_t k = 0; k < m; ++k) {
-        for (std::size_t i = 0; i < m; ++i)
+        const std::uint64_t *bk = b.rowData(k);
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::uint64_t aik = a.rowData(i)[k];
+            std::uint64_t *ci = r.product.rowData(i);
             for (std::size_t j = 0; j < m; ++j)
-                r.product(i, j) += a(i, k) * b(k, j);
+                ci[j] += aik * bk[j];
+        }
         charge(broadcastCost() + cost().bitSerialMultiply() +
                cost().bitSerialOp());
     }
@@ -110,14 +115,18 @@ Machine::runBoolMatMul(const linalg::BoolMatrix &a, const linalg::BoolMatrix &b)
     const ModelTime t0 = now();
 
     // Same broadcast rounds as the integer product; the per-node work
-    // is a single-gate AND/OR, priced as one bit-serial op.
+    // is a single-gate AND/OR, priced as one bit-serial op.  Rows stay
+    // packed 64 columns to a word until the last round.
+    const linalg::BitMatrix packedB(b);
+    linalg::BitMatrix acc(m, m);
     for (std::size_t k = 0; k < m; ++k) {
         for (std::size_t i = 0; i < m; ++i)
-            for (std::size_t j = 0; j < m; ++j)
-                if (a(i, k) && b(k, j))
-                    r.product(i, j) = 1;
+            if (a.rowData(i)[k])
+                acc.orRow(i, packedB, k);
         charge(broadcastCost() + cost().bitSerialOp());
     }
+    for (std::size_t i = 0; i < m; ++i)
+        acc.unpackRow(i, r.product.rowData(i));
     r.time = now() - t0;
     return r;
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "linalg/matrix.hh"
 #include "linalg/reference.hh"
 #include "sim/rng.hh"
@@ -111,6 +113,101 @@ TEST(Reference, BoolMatPowIsReachability)
     auto three = boolMatPow(adj, 3);
     EXPECT_EQ(three(0, 3), 1);
     EXPECT_EQ(boolMatPow(adj, 0), BoolMatrix::identity(4));
+}
+
+// ---- Differential checks of the raw-row references against the
+// textbook triple loop over operator(), on shapes that straddle the
+// 64-column words of the packed Boolean product.
+
+const std::size_t kDims[] = {1, 3, 63, 64, 65, 130};
+
+IntMatrix
+naiveMatMul(const IntMatrix &a, const IntMatrix &b)
+{
+    IntMatrix c(a.rows(), b.cols(), 0);
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < b.cols(); ++j)
+            for (std::size_t k = 0; k < a.cols(); ++k)
+                c(i, j) += a(i, k) * b(k, j);
+    return c;
+}
+
+BoolMatrix
+naiveBoolMatMul(const BoolMatrix &a, const BoolMatrix &b)
+{
+    BoolMatrix c(a.rows(), b.cols(), 0);
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < b.cols(); ++j)
+            for (std::size_t k = 0; k < a.cols(); ++k)
+                if (a(i, k) && b(k, j))
+                    c(i, j) = 1;
+    return c;
+}
+
+/** Full-range words, so the products and their sums wrap. */
+IntMatrix
+randomWords(std::size_t rows, std::size_t cols, Rng &rng)
+{
+    IntMatrix m(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j)
+            m(i, j) = rng.next();
+    return m;
+}
+
+/** True cells hold arbitrary nonzero bytes, not just 1. */
+BoolMatrix
+randomBools(std::size_t rows, std::size_t cols, double density, Rng &rng)
+{
+    BoolMatrix m(rows, cols, 0);
+    for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j)
+            if (rng.bernoulli(density))
+                m(i, j) = static_cast<std::uint8_t>(rng.uniform(1, 255));
+    return m;
+}
+
+TEST(Reference, MatMulMatchesNaiveOnEveryShape)
+{
+    Rng rng(4);
+    for (std::size_t r : kDims)
+        for (std::size_t k : kDims)
+            for (std::size_t c : kDims) {
+                auto a = randomWords(r, k, rng);
+                auto b = randomWords(k, c, rng);
+                EXPECT_EQ(matMul(a, b), naiveMatMul(a, b))
+                    << r << "x" << k << " * " << k << "x" << c;
+            }
+}
+
+TEST(Reference, BoolMatMulMatchesNaiveOnEveryShape)
+{
+    Rng rng(5);
+    for (std::size_t r : kDims)
+        for (std::size_t k : kDims)
+            for (std::size_t c : kDims) {
+                // About half the result cells true: (1 - d^2)^k ~ 1/2.
+                const double density =
+                    std::sqrt(0.7 / static_cast<double>(k));
+                auto a = randomBools(r, k, density, rng);
+                auto b = randomBools(k, c, density, rng);
+                EXPECT_EQ(boolMatMul(a, b), naiveBoolMatMul(a, b))
+                    << r << "x" << k << " * " << k << "x" << c;
+            }
+}
+
+TEST(Reference, BoolMatPowEqualsRepeatedBoolMatMul)
+{
+    Rng rng(7);
+    for (std::size_t n : {65, 130}) {
+        auto a = randomBools(n, n, 1.5 / static_cast<double>(n), rng);
+        BoolMatrix repeated = BoolMatrix::identity(n);
+        for (unsigned k = 0; k <= 6; ++k) {
+            EXPECT_EQ(boolMatPow(a, k), repeated) << "n = " << n
+                                                   << " k = " << k;
+            repeated = boolMatMul(repeated, a);
+        }
+    }
 }
 
 TEST(Reference, DftOfImpulseIsFlat)

@@ -6,9 +6,10 @@
  * a sweep of problem sizes and seeds, and every result must equal the
  * sequential reference — the contract that makes a registry entry a
  * *machine* rather than a cost table.  On top of the differential
- * sweep: the batch reports must stay byte-identical at host-thread
- * counts 1 and 8, the AT^2 rows for the new fat-tree and D2D-MoT
- * machines must be well-formed, and the D2D-MoT's diametrical links
+ * sweep: the generic matmul/boolmm path must be exact and charge its
+ * closed-form model time on every net that runs it, the batch reports
+ * must stay byte-identical at host-thread counts 1 and 8, the AT^2
+ * rows for the new fat-tree and D2D-MoT machines must be well-formed, and the D2D-MoT's diametrical links
  * must strictly reduce root bandwidth against the plain MoT on the
  * same traffic (the arXiv:1212.2874 property, read off the tracer).
  * Finally, reset() after a run that wrote the registers must leave
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "graph/generators.hh"
+#include "linalg/reference.hh"
 #include "otn/registers.hh"
 #include "sim/rng.hh"
 #include "topo/adapters.hh"
@@ -176,6 +178,67 @@ TEST(TopologyConformance, RunAreaOverridesOnlyWhereTheChipDiffers)
             }
         }
     }
+}
+
+TEST(TopologyConformance, GenericMatMulPathsAreExactAndChargeTheirRounds)
+{
+    // The nets with no native product run Machine::runMatMul and
+    // runBoolMatMul: N broadcast rounds, one charge each, priced
+    // broadcast + multiply + add (integer) or broadcast + one gate
+    // (Boolean).  Products are checked cell for cell against the
+    // references on full-range words (the sums wrap) and on Boolean
+    // cells holding arbitrary nonzero bytes.
+    for (const char *net : {"fattree", "mot", "d2d-mot", "ccc", "psn",
+                            "tree"})
+        for (std::size_t n : {16, 64}) {
+            sim::Rng rng(n);
+            linalg::IntMatrix a(n, n), b(n, n);
+            linalg::BoolMatrix ba(n, n, 0), bb(n, n, 0);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j) {
+                    a(i, j) = rng.next();
+                    b(i, j) = rng.next();
+                    if (rng.bernoulli(0.1))
+                        ba(i, j) = static_cast<std::uint8_t>(
+                            rng.uniform(1, 255));
+                    if (rng.bernoulli(0.1))
+                        bb(i, j) = static_cast<std::uint8_t>(
+                            rng.uniform(1, 255));
+                }
+
+            auto m = topo::registry().build(topo::resolveSpec(
+                net, topo::Algo::MatMul, n, vlsi::DelayModel::Logarithmic,
+                false));
+            std::uint64_t steps0 = m->steps();
+            auto mm = m->runMatMul(a, b);
+            EXPECT_EQ(mm.product, linalg::matMul(a, b))
+                << "matmul on " << net << " n=" << n;
+            EXPECT_EQ(mm.time, n * (m->broadcastCost() +
+                                    m->cost().bitSerialMultiply() +
+                                    m->cost().bitSerialOp()))
+                << "matmul on " << net << " n=" << n;
+            EXPECT_EQ(m->steps() - steps0, n)
+                << "matmul on " << net << " n=" << n;
+
+            m = topo::registry().build(topo::resolveSpec(
+                net, topo::Algo::BoolMatMul, n,
+                vlsi::DelayModel::Logarithmic, false));
+            steps0 = m->steps();
+            auto bm = m->runBoolMatMul(ba, bb);
+            const auto expect = linalg::boolMatMul(ba, bb);
+            ASSERT_EQ(bm.product.rows(), n);
+            ASSERT_EQ(bm.product.cols(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j)
+                    EXPECT_EQ(bm.product(i, j), expect(i, j))
+                        << "boolmm on " << net << " n=" << n << " cell ("
+                        << i << ", " << j << ")";
+            EXPECT_EQ(bm.time,
+                      n * (m->broadcastCost() + m->cost().bitSerialOp()))
+                << "boolmm on " << net << " n=" << n;
+            EXPECT_EQ(m->steps() - steps0, n)
+                << "boolmm on " << net << " n=" << n;
+        }
 }
 
 /** The sort AT^2 row of one topology at n (time from a real run). */

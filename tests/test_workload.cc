@@ -16,7 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "topo/machine.hh"
 #include "trace/tracer.hh"
+#include "vlsi/word.hh"
 #include "workload/engine.hh"
 
 namespace {
@@ -295,6 +297,132 @@ TEST(SpecTest, ParseInstanceTokens)
     EXPECT_EQ(out.net, "fattree");
     EXPECT_FALSE(parseInstance("sort:hypercube:32:log", out, err));
     EXPECT_NE(err.find("unknown net 'hypercube'"), std::string::npos);
+}
+
+/**
+ * A generic-path machine whose matmul or boolmm product is wrong in
+ * exactly one cell when `corrupt` is set.  runInstance must catch the
+ * one cell: verification is an exact comparison, not a sample.  (The
+ * instances' net name is only a label: runInstance runs the machine
+ * it is handed.)
+ */
+class OneCellOffMachine final : public ot::topo::Machine
+{
+  public:
+    OneCellOffMachine(std::size_t n, std::size_t cell)
+        : Machine({"one-cell-off", n, 0, DelayModel::Logarithmic,
+                   ot::vlsi::WordFormat::forProblemSize(n).bits(), false}),
+          _cell(cell)
+    {
+    }
+
+    /** Corrupt cell (_cell, _cell) of the products that follow. */
+    bool corrupt = false;
+    /** boolmm only: corrupt the cell only where its true value is this. */
+    std::uint64_t boolFrom = 0;
+    /** Whether the last run returned a corrupted product. */
+    bool corrupted = false;
+
+    void reset() override { _now = 0, _steps = 0; }
+    std::uint64_t area() const override { return 1; }
+    std::uint64_t steps() const override { return _steps; }
+    ot::vlsi::ModelTime now() const override { return _now; }
+    void charge(ot::vlsi::ModelTime dt) override { _now += dt, ++_steps; }
+    void setTracer(ot::trace::Tracer *) override {}
+    ot::vlsi::ModelTime exchangeStepCost(std::size_t) const override
+    {
+        return 1;
+    }
+    ot::vlsi::ModelTime broadcastCost() const override { return 1; }
+    ot::vlsi::ModelTime reduceCost() const override { return 1; }
+
+    ot::topo::MatMulRun
+    runMatMul(const ot::linalg::IntMatrix &a,
+              const ot::linalg::IntMatrix &b) override
+    {
+        auto r = Machine::runMatMul(a, b);
+        corrupted = corrupt;
+        if (corrupted)
+            r.product(_cell, _cell) += 1;
+        return r;
+    }
+
+    ot::topo::MatMulRun
+    runBoolMatMul(const ot::linalg::BoolMatrix &a,
+                  const ot::linalg::BoolMatrix &b) override
+    {
+        auto r = Machine::runBoolMatMul(a, b);
+        corrupted = corrupt && r.product(_cell, _cell) == boolFrom;
+        if (corrupted)
+            r.product(_cell, _cell) ^= 1;
+        return r;
+    }
+
+  private:
+    std::size_t _cell;
+    ot::vlsi::ModelTime _now = 0;
+    std::uint64_t _steps = 0;
+};
+
+/** Runs boolmm seeds from 1 until `m` corrupts its cell; returns the seed. */
+std::uint64_t
+runBoolMatMulUntilCorrupted(OneCellOffMachine &m, std::size_t n,
+                            InstanceReport &out)
+{
+    for (std::uint64_t seed = 1; seed <= 200000; ++seed) {
+        m.reset();
+        runInstance(inst(Algo::BoolMatMul, "mot", n,
+                         DelayModel::Logarithmic, seed),
+                    m, out);
+        if (m.corrupted)
+            return seed;
+    }
+    return 0;
+}
+
+TEST(VerificationTest, OneWrongCellFailsMatMul)
+{
+    for (std::size_t n : {16, 64})
+        for (std::size_t cell : {std::size_t{0}, n - 1}) {
+            OneCellOffMachine m(n, cell);
+            InstanceReport out;
+            runInstance(inst(Algo::MatMul, "mot", n), m, out);
+            EXPECT_TRUE(out.verified) << "n=" << n << " cell=" << cell;
+
+            m.reset();
+            m.corrupt = true;
+            runInstance(inst(Algo::MatMul, "mot", n), m, out);
+            ASSERT_TRUE(m.corrupted);
+            EXPECT_FALSE(out.verified) << "n=" << n << " cell=" << cell;
+        }
+}
+
+TEST(VerificationTest, OneFlippedCellFailsBoolMatMulBothWays)
+{
+    for (std::size_t n : {16, 64})
+        for (std::size_t cell : {std::size_t{0}, n - 1})
+            for (std::uint64_t from : {0u, 1u}) {
+                OneCellOffMachine m(n, cell);
+                m.corrupt = true;
+                m.boolFrom = from;
+                InstanceReport out;
+                const std::uint64_t seed =
+                    runBoolMatMulUntilCorrupted(m, n, out);
+                ASSERT_NE(seed, 0u) << "no seed has cell " << cell
+                                    << " = " << from << " at n=" << n;
+                EXPECT_FALSE(out.verified)
+                    << "n=" << n << " cell=" << cell << " flip " << from
+                    << "->" << (from ^ 1) << " seed=" << seed;
+
+                // The same instance on the honest machine verifies.
+                m.corrupt = false;
+                m.reset();
+                runInstance(inst(Algo::BoolMatMul, "mot", n,
+                                 DelayModel::Logarithmic, seed),
+                            m, out);
+                EXPECT_TRUE(out.verified)
+                    << "n=" << n << " cell=" << cell << " seed=" << seed;
+            }
 }
 
 TEST(SpecTest, DescribeInvalidFlagsBadSizes)
