@@ -68,9 +68,10 @@ printTables()
                             "ratio"});
     for (std::size_t n : {64, 256, 1024}) {
         auto cost = defaultCostModel(n);
-        baselines::TreeMachine tree(n, cost);
-        vlsi::ModelTime dt_tree = 0;
-        tree.minReduce(&dt_tree);
+        topo::TreeMachine tree({.topo = "tree",
+                                .n = n,
+                                .wordBits = cost.word().bits()});
+        const vlsi::ModelTime dt_tree = tree.reduceCost();
         otn::OrthogonalTreesNetwork net(n, cost);
         double dt_otn = static_cast<double>(net.treeReduceCost());
         t2.addRow({std::to_string(n),

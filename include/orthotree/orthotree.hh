@@ -26,10 +26,10 @@
  *   ot::graph     — graphs, generators, sequential references
  *   ot::otn       — the orthogonal trees network and its algorithms
  *   ot::otc       — the orthogonal tree cycles and its algorithms
- *   ot::topo      — the topology plugin registry (fat-tree, MoT, ...)
+ *   ot::topo      — the topology registry and its machines (mesh, PSN,
+ *                   CCC, tree, hex, fat-tree, MoT, OTN/OTC adapters)
  *   ot::workload  — batched multi-instance serving with network cache
  *   ot::scenario  — traffic scenarios: arrivals, schedulers, SLOs
- *   ot::baselines — mesh / PSN / CCC comparison machines
  *   ot::analysis  — the paper's table formulas, fitting, rendering
  */
 
@@ -38,11 +38,6 @@
 #include "analysis/asymptotics.hh"
 #include "analysis/fitting.hh"
 #include "analysis/table.hh"
-#include "baselines/ccc.hh"
-#include "baselines/hex_array.hh"
-#include "baselines/mesh.hh"
-#include "baselines/psn.hh"
-#include "baselines/tree_machine.hh"
 #include "graph/generators.hh"
 #include "graph/graph.hh"
 #include "graph/reference_algorithms.hh"
@@ -78,10 +73,15 @@
 #include "sim/time_accountant.hh"
 #include "topo/adapters.hh"
 #include "topo/algo.hh"
+#include "topo/ccc.hh"
 #include "topo/fat_tree.hh"
+#include "topo/hex.hh"
 #include "topo/machine.hh"
+#include "topo/mesh.hh"
 #include "topo/mot_noc.hh"
+#include "topo/psn.hh"
 #include "topo/registry.hh"
+#include "topo/tree.hh"
 #include "trace/analysis.hh"
 #include "trace/export.hh"
 #include "trace/tracer.hh"

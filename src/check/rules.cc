@@ -37,12 +37,9 @@ layerTable()
         {"otc",
          {"otc", "otn", "graph", "layout", "linalg", "sim", "simd",
           "trace", "vlsi"}},
-        {"baselines",
-         {"baselines", "otn", "graph", "layout", "linalg", "sim",
-          "trace", "vlsi"}},
         {"topo",
-         {"topo", "baselines", "otc", "otn", "graph", "layout",
-          "linalg", "sim", "trace", "vlsi"}},
+         {"topo", "otc", "otn", "graph", "layout", "linalg", "sim",
+          "trace", "vlsi"}},
         {"workload",
          {"workload", "topo", "otc", "otn", "graph", "layout", "linalg",
           "sim", "trace", "vlsi"}},

@@ -9,25 +9,6 @@ namespace ot::scenario {
 
 namespace {
 
-/** Parse a non-negative decimal integer; false on junk or overflow. */
-bool
-parseUint(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-        if (v > (~std::uint64_t{0} - d) / 10)
-            return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
-}
-
 bool
 arrivalFromString(const std::string &s, ArrivalKind &out)
 {
@@ -146,7 +127,7 @@ struct ScnParser
     number(const std::string &key, const std::string &value,
            std::uint64_t &out)
     {
-        if (!parseUint(value, out))
+        if (!workload::parseUint(value, out))
             return fail("bad integer in '" + key + "=" + value + "'");
         return true;
     }

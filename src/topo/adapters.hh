@@ -1,34 +1,25 @@
 /**
  * @file
- * topo::Machine adapters over the existing simulators.
+ * topo::Machine adapters over the orthogonal-tree simulators.
  *
- * One adapter per machine family already in the tree: the plain OTN,
- * the native streaming OTC, the OTC-emulated OTN (Section V-A), and
- * the five baselines (mesh, shuffle-exchange, cube-connected cycles,
- * single tree, hex array).  Each adapter delegates to the family's
- * native algorithms where they exist — keeping the model times of the
- * pre-plugin runners bit-for-bit — and inherits the generic
- * primitive-based fallbacks for the rest, so every family serves the
- * full algorithm vocabulary.
+ * One adapter per orthogonal-tree family: the plain OTN, the native
+ * streaming OTC and the OTC-emulated OTN (Section V-A).  These wrap a
+ * simulator because the src/otn and src/otc algorithms drive the
+ * network directly; each adapter delegates to those native algorithms
+ * and inherits the generic primitive-based fallbacks for the rest, so
+ * every family serves the full algorithm vocabulary.  The adapters
+ * reset their (expensive) networks in place.
  *
- * The orthogonal-tree adapters reset their (expensive) networks in
- * place, exactly as the workload engine used to; the baseline
- * machines are cheap (a layout plus an accountant), so their adapters
- * rebuild on reset(), which also restarts the per-run step counters.
+ * The other machines (mesh, psn, ccc, tree, hex, fattree, mot) are
+ * single topo::Machine classes with their own headers.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "baselines/ccc.hh"
-#include "baselines/hex_array.hh"
-#include "baselines/mesh.hh"
-#include "baselines/psn.hh"
-#include "baselines/tree_machine.hh"
 #include "graph/graph.hh"
 #include "linalg/matrix.hh"
 #include "otc/emulated_otn.hh"
@@ -128,138 +119,6 @@ class OtcNativeTopoMachine final : public Machine
 
   private:
     std::unique_ptr<otc::OtcNetwork> _net;
-};
-
-/** The sqrt(N) x sqrt(N) mesh ("mesh", Thompson-Kung + Cannon). */
-class MeshTopoMachine final : public Machine
-{
-  public:
-    explicit MeshTopoMachine(const MachineSpec &spec);
-
-    void reset() override;
-    std::uint64_t area() const override;
-    std::uint64_t steps() const override;
-    ModelTime now() const override { return _pe->now(); }
-    void charge(ModelTime dt) override { _pe->charge(dt); }
-    void setTracer(trace::Tracer *tracer) override;
-
-    ModelTime exchangeStepCost(std::size_t dist) const override;
-    ModelTime broadcastCost() const override;
-    ModelTime reduceCost() const override;
-
-    SortRun runSort(const std::vector<std::uint64_t> &values) override;
-    MatMulRun runMatMul(const linalg::IntMatrix &a,
-                        const linalg::IntMatrix &b) override;
-    MatMulRun runBoolMatMul(const linalg::BoolMatrix &a,
-                            const linalg::BoolMatrix &b) override;
-    CcRun runConnectedComponents(const graph::Graph &g) override;
-
-  private:
-    /** The N^2-processor Cannon grid, built on first matrix/CC run. */
-    baselines::MeshMachine &grid();
-
-    std::optional<baselines::MeshMachine> _pe;
-    std::unique_ptr<baselines::MeshMachine> _grid;
-    trace::Tracer *_tracer = nullptr;
-};
-
-/** Stone's perfect shuffle network ("psn"). */
-class PsnTopoMachine final : public Machine
-{
-  public:
-    explicit PsnTopoMachine(const MachineSpec &spec);
-
-    void reset() override;
-    std::uint64_t area() const override;
-    std::uint64_t steps() const override { return _m->acct().steps(); }
-    ModelTime now() const override { return _m->now(); }
-    void charge(ModelTime dt) override { _m->charge(dt); }
-    void setTracer(trace::Tracer *tracer) override;
-
-    ModelTime exchangeStepCost(std::size_t dist) const override;
-    ModelTime broadcastCost() const override;
-    ModelTime reduceCost() const override;
-
-    SortRun runSort(const std::vector<std::uint64_t> &values) override;
-
-  private:
-    std::optional<baselines::PsnMachine> _m;
-    trace::Tracer *_tracer = nullptr;
-};
-
-/** The cube-connected cycles ("ccc", Preparata-Vuillemin). */
-class CccTopoMachine final : public Machine
-{
-  public:
-    explicit CccTopoMachine(const MachineSpec &spec);
-
-    void reset() override;
-    std::uint64_t area() const override;
-    std::uint64_t steps() const override { return _m->acct().steps(); }
-    ModelTime now() const override { return _m->now(); }
-    void charge(ModelTime dt) override { _m->charge(dt); }
-    void setTracer(trace::Tracer *tracer) override;
-
-    ModelTime exchangeStepCost(std::size_t dist) const override;
-    ModelTime broadcastCost() const override;
-    ModelTime reduceCost() const override;
-
-    SortRun runSort(const std::vector<std::uint64_t> &values) override;
-
-  private:
-    std::optional<baselines::CccMachine> _m;
-    trace::Tracer *_tracer = nullptr;
-};
-
-/** The single-tree machine ("tree", the root-bottleneck ablation). */
-class TreeTopoMachine final : public Machine
-{
-  public:
-    explicit TreeTopoMachine(const MachineSpec &spec);
-
-    void reset() override;
-    std::uint64_t area() const override;
-    std::uint64_t steps() const override { return _m->acct().steps(); }
-    ModelTime now() const override { return _m->now(); }
-    void charge(ModelTime dt) override { _m->charge(dt); }
-    void setTracer(trace::Tracer *tracer) override;
-
-    ModelTime exchangeStepCost(std::size_t dist) const override;
-    ModelTime broadcastCost() const override;
-    ModelTime reduceCost() const override;
-
-    SortRun runSort(const std::vector<std::uint64_t> &values) override;
-
-  private:
-    std::optional<baselines::TreeMachine> _m;
-    trace::Tracer *_tracer = nullptr;
-};
-
-/** The hexagonal systolic array ("hex", Kung-Leiserson). */
-class HexTopoMachine final : public Machine
-{
-  public:
-    explicit HexTopoMachine(const MachineSpec &spec);
-
-    void reset() override;
-    std::uint64_t area() const override;
-    std::uint64_t steps() const override { return _m->acct().steps(); }
-    ModelTime now() const override { return _m->now(); }
-    void charge(ModelTime dt) override { _m->charge(dt); }
-    void setTracer(trace::Tracer *tracer) override;
-
-    ModelTime exchangeStepCost(std::size_t dist) const override;
-    ModelTime broadcastCost() const override;
-    ModelTime reduceCost() const override;
-
-    MatMulRun runMatMul(const linalg::IntMatrix &a,
-                        const linalg::IntMatrix &b) override;
-    MatMulRun runBoolMatMul(const linalg::BoolMatrix &a,
-                            const linalg::BoolMatrix &b) override;
-
-  private:
-    std::optional<baselines::HexArray> _m;
-    trace::Tracer *_tracer = nullptr;
 };
 
 } // namespace ot::topo

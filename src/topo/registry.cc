@@ -7,8 +7,13 @@
 #include "otn/mst.hh"
 #include "otn/shortest_paths.hh"
 #include "topo/adapters.hh"
+#include "topo/ccc.hh"
 #include "topo/fat_tree.hh"
+#include "topo/hex.hh"
+#include "topo/mesh.hh"
 #include "topo/mot_noc.hh"
+#include "topo/psn.hh"
+#include "topo/tree.hh"
 #include "vlsi/bitmath.hh"
 
 namespace ot::topo {
@@ -44,15 +49,15 @@ registerBuiltins(Registry &reg)
     reg.add({"otc-emu", "OTC-emulated OTN (Section V-A)",
              buildSimple<OtcEmulatedTopoMachine>});
     reg.add({"mesh", "sqrt(N) x sqrt(N) mesh (Thompson-Kung, Cannon)",
-             buildSimple<MeshTopoMachine>});
+             buildSimple<MeshMachine>});
     reg.add({"psn", "perfect shuffle network (Stone)",
-             buildSimple<PsnTopoMachine>});
+             buildSimple<PsnMachine>});
     reg.add({"ccc", "cube-connected cycles (Preparata-Vuillemin)",
-             buildSimple<CccTopoMachine>});
+             buildSimple<CccMachine>});
     reg.add({"tree", "single binary tree (the root-bottleneck ablation)",
-             buildSimple<TreeTopoMachine>});
+             buildSimple<TreeMachine>});
     reg.add({"hex", "hexagonal systolic array (Kung-Leiserson)",
-             buildSimple<HexTopoMachine>});
+             buildSimple<HexMachine>});
     reg.add({"fattree", "two-layer fat-tree from switch ports (Solnushkin)",
              buildSimple<FatTreeMachine>});
     reg.add({"mot", "mesh-of-trees NoC (row + column trees)", buildMot});

@@ -11,25 +11,6 @@ namespace ot::workload {
 
 namespace {
 
-/** Parse a non-negative decimal integer; false on junk or overflow. */
-bool
-parseUint(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-        if (v > (~std::uint64_t{0} - d) / 10)
-            return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
-}
-
 /**
  * Cursor over a JSON text for the one document shape parseWorkloadJson
  * accepts.  All failures funnel through fail(), which records the byte
@@ -177,6 +158,24 @@ parseInstanceObject(JsonCursor &cur, InstanceSpec &out)
 }
 
 } // namespace
+
+bool
+parseUint(const std::string &s, std::uint64_t &out)
+{
+    if (s.empty())
+        return false;
+    std::uint64_t v = 0;
+    for (char c : s) {
+        if (c < '0' || c > '9')
+            return false;
+        std::uint64_t d = static_cast<std::uint64_t>(c - '0');
+        if (v > (~std::uint64_t{0} - d) / 10)
+            return false;
+        v = v * 10 + d;
+    }
+    out = v;
+    return true;
+}
 
 void
 validate(const WorkloadSpec &spec)

@@ -79,6 +79,10 @@ void validate(const WorkloadSpec &spec);
  */
 std::string describeInvalid(const WorkloadSpec &spec);
 
+/** Parse a non-negative decimal integer; false on junk or overflow.
+ *  Shared by the workload and scenario spec parsers. */
+bool parseUint(const std::string &s, std::uint64_t &out);
+
 /**
  * Parse one CLI instance token, `algo:net:n:model[:scaled][:seed=K]`,
  * e.g. "sort:otn:64:log", "mst:otc:32:const:scaled:seed=7".  Returns

@@ -11,27 +11,38 @@
 #include <algorithm>
 #include <cmath>
 
-#include "baselines/ccc.hh"
-#include "baselines/mesh.hh"
-#include "baselines/psn.hh"
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
 #include "linalg/reference.hh"
 #include "sim/rng.hh"
+#include "topo/ccc.hh"
+#include "topo/mesh.hh"
+#include "topo/psn.hh"
 #include "topo/registry.hh"
 
 namespace {
 
-using namespace ot::baselines;
 using ot::sim::Rng;
-using ot::vlsi::CostModel;
+using ot::topo::CccMachine;
+using ot::topo::MachineSpec;
+using ot::topo::MeshMachine;
+using ot::topo::PsnMachine;
 using ot::vlsi::DelayModel;
 using ot::vlsi::WordFormat;
 
-CostModel
-logCost(std::size_t n)
+/** Spec for building `topo` directly at any n (the registry builds
+ *  powers of two only), Thompson's model with `bits`-bit words. */
+MachineSpec
+logSpec(const char *topo, std::size_t n, unsigned bits)
 {
-    return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
+    return {.topo = topo, .n = n, .wordBits = bits};
+}
+
+/** logSpec with the word width of an m-element problem. */
+MachineSpec
+logSpecFor(const char *topo, std::size_t n, std::size_t m)
+{
+    return logSpec(topo, n, WordFormat::forProblemSize(m).bits());
 }
 
 std::vector<std::uint64_t>
@@ -68,8 +79,8 @@ TEST(MeshSort, SortsRandomInputs)
 TEST(MeshSort, PartialLoadAndDuplicates)
 {
     std::vector<std::uint64_t> v{7, 7, 1, 3, 3};
-    MeshMachine mesh(v.size(), logCost(8));
-    EXPECT_EQ(meshSort(mesh, v).sorted, sortedCopy(v));
+    MeshMachine mesh(logSpecFor("mesh", v.size(), 8));
+    EXPECT_EQ(mesh.runSort(v).sorted, sortedCopy(v));
 }
 
 TEST(MeshSort, TimeIsThetaSqrtN)
@@ -81,8 +92,8 @@ TEST(MeshSort, TimeIsThetaSqrtN)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        MeshMachine mesh(n, logCost(n));
-        ts.push_back(static_cast<double>(meshSort(mesh, v).time));
+        MeshMachine mesh(logSpecFor("mesh", n, n));
+        ts.push_back(static_cast<double>(mesh.runSort(v).time));
         ns.push_back(static_cast<double>(n));
     }
     for (std::size_t i = 1; i < ts.size(); ++i) {
@@ -119,9 +130,8 @@ TEST(MeshMatMul, MatchesReference)
                 a(i, j) = rng.uniform(0, 9);
                 b(i, j) = rng.uniform(0, 9);
             }
-        MeshMachine mesh(n * n, CostModel(DelayModel::Logarithmic,
-                                          WordFormat(32)));
-        auto r = meshMatMul(mesh, a, b);
+        MeshMachine mesh(logSpec("mesh", n, 32));
+        auto r = mesh.runMatMul(a, b);
         EXPECT_EQ(r.product, ot::linalg::matMul(a, b)) << "n = " << n;
         // Skew route, then n steps of multiply-accumulate plus one
         // rotation hop (a route is hops * hop + 1).
@@ -139,9 +149,8 @@ TEST(MeshMatMul, TimeIsThetaN)
     Rng rng(5);
     for (std::size_t n : {8, 16, 32, 64}) {
         ot::linalg::IntMatrix a(n, n, 1), b(n, n, 1);
-        MeshMachine mesh(n * n, CostModel(DelayModel::Logarithmic,
-                                          WordFormat(32)));
-        ts.push_back(static_cast<double>(meshMatMul(mesh, a, b).time));
+        MeshMachine mesh(logSpec("mesh", n, 32));
+        ts.push_back(static_cast<double>(mesh.runMatMul(a, b).time));
     }
     for (std::size_t i = 1; i < ts.size(); ++i) {
         EXPECT_GT(ts[i] / ts[i - 1], 1.7);
@@ -159,8 +168,8 @@ TEST(MeshBoolMatMul, MatchesReference)
                 a(i, j) = rng.bernoulli(0.3);
                 b(i, j) = rng.bernoulli(0.3);
             }
-        MeshMachine mesh(n * n, logCost(n));
-        auto r = meshBoolMatMul(mesh, a, b);
+        MeshMachine mesh(logSpecFor("mesh", n, n));
+        auto r = mesh.runBoolMatMul(a, b);
         auto expect = ot::linalg::boolMatMul(a, b);
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j)
@@ -175,8 +184,8 @@ TEST(MeshCc, MatchesUnionFind)
     for (std::size_t n : {8, 16, 32}) {
         auto g = ot::graph::randomGnp(n, 2.0 / static_cast<double>(n),
                                       rng);
-        MeshMachine mesh(n * n, logCost(n));
-        auto r = meshConnectedComponents(mesh, g);
+        MeshMachine mesh(logSpecFor("mesh", n, n));
+        auto r = mesh.runConnectedComponents(g);
         EXPECT_EQ(r.labels, ot::graph::connectedComponents(g))
             << "n = " << n;
     }
@@ -201,11 +210,11 @@ TEST(PsnSort, StepCountIsThetaLog2N)
     Rng rng(9);
     for (std::size_t n : {64, 256, 1024}) {
         auto v = rng.permutation(n);
-        PsnMachine psn(n, logCost(n)); // the sort's own step count
-        auto r = psnSort(psn, v);
+        PsnMachine psn(logSpecFor("psn", n, n));
+        psn.runSort(v);
         double m = std::log2(static_cast<double>(n));
-        EXPECT_GT(static_cast<double>(r.steps), 0.4 * m * m);
-        EXPECT_LT(static_cast<double>(r.steps), 2.5 * m * m);
+        EXPECT_GT(static_cast<double>(psn.steps()), 0.4 * m * m);
+        EXPECT_LT(static_cast<double>(psn.steps()), 2.5 * m * m);
     }
 }
 
@@ -253,11 +262,11 @@ TEST(CccSort, StepCountIsThetaLog2N)
     Rng rng(12);
     for (std::size_t n : {64, 256, 1024}) {
         auto v = rng.permutation(n);
-        CccMachine ccc(n, logCost(n)); // the sort's own step count
-        auto r = cccSort(ccc, v);
+        CccMachine ccc(logSpecFor("ccc", n, n));
+        ccc.runSort(v);
         double m = std::log2(static_cast<double>(n));
-        EXPECT_GT(static_cast<double>(r.steps), 0.4 * m * m);
-        EXPECT_LT(static_cast<double>(r.steps), 3.0 * m * m);
+        EXPECT_GT(static_cast<double>(ccc.steps()), 0.4 * m * m);
+        EXPECT_LT(static_cast<double>(ccc.steps()), 3.0 * m * m);
     }
 }
 
@@ -291,61 +300,11 @@ TEST(Baselines, FastNetworksBeatMeshInTime)
     // PSN/CCC N^2 / log^2 N) only separates once N > log^4 N —
     // compare layouts at a properly asymptotic size.
     std::size_t big = std::size_t{1} << 22;
-    MeshMachine mesh(big, logCost(big));
-    PsnMachine psn(big, logCost(big));
-    CccMachine ccc(big, logCost(big));
-    EXPECT_LT(mesh.chipLayout().metrics().area(),
-              psn.chipLayout().metrics().area());
-    EXPECT_LT(mesh.chipLayout().metrics().area(),
-              ccc.chipLayout().metrics().area());
-}
-
-
-TEST(MeshOddEvenSort, SortsAndIsSlowerThanBitonicRouting)
-{
-    // Theta(N) rounds vs Theta(sqrt N) routed distance — the gap needs
-    // N well beyond the bitonic schedule's constant (~10x) to show.
-    Rng rng(30);
-    double prev_ratio = 0;
-    for (std::size_t n : {1024, 4096, 16384}) {
-        std::vector<std::uint64_t> v(n);
-        for (auto &x : v)
-            x = rng.uniform(0, n - 1);
-        auto expect = sortedCopy(v);
-
-        MeshMachine a(n, logCost(n));
-        auto odd_even = meshOddEvenSort(a, v);
-        EXPECT_EQ(odd_even.sorted, expect);
-
-        MeshMachine b(n, logCost(n));
-        auto bitonic = meshSort(b, v);
-        EXPECT_EQ(bitonic.sorted, expect);
-
-        double ratio = static_cast<double>(odd_even.time) /
-                       static_cast<double>(bitonic.time);
-        EXPECT_GT(ratio, prev_ratio) << "n = " << n;
-        prev_ratio = ratio;
-    }
-    // By 16K elements the sqrt(N) router is clearly ahead.
-    EXPECT_GT(prev_ratio, 4.0);
-}
-
-TEST(MeshOddEvenSort, TimeIsThetaN)
-{
-    Rng rng(31);
-    std::vector<double> ts;
-    for (std::size_t n : {64, 256, 1024}) {
-        std::vector<std::uint64_t> v(n);
-        for (auto &x : v)
-            x = rng.uniform(0, n - 1);
-        MeshMachine mesh(n, logCost(n));
-        ts.push_back(
-            static_cast<double>(meshOddEvenSort(mesh, v).time));
-    }
-    for (std::size_t i = 1; i < ts.size(); ++i) {
-        EXPECT_GT(ts[i] / ts[i - 1], 3.0); // N quadruples
-        EXPECT_LT(ts[i] / ts[i - 1], 5.0);
-    }
+    MeshMachine mesh(logSpecFor("mesh", big, big));
+    PsnMachine psn(logSpecFor("psn", big, big));
+    CccMachine ccc(logSpecFor("ccc", big, big));
+    EXPECT_LT(mesh.area(), psn.area());
+    EXPECT_LT(mesh.area(), ccc.area());
 }
 
 } // namespace

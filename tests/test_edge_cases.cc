@@ -218,10 +218,11 @@ TEST(EdgeCases, StatsResetClearsCounters)
 
 TEST(EdgeCases, HexArraySizeOne)
 {
-    baselines::HexArray hex(1, logCost(2));
+    topo::HexMachine hex(
+        {.topo = "hex", .n = 1, .wordBits = logCost(2).word().bits()});
     auto a = linalg::IntMatrix::fromRows({{3}});
     auto b = linalg::IntMatrix::fromRows({{2}});
-    EXPECT_EQ(hex.matMul(a, b)(0, 0), 6u);
+    EXPECT_EQ(hex.runMatMul(a, b).product(0, 0), 6u);
 }
 
 TEST(EdgeCases, MeshOfTrees3dSizeOne)

@@ -7,18 +7,26 @@
 #include <gtest/gtest.h>
 
 #include "analysis/fitting.hh"
-#include "baselines/hex_array.hh"
-#include "baselines/mesh.hh"
 #include "linalg/reference.hh"
 #include "sim/rng.hh"
+#include "topo/hex.hh"
+#include "topo/mesh.hh"
 
 namespace {
 
 using namespace ot;
 using sim::Rng;
-using vlsi::CostModel;
+using topo::HexMachine;
+using topo::MachineSpec;
 using vlsi::DelayModel;
-using vlsi::WordFormat;
+
+/** Spec for building `topo` directly at n with `bits`-bit words. */
+MachineSpec
+spec(const char *topo, std::size_t n, unsigned bits,
+     DelayModel model = DelayModel::Logarithmic)
+{
+    return {.topo = topo, .n = n, .model = model, .wordBits = bits};
+}
 
 linalg::IntMatrix
 randomMatrix(std::size_t n, std::uint64_t limit, Rng &rng)
@@ -36,9 +44,9 @@ TEST(HexArray, MatMulMatchesReference)
     for (std::size_t n : {2, 4, 8, 16, 32}) {
         auto a = randomMatrix(n, 8, rng);
         auto b = randomMatrix(n, 8, rng);
-        baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                             WordFormat(32)));
-        EXPECT_EQ(hex.matMul(a, b), linalg::matMul(a, b)) << "n=" << n;
+        HexMachine hex(spec("hex", n, 32));
+        EXPECT_EQ(hex.runMatMul(a, b).product, linalg::matMul(a, b))
+            << "n=" << n;
     }
 }
 
@@ -52,9 +60,12 @@ TEST(HexArray, BoolMatMulMatchesReference)
             a(i, j) = rng.bernoulli(0.4);
             b(i, j) = rng.bernoulli(0.4);
         }
-    baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                         WordFormat(16)));
-    EXPECT_EQ(hex.boolMatMul(a, b), linalg::boolMatMul(a, b));
+    HexMachine hex(spec("hex", n, 16));
+    auto product = hex.runBoolMatMul(a, b).product;
+    auto expect = linalg::boolMatMul(a, b);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            EXPECT_EQ(product(i, j), expect(i, j)) << i << "," << j;
 }
 
 TEST(HexArray, BeatsAreThetaN)
@@ -63,10 +74,10 @@ TEST(HexArray, BeatsAreThetaN)
     for (std::size_t n : {8, 16, 32}) {
         auto a = randomMatrix(n, 4, rng);
         auto b = randomMatrix(n, 4, rng);
-        baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                             WordFormat(24)));
-        hex.matMul(a, b);
-        EXPECT_EQ(hex.lastBeats(), 3 * (n - 1) + 1);
+        HexMachine hex(spec("hex", n, 24));
+        hex.runMatMul(a, b);
+        // One charge per beat, then the drain.
+        EXPECT_EQ(hex.steps() - 1, 3 * (n - 1) + 1);
     }
 }
 
@@ -77,13 +88,10 @@ TEST(HexArray, TimeIsLinearAreaQuadratic)
     for (std::size_t n : {8, 16, 32, 64}) {
         auto a = randomMatrix(n, 4, rng);
         auto b = randomMatrix(n, 4, rng);
-        baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                             WordFormat(24)));
-        auto t0 = hex.now();
-        hex.matMul(a, b);
+        HexMachine hex(spec("hex", n, 24));
         ns.push_back(static_cast<double>(n));
-        times.push_back(static_cast<double>(hex.now() - t0));
-        areas.push_back(static_cast<double>(hex.chipArea()));
+        times.push_back(static_cast<double>(hex.runMatMul(a, b).time));
+        areas.push_back(static_cast<double>(hex.area()));
     }
     EXPECT_NEAR(analysis::fitPowerLaw(ns, times).exponent, 1.0, 0.15);
     EXPECT_NEAR(analysis::fitPowerLaw(ns, areas).exponent, 2.0, 0.15);
@@ -97,16 +105,10 @@ TEST(HexArray, InsensitiveToDelayModel)
     std::size_t n = 16;
     auto a = randomMatrix(n, 4, rng);
     auto b = randomMatrix(n, 4, rng);
-    baselines::HexArray hl(n, CostModel(DelayModel::Logarithmic,
-                                        WordFormat(24)));
-    baselines::HexArray hc(n, CostModel(DelayModel::Constant,
-                                        WordFormat(24)));
-    auto t0 = hl.now();
-    hl.matMul(a, b);
-    auto tl = hl.now() - t0;
-    t0 = hc.now();
-    hc.matMul(a, b);
-    auto tc = hc.now() - t0;
+    HexMachine hl(spec("hex", n, 24));
+    HexMachine hc(spec("hex", n, 24, DelayModel::Constant));
+    auto tl = hl.runMatMul(a, b).time;
+    auto tc = hc.runMatMul(a, b).time;
     EXPECT_LT(static_cast<double>(tl) / static_cast<double>(tc), 4.0);
 }
 
@@ -116,11 +118,9 @@ TEST(HexArray, AgreesWithCannonMesh)
     std::size_t n = 16;
     auto a = randomMatrix(n, 6, rng);
     auto b = randomMatrix(n, 6, rng);
-    CostModel cm(DelayModel::Logarithmic, WordFormat(32));
-    baselines::HexArray hex(n, cm);
-    baselines::MeshMachine mesh(n * n, cm);
-    EXPECT_EQ(hex.matMul(a, b),
-              baselines::meshMatMul(mesh, a, b).product);
+    HexMachine hex(spec("hex", n, 32));
+    topo::MeshMachine mesh(spec("mesh", n, 32));
+    EXPECT_EQ(hex.runMatMul(a, b).product, mesh.runMatMul(a, b).product);
 }
 
 } // namespace

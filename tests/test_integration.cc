@@ -34,6 +34,16 @@ logCost(std::size_t n)
     return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
 }
 
+/** Spec for building `topo` directly at any n under `cost`. */
+topo::MachineSpec
+directSpec(const char *topo, std::size_t n, const CostModel &cost)
+{
+    return {.topo = topo,
+            .n = n,
+            .model = cost.delayModel(),
+            .wordBits = cost.word().bits()};
+}
+
 /** The registry's machine for one (net, algo, n) instance. */
 std::unique_ptr<topo::Machine>
 machine(const char *net, topo::Algo algo, std::size_t n,
@@ -66,15 +76,15 @@ TEST_P(SorterAgreement, AllMachinesAgree)
     const unsigned l = vlsi::logCeilAtLeast1(n);
     otc::OtcNetwork otc_net(vlsi::ceilDiv(n, l), l, cost);
     EXPECT_EQ(otc::sortOtc(otc_net, v).sorted, expect) << "SORT-OTC";
-    baselines::MeshMachine mesh(n, cost);
-    EXPECT_EQ(baselines::meshSort(mesh, v).sorted, expect) << "mesh";
-    baselines::PsnMachine psn(n, cost);
-    EXPECT_EQ(baselines::psnSort(psn, v).sorted, expect) << "PSN";
-    baselines::CccMachine ccc(n, cost);
-    EXPECT_EQ(baselines::cccSort(ccc, v).sorted, expect) << "CCC";
+    topo::MeshMachine mesh(directSpec("mesh", n, cost));
+    EXPECT_EQ(mesh.runSort(v).sorted, expect) << "mesh";
+    topo::PsnMachine psn(directSpec("psn", n, cost));
+    EXPECT_EQ(psn.runSort(v).sorted, expect) << "PSN";
+    topo::CccMachine ccc(directSpec("ccc", n, cost));
+    EXPECT_EQ(ccc.runSort(v).sorted, expect) << "CCC";
 
-    baselines::TreeMachine tree(n, cost);
-    EXPECT_EQ(tree.extractMinSort(v), expect) << "tree machine";
+    topo::TreeMachine tree(directSpec("tree", n, cost));
+    EXPECT_EQ(tree.runSort(v).sorted, expect) << "tree machine";
 
     otc::OtcEmulatedOtn emu(n, cost);
     EXPECT_EQ(otn::sortOtn(emu, v).sorted, expect) << "OTC-emulated OTN";
@@ -116,8 +126,8 @@ TEST_P(MatMulAgreement, AllMachinesAgree)
     EXPECT_EQ(machine("otc", topo::Algo::MatMul, n)->runMatMul(a, b).product,
               expect);
 
-    baselines::MeshMachine mesh(n * n, cost);
-    EXPECT_EQ(baselines::meshMatMul(mesh, a, b).product, expect);
+    topo::MeshMachine mesh(directSpec("mesh", n, cost));
+    EXPECT_EQ(mesh.runMatMul(a, b).product, expect);
 
     otn::MeshOfTrees3d mot(n, cost);
     EXPECT_EQ(mot.matMul(a, b).product, expect);
@@ -156,8 +166,8 @@ TEST_P(CcAgreement, FiveWaysAgree)
               expect)
         << "closure min-label";
 
-    baselines::MeshMachine mesh(n * n, cost);
-    EXPECT_EQ(baselines::meshConnectedComponents(mesh, g).labels, expect)
+    topo::MeshMachine mesh(directSpec("mesh", n, cost));
+    EXPECT_EQ(mesh.runConnectedComponents(g).labels, expect)
         << "mesh closure";
 }
 

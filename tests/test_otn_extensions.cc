@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "baselines/tree_machine.hh"
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
 #include "linalg/reference.hh"
@@ -21,8 +20,10 @@
 #include "otn/integer_multiply.hh"
 #include "otn/mesh_of_trees_3d.hh"
 #include "otn/network.hh"
+#include "otn/registers.hh"
 #include "sim/rng.hh"
 #include "topo/registry.hh"
+#include "topo/tree.hh"
 
 namespace {
 
@@ -37,6 +38,13 @@ CostModel
 logCost(std::size_t n)
 {
     return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
+}
+
+/** The single-tree machine's spec: n leaves, n-element words. */
+topo::MachineSpec
+treeSpec(std::size_t n)
+{
+    return {.topo = "tree", .n = n, .wordBits = logCost(n).word().bits()};
 }
 
 // ---------------------------------------------------------- prefix op
@@ -267,7 +275,7 @@ TEST(MeshOfTrees3d, FasterThanPipelinedOtnForLargeN)
 
 TEST(TreeMachine, BroadcastAndReduce)
 {
-    baselines::TreeMachine tree(8, logCost(8));
+    topo::TreeMachine tree(treeSpec(8));
     tree.broadcast(7);
     for (std::size_t k = 0; k < 8; ++k)
         EXPECT_EQ(tree.leaf(k), 7u);
@@ -275,6 +283,13 @@ TEST(TreeMachine, BroadcastAndReduce)
     tree.leaf(5) = 11;
     EXPECT_EQ(tree.minReduce(), 2u);
     EXPECT_EQ(tree.sumReduce(), 6u * 7 + 2 + 11);
+
+    // reset() empties the leaves as well as the clock.
+    tree.reset();
+    EXPECT_EQ(tree.now(), 0u);
+    for (std::size_t k = 0; k < 8; ++k)
+        EXPECT_EQ(tree.leaf(k), otn::kNull);
+    EXPECT_EQ(tree.sumReduce(), 0u);
 }
 
 TEST(TreeMachine, ExtractMinSortIsCorrect)
@@ -284,8 +299,8 @@ TEST(TreeMachine, ExtractMinSortIsCorrect)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        baselines::TreeMachine tree(n, logCost(n));
-        auto sorted = tree.extractMinSort(v);
+        topo::TreeMachine tree(treeSpec(n));
+        auto sorted = tree.runSort(v).sorted;
         std::sort(v.begin(), v.end());
         EXPECT_EQ(sorted, v) << "n = " << n;
     }
@@ -298,24 +313,21 @@ TEST(TreeMachine, RootBottleneckVsOtn)
     Rng rng(17);
     std::size_t n = 256;
     auto v = rng.permutation(n);
-    baselines::TreeMachine tree(n, logCost(n));
-    auto t_tree = [&] {
-        tree.extractMinSort(v);
-        return tree.now();
-    }();
+    topo::TreeMachine tree(treeSpec(n));
+    auto t_tree = tree.runSort(v).time;
     auto otn = topo::registry().build(topo::resolveSpec(
         "otn", topo::Algo::Sort, n, DelayModel::Logarithmic, false));
     auto t_otn = otn->runSort(v).time;
     EXPECT_GT(t_tree, 10 * t_otn);
     // But the tree machine is far smaller.
-    EXPECT_LT(tree.chipArea(), otn->area() / 8);
+    EXPECT_LT(tree.area(), otn->area() / 8);
 }
 
 TEST(TreeMachine, SemigroupOpsCostOneTraversalClass)
 {
-    baselines::TreeMachine tree(1024, logCost(1024));
-    vlsi::ModelTime dt = 0;
-    tree.minReduce(&dt);
+    topo::TreeMachine tree(treeSpec(1024));
+    tree.minReduce();
+    const vlsi::ModelTime dt = tree.now();
     double logn = std::log2(1024.0);
     EXPECT_LT(static_cast<double>(dt), 8 * logn * logn);
 }

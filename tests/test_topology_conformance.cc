@@ -12,8 +12,10 @@
  * rows for the new fat-tree and D2D-MoT machines must be well-formed, and the D2D-MoT's diametrical links
  * must strictly reduce root bandwidth against the plain MoT on the
  * same traffic (the arXiv:1212.2874 property, read off the tracer).
- * Finally, reset() after a run that wrote the registers must leave
- * the OTN and native OTC machines indistinguishable from fresh ones.
+ * Finally, reset() must restart every machine's clock and step count
+ * so that a rerun of any algorithm repeats the first run exactly, and
+ * after a run that wrote the registers it must leave the OTN and
+ * native OTC machines indistinguishable from fresh ones.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "graph/generators.hh"
+#include "layout/baseline_layouts.hh"
 #include "linalg/reference.hh"
 #include "otn/registers.hh"
 #include "sim/rng.hh"
@@ -113,6 +116,86 @@ TEST(TopologyConformance, ReportsByteIdenticalAtOneVsEightThreads)
     EXPECT_EQ(texts[0], texts[1]);
 }
 
+/** Fixed inputs for one run of every algorithm at size n. */
+struct AlgoInputs
+{
+    explicit AlgoInputs(std::size_t n) : a(n, n), b(n, n), ba(n, n, 0),
+                                         bb(n, n, 0)
+    {
+        sim::Rng rng(2);
+        values.resize(n);
+        for (auto &v : values)
+            v = rng.uniform(0, n - 1);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = rng.uniform(0, 9);
+                b(i, j) = rng.uniform(0, 9);
+                ba(i, j) = rng.bernoulli(0.35) ? 1 : 0;
+                bb(i, j) = rng.bernoulli(0.35) ? 1 : 0;
+            }
+        g = graph::randomGnp(n, 0.1, rng);
+        wg = graph::randomWeightedConnected(n, 2 * n, rng);
+    }
+
+    std::vector<std::uint64_t> values;
+    linalg::IntMatrix a, b;
+    linalg::BoolMatrix ba, bb;
+    graph::Graph g{0};
+    graph::WeightedGraph wg{0};
+};
+
+/** One run's result (flattened to words), model time and run area. */
+struct AlgoRun
+{
+    std::vector<std::uint64_t> result;
+    vlsi::ModelTime time = 0;
+    std::uint64_t area = 0;
+};
+
+std::vector<std::uint64_t>
+flatten(const linalg::IntMatrix &m)
+{
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        out.insert(out.end(), m.rowData(i), m.rowData(i) + m.cols());
+    return out;
+}
+
+AlgoRun
+runAlgo(topo::Machine &m, topo::Algo algo, const AlgoInputs &in)
+{
+    switch (algo) {
+      case topo::Algo::Sort: {
+        auto r = m.runSort(in.values);
+        return {r.sorted, r.time, r.area};
+      }
+      case topo::Algo::MatMul: {
+        auto r = m.runMatMul(in.a, in.b);
+        return {flatten(r.product), r.time, r.area};
+      }
+      case topo::Algo::BoolMatMul: {
+        auto r = m.runBoolMatMul(in.ba, in.bb);
+        return {flatten(r.product), r.time, r.area};
+      }
+      case topo::Algo::ConnectedComponents: {
+        auto r = m.runConnectedComponents(in.g);
+        return {{r.labels.begin(), r.labels.end()}, r.time, r.area};
+      }
+      case topo::Algo::Mst: {
+        auto r = m.runMst(in.wg);
+        AlgoRun out{{}, r.time, r.area};
+        for (const graph::Edge &e : r.edges)
+            out.result.insert(out.result.end(), {e.u, e.v, e.w});
+        return out;
+      }
+      case topo::Algo::ShortestPaths: {
+        auto r = m.runShortestPaths(in.wg, 0);
+        return {r.dist, r.time, r.area};
+      }
+    }
+    return {};
+}
+
 TEST(TopologyConformance, RunAreaOverridesOnlyWhereTheChipDiffers)
 {
     // A run reports its own chip area (nonzero run.area) exactly where
@@ -121,47 +204,12 @@ TEST(TopologyConformance, RunAreaOverridesOnlyWhereTheChipDiffers)
     // mesh's N^2-processor Cannon grid.  Bench rows and reports take
     // run.area over area() on the strength of this.
     const std::size_t n = 16;
-    sim::Rng rng(2);
-    std::vector<std::uint64_t> values(n);
-    for (auto &v : values)
-        v = rng.uniform(0, n - 1);
-    linalg::IntMatrix a(n, n), b(n, n);
-    linalg::BoolMatrix ba(n, n, 0), bb(n, n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            a(i, j) = rng.uniform(0, 9);
-            b(i, j) = rng.uniform(0, 9);
-            ba(i, j) = rng.bernoulli(0.35) ? 1 : 0;
-            bb(i, j) = rng.bernoulli(0.35) ? 1 : 0;
-        }
-    auto g = graph::randomGnp(n, 0.1, rng);
-    auto wg = graph::randomWeightedConnected(n, 2 * n, rng);
-
+    const AlgoInputs in(n);
     for (const std::string &net : topo::registry().names()) {
         for (topo::Algo algo : topo::allAlgos()) {
             auto m = topo::registry().build(topo::resolveSpec(
                 net, algo, n, vlsi::DelayModel::Logarithmic, false));
-            std::uint64_t area = 0;
-            switch (algo) {
-              case topo::Algo::Sort:
-                area = m->runSort(values).area;
-                break;
-              case topo::Algo::MatMul:
-                area = m->runMatMul(a, b).area;
-                break;
-              case topo::Algo::BoolMatMul:
-                area = m->runBoolMatMul(ba, bb).area;
-                break;
-              case topo::Algo::ConnectedComponents:
-                area = m->runConnectedComponents(g).area;
-                break;
-              case topo::Algo::Mst:
-                area = m->runMst(wg).area;
-                break;
-              case topo::Algo::ShortestPaths:
-                area = m->runShortestPaths(wg, 0).area;
-                break;
-            }
+            const std::uint64_t area = runAlgo(*m, algo, in).area;
             const bool mesh_grid =
                 net == "mesh" && (algo == topo::Algo::MatMul ||
                                   algo == topo::Algo::BoolMatMul ||
@@ -172,9 +220,8 @@ TEST(TopologyConformance, RunAreaOverridesOnlyWhereTheChipDiffers)
             EXPECT_EQ(area != 0, mesh_grid || compact_otc)
                 << toString(algo) << " on " << net;
             if (mesh_grid) {
-                baselines::MeshMachine grid(n * n, m->cost());
-                EXPECT_EQ(area, grid.chipLayout().metrics().area())
-                    << toString(algo);
+                layout::MeshLayout grid(n * n, m->cost().word().bits());
+                EXPECT_EQ(area, grid.metrics().area()) << toString(algo);
             }
         }
     }
@@ -326,20 +373,28 @@ TEST(TopologyConformance, D2dMotRootBandwidthStrictlyBelowPlainMot)
 
 TEST(TopologyConformance, ResetRestartsEveryTopologyClock)
 {
-    for (const std::string &net : topo::registry().names()) {
-        auto spec = topo::resolveSpec(net, topo::Algo::Sort, 16,
-                                      vlsi::DelayModel::Logarithmic,
-                                      false);
-        auto machine = topo::registry().build(spec);
-        std::vector<std::uint64_t> values{3, 1, 4, 1, 5, 9, 2, 6,
-                                          5, 3, 5, 8, 9, 7, 9, 3};
-        auto first = machine->runSort(values);
-        machine->reset();
-        EXPECT_EQ(machine->now(), 0u) << net;
-        auto second = machine->runSort(values);
-        EXPECT_EQ(first.time, second.time) << net;
-        EXPECT_EQ(first.sorted, second.sorted) << net;
-    }
+    // reset() brings every machine back to its built state: clock and
+    // step count at zero, and a rerun repeats the first run exactly —
+    // result, time, steps and run area — for every algorithm, the
+    // mesh's Cannon grid and the tree's leaf registers included.
+    const std::size_t n = 16;
+    const AlgoInputs in(n);
+    for (const std::string &net : topo::registry().names())
+        for (topo::Algo algo : topo::allAlgos()) {
+            auto m = topo::registry().build(topo::resolveSpec(
+                net, algo, n, vlsi::DelayModel::Logarithmic, false));
+            const std::string where = std::string(toString(algo)) + " on " + net;
+            const AlgoRun first = runAlgo(*m, algo, in);
+            const std::uint64_t steps = m->steps();
+            m->reset();
+            EXPECT_EQ(m->now(), 0u) << where;
+            EXPECT_EQ(m->steps(), 0u) << where;
+            const AlgoRun second = runAlgo(*m, algo, in);
+            EXPECT_EQ(second.result, first.result) << where;
+            EXPECT_EQ(second.time, first.time) << where;
+            EXPECT_EQ(m->steps(), steps) << where;
+            EXPECT_EQ(second.area, first.area) << where;
+        }
 }
 
 // ------------------------------------------- reset of the register file

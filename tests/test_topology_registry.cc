@@ -14,10 +14,15 @@
 #include <type_traits>
 
 #include "topo/adapters.hh"
+#include "topo/ccc.hh"
 #include "topo/fat_tree.hh"
+#include "topo/hex.hh"
 #include "topo/machine.hh"
+#include "topo/mesh.hh"
 #include "topo/mot_noc.hh"
+#include "topo/psn.hh"
 #include "topo/registry.hh"
+#include "topo/tree.hh"
 #include "workload/spec.hh"
 
 namespace {
@@ -32,11 +37,11 @@ using topo::MachineSpec;
 // exception is OtnTopoMachine, the documented emulation base.
 static_assert(std::is_final_v<topo::OtcEmulatedTopoMachine>);
 static_assert(std::is_final_v<topo::OtcNativeTopoMachine>);
-static_assert(std::is_final_v<topo::MeshTopoMachine>);
-static_assert(std::is_final_v<topo::PsnTopoMachine>);
-static_assert(std::is_final_v<topo::CccTopoMachine>);
-static_assert(std::is_final_v<topo::TreeTopoMachine>);
-static_assert(std::is_final_v<topo::HexTopoMachine>);
+static_assert(std::is_final_v<topo::MeshMachine>);
+static_assert(std::is_final_v<topo::PsnMachine>);
+static_assert(std::is_final_v<topo::CccMachine>);
+static_assert(std::is_final_v<topo::TreeMachine>);
+static_assert(std::is_final_v<topo::HexMachine>);
 static_assert(std::is_final_v<topo::FatTreeMachine>);
 static_assert(std::is_final_v<topo::MotNocMachine>);
 static_assert(!std::is_final_v<topo::OtnTopoMachine>);
