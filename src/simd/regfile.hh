@@ -21,11 +21,36 @@
  *    non-const plane() and at() set the plane's bit, the const
  *    accessors do not.  Writes must go through a pointer or reference
  *    obtained after the last clear().
- *  - clear() zeroes only the dirty planes, then resets the mask.
- *    Unoptimized (Debug) builds also assert that every clean plane is
- *    still all-zero, which catches a write that bypassed the mark.
+ *  - clear() zeroes the used words of the dirty planes only, then
+ *    resets the mask.  Unoptimized (Debug) builds also assert that
+ *    every clean plane, and the padding after every plane, is still
+ *    all-zero, which catches a write that bypassed the mark.
  *    Optimized builds keep their other assertions but skip this scan:
  *    it would read every clean plane on every clear.
+ *
+ * Planes of at least kHugePage bytes (2 MB; N >= 512 on the OTN) sit
+ * on transparent huge pages where the host allows it:
+ *  - The block is aligned to kHugePage and the plane stride rounded up
+ *    to a whole number of huge pages, so no huge page straddles two
+ *    planes.
+ *  - Each plane's used interior, rounded down to whole huge pages, is
+ *    advised MADV_HUGEPAGE.  The partial tail of a plane stays on
+ *    4 KB pages, so it costs only the pages a run touches.  Without
+ *    THP (the kernel's setting is `never`, or the host is not Linux)
+ *    the advice fails or is compiled out, and the failure is ignored:
+ *    planes then fault in 4 KB at a time, as before.
+ *  - First touch stays lazy: an unwritten plane is still never
+ *    resident.  RSS note: a huge page becomes resident as a whole on
+ *    the first write into it, so a sparsely written plane can cost up
+ *    to 2 MB per written huge page; a plane written end to end costs
+ *    what it did on 4 KB pages.
+ *  - Virtual size grows by at most kHugePage per file for the block
+ *    alignment plus the stride rounding of each plane.
+ * Smaller planes keep kAlign alignment and no advice.
+ *
+ * Size arithmetic is checked: a file whose block size would overflow
+ * std::size_t throws std::bad_alloc instead of allocating a wrapped,
+ * too-small block.
  */
 
 #pragma once
@@ -38,6 +63,10 @@
 #include <memory>
 #include <new>
 
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
+
 namespace ot::simd {
 
 /** SoA block of `planes` equally sized u64 lanes, 64-byte aligned. */
@@ -48,21 +77,41 @@ class RegFile
      *  multiple of every vector width we dispatch to). */
     static constexpr std::size_t kAlign = 64;
 
+    /** Huge-page size: planes of at least this many bytes are aligned
+     *  to it, span a whole number of it and are advised onto THP. */
+    static constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
     RegFile(unsigned planes, std::size_t plane_size)
         : _planes(planes),
           _planeSize(plane_size),
-          _stride(roundUp(plane_size)),
-          _block(std::calloc(_stride * planes * sizeof(std::uint64_t) +
-                                 kAlign,
-                             1),
+          _align(alignFor(plane_size)),
+          _stride(roundUp(plane_size, _align / sizeof(std::uint64_t))),
+          _block(std::calloc(blockBytes(planes, _stride, _align), 1),
                  &std::free)
     {
         assert(planes <= 32); // one dirty bit per plane
         if (!_block)
             throw std::bad_alloc();
         const auto addr = reinterpret_cast<std::uintptr_t>(_block.get());
-        _data = reinterpret_cast<std::uint64_t *>((addr + kAlign - 1) &
-                                                  ~(kAlign - 1));
+        _data = reinterpret_cast<std::uint64_t *>((addr + _align - 1) &
+                                                  ~(_align - 1));
+#ifdef MADV_HUGEPAGE
+        if (_align == kHugePage) {
+            // Interiors that abut (planes of whole huge pages) take one
+            // call: a call that leaves a gap splits the mapping, which
+            // costs microseconds per plane at build and at free.
+            const std::size_t interior =
+                _planeSize * sizeof(std::uint64_t) / kHugePage * kHugePage;
+            const std::size_t stride_bytes = _stride * sizeof(std::uint64_t);
+            if (interior == stride_bytes)
+                (void)::madvise(_data, stride_bytes * _planes,
+                                MADV_HUGEPAGE);
+            else
+                for (unsigned p = 0; p < _planes; ++p)
+                    (void)::madvise(_data + p * _stride, interior,
+                                    MADV_HUGEPAGE);
+        }
+#endif
     }
 
     /** Number of planes (named registers). */
@@ -75,8 +124,9 @@ class RegFile
      *  construction or the last clear(). */
     std::uint32_t dirtyMask() const { return _dirty; }
 
-    /** Contiguous lane of register `p` (aligned to kAlign); marks
-     *  the plane dirty. */
+    /** Contiguous lane of register `p` (aligned to kAlign, and to
+     *  kHugePage for planes of at least that size); marks the plane
+     *  dirty. */
     std::uint64_t *
     plane(unsigned p)
     {
@@ -109,18 +159,19 @@ class RegFile
         return _data[p * _stride + i];
     }
 
-    /** Zero every dirty plane and mark all planes clean. */
+    /** Zero every dirty plane and mark all planes clean.  Only the
+     *  planeSize() used words are written: the stride padding is never
+     *  handed out, so it stays zero and never becomes resident. */
     void
     clear()
     {
         for (unsigned p = 0; p < _planes; ++p) {
             std::uint64_t *lane = _data + p * _stride;
-            if (_dirty >> p & 1u) {
-                std::memset(lane, 0, _stride * sizeof(std::uint64_t));
-                continue;
-            }
+            const bool dirty = _dirty >> p & 1u;
+            if (dirty)
+                std::memset(lane, 0, _planeSize * sizeof(std::uint64_t));
 #if !defined(NDEBUG) && !defined(__OPTIMIZE__)
-            for (std::size_t i = 0; i < _stride; ++i)
+            for (std::size_t i = dirty ? _planeSize : 0; i < _stride; ++i)
                 assert(lane[i] == 0 && "plane written without marking it");
 #endif
         }
@@ -128,15 +179,40 @@ class RegFile
     }
 
   private:
+    /** Block and plane alignment, in bytes, for planes of `words`. */
     static std::size_t
-    roundUp(std::size_t words)
+    alignFor(std::size_t words)
     {
-        constexpr std::size_t per = kAlign / sizeof(std::uint64_t);
-        return (words + per - 1) / per * per;
+        return words >= kHugePage / sizeof(std::uint64_t) ? kHugePage
+                                                          : kAlign;
+    }
+
+    /** `x` rounded up to a multiple of `to`; throws on overflow. */
+    static std::size_t
+    roundUp(std::size_t x, std::size_t to)
+    {
+        std::size_t sum;
+        if (__builtin_add_overflow(x, to - 1, &sum))
+            throw std::bad_alloc();
+        return sum / to * to;
+    }
+
+    /** Bytes to calloc for `planes` lanes of `stride` words plus the
+     *  alignment slack; throws on overflow. */
+    static std::size_t
+    blockBytes(unsigned planes, std::size_t stride, std::size_t align)
+    {
+        std::size_t bytes;
+        if (__builtin_mul_overflow(stride, sizeof(std::uint64_t), &bytes) ||
+            __builtin_mul_overflow(bytes, std::size_t{planes}, &bytes) ||
+            __builtin_add_overflow(bytes, align, &bytes))
+            throw std::bad_alloc();
+        return bytes;
     }
 
     unsigned _planes;
     std::size_t _planeSize;
+    std::size_t _align;
     std::size_t _stride;
     std::unique_ptr<void, decltype(&std::free)> _block;
     std::uint64_t *_data;

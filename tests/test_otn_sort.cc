@@ -10,12 +10,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <string>
 
+#include "otc/emulated_otn.hh"
 #include "otn/pipeline.hh"
 #include "otn/selection.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "simd/backend.hh"
 #include "topo/registry.hh"
+#include "trace/tracer.hh"
 
 namespace {
 
@@ -99,6 +105,137 @@ TEST(SortOtn, PartialLoadPadsWithNull)
     std::vector<std::uint64_t> v{9, 2, 7, 2, 5};
     OrthogonalTreesNetwork net(8, logCost(8));
     EXPECT_EQ(sortOtn(net, v).sorted, sortedCopy(v));
+}
+
+// ------------------------------ SORT-OTN's data/accounting split
+
+/**
+ * SORT-OTN written out as the paper's per-tree pardos: one primitive
+ * per tree per step, and step 3 as a baseOp lambda.  sortOtn's batch
+ * primitives, which move the data row by row and replay the
+ * accounting, must be indistinguishable from it.
+ */
+SortResult
+perTreeSortOtn(OrthogonalTreesNetwork &net,
+               const std::vector<std::uint64_t> &values)
+{
+    const std::size_t n = net.n();
+    ModelTime start = net.now();
+    net.setRowRootInputs(values);
+    ot::sim::ScopedPhase phase(net.acct(), "sort-otn");
+
+    net.parallelFor(n, [&](std::size_t i) {
+        net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+    });
+    net.parallelFor(n, [&](std::size_t j) {
+        net.leafToLeaf(Axis::Col, j, Sel::diag(), Reg::A, Sel::all(),
+                       Reg::B);
+    });
+    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
+        std::uint64_t a = net.reg(Reg::A, i, j);
+        std::uint64_t b = net.reg(Reg::B, i, j);
+        net.reg(Reg::F, i, j) = (a > b || (a == b && i > j)) ? 1 : 0;
+    });
+    net.parallelFor(n, [&](std::size_t i) {
+        net.countLeafToLeaf(Axis::Row, i, Reg::F, Sel::all(), Reg::R);
+    });
+    net.parallelFor(n, [&](std::size_t j) {
+        net.leafToRoot(Axis::Col, j, Sel::regEq(Reg::R, j), Reg::A);
+    });
+
+    SortResult result;
+    result.sorted.assign(net.colRootOutputs().begin(),
+                         net.colRootOutputs().begin() +
+                             static_cast<long>(values.size()));
+    result.time = net.now() - start;
+    return result;
+}
+
+std::map<std::string, std::uint64_t>
+counterValues(OrthogonalTreesNetwork &net)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, c] : net.stats().counters())
+        out[name] = c.value();
+    return out;
+}
+
+std::unique_ptr<OrthogonalTreesNetwork>
+makeNet(bool emulated, std::size_t n)
+{
+    if (emulated)
+        return std::make_unique<ot::otc::OtcEmulatedOtn>(n, logCost(n));
+    return std::make_unique<OrthogonalTreesNetwork>(n, logCost(n));
+}
+
+TEST(SortOtn, MatchesPerTreeFormulation)
+{
+    std::vector<ot::simd::Backend> backends;
+    for (auto b : {ot::simd::Backend::Scalar, ot::simd::Backend::Avx2,
+                   ot::simd::Backend::Neon})
+        if (ot::simd::backendAvailable(b))
+            backends.push_back(b);
+    for (std::size_t n : {1, 2, 8, 64, 256}) {
+        Rng rng(41 * n);
+        // Duplicates, all-equal keys, and a partial load padded with
+        // kNull.
+        std::vector<std::uint64_t> dup(n), partial(n - n / 3);
+        for (auto &x : dup)
+            x = rng.uniform(0, n / 3);
+        for (auto &x : partial)
+            x = rng.uniform(0, n);
+        const std::vector<std::uint64_t> inputs[] = {
+            dup, std::vector<std::uint64_t>(n, n / 2), partial};
+        for (const auto &v : inputs)
+            for (bool emulated : {false, true})
+                for (auto backend : backends)
+                    for (bool traced : {false, true}) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "N=" << n << " m=" << v.size()
+                                     << (emulated ? " emulated " : " ")
+                                     << ot::simd::toString(backend)
+                                     << (traced ? " traced" : " untraced"));
+                        auto ref = makeNet(emulated, n);
+                        auto net = makeNet(emulated, n);
+                        ref->setSimdBackend(backend);
+                        net->setSimdBackend(backend);
+                        ot::trace::Tracer ref_trace, trace;
+                        ref_trace.setEnabled(true);
+                        trace.setEnabled(true);
+                        if (traced) {
+                            ref->setTracer(&ref_trace);
+                            net->setTracer(&trace);
+                        }
+                        auto want = perTreeSortOtn(*ref, v);
+                        auto got = sortOtn(*net, v);
+                        EXPECT_EQ(got.sorted, sortedCopy(v));
+                        EXPECT_EQ(got.sorted, want.sorted);
+                        EXPECT_EQ(got.time, want.time);
+                        for (unsigned r = 0; r < kNumRegs; ++r) {
+                            const Reg reg = static_cast<Reg>(r);
+                            EXPECT_TRUE(std::equal(
+                                ref->regPlane(reg),
+                                ref->regPlane(reg) + n * n,
+                                net->regPlane(reg)))
+                                << "plane " << r;
+                        }
+                        for (std::size_t i = 0; i < n; ++i) {
+                            EXPECT_EQ(net->rowRoot(i), ref->rowRoot(i));
+                            EXPECT_EQ(net->colRoot(i), ref->colRoot(i));
+                        }
+                        EXPECT_EQ(net->now(), ref->now());
+                        EXPECT_EQ(net->acct().steps(), ref->acct().steps());
+                        EXPECT_EQ(counterValues(*net), counterValues(*ref));
+                        EXPECT_EQ(trace.dropped(), ref_trace.dropped());
+                        ASSERT_EQ(trace.events().size(),
+                                  ref_trace.events().size());
+                        for (std::size_t e = 0; e < trace.events().size();
+                             ++e)
+                            ASSERT_TRUE(ot::trace::eventsEqual(
+                                trace.events()[e], ref_trace.events()[e]))
+                                << "event " << e;
+                    }
+    }
 }
 
 /** Property sweep: random inputs across sizes and seeds. */

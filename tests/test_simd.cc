@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -39,6 +40,11 @@
 #include "simd/regfile.hh"
 #include "trace/export.hh"
 #include "trace/tracer.hh"
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 namespace {
 
@@ -156,6 +162,119 @@ TEST(RegFile, ClearZeroesEveryPlaneAndResetsTheMask)
     rf.clear();
     EXPECT_TRUE(planeIsZero(rf, 4));
 }
+
+constexpr std::size_t kHugeWords =
+    simd::RegFile::kHugePage / sizeof(std::uint64_t);
+
+/** Words from the start of one plane to the next. */
+std::size_t
+strideOf(const simd::RegFile &rf)
+{
+    return static_cast<std::size_t>(rf.plane(1) - rf.plane(0));
+}
+
+/** True iff the words between plane p's end and the next stride read
+ *  zero (the padding no accessor hands out). */
+bool
+paddingIsZero(const simd::RegFile &rf, unsigned p)
+{
+    const std::uint64_t *lane = rf.plane(p);
+    return std::all_of(lane + rf.planeSize(), lane + strideOf(rf),
+                       [](std::uint64_t w) { return w == 0; });
+}
+
+TEST(RegFile, HugePlanesAreAlignedDisjointZeroAndPadded)
+{
+    // Just below, at and just above the huge-page threshold, and a
+    // 32 MB plane (an N=2048 OTN's).
+    for (std::size_t words :
+         {kHugeWords - 1, kHugeWords, kHugeWords + 1, 16 * kHugeWords}) {
+        SCOPED_TRACE(::testing::Message() << words << " words");
+        simd::RegFile rf(3, words);
+        const simd::RegFile &view = rf;
+        const bool huge = words >= kHugeWords;
+        const std::size_t align =
+            huge ? simd::RegFile::kHugePage : simd::RegFile::kAlign;
+        const std::size_t stride = strideOf(view);
+        EXPECT_EQ(static_cast<std::size_t>(view.plane(2) - view.plane(1)),
+                  stride);
+        EXPECT_GE(stride, words);
+        EXPECT_LT(stride - words, align / sizeof(std::uint64_t));
+        EXPECT_EQ(stride % (align / sizeof(std::uint64_t)), 0u);
+        for (unsigned p = 0; p < 3; ++p) {
+            auto addr = reinterpret_cast<std::uintptr_t>(view.plane(p));
+            EXPECT_EQ(addr % align, 0u) << "plane " << p;
+            EXPECT_TRUE(planeIsZero(view, p)) << "plane " << p;
+            EXPECT_TRUE(paddingIsZero(view, p)) << "plane " << p;
+        }
+        EXPECT_EQ(rf.dirtyMask(), 0u);
+
+        // Both ends of planes 0 and 2: plane 1 and every padding stay
+        // zero.
+        for (unsigned p : {0u, 2u}) {
+            rf.at(p, 0) = p + 1;
+            rf.at(p, words - 1) = p + 11;
+        }
+        EXPECT_EQ(rf.dirtyMask(), (1u << 0) | (1u << 2));
+        for (unsigned p : {0u, 2u}) {
+            EXPECT_EQ(view.at(p, 0), p + 1);
+            EXPECT_EQ(view.at(p, words - 1), p + 11);
+        }
+        EXPECT_TRUE(planeIsZero(view, 1));
+        for (unsigned p = 0; p < 3; ++p)
+            EXPECT_TRUE(paddingIsZero(view, p)) << "plane " << p;
+
+        rf.clear();
+        EXPECT_EQ(rf.dirtyMask(), 0u);
+        for (unsigned p = 0; p < 3; ++p) {
+            EXPECT_TRUE(planeIsZero(view, p)) << "plane " << p;
+            EXPECT_TRUE(paddingIsZero(view, p)) << "plane " << p;
+        }
+        rf.at(1, words / 2) = 7;
+        EXPECT_EQ(rf.dirtyMask(), 1u << 1);
+        rf.clear();
+        EXPECT_TRUE(planeIsZero(view, 1));
+        EXPECT_TRUE(paddingIsZero(view, 1));
+    }
+}
+
+TEST(RegFile, OverflowingSizesThrowBadAlloc)
+{
+    // 12 planes of SIZE_MAX / 16 words wrap the plane count product;
+    // SIZE_MAX words wrap the stride rounding itself; SIZE_MAX / 8 - 1
+    // words round up to 2^61 words, whose byte count wraps.
+    EXPECT_THROW((void)simd::RegFile(12, SIZE_MAX / 16), std::bad_alloc);
+    EXPECT_THROW((void)simd::RegFile(1, SIZE_MAX), std::bad_alloc);
+    EXPECT_THROW((void)simd::RegFile(2, SIZE_MAX / 8 - 1), std::bad_alloc);
+}
+
+#if defined(__linux__)
+/** Resident pages of [p, p + bytes), p page-aligned, per mincore. */
+std::size_t
+residentPages(const void *p, std::size_t bytes)
+{
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> vec((bytes + page - 1) / page);
+    EXPECT_EQ(::mincore(const_cast<void *>(p), bytes, vec.data()), 0);
+    return static_cast<std::size_t>(std::count_if(
+        vec.begin(), vec.end(), [](unsigned char c) { return c & 1; }));
+}
+
+TEST(RegFile, OneWrittenWordMakesAtMostOneHugePageResident)
+{
+    constexpr std::size_t kWords = std::size_t{4} << 20; // 32 MB planes
+    simd::RegFile rf(12, kWords);
+    rf.at(0, 12345) = 1;
+    const simd::RegFile &view = rf;
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = kWords * sizeof(std::uint64_t);
+    const std::size_t resident = residentPages(view.plane(0), bytes);
+    EXPECT_GE(resident, 1u);
+    EXPECT_LE(resident * page, simd::RegFile::kHugePage);
+    for (unsigned p = 1; p < 12; ++p)
+        EXPECT_EQ(residentPages(view.plane(p), bytes), 0u) << "plane " << p;
+}
+#endif
 
 // The clean-plane scan in clear() runs in unoptimized builds only.
 #if !defined(NDEBUG) && !defined(__OPTIMIZE__)
