@@ -54,6 +54,10 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
 
     loadAdjacency(net, g, charge_load);
 
+    // Pure reads go through the const accessor, which resolves the
+    // broadcast planes' shapes instead of materializing them.
+    const OrthogonalTreesNetwork &view = net;
+
     // D(i) := i on the diagonal.
     net.baseOpDiag(net.cost().bitSerialOp(),
                    [&](std::size_t i) { net.reg(Reg::D, i, i) = i; });
@@ -67,9 +71,9 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         // (2) Candidate foreign labels.
         net.baseOp(net.cost().bitSerialOp(),
                    [&](std::size_t i, std::size_t j) {
-                       bool edge = net.reg(Reg::A, i, j) == 1;
-                       std::uint64_t mine = net.reg(Reg::B, i, j);
-                       std::uint64_t theirs = net.reg(Reg::C, i, j);
+                       bool edge = view.reg(Reg::A, i, j) == 1;
+                       std::uint64_t mine = view.reg(Reg::B, i, j);
+                       std::uint64_t theirs = view.reg(Reg::C, i, j);
                        net.reg(Reg::T, i, j) =
                            (edge && theirs != mine) ? theirs : kNull;
                    });
@@ -89,7 +93,7 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         net.batchMinColsByKeyIndexToLeaves(Reg::B, Reg::E, Sel::all(),
                                            Reg::H);
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
-            std::uint64_t h = net.reg(Reg::H, j, j);
+            std::uint64_t h = view.reg(Reg::H, j, j);
             net.reg(Reg::G, j, j) = h == kNull ? j : h;
         });
 
@@ -100,8 +104,8 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
-            std::uint64_t new_c = net.reg(Reg::G, j, j);
-            std::uint64_t back = net.reg(Reg::Y, j, j);
+            std::uint64_t new_c = view.reg(Reg::G, j, j);
+            std::uint64_t back = view.reg(Reg::Y, j, j);
             if (back == j && new_c != j && j < new_c)
                 net.reg(Reg::G, j, j) = j;
         });
@@ -111,7 +115,7 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
-            net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+            net.reg(Reg::D, i, i) = view.reg(Reg::Y, i, i);
         });
 
         // (7) Pointer jumping to a star: D := D(D), log N times.
@@ -120,7 +124,7 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
             diagToCols(net, Reg::D, Reg::C);
             gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
             net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
-                net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+                net.reg(Reg::D, i, i) = view.reg(Reg::Y, i, i);
             });
         }
     }
@@ -129,7 +133,7 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
     result.iterations = iterations;
     std::vector<std::size_t> raw(g.vertices());
     for (std::size_t v = 0; v < g.vertices(); ++v)
-        raw[v] = static_cast<std::size_t>(net.reg(Reg::D, v, v));
+        raw[v] = static_cast<std::size_t>(view.reg(Reg::D, v, v));
     result.labels = graph::canonicalizeLabels(raw);
 
     std::vector<std::size_t> distinct = result.labels;

@@ -87,6 +87,10 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         net.loadBase(Reg::A, w, charge_load);
     }
 
+    // Pure reads go through the const accessor, which resolves the
+    // broadcast planes' shapes instead of materializing them.
+    const OrthogonalTreesNetwork &view = net;
+
     net.baseOpDiag(net.cost().bitSerialOp(),
                    [&](std::size_t i) { net.reg(Reg::D, i, i) = i; });
 
@@ -100,9 +104,9 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         // Candidate outgoing edges, packed (w, u, v).
         net.baseOp(net.cost().bitSerialOp(),
                    [&](std::size_t i, std::size_t j) {
-                       std::uint64_t w = net.reg(Reg::A, i, j);
-                       bool foreign = net.reg(Reg::B, i, j) !=
-                                      net.reg(Reg::C, i, j);
+                       std::uint64_t w = view.reg(Reg::A, i, j);
+                       bool foreign = view.reg(Reg::B, i, j) !=
+                                      view.reg(Reg::C, i, j);
                        net.reg(Reg::T, i, j) =
                            (w != kNull && foreign)
                                ? packEdge(w, i, j, idx_bits)
@@ -124,7 +128,7 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         // Record chosen edges (the roots output them) and derive the
         // hook key: the far endpoint v of the chosen edge.
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
-            std::uint64_t best = net.reg(Reg::H, i, i);
+            std::uint64_t best = view.reg(Reg::H, i, i);
             if (best == kNull) {
                 net.reg(Reg::X, i, i) = kNull;
                 return;
@@ -140,7 +144,7 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         diagToRows(net, Reg::X, Reg::X); // fan the key along rows
         gatherAtIndex(net, Reg::X, Reg::C, Reg::Y, Reg::F);
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
-            std::uint64_t target = net.reg(Reg::Y, j, j);
+            std::uint64_t target = view.reg(Reg::Y, j, j);
             net.reg(Reg::G, j, j) = target == kNull ? j : target;
         });
 
@@ -149,8 +153,8 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
-            std::uint64_t new_c = net.reg(Reg::G, j, j);
-            std::uint64_t back = net.reg(Reg::Y, j, j);
+            std::uint64_t new_c = view.reg(Reg::G, j, j);
+            std::uint64_t back = view.reg(Reg::Y, j, j);
             if (back == j && new_c != j && j < new_c)
                 net.reg(Reg::G, j, j) = j;
         });
@@ -159,7 +163,7 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
-            net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+            net.reg(Reg::D, i, i) = view.reg(Reg::Y, i, i);
         });
 
         // Pointer jumping to a star.
@@ -168,7 +172,7 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
             diagToCols(net, Reg::D, Reg::C);
             gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
             net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
-                net.reg(Reg::D, i, i) = net.reg(Reg::Y, i, i);
+                net.reg(Reg::D, i, i) = view.reg(Reg::Y, i, i);
             });
         }
     }

@@ -66,7 +66,7 @@ OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
       _engine(_acct, _stats),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
-      _regs(kNumRegs, _n * _n),
+      _regs(kNumRegs, _n * _n, _n),
       _rowRoot(_n, kNull),
       _colRoot(_n, kNull)
 {
@@ -122,7 +122,77 @@ OrthogonalTreesNetwork::setRowRootInputs(std::span<const std::uint64_t> values)
 void
 OrthogonalTreesNetwork::fillReg(Reg r, std::uint64_t value)
 {
-    _kernels->fill(regPlane(r), _n * _n, value);
+    _kernels->fill(overwritePlane(r, {}), _n * _n, value);
+}
+
+void
+OrthogonalTreesNetwork::materialize(unsigned p) const
+{
+    const simd::Shape shape = _regs.shape(p);
+    _regs.setShape(p, simd::Shape::Dense);
+    std::uint64_t *plane = _regs.plane(p);
+    const std::uint64_t *v = std::as_const(_regs).shapeVec(p);
+    for (std::size_t i = 0; i < _n; ++i) {
+        std::uint64_t *row = plane + i * _n;
+        const std::uint64_t *words = shapedRow(shape, v, i, row);
+        if (words != row)
+            std::memcpy(row, words, _n * sizeof(std::uint64_t));
+    }
+    ++_materializations;
+}
+
+const std::uint64_t *
+OrthogonalTreesNetwork::readRow(Reg r, std::size_t i,
+                                std::uint64_t *buf) const
+{
+    assert(i < _n);
+    const auto p = static_cast<unsigned>(r);
+    const simd::RegFile &regs = _regs;
+    if (regs.shape(p) == simd::Shape::Dense)
+        return regs.plane(p) + i * _n;
+    return shapedRow(regs.shape(p), regs.shapeVec(p), i, buf);
+}
+
+const std::uint64_t *
+OrthogonalTreesNetwork::shapedRow(simd::Shape shape, const std::uint64_t *v,
+                                  std::size_t i, std::uint64_t *buf) const
+{
+    switch (shape) {
+    case simd::Shape::Dense:
+        break;
+    case simd::Shape::RowConst:
+        _kernels->fill(buf, _n, v[i]);
+        return buf;
+    case simd::Shape::ColConst:
+        return v;
+    case simd::Shape::RowOneHot:
+        _kernels->fill(buf, _n, kNull);
+        if (v[i] < _n)
+            buf[v[i]] = v[_n + i];
+        return buf;
+    }
+    assert(false && "a Dense plane has no shape vectors");
+    return nullptr;
+}
+
+std::uint64_t *
+OrthogonalTreesNetwork::overwritePlane(Reg out,
+                                       std::initializer_list<Reg> inputs)
+{
+    const auto p = static_cast<unsigned>(out);
+    if (std::find(inputs.begin(), inputs.end(), out) != inputs.end())
+        makeDense(p);
+    else
+        _regs.setShape(p, simd::Shape::Dense);
+    return _regs.plane(p);
+}
+
+void
+OrthogonalTreesNetwork::tagConst(Reg r, simd::Shape shape,
+                                 const std::uint64_t *v)
+{
+    assert(shape == simd::Shape::RowConst || shape == simd::Shape::ColConst);
+    std::memcpy(tagPlane(r, shape), v, _n * sizeof(std::uint64_t));
 }
 
 ModelTime
@@ -167,12 +237,13 @@ ModelTime
 OrthogonalTreesNetwork::leafToRoot(Axis axis, std::size_t idx,
                                    const Selector &sel, Reg src)
 {
+    const OrthogonalTreesNetwork &self = *this;
     std::uint64_t value = kNull;
     [[maybe_unused]] unsigned n_selected = 0;
     for (std::size_t k = 0; k < _n; ++k) {
         auto [i, j] = leafAddr(axis, idx, k);
         if (selected(sel, i, j)) {
-            value = reg(src, i, j);
+            value = self.reg(src, i, j);
             ++n_selected;
         }
     }
@@ -202,16 +273,17 @@ OrthogonalTreesNetwork::reduceTree(LeafValue &&leaf_value, Combine &&combine)
 ModelTime
 OrthogonalTreesNetwork::countLeafToRoot(Axis axis, std::size_t idx, Reg flag)
 {
+    const OrthogonalTreesNetwork &self = *this;
     if (axis == Axis::Row) {
         // Counting is associative: the kernel's linear tally equals
         // the pairwise-halving tree sum bit for bit.
-        rootReg(axis, idx) =
-            _kernels->countNonzero(regRow(flag, idx), _n);
+        rootReg(axis, idx) = _kernels->countNonzero(
+            readRow(flag, idx, rowScratch(0)), _n);
     } else {
         rootReg(axis, idx) = reduceTree(
             [&](std::size_t k) {
                 auto [i, j] = leafAddr(axis, idx, k);
-                return reg(flag, i, j) != 0 ? std::uint64_t{1} : 0;
+                return self.reg(flag, i, j) != 0 ? std::uint64_t{1} : 0;
             },
             [](std::uint64_t a, std::uint64_t b) { return a + b; });
     }
@@ -222,14 +294,16 @@ ModelTime
 OrthogonalTreesNetwork::sumLeafToRoot(Axis axis, std::size_t idx,
                                       const Selector &sel, Reg src)
 {
+    const OrthogonalTreesNetwork &self = *this;
     if (axis == Axis::Row && sel.kind() == Sel::Kind::All) {
         // Modular sum is associative: linear order == tree order.
-        rootReg(axis, idx) = _kernels->reduceSum(regRow(src, idx), _n);
+        rootReg(axis, idx) =
+            _kernels->reduceSum(readRow(src, idx, rowScratch(0)), _n);
     } else {
         rootReg(axis, idx) = reduceTree(
             [&](std::size_t k) -> std::uint64_t {
                 auto [i, j] = leafAddr(axis, idx, k);
-                return selected(sel, i, j) ? reg(src, i, j) : 0;
+                return selected(sel, i, j) ? self.reg(src, i, j) : 0;
             },
             [](std::uint64_t a, std::uint64_t b) { return a + b; });
     }
@@ -240,13 +314,15 @@ ModelTime
 OrthogonalTreesNetwork::minLeafToRoot(Axis axis, std::size_t idx,
                                       const Selector &sel, Reg src)
 {
+    const OrthogonalTreesNetwork &self = *this;
     if (axis == Axis::Row && sel.kind() == Sel::Kind::All) {
-        rootReg(axis, idx) = _kernels->reduceMin(regRow(src, idx), _n);
+        rootReg(axis, idx) =
+            _kernels->reduceMin(readRow(src, idx, rowScratch(0)), _n);
     } else {
         rootReg(axis, idx) = reduceTree(
             [&](std::size_t k) -> std::uint64_t {
                 auto [i, j] = leafAddr(axis, idx, k);
-                return selected(sel, i, j) ? reg(src, i, j) : kNull;
+                return selected(sel, i, j) ? self.reg(src, i, j) : kNull;
             },
             [](std::uint64_t a, std::uint64_t b) {
                 return std::min(a, b);
@@ -303,13 +379,18 @@ OrthogonalTreesNetwork::loadBase(Reg r, const linalg::IntMatrix &m,
                                  bool charged, ModelTime separation)
 {
     assert(m.rows() <= _n && m.cols() <= _n);
-    fillReg(r, kNull);
+    // Every word written once: m's rows, then kNull padding to the
+    // right of them and below them.
+    std::uint64_t *plane = overwritePlane(r, {});
     for (std::size_t i = 0; i < m.rows(); ++i) {
-        for (std::size_t j = 0; j < m.cols(); ++j) {
-            assert(fitsWord(m(i, j)));
-            reg(r, i, j) = m(i, j);
-        }
+        const std::uint64_t *src = m.rowData(i);
+        std::uint64_t *row = plane + i * _n;
+        for (std::size_t j = 0; j < m.cols(); ++j)
+            assert(fitsWord(src[j]));
+        std::memcpy(row, src, m.cols() * sizeof(std::uint64_t));
+        _kernels->fill(row + m.cols(), _n - m.cols(), kNull);
     }
+    _kernels->fill(plane + m.rows() * _n, (_n - m.rows()) * _n, kNull);
     if (!charged)
         return 0;
     // All row trees in parallel, each streaming up to N words from its
@@ -328,9 +409,10 @@ linalg::IntMatrix
 OrthogonalTreesNetwork::readBase(Reg r) const
 {
     linalg::IntMatrix m(_n, _n, 0);
+    const std::uint64_t *plane = regPlane(r);
     for (std::size_t i = 0; i < _n; ++i)
-        for (std::size_t j = 0; j < _n; ++j)
-            m(i, j) = reg(r, i, j);
+        std::memcpy(m.rowData(i), plane + i * _n,
+                    _n * sizeof(std::uint64_t));
     return m;
 }
 
@@ -383,11 +465,12 @@ OrthogonalTreesNetwork::permuteLeafToLeaf(Axis axis, std::size_t idx,
         }
     }
 #endif
+    const OrthogonalTreesNetwork &self = *this;
     thread_local std::vector<std::uint64_t> moved;
     moved.resize(_n);
     for (std::size_t k = 0; k < _n; ++k) {
         auto [i, j] = leafAddr(axis, idx, k);
-        moved[perm[k]] = reg(src, i, j);
+        moved[perm[k]] = self.reg(src, i, j);
     }
     for (std::size_t k = 0; k < _n; ++k) {
         auto [i, j] = leafAddr(axis, idx, k);
@@ -405,11 +488,12 @@ OrthogonalTreesNetwork::prefixSumLeafToLeaf(Axis axis, std::size_t idx,
     // Two-sweep scan over the implicit tree.  The simulation computes
     // the running sum directly (it is equivalent to the up/down
     // sweeps); the cost is two combining traversals.
+    const OrthogonalTreesNetwork &self = *this;
     std::uint64_t running = 0;
     for (std::size_t k = 0; k < _n; ++k) {
         auto [i, j] = leafAddr(axis, idx, k);
         if (selected(src_sel, i, j))
-            running += reg(src, i, j);
+            running += self.reg(src, i, j);
         reg(dst, i, j) = running;
     }
     return chargeTree(Ctr::PrefixSumLeafToLeaf, 2 * treeReduceCost(), axis,
@@ -430,8 +514,10 @@ ModelTime
 OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
                                    Reg a, Reg b, Reg out)
 {
+    std::uint64_t *o = overwritePlane(out, {a, b});
     for (std::size_t i = 0; i < _n; ++i)
-        fn(regRow(out, i), regRow(a, i), regRow(b, i), _n);
+        fn(o + i * _n, readRow(a, i, rowScratch(0)),
+           readRow(b, i, rowScratch(1)), _n);
     return chargeBaseOp(op_cost);
 }
 
@@ -444,13 +530,17 @@ OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
 // and charges, in the same per-iteration order — through replayTrees,
 // so every accounting observable is bit-identical to the per-tree
 // formulation.
+//
+// Broadcasts leave their destination tagged (RowConst, ColConst) with
+// the N root words instead of writing N^2; inputs are read through
+// readRow, and the key-indexed primitives take an O(N) path when
+// their key is RowConst (one candidate column per row).
 // ----------------------------------------------------------------------
 
 ModelTime
 OrthogonalTreesNetwork::batchRowBroadcast(Reg dest)
 {
-    for (std::size_t i = 0; i < _n; ++i)
-        _kernels->fill(regRow(dest, i), _n, _rowRoot[i]);
+    tagConst(dest, simd::Shape::RowConst, _rowRoot.data());
     return replayTrees(
         {treeStep(Ctr::RootToLeaf, Axis::Row, treeTraversalCost())});
 }
@@ -462,7 +552,8 @@ OrthogonalTreesNetwork::batchColSum(Reg src)
     // each column tree's pairwise sum bit for bit.
     _kernels->fill(_colRoot.data(), _n, 0);
     for (std::size_t i = 0; i < _n; ++i)
-        _kernels->accumSumRow(_colRoot.data(), regRow(src, i), _n);
+        _kernels->accumSumRow(_colRoot.data(),
+                              readRow(src, i, rowScratch(0)), _n);
     return replayTrees(
         {treeStep(Ctr::SumLeafToRoot, Axis::Col, treeReduceCost())});
 }
@@ -472,7 +563,8 @@ OrthogonalTreesNetwork::batchColMin(Reg src)
 {
     _kernels->fill(_colRoot.data(), _n, kNull);
     for (std::size_t i = 0; i < _n; ++i)
-        _kernels->accumMinRow(_colRoot.data(), regRow(src, i), _n);
+        _kernels->accumMinRow(_colRoot.data(),
+                              readRow(src, i, rowScratch(0)), _n);
     return replayTrees(
         {treeStep(Ctr::MinLeafToRoot, Axis::Col, treeReduceCost())});
 }
@@ -484,16 +576,25 @@ OrthogonalTreesNetwork::batchMinColsByKeyIndexToLeaves(Reg key, Reg src,
 {
     assert(dst_sel.kind() == Sel::Kind::All ||
            dst_sel.kind() == Sel::Kind::Diag);
+    const OrthogonalTreesNetwork &self = *this;
     _kernels->fill(_colRoot.data(), _n, kNull);
-    for (std::size_t i = 0; i < _n; ++i)
-        _kernels->accumMinEqIndexRow(_colRoot.data(), regRow(key, i),
-                                     regRow(src, i), _n);
+    if (regShape(key) == simd::Shape::RowConst) {
+        // Row i's only member leaf is column k(i).
+        const std::uint64_t *k = _regs.shapeVec(static_cast<unsigned>(key));
+        for (std::size_t i = 0; i < _n; ++i)
+            if (k[i] < _n)
+                _colRoot[k[i]] =
+                    std::min(_colRoot[k[i]], self.reg(src, i, k[i]));
+    } else {
+        for (std::size_t i = 0; i < _n; ++i)
+            _kernels->accumMinEqIndexRow(_colRoot.data(),
+                                         readRow(key, i, rowScratch(0)),
+                                         readRow(src, i, rowScratch(1)), _n);
+    }
     // Every column tree touches only its own column, so broadcasting
     // after all the reductions equals the interleaved per-tree order.
     if (dst_sel.kind() == Sel::Kind::All) {
-        for (std::size_t k = 0; k < _n; ++k)
-            std::memcpy(regRow(dst, k), _colRoot.data(),
-                        _n * sizeof(std::uint64_t));
+        tagConst(dst, simd::Shape::ColConst, _colRoot.data());
     } else {
         for (std::size_t j = 0; j < _n; ++j)
             reg(dst, j, j) = _colRoot[j];
@@ -509,14 +610,23 @@ OrthogonalTreesNetwork::batchMinRowsToLeaves(Reg src, const Sel &dst_sel,
 {
     assert(dst_sel.kind() == Sel::Kind::All ||
            dst_sel.kind() == Sel::Kind::Diag);
-    const bool all = dst_sel.kind() == Sel::Kind::All;
-    for (std::size_t i = 0; i < _n; ++i) {
-        std::uint64_t m = _kernels->reduceMin(regRow(src, i), _n);
-        _rowRoot[i] = m;
-        if (all)
-            _kernels->fill(regRow(dst, i), _n, m);
-        else
-            reg(dst, i, i) = m;
+    if (regShape(src) == simd::Shape::RowOneHot) {
+        // Row i is kNull but for column k(i): its minimum is v(i).
+        const std::uint64_t *v = _regs.shapeVec(static_cast<unsigned>(src));
+        for (std::size_t i = 0; i < _n; ++i)
+            _rowRoot[i] = v[i] < _n ? v[_n + i] : kNull;
+    } else {
+        for (std::size_t i = 0; i < _n; ++i)
+            _rowRoot[i] =
+                _kernels->reduceMin(readRow(src, i, rowScratch(0)), _n);
+    }
+    // Every row tree touches only its own row, so broadcasting after
+    // all the reductions equals the interleaved per-tree order.
+    if (dst_sel.kind() == Sel::Kind::All) {
+        tagConst(dst, simd::Shape::RowConst, _rowRoot.data());
+    } else {
+        for (std::size_t i = 0; i < _n; ++i)
+            reg(dst, i, i) = _rowRoot[i];
     }
     return replayTrees(
         {treeStep(Ctr::MinLeafToRoot, Axis::Row, treeReduceCost()),
@@ -526,11 +636,10 @@ OrthogonalTreesNetwork::batchMinRowsToLeaves(Reg src, const Sel &dst_sel,
 ModelTime
 OrthogonalTreesNetwork::batchDiagToRows(Reg src, Reg dst)
 {
-    for (std::size_t i = 0; i < _n; ++i) {
-        std::uint64_t v = reg(src, i, i);
-        _rowRoot[i] = v;
-        _kernels->fill(regRow(dst, i), _n, v);
-    }
+    const OrthogonalTreesNetwork &self = *this;
+    for (std::size_t i = 0; i < _n; ++i)
+        _rowRoot[i] = self.reg(src, i, i);
+    tagConst(dst, simd::Shape::RowConst, _rowRoot.data());
     ModelTime leg = treeTraversalCost();
     return replayTrees({treeStep(Ctr::LeafToRoot, Axis::Row, leg),
                         treeStep(Ctr::RootToLeaf, Axis::Row, leg),
@@ -540,14 +649,10 @@ OrthogonalTreesNetwork::batchDiagToRows(Reg src, Reg dst)
 ModelTime
 OrthogonalTreesNetwork::batchDiagToCols(Reg src, Reg dst)
 {
-    // Every column j delivers reg(src, j, j) to all of its leaves, so
-    // each destination row is the same vector of diagonal values: one
-    // strided gather, then N contiguous row copies.
+    const OrthogonalTreesNetwork &self = *this;
     for (std::size_t j = 0; j < _n; ++j)
-        _colRoot[j] = reg(src, j, j);
-    for (std::size_t k = 0; k < _n; ++k)
-        std::memcpy(regRow(dst, k), _colRoot.data(),
-                    _n * sizeof(std::uint64_t));
+        _colRoot[j] = self.reg(src, j, j);
+    tagConst(dst, simd::Shape::ColConst, _colRoot.data());
     ModelTime leg = treeTraversalCost();
     return replayTrees({treeStep(Ctr::LeafToRoot, Axis::Col, leg),
                         treeStep(Ctr::RootToLeaf, Axis::Col, leg),
@@ -557,11 +662,10 @@ OrthogonalTreesNetwork::batchDiagToCols(Reg src, Reg dst)
 ModelTime
 OrthogonalTreesNetwork::batchCountRowsToLeaves(Reg flag, Reg dst)
 {
-    for (std::size_t i = 0; i < _n; ++i) {
-        std::uint64_t c = _kernels->countNonzero(regRow(flag, i), _n);
-        _rowRoot[i] = c;
-        _kernels->fill(regRow(dst, i), _n, c);
-    }
+    for (std::size_t i = 0; i < _n; ++i)
+        _rowRoot[i] =
+            _kernels->countNonzero(readRow(flag, i, rowScratch(0)), _n);
+    tagConst(dst, simd::Shape::RowConst, _rowRoot.data());
     return replayTrees(
         {treeStep(Ctr::CountLeafToRoot, Axis::Row, treeReduceCost()),
          treeStep(Ctr::RootToLeaf, Axis::Row, treeTraversalCost()),
@@ -571,12 +675,24 @@ OrthogonalTreesNetwork::batchCountRowsToLeaves(Reg flag, Reg dst)
 ModelTime
 OrthogonalTreesNetwork::batchPickColByKeyIndex(Reg key, Reg src)
 {
+    const OrthogonalTreesNetwork &self = *this;
     thread_local std::vector<std::uint64_t> cnt;
     cnt.assign(_n, 0);
     _kernels->fill(_colRoot.data(), _n, kNull);
-    for (std::size_t k = 0; k < _n; ++k)
-        _kernels->scatterEqIndexRow(_colRoot.data(), cnt.data(),
-                                    regRow(key, k), regRow(src, k), _n);
+    if (regShape(key) == simd::Shape::RowConst) {
+        // Row i's only candidate leaf is column k(i).
+        const std::uint64_t *k = _regs.shapeVec(static_cast<unsigned>(key));
+        for (std::size_t i = 0; i < _n; ++i)
+            if (k[i] < _n) {
+                _colRoot[k[i]] = self.reg(src, i, k[i]);
+                ++cnt[k[i]];
+            }
+    } else {
+        for (std::size_t i = 0; i < _n; ++i)
+            _kernels->scatterEqIndexRow(_colRoot.data(), cnt.data(),
+                                        readRow(key, i, rowScratch(0)),
+                                        readRow(src, i, rowScratch(1)), _n);
+    }
     for (std::size_t j = 0; j < _n; ++j)
         assert(cnt[j] <= 1 &&
                "LEAFTOROOT requires a unique source leaf");
@@ -587,18 +703,35 @@ OrthogonalTreesNetwork::batchPickColByKeyIndex(Reg key, Reg src)
 ModelTime
 OrthogonalTreesNetwork::batchCompareRank(Reg a, Reg b, Reg flag)
 {
+    std::uint64_t *f = overwritePlane(flag, {a, b});
     for (std::size_t i = 0; i < _n; ++i)
-        _kernels->cmpRankRow(regRow(flag, i), regRow(a, i),
-                             regRow(b, i), _n, i);
+        _kernels->cmpRankRow(f + i * _n, readRow(a, i, rowScratch(0)),
+                             readRow(b, i, rowScratch(1)), _n, i);
     return chargeBaseOp(_cost.bitSerialOp());
 }
 
 ModelTime
 OrthogonalTreesNetwork::batchSelectValAtKeyIndex(Reg key, Reg val, Reg out)
 {
-    for (std::size_t i = 0; i < _n; ++i)
-        _kernels->selectEqIndexRow(regRow(out, i), regRow(key, i),
-                                   regRow(val, i), _n);
+    if (regShape(key) == simd::Shape::RowConst) {
+        // Row i of out is kNull but for column k(i), which gets
+        // val(i, k(i)): a RowOneHot plane of 2N words.
+        const OrthogonalTreesNetwork &self = *this;
+        const std::uint64_t *k = _regs.shapeVec(static_cast<unsigned>(key));
+        std::uint64_t *v = rowScratch(0);
+        for (std::size_t i = 0; i < _n; ++i)
+            v[i] = k[i] < _n ? self.reg(val, i, k[i]) : kNull;
+        std::uint64_t *o = tagPlane(out, simd::Shape::RowOneHot);
+        if (o != k)
+            std::memcpy(o, k, _n * sizeof(std::uint64_t));
+        std::memcpy(o + _n, v, _n * sizeof(std::uint64_t));
+    } else {
+        std::uint64_t *o = overwritePlane(out, {key, val});
+        for (std::size_t i = 0; i < _n; ++i)
+            _kernels->selectEqIndexRow(o + i * _n,
+                                       readRow(key, i, rowScratch(0)),
+                                       readRow(val, i, rowScratch(1)), _n);
+    }
     return chargeBaseOp(_cost.bitSerialOp());
 }
 

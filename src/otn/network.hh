@@ -29,6 +29,7 @@
 #include <functional>
 #include <initializer_list>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "layout/otn_layout.hh"
@@ -197,37 +198,78 @@ class OrthogonalTreesNetwork
     // Register file and I/O ports
     // ------------------------------------------------------------------
 
-    /** Register r of BP(i, j). */
-    std::uint64_t &
-    reg(Reg r, std::size_t i, std::size_t j)
-    {
-        assert(i < _n && j < _n);
-        return _regs.at(static_cast<unsigned>(r), i * _n + j);
-    }
+    // Register planes carry a shape (simd::Shape): a broadcast leaves
+    // one value per row or column, kept as one N-word vector instead
+    // of N^2 words.  Reads resolve the shape; any access that hands
+    // out plane words for writing, or the raw plane, first expands
+    // ("materializes") a tagged plane into its N^2 words.
 
+    /** Register r of BP(i, j), read through the plane's shape. */
     std::uint64_t
     reg(Reg r, std::size_t i, std::size_t j) const
     {
         assert(i < _n && j < _n);
-        return _regs.at(static_cast<unsigned>(r), i * _n + j);
+        const auto p = static_cast<unsigned>(r);
+        const simd::RegFile &regs = _regs;
+        switch (regs.shape(p)) {
+        case simd::Shape::Dense:
+            break;
+        case simd::Shape::RowConst:
+            return regs.shapeVec(p)[i];
+        case simd::Shape::ColConst:
+            return regs.shapeVec(p)[j];
+        case simd::Shape::RowOneHot: {
+            const std::uint64_t *v = regs.shapeVec(p);
+            return v[i] == j ? v[_n + i] : kNull;
+        }
+        }
+        return regs.at(p, i * _n + j);
+    }
+
+    /** Register r of BP(i, j) for writing; materializes the plane.
+     *  The reference is valid until a batch primitive next tags r. */
+    std::uint64_t &
+    reg(Reg r, std::size_t i, std::size_t j)
+    {
+        assert(i < _n && j < _n);
+        const auto p = static_cast<unsigned>(r);
+        makeDense(p);
+        return _regs.at(p, i * _n + j);
     }
 
     /**
      * Register r of the whole base as one contiguous row-major plane
      * of n*n words (the struct-of-arrays lane the batch kernels
-     * stream).  Row i is the subspan [i*n, (i+1)*n).
+     * stream).  Row i is the subspan [i*n, (i+1)*n).  Both forms
+     * materialize the plane first; the const form does so because the
+     * caller reads raw words.
      */
     std::uint64_t *
     regPlane(Reg r)
     {
-        return _regs.plane(static_cast<unsigned>(r));
+        const auto p = static_cast<unsigned>(r);
+        makeDense(p);
+        return _regs.plane(p);
     }
 
     const std::uint64_t *
     regPlane(Reg r) const
     {
-        return _regs.plane(static_cast<unsigned>(r));
+        const auto p = static_cast<unsigned>(r);
+        makeDense(p);
+        return std::as_const(_regs).plane(p);
     }
+
+    /** Shape of register r's plane. */
+    simd::Shape
+    regShape(Reg r) const
+    {
+        return _regs.shape(static_cast<unsigned>(r));
+    }
+
+    /** Tagged planes expanded into N^2 words since construction (a
+     *  test observable: the registered runs pin it). */
+    std::uint64_t materializations() const { return _materializations; }
 
     /** The SIMD kernel table data movement is routed through. */
     const simd::KernelTable &kernelTable() const { return *_kernels; }
@@ -267,9 +309,9 @@ class OrthogonalTreesNetwork
     }
 
     /**
-     * Zero every register of every BP (the power-on state).  Costs
-     * only the planes written since construction or the last
-     * clearRegs() (see simd::RegFile).
+     * Zero every register of every BP (the power-on state) and make
+     * every plane Dense.  Costs only the planes written since
+     * construction or the last clearRegs() (see simd::RegFile).
      */
     void clearRegs() { _regs.clear(); }
 
@@ -379,6 +421,12 @@ class OrthogonalTreesNetwork
     // are bit-identical to the per-tree path.  A composite (a reduction
     // then a broadcast) replays as one chain: two batches would charge
     // two pardos, one clock step more.
+    //
+    // A batch that broadcasts to every leaf (Sel::all()) tags its
+    // destination RowConst or ColConst and writes only the N root
+    // words.  Inputs are read through their shapes, never
+    // materialized; the key-indexed primitives take an O(N) path when
+    // the key is RowConst, since row i then has one candidate column.
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
@@ -431,7 +479,8 @@ class OrthogonalTreesNetwork
 
     /**
      * baseOp computing out = (key == j) ? val : kNull at every
-     * BP(i, j), charged one bit-serial op.
+     * BP(i, j), charged one bit-serial op.  A RowConst key leaves out
+     * RowOneHot (the gather scratch: one value per row).
      */
     ModelTime batchSelectValAtKeyIndex(Reg key, Reg val, Reg out);
 
@@ -670,7 +719,7 @@ class OrthogonalTreesNetwork
 
     std::uint64_t &rootReg(Axis axis, std::size_t idx);
 
-    /** Row i of register r's plane (n contiguous words). */
+    /** Row i of register r's plane for writing (materializes r). */
     std::uint64_t *
     regRow(Reg r, std::size_t i)
     {
@@ -678,12 +727,59 @@ class OrthogonalTreesNetwork
         return regPlane(r) + i * _n;
     }
 
-    const std::uint64_t *
-    regRow(Reg r, std::size_t i) const
+    /**
+     * Row i of register r for reading, without materializing it: the
+     * plane row (Dense), the column vector (ColConst), or `buf` (n
+     * words) filled with the row (RowConst, RowOneHot).
+     */
+    const std::uint64_t *readRow(Reg r, std::size_t i,
+                                 std::uint64_t *buf) const;
+
+    /**
+     * Row i of a tagged plane of `shape` with shape vectors `v`: the
+     * column vector itself (ColConst), or `buf` filled with the row.
+     */
+    const std::uint64_t *shapedRow(simd::Shape shape, const std::uint64_t *v,
+                                   std::size_t i, std::uint64_t *buf) const;
+
+    /** Per-host-thread row buffer `which` (0 or 1) of n words. */
+    std::uint64_t *
+    rowScratch(unsigned which) const
     {
-        assert(i < _n);
-        return regPlane(r) + i * _n;
+        thread_local std::vector<std::uint64_t> bufs[2];
+        bufs[which].resize(_n);
+        return bufs[which].data();
     }
+
+    /** Materialize plane p unless it is Dense. */
+    void
+    makeDense(unsigned p) const
+    {
+        if (_regs.shape(p) != simd::Shape::Dense)
+            materialize(p);
+    }
+
+    /** Expand tagged plane p into its N^2 words and tag it Dense. */
+    void materialize(unsigned p) const;
+
+    /**
+     * Plane `out`, about to be overwritten whole from `inputs`: a
+     * tagged plane is materialized if it is also an input, else just
+     * retagged Dense (its old words are never read).
+     */
+    std::uint64_t *overwritePlane(Reg out, std::initializer_list<Reg> inputs);
+
+    /** Tag plane r `shape` and return its two shape vectors. */
+    std::uint64_t *
+    tagPlane(Reg r, simd::Shape shape)
+    {
+        const auto p = static_cast<unsigned>(r);
+        _regs.setShape(p, shape);
+        return _regs.shapeVec(p);
+    }
+
+    /** Tag plane r RowConst or ColConst with the n words of `v`. */
+    void tagConst(Reg r, simd::Shape shape, const std::uint64_t *v);
 
     /**
      * Level-by-level combining reduction up one tree; `combine` is
@@ -707,7 +803,12 @@ class OrthogonalTreesNetwork
 
     simd::Backend _backend;
     const simd::KernelTable *_kernels;
-    simd::RegFile _regs;
+    // Mutable because materializing is invisible to readers: a const
+    // access that needs raw words (regPlane, readBase) expands first.
+    // Const members read through std::as_const(_regs), so they never
+    // mark a plane dirty by accident.
+    mutable simd::RegFile _regs;
+    mutable std::uint64_t _materializations = 0;
     std::vector<std::uint64_t> _rowRoot;
     std::vector<std::uint64_t> _colRoot;
 };

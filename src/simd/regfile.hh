@@ -20,13 +20,36 @@
  *  - A dirty mask records the planes handed out for writing: the
  *    non-const plane() and at() set the plane's bit, the const
  *    accessors do not.  Writes must go through a pointer or reference
- *    obtained after the last clear().
- *  - clear() zeroes the used words of the dirty planes only, then
- *    resets the mask.  Unoptimized (Debug) builds also assert that
- *    every clean plane, and the padding after every plane, is still
- *    all-zero, which catches a write that bypassed the mark.
- *    Optimized builds keep their other assertions but skip this scan:
- *    it would read every clean plane on every clear.
+ *    obtained after the last clear() and after the plane was last
+ *    tagged (below).
+ *  - clear() zeroes the used words of the dirty planes only, resets
+ *    the mask and sets every shape back to Dense.  Unoptimized
+ *    (Debug) builds also assert that every clean plane, and the
+ *    padding after every plane, is still all-zero, which catches a
+ *    write that bypassed the mark.  Optimized builds keep their other
+ *    assertions but skip this scan: it would read every clean plane on
+ *    every clear.
+ *
+ * Shapes: a file built with a nonzero `side` (the OTN's N, for planes
+ * of side x side words) gives every plane a Shape tag and two
+ * side-word shape vectors.  The vectors are one separate,
+ * uninitialized allocation, made on the first request for them: they
+ * are written before they are read, so a file that is built but never
+ * tagged (a cold machine build) pays nothing for them.  A plane tagged RowConst or ColConst holds one value
+ * per row or per column (what a row or column broadcast leaves); its
+ * words are in the first shape vector and the plane's own words are
+ * stale.  RowOneHot keeps a column index per row in the first vector
+ * and that column's value in the second; every other word of the row
+ * is the owner's absent word (see Shape).  Tagging writes only the
+ * vectors and never dirties the plane, so a plane that was only ever
+ * tagged stays zero and clean.  RegFile stores tags and vectors but
+ * gives them no meaning: the owner resolves reads through them and
+ * expands ("materializes") a tagged plane before handing it out for
+ * writing, and plane() and at() assert that the plane is Dense.  On
+ * the OTN (otn/network.hh) the const reg() reads through the shape,
+ * while the mutable reg() and regPlane() materialize first; so
+ * SORT-OTN writes one N^2 plane (its flags) and CONNECT's pointer
+ * jumping none.
  *
  * Planes of at least kHugePage bytes (2 MB; N >= 512 on the OTN) sit
  * on transparent huge pages where the host allows it:
@@ -69,6 +92,18 @@
 
 namespace ot::simd {
 
+/**
+ * How a plane of side x side words is stored.  Word (i, j) of a plane
+ * tagged
+ *  - Dense is the plane's own word i * side + j;
+ *  - RowConst is vec0[i] (one value per row: a row broadcast);
+ *  - ColConst is vec0[j] (one value per column: a column broadcast);
+ *  - RowOneHot is vec1[i] if j == vec0[i], else the owner's absent
+ *    word (a row that is empty but for one column, or empty if
+ *    vec0[i] >= side).
+ */
+enum class Shape : std::uint8_t { Dense, RowConst, ColConst, RowOneHot };
+
 /** SoA block of `planes` equally sized u64 lanes, 64-byte aligned. */
 class RegFile
 {
@@ -81,9 +116,12 @@ class RegFile
      *  to it, span a whole number of it and are advised onto THP. */
     static constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-    RegFile(unsigned planes, std::size_t plane_size)
+    /** `planes` planes of `plane_size` words; a nonzero `side` also
+     *  gives each plane two side-word shape vectors. */
+    RegFile(unsigned planes, std::size_t plane_size, std::size_t side = 0)
         : _planes(planes),
           _planeSize(plane_size),
+          _side(side),
           _align(alignFor(plane_size)),
           _stride(roundUp(plane_size, _align / sizeof(std::uint64_t))),
           _block(std::calloc(blockBytes(planes, _stride, _align), 1),
@@ -126,11 +164,11 @@ class RegFile
 
     /** Contiguous lane of register `p` (aligned to kAlign, and to
      *  kHugePage for planes of at least that size); marks the plane
-     *  dirty. */
+     *  dirty.  The plane must be Dense. */
     std::uint64_t *
     plane(unsigned p)
     {
-        assert(p < _planes);
+        assert(p < _planes && _shape[p] == Shape::Dense);
         _dirty |= 1u << p;
         return _data + p * _stride;
     }
@@ -138,16 +176,16 @@ class RegFile
     const std::uint64_t *
     plane(unsigned p) const
     {
-        assert(p < _planes);
+        assert(p < _planes && _shape[p] == Shape::Dense);
         return _data + p * _stride;
     }
 
     /** Word `i` of plane `p` (the scalar element accessor); marks the
-     *  plane dirty. */
+     *  plane dirty.  The plane must be Dense. */
     std::uint64_t &
     at(unsigned p, std::size_t i)
     {
-        assert(p < _planes && i < _planeSize);
+        assert(p < _planes && i < _planeSize && _shape[p] == Shape::Dense);
         _dirty |= 1u << p;
         return _data[p * _stride + i];
     }
@@ -155,17 +193,57 @@ class RegFile
     std::uint64_t
     at(unsigned p, std::size_t i) const
     {
-        assert(p < _planes && i < _planeSize);
+        assert(p < _planes && i < _planeSize && _shape[p] == Shape::Dense);
         return _data[p * _stride + i];
     }
 
-    /** Zero every dirty plane and mark all planes clean.  Only the
-     *  planeSize() used words are written: the stride padding is never
-     *  handed out, so it stays zero and never becomes resident. */
+    /** Shape of plane `p`. */
+    Shape
+    shape(unsigned p) const
+    {
+        assert(p < _planes);
+        return _shape[p];
+    }
+
+    /** Tag plane `p` with shape `s`; neither reads nor writes (nor
+     *  dirties) the plane's own words. */
+    void
+    setShape(unsigned p, Shape s)
+    {
+        assert(p < _planes && (s == Shape::Dense || _side > 0));
+        _shape[p] = s;
+    }
+
+    /** Plane `p`'s two shape vectors, vec0 then vec1, `side` words
+     *  each (allocated on the first call).  Writing them does not dirty
+     *  the plane. */
+    std::uint64_t *
+    shapeVec(unsigned p)
+    {
+        assert(p < _planes && _side > 0);
+        if (!_vecs)
+            _vecs.reset(new std::uint64_t[vecWords(_planes, _side)]);
+        return _vecs.get() + p * 2 * _side;
+    }
+
+    /** The const form serves tagged planes only, whose vectors exist. */
+    const std::uint64_t *
+    shapeVec(unsigned p) const
+    {
+        assert(p < _planes && _vecs);
+        return _vecs.get() + p * 2 * _side;
+    }
+
+    /** Zero every dirty plane, mark all planes clean and Dense.  Only
+     *  the planeSize() used words are written: the stride padding is
+     *  never handed out, so it stays zero and never becomes resident.
+     *  Shape vectors are left as they are: a Dense plane never reads
+     *  them. */
     void
     clear()
     {
         for (unsigned p = 0; p < _planes; ++p) {
+            _shape[p] = Shape::Dense;
             std::uint64_t *lane = _data + p * _stride;
             const bool dirty = _dirty >> p & 1u;
             if (dirty)
@@ -210,12 +288,27 @@ class RegFile
         return bytes;
     }
 
+    /** Words of `planes` pairs of `side`-word shape vectors; throws on
+     *  overflow. */
+    static std::size_t
+    vecWords(unsigned planes, std::size_t side)
+    {
+        std::size_t words;
+        if (__builtin_mul_overflow(side, 2 * std::size_t{planes}, &words))
+            throw std::bad_alloc();
+        return words;
+    }
+
     unsigned _planes;
     std::size_t _planeSize;
+    std::size_t _side;
     std::size_t _align;
     std::size_t _stride;
     std::unique_ptr<void, decltype(&std::free)> _block;
+    std::unique_ptr<std::uint64_t[]> _vecs; // shape vectors, 2 per plane
     std::uint64_t *_data;
+    // Not a character type, so stores to plane words cannot alias it.
+    Shape _shape[32] = {};
     // A uint32 on purpose: a uint64 member could alias the plane words
     // and force a reload and store on every at().
     std::uint32_t _dirty = 0;

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -557,6 +558,12 @@ struct BatchCase
     const char *name;
     NetOp batch;
     NetOp perTree;
+    /** Registers the batch form reads or writes (the shape test tags
+     *  each of them in every shape). */
+    std::vector<Reg> regs;
+    /** A key register with leafToRoot's at-most-one-match-per-column
+     *  precondition, if the primitive has one. */
+    std::optional<Reg> uniqueKey = std::nullopt;
 };
 
 using BinaryOp = std::uint64_t (*)(std::uint64_t, std::uint64_t);
@@ -606,19 +613,22 @@ batchCases()
              pardo(net, [&](std::size_t i) {
                  net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
              });
-         }},
+         },
+         {Reg::A}},
         {"batchColSum", [](auto &net) { net.batchColSum(Reg::C); },
          [=](auto &net) {
              pardo(net, [&](std::size_t j) {
                  net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
              });
-         }},
+         },
+         {Reg::C}},
         {"batchColMin", [](auto &net) { net.batchColMin(Reg::C); },
          [=](auto &net) {
              pardo(net, [&](std::size_t j) {
                  net.minLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
              });
-         }},
+         },
+         {Reg::C}},
         {"batchMinColsByKeyIndexToLeaves(all)",
          [](auto &net) {
              net.batchMinColsByKeyIndexToLeaves(Reg::B, Reg::E, Sel::all(),
@@ -630,7 +640,8 @@ batchCases()
                                    Reg::E);
                  net.rootToLeaf(Axis::Col, j, Sel::all(), Reg::H);
              });
-         }},
+         },
+         {Reg::B, Reg::E, Reg::H}},
         {"batchMinColsByKeyIndexToLeaves(diag)",
          [](auto &net) {
              net.batchMinColsByKeyIndexToLeaves(Reg::B, Reg::E,
@@ -642,7 +653,8 @@ batchCases()
                                    Reg::E);
                  net.rootToLeaf(Axis::Col, j, Sel::diag(), Reg::H);
              });
-         }},
+         },
+         {Reg::B, Reg::E, Reg::H}},
         {"batchMinRowsToLeaves(all)",
          [](auto &net) {
              net.batchMinRowsToLeaves(Reg::T, Sel::all(), Reg::E);
@@ -652,7 +664,8 @@ batchCases()
                  net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
                  net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
              });
-         }},
+         },
+         {Reg::T, Reg::E}},
         {"batchMinRowsToLeaves(diag)",
          [](auto &net) {
              net.batchMinRowsToLeaves(Reg::T, Sel::diag(), Reg::E);
@@ -662,7 +675,8 @@ batchCases()
                  net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
                  net.rootToLeaf(Axis::Row, i, Sel::diag(), Reg::E);
              });
-         }},
+         },
+         {Reg::T, Reg::E}},
         {"batchDiagToRows",
          [](auto &net) { net.batchDiagToRows(Reg::D, Reg::X); },
          [=](auto &net) {
@@ -670,7 +684,8 @@ batchCases()
                  net.leafToLeaf(Axis::Row, i, Sel::diag(), Reg::D,
                                 Sel::all(), Reg::X);
              });
-         }},
+         },
+         {Reg::D, Reg::X}},
         {"batchDiagToCols",
          [](auto &net) { net.batchDiagToCols(Reg::D, Reg::X); },
          [=](auto &net) {
@@ -678,7 +693,8 @@ batchCases()
                  net.leafToLeaf(Axis::Col, j, Sel::diag(), Reg::D,
                                 Sel::all(), Reg::X);
              });
-         }},
+         },
+         {Reg::D, Reg::X}},
         {"batchCountRowsToLeaves",
          [](auto &net) { net.batchCountRowsToLeaves(Reg::F, Reg::Y); },
          [=](auto &net) {
@@ -686,7 +702,8 @@ batchCases()
                  net.countLeafToLeaf(Axis::Row, i, Reg::F, Sel::all(),
                                      Reg::Y);
              });
-         }},
+         },
+         {Reg::F, Reg::Y}},
         {"batchPickColByKeyIndex",
          [](auto &net) { net.batchPickColByKeyIndex(Reg::R, Reg::G); },
          [=](auto &net) {
@@ -694,16 +711,20 @@ batchCases()
                  net.leafToRoot(Axis::Col, j, Sel::regEq(Reg::R, j),
                                 Reg::G);
              });
-         }},
+         },
+         {Reg::R, Reg::G}, Reg::R},
         {"baseOpRows(mulRow)",
          [=](auto &net) { rowsOp(net, net.kernelTable().mulRow); },
-         [=](auto &net) { base(net, mulOrZero); }},
+         [=](auto &net) { base(net, mulOrZero); },
+         {Reg::A, Reg::B, Reg::C}},
         {"baseOpRows(andRow)",
          [=](auto &net) { rowsOp(net, net.kernelTable().andRow); },
-         [=](auto &net) { base(net, andOrZero); }},
+         [=](auto &net) { base(net, andOrZero); },
+         {Reg::A, Reg::B, Reg::C}},
         {"baseOpRows(addSatRow)",
          [=](auto &net) { rowsOp(net, net.kernelTable().addSatRow); },
-         [=](auto &net) { base(net, addOrNull); }},
+         [=](auto &net) { base(net, addOrNull); },
+         {Reg::A, Reg::B, Reg::C}},
         {"baseOpDiag",
          [](auto &net) {
              net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
@@ -717,7 +738,8 @@ batchCases()
                                 net.reg(Reg::G, i, j) =
                                     net.reg(Reg::H, i, j) + i;
                         });
-         }},
+         },
+         {Reg::G, Reg::H}},
         {"batchCompareRank",
          [](auto &net) { net.batchCompareRank(Reg::A, Reg::B, Reg::F); },
          [](auto &net) {
@@ -728,7 +750,8 @@ batchCases()
                             net.reg(Reg::F, i, j) =
                                 (a > b || (a == b && i > j)) ? 1 : 0;
                         });
-         }},
+         },
+         {Reg::A, Reg::B, Reg::F}},
         {"batchSelectValAtKeyIndex",
          [](auto &net) {
              net.batchSelectValAtKeyIndex(Reg::B, Reg::A, Reg::T);
@@ -741,7 +764,8 @@ batchCases()
                                     ? net.reg(Reg::A, i, j)
                                     : otn::kNull;
                         });
-         }},
+         },
+         {Reg::B, Reg::A, Reg::T}},
     };
 }
 
@@ -856,6 +880,117 @@ TEST(BatchVsPerTree, EveryBatchPrimitiveMatchesItsPardo)
                         expectBatchMatchesPardo(c, n, emulated, ctx,
                                                 backend);
                     }
+}
+
+// ----------------------------------------------------------------------
+// Broadcast planes: batch primitives on tagged inputs
+// ----------------------------------------------------------------------
+
+constexpr simd::Shape kShapes[] = {simd::Shape::Dense, simd::Shape::RowConst,
+                                   simd::Shape::ColConst,
+                                   simd::Shape::RowOneHot};
+
+/**
+ * Leave register r in `shape` through the producers that make it:
+ * RowConst and ColConst fan r's diagonal out (diagToRows/Cols), and
+ * RowOneHot is the gather scratch selectValAtKeyIndex leaves for a
+ * RowConst key (r's diagonal, fanned into `scratch`).  Dense leaves r
+ * as seeded.
+ */
+void
+shapeAs(OrthogonalTreesNetwork &net, Reg r, simd::Shape shape, Reg scratch)
+{
+    switch (shape) {
+    case simd::Shape::Dense:
+        break;
+    case simd::Shape::RowConst:
+        net.batchDiagToRows(r, r);
+        break;
+    case simd::Shape::ColConst:
+        net.batchDiagToCols(r, r);
+        break;
+    case simd::Shape::RowOneHot:
+        net.batchDiagToRows(r, scratch);
+        net.batchSelectValAtKeyIndex(scratch, r, r);
+        break;
+    }
+    ASSERT_EQ(net.regShape(r), shape);
+}
+
+/** At most one BP per column j holds key == j (leafToRoot's rule). */
+bool
+keyIsUnique(const OrthogonalTreesNetwork &net, Reg key)
+{
+    for (std::size_t j = 0; j < net.n(); ++j) {
+        unsigned matches = 0;
+        for (std::size_t i = 0; i < net.n(); ++i)
+            matches += net.reg(key, i, j) == j;
+        if (matches > 1)
+            return false;
+    }
+    return true;
+}
+
+TEST(BroadcastPlanes, EveryBatchPrimitiveOnEveryInputShape)
+{
+    // Each case's registers take every combination of the shapes the
+    // producers leave; the batch primitive on the tagged network must
+    // match the same primitive on a copy whose planes were all
+    // materialized first — in every plane, root, counter and trace
+    // event.
+    std::vector<simd::Backend> backends = vectorBackends();
+    backends.push_back(simd::Backend::Scalar);
+    unsigned runs = 0, skipped = 0;
+    for (const BatchCase &c : batchCases()) {
+        Reg scratch = Reg::A;
+        while (std::find(c.regs.begin(), c.regs.end(), scratch) !=
+               c.regs.end())
+            scratch = static_cast<Reg>(static_cast<unsigned>(scratch) + 1);
+        std::size_t combos = 1;
+        for (std::size_t k = 0; k < c.regs.size(); ++k)
+            combos *= std::size(kShapes);
+        for (std::size_t combo = 0; combo < combos; ++combo)
+            for (std::size_t n : {1, 2, 4, 16})
+                for (bool emulated : {false, true})
+                    for (simd::Backend backend : backends) {
+                        std::vector<simd::Shape> shapes;
+                        ::testing::Message where;
+                        where << c.name << " n=" << n
+                              << " emulated=" << emulated << " "
+                              << simd::toString(backend) << " shapes";
+                        for (std::size_t k = 0, rest = combo;
+                             k < c.regs.size(); ++k, rest /= 4) {
+                            shapes.push_back(kShapes[rest % 4]);
+                            where << ' ' << static_cast<int>(shapes.back());
+                        }
+                        SCOPED_TRACE(where);
+                        trace::Tracer ref_trace, tr;
+                        auto ref = makeNet(emulated, n);
+                        auto net = makeNet(emulated, n);
+                        for (auto [m, t] : {std::pair{ref.get(), &ref_trace},
+                                            std::pair{net.get(), &tr}}) {
+                            m->setSimdBackend(backend);
+                            t->setEnabled(true);
+                            m->setTracer(t);
+                            seedRegisters(*m, 177 + n);
+                            for (std::size_t k = 0; k < c.regs.size(); ++k)
+                                shapeAs(*m, c.regs[k], shapes[k], scratch);
+                        }
+                        if (c.uniqueKey && !keyIsUnique(*net, *c.uniqueKey)) {
+                            ++skipped;
+                            continue;
+                        }
+                        for (unsigned r = 0; r < otn::kNumRegs; ++r)
+                            ref->regPlane(static_cast<Reg>(r));
+                        c.batch(*ref);
+                        c.batch(*net);
+                        expectSameOtnState(*ref, *net);
+                        expectSameTrace(ref_trace, tr);
+                        ++runs;
+                    }
+    }
+    // The precondition rules out only some key shapes, never all.
+    EXPECT_GT(runs, 20 * skipped);
 }
 
 struct DiffCase

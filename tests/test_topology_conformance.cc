@@ -32,6 +32,7 @@
 #include "layout/baseline_layouts.hh"
 #include "linalg/reference.hh"
 #include "otn/registers.hh"
+#include "simd/regfile.hh"
 #include "sim/rng.hh"
 #include "topo/adapters.hh"
 #include "topo/algo.hh"
@@ -461,6 +462,72 @@ TEST(TopologyConformance, OtnResetAfterMstMatchesAFreshMachine)
     EXPECT_EQ(used.steps(), fresh.steps());
     expectSamePlanes(std::as_const(used.network()),
                      std::as_const(fresh.network()), words);
+}
+
+TEST(TopologyConformance, OtnResetAfterTaggedSortMatchesAFreshMachine)
+{
+    // Sort leaves A and R row-broadcast and B column-broadcast: tagged
+    // planes that were never written (so never dirtied).  A reset must
+    // drop the tags, and a connected-components run on the reset
+    // machine must then leave every plane as a fresh machine's run
+    // does.
+    const std::size_t n = 16;
+    const AlgoInputs in(n);
+    auto spec = topo::resolveSpec("otn", topo::Algo::ConnectedComponents,
+                                  n, vlsi::DelayModel::Logarithmic, false);
+    topo::OtnTopoMachine used(spec);
+    used.runSort(sortInput(n));
+    const otn::OrthogonalTreesNetwork &net = used.network();
+    EXPECT_EQ(net.regShape(otn::Reg::A), simd::Shape::RowConst);
+    EXPECT_EQ(net.regShape(otn::Reg::B), simd::Shape::ColConst);
+    EXPECT_EQ(net.regShape(otn::Reg::R), simd::Shape::RowConst);
+    EXPECT_EQ(net.regShape(otn::Reg::F), simd::Shape::Dense);
+
+    used.reset();
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        EXPECT_EQ(net.regShape(static_cast<otn::Reg>(r)), simd::Shape::Dense)
+            << "register plane " << r;
+    const std::size_t words = n * n;
+    EXPECT_EQ(nonzeroPlanes(net, words), 0u);
+
+    topo::OtnTopoMachine fresh(spec);
+    auto a = used.runConnectedComponents(in.g);
+    auto b = fresh.runConnectedComponents(in.g);
+    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(used.steps(), fresh.steps());
+    expectSamePlanes(net, std::as_const(fresh.network()), words);
+}
+
+TEST(TopologyConformance, RegisteredOtnRunsMaterializeOnlyMstsDiagonalWrite)
+{
+    // Broadcasts leave tagged planes, and every registered run reads
+    // them without expanding them to N^2 words — except MST, whose
+    // diagonal write into X (a row broadcast since the previous
+    // iteration's diagToRows(G, X)) materializes X once per iteration
+    // after the first.  Native SORT-OTC runs on the OTC's own planes,
+    // which carry no shapes.
+    const std::size_t n = 64;
+    const AlgoInputs in(n);
+    const std::uint64_t log_n = 6;
+    for (const char *net : {"otn", "otc"})
+        for (topo::Algo algo : topo::allAlgos()) {
+            const std::string where =
+                std::string(toString(algo)) + " on " + net;
+            auto m = topo::registry().build(topo::resolveSpec(
+                net, algo, n, vlsi::DelayModel::Logarithmic, false));
+            auto *otn_machine = dynamic_cast<topo::OtnTopoMachine *>(m.get());
+            if (!otn_machine) {
+                EXPECT_EQ(std::string(net), "otc") << where;
+                EXPECT_EQ(algo, topo::Algo::Sort) << where;
+                continue;
+            }
+            runAlgo(*m, algo, in);
+            const std::uint64_t expected =
+                algo == topo::Algo::Mst ? log_n : 0;
+            EXPECT_EQ(otn_machine->network().materializations(), expected)
+                << where;
+        }
 }
 
 TEST(TopologyConformance, OtcNativeResetAfterFullWriteMatchesAFreshMachine)
