@@ -33,7 +33,7 @@ OtcNetwork::OtcNetwork(std::size_t cycles_per_side, unsigned cycle_len,
       _engine(_acct, _stats),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
-      _regs(otn::kNumRegs, _k * _k * _l),
+      _regs(otn::kNumRegs, _k * _k * _l, _k * _l),
       _rowStream(_k, std::vector<std::uint64_t>(_l, kNull)),
       _colStream(_k, std::vector<std::uint64_t>(_l, kNull))
 {
@@ -57,14 +57,70 @@ OtcNetwork::OtcNetwork(std::size_t cycles_per_side, unsigned cycle_len,
 void
 OtcNetwork::fillReg(Reg r, std::uint64_t value)
 {
-    _kernels->fill(regPlane(r), std::size_t{_k} * _k * _l, value);
+    const auto p = static_cast<unsigned>(r);
+    _regs.setShape(p, simd::Shape::Dense);
+    _kernels->fill(_regs.plane(p), std::size_t{_k} * _k * _l, value);
 }
 
-std::uint64_t &
-OtcNetwork::rootStream(Axis axis, std::size_t idx, std::size_t q)
+void
+OtcNetwork::materialize(unsigned p) const
 {
-    assert(idx < _k && q < _l);
-    return axis == Axis::Row ? _rowStream[idx][q] : _colStream[idx][q];
+    const simd::Shape shape = _regs.shape(p);
+    _regs.setShape(p, simd::Shape::Dense);
+    std::uint64_t *plane = _regs.plane(p);
+    const std::uint64_t *v = std::as_const(_regs).shapeVec(p);
+    for (std::size_t i = 0; i < _k; ++i)
+        for (std::size_t j = 0; j < _k; ++j) {
+            std::uint64_t *cyc = plane + (i * _k + j) * _l;
+            const std::uint64_t *words = shapedCycle(shape, v, i, j, cyc);
+            if (words != cyc)
+                std::memcpy(cyc, words, _l * sizeof(std::uint64_t));
+        }
+    ++_materializations;
+}
+
+const std::uint64_t *
+OtcNetwork::readCycle(Reg r, std::size_t i, std::size_t j,
+                      std::uint64_t *buf) const
+{
+    assert(i < _k && j < _k);
+    const auto p = static_cast<unsigned>(r);
+    const simd::RegFile &regs = _regs;
+    if (regs.shape(p) == simd::Shape::Dense)
+        return regs.plane(p) + (i * _k + j) * _l;
+    return shapedCycle(regs.shape(p), regs.shapeVec(p), i, j, buf);
+}
+
+const std::uint64_t *
+OtcNetwork::shapedCycle(simd::Shape shape, const std::uint64_t *v,
+                        std::size_t i, std::size_t j,
+                        std::uint64_t *buf) const
+{
+    switch (shape) {
+    case simd::Shape::Dense:
+    case simd::Shape::RowOneHot: // never tagged on the OTC
+        break;
+    case simd::Shape::RowConst:
+        return v + i * _l;
+    case simd::Shape::ColConst:
+        return v + j * _l;
+    case simd::Shape::RankCount:
+        for (std::size_t q = 0; q < _l; ++q)
+            buf[q] = rankCountWord(v, i, j, q);
+        return buf;
+    }
+    assert(false && "not a tagged OTC plane");
+    return nullptr;
+}
+
+ModelTime
+OtcNetwork::chargeStream(const char *stat, const char *span, ModelTime dt,
+                         Axis axis, std::size_t idx)
+{
+    ++_engine.counter(stat);
+    _engine.traceSpan("otc", span, dt, treeSpan(axis, idx, _k, _l));
+    charge(dt);
+    return dt;
 }
 
 ModelTime
@@ -124,15 +180,14 @@ OtcNetwork::chargeVectorCirculate(Axis axis, std::size_t idx)
     return dt;
 }
 
-ModelTime
-OtcNetwork::rootToCycle(Axis axis, std::size_t idx, const CycleSelector &sel,
-                        Reg dest)
+void
+OtcNetwork::moveRootToCycle(Axis axis, std::size_t idx,
+                            const CycleSelector &sel, Reg dest)
 {
     // Functionally: word q of the root stream lands in BP(q) of every
     // selected cycle (the paper's pipedo of ROOTTOLEAF +
     // VECTORCIRCULATE converges to exactly this placement).
-    const std::uint64_t *stream =
-        axis == Axis::Row ? _rowStream[idx].data() : _colStream[idx].data();
+    const std::uint64_t *stream = rootStream(axis, idx);
     for (std::size_t c = 0; c < _k; ++c) {
         auto [i, j] = cycleAddr(axis, idx, c);
         if (!sel.matches(i, j))
@@ -140,82 +195,118 @@ OtcNetwork::rootToCycle(Axis axis, std::size_t idx, const CycleSelector &sel,
         std::memcpy(regPlane(dest) + (i * _k + j) * _l, stream,
                     _l * sizeof(std::uint64_t));
     }
-    ++_engine.counter("otc.rootToCycle");
-    ModelTime dt = streamCost();
-    _engine.traceSpan("otc", "rootToCycle", dt,
-                      treeSpan(axis, idx, _k, _l));
-    charge(dt);
-    return dt;
 }
 
-ModelTime
-OtcNetwork::cycleToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
-                        Reg src)
+void
+OtcNetwork::moveCycleToRoot(Axis axis, std::size_t idx,
+                            const CycleSelector &sel, Reg src)
 {
-    std::uint64_t *stream =
-        axis == Axis::Row ? _rowStream[idx].data() : _colStream[idx].data();
+    std::uint64_t *stream = rootStream(axis, idx);
     [[maybe_unused]] unsigned selected = 0;
     for (std::size_t c = 0; c < _k; ++c) {
         auto [i, j] = cycleAddr(axis, idx, c);
         if (!sel.matches(i, j))
             continue;
         ++selected;
-        std::memcpy(stream, regPlane(src) + (i * _k + j) * _l,
-                    _l * sizeof(std::uint64_t));
+        const std::uint64_t *words = readCycle(src, i, j, stream);
+        if (words != stream)
+            std::memcpy(stream, words, _l * sizeof(std::uint64_t));
     }
     assert(selected <= 1 && "CYCLETOROOT requires a unique source cycle");
     if (selected == 0)
         _kernels->fill(stream, _l, kNull);
-    ++_engine.counter("otc.cycleToRoot");
-    ModelTime dt = streamCost();
-    _engine.traceSpan("otc", "cycleToRoot", dt,
-                      treeSpan(axis, idx, _k, _l));
-    charge(dt);
+}
+
+void
+OtcNetwork::reduceToRoot(Axis axis, std::size_t idx,
+                         const CycleSelector &sel, Reg src, ReduceOp op)
+{
+    // Sum (mod 2^64) and min are associative and commutative, so
+    // accumulating the selected cycles one after another equals the
+    // machine's pairwise tree combining bit for bit.
+    std::uint64_t *stream = rootStream(axis, idx);
+    _kernels->fill(stream, _l, op == ReduceOp::Sum ? 0 : kNull);
+    const simd::AccumRowFn accum =
+        op == ReduceOp::Sum ? _kernels->accumSumRow : _kernels->accumMinRow;
+    thread_local std::vector<std::uint64_t> buf;
+    buf.resize(_l);
+    for (std::size_t c = 0; c < _k; ++c) {
+        auto [i, j] = cycleAddr(axis, idx, c);
+        if (sel.matches(i, j))
+            accum(stream, readCycle(src, i, j, buf.data()), _l);
+    }
+}
+
+ModelTime
+OtcNetwork::chargeRootToCycle(Axis axis, std::size_t idx)
+{
+    return chargeStream("otc.rootToCycle", "rootToCycle", streamCost(), axis,
+                        idx);
+}
+
+ModelTime
+OtcNetwork::chargeCycleToRoot(Axis axis, std::size_t idx)
+{
+    return chargeStream("otc.cycleToRoot", "cycleToRoot", streamCost(), axis,
+                        idx);
+}
+
+ModelTime
+OtcNetwork::chargeSumCycleToRoot(Axis axis, std::size_t idx)
+{
+    return chargeStream("otc.sumCycleToRoot", "sumCycleToRoot",
+                        _reduceStreamCost, axis, idx);
+}
+
+ModelTime
+OtcNetwork::chargeCycleToCycle(Axis axis, std::size_t idx)
+{
+    ModelTime dt = chargeCycleToRoot(axis, idx);
+    dt += chargeRootToCycle(axis, idx);
+    ++_engine.counter("otc.cycleToCycle");
     return dt;
 }
 
 ModelTime
-OtcNetwork::reduceToRoot(Axis axis, std::size_t idx,
-                         const CycleSelector &sel, Reg src, ReduceOp op)
+OtcNetwork::chargeSumCycleToCycle(Axis axis, std::size_t idx)
 {
-    // Sum (mod 2^64) and min are associative, so the kernel's linear
-    // reduction over the gathered level buffer equals the machine's
-    // pairwise tree combining bit for bit.
-    const std::uint64_t identity = op == ReduceOp::Sum ? 0 : kNull;
-    thread_local std::vector<std::uint64_t> level;
-    level.resize(_k);
-    for (std::size_t q = 0; q < _l; ++q) {
-        for (std::size_t c = 0; c < _k; ++c) {
-            auto [i, j] = cycleAddr(axis, idx, c);
-            level[c] = sel.matches(i, j) ? reg(src, i, j, q) : identity;
-        }
-        rootStream(axis, idx, q) =
-            op == ReduceOp::Sum ? _kernels->reduceSum(level.data(), _k)
-                                : _kernels->reduceMin(level.data(), _k);
-    }
-    ModelTime dt = _reduceStreamCost;
-    charge(dt);
+    ModelTime dt = chargeSumCycleToRoot(axis, idx);
+    dt += chargeRootToCycle(axis, idx);
+    ++_engine.counter("otc.sumCycleToCycle");
     return dt;
+}
+
+ModelTime
+OtcNetwork::rootToCycle(Axis axis, std::size_t idx, const CycleSelector &sel,
+                        Reg dest)
+{
+    moveRootToCycle(axis, idx, sel, dest);
+    return chargeRootToCycle(axis, idx);
+}
+
+ModelTime
+OtcNetwork::cycleToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
+                        Reg src)
+{
+    moveCycleToRoot(axis, idx, sel, src);
+    return chargeCycleToRoot(axis, idx);
 }
 
 ModelTime
 OtcNetwork::sumCycleToRoot(Axis axis, std::size_t idx,
                            const CycleSelector &sel, Reg src)
 {
-    ++_engine.counter("otc.sumCycleToRoot");
-    _engine.traceSpan("otc", "sumCycleToRoot", _reduceStreamCost,
-                      treeSpan(axis, idx, _k, _l));
-    return reduceToRoot(axis, idx, sel, src, ReduceOp::Sum);
+    reduceToRoot(axis, idx, sel, src, ReduceOp::Sum);
+    return chargeSumCycleToRoot(axis, idx);
 }
 
 ModelTime
 OtcNetwork::minCycleToRoot(Axis axis, std::size_t idx,
                            const CycleSelector &sel, Reg src)
 {
-    ++_engine.counter("otc.minCycleToRoot");
-    _engine.traceSpan("otc", "minCycleToRoot", _reduceStreamCost,
-                      treeSpan(axis, idx, _k, _l));
-    return reduceToRoot(axis, idx, sel, src, ReduceOp::Min);
+    reduceToRoot(axis, idx, sel, src, ReduceOp::Min);
+    return chargeStream("otc.minCycleToRoot", "minCycleToRoot",
+                        _reduceStreamCost, axis, idx);
 }
 
 ModelTime
@@ -223,10 +314,9 @@ OtcNetwork::cycleToCycle(Axis axis, std::size_t idx,
                          const CycleSelector &src_sel, Reg src,
                          const CycleSelector &dst_sel, Reg dst)
 {
-    ModelTime dt = cycleToRoot(axis, idx, src_sel, src);
-    dt += rootToCycle(axis, idx, dst_sel, dst);
-    ++_engine.counter("otc.cycleToCycle");
-    return dt;
+    moveCycleToRoot(axis, idx, src_sel, src);
+    moveRootToCycle(axis, idx, dst_sel, dst);
+    return chargeCycleToCycle(axis, idx);
 }
 
 ModelTime
@@ -234,10 +324,9 @@ OtcNetwork::sumCycleToCycle(Axis axis, std::size_t idx,
                             const CycleSelector &src_sel, Reg src,
                             const CycleSelector &dst_sel, Reg dst)
 {
-    ModelTime dt = sumCycleToRoot(axis, idx, src_sel, src);
-    dt += rootToCycle(axis, idx, dst_sel, dst);
-    ++_engine.counter("otc.sumCycleToCycle");
-    return dt;
+    reduceToRoot(axis, idx, src_sel, src, ReduceOp::Sum);
+    moveRootToCycle(axis, idx, dst_sel, dst);
+    return chargeSumCycleToCycle(axis, idx);
 }
 
 ModelTime

@@ -13,6 +13,16 @@
  * primitive (ROOTTOCYCLE, CYCLETOROOT, CYCLETOCYCLE and the SUM/MIN
  * variants) still costs O(log^2 N) — a pipeline of L words riding one
  * tree traversal (Section V-B).
+ *
+ * Register planes carry a shape (simd::Shape), as on the OTN: a plane
+ * whose every cycle of row i (column j) holds the same L-word stream
+ * is kept as one K*L-word vector, word (i, j, q) at index i*L + q
+ * (j*L + q), and SORT-OTC's compare plane C as the two vectors it is a
+ * function of (RankCount).  The const reg() reads through the shape;
+ * the mutable reg() and both regPlane() forms expand ("materialize")
+ * a tagged plane into its K*K*L words first.  The streamed primitives
+ * read their L source words through the shape, so moving one cycle's
+ * stream never expands a plane.
  */
 
 #pragma once
@@ -20,6 +30,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "layout/otc_layout.hh"
@@ -149,37 +160,94 @@ class OtcNetwork
     // Registers and I/O streams
     // ------------------------------------------------------------------
 
-    /** Register r of BP(i, j, q) — the paper's triple addressing. */
+    /** Register r of BP(i, j, q) — the paper's triple addressing —
+     *  for writing; materializes the plane. */
     std::uint64_t &
     reg(Reg r, std::size_t i, std::size_t j, std::size_t q)
     {
         assert(i < _k && j < _k && q < _l);
-        return _regs.at(static_cast<unsigned>(r), (i * _k + j) * _l + q);
+        const auto p = static_cast<unsigned>(r);
+        makeDense(p);
+        return _regs.at(p, (i * _k + j) * _l + q);
     }
 
+    /** Register r of BP(i, j, q), read through the plane's shape. */
     std::uint64_t
     reg(Reg r, std::size_t i, std::size_t j, std::size_t q) const
     {
         assert(i < _k && j < _k && q < _l);
-        return _regs.at(static_cast<unsigned>(r), (i * _k + j) * _l + q);
+        const auto p = static_cast<unsigned>(r);
+        const simd::RegFile &regs = _regs;
+        switch (regs.shape(p)) {
+        case simd::Shape::Dense:
+        case simd::Shape::RowOneHot: // never tagged on the OTC
+            break;
+        case simd::Shape::RowConst:
+            return regs.shapeVec(p)[i * _l + q];
+        case simd::Shape::ColConst:
+            return regs.shapeVec(p)[j * _l + q];
+        case simd::Shape::RankCount:
+            return rankCountWord(regs.shapeVec(p), i, j, q);
+        }
+        return regs.at(p, (i * _k + j) * _l + q);
     }
 
     /**
      * Register r of the whole machine as one contiguous plane of
      * K*K*L words ordered (i, j, q) — cycle (i, j)'s L-word stream is
-     * the contiguous segment at (i*K + j)*L.
+     * the contiguous segment at (i*K + j)*L.  Both forms materialize
+     * the plane first; the const form does so because the caller reads
+     * raw words.
      */
     std::uint64_t *
     regPlane(Reg r)
     {
-        return _regs.plane(static_cast<unsigned>(r));
+        const auto p = static_cast<unsigned>(r);
+        makeDense(p);
+        return _regs.plane(p);
     }
 
     const std::uint64_t *
     regPlane(Reg r) const
     {
-        return _regs.plane(static_cast<unsigned>(r));
+        const auto p = static_cast<unsigned>(r);
+        makeDense(p);
+        return std::as_const(_regs).plane(p);
     }
+
+    /** Shape of register r's plane. */
+    simd::Shape
+    regShape(Reg r) const
+    {
+        return _regs.shape(static_cast<unsigned>(r));
+    }
+
+    /**
+     * Tag register r's plane `shape` (RowConst, ColConst or RankCount)
+     * and return its two K*L-word shape vectors, vec0 then vec1, for
+     * the caller to fill before the next read of r.  The plane's own
+     * words are neither written nor dirtied.  For algorithms whose
+     * step leaves every cycle of a row or column the same stream
+     * (SORT-OTC); the accounting halves below charge the step.
+     */
+    std::uint64_t *
+    tagPlane(Reg r, simd::Shape shape)
+    {
+        assert(shape == simd::Shape::RowConst ||
+               shape == simd::Shape::ColConst ||
+               shape == simd::Shape::RankCount);
+        const auto p = static_cast<unsigned>(r);
+        _regs.setShape(p, shape);
+        return _regs.shapeVec(p);
+    }
+
+    /** Tagged planes expanded into K*K*L words since construction (a
+     *  test observable: the registered runs pin it). */
+    std::uint64_t materializations() const { return _materializations; }
+
+    /** Planes handed out for writing since construction or the last
+     *  clearRegs() (bit r for register r; a test observable). */
+    std::uint32_t dirtyMask() const { return _regs.dirtyMask(); }
 
     /** The SIMD kernel table data movement is routed through. */
     const simd::KernelTable &kernelTable() const { return *_kernels; }
@@ -209,13 +277,14 @@ class OtcNetwork
     }
 
     /**
-     * Zero every register of every BP (the power-on state).  Costs
-     * only the planes written since construction or the last
-     * clearRegs() (see simd::RegFile).
+     * Zero every register of every BP (the power-on state) and make
+     * every plane Dense.  Costs only the planes written since
+     * construction or the last clearRegs() (see simd::RegFile).
      */
     void clearRegs() { _regs.clear(); }
 
-    /** Fill register r of every BP. */
+    /** Fill register r of every BP (a tagged plane is retagged Dense,
+     *  not materialized: every word is overwritten). */
     void fillReg(Reg r, std::uint64_t value);
 
     bool
@@ -293,6 +362,29 @@ class OtcNetwork
     ModelTime minCycleToRoot(Axis axis, std::size_t idx,
                              const CycleSelector &sel, Reg src);
 
+    // Accounting halves of the streamed primitives: each counts,
+    // traces and charges its primitive on tree `idx` of `axis` without
+    // moving data, and the primitive itself calls it after moving its
+    // words.  For algorithms that move a whole step's data at once
+    // (SORT-OTC), the way chargeBaseOp and chargeVectorCirculate serve
+    // the base steps and circulations.
+
+    /** Accounting half of rootToCycle. */
+    ModelTime chargeRootToCycle(Axis axis, std::size_t idx);
+
+    /** Accounting half of cycleToRoot. */
+    ModelTime chargeCycleToRoot(Axis axis, std::size_t idx);
+
+    /** Accounting half of sumCycleToRoot. */
+    ModelTime chargeSumCycleToRoot(Axis axis, std::size_t idx);
+
+    /** Accounting half of cycleToCycle: cycleToRoot's, rootToCycle's
+     *  and the composite's own count. */
+    ModelTime chargeCycleToCycle(Axis axis, std::size_t idx);
+
+    /** Accounting half of sumCycleToCycle. */
+    ModelTime chargeSumCycleToCycle(Axis axis, std::size_t idx);
+
     /** CYCLETOCYCLE: source cycle's words to BP(q) of each dest. */
     ModelTime cycleToCycle(Axis axis, std::size_t idx,
                            const CycleSelector &src_sel, Reg src,
@@ -330,16 +422,76 @@ class OtcNetwork
     ModelTime circulateCost() const { return _circulateCost; }
 
   private:
-    std::uint64_t &rootStream(Axis axis, std::size_t idx, std::size_t q);
+    /** The L-word stream of the root port of tree `idx` on `axis`. */
+    std::uint64_t *
+    rootStream(Axis axis, std::size_t idx)
+    {
+        assert(idx < _k);
+        return axis == Axis::Row ? _rowStream[idx].data()
+                                 : _colStream[idx].data();
+    }
 
     /** Combining op of the SUM/MIN streamed primitives. */
     enum class ReduceOp : std::uint8_t { Sum, Min };
 
-    /** Shared pipeline: per-position reduce over cycles into the root
-     *  stream, through the kernel table (no std::function on this
-     *  path). */
-    ModelTime reduceToRoot(Axis axis, std::size_t idx,
-                           const CycleSelector &sel, Reg src, ReduceOp op);
+    /** Data half of rootToCycle. */
+    void moveRootToCycle(Axis axis, std::size_t idx, const CycleSelector &sel,
+                         Reg dest);
+
+    /** Data half of cycleToRoot. */
+    void moveCycleToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
+                         Reg src);
+
+    /** Data half of sum/minCycleToRoot: per-position reduce over the
+     *  selected cycles into the root stream, through the kernel table
+     *  (no std::function on this path). */
+    void reduceToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
+                      Reg src, ReduceOp op);
+
+    /** Count, trace and charge one streamed primitive of cost `dt`
+     *  (stat `stat`, span `span`) on tree `idx` of `axis`. */
+    ModelTime chargeStream(const char *stat, const char *span, ModelTime dt,
+                           Axis axis, std::size_t idx);
+
+    /**
+     * Word (i, j, q) of a RankCount plane with shape vectors `v`: how
+     * many of column j's L words v[K*L + j*L ...] the word
+     * v[i*L + q] outranks, ties broken on the global indices.
+     */
+    std::uint64_t
+    rankCountWord(const std::uint64_t *v, std::size_t i, std::size_t j,
+                  std::size_t q) const
+    {
+        const std::size_t g = i * _l + q, block = j * _l;
+        return _kernels->rankCountRow(v[g], g > block ? g - block : 0,
+                                      v + _k * _l + block, _l);
+    }
+
+    /**
+     * Cycle (i, j)'s L words of register r for reading, without
+     * materializing it: the plane segment (Dense), the row's or the
+     * column's stream in the shape vector (RowConst, ColConst), or
+     * `buf` (L words) filled with the counts (RankCount).
+     */
+    const std::uint64_t *readCycle(Reg r, std::size_t i, std::size_t j,
+                                   std::uint64_t *buf) const;
+
+    /** Cycle (i, j) of a tagged plane of `shape` with shape vectors
+     *  `v`: a stream in the vector, or `buf` filled with the counts. */
+    const std::uint64_t *shapedCycle(simd::Shape shape, const std::uint64_t *v,
+                                     std::size_t i, std::size_t j,
+                                     std::uint64_t *buf) const;
+
+    /** Materialize plane p unless it is Dense. */
+    void
+    makeDense(unsigned p) const
+    {
+        if (_regs.shape(p) != simd::Shape::Dense)
+            materialize(p);
+    }
+
+    /** Expand tagged plane p into its K*K*L words and tag it Dense. */
+    void materialize(unsigned p) const;
 
     std::pair<std::size_t, std::size_t>
     cycleAddr(Axis axis, std::size_t idx, std::size_t c) const
@@ -364,7 +516,10 @@ class OtcNetwork
 
     simd::Backend _backend;
     const simd::KernelTable *_kernels;
-    simd::RegFile _regs;
+    // Mutable because materializing is invisible to readers (as on
+    // the OTN).  Const members read through std::as_const(_regs).
+    mutable simd::RegFile _regs;
+    mutable std::uint64_t _materializations = 0;
     std::vector<std::vector<std::uint64_t>> _rowStream;
     std::vector<std::vector<std::uint64_t>> _colStream;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace ot::otc {
 
@@ -27,43 +28,44 @@ sortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
         }
     }
 
-    // Step 1: A = own group in every cycle of the row.
+    // Every step after the input leaves each cycle of a row (or a
+    // column) the same stream, so the planes are shape-tagged vectors
+    // (simd::Shape; word (i, j, q) at i*L + q of a row vector, j*L + q
+    // of a column vector) and no plane word is written.  The data of
+    // each step moves at once, then the step's per-tree primitives are
+    // charged through their accounting halves, in the per-tree order.
+    const simd::KernelTable &kernels = net.kernelTable();
+    const std::size_t words = capacity * sizeof(std::uint64_t);
+
+    // Step 1: A = own group in every cycle of the row: A(i, j, q) =
+    // x(i*L + q), a row broadcast of the input streams.
+    std::uint64_t *x = net.tagPlane(Reg::A, simd::Shape::RowConst);
+    for (std::size_t i = 0; i < k; ++i)
+        std::copy(net.rowStream(i).begin(), net.rowStream(i).end(),
+                  x + i * l);
     net.parallelFor(k, [&](std::size_t i) {
-        net.rootToCycle(Axis::Row, i, CSel::all(), Reg::A);
+        net.chargeRootToCycle(Axis::Row, i);
     });
 
-    // Step 2: B = the column's group (from the diagonal cycle).
+    // Step 2: B = the column's group, streamed by column i's root from
+    // the diagonal cycle: B(i, j, q) = x(j*L + q), a column broadcast.
+    for (std::size_t i = 0; i < k; ++i)
+        std::copy(x + i * l, x + (i + 1) * l, net.colStream(i).begin());
+    std::memcpy(net.tagPlane(Reg::B, simd::Shape::ColConst), x, words);
     net.parallelFor(k, [&](std::size_t i) {
-        net.cycleToCycle(Axis::Col, i, CSel::rowIs(i), Reg::A, CSel::all(),
-                         Reg::B);
+        net.chargeCycleToCycle(Axis::Col, i);
     });
 
     // Step 3: L compare-and-circulate rounds.  After p circulations,
     // B(q) of cycle (i, j) holds group element b_j((q + p) mod L), so
     // over the L rounds BP(q) meets every B(r) once, tie-broken on the
     // global indices i*L + q and j*L + r (the paper's modified step 3
-    // of SORT-OTN).  L circulations restore B, so the data pass reads
-    // B(r) in place and writes each rank count C(q) once.
-    const std::uint64_t *a_plane = net.regPlane(Reg::A);
-    const std::uint64_t *b_plane = net.regPlane(Reg::B);
-    std::uint64_t *c_plane = net.regPlane(Reg::C);
-    for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t j = 0; j < k; ++j) {
-            const std::size_t base = (i * k + j) * l;
-            const std::uint64_t *a = a_plane + base;
-            const std::uint64_t *b = b_plane + base;
-            for (std::size_t q = 0; q < l; ++q) {
-                const std::uint64_t av = a[q];
-                const std::uint64_t ga = i * l + q;
-                std::uint64_t count = 0;
-                for (std::size_t r = 0; r < l; ++r) {
-                    const std::uint64_t gb = j * l + r;
-                    count += (av > b[r]) + ((av == b[r]) & (ga > gb));
-                }
-                c_plane[base + q] = count;
-            }
-        }
-    }
+    // of SORT-OTN), and L circulations restore B.  So C(i, j, q), the
+    // number of x(j*L + r) that x(i*L + q) outranks, is a function of
+    // A's and B's vectors: C is tagged RankCount with copies of them.
+    std::uint64_t *c = net.tagPlane(Reg::C, simd::Shape::RankCount);
+    std::memcpy(c, x, words);
+    std::memcpy(c + capacity, x, words);
     // The machine's steps: one base step zeroing C, then per round a
     // compare step and a VECTORCIRCULATE of B on every row.
     const ModelTime round_op = net.cost().bitSerialOp();
@@ -75,39 +77,38 @@ sortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
         });
     }
 
-    // Step 4: global ranks to every cycle of the row.
+    // Step 4: global ranks to every cycle of the row.  Row i's root
+    // sums C(i, j, q) over the K cycles j: the rank of x(i*L + q)
+    // among all N words, compared and counted in one kernel pass.
+    std::uint64_t *r = net.tagPlane(Reg::R, simd::Shape::RowConst);
+    for (std::size_t g = 0; g < capacity; ++g)
+        r[g] = kernels.rankCountRow(x[g], g, x, capacity);
+    for (std::size_t i = 0; i < k; ++i)
+        std::copy(r + i * l, r + (i + 1) * l, net.rowStream(i).begin());
     net.parallelFor(k, [&](std::size_t i) {
-        net.sumCycleToCycle(Axis::Row, i, CSel::all(), Reg::C, CSel::all(),
-                            Reg::R);
+        net.chargeSumCycleToCycle(Axis::Row, i);
     });
 
     // Step 5: L pipelined output beats; at beat p, port j emits the
     // value of rank p*K + j, found in column j's copy of its group.
-    // Ranks are unique (the global-index tie-break), so one scatter
-    // over the column's K*L words fills every beat; K is a power of
-    // two, so rank % K and rank / K are a mask and a shift.
-    const std::uint64_t *r_plane = net.regPlane(Reg::R);
+    // The N ranks are a permutation of [0, N) (the global-index
+    // tie-break), so one scatter over them fills every beat of every
+    // port; `taken` checks that no two elements share a rank.  K is a
+    // power of two, so rank % K and rank / K are a mask and a shift.
     assert(std::has_single_bit(k));
     const unsigned k_log = static_cast<unsigned>(std::countr_zero(k));
-    net.parallelFor(k, [&](std::size_t j) {
-        std::vector<std::uint64_t> &out = net.colStream(j);
-        std::fill(out.begin(), out.end(), kNull);
-        std::vector<bool> written(l, false);
-        for (std::size_t i = 0; i < k; ++i) {
-            const std::size_t base = (i * k + j) * l;
-            for (std::size_t q = 0; q < l; ++q) {
-                const std::uint64_t rank = r_plane[base + q];
-                if ((rank & (k - 1)) != j)
-                    continue;
-                const std::uint64_t p = rank >> k_log;
-                assert(p < l && "rank beyond the K*L capacity");
-                assert(!written[p] && "two BPs share one rank");
-                written[p] = true;
-                out[p] = a_plane[base + q];
-            }
-        }
-        // One stream through the column tree, with the in-cycle
-        // selection (move-to-D(0)) overlapped beat by beat.
+    thread_local std::vector<std::uint8_t> taken;
+    taken.assign(capacity, 0);
+    for (std::size_t g = 0; g < capacity; ++g) {
+        const std::uint64_t rank = r[g];
+        assert(rank < capacity && "rank beyond the K*L capacity");
+        assert(!taken[rank] && "two BPs share one rank");
+        taken[rank] = 1;
+        net.colStream(rank & (k - 1))[rank >> k_log] = x[g];
+    }
+    // Per column: one stream through the column tree, with the
+    // in-cycle selection (move-to-D(0)) overlapped beat by beat.
+    net.parallelFor(k, [&](std::size_t) {
         net.charge(net.streamCost() + (l - 1) * net.circulateCost());
     });
 

@@ -16,6 +16,12 @@
  *      ranks
  *   5. L pipelined output beats: at beat p, port j emits the value of
  *      rank p*K + j ("first the N/log N smallest numbers appear...")
+ *
+ * A, B and R are broadcasts and C a function of A and B, so the sort
+ * keeps all four as shape-tagged vectors (see otc/network.hh) and
+ * writes no register plane; each step moves its data at once and
+ * then charges its per-tree primitives through their accounting
+ * halves.
  */
 
 #pragma once

@@ -170,6 +170,11 @@ OrthogonalTreesNetwork::shapedRow(simd::Shape shape, const std::uint64_t *v,
         if (v[i] < _n)
             buf[v[i]] = v[_n + i];
         return buf;
+    case simd::Shape::RankCount:
+        // Row i compares x(i), splatted, with every x(j).
+        _kernels->fill(buf, _n, v[i]);
+        _kernels->cmpRankRow(buf, buf, v + _n, _n, i);
+        return buf;
     }
     assert(false && "a Dense plane has no shape vectors");
     return nullptr;
@@ -534,7 +539,9 @@ OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
 // Broadcasts leave their destination tagged (RowConst, ColConst) with
 // the N root words instead of writing N^2; inputs are read through
 // readRow, and the key-indexed primitives take an O(N) path when
-// their key is RowConst (one candidate column per row).
+// their key is RowConst (one candidate column per row).  The rank
+// compare of two broadcasts is tagged RankCount, and counting it runs
+// the fused rankCountRow kernel: SORT-OTN writes no plane word.
 // ----------------------------------------------------------------------
 
 ModelTime
@@ -662,9 +669,16 @@ OrthogonalTreesNetwork::batchDiagToCols(Reg src, Reg dst)
 ModelTime
 OrthogonalTreesNetwork::batchCountRowsToLeaves(Reg flag, Reg dst)
 {
-    for (std::size_t i = 0; i < _n; ++i)
-        _rowRoot[i] =
-            _kernels->countNonzero(readRow(flag, i, rowScratch(0)), _n);
+    if (regShape(flag) == simd::Shape::RankCount) {
+        // Row i's count is the rank of x(i) among the x(j).
+        const std::uint64_t *v = _regs.shapeVec(static_cast<unsigned>(flag));
+        for (std::size_t i = 0; i < _n; ++i)
+            _rowRoot[i] = _kernels->rankCountRow(v[i], i, v + _n, _n);
+    } else {
+        for (std::size_t i = 0; i < _n; ++i)
+            _rowRoot[i] =
+                _kernels->countNonzero(readRow(flag, i, rowScratch(0)), _n);
+    }
     tagConst(dst, simd::Shape::RowConst, _rowRoot.data());
     return replayTrees(
         {treeStep(Ctr::CountLeafToRoot, Axis::Row, treeReduceCost()),
@@ -703,10 +717,22 @@ OrthogonalTreesNetwork::batchPickColByKeyIndex(Reg key, Reg src)
 ModelTime
 OrthogonalTreesNetwork::batchCompareRank(Reg a, Reg b, Reg flag)
 {
-    std::uint64_t *f = overwritePlane(flag, {a, b});
-    for (std::size_t i = 0; i < _n; ++i)
-        _kernels->cmpRankRow(f + i * _n, readRow(a, i, rowScratch(0)),
-                             readRow(b, i, rowScratch(1)), _n, i);
+    if (regShape(a) == simd::Shape::RowConst &&
+        regShape(b) == simd::Shape::ColConst && flag != a && flag != b) {
+        // F(i, j) compares x(i) = a's row value with x(j) = b's column
+        // value: keep the two vectors, not the N^2 flags.
+        const simd::RegFile &regs = _regs;
+        const std::uint64_t *x = regs.shapeVec(static_cast<unsigned>(a));
+        const std::uint64_t *y = regs.shapeVec(static_cast<unsigned>(b));
+        std::uint64_t *v = tagPlane(flag, simd::Shape::RankCount);
+        std::memcpy(v, x, _n * sizeof(std::uint64_t));
+        std::memcpy(v + _n, y, _n * sizeof(std::uint64_t));
+    } else {
+        std::uint64_t *f = overwritePlane(flag, {a, b});
+        for (std::size_t i = 0; i < _n; ++i)
+            _kernels->cmpRankRow(f + i * _n, readRow(a, i, rowScratch(0)),
+                                 readRow(b, i, rowScratch(1)), _n, i);
+    }
     return chargeBaseOp(_cost.bitSerialOp());
 }
 

@@ -200,9 +200,10 @@ class OrthogonalTreesNetwork
 
     // Register planes carry a shape (simd::Shape): a broadcast leaves
     // one value per row or column, kept as one N-word vector instead
-    // of N^2 words.  Reads resolve the shape; any access that hands
-    // out plane words for writing, or the raw plane, first expands
-    // ("materializes") a tagged plane into its N^2 words.
+    // of N^2 words, and the sort's compare of two broadcasts keeps
+    // both vectors (RankCount).  Reads resolve the shape; any access
+    // that hands out plane words for writing, or the raw plane, first
+    // expands ("materializes") a tagged plane into its N^2 words.
 
     /** Register r of BP(i, j), read through the plane's shape. */
     std::uint64_t
@@ -221,6 +222,12 @@ class OrthogonalTreesNetwork
         case simd::Shape::RowOneHot: {
             const std::uint64_t *v = regs.shapeVec(p);
             return v[i] == j ? v[_n + i] : kNull;
+        }
+        case simd::Shape::RankCount: {
+            // Column j's block is the one word x(j): a 0/1 flag.
+            const std::uint64_t *v = regs.shapeVec(p);
+            return _kernels->rankCountRow(v[i], i > j ? 1 : 0, v + _n + j,
+                                          1);
         }
         }
         return regs.at(p, i * _n + j);
@@ -270,6 +277,10 @@ class OrthogonalTreesNetwork
     /** Tagged planes expanded into N^2 words since construction (a
      *  test observable: the registered runs pin it). */
     std::uint64_t materializations() const { return _materializations; }
+
+    /** Planes handed out for writing since construction or the last
+     *  clearRegs() (bit r for register r; a test observable). */
+    std::uint32_t dirtyMask() const { return _regs.dirtyMask(); }
 
     /** The SIMD kernel table data movement is routed through. */
     const simd::KernelTable &kernelTable() const { return *_kernels; }
@@ -427,6 +438,9 @@ class OrthogonalTreesNetwork
     // words.  Inputs are read through their shapes, never
     // materialized; the key-indexed primitives take an O(N) path when
     // the key is RowConst, since row i then has one candidate column.
+    // The rank compare of a row and a column broadcast tags its flags
+    // RankCount, and counting such flags compares and counts each row
+    // in one pass (simd::KernelTable::rankCountRow).
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
@@ -459,7 +473,8 @@ class OrthogonalTreesNetwork
     /** For each col j pardo: leafToLeaf(Col, j, diag, src, all, dst). */
     ModelTime batchDiagToCols(Reg src, Reg dst);
 
-    /** For each row i pardo: countLeafToLeaf(Row, i, flag, all, dst). */
+    /** For each row i pardo: countLeafToLeaf(Row, i, flag, all, dst).
+     *  A RankCount flag is counted without being expanded. */
     ModelTime batchCountRowsToLeaves(Reg flag, Reg dst);
 
     /**
@@ -473,7 +488,11 @@ class OrthogonalTreesNetwork
     /**
      * baseOp computing flag = (a > b || (a == b && i > j)) ? 1 : 0 at
      * every BP(i, j) — the enumeration sort's rank comparison, charged
-     * one bit-serial op like the equivalent baseOp call.
+     * one bit-serial op like the equivalent baseOp call.  With a
+     * RowConst a and a ColConst b (SORT-OTN's steps 1 and 2), neither
+     * of them `flag`, the flags are a function of the two broadcast
+     * vectors: `flag` is tagged RankCount with copies of them and no
+     * flag word is written.  Otherwise the flags are written dense.
      */
     ModelTime batchCompareRank(Reg a, Reg b, Reg flag);
 
@@ -730,7 +749,7 @@ class OrthogonalTreesNetwork
     /**
      * Row i of register r for reading, without materializing it: the
      * plane row (Dense), the column vector (ColConst), or `buf` (n
-     * words) filled with the row (RowConst, RowOneHot).
+     * words) filled with the row (RowConst, RowOneHot, RankCount).
      */
     const std::uint64_t *readRow(Reg r, std::size_t i,
                                  std::uint64_t *buf) const;

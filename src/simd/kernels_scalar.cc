@@ -18,6 +18,7 @@ constexpr KernelTable kScalarTable = {
     .reduceSum = reduceSumT<ScalarVec>,
     .reduceMin = reduceMinT<ScalarVec>,
     .cmpRankRow = cmpRankRowT<ScalarVec>,
+    .rankCountRow = rankCountRowT<ScalarVec>,
     .selectEqIndexRow = selectEqIndexRowT<ScalarVec>,
     .scatterEqIndexRow = scatterEqIndexRowT<ScalarVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<ScalarVec>,

@@ -30,26 +30,34 @@
  *    assertions but skip this scan: it would read every clean plane on
  *    every clear.
  *
- * Shapes: a file built with a nonzero `side` (the OTN's N, for planes
- * of side x side words) gives every plane a Shape tag and two
- * side-word shape vectors.  The vectors are one separate,
- * uninitialized allocation, made on the first request for them: they
- * are written before they are read, so a file that is built but never
- * tagged (a cold machine build) pays nothing for them.  A plane tagged RowConst or ColConst holds one value
- * per row or per column (what a row or column broadcast leaves); its
- * words are in the first shape vector and the plane's own words are
- * stale.  RowOneHot keeps a column index per row in the first vector
- * and that column's value in the second; every other word of the row
- * is the owner's absent word (see Shape).  Tagging writes only the
+ * Shapes: a file built with a nonzero `side` gives every plane a
+ * Shape tag and two side-word shape vectors.  The vectors are one
+ * separate, uninitialized allocation, made on the first request for
+ * them: they are written before they are read, so a file that is
+ * built but never tagged (a cold machine build) pays nothing for
+ * them.  A plane tagged RowConst or ColConst holds one value per row
+ * or per column (what a row or column broadcast leaves); its words
+ * are in the first shape vector and the plane's own words are stale.
+ * RowOneHot keeps a column index per row in the first vector and that
+ * column's value in the second; every other word of the row is the
+ * owner's absent word.  RankCount is the enumeration sort's compare
+ * plane, a function of the two vectors (row values in the first,
+ * column values in the second; see Shape).  Tagging writes only the
  * vectors and never dirties the plane, so a plane that was only ever
- * tagged stays zero and clean.  RegFile stores tags and vectors but
- * gives them no meaning: the owner resolves reads through them and
- * expands ("materializes") a tagged plane before handing it out for
- * writing, and plane() and at() assert that the plane is Dense.  On
- * the OTN (otn/network.hh) the const reg() reads through the shape,
- * while the mutable reg() and regPlane() materialize first; so
- * SORT-OTN writes one N^2 plane (its flags) and CONNECT's pointer
- * jumping none.
+ * tagged stays zero and clean.
+ *
+ * RegFile stores tags and vectors but gives them no meaning: the owner
+ * maps a word's address to vector indices, resolves reads through
+ * them and expands ("materializes") a tagged plane before handing it
+ * out for writing, and plane() and at() assert that the plane is
+ * Dense.  The OTN (otn/network.hh) passes side = N for its N x N
+ * planes, so a row or column is one vector index; the OTC
+ * (otc/network.hh) passes side = K * L, one L-word cycle stream per
+ * row or column, so word (i, j, q) is index i * L + q of a row vector
+ * and j * L + q of a column vector.  On both, the const
+ * reg() reads through the shape, while the mutable reg() and
+ * regPlane() materialize first; so the enumeration sorts (SORT-OTN
+ * and SORT-OTC) and CONNECT's pointer jumping write no plane word.
  *
  * Planes of at least kHugePage bytes (2 MB; N >= 512 on the OTN) sit
  * on transparent huge pages where the host allows it:
@@ -93,16 +101,31 @@
 namespace ot::simd {
 
 /**
- * How a plane of side x side words is stored.  Word (i, j) of a plane
- * tagged
+ * How a plane is stored.  On a plane of side x side words (the OTN),
+ * word (i, j) of a plane tagged
  *  - Dense is the plane's own word i * side + j;
  *  - RowConst is vec0[i] (one value per row: a row broadcast);
  *  - ColConst is vec0[j] (one value per column: a column broadcast);
  *  - RowOneHot is vec1[i] if j == vec0[i], else the owner's absent
  *    word (a row that is empty but for one column, or empty if
- *    vec0[i] >= side).
+ *    vec0[i] >= side);
+ *  - RankCount is the number of vec1 words in column j's block that
+ *    vec0[i] outranks: is greater than, or equals with a larger global
+ *    index (the enumeration sort's duplicate-safe tie-break, as in
+ *    the cmpRankRow kernel).  On the OTN a block is the one word
+ *    vec1[j], so the word is the 0/1 flag of comparing x(i) with x(j).
+ * The owner defines the addresses: the OTC's words (i, j, q) take
+ * vec0[i * L + q] and vec0[j * L + q] for RowConst and ColConst, and
+ * its RankCount block is column j's L words vec1[j * L ...], so word
+ * (i, j, q) counts how many of them vec0[i * L + q] outranks.
  */
-enum class Shape : std::uint8_t { Dense, RowConst, ColConst, RowOneHot };
+enum class Shape : std::uint8_t {
+    Dense,
+    RowConst,
+    ColConst,
+    RowOneHot,
+    RankCount,
+};
 
 /** SoA block of `planes` equally sized u64 lanes, 64-byte aligned. */
 class RegFile
@@ -117,7 +140,8 @@ class RegFile
     static constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
     /** `planes` planes of `plane_size` words; a nonzero `side` also
-     *  gives each plane two side-word shape vectors. */
+     *  gives each plane two side-word shape vectors (side = N on the
+     *  OTN, K * L on the OTC). */
     RegFile(unsigned planes, std::size_t plane_size, std::size_t side = 0)
         : _planes(planes),
           _planeSize(plane_size),

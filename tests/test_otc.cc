@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
@@ -444,6 +446,187 @@ TEST(SortOtc, TracedAndUntracedAccountingAgree)
         EXPECT_EQ(stats.counter("otc.circulate").value(), k * k * l);
     }
     EXPECT_EQ(counterValues(plain), counterValues(traced));
+}
+
+// ------------------------------ primitives on shape-tagged planes
+
+/**
+ * Tag register r of `net` `shape` with the shape vectors `vecs`
+ * (2 * K * L words), the way SORT-OTC leaves its planes.
+ */
+void
+tagWith(OtcNetwork &net, Reg r, ot::simd::Shape shape,
+        const std::vector<std::uint64_t> &vecs)
+{
+    std::copy(vecs.begin(), vecs.end(), net.tagPlane(r, shape));
+}
+
+/** One streamed or cycle primitive, run with register `s` tagged. */
+struct TaggedCase
+{
+    const char *name;
+    std::function<void(OtcNetwork &, Reg s, Reg other)> op;
+    /** True iff the primitive only reads `s` (it must not expand it). */
+    bool readsOnly;
+};
+
+std::vector<TaggedCase>
+taggedCases()
+{
+    using Net = OtcNetwork;
+    return {
+        {"rootToCycle all",
+         [](Net &n, Reg s, Reg) {
+             n.rootToCycle(Axis::Row, 1, CSel::all(), s);
+         },
+         false},
+        {"rootToCycle one cycle",
+         [](Net &n, Reg s, Reg) {
+             n.rootToCycle(Axis::Col, 2, CSel::rowIs(1), s);
+         },
+         false},
+        {"cycleToRoot row",
+         [](Net &n, Reg s, Reg) {
+             n.cycleToRoot(Axis::Row, 2, CSel::colIs(3), s);
+         },
+         true},
+        {"cycleToRoot col",
+         [](Net &n, Reg s, Reg) {
+             n.cycleToRoot(Axis::Col, 1, CSel::rowIs(2), s);
+         },
+         true},
+        {"cycleToRoot none",
+         [](Net &n, Reg s, Reg) {
+             n.cycleToRoot(Axis::Col, 0, CSel::none(), s);
+         },
+         true},
+        {"sumCycleToRoot",
+         [](Net &n, Reg s, Reg) {
+             n.sumCycleToRoot(Axis::Row, 3, CSel::all(), s);
+             n.sumCycleToRoot(Axis::Col, 0, CSel::rowIs(2), s);
+         },
+         true},
+        {"minCycleToRoot",
+         [](Net &n, Reg s, Reg) {
+             n.minCycleToRoot(Axis::Col, 2, CSel::all(), s);
+             n.minCycleToRoot(Axis::Row, 1, CSel::colIs(0), s);
+         },
+         true},
+        {"cycleToCycle from S",
+         [](Net &n, Reg s, Reg other) {
+             n.cycleToCycle(Axis::Col, 1, CSel::rowIs(1), s, CSel::all(),
+                            other);
+         },
+         true},
+        {"cycleToCycle into S",
+         [](Net &n, Reg s, Reg other) {
+             n.cycleToCycle(Axis::Row, 0, CSel::colIs(2), other,
+                            CSel::colIs(1), s);
+         },
+         false},
+        {"cycleToCycle S to S",
+         [](Net &n, Reg s, Reg) {
+             n.cycleToCycle(Axis::Row, 3, CSel::colIs(0), s, CSel::all(), s);
+         },
+         false},
+        {"sumCycleToCycle",
+         [](Net &n, Reg s, Reg other) {
+             n.sumCycleToCycle(Axis::Row, 2, CSel::all(), s, CSel::all(),
+                               other);
+         },
+         true},
+        {"circulate",
+         [](Net &n, Reg s, Reg other) { n.circulate(1, 2, {s, other}); },
+         false},
+        {"vectorCirculate",
+         [](Net &n, Reg s, Reg) {
+             n.vectorCirculate(Axis::Row, 2, {s});
+             n.vectorCirculate(Axis::Col, 1, {s});
+         },
+         false},
+        {"baseOp",
+         [](Net &n, Reg s, Reg other) {
+             n.baseOp(n.cost().bitSerialOp(),
+                      [&](std::size_t i, std::size_t j, std::size_t q) {
+                          n.reg(other, i, j, q) += n.reg(s, i, j, q);
+                      });
+         },
+         false},
+    };
+}
+
+TEST(OtcNetwork, PrimitivesOnTaggedPlanesMatchDense)
+{
+    // Every per-cycle primitive on a tagged plane must behave as on
+    // the same plane materialized first: same planes, streams, clock,
+    // counters and trace.  A primitive that only reads the plane reads
+    // it through its shape, without expanding it.
+    const std::size_t k = 4;
+    const unsigned l = 3;
+    const std::size_t words = k * k * l;
+    const CostModel cost = logCost(k * l);
+    const ot::simd::Shape shapes[] = {ot::simd::Shape::RowConst,
+                                      ot::simd::Shape::ColConst,
+                                      ot::simd::Shape::RankCount};
+    Rng rng(907);
+    for (const TaggedCase &c : taggedCases())
+        for (ot::simd::Shape shape : shapes)
+            for (Backend backend : availableBackends()) {
+                SCOPED_TRACE(::testing::Message()
+                             << c.name << " shape "
+                             << static_cast<int>(shape) << " "
+                             << ot::simd::toString(backend));
+                // Small values, so RankCount sees ties, and kNull.
+                std::vector<std::uint64_t> vecs(2 * k * l), dense(words);
+                for (auto &w : vecs)
+                    w = rng.uniform(0, 5) == 0 ? kNull : rng.uniform(0, 4);
+                for (auto &w : dense)
+                    w = rng.uniform(0, 9);
+                OtcNetwork ref(k, l, cost), net(k, l, cost);
+                ot::trace::Tracer ref_trace, trace;
+                for (auto [m, t] : {std::pair{&ref, &ref_trace},
+                                    std::pair{&net, &trace}}) {
+                    m->setSimdBackend(backend);
+                    t->setEnabled(true);
+                    m->setTracer(t);
+                    std::copy(dense.begin(), dense.end(),
+                              m->regPlane(Reg::X));
+                    for (std::size_t i = 0; i < k; ++i) {
+                        for (unsigned q = 0; q < l; ++q) {
+                            m->rowStream(i)[q] = 100 + i * l + q;
+                            m->colStream(i)[q] = 200 + i * l + q;
+                        }
+                    }
+                    tagWith(*m, Reg::C, shape, vecs);
+                }
+                ref.regPlane(Reg::C); // materialize the reference
+                ASSERT_EQ(ref.regShape(Reg::C), ot::simd::Shape::Dense);
+
+                c.op(ref, Reg::C, Reg::X);
+                c.op(net, Reg::C, Reg::X);
+                if (c.readsOnly) {
+                    EXPECT_EQ(net.regShape(Reg::C), shape);
+                    EXPECT_EQ(net.materializations(), 0u);
+                }
+                for (unsigned r = 0; r < ot::otn::kNumRegs; ++r)
+                    EXPECT_TRUE(std::equal(
+                        ref.regPlane(static_cast<Reg>(r)),
+                        ref.regPlane(static_cast<Reg>(r)) + words,
+                        net.regPlane(static_cast<Reg>(r))))
+                        << "plane " << r;
+                for (std::size_t i = 0; i < k; ++i) {
+                    EXPECT_EQ(net.rowStream(i), ref.rowStream(i)) << i;
+                    EXPECT_EQ(net.colStream(i), ref.colStream(i)) << i;
+                }
+                EXPECT_EQ(net.now(), ref.now());
+                EXPECT_EQ(net.acct().steps(), ref.acct().steps());
+                EXPECT_EQ(counterValues(net), counterValues(ref));
+                ASSERT_EQ(trace.events().size(), ref_trace.events().size());
+                for (std::size_t e = 0; e < trace.events().size(); ++e)
+                    ASSERT_TRUE(ot::trace::eventsEqual(
+                        trace.events()[e], ref_trace.events()[e]))
+                        << "event " << e;
+            }
 }
 
 /** Property sweep: random inputs across sizes and seeds. */

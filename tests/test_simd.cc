@@ -434,6 +434,56 @@ TEST(KernelDifferential, CompexLinearFullBitonicSchedule)
     }
 }
 
+TEST(KernelDifferential, RankCountRowMatchesCmpRankRowCountAndALoop)
+{
+    // The fused rank count against the two-kernel form it replaces
+    // (a row of x compared by cmpRankRow, then countNonzero) and a
+    // plain loop, on every compiled backend.
+    std::vector<simd::Backend> backends = vectorBackends();
+    backends.push_back(simd::Backend::Scalar);
+    Rng rng(4711);
+    for (std::size_t n : {0, 1, 3, 4, 5, 7, 8, 63, 64, 65, 2048}) {
+        std::vector<std::uint64_t> dup(n), equal(n, 5), nulls(n);
+        for (auto &w : dup)
+            w = rng.uniform(0, 3);
+        for (std::size_t j = 0; j < n; ++j)
+            nulls[j] = j % 3 == 0 ? simd::kNullWord : rng.uniform(0, 9);
+        const std::pair<const char *, std::vector<std::uint64_t>> inputs[] =
+            {{"random", randomWords(rng, n, ~std::uint64_t{0} - 1)},
+             {"duplicates", dup},
+             {"all-equal", equal},
+             {"kNull", nulls}};
+        for (const auto &[what, b] : inputs) {
+            // x: words of b itself (ties), the extremes, and a miss.
+            std::vector<std::uint64_t> xs = {0, 5, simd::kNullWord,
+                                             rng.uniform(0, 9)};
+            for (std::size_t j = 0; j < n; j += 1 + n / 5)
+                xs.push_back(b[j]);
+            for (std::uint64_t x : xs)
+                for (std::uint64_t gx : {std::uint64_t{0},
+                                         std::uint64_t{n / 2},
+                                         std::uint64_t{n - 1},
+                                         std::uint64_t{n + 5}}) {
+                    std::uint64_t want = 0;
+                    for (std::size_t j = 0; j < n; ++j)
+                        want += x > b[j] || (x == b[j] && gx > j);
+                    for (simd::Backend backend : backends) {
+                        const auto &kt = simd::kernelsFor(backend);
+                        std::vector<std::uint64_t> flag(n, x);
+                        kt.cmpRankRow(flag.data(), flag.data(), b.data(), n,
+                                      gx);
+                        ASSERT_EQ(kt.countNonzero(flag.data(), n), want)
+                            << what << " n=" << n << " gx=" << gx;
+                        ASSERT_EQ(kt.rankCountRow(x, gx, b.data(), n), want)
+                            << what << " n=" << n << " x=" << x
+                            << " gx=" << gx << " "
+                            << simd::toString(backend);
+                    }
+                }
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Backend resolution and the OT_SIMD override
 // ----------------------------------------------------------------------
@@ -886,19 +936,22 @@ TEST(BatchVsPerTree, EveryBatchPrimitiveMatchesItsPardo)
 // Broadcast planes: batch primitives on tagged inputs
 // ----------------------------------------------------------------------
 
-constexpr simd::Shape kShapes[] = {simd::Shape::Dense, simd::Shape::RowConst,
-                                   simd::Shape::ColConst,
-                                   simd::Shape::RowOneHot};
+constexpr simd::Shape kShapes[] = {
+    simd::Shape::Dense, simd::Shape::RowConst, simd::Shape::ColConst,
+    simd::Shape::RowOneHot, simd::Shape::RankCount};
 
 /**
  * Leave register r in `shape` through the producers that make it:
- * RowConst and ColConst fan r's diagonal out (diagToRows/Cols), and
+ * RowConst and ColConst fan r's diagonal out (diagToRows/Cols),
  * RowOneHot is the gather scratch selectValAtKeyIndex leaves for a
- * RowConst key (r's diagonal, fanned into `scratch`).  Dense leaves r
- * as seeded.
+ * RowConst key (r's diagonal, fanned into `scratch`), and RankCount
+ * is the rank compare of r's diagonal fanned along the rows (into
+ * `scratch`) with it fanned down the columns (into `scratch2`), as in
+ * SORT-OTN.  Dense leaves r as seeded.
  */
 void
-shapeAs(OrthogonalTreesNetwork &net, Reg r, simd::Shape shape, Reg scratch)
+shapeAs(OrthogonalTreesNetwork &net, Reg r, simd::Shape shape, Reg scratch,
+        Reg scratch2)
 {
     switch (shape) {
     case simd::Shape::Dense:
@@ -912,6 +965,11 @@ shapeAs(OrthogonalTreesNetwork &net, Reg r, simd::Shape shape, Reg scratch)
     case simd::Shape::RowOneHot:
         net.batchDiagToRows(r, scratch);
         net.batchSelectValAtKeyIndex(scratch, r, r);
+        break;
+    case simd::Shape::RankCount:
+        net.batchDiagToRows(r, scratch);
+        net.batchDiagToCols(r, scratch2);
+        net.batchCompareRank(scratch, scratch2, r);
         break;
     }
     ASSERT_EQ(net.regShape(r), shape);
@@ -942,10 +1000,12 @@ TEST(BroadcastPlanes, EveryBatchPrimitiveOnEveryInputShape)
     backends.push_back(simd::Backend::Scalar);
     unsigned runs = 0, skipped = 0;
     for (const BatchCase &c : batchCases()) {
-        Reg scratch = Reg::A;
-        while (std::find(c.regs.begin(), c.regs.end(), scratch) !=
-               c.regs.end())
-            scratch = static_cast<Reg>(static_cast<unsigned>(scratch) + 1);
+        // The first two registers the case does not use.
+        Reg scratch[2];
+        for (unsigned r = 0, found = 0; found < 2; ++r)
+            if (std::find(c.regs.begin(), c.regs.end(),
+                          static_cast<Reg>(r)) == c.regs.end())
+                scratch[found++] = static_cast<Reg>(r);
         std::size_t combos = 1;
         for (std::size_t k = 0; k < c.regs.size(); ++k)
             combos *= std::size(kShapes);
@@ -959,8 +1019,10 @@ TEST(BroadcastPlanes, EveryBatchPrimitiveOnEveryInputShape)
                               << " emulated=" << emulated << " "
                               << simd::toString(backend) << " shapes";
                         for (std::size_t k = 0, rest = combo;
-                             k < c.regs.size(); ++k, rest /= 4) {
-                            shapes.push_back(kShapes[rest % 4]);
+                             k < c.regs.size();
+                             ++k, rest /= std::size(kShapes)) {
+                            shapes.push_back(
+                                kShapes[rest % std::size(kShapes)]);
                             where << ' ' << static_cast<int>(shapes.back());
                         }
                         SCOPED_TRACE(where);
@@ -974,7 +1036,8 @@ TEST(BroadcastPlanes, EveryBatchPrimitiveOnEveryInputShape)
                             m->setTracer(t);
                             seedRegisters(*m, 177 + n);
                             for (std::size_t k = 0; k < c.regs.size(); ++k)
-                                shapeAs(*m, c.regs[k], shapes[k], scratch);
+                                shapeAs(*m, c.regs[k], shapes[k],
+                                        scratch[0], scratch[1]);
                         }
                         if (c.uniqueKey && !keyIsUnique(*net, *c.uniqueKey)) {
                             ++skipped;

@@ -466,11 +466,11 @@ TEST(TopologyConformance, OtnResetAfterMstMatchesAFreshMachine)
 
 TEST(TopologyConformance, OtnResetAfterTaggedSortMatchesAFreshMachine)
 {
-    // Sort leaves A and R row-broadcast and B column-broadcast: tagged
-    // planes that were never written (so never dirtied).  A reset must
-    // drop the tags, and a connected-components run on the reset
-    // machine must then leave every plane as a fresh machine's run
-    // does.
+    // Sort leaves A and R row-broadcast, B column-broadcast and F the
+    // rank compare of the two: tagged planes that were never written
+    // (so never dirtied).  A reset must drop the tags, and a
+    // connected-components run on the reset machine must then leave
+    // every plane as a fresh machine's run does.
     const std::size_t n = 16;
     const AlgoInputs in(n);
     auto spec = topo::resolveSpec("otn", topo::Algo::ConnectedComponents,
@@ -481,7 +481,7 @@ TEST(TopologyConformance, OtnResetAfterTaggedSortMatchesAFreshMachine)
     EXPECT_EQ(net.regShape(otn::Reg::A), simd::Shape::RowConst);
     EXPECT_EQ(net.regShape(otn::Reg::B), simd::Shape::ColConst);
     EXPECT_EQ(net.regShape(otn::Reg::R), simd::Shape::RowConst);
-    EXPECT_EQ(net.regShape(otn::Reg::F), simd::Shape::Dense);
+    EXPECT_EQ(net.regShape(otn::Reg::F), simd::Shape::RankCount);
 
     used.reset();
     for (unsigned r = 0; r < otn::kNumRegs; ++r)
@@ -505,8 +505,8 @@ TEST(TopologyConformance, RegisteredOtnRunsMaterializeOnlyMstsDiagonalWrite)
     // them without expanding them to N^2 words — except MST, whose
     // diagonal write into X (a row broadcast since the previous
     // iteration's diagToRows(G, X)) materializes X once per iteration
-    // after the first.  Native SORT-OTC runs on the OTC's own planes,
-    // which carry no shapes.
+    // after the first.  Native SORT-OTC runs on the OTC's own planes
+    // (RegisteredSortsWriteNoRegisterPlane pins it).
     const std::size_t n = 64;
     const AlgoInputs in(n);
     const std::uint64_t log_n = 6;
@@ -528,6 +528,81 @@ TEST(TopologyConformance, RegisteredOtnRunsMaterializeOnlyMstsDiagonalWrite)
             EXPECT_EQ(otn_machine->network().materializations(), expected)
                 << where;
         }
+}
+
+TEST(TopologyConformance, RegisteredSortsWriteNoRegisterPlane)
+{
+    // The enumeration sorts keep every plane they produce as shape
+    // vectors — A, B and R as broadcasts, the compare plane as
+    // RankCount — and read them through their shapes: a sort dirties
+    // no plane and expands none.
+    const std::size_t n = 64;
+    const auto values = sortInput(n);
+    for (const char *net : {"otn", "otc-emu", "otc"}) {
+        auto m = topo::registry().build(topo::resolveSpec(
+            net, topo::Algo::Sort, n, vlsi::DelayModel::Logarithmic, false));
+        auto r = m->runSort(values);
+        std::vector<std::uint64_t> want = values;
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(r.sorted, want) << net;
+        if (auto *otn_machine = dynamic_cast<topo::OtnTopoMachine *>(m.get())) {
+            EXPECT_EQ(otn_machine->network().dirtyMask(), 0u) << net;
+            EXPECT_EQ(otn_machine->network().materializations(), 0u) << net;
+        } else {
+            auto &otc_machine = dynamic_cast<topo::OtcNativeTopoMachine &>(*m);
+            EXPECT_EQ(otc_machine.network().dirtyMask(), 0u) << net;
+            EXPECT_EQ(otc_machine.network().materializations(), 0u) << net;
+        }
+    }
+}
+
+TEST(TopologyConformance, OtcResetAfterTaggedSortMatchesAFreshMachine)
+{
+    // SORT-OTC leaves A and R row-broadcast, B column-broadcast and C
+    // its RankCount compare plane, none of them written.  A reset must
+    // drop the tags: a stream into one cycle of each of those planes
+    // must then leave the rest of the plane zero, as on a fresh
+    // machine (a kept tag would expand its stale vector), and a sort
+    // on the reset machine must match a fresh machine's.
+    const std::size_t n = 16;
+    auto spec = topo::resolveSpec("otc", topo::Algo::Sort, n,
+                                  vlsi::DelayModel::Logarithmic, false);
+    topo::OtcNativeTopoMachine used(spec);
+    const auto values = sortInput(n);
+    used.runSort(values);
+    otc::OtcNetwork &net = used.network();
+    EXPECT_EQ(net.regShape(otn::Reg::A), simd::Shape::RowConst);
+    EXPECT_EQ(net.regShape(otn::Reg::B), simd::Shape::ColConst);
+    EXPECT_EQ(net.regShape(otn::Reg::C), simd::Shape::RankCount);
+    EXPECT_EQ(net.regShape(otn::Reg::R), simd::Shape::RowConst);
+
+    used.reset();
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        EXPECT_EQ(net.regShape(static_cast<otn::Reg>(r)), simd::Shape::Dense)
+            << "register plane " << r;
+    const std::size_t words = net.k() * net.k() * net.cycleLen();
+    EXPECT_EQ(nonzeroPlanes(std::as_const(net), words), 0u);
+
+    topo::OtcNativeTopoMachine fresh(spec);
+    for (otc::OtcNetwork *m : {&net, &fresh.network()})
+        for (otn::Reg r : {otn::Reg::A, otn::Reg::B, otn::Reg::C,
+                           otn::Reg::R}) {
+            std::fill(m->rowStream(0).begin(), m->rowStream(0).end(),
+                      static_cast<std::uint64_t>(r) + 7);
+            m->rootToCycle(otc::Axis::Row, 0, otc::CSel::colIs(1), r);
+        }
+    expectSamePlanes(std::as_const(net), std::as_const(fresh.network()),
+                     words);
+
+    used.reset();
+    fresh.reset();
+    auto a = used.runSort(values);
+    auto b = fresh.runSort(values);
+    EXPECT_EQ(a.sorted, b.sorted);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(used.steps(), fresh.steps());
+    expectSamePlanes(std::as_const(net), std::as_const(fresh.network()),
+                     words);
 }
 
 TEST(TopologyConformance, OtcNativeResetAfterFullWriteMatchesAFreshMachine)
