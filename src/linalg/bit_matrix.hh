@@ -4,14 +4,17 @@
  *
  * The (AND, OR) product of Section VII-B ORs whole rows of B into rows
  * of C, so with the rows packed one 64-bit OR covers 64 cells.  The
- * sequential reference (linalg::boolMatMul) and the generic
- * topo::Machine::runBoolMatMul both pack B once, accumulate packed
- * rows, and unpack each result row to one 0/1 cell per column, so
- * their callers still see plain matrices.
+ * sequential reference (linalg::boolMatMul), the generic
+ * topo::Machine::runBoolMatMul and the mesh's Cannon grid all compute
+ * the product with BitMatrix::product; the first two unpack each
+ * result row to one 0/1 cell per column, so their callers still see
+ * plain matrices, and the mesh's closure stays packed across its
+ * squarings.
  */
 
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -22,7 +25,8 @@
 namespace ot::linalg {
 
 /** rows x cols bits, row-major, each row padded to whole words
- *  (bit j of a row is bit j % 64 of its word j / 64). */
+ *  (bit j of a row is bit j % 64 of its word j / 64; padding bits
+ *  stay clear). */
 class BitMatrix
 {
   public:
@@ -47,15 +51,60 @@ class BitMatrix
         }
     }
 
-    /** Row i |= row k of `other` (same column count). */
-    void
-    orRow(std::size_t i, const BitMatrix &other, std::size_t k)
+    std::size_t rows() const { return _rows; }
+    std::size_t cols() const { return _cols; }
+
+    /** Bit (i, j). */
+    bool
+    test(std::size_t i, std::size_t j) const
     {
-        assert(other._cols == _cols);
-        std::uint64_t *dst = row(i);
-        const std::uint64_t *src = other.row(k);
+        assert(j < _cols);
+        return (row(i)[j / kWordBits] >> (j % kWordBits)) & 1;
+    }
+
+    /** Set bit (i, j). */
+    void
+    set(std::size_t i, std::size_t j)
+    {
+        assert(j < _cols);
+        row(i)[j / kWordBits] |= std::uint64_t{1} << (j % kWordBits);
+    }
+
+    /** Column of row i's first set bit, or cols() if the row is clear. */
+    std::size_t
+    firstSet(std::size_t i) const
+    {
+        const std::uint64_t *src = row(i);
         for (std::size_t w = 0; w < _words; ++w)
-            dst[w] |= src[w];
+            if (src[w])
+                return w * kWordBits +
+                       static_cast<std::size_t>(std::countr_zero(src[w]));
+        return _cols;
+    }
+
+    /**
+     * The (AND, OR) product a * b: row i is the OR of the rows k of b
+     * with bit (i, k) of a set.
+     */
+    static BitMatrix
+    product(const BitMatrix &a, const BitMatrix &b)
+    {
+        assert(a._cols == b._rows);
+        BitMatrix c(a._rows, b._cols);
+        for (std::size_t i = 0; i < a._rows; ++i) {
+            std::uint64_t *dst = c.row(i);
+            const std::uint64_t *ai = a.row(i);
+            for (std::size_t w = 0; w < a._words; ++w)
+                for (std::uint64_t bits = ai[w]; bits; bits &= bits - 1) {
+                    const std::uint64_t *src =
+                        b.row(w * kWordBits +
+                              static_cast<std::size_t>(
+                                  std::countr_zero(bits)));
+                    for (std::size_t v = 0; v < c._words; ++v)
+                        dst[v] |= src[v];
+                }
+        }
+        return c;
     }
 
     /** Write row i as 0/1 cells to out[0, cols). */

@@ -46,18 +46,12 @@ BoolMatrix
 boolMatMul(const BoolMatrix &a, const BoolMatrix &b)
 {
     assert(a.cols() == b.rows());
-    // Row i of C is the OR of the rows k of B with a(i, k) set; with B
-    // packed 64 columns to a word, each OR covers 64 cells.
-    const BitMatrix packed(b);
-    BitMatrix acc(a.rows(), b.cols());
+    // Row i of C is the OR of the rows k of B with a(i, k) set; with
+    // the rows packed 64 columns to a word, each OR covers 64 cells.
+    const BitMatrix packed = BitMatrix::product(BitMatrix(a), BitMatrix(b));
     BoolMatrix c(a.rows(), b.cols(), 0);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        const std::uint8_t *ai = a.rowData(i);
-        for (std::size_t k = 0; k < a.cols(); ++k)
-            if (ai[k])
-                acc.orRow(i, packed, k);
-        acc.unpackRow(i, c.rowData(i));
-    }
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        packed.unpackRow(i, c.rowData(i));
     return c;
 }
 

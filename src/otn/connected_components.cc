@@ -41,6 +41,22 @@ loadAdjacency(OrthogonalTreesNetwork &net, const graph::Graph &g,
 
 } // namespace
 
+ModelTime
+connectCandidatesOtn(OrthogonalTreesNetwork &net)
+{
+    const std::size_t n = net.n();
+    return net.baseOpByRow(
+        net.cost().bitSerialOp(), Reg::T, {Reg::A, Reg::B, Reg::C},
+        [n](std::size_t, std::uint64_t *t, const std::uint64_t *const *in) {
+            const std::uint64_t *edge = in[0];
+            const std::uint64_t *mine = in[1];
+            const std::uint64_t *theirs = in[2];
+            for (std::size_t j = 0; j < n; ++j)
+                t[j] = (edge[j] == 1 && theirs[j] != mine[j]) ? theirs[j]
+                                                              : kNull;
+        });
+}
+
 ComponentsResult
 connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
                        bool charge_load)
@@ -69,14 +85,7 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         diagToCols(net, Reg::D, Reg::C);
 
         // (2) Candidate foreign labels.
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       bool edge = view.reg(Reg::A, i, j) == 1;
-                       std::uint64_t mine = view.reg(Reg::B, i, j);
-                       std::uint64_t theirs = view.reg(Reg::C, i, j);
-                       net.reg(Reg::T, i, j) =
-                           (edge && theirs != mine) ? theirs : kNull;
-                   });
+        connectCandidatesOtn(net);
 
         // (3) Per-vertex minimum candidate, fanned back along the row:
         // for each row i pardo, minLeafToRoot(Row, i, all, T) then

@@ -49,6 +49,14 @@ struct ComponentsResult
 };
 
 /**
+ * CONNECT step (2), candidate foreign labels: at every BP(i, j),
+ * T := C if A == 1 and C != B, else kNull (B and C hold the labels of
+ * vertices i and j).  One base step; reads A, B and C through their
+ * shapes and overwrites T.
+ */
+ModelTime connectCandidatesOtn(OrthogonalTreesNetwork &net);
+
+/**
  * Find the connected components of g on `net` (net.n() >= g.vertices()
  * after padding; padded vertices are isolated and ignored).
  *

@@ -57,6 +57,24 @@ mstWordFormat(std::size_t n, std::uint64_t max_weight)
     return vlsi::WordFormat(2 * idx_bits + w_bits + 1);
 }
 
+ModelTime
+mstCandidatesOtn(OrthogonalTreesNetwork &net, unsigned idx_bits)
+{
+    const std::size_t n = net.n();
+    return net.baseOpByRow(
+        net.cost().bitSerialOp(), Reg::T, {Reg::A, Reg::B, Reg::C},
+        [n, idx_bits](std::size_t i, std::uint64_t *t,
+                      const std::uint64_t *const *in) {
+            const std::uint64_t *w = in[0];
+            const std::uint64_t *mine = in[1];
+            const std::uint64_t *theirs = in[2];
+            for (std::size_t j = 0; j < n; ++j)
+                t[j] = (w[j] != kNull && mine[j] != theirs[j])
+                           ? packEdge(w[j], i, j, idx_bits)
+                           : kNull;
+        });
+}
+
 MstResult
 mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
        bool charge_load)
@@ -102,16 +120,7 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         diagToCols(net, Reg::D, Reg::C);
 
         // Candidate outgoing edges, packed (w, u, v).
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       std::uint64_t w = view.reg(Reg::A, i, j);
-                       bool foreign = view.reg(Reg::B, i, j) !=
-                                      view.reg(Reg::C, i, j);
-                       net.reg(Reg::T, i, j) =
-                           (w != kNull && foreign)
-                               ? packEdge(w, i, j, idx_bits)
-                               : kNull;
-                   });
+        mstCandidatesOtn(net, idx_bits);
 
         // Per-vertex minimum edge, fanned along the row: for each row
         // i pardo, minLeafToRoot(Row, i, all, T) then

@@ -49,6 +49,14 @@ struct MstResult
 vlsi::WordFormat mstWordFormat(std::size_t n, std::uint64_t max_weight);
 
 /**
+ * Boruvka's candidate step: at every BP(i, j), T := the edge (i, j)
+ * packed (w, i, j) with idx_bits-bit indices if its weight A is not
+ * kNull and its endpoints' labels B and C differ, else kNull.  One
+ * base step; reads A, B and C through their shapes and overwrites T.
+ */
+ModelTime mstCandidatesOtn(OrthogonalTreesNetwork &net, unsigned idx_bits);
+
+/**
  * Compute the minimum spanning forest of g on `net`.  Weights must be
  * distinct (generators::randomWeighted* guarantee this); the machine
  * word must fit the packed edge keys (build the net with

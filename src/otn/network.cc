@@ -519,11 +519,11 @@ ModelTime
 OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
                                    Reg a, Reg b, Reg out)
 {
-    std::uint64_t *o = overwritePlane(out, {a, b});
-    for (std::size_t i = 0; i < _n; ++i)
-        fn(o + i * _n, readRow(a, i, rowScratch(0)),
-           readRow(b, i, rowScratch(1)), _n);
-    return chargeBaseOp(op_cost);
+    return baseOpByRow(op_cost, out, {a, b},
+                       [&](std::size_t, std::uint64_t *o,
+                           const std::uint64_t *const *in) {
+                           fn(o, in[0], in[1], _n);
+                       });
 }
 
 // ----------------------------------------------------------------------

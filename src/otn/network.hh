@@ -586,6 +586,33 @@ class OrthogonalTreesNetwork
                          Reg b, Reg out);
 
     /**
+     * A baseOp that overwrites plane `out` one row at a time:
+     * `op(i, o, in)` writes row i of out to o[0, n) from in[k], row i
+     * of `inputs[k]` (at most kRowScratchBufs of them), charged like
+     * baseOp.  Inputs are read through their shapes, never
+     * materialized; an input that is also `out` is materialized first
+     * and read in place.
+     */
+    template <typename RowOp>
+    ModelTime
+    baseOpByRow(ModelTime op_cost, Reg out, std::initializer_list<Reg> inputs,
+                RowOp &&op)
+    {
+        assert(inputs.size() <= kRowScratchBufs);
+        std::uint64_t *o = overwritePlane(out, inputs);
+        std::array<const std::uint64_t *, kRowScratchBufs> in{};
+        for (std::size_t i = 0; i < _n; ++i) {
+            unsigned k = 0;
+            for (Reg r : inputs) {
+                in[k] = readRow(r, i, rowScratch(k));
+                ++k;
+            }
+            op(i, o + i * _n, in.data());
+        }
+        return chargeBaseOp(op_cost);
+    }
+
+    /**
      * Per-word transfer cost of one tree traversal (root<->leaf).
      * Cached at first use; emulating machines substitute their own
      * geometry by overriding computeTreeTraversalCost().
@@ -761,11 +788,15 @@ class OrthogonalTreesNetwork
     const std::uint64_t *shapedRow(simd::Shape shape, const std::uint64_t *v,
                                    std::size_t i, std::uint64_t *buf) const;
 
-    /** Per-host-thread row buffer `which` (0 or 1) of n words. */
+    /** Row buffers per host thread: one per input of a row-wise op. */
+    static constexpr unsigned kRowScratchBufs = 3;
+
+    /** Per-host-thread row buffer `which` (< kRowScratchBufs) of n
+     *  words. */
     std::uint64_t *
     rowScratch(unsigned which) const
     {
-        thread_local std::vector<std::uint64_t> bufs[2];
+        thread_local std::vector<std::uint64_t> bufs[kRowScratchBufs];
         bufs[which].resize(_n);
         return bufs[which].data();
     }

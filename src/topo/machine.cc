@@ -115,18 +115,14 @@ Machine::runBoolMatMul(const linalg::BoolMatrix &a, const linalg::BoolMatrix &b)
     const ModelTime t0 = now();
 
     // Same broadcast rounds as the integer product; the per-node work
-    // is a single-gate AND/OR, priced as one bit-serial op.  Rows stay
-    // packed 64 columns to a word until the last round.
-    const linalg::BitMatrix packedB(b);
-    linalg::BitMatrix acc(m, m);
-    for (std::size_t k = 0; k < m; ++k) {
-        for (std::size_t i = 0; i < m; ++i)
-            if (a.rowData(i)[k])
-                acc.orRow(i, packedB, k);
+    // is a single-gate AND/OR, priced as one bit-serial op.  The host
+    // computes the product on rows packed 64 columns to a word.
+    const linalg::BitMatrix packed =
+        linalg::BitMatrix::product(linalg::BitMatrix(a), linalg::BitMatrix(b));
+    for (std::size_t k = 0; k < m; ++k)
         charge(broadcastCost() + cost().bitSerialOp());
-    }
     for (std::size_t i = 0; i < m; ++i)
-        acc.unpackRow(i, r.product.rowData(i));
+        packed.unpackRow(i, r.product.rowData(i));
     r.time = now() - t0;
     return r;
 }

@@ -97,53 +97,44 @@ MeshMachine::runSort(const std::vector<std::uint64_t> &values)
 
 namespace {
 
-/** c[j] += a[j] * b[j] for j in [0, n), or c[j] |= a[j] & b[j]. */
+/** c[j] += a[j] * b[j] for j in [0, n). */
 void
 macRow(std::uint64_t *c, const std::uint64_t *a, const std::uint64_t *b,
-       std::size_t n, bool boolean)
+       std::size_t n)
 {
-    if (boolean) {
-        // (x | -x) >> 63 is x != 0 without a compare, so the loop
-        // vectorizes on the baseline instruction set.
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::uint64_t x = a[j] & b[j];
-            c[j] |= (x | (0 - x)) >> 63;
-        }
-    } else {
-        for (std::size_t j = 0; j < n; ++j)
-            c[j] += a[j] * b[j];
-    }
-}
-
-linalg::IntMatrix
-widen(const linalg::BoolMatrix &m)
-{
-    linalg::IntMatrix out(m.rows(), m.cols(), 0);
-    for (std::size_t i = 0; i < m.rows(); ++i)
-        for (std::size_t j = 0; j < m.cols(); ++j)
-            out(i, j) = m(i, j) ? 1 : 0;
-    return out;
+    for (std::size_t j = 0; j < n; ++j)
+        c[j] += a[j] * b[j];
 }
 
 } // namespace
 
+void
+MeshMachine::chargeCannon(std::size_t n)
+{
+    // Initial skew (at most n-1 hops, done once), then per step one
+    // multiply-accumulate plus one rotation hop of A and B.
+    chargeRoute(n - 1);
+    for (std::size_t step = 0; step < n; ++step) {
+        charge(cost().bitSerialMultiply());
+        chargeRoute(1);
+    }
+}
+
 linalg::IntMatrix
-MeshMachine::cannon(const linalg::IntMatrix &a, const linalg::IntMatrix &b,
-                    bool boolean)
+MeshMachine::cannon(const linalg::IntMatrix &a, const linalg::IntMatrix &b)
 {
     const std::size_t n = a.rows();
     assert(a.cols() == n && b.rows() == n && b.cols() == n);
     assert(n * n <= _grid.processors() && "mesh: operands exceed the grid");
 
     // Initial skew: row i of A rotated left by i, column j of B
-    // rotated up by j — at most n-1 hops, done once.
+    // rotated up by j.
     linalg::IntMatrix as(n, n), bs(n, n), c(n, n, 0);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j) {
             as(i, j) = a(i, (j + i) % n);
             bs(i, j) = b((i + j) % n, j);
         }
-    chargeRoute(n - 1);
 
     // After s rotations (A left, B up) PE(i, j) holds as(i, (j+s) mod n)
     // and bs((i+s) mod n, j).  The host indexes the skewed matrices
@@ -155,13 +146,25 @@ MeshMachine::cannon(const linalg::IntMatrix &a, const linalg::IntMatrix &b,
             std::uint64_t *crow = &c(i, 0);
             const std::uint64_t *arow = &as(i, 0);
             const std::uint64_t *brow = &bs((i + step) % n, 0);
-            macRow(crow, arow + step, brow, split, boolean);
-            macRow(crow + split, arow, brow + split, step, boolean);
+            macRow(crow, arow + step, brow, split);
+            macRow(crow + split, arow, brow + split, step);
         }
-        // Multiply-accumulate plus one rotation hop of A and B.
-        charge(cost().bitSerialMultiply());
-        chargeRoute(1);
     }
+    chargeCannon(n);
+    return c;
+}
+
+linalg::BitMatrix
+MeshMachine::boolCannon(const linalg::BitMatrix &a, const linalg::BitMatrix &b)
+{
+    const std::size_t n = a.rows();
+    assert(a.cols() == n && b.rows() == n && b.cols() == n);
+    assert(n * n <= _grid.processors() && "mesh: operands exceed the grid");
+
+    // PE(i, j) ORs a(i, k) & b(k, j) over the n steps, k in rotation
+    // order; OR is order-free, so the host ORs packed rows of B instead.
+    linalg::BitMatrix c = linalg::BitMatrix::product(a, b);
+    chargeCannon(n);
     return c;
 }
 
@@ -171,7 +174,7 @@ MeshMachine::runMatMul(const linalg::IntMatrix &a, const linalg::IntMatrix &b)
     const ModelTime start = now();
     sim::ScopedPhase phase(_acct, "mesh-matmul");
     MatMulRun r;
-    r.product = cannon(a, b, /*boolean=*/false);
+    r.product = cannon(a, b);
     r.time = now() - start;
     r.area = _grid.metrics().area();
     return r;
@@ -183,8 +186,12 @@ MeshMachine::runBoolMatMul(const linalg::BoolMatrix &a,
 {
     const ModelTime start = now();
     sim::ScopedPhase phase(_acct, "mesh-bool-matmul");
+    const linalg::BitMatrix c =
+        boolCannon(linalg::BitMatrix(a), linalg::BitMatrix(b));
     MatMulRun r;
-    r.product = cannon(widen(a), widen(b), /*boolean=*/true);
+    r.product = linalg::IntMatrix(c.rows(), c.cols());
+    for (std::size_t i = 0; i < c.rows(); ++i)
+        c.unpackRow(i, r.product.rowData(i));
     r.time = now() - start;
     r.area = _grid.metrics().area();
     return r;
@@ -199,22 +206,19 @@ MeshMachine::runConnectedComponents(const graph::Graph &g)
 
     // reach := (A + I)^(2^ceil(log n)) by repeated Boolean squaring on
     // the Cannon grid.
-    linalg::IntMatrix reach(n, n, 0);
+    linalg::BitMatrix reach(n, n);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j)
-            reach(i, j) = (i == j || g.hasEdge(i, j)) ? 1 : 0;
+            if (i == j || g.hasEdge(i, j))
+                reach.set(i, j);
     for (unsigned s = 0; s < vlsi::logCeilAtLeast1(n); ++s)
-        reach = cannon(reach, reach, /*boolean=*/true);
+        reach = boolCannon(reach, reach);
 
-    // Min-label pass: one systolic column sweep.
+    // Min-label pass: one systolic column sweep.  reach(i, i) is set,
+    // so row i's first set bit is its smallest reachable vertex.
     std::vector<std::size_t> labels(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t lab = i;
-        for (std::size_t j = 0; j < n; ++j)
-            if (reach(i, j))
-                lab = std::min(lab, j);
-        labels[i] = lab;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        labels[i] = reach.firstSet(i);
     chargeRoute(n);
 
     CcRun r;

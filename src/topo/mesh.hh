@@ -19,6 +19,13 @@
  *    Theta(N log N), one log above the Levitt-Kautz cellular bound
  *    [17] the paper cites (see EXPERIMENTS.md).
  *
+ * The Boolean products (boolmm and the closure's squarings) are
+ * computed host-side on rows packed 64 cells to a word
+ * (linalg::BitMatrix), and the closure stays packed across its
+ * squarings.  Every Cannon multiply, integer or Boolean, charges the
+ * same steps: the initial skew route, then per rotation step one
+ * multiply-accumulate and one hop.
+ *
  * The sort runs on the sqrt(N) x sqrt(N) machine the spec builds; the
  * matrix and graph problems run on the N^2-processor Cannon grid and
  * report its area as the run's chip.  Both grids charge one clock.
@@ -31,6 +38,7 @@
 
 #include "graph/graph.hh"
 #include "layout/baseline_layouts.hh"
+#include "linalg/bit_matrix.hh"
 #include "linalg/matrix.hh"
 #include "sim/time_accountant.hh"
 #include "topo/machine.hh"
@@ -79,9 +87,17 @@ class MeshMachine final : public Machine
     /** Charge `hops` routing steps plus a compare/ALU op. */
     void chargeRoute(std::uint64_t hops);
 
-    /** Cannon's algorithm over a configurable (add, multiply) semiring. */
+    /** Charge one n x n Cannon multiply: the skew route, then n steps
+     *  of multiply-accumulate plus one rotation hop. */
+    void chargeCannon(std::size_t n);
+
+    /** Cannon's algorithm over (+, *). */
     linalg::IntMatrix cannon(const linalg::IntMatrix &a,
-                             const linalg::IntMatrix &b, bool boolean);
+                             const linalg::IntMatrix &b);
+
+    /** Cannon's algorithm over (OR, AND), on packed rows. */
+    linalg::BitMatrix boolCannon(const linalg::BitMatrix &a,
+                                 const linalg::BitMatrix &b);
 
     /** The sqrt(N) x sqrt(N) sort machine. */
     layout::MeshLayout _pe;

@@ -19,6 +19,8 @@
 #include "topo/mesh.hh"
 #include "topo/psn.hh"
 #include "topo/registry.hh"
+#include "trace/tracer.hh"
+#include "vlsi/bitmath.hh"
 
 namespace {
 
@@ -161,7 +163,9 @@ TEST(MeshMatMul, TimeIsThetaN)
 TEST(MeshBoolMatMul, MatchesReference)
 {
     Rng rng(6);
-    for (std::size_t n : {1, 3, 5, 7, 16}) {
+    // Packed rows: sides inside one 64-bit word, at and across its
+    // boundary, and past two words.
+    for (std::size_t n : {1, 3, 63, 64, 65, 127, 130}) {
         ot::linalg::BoolMatrix a(n, n, 0), b(n, n, 0);
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j) {
@@ -181,7 +185,7 @@ TEST(MeshBoolMatMul, MatchesReference)
 TEST(MeshCc, MatchesUnionFind)
 {
     Rng rng(7);
-    for (std::size_t n : {8, 16, 32}) {
+    for (std::size_t n : {1, 8, 63, 64, 65, 128}) {
         auto g = ot::graph::randomGnp(n, 2.0 / static_cast<double>(n),
                                       rng);
         MeshMachine mesh(logSpecFor("mesh", n, n));
@@ -189,6 +193,126 @@ TEST(MeshCc, MatchesUnionFind)
         EXPECT_EQ(r.labels, ot::graph::connectedComponents(g))
             << "n = " << n;
     }
+}
+
+/**
+ * The mesh's Boolean Cannon written out per cell on 0/1 integer
+ * words, the formulation the packed host path must reproduce: after
+ * the skew, step s has PE(i, j) OR in a(i, k) & b(k, j) for
+ * k = (i + j + s) mod n, and the clock takes the skew route, then per
+ * step one multiply-accumulate and one rotation hop.
+ */
+ot::linalg::IntMatrix
+perCellBoolCannon(const ot::linalg::IntMatrix &a,
+                  const ot::linalg::IntMatrix &b, const MeshMachine &mesh,
+                  ot::sim::TimeAccountant &acct)
+{
+    const std::size_t n = a.rows();
+    auto route = [&](std::uint64_t hops) {
+        acct.advance(hops * mesh.hopCost() + 1);
+    };
+    ot::linalg::IntMatrix c(n, n, 0);
+    route(n - 1);
+    for (std::size_t step = 0; step < n; ++step) {
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                const std::size_t k = (i + j + step) % n;
+                c(i, j) |= a(i, k) & b(k, j);
+            }
+        acct.advance(mesh.cost().bitSerialMultiply());
+        route(1);
+    }
+    return c;
+}
+
+/** The mesh's clock and trace stream equal the reference's. */
+void
+expectSameClock(const MeshMachine &mesh, const ot::trace::Tracer &trace,
+                const ot::sim::TimeAccountant &acct,
+                const ot::trace::Tracer &ref_trace)
+{
+    EXPECT_EQ(mesh.now(), acct.now());
+    EXPECT_EQ(mesh.steps(), acct.steps());
+    ASSERT_EQ(trace.events().size(), ref_trace.events().size());
+    for (std::size_t e = 0; e < trace.events().size(); ++e)
+        ASSERT_TRUE(ot::trace::eventsEqual(trace.events()[e],
+                                           ref_trace.events()[e]))
+            << "event " << e;
+}
+
+TEST(MeshCannon, PackedBooleanRunsMatchPerCellIntegerCannon)
+{
+    Rng rng(10);
+    for (std::size_t n : {1, 5, 64, 65, 130})
+        for (bool traced : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n = " << n << (traced ? " traced" : ""));
+            ot::trace::Tracer trace, ref_trace;
+            trace.setEnabled(true);
+            ref_trace.setEnabled(true);
+
+            // Boolean matrix product.
+            {
+                ot::linalg::BoolMatrix a(n, n, 0), b(n, n, 0);
+                ot::linalg::IntMatrix ia(n, n, 0), ib(n, n, 0);
+                for (std::size_t i = 0; i < n; ++i)
+                    for (std::size_t j = 0; j < n; ++j) {
+                        ia(i, j) = a(i, j) = rng.bernoulli(0.05);
+                        ib(i, j) = b(i, j) = rng.bernoulli(0.05);
+                    }
+                MeshMachine mesh(logSpecFor("mesh", n, n));
+                ot::sim::TimeAccountant acct;
+                if (traced) {
+                    mesh.setTracer(&trace);
+                    acct.setTracer(&ref_trace);
+                }
+                auto r = mesh.runBoolMatMul(a, b);
+                ot::linalg::IntMatrix want;
+                {
+                    ot::sim::ScopedPhase phase(acct, "mesh-bool-matmul");
+                    want = perCellBoolCannon(ia, ib, mesh, acct);
+                }
+                EXPECT_EQ(r.product, want);
+                EXPECT_EQ(r.time, acct.now());
+                expectSameClock(mesh, trace, acct, ref_trace);
+            }
+
+            // Components by closure, then the min-label pass.
+            {
+                trace.clear();
+                ref_trace.clear();
+                auto g = ot::graph::randomGnp(
+                    n, 1.5 / static_cast<double>(n), rng);
+                MeshMachine mesh(logSpecFor("mesh", n, n));
+                ot::sim::TimeAccountant acct;
+                if (traced) {
+                    mesh.setTracer(&trace);
+                    acct.setTracer(&ref_trace);
+                }
+                auto r = mesh.runConnectedComponents(g);
+                std::vector<std::size_t> labels(n);
+                {
+                    ot::sim::ScopedPhase phase(acct, "mesh-cc");
+                    ot::linalg::IntMatrix reach(n, n, 0);
+                    for (std::size_t i = 0; i < n; ++i)
+                        for (std::size_t j = 0; j < n; ++j)
+                            reach(i, j) = i == j || g.hasEdge(i, j);
+                    for (unsigned s = 0;
+                         s < ot::vlsi::logCeilAtLeast1(n); ++s)
+                        reach = perCellBoolCannon(reach, reach, mesh, acct);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        labels[i] = i;
+                        for (std::size_t j = 0; j < n; ++j)
+                            if (reach(i, j))
+                                labels[i] = std::min(labels[i], j);
+                    }
+                    acct.advance(n * mesh.hopCost() + 1);
+                }
+                EXPECT_EQ(r.labels, ot::graph::canonicalizeLabels(labels));
+                EXPECT_EQ(r.time, acct.now());
+                expectSameClock(mesh, trace, acct, ref_trace);
+            }
+        }
 }
 
 // ----------------------------------------------------------------- PSN

@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the linear algebra substrate: Matrix container and the
- * sequential reference algorithms (matmul, Boolean matmul, DFT/FFT).
+ * Tests for the linear algebra substrate: Matrix container, packed
+ * Boolean rows and the sequential reference algorithms (matmul,
+ * Boolean matmul, DFT/FFT).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "linalg/bit_matrix.hh"
 #include "linalg/matrix.hh"
 #include "linalg/reference.hh"
 #include "sim/rng.hh"
@@ -194,6 +197,31 @@ TEST(Reference, BoolMatMulMatchesNaiveOnEveryShape)
                 EXPECT_EQ(boolMatMul(a, b), naiveBoolMatMul(a, b))
                     << r << "x" << k << " * " << k << "x" << c;
             }
+}
+
+TEST(BitMatrix, SetTestAndFirstSetAcrossWordBoundaries)
+{
+    for (std::size_t cols : {1, 63, 64, 65, 130}) {
+        // Row 0 stays clear; row 1 gets its last column; row 2 gets a
+        // column in its last word and then one in its first.
+        BitMatrix m(3, cols);
+        m.set(1, cols - 1);
+        m.set(2, cols - 1);
+        m.set(2, cols / 2);
+        EXPECT_EQ(m.firstSet(0), cols) << "cols = " << cols;
+        EXPECT_EQ(m.firstSet(1), cols - 1) << "cols = " << cols;
+        EXPECT_EQ(m.firstSet(2), cols / 2) << "cols = " << cols;
+        std::vector<std::uint8_t> cells(cols);
+        for (std::size_t i = 0; i < 3; ++i) {
+            m.unpackRow(i, cells.data());
+            for (std::size_t j = 0; j < cols; ++j) {
+                const bool want =
+                    (i >= 1 && j == cols - 1) || (i == 2 && j == cols / 2);
+                EXPECT_EQ(m.test(i, j), want) << i << "," << j;
+                EXPECT_EQ(cells[j], want ? 1 : 0) << i << "," << j;
+            }
+        }
+    }
 }
 
 TEST(Reference, BoolMatPowEqualsRepeatedBoolMatMul)

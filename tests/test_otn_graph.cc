@@ -2,18 +2,28 @@
  * @file
  * Tests for the Section III graph algorithms on the OTN: connected
  * components (vs union-find) and minimum spanning tree (vs Kruskal),
- * including property sweeps over random graph families.
+ * including property sweeps over random graph families, and their
+ * row-wise candidate steps against the per-cell formulation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
+#include "otc/emulated_otn.hh"
 #include "otn/connected_components.hh"
 #include "otn/mst.hh"
+#include "otn/patterns.hh"
 #include "sim/rng.hh"
+#include "simd/backend.hh"
+#include "trace/tracer.hh"
+#include "vlsi/bitmath.hh"
 
 namespace {
 
@@ -265,6 +275,202 @@ TEST(MstWordFormat, FitsPackedEdges)
     // Packed (w, u, v): 6 + 6 index bits + 13 weight bits + spare.
     EXPECT_GE(wf.bits(), 25u);
     EXPECT_LT(wf.bits(), 40u);
+}
+
+// ------------------------------------------------- candidate steps
+
+/** CONNECT step (2) as one per-cell baseOp: the specification of
+ *  connectCandidatesOtn. */
+void
+perCellConnectCandidates(OrthogonalTreesNetwork &net)
+{
+    const OrthogonalTreesNetwork &view = net;
+    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
+        bool edge = view.reg(Reg::A, i, j) == 1;
+        std::uint64_t mine = view.reg(Reg::B, i, j);
+        std::uint64_t theirs = view.reg(Reg::C, i, j);
+        net.reg(Reg::T, i, j) = (edge && theirs != mine) ? theirs : kNull;
+    });
+}
+
+/** Boruvka's candidate step as one per-cell baseOp: the specification
+ *  of mstCandidatesOtn. */
+void
+perCellMstCandidates(OrthogonalTreesNetwork &net, unsigned idx_bits)
+{
+    const OrthogonalTreesNetwork &view = net;
+    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
+        std::uint64_t w = view.reg(Reg::A, i, j);
+        bool foreign = view.reg(Reg::B, i, j) != view.reg(Reg::C, i, j);
+        net.reg(Reg::T, i, j) =
+            (w != kNull && foreign)
+                ? (w << (2 * idx_bits)) | (i << idx_bits) | j
+                : kNull;
+    });
+}
+
+/** Load `base` into A and fan `labels` out as the candidate steps see
+ *  them: D on the diagonal, B = D along rows, C = D down columns. */
+void
+loadCandidateState(OrthogonalTreesNetwork &net,
+                   const ot::linalg::IntMatrix &base,
+                   const std::vector<std::uint64_t> &labels)
+{
+    net.loadBase(Reg::A, base);
+    net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+        net.reg(Reg::D, i, i) = labels[i];
+    });
+    diagToRows(net, Reg::D, Reg::B);
+    diagToCols(net, Reg::D, Reg::C);
+}
+
+std::map<std::string, std::uint64_t>
+counterValues(OrthogonalTreesNetwork &net)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, c] : net.stats().counters())
+        out[name] = c.value();
+    return out;
+}
+
+/**
+ * Run the per-cell step `spec` on one network and the row-wise step
+ * `step` on another, from the same A and two rounds of labels (the
+ * identity, as in the first iteration, then `labels`), on the OTN and
+ * the OTC-emulated OTN, every compiled backend, traced and untraced;
+ * every plane, root, clock, counter and trace event must agree.
+ */
+template <typename Spec, typename Step>
+void
+expectCandidateStepsAgree(std::size_t n, const CostModel &cost,
+                          const ot::linalg::IntMatrix &base,
+                          const std::vector<std::uint64_t> &labels,
+                          Spec &&spec, Step &&step)
+{
+    std::vector<std::uint64_t> identity(n);
+    for (std::size_t i = 0; i < n; ++i)
+        identity[i] = i;
+    for (bool emulated : {false, true})
+        for (auto backend : {ot::simd::Backend::Scalar,
+                             ot::simd::Backend::Avx2,
+                             ot::simd::Backend::Neon}) {
+            if (!ot::simd::backendAvailable(backend))
+                continue;
+            for (bool traced : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "N=" << n << (emulated ? " emulated " : " ")
+                             << ot::simd::toString(backend)
+                             << (traced ? " traced" : " untraced"));
+                auto make = [&]() -> std::unique_ptr<OrthogonalTreesNetwork> {
+                    if (emulated)
+                        return std::make_unique<ot::otc::OtcEmulatedOtn>(
+                            n, cost);
+                    return std::make_unique<OrthogonalTreesNetwork>(n, cost);
+                };
+                auto ref = make();
+                auto net = make();
+                ref->setSimdBackend(backend);
+                net->setSimdBackend(backend);
+                ot::trace::Tracer ref_trace, trace;
+                ref_trace.setEnabled(true);
+                trace.setEnabled(true);
+                if (traced) {
+                    ref->setTracer(&ref_trace);
+                    net->setTracer(&trace);
+                }
+                const std::vector<std::uint64_t> *rounds[] = {&identity,
+                                                              &labels};
+                for (const auto *round : rounds) {
+                    loadCandidateState(*ref, base, *round);
+                    loadCandidateState(*net, base, *round);
+                    spec(*ref);
+                    step(*net);
+                }
+                for (unsigned r = 0; r < kNumRegs; ++r) {
+                    const Reg reg = static_cast<Reg>(r);
+                    EXPECT_TRUE(std::equal(ref->regPlane(reg),
+                                           ref->regPlane(reg) + n * n,
+                                           net->regPlane(reg)))
+                        << "plane " << r;
+                }
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_EQ(net->rowRoot(i), ref->rowRoot(i));
+                    EXPECT_EQ(net->colRoot(i), ref->colRoot(i));
+                }
+                EXPECT_EQ(net->now(), ref->now());
+                EXPECT_EQ(net->acct().steps(), ref->acct().steps());
+                EXPECT_EQ(counterValues(*net), counterValues(*ref));
+                EXPECT_EQ(trace.dropped(), ref_trace.dropped());
+                ASSERT_EQ(trace.events().size(), ref_trace.events().size());
+                for (std::size_t e = 0; e < trace.events().size(); ++e)
+                    ASSERT_TRUE(ot::trace::eventsEqual(trace.events()[e],
+                                                       ref_trace.events()[e]))
+                        << "event " << e;
+            }
+        }
+}
+
+/** Vertex counts for a side-n machine: a full base, and fewer vertices
+ *  than n so the padding rows and columns are covered. */
+std::vector<std::size_t>
+vertexCounts(std::size_t n)
+{
+    return {n, (n + 1) / 2};
+}
+
+/** n random labels in [0, n). */
+std::vector<std::uint64_t>
+randomLabels(std::size_t n, Rng &rng)
+{
+    std::vector<std::uint64_t> labels(n);
+    for (auto &l : labels)
+        l = rng.uniform(0, n - 1);
+    return labels;
+}
+
+TEST(CcOtn, CandidateStepMatchesPerCellFormulation)
+{
+    for (std::size_t n : {1, 2, 16, 64})
+        for (std::size_t m : vertexCounts(n)) {
+            Rng rng(31 * n + m);
+            auto g = randomGnp(m, 3.0 / static_cast<double>(m), rng);
+            ot::linalg::IntMatrix adj(n, n, 0);
+            for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = 0; j < m; ++j)
+                    adj(i, j) = g.hasEdge(i, j) ? 1 : 0;
+            SCOPED_TRACE(::testing::Message() << "m=" << m);
+            expectCandidateStepsAgree(
+                n, ccCost(n), adj, randomLabels(n, rng),
+                perCellConnectCandidates,
+                [](OrthogonalTreesNetwork &net) {
+                    connectCandidatesOtn(net);
+                });
+        }
+}
+
+TEST(MstOtn, CandidateStepMatchesPerCellFormulation)
+{
+    for (std::size_t n : {1, 2, 16, 64})
+        for (std::size_t m : vertexCounts(n)) {
+            Rng rng(37 * n + m);
+            auto g = randomWeightedConnected(m, m, rng);
+            // Padding rows and columns hold kNull weights, as in mstOtn.
+            ot::linalg::IntMatrix w(n, n, kNull);
+            for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = 0; j < m; ++j)
+                    if (g.hasEdge(i, j))
+                        w(i, j) = g.weight(i, j);
+            const unsigned idx_bits = ot::vlsi::logCeilAtLeast1(n);
+            SCOPED_TRACE(::testing::Message() << "m=" << m);
+            expectCandidateStepsAgree(
+                n, mstCost(n, 2 * m), w, randomLabels(n, rng),
+                [&](OrthogonalTreesNetwork &net) {
+                    perCellMstCandidates(net, idx_bits);
+                },
+                [&](OrthogonalTreesNetwork &net) {
+                    mstCandidatesOtn(net, idx_bits);
+                });
+        }
 }
 
 } // namespace
