@@ -108,7 +108,8 @@ generateArrivals(const ScenarioSpec &spec)
         }
         arr.client = ci;
         const ClientConfig &c = spec.clients[ci];
-        arr.inst = c.mix[mixPick.uniform(0, c.mix.size() - 1)];
+        arr.mix = static_cast<unsigned>(mixPick.uniform(0, c.mix.size() - 1));
+        arr.inst = c.mix[arr.mix];
         if (a.varySeeds)
             arr.inst.seed = seedPick.next();
         out.push_back(arr);

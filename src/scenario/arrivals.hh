@@ -38,6 +38,12 @@ struct Arrival
     vlsi::ModelTime at = 0;
     /** Index into ScenarioSpec::clients. */
     unsigned client = 0;
+    /**
+     * Index into that client's mix: `inst` is
+     * `clients[client].mix[mix]`, with a fresh input seed when
+     * ArrivalConfig::varySeeds is on.
+     */
+    unsigned mix = 0;
     workload::InstanceSpec inst;
 
     bool operator==(const Arrival &other) const = default;

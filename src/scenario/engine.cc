@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 #include "scenario/scheduler.hh"
 
@@ -11,24 +12,12 @@ namespace {
 
 constexpr ModelTime kNever = ~ModelTime{0};
 
-/** Fill a SojournStats from unsorted samples (sorts in place). */
-SojournStats
-summarize(std::vector<ModelTime> &samples)
+/** 0-based nearest-rank index ceil(pct/100 * n) - 1; n > 0. */
+std::size_t
+rankIndex(unsigned pct, std::size_t n)
 {
-    SojournStats s;
-    s.count = samples.size();
-    if (samples.empty())
-        return s;
-    std::sort(samples.begin(), samples.end());
-    s.p50 = percentileNearestRank(samples, 50);
-    s.p95 = percentileNearestRank(samples, 95);
-    s.p99 = percentileNearestRank(samples, 99);
-    ModelTime sum = 0;
-    for (ModelTime v : samples)
-        sum += v;
-    s.mean = sum / samples.size();
-    s.max = samples.back();
-    return s;
+    assert(pct >= 1 && pct <= 100 && n > 0);
+    return (pct * n + 99) / 100 - 1;
 }
 
 std::string
@@ -67,9 +56,52 @@ percentileNearestRank(const std::vector<ModelTime> &sorted,
     assert(pct >= 1 && pct <= 100);
     if (sorted.empty())
         return 0;
-    // ceil(pct/100 * n), 1-based; always in [1, n].
-    std::size_t rank = (pct * sorted.size() + 99) / 100;
-    return sorted[rank - 1];
+    return sorted[rankIndex(pct, sorted.size())];
+}
+
+SojournStats
+summarize(std::vector<ModelTime> &samples)
+{
+    SojournStats s;
+    s.count = samples.size();
+    if (samples.empty())
+        return s;
+    ModelTime sum = 0;
+    for (ModelTime v : samples) {
+        sum += v;
+        s.max = std::max(s.max, v);
+    }
+    s.mean = sum / samples.size();
+    // Select p99 on the whole range, then p95 and p50 on the prefix
+    // below the previous pivot, which holds exactly the smaller ranks.
+    // An index equal to the prefix end is that pivot, already placed.
+    ModelTime *v = samples.data();
+    auto select = [&](unsigned pct, std::size_t end) {
+        const std::size_t k = rankIndex(pct, samples.size());
+        if (k < end)
+            std::nth_element(v, v + k, v + end);
+        return k;
+    };
+    const std::size_t k99 = select(99, samples.size());
+    s.p99 = v[k99];
+    const std::size_t k95 = select(95, k99);
+    s.p95 = v[k95];
+    s.p50 = v[select(50, k95)];
+    return s;
+}
+
+ModelTime
+summarizedPercentile(const SojournStats &s, unsigned pct)
+{
+    switch (pct) {
+      case 50:
+        return s.p50;
+      case 95:
+        return s.p95;
+      default:
+        assert(pct == 99);
+        return s.p99;
+    }
 }
 
 std::string
@@ -168,18 +200,18 @@ ScenarioEngine::ScenarioEngine(unsigned host_threads)
 }
 
 void
-ScenarioEngine::measure(const std::vector<Arrival> &arrivals)
+ScenarioEngine::measure(
+    const std::vector<const workload::InstanceSpec *> &candidates)
 {
     // Collect the not-yet-measured distinct instances in
     // first-appearance order (the batch order is part of the
     // deterministic contract).
     workload::WorkloadSpec missing;
-    std::map<workload::InstanceSpec, bool> queued;
-    for (const Arrival &arr : arrivals) {
-        if (_serviceTime.count(arr.inst) || queued.count(arr.inst))
+    std::set<workload::InstanceSpec> queued;
+    for (const workload::InstanceSpec *inst : candidates) {
+        if (_serviceTime.count(*inst) || !queued.insert(*inst).second)
             continue;
-        queued[arr.inst] = true;
-        missing.instances.push_back(arr.inst);
+        missing.instances.push_back(*inst);
     }
     if (missing.instances.empty())
         return;
@@ -192,6 +224,63 @@ ScenarioEngine::measure(const std::vector<Arrival> &arrivals)
     _allVerified = _allVerified && br.allVerified();
 }
 
+const ScenarioEngine::ResolvedStream &
+ScenarioEngine::resolve(const ScenarioSpec &spec)
+{
+    if (_stream && _stream->arrival == spec.arrival &&
+        _stream->clients == spec.clients)
+        return *_stream;
+
+    ResolvedStream s;
+    s.arrival = spec.arrival;
+    s.clients = spec.clients;
+    s.arrivals = generateArrivals(spec);
+    const bool vary = spec.arrival.varySeeds;
+
+    // One slot per (client, mix) entry; the first arrival drawn from
+    // an entry stands for all of them unless seeds vary.
+    std::vector<std::size_t> base(spec.clients.size() + 1, 0);
+    for (std::size_t c = 0; c < spec.clients.size(); ++c)
+        base[c + 1] = base[c] + spec.clients[c].mix.size();
+    auto entryOf = [&](const Arrival &arr) {
+        return base[arr.client] + arr.mix;
+    };
+    constexpr std::size_t kNone = ~std::size_t{0};
+    std::vector<std::size_t> first(base.back(), kNone);
+    std::vector<const workload::InstanceSpec *> candidates;
+    for (std::size_t i = 0; i < s.arrivals.size(); ++i) {
+        std::size_t &f = first[entryOf(s.arrivals[i])];
+        if (f == kNone)
+            f = i;
+        if (vary || f == i)
+            candidates.push_back(&s.arrivals[i].inst);
+    }
+    measure(candidates);
+
+    // cacheKeyFor ignores the seed, so an entry's estimate holds for
+    // every arrival drawn from it.
+    std::vector<ModelTime> entryService(first.size(), 0);
+    std::vector<ModelTime> entryEstimate(first.size(), 0);
+    for (std::size_t e = 0; e < first.size(); ++e) {
+        if (first[e] == kNone)
+            continue;
+        const workload::InstanceSpec &inst = s.arrivals[first[e]].inst;
+        if (!vary)
+            entryService[e] = _serviceTime.at(inst);
+        entryEstimate[e] = _estimate.at(workload::cacheKeyFor(inst));
+    }
+    s.service.resize(s.arrivals.size());
+    s.estimate.resize(s.arrivals.size());
+    for (std::size_t i = 0; i < s.arrivals.size(); ++i) {
+        const Arrival &arr = s.arrivals[i];
+        const std::size_t e = entryOf(arr);
+        s.service[i] = vary ? _serviceTime.at(arr.inst) : entryService[e];
+        s.estimate[i] = entryEstimate[e];
+    }
+    _stream = std::move(s);
+    return *_stream;
+}
+
 ScenarioReport
 ScenarioEngine::run(const ScenarioSpec &spec)
 {
@@ -202,8 +291,8 @@ ScenarioReport
 ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
 {
     validate(spec);
-    std::vector<Arrival> arrivals = generateArrivals(spec);
-    measure(arrivals);
+    const ResolvedStream &stream = resolve(spec);
+    const std::vector<Arrival> &arrivals = stream.arrivals;
 
     ScenarioReport rep;
     rep.scenario = spec.name;
@@ -221,15 +310,12 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
 
     // The job table, in arrival order.
     rep.jobs.resize(arrivals.size());
-    std::vector<ModelTime> estimate(arrivals.size(), 0);
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        const Arrival &arr = arrivals[i];
         JobOutcome &jo = rep.jobs[i];
         jo.job = i;
-        jo.client = arr.client;
-        jo.arrive = arr.at;
-        jo.service = _serviceTime.at(arr.inst);
-        estimate[i] = _estimate.at(workload::cacheKeyFor(arr.inst));
+        jo.client = arrivals[i].client;
+        jo.arrive = arrivals[i].at;
+        jo.service = stream.service[i];
     }
 
     // Event-driven queue walk.  Two event kinds interleave in model
@@ -250,7 +336,7 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
         q.job = i;
         q.arrive = rep.jobs[i].arrive;
         q.client = rep.jobs[i].client;
-        q.estimate = estimate[i];
+        q.estimate = stream.estimate[i];
         q.deadline = c.slo == 0 ? kNever : q.arrive + c.slo;
         return q;
     };
@@ -334,6 +420,7 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
 
     // Aggregate.
     std::vector<ModelTime> all;
+    all.reserve(rep.jobs.size());
     std::vector<std::vector<ModelTime>> perClient(
         spec.clients.size());
     for (const JobOutcome &jo : rep.jobs) {
@@ -368,8 +455,7 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
         ClientReport &cr = rep.clients[c];
         cr.sojourn = summarize(perClient[c]);
         if (cr.sloTarget != 0) {
-            cr.sloObserved =
-                percentileNearestRank(perClient[c], cr.sloPct);
+            cr.sloObserved = summarizedPercentile(cr.sojourn, cr.sloPct);
             cr.sloPass = cr.sloObserved <= cr.sloTarget &&
                          cr.droppedQueue + cr.droppedQuota == 0;
         }

@@ -14,6 +14,14 @@
  * (the PR 1 contract — the BatchEngine measurement underneath holds
  * it too).
  *
+ * The stream is resolved once per spec: the engine keeps the last
+ * (arrival config, clients) it saw together with its arrivals and
+ * their per-job service times and SJF estimates, so running one spec
+ * under several policies generates and resolves the stream once and
+ * each policy pays only for its queue walk.  Lookups go once per
+ * (client, mix) entry, since every arrival drawn from an entry shares
+ * its machine shape, and its instance too unless seeds vary.
+ *
  * The SJF estimates deliberately come from the machine-shape cache
  * (the first measured time per NetworkCache key), not from per-job
  * oracle times: a serving system knows the machine shape of a
@@ -31,6 +39,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -66,6 +75,18 @@ struct SojournStats
     ModelTime max = 0;
 };
 
+/**
+ * Summarize unsorted samples, reordering them: p50/p95/p99 are
+ * selected with std::nth_element on nested prefixes (each percentile
+ * lies in the prefix the next higher one left below it) and equal
+ * percentileNearestRank over the sorted samples; max and mean come
+ * from one pass.
+ */
+SojournStats summarize(std::vector<ModelTime> &samples);
+
+/** The percentile `pct` (50, 95 or 99) that `s` already holds. */
+ModelTime summarizedPercentile(const SojournStats &s, unsigned pct);
+
 /** Per-client slice of a scenario run. */
 struct ClientReport
 {
@@ -99,6 +120,8 @@ struct JobOutcome
     bool deferred = false;
     bool droppedQueue = false;
     bool droppedQuota = false;
+
+    bool operator==(const JobOutcome &other) const = default;
 };
 
 /** Aggregate + per-client + per-job outcomes of one scenario run. */
@@ -188,8 +211,31 @@ class ScenarioEngine
     }
 
   private:
-    /** Measure every not-yet-seen InstanceSpec in the stream. */
-    void measure(const std::vector<Arrival> &arrivals);
+    /**
+     * One arrival stream resolved against the measurement memo: the
+     * arrivals plus, per job, the measured service time and the SJF
+     * estimate.  Keyed by the spec parts that determine it.
+     */
+    struct ResolvedStream
+    {
+        ArrivalConfig arrival;
+        std::vector<ClientConfig> clients;
+        std::vector<Arrival> arrivals;
+        std::vector<ModelTime> service;
+        std::vector<ModelTime> estimate;
+    };
+
+    /** The spec's stream: the kept one when the spec matches it,
+     *  otherwise generated, measured and resolved afresh. */
+    const ResolvedStream &resolve(const ScenarioSpec &spec);
+
+    /**
+     * Measure every not-yet-seen instance among `candidates` (the
+     * stream's instances in first-appearance order, deduplicated on
+     * (client, mix) when seeds are fixed).
+     */
+    void measure(
+        const std::vector<const workload::InstanceSpec *> &candidates);
 
     workload::BatchEngine _batch;
     /** Measured model service time per distinct instance. */
@@ -197,6 +243,9 @@ class ScenarioEngine
     /** First measured time per machine shape (the SJF estimates). */
     std::map<workload::CacheKey, ModelTime> _estimate;
     bool _allVerified = true;
+    /** The last stream resolved (values in the memos never change,
+     *  so a kept stream stays valid for its spec). */
+    std::optional<ResolvedStream> _stream;
     trace::Tracer *_tracer = nullptr;
 };
 

@@ -88,6 +88,8 @@ struct ArrivalConfig
     unsigned ampPct = 0;
     /** Give every arrival a fresh input seed (else keep the mix's). */
     bool varySeeds = true;
+
+    bool operator==(const ArrivalConfig &other) const = default;
 };
 
 /** One traffic class: a weighted mix of instances plus its SLO. */
@@ -104,6 +106,8 @@ struct ClientConfig
     unsigned sloPct = 95;
     /** Instances this client draws from, uniformly. */
     std::vector<workload::InstanceSpec> mix;
+
+    bool operator==(const ClientConfig &other) const = default;
 };
 
 /** A complete scenario: traffic, policy and clients. */

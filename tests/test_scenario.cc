@@ -257,6 +257,33 @@ TEST(ArrivalsTest, SeedPolicyVaryVersusFixed)
         EXPECT_EQ(a.inst.seed, 1u);
 }
 
+TEST(ArrivalsTest, MixIndexNamesTheDrawnEntry)
+{
+    // Two clients with multi-entry mixes, so a wrong index or a
+    // client/mix mix-up shows.
+    ScenarioSpec spec = demoScenario();
+    spec.clients[1].mix.push_back(
+        {Algo::MatMul, "otc", 16, DelayModel::Logarithmic, false, 1});
+    for (bool vary : {false, true}) {
+        spec.arrival.varySeeds = vary;
+        std::vector<Arrival> arr = generateArrivals(spec);
+        ASSERT_FALSE(arr.empty());
+        std::set<std::pair<unsigned, unsigned>> drawn;
+        for (const Arrival &a : arr) {
+            ASSERT_LT(a.client, spec.clients.size());
+            const ClientConfig &c = spec.clients[a.client];
+            ASSERT_LT(a.mix, c.mix.size());
+            InstanceSpec expect = c.mix[a.mix];
+            if (vary)
+                expect.seed = a.inst.seed;
+            EXPECT_EQ(a.inst, expect);
+            drawn.insert({a.client, a.mix});
+        }
+        // Every entry of the 2 + 3 was drawn at least once.
+        EXPECT_EQ(drawn.size(), 5u);
+    }
+}
+
 // ---------------------------------------------------------- scheduler
 
 std::vector<QueueJob>
@@ -317,6 +344,40 @@ TEST(PercentileTest, NearestRankByHand)
     EXPECT_EQ(percentileNearestRank({}, 95), 0u);
 }
 
+TEST(PercentileTest, SelectionMatchesSortedNearestRank)
+{
+    Rng rng(2024, 0);
+    for (std::size_t n : {0, 1, 2, 3, 99, 100, 101, 6000}) {
+        // Wide random values, then a duplicate-heavy draw from {0..3}.
+        for (std::uint64_t hi : {std::uint64_t{1} << 40, std::uint64_t{3}}) {
+            std::vector<ModelTime> samples(n);
+            for (ModelTime &v : samples)
+                v = rng.uniform(0, hi);
+            std::vector<ModelTime> sorted = samples;
+            std::sort(sorted.begin(), sorted.end());
+
+            SojournStats s = summarize(samples);
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " hi=" + std::to_string(hi));
+            EXPECT_EQ(s.count, n);
+            EXPECT_EQ(s.p50, percentileNearestRank(sorted, 50));
+            EXPECT_EQ(s.p95, percentileNearestRank(sorted, 95));
+            EXPECT_EQ(s.p99, percentileNearestRank(sorted, 99));
+            ModelTime sum = 0;
+            for (ModelTime v : sorted)
+                sum += v;
+            EXPECT_EQ(s.mean, n == 0 ? 0 : sum / n);
+            EXPECT_EQ(s.max, n == 0 ? 0 : sorted.back());
+            for (unsigned pct : {50u, 95u, 99u})
+                EXPECT_EQ(summarizedPercentile(s, pct),
+                          percentileNearestRank(sorted, pct));
+            // Selection only reorders the samples.
+            std::sort(samples.begin(), samples.end());
+            EXPECT_EQ(samples, sorted);
+        }
+    }
+}
+
 // ------------------------------------------------------------- engine
 
 TEST(EngineTest, ReportsByteIdenticalAcrossHostThreads)
@@ -343,6 +404,69 @@ TEST(EngineTest, RepeatRunsAreIdentical)
     ScenarioReport a = engine.run(spec, SchedulerKind::Sjf);
     ScenarioReport b = engine.run(spec, SchedulerKind::Sjf);
     EXPECT_EQ(a.toJson(), b.toJson());
+}
+
+const SchedulerKind kAllPolicies[] = {SchedulerKind::Fifo, SchedulerKind::Sjf,
+                                      SchedulerKind::FairShare,
+                                      SchedulerKind::Edf};
+
+void
+expectSameReport(const ScenarioReport &a, const ScenarioReport &b)
+{
+    EXPECT_EQ(a.toJson(), b.toJson());
+    std::ostringstream ta, tb;
+    a.writeText(ta);
+    b.writeText(tb);
+    EXPECT_EQ(ta.str(), tb.str());
+    EXPECT_EQ(a.jobs, b.jobs);
+}
+
+/** Every policy run on `shared` equals the same run on a fresh
+ *  engine. */
+void
+expectMatchesFreshEngines(ScenarioEngine &shared, const ScenarioSpec &spec)
+{
+    ASSERT_EQ(describeInvalid(spec), "");
+    for (SchedulerKind k : kAllPolicies) {
+        SCOPED_TRACE(toString(k));
+        ScenarioEngine fresh(1);
+        expectSameReport(shared.run(spec, k), fresh.run(spec, k));
+    }
+}
+
+TEST(EngineTest, ComparisonOnOneEngineMatchesFreshEngines)
+{
+    ScenarioSpec fixedDefer = demoScenario();
+    fixedDefer.arrival.varySeeds = false;
+    fixedDefer.queueCap = 4;
+    fixedDefer.shed = ShedPolicy::Defer;
+    fixedDefer.clients[1].quota = 2;
+
+    ScenarioSpec bursty = demoScenario();
+    bursty.arrival.kind = ArrivalKind::Bursty;
+    bursty.arrival.onMean = 1500;
+    bursty.arrival.offMean = 3000;
+
+    for (const ScenarioSpec &spec : {demoScenario(), fixedDefer, bursty}) {
+        ScenarioEngine shared(1);
+        expectMatchesFreshEngines(shared, spec);
+    }
+    // fixedDefer must actually defer, or it covers nothing new.
+    ScenarioEngine probe(1);
+    EXPECT_GT(probe.run(fixedDefer).deferred, 0u);
+
+    // The engine keeps the last stream: a change to any part of the
+    // spec that shapes the stream must not replay a stale one.
+    ScenarioEngine engine(1);
+    ScenarioSpec spec = demoScenario();
+    expectMatchesFreshEngines(engine, spec);
+    spec.arrival.seed = 43;
+    expectMatchesFreshEngines(engine, spec);
+    spec.clients[1].mix[1] = {Algo::MatMul, "otc", 16,
+                              DelayModel::Logarithmic, false, 1};
+    expectMatchesFreshEngines(engine, spec);
+    spec.clients[0].weight = 1;
+    expectMatchesFreshEngines(engine, spec);
 }
 
 TEST(EngineTest, AccountingInvariantsHold)
