@@ -51,7 +51,6 @@
 #include "otc/network.hh"
 #include "otc/sort.hh"
 #include "otn/bitonic.hh"
-#include "otn/closure.hh"
 #include "otn/connected_components.hh"
 #include "otn/dft.hh"
 #include "otn/integer_multiply.hh"
@@ -61,7 +60,6 @@
 #include "otn/network.hh"
 #include "otn/patterns.hh"
 #include "otn/pipeline.hh"
-#include "otn/selection.hh"
 #include "otn/shortest_paths.hh"
 #include "otn/sort.hh"
 #include "scenario/arrivals.hh"

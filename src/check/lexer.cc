@@ -220,37 +220,6 @@ lex(const std::string &source)
                         out.includes.push_back(std::move(inc));
                     }
                 }
-            } else {
-                // Identifiers in any other directive (`#define A B`,
-                // `#if FOO`, `#ifdef BAR`) count as uses for the
-                // include-hygiene rule; a `#define` additionally
-                // exports its name.
-                std::size_t k = 0;
-                while (k < body.size() &&
-                       !std::isspace(
-                           static_cast<unsigned char>(body[k])))
-                    ++k; // skip the directive keyword
-                bool isDefine = body.compare(0, 6, "define") == 0;
-                bool defineNamed = false;
-                while (k < body.size()) {
-                    if (!identStart(body[k])) {
-                        ++k;
-                        continue;
-                    }
-                    std::size_t b = k;
-                    while (k < body.size() && identCont(body[k]))
-                        ++k;
-                    std::string name = body.substr(b, k - b);
-                    if (isDefine && !defineNamed) {
-                        defineNamed = true;
-                        Define def;
-                        def.name = name;
-                        def.line = line;
-                        out.defines.push_back(std::move(def));
-                    } else {
-                        out.ppIdents.push_back(std::move(name));
-                    }
-                }
             }
             continue;
         }

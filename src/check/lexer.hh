@@ -3,8 +3,8 @@
  * C++ token scanner for otcheck.
  *
  * otcheck's rules work on a token stream, not an AST: the invariants
- * they enforce (banned identifiers, include edges, call sites) are
- * all visible at the lexical level, and a lexer has no build-flag or
+ * they enforce (banned identifiers, include edges) are all visible at
+ * the lexical level, and a lexer has no build-flag or
  * header-resolution dependencies, so the checker runs in milliseconds
  * over the whole tree and never disagrees with the compiler about
  * what a translation unit is.
@@ -62,24 +62,12 @@ struct Allow
     int line = 1;              ///< line the marker text sits on
 };
 
-/** One `#define` directive (object- or function-like). */
-struct Define
-{
-    std::string name;
-    int line = 1;
-};
-
 /** A file reduced to what the rules consume. */
 struct LexedFile
 {
     std::vector<Token> tokens;
     std::vector<Include> includes;
     std::vector<Allow> allows;
-    std::vector<Define> defines;
-    /** Identifiers appearing inside preprocessor directive bodies
-     *  (`#if FOO`, `#define A B`); the include-hygiene rule counts
-     *  them as uses even though directives produce no tokens. */
-    std::vector<std::string> ppIdents;
     bool hotpath = false;    ///< file carries the hotpath marker
     std::string fixturePath; ///< fixture-path override, or empty
 };

@@ -48,8 +48,6 @@ constexpr CounterName kCounterNames[] = {
     {"otn.minLeafToRoot", "minLeafToRoot"},
     {"otn.leafToLeaf", "leafToLeaf"},
     {"otn.countLeafToLeaf", "countLeafToLeaf"},
-    {"otn.sumLeafToLeaf", "sumLeafToLeaf"},
-    {"otn.minLeafToLeaf", "minLeafToLeaf"},
     {"otn.permuteLeafToLeaf", "permuteLeafToLeaf"},
     {"otn.prefixSumLeafToLeaf", "prefixSumLeafToLeaf"},
     {"otn.baseOp", "baseOp"},
@@ -354,28 +352,6 @@ OrthogonalTreesNetwork::countLeafToLeaf(Axis axis, std::size_t idx, Reg flag,
     ModelTime dt = countLeafToRoot(axis, idx, flag);
     dt += rootToLeaf(axis, idx, dst_sel, dst);
     ++counter(Ctr::CountLeafToLeaf);
-    return dt;
-}
-
-ModelTime
-OrthogonalTreesNetwork::sumLeafToLeaf(Axis axis, std::size_t idx,
-                                      const Selector &src_sel, Reg src,
-                                      const Selector &dst_sel, Reg dst)
-{
-    ModelTime dt = sumLeafToRoot(axis, idx, src_sel, src);
-    dt += rootToLeaf(axis, idx, dst_sel, dst);
-    ++counter(Ctr::SumLeafToLeaf);
-    return dt;
-}
-
-ModelTime
-OrthogonalTreesNetwork::minLeafToLeaf(Axis axis, std::size_t idx,
-                                      const Selector &src_sel, Reg src,
-                                      const Selector &dst_sel, Reg dst)
-{
-    ModelTime dt = minLeafToRoot(axis, idx, src_sel, src);
-    dt += rootToLeaf(axis, idx, dst_sel, dst);
-    ++counter(Ctr::MinLeafToLeaf);
     return dt;
 }
 

@@ -408,16 +408,6 @@ class OrthogonalTreesNetwork
     ModelTime countLeafToLeaf(Axis axis, std::size_t idx, Reg flag,
                               const Selector &dst_sel, Reg dst);
 
-    /** SUM-LEAFTOLEAF. */
-    ModelTime sumLeafToLeaf(Axis axis, std::size_t idx,
-                            const Selector &src_sel, Reg src,
-                            const Selector &dst_sel, Reg dst);
-
-    /** MIN-LEAFTOLEAF. */
-    ModelTime minLeafToLeaf(Axis axis, std::size_t idx,
-                            const Selector &src_sel, Reg src,
-                            const Selector &dst_sel, Reg dst);
-
     // ------------------------------------------------------------------
     // Batch primitives ("for each tree pardo <primitive>")
     // ------------------------------------------------------------------
@@ -694,8 +684,6 @@ class OrthogonalTreesNetwork
         MinLeafToRoot,
         LeafToLeaf,
         CountLeafToLeaf,
-        SumLeafToLeaf,
-        MinLeafToLeaf,
         PermuteLeafToLeaf,
         PrefixSumLeafToLeaf,
         BaseOp,

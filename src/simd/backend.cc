@@ -1,3 +1,4 @@
+// otcheck:hotpath — kernel-table dispatch; keep allocation-free
 /**
  * @file
  * Backend resolution: cpuid/hwcap detection, the OT_SIMD override

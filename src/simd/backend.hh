@@ -1,3 +1,4 @@
+// otcheck:hotpath — kernel-table dispatch; keep allocation-free
 /**
  * @file
  * Runtime SIMD backend selection for the batch kernels.

@@ -1,3 +1,4 @@
+// otcheck:hotpath — batch kernel bodies; keep allocation-free
 /**
  * @file
  * AVX2 kernel table.  This is the only translation unit compiled with

@@ -1,3 +1,4 @@
+// otcheck:hotpath — batch kernel bodies; keep allocation-free
 /**
  * @file
  * Batch kernels, written once against a vector view.

@@ -1,3 +1,4 @@
+// otcheck:hotpath — batch kernel bodies; keep allocation-free
 /**
  * @file
  * NEON kernel table (aarch64 baseline Advanced SIMD).

@@ -1,3 +1,4 @@
+// otcheck:hotpath — batch kernel bodies; keep allocation-free
 /**
  * @file
  * Scalar kernel table: the portable fallback and semantic reference.

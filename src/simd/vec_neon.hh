@@ -1,3 +1,4 @@
+// otcheck:hotpath — batch kernel bodies; keep allocation-free
 /**
  * @file
  * NEON vector view: 2 x u64 lanes (aarch64 Advanced SIMD baseline).

@@ -1,3 +1,4 @@
+// otcheck:hotpath — batch kernel bodies; keep allocation-free
 /**
  * @file
  * Scalar "vector" view: one u64 lane, portable C++.

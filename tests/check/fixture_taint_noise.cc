@@ -1,18 +1,17 @@
 // otcheck:fixture-path src/analysis/fixture_taint_noise.cc
 //
-// Taint-source fixture: host-side analysis helper that calls a
-// banned nondeterminism primitive.  src/analysis is outside the
-// determinism scope, so the flat determinism rule stays silent here —
-// the interprocedural taint rule is what carries this fact to any
-// determinism-scope caller.  fixtureMixHash is the clean sibling the
-// good sink fixture calls.
+// Entropy-source fixture: a host-side analysis helper that calls a
+// banned nondeterminism primitive.  The determinism rule covers every
+// src/ layer, so the call is flagged here, at the source, however
+// many wrappers later carry the value into a model-time layer.
+// fixtureMixHash is the clean sibling the sink fixture also calls.
 #include <cstdint>
 #include <cstdlib>
 
 std::uint64_t
 fixtureRawNoise()
 {
-    return static_cast<std::uint64_t>(std::rand());
+    return static_cast<std::uint64_t>(std::rand()); // expect: determinism
 }
 
 std::uint64_t

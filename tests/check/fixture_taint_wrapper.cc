@@ -1,10 +1,8 @@
-// otcheck:fixture-path src/analysis/fixture_taint_wrapper.cc
+// otcheck:fixture-path src/graph/fixture_taint_wrapper.cc
 //
-// Taint-propagation fixture: an innocent-looking wrapper one hop
-// from the source.  Nothing here mentions a banned identifier — the
-// taint must flow fixtureJitter → fixtureRawNoise → rand
-// through the call graph for the sink diagnostic to carry the full
-// witness chain.
+// Wrapper fixture: an innocent-looking function one hop from the
+// entropy source.  Nothing here mentions a banned identifier, so it
+// checks clean; the defect is reported once, at the rand() call.
 #include <cstdint>
 
 std::uint64_t fixtureRawNoise();

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for otcheck (src/check): the lexer, each rule family, the
- * fixture corpus under tests/check/, the SARIF emitter, and — the
- * gate the tool exists for — that the shipped src/ + tools/ + bench/
- * tree checks clean while seeded violations do not.
+ * Tests for otcheck (src/check): the lexer, each rule, the fixture
+ * corpus under tests/check/, and — the gate the tool exists for —
+ * that the shipped src/ + tools/ + bench/ tree checks clean while
+ * seeded violations do not.
  */
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "check/checker.hh"
-#include "check/sarif.hh"
 
 namespace {
 
@@ -121,7 +120,7 @@ TEST(CheckFixtures, CorpusMatchesAnnotations)
     }
 }
 
-/** Run several fixtures as one project (cross-file rules need it). */
+/** Run several fixtures as one project. */
 std::vector<Diagnostic>
 checkFixtureProject(const std::vector<std::string> &names)
 {
@@ -132,127 +131,53 @@ checkFixtureProject(const std::vector<std::string> &names)
     return ot::check::checkProject(files).diagnostics;
 }
 
-// The hotpath-propagation rule only fires across translation units:
-// each fixture alone is silent, together they must reproduce exactly
-// the bad file's annotations.
-TEST(CheckFixtures, TransitiveHotpathProject)
+/** Check `names` as one project: the only diagnostic is
+ *  fixture_taint_noise.cc's own `expect:` line, so every sink that
+ *  reaches the entropy source without naming it is silent. */
+void
+expectFlaggedAtSourceOnly(const std::vector<std::string> &names)
 {
     const std::string dir = OT_CHECK_FIXTURE_DIR;
     Findings expected =
-        expectedFindings(slurp(dir + "/bad_hotpath_transitive.cc"));
-    ASSERT_FALSE(expected.empty());
-    Findings actual = findingsOf(checkFixtureProject(
-        {"fixture_hotpath_helper.cc", "bad_hotpath_transitive.cc",
-         "good_hotpath_transitive.cc"}));
-    EXPECT_EQ(expected, actual)
-        << "expected:\n" << show(expected) << "actual:\n" << show(actual);
+        expectedFindings(slurp(dir + "/fixture_taint_noise.cc"));
+    ASSERT_EQ(1u, expected.size());
+    std::vector<Diagnostic> diags = checkFixtureProject(names);
+    EXPECT_EQ(expected, findingsOf(diags))
+        << "expected:\n" << show(expected) << "actual:\n"
+        << show(findingsOf(diags));
+    ASSERT_EQ(1u, diags.size());
+    EXPECT_EQ("src/analysis/fixture_taint_noise.cc", diags[0].file);
 }
 
-TEST(CheckFixtures, IncludeHygieneProject)
-{
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    Findings expected =
-        expectedFindings(slurp(dir + "/bad_include_hygiene.cc"));
-    ASSERT_FALSE(expected.empty());
-    Findings actual = findingsOf(checkFixtureProject(
-        {"fixture_unused.hh", "fixture_deep.hh", "fixture_gateway.hh",
-         "bad_include_hygiene.cc", "good_include_hygiene.cc"}));
-    EXPECT_EQ(expected, actual)
-        << "expected:\n" << show(expected) << "actual:\n" << show(actual);
-}
-
-// The determinism-taint rule fires only at the scope boundary: the
-// workload-layer sink calls a wrapper that is two call-graph hops
-// from the banned primitive, and the diagnostic must spell out the
-// whole source → sink witness chain.  The good sink crosses the same
-// boundary toward a clean helper and must stay silent.
+// Entropy laundered through a wrapper, a qualified call and a
+// function-pointer table is reported once, at the rand() call in the
+// analysis-layer source; the wrapper and the sinks are silent,
+// because the determinism rule covers every src/ layer and needs no
+// call resolution.
 TEST(CheckFixtures, DeterminismTaintProject)
 {
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    Findings expected =
-        expectedFindings(slurp(dir + "/bad_taint_sink.cc"));
-    ASSERT_FALSE(expected.empty());
-    std::vector<Diagnostic> diags = checkFixtureProject(
+    expectFlaggedAtSourceOnly(
         {"fixture_taint_noise.cc", "fixture_taint_wrapper.cc",
-         "bad_taint_sink.cc", "good_taint_sink.cc"});
-    Findings actual = findingsOf(diags);
-    EXPECT_EQ(expected, actual)
-        << "expected:\n" << show(expected) << "actual:\n" << show(actual);
-    ASSERT_EQ(1u, diags.size());
-    EXPECT_EQ("determinism-taint", diags[0].rule);
-    EXPECT_NE(std::string::npos,
-              diags[0].message.find(
-                  "fixtureJitter() → fixtureRawNoise() → rand at "
-                  "src/analysis/fixture_taint_noise.cc:"))
-        << diags[0].message;
-    EXPECT_NE(std::string::npos,
-              diags[0].hint.find("inside the determinism scope"))
-        << diags[0].hint;
-}
-
-// Taint also flows through non-call references: a kernel table that
-// stores &fixtureRawNoise hands the nondeterminism to whoever invokes
-// the entry, so the reference itself is the boundary diagnostic.
-TEST(CheckFixtures, TaintThroughFunctionPointerTable)
-{
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    Findings expected =
-        expectedFindings(slurp(dir + "/bad_taint_table.cc"));
-    ASSERT_FALSE(expected.empty());
-    std::vector<Diagnostic> diags = checkFixtureProject(
-        {"fixture_taint_noise.cc", "bad_taint_table.cc"});
-    Findings actual = findingsOf(diags);
-    EXPECT_EQ(expected, actual)
-        << "expected:\n" << show(expected) << "actual:\n" << show(actual);
-    ASSERT_EQ(1u, diags.size());
-    EXPECT_NE(std::string::npos,
-              diags[0].message.find("reference to"))
-        << diags[0].message;
+         "fixture_taint_sink.cc", "fixture_taint_table.cc"});
 }
 
 // A scheduler ranking function that draws entropy through a wrapper
-// two call-graph hops from rand(): the call site looks clean, and
-// only the taint walk connects it to the banned primitive, with the
-// whole source → sink chain spelled out.
+// one hop from rand(): the call site looks clean, and the source is
+// the one diagnostic.
 TEST(CheckFixtures, SchedPurityTaintProject)
 {
-    const std::string dir = OT_CHECK_FIXTURE_DIR;
-    Findings expected =
-        expectedFindings(slurp(dir + "/bad_sched_taint.cc"));
-    ASSERT_FALSE(expected.empty());
-    std::vector<Diagnostic> diags = checkFixtureProject(
-        {"fixture_taint_noise.cc", "fixture_taint_wrapper.cc",
-         "bad_sched_taint.cc"});
-    Findings actual = findingsOf(diags);
-    EXPECT_EQ(expected, actual)
-        << "expected:\n" << show(expected) << "actual:\n" << show(actual);
-    ASSERT_EQ(1u, diags.size());
-    EXPECT_EQ("determinism-taint", diags[0].rule);
-    EXPECT_NE(std::string::npos,
-              diags[0].message.find(
-                  "fixtureJitter() → fixtureRawNoise() → rand at "
-                  "src/analysis/fixture_taint_noise.cc:"))
-        << diags[0].message;
+    expectFlaggedAtSourceOnly({"fixture_taint_noise.cc",
+                               "fixture_taint_wrapper.cc",
+                               "fixture_taint_sink.cc"});
 }
 
-// The witness chain must survive into SARIF unchanged — code-scanning
-// consumers see the same source → sink story the terminal does.
-TEST(CheckSarif, TaintWitnessChainIsEmitted)
+// A kernel table that stores &fixtureRawNoise hands the
+// nondeterminism to whoever invokes the entry; the source is still
+// the one diagnostic, and the reference itself is silent.
+TEST(CheckFixtures, TaintThroughFunctionPointerTable)
 {
-    ot::check::Report report;
-    report.diagnostics = checkFixtureProject(
-        {"fixture_taint_noise.cc", "fixture_taint_wrapper.cc",
-         "bad_taint_sink.cc", "good_taint_sink.cc"});
-    ASSERT_EQ(1u, report.diagnostics.size());
-    report.files = {report.diagnostics[0].file};
-    std::string sarif = ot::check::renderSarif(report);
-    EXPECT_NE(std::string::npos,
-              sarif.find("\"ruleId\": \"determinism-taint\""));
-    EXPECT_NE(std::string::npos,
-              sarif.find("fixtureJitter() → fixtureRawNoise() → "
-                         "rand at "
-                         "src/analysis/fixture_taint_noise.cc:"))
-        << sarif;
+    expectFlaggedAtSourceOnly(
+        {"fixture_taint_noise.cc", "fixture_taint_table.cc"});
 }
 
 // ---------------------------------------------------------------
@@ -275,12 +200,22 @@ TEST(CheckTree, CollectFilesCoversToolsAndBench)
     EXPECT_TRUE(anyWith("bench/"));
 }
 
+/** The shipped audit set, read into memory once. */
+const std::vector<ot::check::SourceFile> &
+shippedTree()
+{
+    static const std::vector<ot::check::SourceFile> tree = [] {
+        const std::string root = OT_CHECK_SOURCE_ROOT;
+        return ot::check::readTree(root, ot::check::collectFiles(root));
+    }();
+    return tree;
+}
+
 TEST(CheckTree, ShippedTreeIsClean)
 {
-    const std::string root = OT_CHECK_SOURCE_ROOT;
-    std::vector<std::string> files = ot::check::collectFiles(root);
-    EXPECT_GT(files.size(), 80u) << "directory walk found too little";
-    ot::check::Report report = ot::check::checkTree(root, files);
+    EXPECT_GT(shippedTree().size(), 80u)
+        << "directory walk found too little";
+    ot::check::Report report = ot::check::checkProject(shippedTree());
     EXPECT_TRUE(report.diagnostics.empty())
         << ot::check::renderText(report);
 }
@@ -308,6 +243,112 @@ TEST(CheckTree, SeededSimToOtnIncludeIsCaught)
     ASSERT_EQ(1u, diags.size());
     EXPECT_EQ("layering", diags[0].rule);
     EXPECT_EQ(1, diags[0].line);
+}
+
+/** Insert `text` as new lines after the first line containing
+ *  `after` (at the end of the file when `after` is empty). */
+struct Edit
+{
+    const char *file;
+    const char *after;
+    const char *text;
+};
+
+/** A seeded defect: its edits, and the one rule expected to fire, at
+ *  the first line the first edit inserts. */
+struct Mutation
+{
+    const char *name;
+    std::vector<Edit> edits;
+    const char *rule;
+};
+
+const std::vector<Mutation> kMutations = {
+    {"rand() wrapper in src/graph called as ot::graph::jitter()",
+     {{"src/graph/generators.cc", "",
+       "namespace ot::graph { int jitter() { return rand(); } }"},
+      {"src/scenario/engine.cc", "",
+       "int otcheckJitter() { return ot::graph::jitter(); }"}},
+     "determinism"},
+    {"std::chrono clock in the scenario engine",
+     {{"src/scenario/engine.cc", "",
+       "auto otcheckNow() { return std::chrono::steady_clock::now(); }"}},
+     "determinism"},
+    {"unordered_map iteration in the workload engine",
+     {{"src/workload/engine.cc", "",
+       "int otcheckSum(const std::unordered_map<int, int> &m)\n"
+       "{ int s = 0; for (auto &kv : m) s += kv.second; return s; }"}},
+     "determinism"},
+    {"pointer-keyed std::set",
+     {{"src/topo/registry.cc", "", "std::set<const Machine *> seen;"}},
+     "determinism"},
+    {"heap allocation in the fillT kernel body",
+     {{"src/simd/kernels_generic.hh", "const auto v = V::splat(value);",
+       "    std::uint64_t *scratch = new std::uint64_t[n];"}},
+     "hotpath"},
+    {"hotpath header including a non-hotpath header",
+     {{"src/simd/kernels_generic.hh", "#include \"simd/kernels.hh\"",
+       "#include \"simd/regfile.hh\""}},
+     "hotpath"},
+    {"sim -> otn include",
+     {{"src/sim/chain_engine.cc", "#include", "#include \"otn/sort.hh\""}},
+     "layering"},
+    {"<immintrin.h> in src/workload",
+     {{"src/workload/engine.cc", "#include", "#include <immintrin.h>"}},
+     "intrinsics"},
+};
+
+/** Apply `e` to the tree; returns the 1-based line of its first
+ *  inserted line, or 0 when the file or anchor is missing. */
+int
+applyEdit(std::vector<ot::check::SourceFile> &tree, const Edit &e)
+{
+    for (ot::check::SourceFile &f : tree) {
+        if (f.path != e.file)
+            continue;
+        std::string &src = f.source;
+        std::size_t at = src.size();
+        if (*e.after) {
+            std::size_t hit = src.find(e.after);
+            if (hit == std::string::npos)
+                return 0;
+            at = src.find('\n', hit) + 1;
+        } else if (!src.empty() && src.back() != '\n') {
+            src += '\n';
+            at = src.size();
+        }
+        src.insert(at, std::string(e.text) + "\n");
+        int line = 1;
+        for (std::size_t k = 0; k < at; ++k)
+            line += src[k] == '\n';
+        return line;
+    }
+    return 0;
+}
+
+// Each seeded defect, applied in memory to the shipped tree, yields
+// exactly one diagnostic of the expected rule at the edited line.
+TEST(CheckTree, SeededMutationsAreCaught)
+{
+    for (const Mutation &m : kMutations) {
+        SCOPED_TRACE(m.name);
+        std::vector<ot::check::SourceFile> tree = shippedTree();
+        int line = 0;
+        for (const Edit &e : m.edits) {
+            int at = applyEdit(tree, e);
+            ASSERT_GT(at, 0) << e.file << " / " << e.after;
+            if (line == 0)
+                line = at;
+        }
+        ot::check::Report report = ot::check::checkProject(tree);
+        EXPECT_EQ(1u, report.diagnostics.size())
+            << ot::check::renderText(report);
+        if (report.diagnostics.empty())
+            continue;
+        EXPECT_EQ(m.edits[0].file, report.diagnostics[0].file);
+        EXPECT_EQ(line, report.diagnostics[0].line);
+        EXPECT_EQ(m.rule, report.diagnostics[0].rule);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -353,13 +394,15 @@ TEST(CheckRules, MemberTimeCallIsNotWallClock)
                       .size());
 }
 
-TEST(CheckRules, DeterminismScopedToLaneLayers)
+TEST(CheckRules, DeterminismCoversEverySrcLayer)
 {
     const std::string body = "int f() { return rand(); }\n";
     EXPECT_EQ(1u, checkAs("src/sim/a.cc", body).size());
     EXPECT_EQ(1u, checkAs("src/otc/a.cc", body).size());
-    // Host-side layers may use host randomness.
-    EXPECT_TRUE(checkAs("src/analysis/a.cc", body).empty());
+    // Host-side layers too: a value they draw can reach a report.
+    EXPECT_EQ(1u, checkAs("src/analysis/a.cc", body).size());
+    EXPECT_EQ(1u, checkAs("src/check/a.cc", body).size());
+    // Outside src/, tools may use host randomness.
     EXPECT_TRUE(checkAs("tools/a.cc", body).empty());
 
     const std::string tid = "long f() { return pthread_self(); }\n";
@@ -403,23 +446,6 @@ TEST(CheckRules, LayerClassification)
     EXPECT_TRUE(ot::check::allowedIncludes("tools").empty());
 }
 
-TEST(CheckRules, JsonOutputIsWellFormed)
-{
-    ot::check::Report report;
-    report.files = {"src/otn/a.cc"};
-    report.diagnostics = checkAs(
-        "src/otn/a.cc", "int f() { return rand(); }\n");
-    ASSERT_EQ(1u, report.diagnostics.size());
-    std::string json = ot::check::renderJson(report);
-    EXPECT_EQ('[', json.front());
-    EXPECT_NE(std::string::npos,
-              json.find("\"rule\": \"determinism\""));
-    EXPECT_NE(std::string::npos, json.find("\"line\": 1"));
-    // Balanced brackets/braces as a cheap well-formedness probe.
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-}
-
 TEST(CheckRules, StaleAllowIsReported)
 {
     std::vector<Diagnostic> diags =
@@ -443,57 +469,29 @@ TEST(CheckRules, AllowCoversWholeStatement)
                     .empty());
 }
 
-// ---------------------------------------------------------------
-// SARIF output.
-
-TEST(CheckSarif, OutputIsWellFormed)
+TEST(CheckRules, CatalogListsTheSixRules)
 {
-    ot::check::Report report;
-    report.files = {"src/otn/a.cc"};
-    report.diagnostics = checkAs(
-        "src/otn/a.cc", "int f() { return rand(); }\n");
-    ASSERT_EQ(1u, report.diagnostics.size());
-    std::string sarif = ot::check::renderSarif(report);
-    EXPECT_NE(std::string::npos, sarif.find("\"version\": \"2.1.0\""));
-    EXPECT_NE(std::string::npos, sarif.find("\"$schema\""));
-    EXPECT_NE(std::string::npos,
-              sarif.find("\"ruleId\": \"determinism\""));
-    EXPECT_NE(std::string::npos, sarif.find("\"startLine\": 1"));
-    EXPECT_NE(std::string::npos, sarif.find("\"uri\": \"src/otn/a.cc\""));
-    EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '{'),
-              std::count(sarif.begin(), sarif.end(), '}'));
-    EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '['),
-              std::count(sarif.begin(), sarif.end(), ']'));
-}
-
-TEST(CheckSarif, EveryRuleIsDeclared)
-{
-    // Each rule a diagnostic can carry must appear in the SARIF
-    // driver's rule table (code scanning rejects dangling ruleIds).
-    ot::check::Report report;
-    std::string sarif = ot::check::renderSarif(report);
-    for (const char *rule :
-         {"determinism", "layering", "hotpath", "hotpath-propagation",
-          "include-hygiene", "allow-syntax", "unused-allow",
-          "intrinsics", "determinism-taint"}) {
-        EXPECT_NE(std::string::npos,
-                  sarif.find("\"id\": \"" + std::string(rule) + "\""))
-            << rule;
-    }
-    EXPECT_EQ(9u, ot::check::ruleCatalog().size());
+    std::vector<std::string> ids;
+    for (const ot::check::RuleDoc &d : ot::check::ruleCatalog())
+        ids.push_back(d.id);
+    EXPECT_EQ((std::vector<std::string>{"determinism", "layering",
+                                        "hotpath", "intrinsics",
+                                        "allow-syntax", "unused-allow"}),
+              ids);
     // The allow() escape hatch covers exactly the suppressible rules
     // (the two allow-meta rules themselves cannot be allowed away).
     for (const char *rule :
-         {"determinism", "layering", "hotpath", "hotpath-propagation",
-          "include-hygiene", "intrinsics", "determinism-taint"})
+         {"determinism", "layering", "hotpath", "intrinsics"})
         EXPECT_TRUE(ot::check::knownRule(rule)) << rule;
     EXPECT_FALSE(ot::check::knownRule("allow-syntax"));
     EXPECT_FALSE(ot::check::knownRule("unused-allow"));
-    // Phase balance is enforced by the compiler (only ScopedPhase can
-    // open a phase), so the accounting and unreachable rules are gone
-    // and an allow() naming one is an unknown-rule error.
+    // Rules that are gone (phase balance is the compiler's; the
+    // call-graph and symbol-graph rules were removed) are unknown, and
+    // an allow() naming one is an unknown-rule error.
     EXPECT_FALSE(ot::check::knownRule("accounting"));
     EXPECT_FALSE(ot::check::knownRule("unreachable"));
+    EXPECT_FALSE(ot::check::knownRule("include-hygiene"));
+    EXPECT_FALSE(ot::check::knownRule("determinism-taint"));
     std::vector<Diagnostic> diags =
         checkAs("src/otn/a.cc", "// otcheck:allow(accounting): x\n"
                                 "int f() { return 2; }\n");

@@ -8,8 +8,7 @@
  *  - every matrix multiplier agrees (OTN pipelined/replicated, OTC,
  *    mesh Cannon, 3D mesh of trees, sequential reference);
  *  - connected components computed four independent ways agree
- *    (union-find, CONNECT on OTN, CONNECT on OTC, closure min-label,
- *    mesh closure);
+ *    (union-find, CONNECT on OTN, CONNECT on OTC, mesh closure);
  *  - time/area orderings the paper's comparison depends on hold
  *    between machines on identical workloads.
  */
@@ -159,12 +158,6 @@ TEST_P(CcAgreement, FiveWaysAgree)
                   .labels,
               expect)
         << "CONNECT on OTC";
-
-    otn::OrthogonalTreesNetwork net2(n, cost);
-    EXPECT_EQ(graph::canonicalizeLabels(
-                  otn::componentsViaClosure(net2, g)),
-              expect)
-        << "closure min-label";
 
     topo::MeshMachine mesh(directSpec("mesh", n, cost));
     EXPECT_EQ(mesh.runConnectedComponents(g).labels, expect)

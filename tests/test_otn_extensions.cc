@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the extension modules: the PREFIX tree primitive, integer
- * multiplication (Capello & Steiglitz, paper §I), transitive closure,
- * the 3D mesh of trees (paper §VII-B), and the single-tree machine
- * (paper §II-A) the OTN generalizes.
+ * multiplication (Capello & Steiglitz, paper §I), the 3D mesh of
+ * trees (paper §VII-B), and the single-tree machine (paper §II-A) the
+ * OTN generalizes.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +11,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/generators.hh"
-#include "graph/reference_algorithms.hh"
 #include "linalg/reference.hh"
 #include "analysis/fitting.hh"
-#include "otn/closure.hh"
-#include "otn/connected_components.hh"
 #include "otn/integer_multiply.hh"
 #include "otn/mesh_of_trees_3d.hh"
 #include "otn/network.hh"
@@ -137,69 +133,6 @@ TEST(IntegerMultiply, TimeIsPolylogInWidth)
     // Polylog growth: quadrupling the width should well less than
     // quadruple the time.
     EXPECT_LT(times.back() / times.front(), 3.0);
-}
-
-// ------------------------------------------------ transitive closure
-
-TEST(TransitiveClosure, PathGraphReachability)
-{
-    graph::Graph g(6);
-    for (std::size_t v = 0; v + 1 < 6; ++v)
-        g.addEdge(v, v + 1);
-    OrthogonalTreesNetwork net(8, logCost(8));
-    auto r = transitiveClosureOtn(net, g);
-    for (std::size_t i = 0; i < 6; ++i)
-        for (std::size_t j = 0; j < 6; ++j)
-            EXPECT_EQ(r.reach(i, j), 1) << i << "," << j;
-    EXPECT_EQ(r.squarings, 3u);
-}
-
-TEST(TransitiveClosure, MatchesBoolMatPowReference)
-{
-    Rng rng(11);
-    for (std::size_t n : {4, 8, 16}) {
-        auto g = graph::randomGnp(n, 1.5 / static_cast<double>(n), rng);
-        OrthogonalTreesNetwork net(n, logCost(n));
-        auto r = transitiveClosureOtn(net, g);
-
-        linalg::BoolMatrix base(n, n, 0);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                base(i, j) = (i == j || g.hasEdge(i, j)) ? 1 : 0;
-        auto expect = linalg::boolMatPow(
-            base, 1u << vlsi::logCeilAtLeast1(n));
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                EXPECT_EQ(r.reach(i, j) != 0, expect(i, j) != 0)
-                    << "n=" << n << " @(" << i << "," << j << ")";
-    }
-}
-
-TEST(TransitiveClosure, PipelinedAndReplicatedAgree)
-{
-    Rng rng(12);
-    std::size_t n = 16;
-    auto g = graph::randomGnp(n, 0.15, rng);
-    OrthogonalTreesNetwork a(n, logCost(n)), b(n, logCost(n));
-    auto rep = transitiveClosureOtn(a, g, /*replicated=*/true);
-    auto pipe = transitiveClosureOtn(b, g, /*replicated=*/false);
-    EXPECT_EQ(rep.reach, pipe.reach);
-    // The replicated machine is faster (log^2 per product vs ~N).
-    EXPECT_LT(rep.time, pipe.time);
-}
-
-TEST(ComponentsViaClosure, CrossChecksConnect)
-{
-    Rng rng(13);
-    for (std::size_t n : {8, 16, 32}) {
-        auto g = graph::randomGnp(n, 1.8 / static_cast<double>(n), rng);
-        OrthogonalTreesNetwork a(n, logCost(n));
-        auto via_closure = componentsViaClosure(a, g);
-        OrthogonalTreesNetwork b(n, logCost(n));
-        auto via_connect = connectedComponentsOtn(b, g).labels;
-        EXPECT_EQ(graph::canonicalizeLabels(via_closure), via_connect)
-            << "n = " << n;
-    }
 }
 
 // ------------------------------------------------- 3D mesh of trees

@@ -16,7 +16,6 @@
 
 #include "otc/emulated_otn.hh"
 #include "otn/pipeline.hh"
-#include "otn/selection.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
 #include "simd/backend.hh"
@@ -358,52 +357,5 @@ TEST(SortPipeline, EmptyStream)
     EXPECT_EQ(r.totalTime, 0u);
 }
 
-
-TEST(SelectOtn, KthMatchesSortedOrder)
-{
-    Rng rng(31);
-    for (std::size_t n : {4, 16, 64}) {
-        std::vector<std::uint64_t> v(n);
-        for (auto &x : v)
-            x = rng.uniform(0, n - 1);
-        auto sorted = sortedCopy(v);
-        for (std::size_t k : {std::size_t{0}, n / 3, n - 1}) {
-            OrthogonalTreesNetwork net(n, logCost(n));
-            auto r = selectKthOtn(net, v, k);
-            EXPECT_EQ(r.value, sorted[k]) << "n=" << n << " k=" << k;
-            EXPECT_EQ(v[r.index], r.value);
-        }
-    }
-}
-
-TEST(SelectOtn, IndexResolvesDuplicatesByPosition)
-{
-    std::vector<std::uint64_t> v{5, 5, 5, 5};
-    OrthogonalTreesNetwork net(4, logCost(4));
-    // With the tie-break, rank k of equal values is the k-th position.
-    for (std::size_t k = 0; k < 4; ++k) {
-        auto r = selectKthOtn(net, v, k);
-        EXPECT_EQ(r.value, 5u);
-        EXPECT_EQ(r.index, k);
-    }
-}
-
-TEST(SelectOtn, MedianAndCostParityWithSort)
-{
-    Rng rng(32);
-    std::size_t n = 256;
-    std::vector<std::uint64_t> v(n);
-    for (auto &x : v)
-        x = rng.uniform(0, n - 1);
-    OrthogonalTreesNetwork net(n, logCost(n));
-    auto med = medianOtn(net, v);
-    EXPECT_EQ(med.value, sortedCopy(v)[(n - 1) / 2]);
-    // Selection costs a full sort's rank phases plus at most the
-    // narrow extraction (two traversals and one base op for the
-    // index).
-    auto sort_time = registrySort(v).time;
-    EXPECT_LE(med.time, sort_time + 2 * net.treeTraversalCost() +
-                            net.cost().bitSerialOp());
-}
 
 } // namespace
