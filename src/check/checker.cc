@@ -115,6 +115,18 @@ collectFiles(const std::string &root)
     return files;
 }
 
+std::vector<std::string>
+missingFiles(const std::string &root, const std::vector<std::string> &files)
+{
+    std::vector<std::string> missing;
+    for (const std::string &rel : files) {
+        std::error_code ec;
+        if (!fs::is_regular_file(fs::path(root) / rel, ec))
+            missing.push_back(rel);
+    }
+    return missing;
+}
+
 std::vector<SourceFile>
 readTree(const std::string &root, const std::vector<std::string> &files)
 {

@@ -46,6 +46,11 @@ std::vector<Diagnostic> checkSource(const std::string &path,
  *  root/src, root/tools and root/bench, repo-relative and sorted. */
 std::vector<std::string> collectFiles(const std::string &root);
 
+/** The entries of `files` (repo-relative, resolved against `root`)
+ *  that are not regular files, in order. */
+std::vector<std::string> missingFiles(const std::string &root,
+                                      const std::vector<std::string> &files);
+
 /** Read every file in `files` (repo-relative, resolved against
  *  `root`). */
 std::vector<SourceFile> readTree(const std::string &root,

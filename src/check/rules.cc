@@ -22,7 +22,7 @@ layerTable()
         {"simd", {"simd", "vlsi"}},
         {"trace", {"trace", "vlsi"}},
         {"sim", {"sim", "trace", "vlsi"}},
-        {"linalg", {"linalg", "vlsi"}},
+        {"linalg", {"linalg", "simd", "vlsi"}},
         {"layout", {"layout", "vlsi"}},
         {"analysis", {"analysis", "vlsi"}},
         {"graph", {"graph", "linalg", "sim", "trace", "vlsi"}},

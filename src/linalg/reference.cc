@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "linalg/bit_matrix.hh"
+#include "simd/kernels.hh"
 #include "vlsi/bitmath.hh"
 
 namespace ot::linalg {
@@ -17,16 +18,15 @@ matMul(const IntMatrix &a, const IntMatrix &b)
     const std::size_t inner = a.cols();
     const std::size_t cols = b.cols();
     IntMatrix c(a.rows(), cols, 0);
-    // i-k-j over raw rows: row i of C accumulates a(i, k) * row k of B.
+    // i-k-j over raw rows: row i of C accumulates a(i, k) * row k of B
+    // through the dispatched multiply-add kernel.
+    const simd::MacRowFn mac = simd::kernels().macRow;
     for (std::size_t i = 0; i < a.rows(); ++i) {
         const std::uint64_t *ai = a.rowData(i);
         std::uint64_t *ci = c.rowData(i);
-        for (std::size_t k = 0; k < inner; ++k) {
-            const std::uint64_t aik = ai[k];
-            const std::uint64_t *bk = b.rowData(k);
-            for (std::size_t j = 0; j < cols; ++j)
-                ci[j] += aik * bk[j];
-        }
+        for (std::size_t k = 0; k < inner; ++k)
+            if (ai[k] != 0)
+                mac(ci, ai[k], b.rowData(k), cols);
     }
     return c;
 }

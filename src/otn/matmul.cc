@@ -14,12 +14,10 @@ vecMatBody(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &a,
     net.setRowRootInputs(a);
     // For each row k pardo: rootToLeaf(Row, k, all, A).
     net.batchRowBroadcast(Reg::A);
-    // C := A * B (absent operands contribute nothing to the sum).
-    const auto &kt = net.kernelTable();
-    net.baseOpRows(boolean ? 1 : net.cost().bitSerialMultiply(),
-                   boolean ? kt.andRow : kt.mulRow, Reg::A, Reg::B, Reg::C);
-    // For each col j pardo: sumLeafToRoot(Col, j, all, C).
-    net.batchColSum(Reg::C);
+    // C := A * B (absent operands contribute nothing to the sum),
+    // then for each col j pardo: sumLeafToRoot(Col, j, all, C).
+    net.batchProductColSum(boolean ? 1 : net.cost().bitSerialMultiply(),
+                           boolean, Reg::A, Reg::B, Reg::C);
 }
 
 /** Convert a BoolMatrix to the machine's IntMatrix form. */

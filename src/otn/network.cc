@@ -542,6 +542,28 @@ OrthogonalTreesNetwork::batchColSum(Reg src)
 }
 
 ModelTime
+OrthogonalTreesNetwork::batchProductColSum(ModelTime op_cost, bool boolean,
+                                           Reg a, Reg b, Reg out)
+{
+    assert(regShape(a) == simd::Shape::RowConst);
+    assert(out != a && out != b);
+    const std::uint64_t *s =
+        std::as_const(_regs).shapeVec(static_cast<unsigned>(a));
+    const simd::ScalarRowAccumFn fn =
+        boolean ? _kernels->andAccumRow : _kernels->mulAccumRow;
+    std::uint64_t *c = overwritePlane(out, {});
+    _kernels->fill(_colRoot.data(), _n, 0);
+    // The kernels write a row whose scalar is absent or zero as zeros
+    // and add nothing for it.
+    for (std::size_t i = 0; i < _n; ++i)
+        fn(_colRoot.data(), c + i * _n, s[i], readRow(b, i, rowScratch(0)),
+           _n);
+    const ModelTime dt = chargeBaseOp(op_cost);
+    return dt + replayTrees({treeStep(Ctr::SumLeafToRoot, Axis::Col,
+                                      treeReduceCost())});
+}
+
+ModelTime
 OrthogonalTreesNetwork::batchColMin(Reg src)
 {
     _kernels->fill(_colRoot.data(), _n, kNull);

@@ -438,6 +438,21 @@ class OrthogonalTreesNetwork
     /** For each col j pardo: sumLeafToRoot(Col, j, all, src). */
     ModelTime batchColSum(Reg src);
 
+    /**
+     * One vector-matrix product step: a baseOp of nominal `op_cost`
+     * computing out = a * b (absent operand -> 0) or, when `boolean`,
+     * out = (a && b) ? 1 : 0 (absent operand -> 0) at every BP, then
+     * batchColSum(out).  `a` must be RowConst (the row broadcast just
+     * before it), so row i is one scalar times row i of b: each row is
+     * computed, written to out and added into the column roots in one
+     * pass (simd::KernelTable::mulAccumRow, andAccumRow), and a row
+     * whose scalar is absent or zero is written as zeros.  `out` ends
+     * Dense and dirty, as the two-step form leaves it, and the
+     * accounting is the baseOp's then the column sums'.
+     */
+    ModelTime batchProductColSum(ModelTime op_cost, bool boolean, Reg a,
+                                 Reg b, Reg out);
+
     /** For each col j pardo: minLeafToRoot(Col, j, all, src). */
     ModelTime batchColMin(Reg src);
 
@@ -569,8 +584,7 @@ class OrthogonalTreesNetwork
 
     /**
      * A baseOp computing out = fn(a, b) elementwise, one plane row at
-     * a time through a kernel-table slot (kernelTable().mulRow,
-     * .andRow or .addSatRow).
+     * a time through a kernel-table slot (kernelTable().addSatRow).
      */
     ModelTime baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn, Reg a,
                          Reg b, Reg out);

@@ -115,14 +115,31 @@ using RotateCyclesFn = void (*)(std::uint64_t *base, std::size_t count,
                                 std::size_t stride, std::size_t l);
 
 /**
- * out[j] = op(a[j], b[j]) for j in [0, n) — an elementwise base op
- * over two register rows.  The three ops treat kNullWord as "absent":
- *  - mulRow:    absent operand -> 0, else a * b (mod 2^64);
- *  - andRow:    absent operand -> 0, else (a && b) ? 1 : 0;
- *  - addSatRow: absent operand -> kNullWord, else a + b (mod 2^64).
+ * out[j] = addSat(a[j], b[j]) for j in [0, n): kNullWord ("absent")
+ * if either operand is absent, else a + b (mod 2^64) — shortest
+ * paths' relaxation over two register rows.
  */
 using BinaryRowFn = void (*)(std::uint64_t *out, const std::uint64_t *a,
                              const std::uint64_t *b, std::size_t n);
+
+/**
+ * One row of a vector-matrix product and its contribution to the
+ * column sums: out[j] = op(s, b[j]), then acc[j] += out[j], for j in
+ * [0, n).  Both ops treat kNullWord as "absent":
+ *  - mulAccumRow: absent operand -> 0, else s * b[j] (mod 2^64);
+ *  - andAccumRow: absent or zero operand -> 0, else 1.
+ * An absent or zero s fills out with zeros and leaves acc alone.
+ */
+using ScalarRowAccumFn = void (*)(std::uint64_t *acc, std::uint64_t *out,
+                                  std::uint64_t s, const std::uint64_t *b,
+                                  std::size_t n);
+
+/**
+ * acc[j] += s * b[j] (mod 2^64) for j in [0, n), with no absent rule:
+ * one (i, k) step of an i-k-j integer matrix product.
+ */
+using MacRowFn = void (*)(std::uint64_t *acc, std::uint64_t s,
+                          const std::uint64_t *b, std::size_t n);
 
 /**
  * acc[j] = combine(acc[j], src[j]) for j in [0, n) — one row's
@@ -156,9 +173,10 @@ struct KernelTable
     PickEqIndexAccumFn pickEqIndexAccum;
     CompexLinearFn compexLinear;
     RotateCyclesFn rotateCycles;
-    BinaryRowFn mulRow;
-    BinaryRowFn andRow;
     BinaryRowFn addSatRow;
+    ScalarRowAccumFn mulAccumRow;
+    ScalarRowAccumFn andAccumRow;
+    MacRowFn macRow;
     AccumRowFn accumSumRow;
     AccumRowFn accumMinRow;
     AccumMinEqIndexRowFn accumMinEqIndexRow;

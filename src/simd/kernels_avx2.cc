@@ -27,9 +27,10 @@ constexpr KernelTable kAvx2Table = {
     .pickEqIndexAccum = pickEqIndexAccumT<Avx2Vec>,
     .compexLinear = compexLinearT<Avx2Vec>,
     .rotateCycles = rotateCyclesT<Avx2Vec>,
-    .mulRow = mulRowT<Avx2Vec>,
-    .andRow = andRowT<Avx2Vec>,
     .addSatRow = addSatRowT<Avx2Vec>,
+    .mulAccumRow = mulAccumRowT<Avx2Vec>,
+    .andAccumRow = andAccumRowT<Avx2Vec>,
+    .macRow = macRowT<Avx2Vec>,
     .accumSumRow = accumSumRowT<Avx2Vec>,
     .accumMinRow = accumMinRowT<Avx2Vec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<Avx2Vec>,

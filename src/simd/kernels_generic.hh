@@ -6,11 +6,12 @@
  * Each kernel is a function template over a view type V (ScalarVec,
  * Avx2Vec, NeonVec) satisfying the contract documented in
  * vec_scalar.hh: kWidth lanes of u64, whole-lane masks, unsigned
- * compare/min/max, blend, and horizontal sum/min.  The main loop
- * processes V::kWidth words per iteration and a scalar epilogue
- * handles the remainder, so every instantiation computes bit-identical
- * results to ScalarVec — the sum is modular, min is selective, and no
- * kernel reassociates anything the machine model treats as ordered.
+ * compare/min/max, blend, the low word of a product, and horizontal
+ * sum/min.  The main loop processes V::kWidth words per iteration and
+ * a scalar epilogue handles the remainder, so every instantiation
+ * computes bit-identical results to ScalarVec — sums and products are
+ * modular, min is selective, and no kernel reassociates anything the
+ * machine model treats as ordered.
  *
  * Kernels never allocate and never touch model-time accounting.
  */
@@ -246,40 +247,6 @@ rotateCyclesT(std::uint64_t *base, std::size_t count, std::size_t stride,
 
 template <typename V>
 void
-mulRowT(std::uint64_t *out, const std::uint64_t *a, const std::uint64_t *b,
-        std::size_t n)
-{
-    // The views have no 64-bit multiply (neither AVX2 nor NEON does),
-    // so this one is a plain loop for every backend.
-    for (std::size_t j = 0; j < n; ++j)
-        out[j] = (a[j] == kNullWord || b[j] == kNullWord) ? 0 : a[j] * b[j];
-}
-
-template <typename V>
-void
-andRowT(std::uint64_t *out, const std::uint64_t *a, const std::uint64_t *b,
-        std::size_t n)
-{
-    const auto nullv = V::splat(kNullWord);
-    const auto zero = V::splat(0);
-    const auto one = V::splat(1);
-    std::size_t j = 0;
-    for (; j + V::kWidth <= n; j += V::kWidth) {
-        const auto va = V::load(a + j);
-        const auto vb = V::load(b + j);
-        const auto off = V::bitOr(V::bitOr(V::eq(va, nullv), V::eq(vb, nullv)),
-                                  V::bitOr(V::eq(va, zero), V::eq(vb, zero)));
-        V::store(out + j, V::blend(off, zero, one));
-    }
-    for (; j < n; ++j) {
-        const bool off = a[j] == kNullWord || b[j] == kNullWord ||
-                         a[j] == 0 || b[j] == 0;
-        out[j] = off ? 0 : 1;
-    }
-}
-
-template <typename V>
-void
 addSatRowT(std::uint64_t *out, const std::uint64_t *a,
            const std::uint64_t *b, std::size_t n)
 {
@@ -294,6 +261,84 @@ addSatRowT(std::uint64_t *out, const std::uint64_t *a,
     for (; j < n; ++j)
         out[j] = (a[j] == kNullWord || b[j] == kNullWord) ? kNullWord
                                                           : a[j] + b[j];
+}
+
+/** mulAccumRow for a present, nonzero s; kNarrow iff s < 2^32, which
+ *  lets the vector views drop a multiply (AVX2: 2 instead of 3). */
+template <typename V, bool kNarrow>
+void
+mulAccumRowBody(std::uint64_t *acc, std::uint64_t *out, std::uint64_t s,
+                const std::uint64_t *b, std::size_t n)
+{
+    const auto vs = V::splat(s);
+    const auto nullv = V::splat(kNullWord);
+    const auto zero = V::splat(0);
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth) {
+        const auto vb = V::load(b + j);
+        const auto prod = kNarrow ? V::mulLoNarrow(vb, vs) : V::mulLo(vb, vs);
+        const auto p = V::blend(V::eq(vb, nullv), zero, prod);
+        V::store(out + j, p);
+        V::store(acc + j, V::add(V::load(acc + j), p));
+    }
+    for (; j < n; ++j) {
+        out[j] = b[j] == kNullWord ? 0 : s * b[j];
+        acc[j] += out[j];
+    }
+}
+
+template <typename V>
+void
+mulAccumRowT(std::uint64_t *acc, std::uint64_t *out, std::uint64_t s,
+             const std::uint64_t *b, std::size_t n)
+{
+    if (s == kNullWord || s == 0)
+        fillT<V>(out, n, 0); // adds nothing
+    else if (s >> 32 == 0)
+        mulAccumRowBody<V, true>(acc, out, s, b, n);
+    else
+        mulAccumRowBody<V, false>(acc, out, s, b, n);
+}
+
+template <typename V>
+void
+andAccumRowT(std::uint64_t *acc, std::uint64_t *out, std::uint64_t s,
+             const std::uint64_t *b, std::size_t n)
+{
+    if (s == kNullWord || s == 0) {
+        fillT<V>(out, n, 0); // adds nothing
+        return;
+    }
+    const auto nullv = V::splat(kNullWord);
+    const auto zero = V::splat(0);
+    const auto one = V::splat(1);
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth) {
+        const auto vb = V::load(b + j);
+        const auto off = V::bitOr(V::eq(vb, nullv), V::eq(vb, zero));
+        const auto bit = V::blend(off, zero, one);
+        V::store(out + j, bit);
+        V::store(acc + j, V::add(V::load(acc + j), bit));
+    }
+    for (; j < n; ++j) {
+        out[j] = (b[j] == kNullWord || b[j] == 0) ? 0 : 1;
+        acc[j] += out[j];
+    }
+}
+
+template <typename V>
+void
+macRowT(std::uint64_t *acc, std::uint64_t s, const std::uint64_t *b,
+        std::size_t n)
+{
+    // Loads and stores bound this loop, so it takes no narrow branch.
+    const auto vs = V::splat(s);
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth)
+        V::store(acc + j,
+                 V::add(V::load(acc + j), V::mulLo(V::load(b + j), vs)));
+    for (; j < n; ++j)
+        acc[j] += s * b[j];
 }
 
 template <typename V>

@@ -25,9 +25,10 @@ constexpr KernelTable kNeonTable = {
     .pickEqIndexAccum = pickEqIndexAccumT<NeonVec>,
     .compexLinear = compexLinearT<NeonVec>,
     .rotateCycles = rotateCyclesT<NeonVec>,
-    .mulRow = mulRowT<NeonVec>,
-    .andRow = andRowT<NeonVec>,
     .addSatRow = addSatRowT<NeonVec>,
+    .mulAccumRow = mulAccumRowT<NeonVec>,
+    .andAccumRow = andAccumRowT<NeonVec>,
+    .macRow = macRowT<NeonVec>,
     .accumSumRow = accumSumRowT<NeonVec>,
     .accumMinRow = accumMinRowT<NeonVec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<NeonVec>,

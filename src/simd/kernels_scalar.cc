@@ -25,9 +25,10 @@ constexpr KernelTable kScalarTable = {
     .pickEqIndexAccum = pickEqIndexAccumT<ScalarVec>,
     .compexLinear = compexLinearT<ScalarVec>,
     .rotateCycles = rotateCyclesT<ScalarVec>,
-    .mulRow = mulRowT<ScalarVec>,
-    .andRow = andRowT<ScalarVec>,
     .addSatRow = addSatRowT<ScalarVec>,
+    .mulAccumRow = mulAccumRowT<ScalarVec>,
+    .andAccumRow = andAccumRowT<ScalarVec>,
+    .macRow = macRowT<ScalarVec>,
     .accumSumRow = accumSumRowT<ScalarVec>,
     .accumMinRow = accumMinRowT<ScalarVec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<ScalarVec>,

@@ -6,8 +6,10 @@
  * AVX2 has no unsigned 64-bit compare or min/max, so both are derived
  * from the signed compare after flipping the sign bit of each lane
  * (x XOR 2^63 maps unsigned order onto signed order); min/max then
- * blend on the comparison mask.  This is the only per-ISA cleverness —
- * everything else is a direct transcription of the ScalarVec contract.
+ * blend on the comparison mask.  Nor does it have a 64-bit multiply,
+ * so mulLo is put together from 32 x 32 -> 64 products.  Those are the
+ * only per-ISA cleverness — everything else is a direct transcription
+ * of the ScalarVec contract.
  *
  * This header may only be included from src/simd (the otcheck
  * intrinsics rule bans raw intrinsics elsewhere) and only compiled in
@@ -51,6 +53,25 @@ struct Avx2Vec
     }
 
     static Reg add(Reg a, Reg b) { return _mm256_add_epi64(a, b); }
+
+    static Reg
+    mulLo(Reg a, Reg b)
+    {
+        // AVX2 multiplies 32 x 32 -> 64 only: the low word of a * b is
+        // lo(a) lo(b) + ((hi(a) lo(b) + lo(a) hi(b)) << 32).
+        const Reg cross =
+            add(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+                _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+        return add(_mm256_mul_epu32(a, b), _mm256_slli_epi64(cross, 32));
+    }
+
+    static Reg
+    mulLoNarrow(Reg a, Reg b)
+    {
+        // hi(b) == 0, so the lo(a) hi(b) term drops out.
+        const Reg cross = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b);
+        return add(_mm256_mul_epu32(a, b), _mm256_slli_epi64(cross, 32));
+    }
 
     static Reg
     minU(Reg a, Reg b)

@@ -4,7 +4,8 @@
  * NEON vector view: 2 x u64 lanes (aarch64 Advanced SIMD baseline).
  *
  * Like AVX2, NEON lacks 64-bit unsigned min/max, so both come from
- * vcgtq_u64 plus a bitwise select.  This header may only be included
+ * vcgtq_u64 plus a bitwise select, and a 64-bit multiply, so mulLo
+ * multiplies lane by lane.  This header may only be included
  * from src/simd (the otcheck intrinsics rule bans raw intrinsics
  * elsewhere) and only compiled on aarch64.
  */
@@ -38,6 +39,18 @@ struct NeonVec
     }
 
     static Reg add(Reg a, Reg b) { return vaddq_u64(a, b); }
+
+    static Reg
+    mulLo(Reg a, Reg b)
+    {
+        // No 64-bit lane multiply in Advanced SIMD: one per lane.
+        const std::uint64_t lanes[kWidth] = {
+            vgetq_lane_u64(a, 0) * vgetq_lane_u64(b, 0),
+            vgetq_lane_u64(a, 1) * vgetq_lane_u64(b, 1)};
+        return vld1q_u64(lanes);
+    }
+
+    static Reg mulLoNarrow(Reg a, Reg b) { return mulLo(a, b); }
 
     static Reg
     minU(Reg a, Reg b)

@@ -37,6 +37,12 @@ struct ScalarVec
 
     static Reg add(Reg a, Reg b) { return a + b; }
 
+    /** Low 64 bits of a * b per lane (the product mod 2^64). */
+    static Reg mulLo(Reg a, Reg b) { return a * b; }
+
+    /** mulLo for a b whose lanes are all below 2^32 (may be cheaper). */
+    static Reg mulLoNarrow(Reg a, Reg b) { return a * b; }
+
     static Reg
     minU(Reg a, Reg b)
     {

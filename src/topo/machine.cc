@@ -29,6 +29,7 @@
 #include <utility>
 
 #include "linalg/bit_matrix.hh"
+#include "linalg/reference.hh"
 #include "vlsi/bitmath.hh"
 
 namespace ot::topo {
@@ -83,22 +84,16 @@ Machine::runMatMul(const linalg::IntMatrix &a, const linalg::IntMatrix &b)
            "generic matmul: square operands only");
 
     MatMulRun r;
-    r.product = linalg::IntMatrix(m, m, 0);
     const ModelTime t0 = now();
 
     // Round k streams operand slice k to every node (one broadcast)
-    // and accumulates c(i, j) += a(i, k) * b(k, j) everywhere.
-    for (std::size_t k = 0; k < m; ++k) {
-        const std::uint64_t *bk = b.rowData(k);
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t aik = a.rowData(i)[k];
-            std::uint64_t *ci = r.product.rowData(i);
-            for (std::size_t j = 0; j < m; ++j)
-                ci[j] += aik * bk[j];
-        }
+    // and accumulates c(i, j) += a(i, k) * b(k, j) everywhere.  The
+    // sum is modular, so the host takes the reference product (one
+    // i-k-j pass) and then charges the m rounds in order.
+    r.product = linalg::matMul(a, b);
+    for (std::size_t k = 0; k < m; ++k)
         charge(broadcastCost() + cost().bitSerialMultiply() +
                cost().bitSerialOp());
-    }
     r.time = now() - t0;
     return r;
 }

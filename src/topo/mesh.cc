@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "linalg/reference.hh"
 #include "otn/registers.hh" // kNull
 #include "vlsi/bitmath.hh"
 
@@ -95,19 +96,6 @@ MeshMachine::runSort(const std::vector<std::uint64_t> &values)
     return r;
 }
 
-namespace {
-
-/** c[j] += a[j] * b[j] for j in [0, n). */
-void
-macRow(std::uint64_t *c, const std::uint64_t *a, const std::uint64_t *b,
-       std::size_t n)
-{
-    for (std::size_t j = 0; j < n; ++j)
-        c[j] += a[j] * b[j];
-}
-
-} // namespace
-
 void
 MeshMachine::chargeCannon(std::size_t n)
 {
@@ -127,29 +115,10 @@ MeshMachine::cannon(const linalg::IntMatrix &a, const linalg::IntMatrix &b)
     assert(a.cols() == n && b.rows() == n && b.cols() == n);
     assert(n * n <= _grid.processors() && "mesh: operands exceed the grid");
 
-    // Initial skew: row i of A rotated left by i, column j of B
-    // rotated up by j.
-    linalg::IntMatrix as(n, n), bs(n, n), c(n, n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            as(i, j) = a(i, (j + i) % n);
-            bs(i, j) = b((i + j) % n, j);
-        }
-
-    // After s rotations (A left, B up) PE(i, j) holds as(i, (j+s) mod n)
-    // and bs((i+s) mod n, j).  The host indexes the skewed matrices
-    // instead of moving them: B's operand row is one whole row, and
-    // A's splits at column n - s where the index wraps.
-    for (std::size_t step = 0; step < n; ++step) {
-        const std::size_t split = n - step;
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t *crow = &c(i, 0);
-            const std::uint64_t *arow = &as(i, 0);
-            const std::uint64_t *brow = &bs((i + step) % n, 0);
-            macRow(crow, arow + step, brow, split);
-            macRow(crow + split, arow, brow + split, step);
-        }
-    }
+    // PE(i, j) sums a(i, k) * b(k, j) over the n steps, k in rotation
+    // order; the sum is modular, so its order does not matter and the
+    // host takes the reference product instead of skewing copies.
+    linalg::IntMatrix c = linalg::matMul(a, b);
     chargeCannon(n);
     return c;
 }

@@ -220,6 +220,19 @@ TEST(CheckTree, ShippedTreeIsClean)
         << ot::check::renderText(report);
 }
 
+TEST(CheckTree, MissingFileArgumentsAreNamed)
+{
+    // otcheck exits 2 naming each of these instead of auditing an
+    // empty file.  A directory is not a file either.
+    const std::string root = OT_CHECK_SOURCE_ROOT;
+    EXPECT_EQ(ot::check::missingFiles(
+                  root, {"src/otn/sort.cc", "no/such/file.cc", "src",
+                         "tools/otcheck.cc"}),
+              (std::vector<std::string>{"no/such/file.cc", "src"}));
+    EXPECT_TRUE(
+        ot::check::missingFiles(root, ot::check::collectFiles(root)).empty());
+}
+
 TEST(CheckTree, SeededRandInOtnSortIsCaught)
 {
     const std::string root = OT_CHECK_SOURCE_ROOT;

@@ -364,12 +364,41 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
 
         // Elementwise base-op rows, and one row's contribution to the
         // column reductions (the accumulator starts from a mixed row).
-        for (auto fn : {&simd::KernelTable::mulRow,
-                        &simd::KernelTable::andRow,
-                        &simd::KernelTable::addSatRow}) {
-            (sc.*fn)(s.data(), a.data(), b.data(), n);
-            (vec.*fn)(v.data(), a.data(), b.data(), n);
-            EXPECT_EQ(s, v) << "binary row kernel";
+        sc.addSatRow(s.data(), a.data(), b.data(), n);
+        vec.addSatRow(v.data(), a.data(), b.data(), n);
+        EXPECT_EQ(s, v) << "addSatRow";
+        // Scalar-times-row kernels on a row of absent words, zeros,
+        // small words and words at or above 2^32, with scalars of each
+        // kind: products of two wide words wrap mod 2^64, and a
+        // scalar below 2^32 takes the vector views' narrow multiply.
+        std::vector<std::uint64_t> row(n);
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint64_t kinds[] = {
+                simd::kNullWord, 0, j + 1, a[j],
+                (std::uint64_t{1} << 32) + j, ~std::uint64_t{0} - j - 1};
+            row[j] = kinds[j % std::size(kinds)];
+        }
+        for (std::uint64_t x :
+             {simd::kNullWord, std::uint64_t{0}, std::uint64_t{1},
+              std::uint64_t{9}, (std::uint64_t{1} << 32) - 1,
+              std::uint64_t{1} << 32, std::uint64_t{0x9e3779b97f4a7c15},
+              ~std::uint64_t{0} - 1}) {
+            SCOPED_TRACE(::testing::Message() << "scalar " << x);
+            for (auto fn : {&simd::KernelTable::mulAccumRow,
+                            &simd::KernelTable::andAccumRow}) {
+                std::vector<std::uint64_t> sacc = b, vacc = b;
+                s.assign(n, 5);
+                v.assign(n, 5);
+                (sc.*fn)(sacc.data(), s.data(), x, row.data(), n);
+                (vec.*fn)(vacc.data(), v.data(), x, row.data(), n);
+                EXPECT_EQ(s, v) << "product row kernel out";
+                EXPECT_EQ(sacc, vacc) << "product row kernel acc";
+            }
+            s = b;
+            v = b;
+            sc.macRow(s.data(), x, row.data(), n);
+            vec.macRow(v.data(), x, row.data(), n);
+            EXPECT_EQ(s, v) << "macRow";
         }
         for (auto fn : {&simd::KernelTable::accumSumRow,
                         &simd::KernelTable::accumMinRow}) {
@@ -656,6 +685,27 @@ batchCases()
         net.baseOpRows(net.cost().bitSerialOp(), fn, Reg::A, Reg::B,
                        Reg::C);
     };
+    // One vector-matrix product step as vecMatBody takes it: the row
+    // broadcast of A, then C := A op B and the column sums of C.
+    auto product = [](OrthogonalTreesNetwork &net, bool boolean) {
+        net.batchRowBroadcast(Reg::A);
+        net.batchProductColSum(boolean ? 1 : net.cost().bitSerialMultiply(),
+                               boolean, Reg::A, Reg::B, Reg::C);
+    };
+    auto productPardo = [=](OrthogonalTreesNetwork &net, bool boolean) {
+        pardo(net, [&](std::size_t i) {
+            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+        });
+        const BinaryOp op = boolean ? andOrZero : mulOrZero;
+        net.baseOp(boolean ? 1 : net.cost().bitSerialMultiply(),
+                   [&](std::size_t i, std::size_t j) {
+                       net.reg(Reg::C, i, j) =
+                           op(net.reg(Reg::A, i, j), net.reg(Reg::B, i, j));
+                   });
+        pardo(net, [&](std::size_t j) {
+            net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
+        });
+    };
     return {
         {"batchRowBroadcast",
          [](auto &net) { net.batchRowBroadcast(Reg::A); },
@@ -763,13 +813,11 @@ batchCases()
              });
          },
          {Reg::R, Reg::G}, Reg::R},
-        {"baseOpRows(mulRow)",
-         [=](auto &net) { rowsOp(net, net.kernelTable().mulRow); },
-         [=](auto &net) { base(net, mulOrZero); },
+        {"batchProductColSum(mul)", [=](auto &net) { product(net, false); },
+         [=](auto &net) { productPardo(net, false); },
          {Reg::A, Reg::B, Reg::C}},
-        {"baseOpRows(andRow)",
-         [=](auto &net) { rowsOp(net, net.kernelTable().andRow); },
-         [=](auto &net) { base(net, andOrZero); },
+        {"batchProductColSum(and)", [=](auto &net) { product(net, true); },
+         [=](auto &net) { productPardo(net, true); },
          {Reg::A, Reg::B, Reg::C}},
         {"baseOpRows(addSatRow)",
          [=](auto &net) { rowsOp(net, net.kernelTable().addSatRow); },
@@ -1054,6 +1102,74 @@ TEST(BroadcastPlanes, EveryBatchPrimitiveOnEveryInputShape)
     }
     // The precondition rules out only some key shapes, never all.
     EXPECT_GT(runs, 20 * skipped);
+}
+
+TEST(BatchProductColSum, LeavesWhatTheTwoStepProductLeft)
+{
+    // The fused step must leave what a baseOp writing C := A op B
+    // followed by the column sums of C left: C's words (Dense), the
+    // dirty planes (C's bit added, A and B untouched) and the column
+    // roots — here against a plain loop over those two steps, on row
+    // scalars that are absent, zero, small and near the word's top.
+    // The second product overwrites the first one's C.
+    std::vector<simd::Backend> backends = vectorBackends();
+    backends.push_back(simd::Backend::Scalar);
+    const CostModel wide{DelayModel::Logarithmic, WordFormat(64)};
+    const std::uint64_t top = wide.word().maxValue();
+    for (simd::Backend backend : backends)
+        for (std::size_t n : {1, 4, 16, 64})
+            for (bool boolean : {false, true}) {
+                OrthogonalTreesNetwork net(n, wide);
+                net.setSimdBackend(backend);
+                Rng rng(4049 + n);
+                std::vector<std::uint64_t> b(n * n);
+                for (std::uint64_t &w : b) {
+                    const std::uint64_t kinds[] = {
+                        otn::kNull, 0, rng.uniform(1, 9),
+                        rng.uniform(std::uint64_t{1} << 32, top)};
+                    w = kinds[rng.uniform(0, 3)];
+                }
+                for (std::size_t i = 0; i < n; ++i)
+                    for (std::size_t j = 0; j < n; ++j)
+                        net.reg(Reg::B, i, j) = b[i * n + j];
+                for (int round = 0; round < 2; ++round) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << simd::toString(backend) << " n=" << n
+                                 << " boolean=" << boolean
+                                 << " round=" << round);
+                    std::vector<std::uint64_t> s(n);
+                    for (std::uint64_t &x : s) {
+                        const std::uint64_t kinds[] = {
+                            otn::kNull, 0, rng.uniform(1, 9),
+                            top - rng.uniform(0, 1000)};
+                        x = kinds[rng.uniform(0, 3)];
+                    }
+                    net.setRowRootInputs(s);
+                    net.batchRowBroadcast(Reg::A);
+                    const std::uint32_t dirty = net.dirtyMask();
+                    net.batchProductColSum(1, boolean, Reg::A, Reg::B,
+                                           Reg::C);
+
+                    std::vector<std::uint64_t> c(n * n), col(n, 0);
+                    for (std::size_t i = 0; i < n; ++i)
+                        for (std::size_t j = 0; j < n; ++j) {
+                            const std::uint64_t w = b[i * n + j];
+                            c[i * n + j] = boolean ? andOrZero(s[i], w)
+                                                   : mulOrZero(s[i], w);
+                            col[j] += c[i * n + j];
+                        }
+                    EXPECT_EQ(net.dirtyMask(),
+                              dirty | 1u << static_cast<unsigned>(Reg::C));
+                    EXPECT_EQ(net.regShape(Reg::C), simd::Shape::Dense);
+                    EXPECT_EQ(net.regShape(Reg::A), simd::Shape::RowConst);
+                    const OrthogonalTreesNetwork &view = net;
+                    EXPECT_EQ(std::memcmp(view.regPlane(Reg::C), c.data(),
+                                          c.size() * sizeof(std::uint64_t)),
+                              0);
+                    EXPECT_EQ(net.colRootOutputs(), col);
+                    EXPECT_EQ(net.materializations(), 0u);
+                }
+            }
 }
 
 struct DiffCase

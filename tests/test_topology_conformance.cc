@@ -7,7 +7,9 @@
  * sequential reference — the contract that makes a registry entry a
  * *machine* rather than a cost table.  On top of the differential
  * sweep: the generic matmul/boolmm path must be exact and charge its
- * closed-form model time on every net that runs it, the batch reports
+ * closed-form model time on every net that runs it, every integer
+ * product path must match an independent triple loop on words whose
+ * products and sums wrap, the batch reports
  * must stay byte-identical at host-thread counts 1 and 8, the AT^2
  * rows for the new fat-tree and D2D-MoT machines must be well-formed, and the D2D-MoT's diametrical links
  * must strictly reduce root bandwidth against the plain MoT on the
@@ -286,6 +288,101 @@ TEST(TopologyConformance, GenericMatMulPathsAreExactAndChargeTheirRounds)
                 << "boolmm on " << net << " n=" << n;
             EXPECT_EQ(m->steps() - steps0, n)
                 << "boolmm on " << net << " n=" << n;
+        }
+}
+
+/**
+ * C = A * B mod 2^64 by the textbook i-j-k triple loop, shared with no
+ * product path.  With `absent`, a kNull operand contributes nothing
+ * (the OTN's rule); without it kNull is the word 2^64 - 1.
+ */
+linalg::IntMatrix
+tripleLoopProduct(const linalg::IntMatrix &a, const linalg::IntMatrix &b,
+                  bool absent)
+{
+    const std::size_t n = a.rows();
+    linalg::IntMatrix c(n, n, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            std::uint64_t sum = 0;
+            for (std::size_t k = 0; k < n; ++k) {
+                const bool skip = absent && (a(i, k) == otn::kNull ||
+                                             b(k, j) == otn::kNull);
+                if (!skip)
+                    sum += a(i, k) * b(k, j);
+            }
+            c(i, j) = sum;
+        }
+    return c;
+}
+
+/**
+ * An n x n operand of zeros, absent words, small words, words across
+ * 2^32 and words near 2^63 (just below it when `narrow`, for machines
+ * whose widest word is 2^63 - 1; also above it otherwise).
+ */
+linalg::IntMatrix
+adversarialOperand(std::size_t n, sim::Rng &rng, bool narrow)
+{
+    const std::uint64_t half = std::uint64_t{1} << 63;
+    linalg::IntMatrix m(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint64_t r = rng.uniform(0, 1u << 20);
+            const std::uint64_t kinds[] = {
+                0,
+                otn::kNull,
+                rng.uniform(1, 9),
+                (std::uint64_t{1} << 32) - 2 + rng.uniform(0, 3),
+                half - 1 - r,
+                narrow ? half / 2 + r : half + r};
+            m(i, j) = kinds[rng.uniform(0, std::size(kinds) - 1)];
+        }
+    return m;
+}
+
+/** `m` with every kNull word replaced by 0. */
+linalg::IntMatrix
+absentAsZero(linalg::IntMatrix m)
+{
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        for (std::size_t j = 0; j < m.cols(); ++j)
+            if (m(i, j) == otn::kNull)
+                m(i, j) = 0;
+    return m;
+}
+
+TEST(AdversarialMatMul, EveryProductPathMatchesATripleLoop)
+{
+    // linalg::matMul (every matmul reference), the generic
+    // Machine::runMatMul (fattree) and the mesh's Cannon product all
+    // run simd::KernelTable::macRow, so each is checked here against
+    // a triple loop that shares nothing with them, on words whose
+    // products and sums wrap.  The OTN and OTC-emulated products run
+    // mulAccumRow on 64-bit words (absent words contribute nothing):
+    // they are checked against the same loop, and against the
+    // reference on the operands with absent words zeroed, so a wrong
+    // macRow fails on those nets too.
+    for (const char *net : {"otn", "otc", "mesh", "fattree"})
+        for (std::size_t n : {16, 64}) {
+            SCOPED_TRACE(::testing::Message() << net << " n=" << n);
+            topo::MachineSpec spec = topo::resolveSpec(
+                net, topo::Algo::MatMul, n, vlsi::DelayModel::Logarithmic,
+                false);
+            spec.wordBits = 64;
+            const bool absent = spec.topo == "otn" || spec.topo == "otc-emu";
+            sim::Rng rng(6151 + n);
+            const linalg::IntMatrix a = adversarialOperand(n, rng, absent);
+            const linalg::IntMatrix b = adversarialOperand(n, rng, absent);
+
+            auto m = topo::registry().build(spec);
+            const linalg::IntMatrix product = m->runMatMul(a, b).product;
+            EXPECT_EQ(product, tripleLoopProduct(a, b, absent));
+            EXPECT_EQ(linalg::matMul(a, b), tripleLoopProduct(a, b, false));
+            if (absent) {
+                EXPECT_EQ(product,
+                          linalg::matMul(absentAsZero(a), absentAsZero(b)));
+            }
         }
 }
 

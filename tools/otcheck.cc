@@ -16,7 +16,8 @@
  *
  * With no FILE arguments, audits every *.cc / *.hh under root/src,
  * root/tools and root/bench.  Exit status: 0 clean, 1 diagnostics,
- * 2 usage error.
+ * 2 usage error (an unknown flag, or a root or FILE that does not
+ * exist).
  */
 
 #include <cstdio>
@@ -69,6 +70,12 @@ main(int argc, char **argv)
     }
     if (files.empty())
         files = ot::check::collectFiles(root);
+    const std::vector<std::string> missing =
+        ot::check::missingFiles(root, files);
+    for (const std::string &file : missing)
+        std::fprintf(stderr, "otcheck: no such file: %s\n", file.c_str());
+    if (!missing.empty())
+        return 2;
 
     ot::check::Report report =
         ot::check::checkProject(ot::check::readTree(root, files));
