@@ -34,13 +34,13 @@ layerTable()
           "trace", "vlsi"}},
         {"topo",
          {"topo", "otc", "otn", "graph", "layout", "linalg", "sim",
-          "trace", "vlsi"}},
+          "simd", "trace", "vlsi"}},
         {"workload",
          {"workload", "topo", "otc", "otn", "graph", "layout", "linalg",
-          "sim", "trace", "vlsi"}},
+          "sim", "simd", "trace", "vlsi"}},
         {"scenario",
          {"scenario", "workload", "topo", "otc", "otn", "graph",
-          "layout", "linalg", "sim", "trace", "vlsi"}},
+          "layout", "linalg", "sim", "simd", "trace", "vlsi"}},
         // The checker itself: standard library only, so it can never
         // deadlock on the layers it audits.
         {"check", {"check"}},

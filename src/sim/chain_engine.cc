@@ -1,6 +1,7 @@
 #include "sim/chain_engine.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "sim/thread_pool.hh"
 
@@ -101,10 +102,11 @@ ChainEngine::hostFor(std::size_t count,
 {
     const unsigned lanes =
         static_cast<unsigned>(std::min<std::size_t>(_threads, count));
-    ThreadPool::shared().run(lanes, [&](unsigned t) {
-        const std::size_t lo = count * t / lanes;
-        const std::size_t hi = count * (t + 1) / lanes;
-        for (std::size_t k = lo; k < hi; ++k)
+    // Each lane claims the next index until none are left, so a lane
+    // that drew short iterations takes more of them.
+    std::atomic<std::size_t> next{0};
+    ThreadPool::shared().run(lanes, [&](unsigned) {
+        for (std::size_t k = next++; k < count; k = next++)
             body(k);
     });
 }

@@ -120,11 +120,15 @@ class ChainEngine
     ModelTime runUncharged(const std::function<void()> &body);
 
     /**
-     * Run body(k) for every k in [0, count) on up to host_threads
-     * pool lanes; lane t takes the contiguous block
-     * [count*t/lanes, count*(t+1)/lanes).  Pure host dispatch: bodies
-     * must not charge, count or trace through this engine, and
-     * iterations must touch disjoint state.
+     * Run body(k) once for every k in [0, count) on up to
+     * host_threads pool lanes.  Lanes claim indices one at a time, in
+     * increasing order, from a shared counter until none are left, so
+     * no lane idles while another holds unstarted work.  Which lane
+     * runs which index is not fixed.  Pure host dispatch: bodies must
+     * not charge, count or trace through this engine, and iterations
+     * must touch disjoint state.  An exception from a body stops only
+     * its lane; the others drain the counter, and the exception of
+     * the lowest-numbered lane that threw is rethrown after the join.
      */
     void hostFor(std::size_t count,
                  const std::function<void(std::size_t)> &body) const;

@@ -1,6 +1,7 @@
 #include "sim/thread_pool.hh"
 
 #include <cstdlib>
+#include <exception>
 
 namespace ot::sim {
 
@@ -63,6 +64,7 @@ ThreadPool::workerLoop(unsigned id)
     std::uint64_t seen = 0;
     for (;;) {
         const std::function<void(unsigned)> *fn = nullptr;
+        std::exception_ptr *errors = nullptr;
         unsigned lanes = 0;
         {
             std::unique_lock<std::mutex> lk(_m);
@@ -73,11 +75,12 @@ ThreadPool::workerLoop(unsigned id)
                 return;
             seen = _epoch;
             fn = _fn;
+            errors = _errors;
             lanes = _lanes;
         }
         // Worker w runs lane w + 1; extra workers sit the job out.
         if (id + 1 < lanes) {
-            (*fn)(id + 1);
+            runLane(*fn, id + 1, errors[id + 1]);
             std::lock_guard<std::mutex> lk(_m);
             if (--_pending == 0)
                 _done.notify_one();
@@ -86,33 +89,56 @@ ThreadPool::workerLoop(unsigned id)
 }
 
 void
+ThreadPool::runLane(const std::function<void(unsigned)> &fn, unsigned lane,
+                    std::exception_ptr &error)
+{
+    try {
+        fn(lane);
+    } catch (...) {
+        error = std::current_exception();
+    }
+}
+
+void
 ThreadPool::run(unsigned lanes, const std::function<void(unsigned)> &fn)
 {
     if (lanes == 0)
         return;
-    if (lanes == 1 || t_in_worker) {
-        for (unsigned t = 0; t < lanes; ++t)
-            fn(t);
+    if (lanes == 1) {
+        fn(0);
         return;
     }
-    std::lock_guard<std::mutex> job(_jobMutex);
-    ensureWorkers(lanes - 1);
-    {
-        std::lock_guard<std::mutex> lk(_m);
-        _fn = &fn;
-        _lanes = lanes;
-        _pending = lanes - 1;
-        ++_epoch;
+    std::vector<std::exception_ptr> errors(lanes);
+    if (t_in_worker) {
+        for (unsigned t = 0; t < lanes; ++t)
+            runLane(fn, t, errors[t]);
+    } else {
+        std::lock_guard<std::mutex> job(_jobMutex);
+        ensureWorkers(lanes - 1);
+        {
+            std::lock_guard<std::mutex> lk(_m);
+            _fn = &fn;
+            _errors = errors.data();
+            _lanes = lanes;
+            _pending = lanes - 1;
+            ++_epoch;
+        }
+        _wake.notify_all();
+        // Mark the caller busy while it runs lane 0 so a nested run()
+        // from the job body goes inline instead of self-deadlocking on
+        // _jobMutex.  runLane never throws, so the flag is always
+        // restored and the workers always joined.
+        t_in_worker = true;
+        runLane(fn, 0, errors[0]);
+        t_in_worker = false;
+        std::unique_lock<std::mutex> lk(_m);
+        _done.wait(lk, [&] { return _pending == 0; });
+        _fn = nullptr;
+        _errors = nullptr;
     }
-    _wake.notify_all();
-    // Mark the caller busy while it runs lane 0 so a nested run() from
-    // the job body goes inline instead of self-deadlocking on _jobMutex.
-    t_in_worker = true;
-    fn(0);
-    t_in_worker = false;
-    std::unique_lock<std::mutex> lk(_m);
-    _done.wait(lk, [&] { return _pending == 0; });
-    _fn = nullptr;
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 } // namespace ot::sim

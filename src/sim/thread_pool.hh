@@ -4,22 +4,25 @@
  *
  * The one threaded path in the simulator is the BatchEngine's host
  * phase (workload/engine.hh), reached through ChainEngine::hostFor:
- * whole instances run on separate machines, one contiguous block of
- * farm shards per lane.  The pool is deliberately work-stealing-free:
- * every worker runs exactly one block and the caller joins at the
- * end.  That static schedule only balances the lanes; determinism
- * comes from the farm replaying its accounting sequentially after
- * the join.
+ * each pool lane claims farm shards one at a time from a shared
+ * counter, builds the shard's machine if the cache slot is still
+ * empty, and runs the shard's instances on it.  The pool itself only
+ * starts `lanes` bodies at once and joins them; which lane ran which
+ * shard never shows, because the farm replays its accounting
+ * sequentially after the join.
  *
  * One job runs at a time (callers serialize on the job mutex); nested
  * `run` calls from inside a worker fall back to running all lanes
- * inline on the calling thread.
+ * inline on the calling thread.  An exception thrown by a lane is
+ * caught there; every lane still runs to its end, and run() rethrows
+ * the exception of the lowest-numbered lane that threw.
  */
 
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -56,6 +59,9 @@ class ThreadPool
      * until all lanes finish.  When called from inside a running job —
      * whether from a worker lane or from lane 0 on the original caller —
      * all lanes run inline, sequentially, on the calling thread.
+     * If any lane throws, the other lanes still finish; run() then
+     * rethrows the exception of the lowest-numbered lane that threw,
+     * and the pool is ready for the next job.
      */
     void run(unsigned lanes, const std::function<void(unsigned)> &fn);
 
@@ -66,6 +72,10 @@ class ThreadPool
     void workerLoop(unsigned id);
     void ensureWorkers(unsigned n);
 
+    /** fn(lane), with an escaping exception stored in `error`. */
+    static void runLane(const std::function<void(unsigned)> &fn,
+                        unsigned lane, std::exception_ptr &error);
+
     std::mutex _jobMutex; // serializes concurrent run() callers
 
     std::mutex _m;
@@ -73,6 +83,7 @@ class ThreadPool
     std::condition_variable _done;
     std::vector<std::thread> _workers;
     const std::function<void(unsigned)> *_fn = nullptr;
+    std::exception_ptr *_errors = nullptr; // one slot per lane
     unsigned _lanes = 0;
     unsigned _pending = 0;
     std::uint64_t _epoch = 0;

@@ -162,9 +162,10 @@ BatchEngine::run(const WorkloadSpec &spec)
     const std::uint64_t misses0 = _cache.misses();
 
     // Resolve instances to farm shards, in submission order: one shard
-    // per distinct machine shape, each backed by one cache entry.  The
-    // acquires run on the main thread (the cache is not locked), and
-    // hit/miss per instance is deterministic by construction.
+    // per distinct machine shape, each backed by one cache slot.  The
+    // lookups run on the main thread (the cache is not locked), and
+    // hit/miss per instance is deterministic by construction.  A miss
+    // only reserves its slot; the lane that runs the shard builds it.
     std::vector<Shard> shards;
     std::map<CacheKey, std::size_t> shardOf;
     for (std::size_t i = 0; i < spec.instances.size(); ++i) {
@@ -181,7 +182,7 @@ BatchEngine::run(const WorkloadSpec &spec)
         Shard &sh = shards[it->second];
 
         const std::uint64_t before = _cache.hits();
-        sh.machine = &_cache.acquire(key, cost);
+        sh.slot = &_cache.reserve(key, cost);
         sh.members.push_back(i);
 
         InstanceReport &r = report.instances[i];
@@ -199,17 +200,26 @@ BatchEngine::run(const WorkloadSpec &spec)
     _stats.counter("workload.cache.hit") += report.cacheHits;
     _stats.counter("workload.cache.miss") += report.cacheMisses;
 
-    // Host phase: shards run in parallel (disjoint machines), instances
-    // within a shard queue on their shared machine.  A lane touches
-    // only its own shards' machines and report slots.
-    _engine.hostFor(shards.size(), [&](std::size_t s) {
-        const Shard &sh = shards[s];
-        for (std::size_t idx : sh.members) {
-            sh.machine->reset();
-            runInstance(spec.instances[idx], *sh.machine,
-                        report.instances[idx]);
-        }
-    });
+    // Host phase: lanes claim shards in order and run them in parallel
+    // (disjoint machines); instances within a shard queue on their
+    // shared machine, which the claiming lane builds first if its slot
+    // is empty.  A lane touches only its shards' slots, machines and
+    // report slots.
+    try {
+        _engine.hostFor(shards.size(), [&](std::size_t s) {
+            const Shard &sh = shards[s];
+            topo::Machine &m = NetworkCache::fill(*sh.slot, sh.key);
+            for (std::size_t idx : sh.members) {
+                m.reset();
+                runInstance(spec.instances[idx], m, report.instances[idx]);
+            }
+        });
+    } catch (...) {
+        // A build that threw, or a shard never claimed, leaves an
+        // empty slot: drop it so the next lookup is a miss that builds.
+        _cache.dropEmpty();
+        throw;
+    }
 
     // Model phase: replay the farm's accounting in shard order.
     // parallelFor charges the longest shard chain — the farm makespan.

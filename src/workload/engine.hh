@@ -11,9 +11,13 @@
  * steps:
  *
  *  1. Host phase — the only threaded code in the simulator.  The
- *     shards are split into contiguous blocks over OT_HOST_THREADS
- *     lanes (ChainEngine::hostFor); each lane runs its shards'
- *     instances and writes only its own machines and report slots.
+ *     main thread first resolves every instance to its shard and
+ *     cache slot in submission order, so hit and miss are fixed
+ *     before any lane starts; a miss only reserves the slot.  Then
+ *     OT_HOST_THREADS lanes claim shards one at a time, in shard
+ *     order (ChainEngine::hostFor); the claiming lane builds the
+ *     shard's machine if its slot is empty and runs the shard's
+ *     instances, writing only that shard's machine and report slots.
  *  2. Model phase — on the calling thread, a parallelFor over the
  *     shards replays each instance's span, charge and stat counter
  *     in shard order.  The max-of-chains rule of the networks' pardo
@@ -166,11 +170,11 @@ class BatchEngine
     trace::Tracer *tracer() const { return _engine.tracer(); }
 
   private:
-    /** One farm shard: a machine and the instances it serves. */
+    /** One farm shard: a cache slot and the instances it serves. */
     struct Shard
     {
         CacheKey key;
-        topo::Machine *machine = nullptr;
+        NetworkCache::Slot *slot = nullptr;
         std::vector<std::size_t> members;
     };
 

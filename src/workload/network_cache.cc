@@ -17,20 +17,39 @@ NetworkCache::checkCost(const CacheKey &key, const vlsi::CostModel &cost)
     (void)cost;
 }
 
+NetworkCache::Slot &
+NetworkCache::reserve(const CacheKey &key, const vlsi::CostModel &cost)
+{
+    checkCost(key, cost);
+    auto [it, fresh] = _machines.try_emplace(key);
+    ++(fresh ? _misses : _hits);
+    return it->second;
+}
+
+topo::Machine &
+NetworkCache::fill(Slot &slot, const CacheKey &key)
+{
+    if (!slot)
+        slot = topo::registry().build(key);
+    return *slot;
+}
+
 topo::Machine &
 NetworkCache::acquire(const CacheKey &key, const vlsi::CostModel &cost)
 {
-    checkCost(key, cost);
-    auto it = _machines.find(key);
-    if (it != _machines.end()) {
-        ++_hits;
-        return *it->second;
+    Slot &slot = reserve(key, cost);
+    try {
+        return fill(slot, key);
+    } catch (...) {
+        _machines.erase(key);
+        throw;
     }
-    ++_misses;
-    auto machine = topo::registry().build(key);
-    auto &ref = *machine;
-    _machines.emplace(key, std::move(machine));
-    return ref;
+}
+
+void
+NetworkCache::dropEmpty()
+{
+    std::erase_if(_machines, [](const auto &kv) { return !kv.second; });
 }
 
 } // namespace ot::workload

@@ -2,15 +2,14 @@
 //
 // Known-bad layering fixture: the topology layer reaching *up* the
 // layer DAG into its own consumers.  topo may not include workload/
-// or scenario/ (they depend on it), nor analysis/, simd/ or the
-// umbrella header.
+// or scenario/ (they depend on it), nor analysis/ or the umbrella
+// header.
 #include "topo/machine.hh"
 #include "vlsi/delay.hh"
 
 #include "workload/engine.hh" // expect: layering
 #include "scenario/spec.hh" // expect: layering
 #include "analysis/table.hh" // expect: layering
-#include "simd/kernels.hh" // expect: layering
 #include "orthotree/orthotree.hh" // expect: layering
 
 int

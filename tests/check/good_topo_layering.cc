@@ -15,6 +15,7 @@
 #include "otc/network.hh"
 #include "otn/network.hh"
 #include "sim/time_accountant.hh"
+#include "simd/kernels.hh"
 #include "trace/tracer.hh"
 #include "vlsi/delay.hh"
 

@@ -258,6 +258,23 @@ TEST(CheckTree, SeededSimToOtnIncludeIsCaught)
     EXPECT_EQ(1, diags[0].line);
 }
 
+// The layers above otn may include simd (DESIGN.md: "everything
+// below"); simd still may not include any of them.
+TEST(CheckTree, SimdIsBelowTopoWorkloadAndScenario)
+{
+    for (const char *path : {"src/topo/registry.cc", "src/workload/engine.cc",
+                             "src/scenario/engine.cc"})
+        EXPECT_TRUE(
+            checkAs(path, "#include \"simd/kernels.hh\"\nint x;\n").empty())
+            << path;
+
+    std::vector<Diagnostic> diags = checkAs(
+        "src/simd/backend.cc", "#include \"topo/machine.hh\"\nint x;\n");
+    ASSERT_EQ(1u, diags.size());
+    EXPECT_EQ("layering", diags[0].rule);
+    EXPECT_EQ(1, diags[0].line);
+}
+
 /** Insert `text` as new lines after the first line containing
  *  `after` (at the end of the file when `after` is empty). */
 struct Edit

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "otn/pipeline.hh"
-#include "sim/chain_engine.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
 
 namespace {
 
@@ -127,13 +127,10 @@ TEST(SortPipelineProperties2, TotalTimeIsHostThreadInvariant)
     const ModelTime expect = sortPipelineOtn(ref, problems).totalTime;
     for (unsigned lanes : {2u, 8u}) {
         std::vector<ModelTime> totals(lanes);
-        ot::sim::TimeAccountant acct;
-        ot::sim::StatSet stats;
-        ot::sim::ChainEngine(acct, stats, lanes)
-            .hostFor(lanes, [&](std::size_t k) {
-                OrthogonalTreesNetwork net(n, logCost(n));
-                totals[k] = sortPipelineOtn(net, problems).totalTime;
-            });
+        ot::sim::ThreadPool::shared().run(lanes, [&](unsigned lane) {
+            OrthogonalTreesNetwork net(n, logCost(n));
+            totals[lane] = sortPipelineOtn(net, problems).totalTime;
+        });
         for (ModelTime t : totals)
             EXPECT_EQ(t, expect) << "lanes=" << lanes;
     }

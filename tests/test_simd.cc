@@ -34,8 +34,8 @@
 #include "otn/network.hh"
 #include "otn/patterns.hh"
 #include "otn/sort.hh"
-#include "sim/chain_engine.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
 #include "simd/backend.hh"
 #include "simd/kernels.hh"
 #include "simd/regfile.hh"
@@ -1188,11 +1188,7 @@ struct DiffCase
 void
 onFarmLanes(unsigned lanes, const std::function<void()> &body)
 {
-    sim::TimeAccountant acct;
-    sim::StatSet stats;
-    sim::ChainEngine(acct, stats, lanes).hostFor(lanes, [&](std::size_t) {
-        body();
-    });
+    sim::ThreadPool::shared().run(lanes, [&](unsigned) { body(); });
 }
 
 class NetworkDifferential : public ::testing::TestWithParam<DiffCase>

@@ -1,6 +1,7 @@
 /**
  * @file
- * The batched workload engine: cache hit/miss semantics, the farm
+ * The batched workload engine: cache hit/miss semantics (also when
+ * farm lanes build the machines, and when a build throws), the farm
  * makespan rule (max over shards of summed instance times), and the
  * determinism contract — reports, trace streams and their truncation
  * point byte-identical at every host-thread count.
@@ -12,11 +13,13 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "topo/machine.hh"
+#include "topo/registry.hh"
 #include "trace/tracer.hh"
 #include "vlsi/word.hh"
 #include "workload/engine.hh"
@@ -83,6 +86,105 @@ TEST(NetworkCacheTest, SecondAcquireIsAHitOnTheSameMachine)
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
+}
+
+/** Set to make the next build of the "flaky" topology throw. */
+bool g_failNextBuild = false;
+
+/**
+ * Register "flaky": a tree machine whose build throws once each time
+ * g_failNextBuild is set, standing in for a bad_alloc on a large
+ * machine.  Registered once per process, on first use.
+ */
+void
+registerFlakyTopology()
+{
+    static const bool registered = [] {
+        ot::topo::registry().add(
+            {"flaky", "tree machine whose build can be made to throw",
+             [](const ot::topo::MachineSpec &spec) {
+                 if (std::exchange(g_failNextBuild, false))
+                     throw std::runtime_error("flaky: build failed");
+                 ot::topo::MachineSpec tree = spec;
+                 tree.topo = "tree";
+                 return ot::topo::registry().build(tree);
+             }});
+        return true;
+    }();
+    (void)registered;
+}
+
+TEST(NetworkCacheTest, ThrowingBuildLeavesNoSlotBehind)
+{
+    registerFlakyTopology();
+    NetworkCache cache;
+    auto spec = inst(Algo::Sort, "flaky", 16);
+    auto key = cacheKeyFor(spec);
+    auto cost = costModelFor(spec);
+
+    g_failNextBuild = true;
+    EXPECT_THROW(cache.acquire(key, cost), std::runtime_error);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.misses(), 1u);
+
+    // The next lookup is a miss again, and it builds the machine.
+    cache.acquire(key, cost);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 2u);
+}
+
+TEST(BatchEngineTest, LaneBuildThatThrowsIsAMissOnTheNextRun)
+{
+    registerFlakyTopology();
+    WorkloadSpec spec;
+    spec.instances = {inst(Algo::Sort, "otn", 16),
+                      inst(Algo::Sort, "flaky", 16),
+                      inst(Algo::Sort, "flaky", 16,
+                           DelayModel::Logarithmic, 2)};
+    for (unsigned threads : {1u, 4u}) {
+        BatchEngine engine(threads);
+        g_failNextBuild = true;
+        EXPECT_THROW(engine.run(spec), std::runtime_error)
+            << "threads=" << threads;
+        // The otn shard ran; the flaky shard's empty slot is gone.
+        EXPECT_EQ(engine.cache().size(), 1u) << "threads=" << threads;
+
+        BatchReport report = engine.run(spec);
+        EXPECT_TRUE(report.allVerified()) << "threads=" << threads;
+        EXPECT_TRUE(report.instances[0].cacheHit) << "threads=" << threads;
+        EXPECT_FALSE(report.instances[1].cacheHit) << "threads=" << threads;
+        EXPECT_TRUE(report.instances[2].cacheHit) << "threads=" << threads;
+        EXPECT_EQ(report.cacheMisses, 1u) << "threads=" << threads;
+        EXPECT_EQ(engine.cache().size(), 2u) << "threads=" << threads;
+    }
+}
+
+TEST(BatchEngineTest, ColdBatchOnFarmLanesMissesOncePerShard)
+{
+    std::vector<bool> seqHits;
+    for (unsigned threads : {1u, 4u}) {
+        BatchEngine engine(threads);
+        BatchReport cold = engine.run(demoWorkload());
+        EXPECT_TRUE(cold.allVerified()) << "threads=" << threads;
+        EXPECT_EQ(cold.cacheMisses, cold.shards) << "threads=" << threads;
+        EXPECT_EQ(engine.cache().size(), cold.shards)
+            << "threads=" << threads;
+        std::vector<bool> hits;
+        for (const InstanceReport &r : cold.instances)
+            hits.push_back(r.cacheHit);
+        if (seqHits.empty())
+            seqHits = hits;
+        EXPECT_EQ(hits, seqHits) << "threads=" << threads;
+
+        BatchReport warm = engine.run(demoWorkload());
+        EXPECT_EQ(warm.cacheHits, warm.instances.size())
+            << "threads=" << threads;
+        EXPECT_EQ(warm.cacheMisses, 0u) << "threads=" << threads;
+        for (const InstanceReport &r : warm.instances)
+            EXPECT_TRUE(r.cacheHit) << "threads=" << threads << " #"
+                                    << r.index;
+    }
 }
 
 TEST(BatchEngineTest, DemoWorkloadVerifiesWithThreeHits)
