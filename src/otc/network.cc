@@ -22,6 +22,20 @@ treeSpan(Axis axis, std::size_t idx, std::size_t k, std::uint64_t words)
     return args;
 }
 
+/** Stat name of each OtcNetwork::Ctr. */
+constexpr const char *kCounterNames[] = {
+    "otc.rootToCycle",
+    "otc.cycleToRoot",
+    "otc.sumCycleToRoot",
+    "otc.minCycleToRoot",
+    "otc.cycleToCycle",
+    "otc.sumCycleToCycle",
+    "otc.minCycleToCycle",
+    "otc.circulate",
+    "otc.vectorCirculate",
+    "otc.baseOp",
+};
+
 } // namespace
 
 OtcNetwork::OtcNetwork(std::size_t cycles_per_side, unsigned cycle_len,
@@ -113,11 +127,22 @@ OtcNetwork::shapedCycle(simd::Shape shape, const std::uint64_t *v,
     return nullptr;
 }
 
-ModelTime
-OtcNetwork::chargeStream(const char *stat, const char *span, ModelTime dt,
-                         Axis axis, std::size_t idx)
+sim::Counter &
+OtcNetwork::counter(Ctr c)
 {
-    ++_engine.counter(stat);
+    static_assert(std::size(kCounterNames) ==
+                  static_cast<std::size_t>(Ctr::Count));
+    sim::Counter *&slot = _counters[static_cast<std::size_t>(c)];
+    if (!slot)
+        slot = &_engine.counter(kCounterNames[static_cast<unsigned>(c)]);
+    return *slot;
+}
+
+ModelTime
+OtcNetwork::chargeStream(Ctr c, const char *span, ModelTime dt, Axis axis,
+                         std::size_t idx)
+{
+    ++counter(c);
     _engine.traceSpan("otc", span, dt, treeSpan(axis, idx, _k, _l));
     charge(dt);
     return dt;
@@ -131,7 +156,7 @@ OtcNetwork::circulate(std::size_t i, std::size_t j,
     // cycle's stream is one contiguous L-word plane segment.
     for (Reg r : regs)
         _kernels->rotateCycles(regPlane(r) + (i * _k + j) * _l, 1, 0, _l);
-    ++_engine.counter("otc.circulate");
+    ++counter(Ctr::Circulate);
     ModelTime dt = circulateCost();
     _engine.traceSpan("otc", "circulate", dt, {});
     charge(dt);
@@ -161,7 +186,7 @@ OtcNetwork::chargeVectorCirculate(Axis axis, std::size_t idx)
     // All K cycles of the vector shift concurrently: one circulate's
     // cost is charged, not K.
     ModelTime dt = circulateCost();
-    _engine.counter("otc.circulate") += _k;
+    counter(Ctr::Circulate) += _k;
     trace::Tracer *tracer = _engine.tracer();
     if (tracer && tracer->enabled()) {
         // The per-cycle circulate spans, uncharged, at the offsets the
@@ -173,7 +198,7 @@ OtcNetwork::chargeVectorCirculate(Axis axis, std::size_t idx)
             }
         });
     }
-    ++_engine.counter("otc.vectorCirculate");
+    ++counter(Ctr::VectorCirculate);
     _engine.traceSpan("otc", "vectorCirculate", dt,
                       treeSpan(axis, idx, _k, 0));
     charge(dt);
@@ -240,21 +265,21 @@ OtcNetwork::reduceToRoot(Axis axis, std::size_t idx,
 ModelTime
 OtcNetwork::chargeRootToCycle(Axis axis, std::size_t idx)
 {
-    return chargeStream("otc.rootToCycle", "rootToCycle", streamCost(), axis,
+    return chargeStream(Ctr::RootToCycle, "rootToCycle", streamCost(), axis,
                         idx);
 }
 
 ModelTime
 OtcNetwork::chargeCycleToRoot(Axis axis, std::size_t idx)
 {
-    return chargeStream("otc.cycleToRoot", "cycleToRoot", streamCost(), axis,
+    return chargeStream(Ctr::CycleToRoot, "cycleToRoot", streamCost(), axis,
                         idx);
 }
 
 ModelTime
 OtcNetwork::chargeSumCycleToRoot(Axis axis, std::size_t idx)
 {
-    return chargeStream("otc.sumCycleToRoot", "sumCycleToRoot",
+    return chargeStream(Ctr::SumCycleToRoot, "sumCycleToRoot",
                         _reduceStreamCost, axis, idx);
 }
 
@@ -263,7 +288,7 @@ OtcNetwork::chargeCycleToCycle(Axis axis, std::size_t idx)
 {
     ModelTime dt = chargeCycleToRoot(axis, idx);
     dt += chargeRootToCycle(axis, idx);
-    ++_engine.counter("otc.cycleToCycle");
+    ++counter(Ctr::CycleToCycle);
     return dt;
 }
 
@@ -272,7 +297,7 @@ OtcNetwork::chargeSumCycleToCycle(Axis axis, std::size_t idx)
 {
     ModelTime dt = chargeSumCycleToRoot(axis, idx);
     dt += chargeRootToCycle(axis, idx);
-    ++_engine.counter("otc.sumCycleToCycle");
+    ++counter(Ctr::SumCycleToCycle);
     return dt;
 }
 
@@ -305,7 +330,7 @@ OtcNetwork::minCycleToRoot(Axis axis, std::size_t idx,
                            const CycleSelector &sel, Reg src)
 {
     reduceToRoot(axis, idx, sel, src, ReduceOp::Min);
-    return chargeStream("otc.minCycleToRoot", "minCycleToRoot",
+    return chargeStream(Ctr::MinCycleToRoot, "minCycleToRoot",
                         _reduceStreamCost, axis, idx);
 }
 
@@ -336,7 +361,7 @@ OtcNetwork::minCycleToCycle(Axis axis, std::size_t idx,
 {
     ModelTime dt = minCycleToRoot(axis, idx, src_sel, src);
     dt += rootToCycle(axis, idx, dst_sel, dst);
-    ++_engine.counter("otc.minCycleToCycle");
+    ++counter(Ctr::MinCycleToCycle);
     return dt;
 }
 
@@ -355,7 +380,7 @@ OtcNetwork::baseOp(ModelTime op_cost,
 ModelTime
 OtcNetwork::chargeBaseOp(ModelTime op_cost)
 {
-    ++_engine.counter("otc.baseOp");
+    ++counter(Ctr::BaseOp);
     _engine.traceSpan("otc", "baseOp", op_cost, {});
     charge(op_cost);
     return op_cost;

@@ -27,6 +27,7 @@
 
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -40,6 +41,7 @@
 #include "sim/time_accountant.hh"
 #include "simd/backend.hh"
 #include "simd/kernels.hh"
+#include "simd/rank.hh"
 #include "simd/regfile.hh"
 #include "trace/tracer.hh"
 #include "vlsi/cost_model.hh"
@@ -249,9 +251,6 @@ class OtcNetwork
      *  clearRegs() (bit r for register r; a test observable). */
     std::uint32_t dirtyMask() const { return _regs.dirtyMask(); }
 
-    /** The SIMD kernel table data movement is routed through. */
-    const simd::KernelTable &kernelTable() const { return *_kernels; }
-
     /** Backend the kernel table was resolved to. */
     simd::Backend simdBackend() const { return _backend; }
 
@@ -448,10 +447,32 @@ class OtcNetwork
     void reduceToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
                       Reg src, ReduceOp op);
 
-    /** Count, trace and charge one streamed primitive of cost `dt`
-     *  (stat `stat`, span `span`) on tree `idx` of `axis`. */
-    ModelTime chargeStream(const char *stat, const char *span, ModelTime dt,
-                           Axis axis, std::size_t idx);
+    /** The network's stat counters, one per primitive. */
+    enum class Ctr : unsigned {
+        RootToCycle,
+        CycleToRoot,
+        SumCycleToRoot,
+        MinCycleToRoot,
+        CycleToCycle,
+        SumCycleToCycle,
+        MinCycleToCycle,
+        Circulate,
+        VectorCirculate,
+        BaseOp,
+        Count,
+    };
+
+    /**
+     * Counter `c`, looked up in the stat set on its first bump and
+     * cached (as on the OTN): the hot path builds no string and walks
+     * no map, and a counter never bumped stays absent from stats().
+     */
+    sim::Counter &counter(Ctr c);
+
+    /** Count (`c`), trace (span `span`) and charge one streamed
+     *  primitive of cost `dt` on tree `idx` of `axis`. */
+    ModelTime chargeStream(Ctr c, const char *span, ModelTime dt, Axis axis,
+                           std::size_t idx);
 
     /**
      * Word (i, j, q) of a RankCount plane with shape vectors `v`: how
@@ -463,8 +484,11 @@ class OtcNetwork
                   std::size_t q) const
     {
         const std::size_t g = i * _l + q, block = j * _l;
-        return _kernels->rankCountRow(v[g], g > block ? g - block : 0,
-                                      v + _k * _l + block, _l);
+        const std::uint64_t *col = v + _k * _l;
+        std::uint64_t count = 0;
+        for (std::size_t h = block; h < block + _l; ++h)
+            count += simd::outranks(v[g], g, col[h], h) ? 1 : 0;
+        return count;
     }
 
     /**
@@ -507,6 +531,8 @@ class OtcNetwork
     TimeAccountant _acct;
     sim::StatSet _stats;
     sim::ChainEngine _engine;
+    std::array<sim::Counter *, static_cast<std::size_t>(Ctr::Count)>
+        _counters{};
 
     // Geometry-derived costs, computed once in the constructor.
     ModelTime _treeTraversalCost = 0;

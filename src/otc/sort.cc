@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "simd/rank.hh"
+
 namespace ot::otc {
 
 SortOtcResult
@@ -34,7 +36,6 @@ sortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
     // of a column vector) and no plane word is written.  The data of
     // each step moves at once, then the step's per-tree primitives are
     // charged through their accounting halves, in the per-tree order.
-    const simd::KernelTable &kernels = net.kernelTable();
     const std::size_t words = capacity * sizeof(std::uint64_t);
 
     // Step 1: A = own group in every cycle of the row: A(i, j, q) =
@@ -79,10 +80,11 @@ sortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
 
     // Step 4: global ranks to every cycle of the row.  Row i's root
     // sums C(i, j, q) over the K cycles j: the rank of x(i*L + q)
-    // among all N words, compared and counted in one kernel pass.
+    // among all N words.  All of them come from one stable radix
+    // order of x, with no pairwise compare (simd::rankCounts); the
+    // kNull padding ranks last.
     std::uint64_t *r = net.tagPlane(Reg::R, simd::Shape::RowConst);
-    for (std::size_t g = 0; g < capacity; ++g)
-        r[g] = kernels.rankCountRow(x[g], g, x, capacity);
+    simd::rankCounts(r, x, x, capacity);
     for (std::size_t i = 0; i < k; ++i)
         std::copy(r + i * l, r + (i + 1) * l, net.rowStream(i).begin());
     net.parallelFor(k, [&](std::size_t i) {

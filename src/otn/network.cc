@@ -516,8 +516,9 @@ OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
 // the N root words instead of writing N^2; inputs are read through
 // readRow, and the key-indexed primitives take an O(N) path when
 // their key is RowConst (one candidate column per row).  The rank
-// compare of two broadcasts is tagged RankCount, and counting it runs
-// the fused rankCountRow kernel: SORT-OTN writes no plane word.
+// compare of two broadcasts is tagged RankCount, and counting it ranks
+// the two vectors by one stable radix order each (simd::rankCounts):
+// SORT-OTN writes no plane word and compares no pair of words.
 // ----------------------------------------------------------------------
 
 ModelTime
@@ -670,8 +671,7 @@ OrthogonalTreesNetwork::batchCountRowsToLeaves(Reg flag, Reg dst)
     if (regShape(flag) == simd::Shape::RankCount) {
         // Row i's count is the rank of x(i) among the x(j).
         const std::uint64_t *v = _regs.shapeVec(static_cast<unsigned>(flag));
-        for (std::size_t i = 0; i < _n; ++i)
-            _rowRoot[i] = _kernels->rankCountRow(v[i], i, v + _n, _n);
+        simd::rankCounts(_rowRoot.data(), v, v + _n, _n);
     } else {
         for (std::size_t i = 0; i < _n; ++i)
             _rowRoot[i] =

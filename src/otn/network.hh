@@ -40,6 +40,7 @@
 #include "sim/time_accountant.hh"
 #include "simd/backend.hh"
 #include "simd/kernels.hh"
+#include "simd/rank.hh"
 #include "simd/regfile.hh"
 #include "trace/tracer.hh"
 #include "vlsi/cost_model.hh"
@@ -226,8 +227,7 @@ class OrthogonalTreesNetwork
         case simd::Shape::RankCount: {
             // Column j's block is the one word x(j): a 0/1 flag.
             const std::uint64_t *v = regs.shapeVec(p);
-            return _kernels->rankCountRow(v[i], i > j ? 1 : 0, v + _n + j,
-                                          1);
+            return simd::outranks(v[i], i, v[_n + j], j) ? 1 : 0;
         }
         }
         return regs.at(p, i * _n + j);
@@ -429,8 +429,9 @@ class OrthogonalTreesNetwork
     // materialized; the key-indexed primitives take an O(N) path when
     // the key is RowConst, since row i then has one candidate column.
     // The rank compare of a row and a column broadcast tags its flags
-    // RankCount, and counting such flags compares and counts each row
-    // in one pass (simd::KernelTable::rankCountRow).
+    // RankCount, and counting such flags takes all N row counts from
+    // one stable radix order of each vector (simd::rankCounts), with
+    // no pairwise compare.
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
@@ -479,7 +480,9 @@ class OrthogonalTreesNetwork
     ModelTime batchDiagToCols(Reg src, Reg dst);
 
     /** For each row i pardo: countLeafToLeaf(Row, i, flag, all, dst).
-     *  A RankCount flag is counted without being expanded. */
+     *  A RankCount flag is counted without being expanded: its N row
+     *  counts are the ranks simd::rankCounts takes from one stable
+     *  order of each of its two vectors. */
     ModelTime batchCountRowsToLeaves(Reg flag, Reg dst);
 
     /**

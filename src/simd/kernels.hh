@@ -54,18 +54,6 @@ using CmpRankRowFn = void (*)(std::uint64_t *flag, const std::uint64_t *a,
                               const std::uint64_t *b, std::size_t n,
                               std::uint64_t i);
 
-/**
- * #{j in [0, n) : x > b[j] || (x == b[j] && gx > j)} — how many words
- * of b the word x at index gx outranks, with ties broken by index as
- * in cmpRankRow (gx may be n or more: then every tie counts).  One
- * enumeration-sort rank (or one block of it) compared and counted in
- * one pass, with nothing stored: countNonzero over a cmpRankRow row
- * whose a-row is all x.
- */
-using RankCountRowFn = std::uint64_t (*)(std::uint64_t x, std::uint64_t gx,
-                                         const std::uint64_t *b,
-                                         std::size_t n);
-
 /** out[j] = (key[j] == j) ? val[j] : kNullWord for j in [0, n). */
 using SelectEqIndexRowFn = void (*)(std::uint64_t *out,
                                     const std::uint64_t *key,
@@ -167,7 +155,6 @@ struct KernelTable
     ReduceSumFn reduceSum;
     ReduceMinFn reduceMin;
     CmpRankRowFn cmpRankRow;
-    RankCountRowFn rankCountRow;
     SelectEqIndexRowFn selectEqIndexRow;
     ScatterEqIndexRowFn scatterEqIndexRow;
     PickEqIndexAccumFn pickEqIndexAccum;

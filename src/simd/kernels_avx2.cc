@@ -21,7 +21,6 @@ constexpr KernelTable kAvx2Table = {
     .reduceSum = reduceSumT<Avx2Vec>,
     .reduceMin = reduceMinT<Avx2Vec>,
     .cmpRankRow = cmpRankRowT<Avx2Vec>,
-    .rankCountRow = rankCountRowT<Avx2Vec>,
     .selectEqIndexRow = selectEqIndexRowT<Avx2Vec>,
     .scatterEqIndexRow = scatterEqIndexRowT<Avx2Vec>,
     .pickEqIndexAccum = pickEqIndexAccumT<Avx2Vec>,

@@ -104,32 +104,6 @@ cmpRankRowT(std::uint64_t *flag, const std::uint64_t *a,
 }
 
 template <typename V>
-std::uint64_t
-rankCountRowT(std::uint64_t x, std::uint64_t gx, const std::uint64_t *b,
-              std::size_t n)
-{
-    // Below index gx a tie counts, so x outranks b[j] iff
-    // !(b[j] > x); from gx on only x > b[j] does.  Each half is one
-    // unsigned compare per word, summed as all-ones (-1) lanes.
-    const std::size_t ties = gx < n ? static_cast<std::size_t>(gx) : n;
-    const auto vx = V::splat(x);
-    auto below = V::splat(0);
-    std::size_t j = 0;
-    for (; j + V::kWidth <= ties; j += V::kWidth)
-        below = V::add(below, V::gtU(V::load(b + j), vx));
-    std::uint64_t count = ties + V::hsum(below);
-    for (; j < ties; ++j)
-        count -= b[j] > x ? 1 : 0;
-    auto above = V::splat(0);
-    for (; j + V::kWidth <= n; j += V::kWidth)
-        above = V::add(above, V::gtU(vx, V::load(b + j)));
-    count -= V::hsum(above);
-    for (; j < n; ++j)
-        count += x > b[j] ? 1 : 0;
-    return count;
-}
-
-template <typename V>
 void
 selectEqIndexRowT(std::uint64_t *out, const std::uint64_t *key,
                   const std::uint64_t *val, std::size_t n)

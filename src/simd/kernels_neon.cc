@@ -19,7 +19,6 @@ constexpr KernelTable kNeonTable = {
     .reduceSum = reduceSumT<NeonVec>,
     .reduceMin = reduceMinT<NeonVec>,
     .cmpRankRow = cmpRankRowT<NeonVec>,
-    .rankCountRow = rankCountRowT<NeonVec>,
     .selectEqIndexRow = selectEqIndexRowT<NeonVec>,
     .scatterEqIndexRow = scatterEqIndexRowT<NeonVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<NeonVec>,

@@ -19,7 +19,6 @@ constexpr KernelTable kScalarTable = {
     .reduceSum = reduceSumT<ScalarVec>,
     .reduceMin = reduceMinT<ScalarVec>,
     .cmpRankRow = cmpRankRowT<ScalarVec>,
-    .rankCountRow = rankCountRowT<ScalarVec>,
     .selectEqIndexRow = selectEqIndexRowT<ScalarVec>,
     .scatterEqIndexRow = scatterEqIndexRowT<ScalarVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<ScalarVec>,

@@ -112,8 +112,10 @@ namespace ot::simd {
  *  - RankCount is the number of vec1 words in column j's block that
  *    vec0[i] outranks: is greater than, or equals with a larger global
  *    index (the enumeration sort's duplicate-safe tie-break, as in
- *    the cmpRankRow kernel).  On the OTN a block is the one word
- *    vec1[j], so the word is the 0/1 flag of comparing x(i) with x(j).
+ *    the cmpRankRow kernel and simd::outranks).  On the OTN a block is
+ *    the one word vec1[j], so the word is the 0/1 flag of comparing
+ *    x(i) with x(j).  A row's sum over every block is the rank of its
+ *    vec0 word among vec1 (simd::rankCounts ranks a whole vector).
  * The owner defines the addresses: the OTC's words (i, j, q) take
  * vec0[i * L + q] and vec0[j * L + q] for RowConst and ColConst, and
  * its RankCount block is column j's L words vec1[j * L ...], so word

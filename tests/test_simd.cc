@@ -38,6 +38,7 @@
 #include "sim/thread_pool.hh"
 #include "simd/backend.hh"
 #include "simd/kernels.hh"
+#include "simd/rank.hh"
 #include "simd/regfile.hh"
 #include "trace/export.hh"
 #include "trace/tracer.hh"
@@ -463,52 +464,167 @@ TEST(KernelDifferential, CompexLinearFullBitonicSchedule)
     }
 }
 
-TEST(KernelDifferential, RankCountRowMatchesCmpRankRowCountAndALoop)
+// ----------------------------------------------------------------------
+// Enumeration-sort ranks (simd::rankCounts)
+// ----------------------------------------------------------------------
+
+/** #{j : (b[j], j) < (a[i], i)} for every i, one pair at a time. */
+std::vector<std::uint64_t>
+naiveRanks(const std::vector<std::uint64_t> &a,
+           const std::vector<std::uint64_t> &b)
 {
-    // The fused rank count against the two-kernel form it replaces
-    // (a row of x compared by cmpRankRow, then countNonzero) and a
-    // plain loop, on every compiled backend.
-    std::vector<simd::Backend> backends = vectorBackends();
-    backends.push_back(simd::Backend::Scalar);
+    std::vector<std::uint64_t> rank(a.size(), 0);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        for (std::size_t j = 0; j < b.size(); ++j)
+            rank[i] += a[i] > b[j] || (a[i] == b[j] && i > j) ? 1 : 0;
+    return rank;
+}
+
+TEST(RankCounts, MatchesANaiveDoubleLoop)
+{
+    constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
     Rng rng(4711);
-    for (std::size_t n : {0, 1, 3, 4, 5, 7, 8, 63, 64, 65, 2048}) {
-        std::vector<std::uint64_t> dup(n), equal(n, 5), nulls(n);
-        for (auto &w : dup)
-            w = rng.uniform(0, 3);
-        for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t n : {0, 1, 2, 3, 64, 2816}) {
+        std::vector<std::uint64_t> ties(n), descending(n), nulls(n),
+            near_half(n), spread(n);
+        for (std::size_t j = 0; j < n; ++j) {
+            ties[j] = rng.uniform(0, 3);
+            descending[j] = n - j;
             nulls[j] = j % 3 == 0 ? simd::kNullWord : rng.uniform(0, 9);
+            // Straddles 2^63: the top byte varies, nothing in between.
+            near_half[j] = kHalf - 2 + rng.uniform(0, 4);
+            // One low-byte and one high-byte difference (two passes,
+            // six skipped).
+            spread[j] = (rng.uniform(0, 1) << 56) | rng.uniform(0, 255);
+        }
         const std::pair<const char *, std::vector<std::uint64_t>> inputs[] =
             {{"random", randomWords(rng, n, ~std::uint64_t{0} - 1)},
-             {"duplicates", dup},
-             {"all-equal", equal},
-             {"kNull", nulls}};
-        for (const auto &[what, b] : inputs) {
-            // x: words of b itself (ties), the extremes, and a miss.
-            std::vector<std::uint64_t> xs = {0, 5, simd::kNullWord,
-                                             rng.uniform(0, 9)};
-            for (std::size_t j = 0; j < n; j += 1 + n / 5)
-                xs.push_back(b[j]);
-            for (std::uint64_t x : xs)
-                for (std::uint64_t gx : {std::uint64_t{0},
-                                         std::uint64_t{n / 2},
-                                         std::uint64_t{n - 1},
-                                         std::uint64_t{n + 5}}) {
-                    std::uint64_t want = 0;
-                    for (std::size_t j = 0; j < n; ++j)
-                        want += x > b[j] || (x == b[j] && gx > j);
-                    for (simd::Backend backend : backends) {
-                        const auto &kt = simd::kernelsFor(backend);
-                        std::vector<std::uint64_t> flag(n, x);
-                        kt.cmpRankRow(flag.data(), flag.data(), b.data(), n,
-                                      gx);
-                        ASSERT_EQ(kt.countNonzero(flag.data(), n), want)
-                            << what << " n=" << n << " gx=" << gx;
-                        ASSERT_EQ(kt.rankCountRow(x, gx, b.data(), n), want)
-                            << what << " n=" << n << " x=" << x
-                            << " gx=" << gx << " "
-                            << simd::toString(backend);
-                    }
-                }
+             {"ties", ties},
+             {"all-equal", std::vector<std::uint64_t>(n, 5)},
+             {"all-null", std::vector<std::uint64_t>(n, simd::kNullWord)},
+             {"descending", descending},
+             {"kNull", nulls},
+             {"near 2^63", near_half},
+             {"spread", spread}};
+        std::vector<std::uint64_t> got(n);
+        for (const auto &[what, a] : inputs) {
+            // a == b (the sorts' case, ranks a permutation), then a
+            // against every other input.
+            got.assign(n, ~std::uint64_t{0});
+            simd::rankCounts(got.data(), a.data(), a.data(), n);
+            ASSERT_EQ(got, naiveRanks(a, a)) << what << " n=" << n;
+            std::vector<std::uint64_t> perm = got;
+            std::sort(perm.begin(), perm.end());
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(perm[i], i) << what << " n=" << n;
+            for (const auto &[other, b] : inputs) {
+                got.assign(n, ~std::uint64_t{0});
+                simd::rankCounts(got.data(), a.data(), b.data(), n);
+                ASSERT_EQ(got, naiveRanks(a, b))
+                    << what << " against " << other << " n=" << n;
+            }
+        }
+    }
+}
+
+TEST(RankCounts, OtnBatchCountsEqualTheirRowReads)
+{
+    // SORT-OTN's step 4 counts a RankCount plane with rankCounts; its
+    // row reads go through cmpRankRow (readRow, via countLeafToRoot)
+    // and a scalar point count (the const reg()), never the radix
+    // order.  Each batch count must equal both sums of its row.
+    Rng rng(2024);
+    for (std::size_t n : {1, 2, 8, 64, 256}) {
+        std::vector<std::uint64_t> x(n), y(n), partial(n - n / 3);
+        for (auto &w : x)
+            w = rng.uniform(0, n / 3);
+        for (auto &w : y)
+            w = rng.uniform(0, n);
+        for (auto &w : partial)
+            w = rng.uniform(0, n / 3);
+        // Row words a, column words b: a == b (SORT-OTN), a != b, and
+        // a partial load padded with kNull on one side.
+        const std::pair<std::vector<std::uint64_t>,
+                        std::vector<std::uint64_t>>
+            cases[] = {{x, x}, {x, y}, {partial, y}, {y, partial}};
+        for (const auto &[a, b] : cases) {
+            SCOPED_TRACE(::testing::Message()
+                         << "N=" << n << " a=" << a.size()
+                         << " b=" << b.size());
+            OrthogonalTreesNetwork net(n, logCost(n));
+            net.setRowRootInputs(b);
+            net.batchRowBroadcast(Reg::C);
+            net.batchDiagToCols(Reg::C, Reg::B);
+            net.setRowRootInputs(a);
+            net.batchRowBroadcast(Reg::A);
+            net.batchCompareRank(Reg::A, Reg::B, Reg::F);
+            ASSERT_EQ(net.regShape(Reg::F), simd::Shape::RankCount);
+            net.batchCountRowsToLeaves(Reg::F, Reg::R);
+            const OrthogonalTreesNetwork &view = net;
+            for (std::size_t i = 0; i < n; ++i) {
+                std::uint64_t point = 0;
+                for (std::size_t j = 0; j < n; ++j)
+                    point += view.reg(Reg::F, i, j);
+                net.countLeafToRoot(otn::Axis::Row, i, Reg::F);
+                ASSERT_EQ(view.reg(Reg::R, i, 0), point) << "row " << i;
+                ASSERT_EQ(view.reg(Reg::R, i, 0), net.rowRoot(i))
+                    << "row " << i;
+            }
+            EXPECT_EQ(net.dirtyMask(), 0u);
+        }
+    }
+}
+
+TEST(RankCounts, OtcRanksEqualTheirCycleReads)
+{
+    // SORT-OTC's step 4 takes R from rankCounts; the RankCount plane C
+    // is read through readCycle (sumCycleToRoot) and the const reg(),
+    // both of which count one cycle's L words at a time.  The ranks
+    // must equal the row sums of C, with and without kNull padding.
+    Rng rng(77);
+    const std::tuple<std::size_t, unsigned, std::size_t> shapes[] = {
+        {4, 3, 12}, {4, 3, 10}, {8, 4, 32}, {256, 11, 2048}};
+    for (const auto &[k, l, m] : shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "K=" << k << " L=" << l << " m=" << m);
+        std::vector<std::uint64_t> v(m);
+        for (auto &w : v)
+            w = rng.uniform(0, m / 4);
+        otc::OtcNetwork net(k, l, logCost(k * l));
+        const auto sorted = otc::sortOtc(net, v).sorted;
+        EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+        ASSERT_EQ(net.regShape(Reg::C), simd::Shape::RankCount);
+        const otc::OtcNetwork &view = net;
+        for (std::size_t i = 0; i < k; ++i) {
+            net.sumCycleToRoot(otc::Axis::Row, i, otc::CSel::all(), Reg::C);
+            for (std::size_t q = 0; q < l; ++q) {
+                std::uint64_t point = 0;
+                for (std::size_t j = 0; j < k; ++j)
+                    point += view.reg(Reg::C, i, j, q);
+                const std::uint64_t rank = view.reg(Reg::R, i, 0, q);
+                ASSERT_EQ(rank, point) << "i=" << i << " q=" << q;
+                ASSERT_EQ(rank, net.rowStream(i)[q])
+                    << "i=" << i << " q=" << q;
+            }
+        }
+        EXPECT_EQ(net.dirtyMask(), 0u);
+        EXPECT_EQ(net.materializations(), 0u);
+
+        // A RankCount plane of two different vectors, one of them
+        // padded with kNull.
+        const std::size_t capacity = k * l;
+        std::uint64_t *vecs = net.tagPlane(Reg::D, simd::Shape::RankCount);
+        for (std::size_t g = 0; g < capacity; ++g) {
+            vecs[g] = g < m ? rng.uniform(0, m / 4) : otc::kNull;
+            vecs[capacity + g] = rng.uniform(0, m / 4);
+        }
+        std::vector<std::uint64_t> ranks(capacity);
+        simd::rankCounts(ranks.data(), vecs, vecs + capacity, capacity);
+        for (std::size_t i = 0; i < k; ++i) {
+            net.sumCycleToRoot(otc::Axis::Row, i, otc::CSel::all(), Reg::D);
+            for (std::size_t q = 0; q < l; ++q)
+                ASSERT_EQ(ranks[i * l + q], net.rowStream(i)[q])
+                    << "i=" << i << " q=" << q;
         }
     }
 }
