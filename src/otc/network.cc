@@ -47,7 +47,7 @@ OtcNetwork::OtcNetwork(std::size_t cycles_per_side, unsigned cycle_len,
       _engine(_acct, _stats),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
-      _regs(otn::kNumRegs, _k * _k * _l, _k * _l),
+      _regs(otn::kNumRegs, simd::Grid{_k, _l}),
       _rowStream(_k, std::vector<std::uint64_t>(_l, kNull)),
       _colStream(_k, std::vector<std::uint64_t>(_l, kNull))
 {
@@ -72,59 +72,15 @@ void
 OtcNetwork::fillReg(Reg r, std::uint64_t value)
 {
     const auto p = static_cast<unsigned>(r);
-    _regs.setShape(p, simd::Shape::Dense);
-    _kernels->fill(_regs.plane(p), std::size_t{_k} * _k * _l, value);
-}
-
-void
-OtcNetwork::materialize(unsigned p) const
-{
-    const simd::Shape shape = _regs.shape(p);
-    _regs.setShape(p, simd::Shape::Dense);
-    std::uint64_t *plane = _regs.plane(p);
-    const std::uint64_t *v = std::as_const(_regs).shapeVec(p);
-    for (std::size_t i = 0; i < _k; ++i)
-        for (std::size_t j = 0; j < _k; ++j) {
-            std::uint64_t *cyc = plane + (i * _k + j) * _l;
-            const std::uint64_t *words = shapedCycle(shape, v, i, j, cyc);
-            if (words != cyc)
-                std::memcpy(cyc, words, _l * sizeof(std::uint64_t));
-        }
-    ++_materializations;
+    _kernels->fill(_regs.overwrite(p, false, *_kernels),
+                   std::size_t{_k} * _k * _l, value);
 }
 
 const std::uint64_t *
 OtcNetwork::readCycle(Reg r, std::size_t i, std::size_t j,
                       std::uint64_t *buf) const
 {
-    assert(i < _k && j < _k);
-    const auto p = static_cast<unsigned>(r);
-    const simd::RegFile &regs = _regs;
-    if (regs.shape(p) == simd::Shape::Dense)
-        return regs.plane(p) + (i * _k + j) * _l;
-    return shapedCycle(regs.shape(p), regs.shapeVec(p), i, j, buf);
-}
-
-const std::uint64_t *
-OtcNetwork::shapedCycle(simd::Shape shape, const std::uint64_t *v,
-                        std::size_t i, std::size_t j,
-                        std::uint64_t *buf) const
-{
-    switch (shape) {
-    case simd::Shape::Dense:
-    case simd::Shape::RowOneHot: // never tagged on the OTC
-        break;
-    case simd::Shape::RowConst:
-        return v + i * _l;
-    case simd::Shape::ColConst:
-        return v + j * _l;
-    case simd::Shape::RankCount:
-        for (std::size_t q = 0; q < _l; ++q)
-            buf[q] = rankCountWord(v, i, j, q);
-        return buf;
-    }
-    assert(false && "not a tagged OTC plane");
-    return nullptr;
+    return _regs.cell(static_cast<unsigned>(r), i, j, buf);
 }
 
 sim::Counter &

@@ -14,14 +14,16 @@
  * variants) still costs O(log^2 N) — a pipeline of L words riding one
  * tree traversal (Section V-B).
  *
- * Register planes carry a shape (simd::Shape), as on the OTN: a plane
- * whose every cycle of row i (column j) holds the same L-word stream
- * is kept as one K*L-word vector, word (i, j, q) at index i*L + q
- * (j*L + q), and SORT-OTC's compare plane C as the two vectors it is a
- * function of (RankCount).  The const reg() reads through the shape;
- * the mutable reg() and both regPlane() forms expand ("materialize")
- * a tagged plane into its K*K*L words first.  The streamed primitives
- * read their L source words through the shape, so moving one cycle's
+ * Register planes carry a shape (simd::Shape), as on the OTN: the
+ * planes are simd::RegFile's grid (K, L), one cycle per cell, and the
+ * RegFile alone gives a shape its meaning (an OTN plane is the L = 1
+ * case).  A plane whose every cycle of row i (column j) holds the same
+ * L-word stream is kept as one K*L-word vector, and SORT-OTC's compare
+ * plane C as the two vectors it is a function of (RankCount).  The
+ * const reg() reads through the shape; the mutable reg() and both
+ * regPlane() forms expand ("materialize") a tagged plane into its
+ * K*K*L words first.  The streamed primitives read their L source
+ * words through the shape (RegFile::cell), so moving one cycle's
  * stream never expands a plane.
  */
 
@@ -41,7 +43,6 @@
 #include "sim/time_accountant.hh"
 #include "simd/backend.hh"
 #include "simd/kernels.hh"
-#include "simd/rank.hh"
 #include "simd/regfile.hh"
 #include "trace/tracer.hh"
 #include "vlsi/cost_model.hh"
@@ -167,31 +168,16 @@ class OtcNetwork
     std::uint64_t &
     reg(Reg r, std::size_t i, std::size_t j, std::size_t q)
     {
-        assert(i < _k && j < _k && q < _l);
         const auto p = static_cast<unsigned>(r);
-        makeDense(p);
-        return _regs.at(p, (i * _k + j) * _l + q);
+        _regs.makeDense(p, *_kernels);
+        return _regs.at(p, _regs.index(i, j, q));
     }
 
     /** Register r of BP(i, j, q), read through the plane's shape. */
     std::uint64_t
     reg(Reg r, std::size_t i, std::size_t j, std::size_t q) const
     {
-        assert(i < _k && j < _k && q < _l);
-        const auto p = static_cast<unsigned>(r);
-        const simd::RegFile &regs = _regs;
-        switch (regs.shape(p)) {
-        case simd::Shape::Dense:
-        case simd::Shape::RowOneHot: // never tagged on the OTC
-            break;
-        case simd::Shape::RowConst:
-            return regs.shapeVec(p)[i * _l + q];
-        case simd::Shape::ColConst:
-            return regs.shapeVec(p)[j * _l + q];
-        case simd::Shape::RankCount:
-            return rankCountWord(regs.shapeVec(p), i, j, q);
-        }
-        return regs.at(p, (i * _k + j) * _l + q);
+        return _regs.word(static_cast<unsigned>(r), i, j, q);
     }
 
     /**
@@ -205,7 +191,7 @@ class OtcNetwork
     regPlane(Reg r)
     {
         const auto p = static_cast<unsigned>(r);
-        makeDense(p);
+        _regs.makeDense(p, *_kernels);
         return _regs.plane(p);
     }
 
@@ -213,7 +199,7 @@ class OtcNetwork
     regPlane(Reg r) const
     {
         const auto p = static_cast<unsigned>(r);
-        makeDense(p);
+        _regs.makeDense(p, *_kernels);
         return std::as_const(_regs).plane(p);
     }
 
@@ -225,27 +211,25 @@ class OtcNetwork
     }
 
     /**
-     * Tag register r's plane `shape` (RowConst, ColConst or RankCount)
-     * and return its two K*L-word shape vectors, vec0 then vec1, for
-     * the caller to fill before the next read of r.  The plane's own
-     * words are neither written nor dirtied.  For algorithms whose
-     * step leaves every cycle of a row or column the same stream
+     * Tag register r's plane `shape` (any but Dense) and return its two
+     * K*L-word shape vectors, vec0 then vec1, for the caller to fill
+     * before the next read of r (simd::RegFile::tag).  The plane's own
+     * words are neither written nor dirtied.  For algorithms whose step
+     * leaves every cycle of a row or column the same stream
      * (SORT-OTC); the accounting halves below charge the step.
      */
     std::uint64_t *
     tagPlane(Reg r, simd::Shape shape)
     {
-        assert(shape == simd::Shape::RowConst ||
-               shape == simd::Shape::ColConst ||
-               shape == simd::Shape::RankCount);
-        const auto p = static_cast<unsigned>(r);
-        _regs.setShape(p, shape);
-        return _regs.shapeVec(p);
+        return _regs.tag(static_cast<unsigned>(r), shape);
     }
 
     /** Tagged planes expanded into K*K*L words since construction (a
      *  test observable: the registered runs pin it). */
-    std::uint64_t materializations() const { return _materializations; }
+    std::uint64_t materializations() const
+    {
+        return _regs.materializations();
+    }
 
     /** Planes handed out for writing since construction or the last
      *  clearRegs() (bit r for register r; a test observable). */
@@ -474,48 +458,10 @@ class OtcNetwork
     ModelTime chargeStream(Ctr c, const char *span, ModelTime dt, Axis axis,
                            std::size_t idx);
 
-    /**
-     * Word (i, j, q) of a RankCount plane with shape vectors `v`: how
-     * many of column j's L words v[K*L + j*L ...] the word
-     * v[i*L + q] outranks, ties broken on the global indices.
-     */
-    std::uint64_t
-    rankCountWord(const std::uint64_t *v, std::size_t i, std::size_t j,
-                  std::size_t q) const
-    {
-        const std::size_t g = i * _l + q, block = j * _l;
-        const std::uint64_t *col = v + _k * _l;
-        std::uint64_t count = 0;
-        for (std::size_t h = block; h < block + _l; ++h)
-            count += simd::outranks(v[g], g, col[h], h) ? 1 : 0;
-        return count;
-    }
-
-    /**
-     * Cycle (i, j)'s L words of register r for reading, without
-     * materializing it: the plane segment (Dense), the row's or the
-     * column's stream in the shape vector (RowConst, ColConst), or
-     * `buf` (L words) filled with the counts (RankCount).
-     */
+    /** Cycle (i, j)'s L words of register r for reading, without
+     *  materializing it (simd::RegFile::cell; `buf` holds L words). */
     const std::uint64_t *readCycle(Reg r, std::size_t i, std::size_t j,
                                    std::uint64_t *buf) const;
-
-    /** Cycle (i, j) of a tagged plane of `shape` with shape vectors
-     *  `v`: a stream in the vector, or `buf` filled with the counts. */
-    const std::uint64_t *shapedCycle(simd::Shape shape, const std::uint64_t *v,
-                                     std::size_t i, std::size_t j,
-                                     std::uint64_t *buf) const;
-
-    /** Materialize plane p unless it is Dense. */
-    void
-    makeDense(unsigned p) const
-    {
-        if (_regs.shape(p) != simd::Shape::Dense)
-            materialize(p);
-    }
-
-    /** Expand tagged plane p into its K*K*L words and tag it Dense. */
-    void materialize(unsigned p) const;
 
     std::pair<std::size_t, std::size_t>
     cycleAddr(Axis axis, std::size_t idx, std::size_t c) const
@@ -545,7 +491,6 @@ class OtcNetwork
     // Mutable because materializing is invisible to readers (as on
     // the OTN).  Const members read through std::as_const(_regs).
     mutable simd::RegFile _regs;
-    mutable std::uint64_t _materializations = 0;
     std::vector<std::vector<std::uint64_t>> _rowStream;
     std::vector<std::vector<std::uint64_t>> _colStream;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
-#include <utility>
 
 #include "vlsi/bitmath.hh"
 
@@ -64,7 +63,7 @@ OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
       _engine(_acct, _stats),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
-      _regs(kNumRegs, _n * _n, _n),
+      _regs(kNumRegs, simd::Grid{_n, 1}),
       _rowRoot(_n, kNull),
       _colRoot(_n, kNull)
 {
@@ -123,71 +122,21 @@ OrthogonalTreesNetwork::fillReg(Reg r, std::uint64_t value)
     _kernels->fill(overwritePlane(r, {}), _n * _n, value);
 }
 
-void
-OrthogonalTreesNetwork::materialize(unsigned p) const
-{
-    const simd::Shape shape = _regs.shape(p);
-    _regs.setShape(p, simd::Shape::Dense);
-    std::uint64_t *plane = _regs.plane(p);
-    const std::uint64_t *v = std::as_const(_regs).shapeVec(p);
-    for (std::size_t i = 0; i < _n; ++i) {
-        std::uint64_t *row = plane + i * _n;
-        const std::uint64_t *words = shapedRow(shape, v, i, row);
-        if (words != row)
-            std::memcpy(row, words, _n * sizeof(std::uint64_t));
-    }
-    ++_materializations;
-}
-
 const std::uint64_t *
 OrthogonalTreesNetwork::readRow(Reg r, std::size_t i,
                                 std::uint64_t *buf) const
 {
-    assert(i < _n);
-    const auto p = static_cast<unsigned>(r);
-    const simd::RegFile &regs = _regs;
-    if (regs.shape(p) == simd::Shape::Dense)
-        return regs.plane(p) + i * _n;
-    return shapedRow(regs.shape(p), regs.shapeVec(p), i, buf);
-}
-
-const std::uint64_t *
-OrthogonalTreesNetwork::shapedRow(simd::Shape shape, const std::uint64_t *v,
-                                  std::size_t i, std::uint64_t *buf) const
-{
-    switch (shape) {
-    case simd::Shape::Dense:
-        break;
-    case simd::Shape::RowConst:
-        _kernels->fill(buf, _n, v[i]);
-        return buf;
-    case simd::Shape::ColConst:
-        return v;
-    case simd::Shape::RowOneHot:
-        _kernels->fill(buf, _n, kNull);
-        if (v[i] < _n)
-            buf[v[i]] = v[_n + i];
-        return buf;
-    case simd::Shape::RankCount:
-        // Row i compares x(i), splatted, with every x(j).
-        _kernels->fill(buf, _n, v[i]);
-        _kernels->cmpRankRow(buf, buf, v + _n, _n, i);
-        return buf;
-    }
-    assert(false && "a Dense plane has no shape vectors");
-    return nullptr;
+    return _regs.row(static_cast<unsigned>(r), i, buf, *_kernels);
 }
 
 std::uint64_t *
 OrthogonalTreesNetwork::overwritePlane(Reg out,
                                        std::initializer_list<Reg> inputs)
 {
-    const auto p = static_cast<unsigned>(out);
-    if (std::find(inputs.begin(), inputs.end(), out) != inputs.end())
-        makeDense(p);
-    else
-        _regs.setShape(p, simd::Shape::Dense);
-    return _regs.plane(p);
+    return _regs.overwrite(
+        static_cast<unsigned>(out),
+        std::find(inputs.begin(), inputs.end(), out) != inputs.end(),
+        *_kernels);
 }
 
 void
@@ -514,11 +463,12 @@ OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
 //
 // Broadcasts leave their destination tagged (RowConst, ColConst) with
 // the N root words instead of writing N^2; inputs are read through
-// readRow, and the key-indexed primitives take an O(N) path when
-// their key is RowConst (one candidate column per row).  The rank
-// compare of two broadcasts is tagged RankCount, and counting it ranks
-// the two vectors by one stable radix order each (simd::rankCounts):
-// SORT-OTN writes no plane word and compares no pair of words.
+// readRow (simd::RegFile::row), and the key-indexed primitives take an
+// O(N) path when their key is RowConst (one candidate column per row).
+// The rank compare of two broadcasts is tagged RankCount, and counting
+// it ranks the two vectors by one stable radix order each
+// (simd::rankCounts): SORT-OTN writes no plane word and compares no
+// pair of words.
 // ----------------------------------------------------------------------
 
 ModelTime
@@ -548,8 +498,7 @@ OrthogonalTreesNetwork::batchProductColSum(ModelTime op_cost, bool boolean,
 {
     assert(regShape(a) == simd::Shape::RowConst);
     assert(out != a && out != b);
-    const std::uint64_t *s =
-        std::as_const(_regs).shapeVec(static_cast<unsigned>(a));
+    const std::uint64_t *s = _regs.shapeVec(static_cast<unsigned>(a));
     const simd::ScalarRowAccumFn fn =
         boolean ? _kernels->andAccumRow : _kernels->mulAccumRow;
     std::uint64_t *c = overwritePlane(out, {});
@@ -719,9 +668,8 @@ OrthogonalTreesNetwork::batchCompareRank(Reg a, Reg b, Reg flag)
         regShape(b) == simd::Shape::ColConst && flag != a && flag != b) {
         // F(i, j) compares x(i) = a's row value with x(j) = b's column
         // value: keep the two vectors, not the N^2 flags.
-        const simd::RegFile &regs = _regs;
-        const std::uint64_t *x = regs.shapeVec(static_cast<unsigned>(a));
-        const std::uint64_t *y = regs.shapeVec(static_cast<unsigned>(b));
+        const std::uint64_t *x = _regs.shapeVec(static_cast<unsigned>(a));
+        const std::uint64_t *y = _regs.shapeVec(static_cast<unsigned>(b));
         std::uint64_t *v = tagPlane(flag, simd::Shape::RankCount);
         std::memcpy(v, x, _n * sizeof(std::uint64_t));
         std::memcpy(v + _n, y, _n * sizeof(std::uint64_t));

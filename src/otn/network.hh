@@ -19,6 +19,13 @@
  * sim::ChainEngine's max-of-chains rule).  The iterations run
  * sequentially on the host; one machine is only ever driven by one
  * thread.
+ *
+ * The registers are the planes of a simd::RegFile on the grid (N, 1):
+ * one base processor per cell, the L = 1 case of the OTC's grid.  A
+ * plane may be shape-tagged (a broadcast leaves one N-word vector);
+ * the RegFile alone gives the tags their meaning, and this class
+ * forwards to it with typed accessors (reg, regPlane, regShape,
+ * materializations, dirtyMask).
  */
 
 #pragma once
@@ -199,38 +206,20 @@ class OrthogonalTreesNetwork
     // Register file and I/O ports
     // ------------------------------------------------------------------
 
-    // Register planes carry a shape (simd::Shape): a broadcast leaves
-    // one value per row or column, kept as one N-word vector instead
-    // of N^2 words, and the sort's compare of two broadcasts keeps
-    // both vectors (RankCount).  Reads resolve the shape; any access
-    // that hands out plane words for writing, or the raw plane, first
-    // expands ("materializes") a tagged plane into its N^2 words.
+    // Register planes carry a shape (simd::Shape; an OTN plane is
+    // simd::RegFile's grid (N, 1)): a broadcast leaves one value per
+    // row or column, kept as one N-word vector instead of N^2 words,
+    // and the sort's compare of two broadcasts keeps both vectors
+    // (RankCount).  The RegFile resolves reads through the shape; any
+    // access that hands out plane words for writing, or the raw plane,
+    // first expands ("materializes") a tagged plane into its N^2 words.
 
     /** Register r of BP(i, j), read through the plane's shape. */
     std::uint64_t
     reg(Reg r, std::size_t i, std::size_t j) const
     {
         assert(i < _n && j < _n);
-        const auto p = static_cast<unsigned>(r);
-        const simd::RegFile &regs = _regs;
-        switch (regs.shape(p)) {
-        case simd::Shape::Dense:
-            break;
-        case simd::Shape::RowConst:
-            return regs.shapeVec(p)[i];
-        case simd::Shape::ColConst:
-            return regs.shapeVec(p)[j];
-        case simd::Shape::RowOneHot: {
-            const std::uint64_t *v = regs.shapeVec(p);
-            return v[i] == j ? v[_n + i] : kNull;
-        }
-        case simd::Shape::RankCount: {
-            // Column j's block is the one word x(j): a 0/1 flag.
-            const std::uint64_t *v = regs.shapeVec(p);
-            return simd::outranks(v[i], i, v[_n + j], j) ? 1 : 0;
-        }
-        }
-        return regs.at(p, i * _n + j);
+        return _regs.word(static_cast<unsigned>(r), i, j, 0);
     }
 
     /** Register r of BP(i, j) for writing; materializes the plane.
@@ -240,7 +229,7 @@ class OrthogonalTreesNetwork
     {
         assert(i < _n && j < _n);
         const auto p = static_cast<unsigned>(r);
-        makeDense(p);
+        _regs.makeDense(p, *_kernels);
         return _regs.at(p, i * _n + j);
     }
 
@@ -255,7 +244,7 @@ class OrthogonalTreesNetwork
     regPlane(Reg r)
     {
         const auto p = static_cast<unsigned>(r);
-        makeDense(p);
+        _regs.makeDense(p, *_kernels);
         return _regs.plane(p);
     }
 
@@ -263,7 +252,7 @@ class OrthogonalTreesNetwork
     regPlane(Reg r) const
     {
         const auto p = static_cast<unsigned>(r);
-        makeDense(p);
+        _regs.makeDense(p, *_kernels);
         return std::as_const(_regs).plane(p);
     }
 
@@ -276,7 +265,10 @@ class OrthogonalTreesNetwork
 
     /** Tagged planes expanded into N^2 words since construction (a
      *  test observable: the registered runs pin it). */
-    std::uint64_t materializations() const { return _materializations; }
+    std::uint64_t materializations() const
+    {
+        return _regs.materializations();
+    }
 
     /** Planes handed out for writing since construction or the last
      *  clearRegs() (bit r for register r; a test observable). */
@@ -778,20 +770,10 @@ class OrthogonalTreesNetwork
         return regPlane(r) + i * _n;
     }
 
-    /**
-     * Row i of register r for reading, without materializing it: the
-     * plane row (Dense), the column vector (ColConst), or `buf` (n
-     * words) filled with the row (RowConst, RowOneHot, RankCount).
-     */
+    /** Row i of register r for reading, without materializing it
+     *  (simd::RegFile::row; `buf` holds n words). */
     const std::uint64_t *readRow(Reg r, std::size_t i,
                                  std::uint64_t *buf) const;
-
-    /**
-     * Row i of a tagged plane of `shape` with shape vectors `v`: the
-     * column vector itself (ColConst), or `buf` filled with the row.
-     */
-    const std::uint64_t *shapedRow(simd::Shape shape, const std::uint64_t *v,
-                                   std::size_t i, std::uint64_t *buf) const;
 
     /** Row buffers per host thread: one per input of a row-wise op. */
     static constexpr unsigned kRowScratchBufs = 3;
@@ -806,21 +788,9 @@ class OrthogonalTreesNetwork
         return bufs[which].data();
     }
 
-    /** Materialize plane p unless it is Dense. */
-    void
-    makeDense(unsigned p) const
-    {
-        if (_regs.shape(p) != simd::Shape::Dense)
-            materialize(p);
-    }
-
-    /** Expand tagged plane p into its N^2 words and tag it Dense. */
-    void materialize(unsigned p) const;
-
     /**
-     * Plane `out`, about to be overwritten whole from `inputs`: a
-     * tagged plane is materialized if it is also an input, else just
-     * retagged Dense (its old words are never read).
+     * Plane `out`, about to be overwritten whole from `inputs`
+     * (simd::RegFile::overwrite: materialized only if also an input).
      */
     std::uint64_t *overwritePlane(Reg out, std::initializer_list<Reg> inputs);
 
@@ -828,9 +798,7 @@ class OrthogonalTreesNetwork
     std::uint64_t *
     tagPlane(Reg r, simd::Shape shape)
     {
-        const auto p = static_cast<unsigned>(r);
-        _regs.setShape(p, shape);
-        return _regs.shapeVec(p);
+        return _regs.tag(static_cast<unsigned>(r), shape);
     }
 
     /** Tag plane r RowConst or ColConst with the n words of `v`. */
@@ -863,7 +831,6 @@ class OrthogonalTreesNetwork
     // Const members read through std::as_const(_regs), so they never
     // mark a plane dirty by accident.
     mutable simd::RegFile _regs;
-    mutable std::uint64_t _materializations = 0;
     std::vector<std::uint64_t> _rowRoot;
     std::vector<std::uint64_t> _colRoot;
 };

@@ -30,34 +30,33 @@
  *    assertions but skip this scan: it would read every clean plane on
  *    every clear.
  *
- * Shapes: a file built with a nonzero `side` gives every plane a
- * Shape tag and two side-word shape vectors.  The vectors are one
- * separate, uninitialized allocation, made on the first request for
- * them: they are written before they are read, so a file that is
- * built but never tagged (a cold machine build) pays nothing for
- * them.  A plane tagged RowConst or ColConst holds one value per row
- * or per column (what a row or column broadcast leaves); its words
- * are in the first shape vector and the plane's own words are stale.
- * RowOneHot keeps a column index per row in the first vector and that
- * column's value in the second; every other word of the row is the
- * owner's absent word.  RankCount is the enumeration sort's compare
- * plane, a function of the two vectors (row values in the first,
- * column values in the second; see Shape).  Tagging writes only the
- * vectors and never dirties the plane, so a plane that was only ever
- * tagged stays zero and clean.
+ * Shapes: a file built on a Grid of K cells per side with L words per
+ * cell gives every plane a Shape tag and two K*L-word shape vectors.
+ * Word (i, j, q) of a plane is word q of cell (i, j), at plane index
+ * (i * K + j) * L + q.  An OTN (otn/network.hh) is the grid (N, 1), one
+ * base processor per cell; an OTC (otc/network.hh) is (K, L), one
+ * cycle of L base processors per cell.  A file built from a plane size
+ * alone is shapeless: every plane stays Dense.  The vectors are one
+ * separate, uninitialized allocation, made on the first tag: they are
+ * written before they are read, so a file that is built but never
+ * tagged (a cold machine build) pays nothing for them.  Tagging writes
+ * only the vectors and never dirties the plane, so a plane that was
+ * only ever tagged stays zero and clean.
  *
- * RegFile stores tags and vectors but gives them no meaning: the owner
- * maps a word's address to vector indices, resolves reads through
- * them and expands ("materializes") a tagged plane before handing it
- * out for writing, and plane() and at() assert that the plane is
- * Dense.  The OTN (otn/network.hh) passes side = N for its N x N
- * planes, so a row or column is one vector index; the OTC
- * (otc/network.hh) passes side = K * L, one L-word cycle stream per
- * row or column, so word (i, j, q) is index i * L + q of a row vector
- * and j * L + q of a column vector.  On both, the const
- * reg() reads through the shape, while the mutable reg() and
- * regPlane() materialize first; so the enumeration sorts (SORT-OTN
- * and SORT-OTC) and CONNECT's pointer jumping write no plane word.
+ * RegFile is the one owner of what a shape means (see Shape): it
+ * resolves a point read, one cell's L words (what the OTC's streamed
+ * primitives read) and one row's K*L words (what the row kernels
+ * read) without expanding the plane; it expands ("materializes") a
+ * tagged plane into its words and counts each expansion; and a plane
+ * about to be overwritten whole is retagged Dense without expanding,
+ * unless it is also an input.  plane() and at() assert that the plane
+ * is Dense, so the networks materialize before they hand out words for
+ * writing: their const reg() reads through the shape, while their
+ * mutable reg() and regPlane() materialize first.  So the enumeration
+ * sorts (SORT-OTN and SORT-OTC) and CONNECT's pointer jumping write no
+ * plane word.  Row reads take a kernel table: on a grid with L = 1 a
+ * RowConst row is one fill and a RankCount row one fill and one
+ * cmpRankRow, the speed the OTN's row-wise primitives need.
  *
  * Planes of at least kHugePage bytes (2 MB; N >= 512 on the OTN) sit
  * on transparent huge pages where the host allows it:
@@ -98,28 +97,30 @@
 #include <sys/mman.h>
 #endif
 
+#include "simd/kernels.hh"
+#include "simd/rank.hh"
+
 namespace ot::simd {
 
 /**
- * How a plane is stored.  On a plane of side x side words (the OTN),
- * word (i, j) of a plane tagged
- *  - Dense is the plane's own word i * side + j;
- *  - RowConst is vec0[i] (one value per row: a row broadcast);
- *  - ColConst is vec0[j] (one value per column: a column broadcast);
- *  - RowOneHot is vec1[i] if j == vec0[i], else the owner's absent
- *    word (a row that is empty but for one column, or empty if
- *    vec0[i] >= side);
- *  - RankCount is the number of vec1 words in column j's block that
- *    vec0[i] outranks: is greater than, or equals with a larger global
- *    index (the enumeration sort's duplicate-safe tie-break, as in
- *    the cmpRankRow kernel and simd::outranks).  On the OTN a block is
- *    the one word vec1[j], so the word is the 0/1 flag of comparing
- *    x(i) with x(j).  A row's sum over every block is the rank of its
+ * How a plane is stored.  With g = i * L + q the row stream index of
+ * word (i, j, q) and vec0, vec1 the plane's two shape vectors, the
+ * word of a plane tagged
+ *  - Dense is the plane's own word (i * K + j) * L + q;
+ *  - RowConst is vec0[g] (every cell of row i holds the same L-word
+ *    stream: a row broadcast);
+ *  - ColConst is vec0[j * L + q] (every cell of column j holds the same
+ *    stream: a column broadcast);
+ *  - RowOneHot is vec1[g] if j == vec0[g], else kNullWord (stream g is
+ *    absent but for one column; absent throughout if vec0[g] >= K);
+ *  - RankCount is the number of words of column j's block
+ *    vec1[j * L ... j * L + L) that vec0[g] outranks: is greater than,
+ *    or equals with a larger global index (the enumeration sort's
+ *    duplicate-safe tie-break, as in the cmpRankRow kernel and
+ *    simd::outranks).  A row's sum over every block is the rank of its
  *    vec0 word among vec1 (simd::rankCounts ranks a whole vector).
- * The owner defines the addresses: the OTC's words (i, j, q) take
- * vec0[i * L + q] and vec0[j * L + q] for RowConst and ColConst, and
- * its RankCount block is column j's L words vec1[j * L ...], so word
- * (i, j, q) counts how many of them vec0[i * L + q] outranks.
+ * With L = 1 (the OTN) g is i, a block is the one word vec1[j], and a
+ * RankCount word is the 0/1 flag of comparing x(i) with x(j).
  */
 enum class Shape : std::uint8_t {
     Dense,
@@ -127,6 +128,13 @@ enum class Shape : std::uint8_t {
     ColConst,
     RowOneHot,
     RankCount,
+};
+
+/** A shaped file's geometry: `k` cells per side, `l` words per cell. */
+struct Grid
+{
+    std::size_t k;
+    std::size_t l;
 };
 
 /** SoA block of `planes` equally sized u64 lanes, 64-byte aligned. */
@@ -141,13 +149,11 @@ class RegFile
      *  to it, span a whole number of it and are advised onto THP. */
     static constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-    /** `planes` planes of `plane_size` words; a nonzero `side` also
-     *  gives each plane two side-word shape vectors (side = N on the
-     *  OTN, K * L on the OTC). */
-    RegFile(unsigned planes, std::size_t plane_size, std::size_t side = 0)
+    /** `planes` shapeless planes of `plane_size` words: every plane
+     *  stays Dense. */
+    RegFile(unsigned planes, std::size_t plane_size)
         : _planes(planes),
           _planeSize(plane_size),
-          _side(side),
           _align(alignFor(plane_size)),
           _stride(roundUp(plane_size, _align / sizeof(std::uint64_t))),
           _block(std::calloc(blockBytes(planes, _stride, _align), 1),
@@ -176,6 +182,16 @@ class RegFile
                                     MADV_HUGEPAGE);
         }
 #endif
+    }
+
+    /** `planes` planes of K * K * L words on `grid`, each with a shape
+     *  tag and two K * L-word shape vectors. */
+    RegFile(unsigned planes, Grid grid)
+        : RegFile(planes, gridWords(grid))
+    {
+        _k = grid.k;
+        _l = grid.l;
+        _side = grid.k * grid.l;
     }
 
     /** Number of planes (named registers). */
@@ -223,6 +239,14 @@ class RegFile
         return _data[p * _stride + i];
     }
 
+    /** Plane index of word (i, j, q) of a shaped file. */
+    std::size_t
+    index(std::size_t i, std::size_t j, std::size_t q) const
+    {
+        assert(i < _k && j < _k && q < _l);
+        return i * _side + j * _l + q;
+    }
+
     /** Shape of plane `p`. */
     Shape
     shape(unsigned p) const
@@ -231,34 +255,139 @@ class RegFile
         return _shape[p];
     }
 
-    /** Tag plane `p` with shape `s`; neither reads nor writes (nor
-     *  dirties) the plane's own words. */
-    void
-    setShape(unsigned p, Shape s)
-    {
-        assert(p < _planes && (s == Shape::Dense || _side > 0));
-        _shape[p] = s;
-    }
-
-    /** Plane `p`'s two shape vectors, vec0 then vec1, `side` words
-     *  each (allocated on the first call).  Writing them does not dirty
-     *  the plane. */
+    /** Tag plane `p` with the non-Dense shape `s` and return its two
+     *  shape vectors, vec0 then vec1, K * L words each, for the caller
+     *  to fill before the next read of `p`.  Neither reads nor writes
+     *  (nor dirties) the plane's own words. */
     std::uint64_t *
-    shapeVec(unsigned p)
+    tag(unsigned p, Shape s)
     {
-        assert(p < _planes && _side > 0);
+        assert(p < _planes && _side > 0 && s != Shape::Dense);
         if (!_vecs)
             _vecs.reset(new std::uint64_t[vecWords(_planes, _side)]);
+        _shape[p] = s;
         return _vecs.get() + p * 2 * _side;
     }
 
-    /** The const form serves tagged planes only, whose vectors exist. */
+    /** The shape vectors of tagged plane `p`. */
     const std::uint64_t *
     shapeVec(unsigned p) const
     {
         assert(p < _planes && _vecs);
         return _vecs.get() + p * 2 * _side;
     }
+
+    /** Word (i, j, q) of plane `p`, read through its shape. */
+    std::uint64_t
+    word(unsigned p, std::size_t i, std::size_t j, std::size_t q) const
+    {
+        assert(i < _k && j < _k && q < _l);
+        const std::size_t g = i * _l + q;
+        switch (shape(p)) {
+        case Shape::Dense:
+            break;
+        case Shape::RowConst:
+            return shapeVec(p)[g];
+        case Shape::ColConst:
+            return shapeVec(p)[j * _l + q];
+        case Shape::RowOneHot: {
+            const std::uint64_t *v = shapeVec(p);
+            return v[g] == j ? v[_side + g] : kNullWord;
+        }
+        case Shape::RankCount: {
+            const std::uint64_t *v = shapeVec(p);
+            std::uint64_t count = 0;
+            for (std::size_t h = j * _l; h < (j + 1) * _l; ++h)
+                count += outranks(v[g], g, v[_side + h], h) ? 1 : 0;
+            return count;
+        }
+        }
+        return _data[p * _stride + index(i, j, q)];
+    }
+
+    /**
+     * Cell (i, j)'s L words of plane `p` for reading, without
+     * materializing it: the plane's own words (Dense), the row's or
+     * the column's stream in the shape vector (RowConst, ColConst), or
+     * `buf` (L words) filled with the resolved words.
+     */
+    const std::uint64_t *
+    cell(unsigned p, std::size_t i, std::size_t j, std::uint64_t *buf) const
+    {
+        switch (shape(p)) {
+        case Shape::Dense:
+            return _data + p * _stride + index(i, j, 0);
+        case Shape::RowConst:
+            return shapeVec(p) + i * _l;
+        case Shape::ColConst:
+            return shapeVec(p) + j * _l;
+        case Shape::RowOneHot:
+        case Shape::RankCount:
+            break;
+        }
+        for (std::size_t q = 0; q < _l; ++q)
+            buf[q] = word(p, i, j, q);
+        return buf;
+    }
+
+    /**
+     * Row i's K * L words of plane `p` for reading, without
+     * materializing it: the plane's own row (Dense), the column vector
+     * (ColConst), or `buf` (K * L words) filled with the row.  On a grid
+     * with L = 1 a RowConst or RankCount row takes `kt`'s fill and
+     * cmpRankRow kernels, the speed the OTN's row-wise primitives need.
+     */
+    const std::uint64_t *
+    row(unsigned p, std::size_t i, std::uint64_t *buf,
+        const KernelTable &kt) const
+    {
+        assert(i < _k);
+        switch (shape(p)) {
+        case Shape::Dense:
+            return _data + p * _stride + i * _side;
+        case Shape::ColConst:
+            return shapeVec(p);
+        case Shape::RowConst:
+        case Shape::RankCount:
+            if (_l > 1)
+                break;
+            // x(i), splatted; a RankCount row compares it with every x(j).
+            kt.fill(buf, _k, shapeVec(p)[i]);
+            if (shape(p) == Shape::RankCount)
+                kt.cmpRankRow(buf, buf, shapeVec(p) + _k, _k, i);
+            return buf;
+        case Shape::RowOneHot:
+            break;
+        }
+        return rowOfCells(p, i, buf);
+    }
+
+    /** Materialize plane `p` unless it is Dense. */
+    void
+    makeDense(unsigned p, const KernelTable &kt)
+    {
+        if (shape(p) != Shape::Dense)
+            materialize(p, kt);
+    }
+
+    /**
+     * Plane `p`, about to be overwritten whole, Dense and marked dirty:
+     * a tagged plane is materialized if it is also an input of the
+     * overwrite (`is_input`), else just retagged Dense (its old words
+     * are never read).
+     */
+    std::uint64_t *
+    overwrite(unsigned p, bool is_input, const KernelTable &kt)
+    {
+        if (is_input)
+            makeDense(p, kt);
+        else
+            _shape[p] = Shape::Dense;
+        return plane(p);
+    }
+
+    /** Tagged planes expanded into their words since construction. */
+    std::uint64_t materializations() const { return _materializations; }
 
     /** Zero every dirty plane, mark all planes clean and Dense.  Only
      *  the planeSize() used words are written: the stride padding is
@@ -283,6 +412,40 @@ class RegFile
     }
 
   private:
+    /** Row i of plane `p` copied cell by cell into `buf`: the tagged
+     *  rows without a kernel path.  Out of line, so that row() stays
+     *  small enough to inline into the row-wise primitives. */
+    [[gnu::noinline]] const std::uint64_t *
+    rowOfCells(unsigned p, std::size_t i, std::uint64_t *buf) const
+    {
+        for (std::size_t j = 0; j < _k; ++j) {
+            std::uint64_t *dst = buf + j * _l;
+            const std::uint64_t *words = cell(p, i, j, dst);
+            if (words != dst)
+                std::memcpy(dst, words, _l * sizeof(std::uint64_t));
+        }
+        return buf;
+    }
+
+    /** Expand tagged plane `p` into its words, row by row, tag it Dense
+     *  and count the expansion.  Kept out of line: it is the cold branch
+     *  of every mutable access, and inlined there it made an OTN's
+     *  per-word write loop twice as slow. */
+    [[gnu::noinline]] void
+    materialize(unsigned p, const KernelTable &kt)
+    {
+        std::uint64_t *lane = _data + p * _stride;
+        for (std::size_t i = 0; i < _k; ++i) {
+            std::uint64_t *dst = lane + i * _side;
+            const std::uint64_t *words = row(p, i, dst, kt);
+            if (words != dst)
+                std::memcpy(dst, words, _side * sizeof(std::uint64_t));
+        }
+        _shape[p] = Shape::Dense;
+        _dirty |= 1u << p;
+        ++_materializations;
+    }
+
     /** Block and plane alignment, in bytes, for planes of `words`. */
     static std::size_t
     alignFor(std::size_t words)
@@ -314,6 +477,17 @@ class RegFile
         return bytes;
     }
 
+    /** Words per plane of `grid` (K * K * L); throws on overflow. */
+    static std::size_t
+    gridWords(Grid grid)
+    {
+        std::size_t words;
+        if (__builtin_mul_overflow(grid.k, grid.k, &words) ||
+            __builtin_mul_overflow(words, grid.l, &words))
+            throw std::bad_alloc();
+        return words;
+    }
+
     /** Words of `planes` pairs of `side`-word shape vectors; throws on
      *  overflow. */
     static std::size_t
@@ -327,12 +501,15 @@ class RegFile
 
     unsigned _planes;
     std::size_t _planeSize;
-    std::size_t _side;
+    std::size_t _k = 0;    // cells per side (0: shapeless)
+    std::size_t _l = 0;    // words per cell
+    std::size_t _side = 0; // K * L: one row, and one shape vector
     std::size_t _align;
     std::size_t _stride;
     std::unique_ptr<void, decltype(&std::free)> _block;
     std::unique_ptr<std::uint64_t[]> _vecs; // shape vectors, 2 per plane
     std::uint64_t *_data;
+    std::uint64_t _materializations = 0;
     // Not a character type, so stores to plane words cannot alias it.
     Shape _shape[32] = {};
     // A uint32 on purpose: a uint64 member could alias the plane words

@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "graph/generators.hh"
@@ -248,6 +249,147 @@ TEST(RegFile, OverflowingSizesThrowBadAlloc)
     EXPECT_THROW((void)simd::RegFile(12, SIZE_MAX / 16), std::bad_alloc);
     EXPECT_THROW((void)simd::RegFile(1, SIZE_MAX), std::bad_alloc);
     EXPECT_THROW((void)simd::RegFile(2, SIZE_MAX / 8 - 1), std::bad_alloc);
+}
+
+/**
+ * Word (i, j, q) of a plane of `shape` on grid (k, l) with shape
+ * vectors `v` (vec0 then vec1) or, Dense, own words `dense`: the
+ * definitions of simd::Shape, written out word by word.
+ */
+std::uint64_t
+shapeDefinition(simd::Shape shape, const std::vector<std::uint64_t> &v,
+                const std::vector<std::uint64_t> &dense, std::size_t k,
+                std::size_t l, std::size_t i, std::size_t j, std::size_t q)
+{
+    const std::size_t side = k * l, g = i * l + q;
+    switch (shape) {
+    case simd::Shape::Dense:
+        return dense[(i * k + j) * l + q];
+    case simd::Shape::RowConst:
+        return v[g];
+    case simd::Shape::ColConst:
+        return v[j * l + q];
+    case simd::Shape::RowOneHot:
+        return v[g] == j ? v[side + g] : simd::kNullWord;
+    case simd::Shape::RankCount: {
+        std::uint64_t count = 0;
+        for (std::size_t r = 0; r < l; ++r) {
+            const std::size_t h = j * l + r;
+            const std::uint64_t x = v[g], y = v[side + h];
+            count += x > y || (x == y && g > h);
+        }
+        return count;
+    }
+    }
+    return 0;
+}
+
+TEST(RegFile, ShapedReadsMatchTheMaterializedPlane)
+{
+    // Plane 0 is Dense and planes 1-4 carry the four tagged shapes, on
+    // an N x N grid (L = 1, the OTN's) and on K = 4, L = 3 (the OTC's
+    // kind: a row of 12 words, not a power of two).  Every point, cell
+    // and row read, taken before materializing, must equal the
+    // definition and then the materialized plane.
+    constexpr simd::Shape kTagged[] = {
+        simd::Shape::RowConst, simd::Shape::ColConst,
+        simd::Shape::RowOneHot, simd::Shape::RankCount};
+    std::vector<simd::Backend> backends = vectorBackends();
+    backends.push_back(simd::Backend::Scalar);
+    for (simd::Grid grid : {simd::Grid{8, 1}, simd::Grid{4, 3}})
+        for (simd::Backend backend : backends) {
+            const std::size_t k = grid.k, l = grid.l, side = k * l;
+            const std::size_t words = k * side;
+            SCOPED_TRACE(::testing::Message()
+                         << "K=" << k << " L=" << l << " "
+                         << simd::toString(backend));
+            const simd::KernelTable &kt = simd::kernelsFor(backend);
+            Rng rng(613 + side);
+            simd::RegFile rf(5, grid);
+            ASSERT_EQ(rf.planeSize(), words);
+            std::vector<std::uint64_t> dense(words);
+            for (std::size_t w = 0; w < words; ++w)
+                dense[w] = rf.at(0, w) = rng.uniform(0, 9);
+            // Small values, so RankCount sees ties, and kNull padding;
+            // RowOneHot's vec0 holds column indices, K meaning none.
+            std::vector<std::vector<std::uint64_t>> vecs;
+            for (unsigned s = 0; s < 4; ++s) {
+                std::vector<std::uint64_t> v(2 * side);
+                for (std::size_t w = 0; w < v.size(); ++w)
+                    v[w] = rng.uniform(0, 5) == 0 ? simd::kNullWord
+                           : kTagged[s] == simd::Shape::RowOneHot && w < side
+                               ? rng.uniform(0, k)
+                               : rng.uniform(0, 4);
+                std::copy(v.begin(), v.end(), rf.tag(s + 1, kTagged[s]));
+                vecs.push_back(v);
+            }
+            EXPECT_EQ(rf.dirtyMask(), 1u); // tagging dirties no plane
+
+            std::vector<std::uint64_t> cell_buf(l), row_buf(side);
+            for (unsigned p = 0; p < 5; ++p) {
+                SCOPED_TRACE(::testing::Message() << "plane " << p);
+                const simd::Shape shape = rf.shape(p);
+                ASSERT_EQ(shape,
+                          p == 0 ? simd::Shape::Dense : kTagged[p - 1]);
+                const std::vector<std::uint64_t> &v =
+                    p == 0 ? dense : vecs[p - 1];
+                std::vector<std::uint64_t> points(words), cells(words),
+                    rows(words);
+                for (std::size_t i = 0; i < k; ++i) {
+                    const std::uint64_t *row =
+                        rf.row(p, i, row_buf.data(), kt);
+                    std::copy(row, row + side, rows.begin() + i * side);
+                    for (std::size_t j = 0; j < k; ++j) {
+                        const std::uint64_t *c =
+                            rf.cell(p, i, j, cell_buf.data());
+                        std::copy(c, c + l,
+                                  cells.begin() + rf.index(i, j, 0));
+                        for (std::size_t q = 0; q < l; ++q) {
+                            points[rf.index(i, j, q)] = rf.word(p, i, j, q);
+                            ASSERT_EQ(points[rf.index(i, j, q)],
+                                      shapeDefinition(shape, v, dense, k, l,
+                                                      i, j, q))
+                                << i << ',' << j << ',' << q;
+                        }
+                    }
+                }
+                const std::uint64_t count = rf.materializations();
+                const std::uint32_t dirty = rf.dirtyMask();
+                rf.makeDense(p, kt);
+                EXPECT_EQ(rf.shape(p), simd::Shape::Dense);
+                EXPECT_EQ(rf.materializations(), count + (p != 0));
+                EXPECT_EQ(rf.dirtyMask(), dirty | (p != 0 ? 1u << p : 0u));
+                const simd::RegFile &view = rf;
+                const std::vector<std::uint64_t> plane(
+                    view.plane(p), view.plane(p) + words);
+                EXPECT_EQ(points, plane);
+                EXPECT_EQ(cells, plane);
+                EXPECT_EQ(rows, plane);
+                rf.makeDense(p, kt); // already Dense: no second count
+                EXPECT_EQ(rf.materializations(), count + (p != 0));
+            }
+
+            // Overwriting a tagged plane that is not an input retags it
+            // without expanding it; one that is an input is expanded.
+            for (unsigned s = 0; s < 4; ++s)
+                std::copy(vecs[s].begin(), vecs[s].end(),
+                          rf.tag(s + 1, kTagged[s]));
+            const std::uint64_t count = rf.materializations();
+            rf.overwrite(1, false, kt);
+            EXPECT_EQ(rf.shape(1), simd::Shape::Dense);
+            EXPECT_EQ(rf.materializations(), count);
+            rf.overwrite(4, true, kt);
+            EXPECT_EQ(rf.shape(4), simd::Shape::Dense);
+            EXPECT_EQ(rf.materializations(), count + 1);
+
+            // clear() resets every tag and zeroes what was written.
+            rf.clear();
+            EXPECT_EQ(rf.dirtyMask(), 0u);
+            for (unsigned p = 0; p < 5; ++p) {
+                EXPECT_EQ(rf.shape(p), simd::Shape::Dense) << "plane " << p;
+                EXPECT_TRUE(planeIsZero(rf, p)) << "plane " << p;
+            }
+        }
 }
 
 #if defined(__linux__)
@@ -1292,8 +1434,13 @@ struct DiffCase
 {
     std::size_t n;
     /** Farm lanes that each run the whole differential at once. */
-    unsigned threads;
+    std::size_t threads;
 };
+
+// GoogleTest prints a case as its object bytes, and that dump is part
+// of every test name ctest lists: with no padding byte, each printed
+// byte is a set field, so listings from two builds are identical.
+static_assert(std::has_unique_object_representations_v<DiffCase>);
 
 /**
  * Run `body` once on each of `lanes` host lanes at the same time, the
