@@ -18,16 +18,13 @@ matMul(const IntMatrix &a, const IntMatrix &b)
     const std::size_t inner = a.cols();
     const std::size_t cols = b.cols();
     IntMatrix c(a.rows(), cols, 0);
-    // i-k-j over raw rows: row i of C accumulates a(i, k) * row k of B
-    // through the dispatched multiply-add kernel.
-    const simd::MacRowFn mac = simd::kernels().macRow;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        const std::uint64_t *ai = a.rowData(i);
-        std::uint64_t *ci = c.rowData(i);
-        for (std::size_t k = 0; k < inner; ++k)
-            if (ai[k] != 0)
-                mac(ci, ai[k], b.rowData(k), cols);
-    }
+    if (c.rows() == 0 || inner == 0 || cols == 0)
+        return c;
+    // One register-tiled pass over raw rows, through the dispatched
+    // tile kernel (one 32 x 32 -> 64 multiply per lane when every
+    // operand word is below 2^32).
+    simd::kernels().macTile(c.rowData(0), cols, a.rowData(0), inner,
+                            b.rowData(0), cols, a.rows(), inner, cols);
     return c;
 }
 

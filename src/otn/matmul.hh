@@ -17,6 +17,12 @@
  * machine (one OTN block per row of A, the simulation of the
  * (N^2 x N^2)-OTN) reaches O(log^2 N) total time.  That variant is
  * boolMatMulReplicated below.
+ *
+ * The host computes the data of a whole-matrix product's N vector
+ * products in one pass and replays each product's accounting, which
+ * does not depend on the data; only the last product runs the
+ * register data path, so the machine ends in the state the per-row
+ * formulation leaves.
  */
 
 #pragma once

@@ -87,21 +87,16 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
     ModelTime start = net.now();
     sim::ScopedPhase phase(net.acct(), "mst-otn");
 
-    // Load the weight matrix (kNull marks absent edges).
+    // Load the weight matrix (kNull marks absent edges), checking
+    // that each edge's packed form fits the machine word.
     {
-        linalg::IntMatrix w(n, n, 0);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                w(i, j) = (i < g.vertices() && j < g.vertices() &&
-                           g.hasEdge(i, j))
-                              ? g.weight(i, j)
-                              : kNull;
-        // Check the packed form fits the machine word.
+        linalg::IntMatrix w(n, n, kNull);
         for (std::size_t i = 0; i < g.vertices(); ++i)
             for (std::size_t j = 0; j < g.vertices(); ++j)
-                if (g.hasEdge(i, j))
-                    assert(net.fitsWord(
-                        packEdge(g.weight(i, j), i, j, idx_bits)));
+                if (g.hasEdge(i, j)) {
+                    w(i, j) = g.weight(i, j);
+                    assert(net.fitsWord(packEdge(w(i, j), i, j, idx_bits)));
+                }
         net.loadBase(Reg::A, w, charge_load);
     }
 

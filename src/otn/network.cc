@@ -304,20 +304,21 @@ OrthogonalTreesNetwork::countLeafToLeaf(Axis axis, std::size_t idx, Reg flag,
     return dt;
 }
 
+template <typename T, typename Word>
 ModelTime
-OrthogonalTreesNetwork::loadBase(Reg r, const linalg::IntMatrix &m,
-                                 bool charged, ModelTime separation)
+OrthogonalTreesNetwork::writeBase(Reg r, const linalg::Matrix<T> &m,
+                                  Word &&word, bool charged,
+                                  ModelTime separation)
 {
     assert(m.rows() <= _n && m.cols() <= _n);
     // Every word written once: m's rows, then kNull padding to the
     // right of them and below them.
     std::uint64_t *plane = overwritePlane(r, {});
     for (std::size_t i = 0; i < m.rows(); ++i) {
-        const std::uint64_t *src = m.rowData(i);
+        const T *src = m.rowData(i);
         std::uint64_t *row = plane + i * _n;
         for (std::size_t j = 0; j < m.cols(); ++j)
-            assert(fitsWord(src[j]));
-        std::memcpy(row, src, m.cols() * sizeof(std::uint64_t));
+            row[j] = word(src[j]);
         _kernels->fill(row + m.cols(), _n - m.cols(), kNull);
     }
     _kernels->fill(plane + m.rows() * _n, (_n - m.rows()) * _n, kNull);
@@ -333,6 +334,28 @@ OrthogonalTreesNetwork::loadBase(Reg r, const linalg::IntMatrix &m,
                       baseSpan(static_cast<std::uint64_t>(_n) * _n));
     charge(dt);
     return dt;
+}
+
+ModelTime
+OrthogonalTreesNetwork::loadBase(Reg r, const linalg::IntMatrix &m,
+                                 bool charged, ModelTime separation)
+{
+    return writeBase(
+        r, m,
+        [&](std::uint64_t v) {
+            assert(fitsWord(v));
+            return v;
+        },
+        charged, separation);
+}
+
+ModelTime
+OrthogonalTreesNetwork::loadBase(Reg r, const linalg::BoolMatrix &m,
+                                 bool charged, ModelTime separation)
+{
+    return writeBase(
+        r, m, [](std::uint8_t v) { return std::uint64_t{v != 0}; }, charged,
+        separation);
 }
 
 linalg::IntMatrix
@@ -472,11 +495,24 @@ OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
 // ----------------------------------------------------------------------
 
 ModelTime
+OrthogonalTreesNetwork::replayRowBroadcast()
+{
+    return replayTrees(
+        {treeStep(Ctr::RootToLeaf, Axis::Row, treeTraversalCost())});
+}
+
+ModelTime
+OrthogonalTreesNetwork::replayColSum()
+{
+    return replayTrees(
+        {treeStep(Ctr::SumLeafToRoot, Axis::Col, treeReduceCost())});
+}
+
+ModelTime
 OrthogonalTreesNetwork::batchRowBroadcast(Reg dest)
 {
     tagConst(dest, simd::Shape::RowConst, _rowRoot.data());
-    return replayTrees(
-        {treeStep(Ctr::RootToLeaf, Axis::Row, treeTraversalCost())});
+    return replayRowBroadcast();
 }
 
 ModelTime
@@ -488,8 +524,7 @@ OrthogonalTreesNetwork::batchColSum(Reg src)
     for (std::size_t i = 0; i < _n; ++i)
         _kernels->accumSumRow(_colRoot.data(),
                               readRow(src, i, rowScratch(0)), _n);
-    return replayTrees(
-        {treeStep(Ctr::SumLeafToRoot, Axis::Col, treeReduceCost())});
+    return replayColSum();
 }
 
 ModelTime
@@ -509,8 +544,31 @@ OrthogonalTreesNetwork::batchProductColSum(ModelTime op_cost, bool boolean,
         fn(_colRoot.data(), c + i * _n, s[i], readRow(b, i, rowScratch(0)),
            _n);
     const ModelTime dt = chargeBaseOp(op_cost);
-    return dt + replayTrees({treeStep(Ctr::SumLeafToRoot, Axis::Col,
-                                      treeReduceCost())});
+    return dt + replayColSum();
+}
+
+ModelTime
+OrthogonalTreesNetwork::chargeProductStep(ModelTime op_cost)
+{
+    ModelTime dt = replayRowBroadcast();
+    dt += chargeBaseOp(op_cost);
+    return dt + replayColSum();
+}
+
+void
+OrthogonalTreesNetwork::productRows(const linalg::IntMatrix &a, Reg b,
+                                    linalg::IntMatrix &out) const
+{
+    assert(out.rows() == a.rows() && a.cols() <= _n && out.cols() <= _n);
+    if (a.rows() == 0 || a.cols() == 0 || out.cols() == 0)
+        return;
+    // Rows k >= a.cols() of b meet only the kNull padding of the
+    // input vectors, which adds nothing, so the pass stops at them.
+    _kernels->macTileAbsent(out.rowData(0), out.cols(), a.rowData(0),
+                            a.cols(),
+                            std::as_const(_regs).plane(
+                                static_cast<unsigned>(b)),
+                            _n, a.rows(), a.cols(), out.cols());
 }
 
 ModelTime

@@ -446,6 +446,29 @@ class OrthogonalTreesNetwork
     ModelTime batchProductColSum(ModelTime op_cost, bool boolean, Reg a,
                                  Reg b, Reg out);
 
+    /**
+     * The accounting of one product step, batchRowBroadcast then
+     * batchProductColSum(op_cost, ..), without its data: the row
+     * broadcast's replay, the base op and the column sums' replay, in
+     * that order.  None of it depends on the data, so a whole-matrix
+     * product moves the data of all its vector products at once
+     * (productRows) and replays each product's accounting here.
+     */
+    ModelTime chargeProductStep(ModelTime op_cost);
+
+    /**
+     * The data of a.rows() integer product steps at once: row i of
+     * `out` (out.cols() <= n words) gains the colRoot words that
+     * setRowRootInputs(row i of a), batchRowBroadcast and
+     * batchProductColSum(.., false, ..) against register b leave in
+     * its first out.cols() columns.  An absent or zero a(i, k) adds
+     * nothing and an absent b word counts as 0
+     * (simd::KernelTable::macTileAbsent, one register-tiled pass over
+     * b's Dense plane).  Writes no register and charges nothing.
+     */
+    void productRows(const linalg::IntMatrix &a, Reg b,
+                     linalg::IntMatrix &out) const;
+
     /** For each col j pardo: minLeafToRoot(Col, j, all, src). */
     ModelTime batchColMin(Reg src);
 
@@ -657,6 +680,10 @@ class OrthogonalTreesNetwork
     ModelTime loadBase(Reg r, const linalg::IntMatrix &m,
                        bool charged = true, ModelTime separation = 0);
 
+    /** loadBase of a Boolean matrix: nonzero cells load as 1. */
+    ModelTime loadBase(Reg r, const linalg::BoolMatrix &m,
+                       bool charged = true, ModelTime separation = 0);
+
     /** Read base register r back into a matrix (host-side view). */
     linalg::IntMatrix readBase(Reg r) const;
 
@@ -728,6 +755,17 @@ class OrthogonalTreesNetwork
 
     /** Count, trace and charge one base step of nominal `op_cost`. */
     ModelTime chargeBaseOp(ModelTime op_cost);
+
+    /** Replay of the row broadcast and of the column sums of a batch
+     *  (their counters, spans and charges). */
+    ModelTime replayRowBroadcast();
+    ModelTime replayColSum();
+
+    /** Write m into plane r with kNull padding (`word` converts a
+     *  cell), then charge the load as loadBase does. */
+    template <typename T, typename Word>
+    ModelTime writeBase(Reg r, const linalg::Matrix<T> &m, Word &&word,
+                        bool charged, ModelTime separation);
 
     /** Resolve (axis, idx, k) to a BP address. */
     std::pair<std::size_t, std::size_t>

@@ -123,11 +123,33 @@ using ScalarRowAccumFn = void (*)(std::uint64_t *acc, std::uint64_t *out,
                                   std::size_t n);
 
 /**
- * acc[j] += s * b[j] (mod 2^64) for j in [0, n), with no absent rule:
- * one (i, k) step of an i-k-j integer matrix product.
+ * C += A * B (mod 2^64) by register tile, over row-major operands with
+ * row strides lda, ldb and ldc: for i < rows and j < cols,
+ * c[i * ldc + j] += sum over k < inner of a[i * lda + k] * b[k * ldb + j].
+ *
+ * A tile of 4 rows x 2 vectors of C stays in registers for the whole
+ * k loop; rows and columns that do not fill a tile take a scalar
+ * tail (N = 2 and 4 are all tail on AVX2).  The exactness rule picks
+ * one of two instantiations per call: if one OR-scan per operand shows
+ * every word below 2^32, each lane product is a single 32 x 32 -> 64
+ * multiply (V::mulU32), which is exact there; otherwise it is the
+ * full mulLo.  Both wrap mod 2^64 alike, so every backend is
+ * bit-identical on every input.
+ *  - macTile: plain words.  linalg::matMul, and through it the
+ *    generic Machine::runMatMul and the mesh's Cannon.
+ *  - macTileAbsent: the OTN product step's absent rule.  A kNullWord
+ *    or zero a(i, k) adds nothing and a kNullWord b(k, j) counts as 0
+ *    (the scan reads kNullWord as 0, and the tile masks absent words
+ *    only when the scan saw one).  The OTN's, and so the OTC's,
+ *    whole-matrix products.  Its body is written apart from
+ *    macTile's, so the check of an OTN product against
+ *    linalg::matMul compares two kernels, not one with itself.
  */
-using MacRowFn = void (*)(std::uint64_t *acc, std::uint64_t s,
-                          const std::uint64_t *b, std::size_t n);
+using MacTileFn = void (*)(std::uint64_t *c, std::size_t ldc,
+                           const std::uint64_t *a, std::size_t lda,
+                           const std::uint64_t *b, std::size_t ldb,
+                           std::size_t rows, std::size_t inner,
+                           std::size_t cols);
 
 /**
  * acc[j] = combine(acc[j], src[j]) for j in [0, n) — one row's
@@ -163,7 +185,8 @@ struct KernelTable
     BinaryRowFn addSatRow;
     ScalarRowAccumFn mulAccumRow;
     ScalarRowAccumFn andAccumRow;
-    MacRowFn macRow;
+    MacTileFn macTile;
+    MacTileFn macTileAbsent;
     AccumRowFn accumSumRow;
     AccumRowFn accumMinRow;
     AccumMinEqIndexRowFn accumMinEqIndexRow;

@@ -29,7 +29,8 @@ constexpr KernelTable kAvx2Table = {
     .addSatRow = addSatRowT<Avx2Vec>,
     .mulAccumRow = mulAccumRowT<Avx2Vec>,
     .andAccumRow = andAccumRowT<Avx2Vec>,
-    .macRow = macRowT<Avx2Vec>,
+    .macTile = macTileT<Avx2Vec>,
+    .macTileAbsent = macTileAbsentT<Avx2Vec>,
     .accumSumRow = accumSumRowT<Avx2Vec>,
     .accumMinRow = accumMinRowT<Avx2Vec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<Avx2Vec>,

@@ -6,9 +6,11 @@
  * Each kernel is a function template over a view type V (ScalarVec,
  * Avx2Vec, NeonVec) satisfying the contract documented in
  * vec_scalar.hh: kWidth lanes of u64, whole-lane masks, unsigned
- * compare/min/max, blend, the low word of a product, and horizontal
- * sum/min.  The main loop processes V::kWidth words per iteration and
- * a scalar epilogue handles the remainder, so every instantiation
+ * compare/min/max, blend, the low word of a product (mulLo, and
+ * mulU32's single 32 x 32 -> 64 multiply for narrow lanes), and
+ * horizontal sum/min.  The main loop processes V::kWidth words per
+ * iteration (the tile kernels: a 4-row x 2-vector tile) and a scalar
+ * epilogue handles the remainder, so every instantiation
  * computes bit-identical results to ScalarVec — sums and products are
  * modular, min is selective, and no kernel reassociates anything the
  * machine model treats as ordered.
@@ -300,19 +302,227 @@ andAccumRowT(std::uint64_t *acc, std::uint64_t *out, std::uint64_t s,
     }
 }
 
+/** What the tile kernels' exactness rule needs to know of an operand. */
+struct WordScan
+{
+    bool wide = false;   // some word other than kNullWord is >= 2^32
+    bool absent = false; // some word is kNullWord
+};
+
+/** One OR-scan of the rows x cols block at p (row stride ld). */
+template <typename V>
+WordScan
+scanWordsT(const std::uint64_t *p, std::size_t rows, std::size_t cols,
+           std::size_t ld)
+{
+    const auto nullv = V::splat(kNullWord);
+    const auto zero = V::splat(0);
+    auto bits = V::splat(0);
+    auto nulls = V::splat(0);
+    std::uint64_t tail_bits = 0;
+    bool tail_null = false;
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::uint64_t *row = p + i * ld;
+        std::size_t j = 0;
+        for (; j + V::kWidth <= cols; j += V::kWidth) {
+            const auto x = V::load(row + j);
+            const auto null = V::eq(x, nullv);
+            nulls = V::bitOr(nulls, null);
+            bits = V::bitOr(bits, V::blend(null, zero, x));
+        }
+        for (; j < cols; ++j) {
+            tail_null |= row[j] == kNullWord;
+            tail_bits |= row[j] == kNullWord ? 0 : row[j];
+        }
+    }
+    return {V::any(V::gtU(bits, V::splat(0xffffffffu))) || tail_bits >> 32,
+            V::any(nulls) || tail_null};
+}
+
+/** a * b per lane: one 32 x 32 -> 64 multiply when kNarrow (both
+ *  operands below 2^32), else the full low word. */
+template <typename V, bool kNarrow>
+typename V::Reg
+mulTerm(typename V::Reg a, typename V::Reg b)
+{
+    if constexpr (kNarrow)
+        return V::mulU32(a, b);
+    else
+        return V::mulLo(a, b);
+}
+
+/** The 4-row x 2-vector tile of C at (c, a, b), held in registers
+ *  across the whole k loop. */
+template <typename V, bool kNarrow>
+void
+macTile4x2(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+           std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+           std::size_t inner)
+{
+    constexpr std::size_t W = V::kWidth;
+    typename V::Reg lo[4], hi[4];
+    for (std::size_t r = 0; r < 4; ++r) {
+        lo[r] = V::load(c + r * ldc);
+        hi[r] = V::load(c + r * ldc + W);
+    }
+    for (std::size_t k = 0; k < inner; ++k) {
+        const auto b0 = V::load(b + k * ldb);
+        const auto b1 = V::load(b + k * ldb + W);
+        for (std::size_t r = 0; r < 4; ++r) {
+            const auto x = V::splat(a[r * lda + k]);
+            lo[r] = V::add(lo[r], mulTerm<V, kNarrow>(x, b0));
+            hi[r] = V::add(hi[r], mulTerm<V, kNarrow>(x, b1));
+        }
+    }
+    for (std::size_t r = 0; r < 4; ++r) {
+        V::store(c + r * ldc, lo[r]);
+        V::store(c + r * ldc + W, hi[r]);
+    }
+}
+
+/** macTile's scalar tail: rows [i0, i1) x columns [j0, j1) of C. */
+inline void
+macTileScalar(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+              std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+              std::size_t inner, std::size_t i0, std::size_t i1,
+              std::size_t j0, std::size_t j1)
+{
+    for (std::size_t i = i0; i < i1; ++i)
+        for (std::size_t j = j0; j < j1; ++j) {
+            std::uint64_t sum = c[i * ldc + j];
+            for (std::size_t k = 0; k < inner; ++k)
+                sum += a[i * lda + k] * b[k * ldb + j];
+            c[i * ldc + j] = sum;
+        }
+}
+
+template <typename V, bool kNarrow>
+void
+macTileBody(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+            std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+            std::size_t rows, std::size_t inner, std::size_t cols)
+{
+    constexpr std::size_t kCols = 2 * V::kWidth;
+    const std::size_t tiled_cols = cols - cols % kCols;
+    std::size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        for (std::size_t j = 0; j < tiled_cols; j += kCols)
+            macTile4x2<V, kNarrow>(c + i * ldc + j, ldc, a + i * lda, lda,
+                                   b + j, ldb, inner);
+        macTileScalar(c, ldc, a, lda, b, ldb, inner, i, i + 4, tiled_cols,
+                      cols);
+    }
+    macTileScalar(c, ldc, a, lda, b, ldb, inner, i, rows, 0, cols);
+}
+
 template <typename V>
 void
-macRowT(std::uint64_t *acc, std::uint64_t s, const std::uint64_t *b,
-        std::size_t n)
+macTileT(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+         std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+         std::size_t rows, std::size_t inner, std::size_t cols)
 {
-    // Loads and stores bound this loop, so it takes no narrow branch.
-    const auto vs = V::splat(s);
-    std::size_t j = 0;
-    for (; j + V::kWidth <= n; j += V::kWidth)
-        V::store(acc + j,
-                 V::add(V::load(acc + j), V::mulLo(V::load(b + j), vs)));
-    for (; j < n; ++j)
-        acc[j] += s * b[j];
+    // kNullWord is a wide word here.
+    const WordScan sa = scanWordsT<V>(a, rows, inner, lda);
+    const WordScan sb = scanWordsT<V>(b, inner, cols, ldb);
+    if (!(sa.wide || sa.absent || sb.wide || sb.absent))
+        macTileBody<V, true>(c, ldc, a, lda, b, ldb, rows, inner, cols);
+    else
+        macTileBody<V, false>(c, ldc, a, lda, b, ldb, rows, inner, cols);
+}
+
+/**
+ * macTileAbsent's 4-row x 2-vector tile at (c, a, b).  With kMask,
+ * a's words are read as 0 where absent (a zero then adds nothing) and
+ * b's vectors are masked to 0 where absent; without it, neither
+ * operand holds an absent word.
+ */
+template <typename V, bool kNarrow, bool kMask>
+void
+absentTile4x2(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+              std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+              std::size_t inner)
+{
+    constexpr std::size_t W = V::kWidth;
+    const auto nullv = V::splat(kNullWord);
+    const auto zero = V::splat(0);
+    typename V::Reg acc[4][2];
+    for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t v = 0; v < 2; ++v)
+            acc[r][v] = V::load(c + r * ldc + v * W);
+    for (std::size_t k = 0; k < inner; ++k) {
+        typename V::Reg bk[2];
+        for (std::size_t v = 0; v < 2; ++v) {
+            const auto x = V::load(b + k * ldb + v * W);
+            bk[v] = kMask ? V::blend(V::eq(x, nullv), zero, x) : x;
+        }
+        for (std::size_t r = 0; r < 4; ++r) {
+            const std::uint64_t s = a[r * lda + k];
+            const auto x = V::splat(kMask && s == kNullWord ? 0 : s);
+            for (std::size_t v = 0; v < 2; ++v)
+                acc[r][v] = V::add(acc[r][v], mulTerm<V, kNarrow>(x, bk[v]));
+        }
+    }
+    for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t v = 0; v < 2; ++v)
+            V::store(c + r * ldc + v * W, acc[r][v]);
+}
+
+/** macTileAbsent's scalar tail: rows [i0, i1) x columns [j0, j1). */
+inline void
+absentScalar(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+             std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+             std::size_t inner, std::size_t i0, std::size_t i1,
+             std::size_t j0, std::size_t j1)
+{
+    for (std::size_t j = j0; j < j1; ++j)
+        for (std::size_t i = i0; i < i1; ++i) {
+            std::uint64_t sum = c[i * ldc + j];
+            for (std::size_t k = 0; k < inner; ++k) {
+                const std::uint64_t s = a[i * lda + k];
+                const std::uint64_t x = b[k * ldb + j];
+                if (s != kNullWord && x != kNullWord)
+                    sum += s * x;
+            }
+            c[i * ldc + j] = sum;
+        }
+}
+
+template <typename V, bool kNarrow, bool kMask>
+void
+macTileAbsentBody(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+                  std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+                  std::size_t rows, std::size_t inner, std::size_t cols)
+{
+    constexpr std::size_t kCols = 2 * V::kWidth;
+    const std::size_t tiled_rows = rows - rows % 4;
+    const std::size_t tiled_cols = cols - cols % kCols;
+    for (std::size_t i = 0; i < tiled_rows; i += 4)
+        for (std::size_t j = 0; j < tiled_cols; j += kCols)
+            absentTile4x2<V, kNarrow, kMask>(c + i * ldc + j, ldc,
+                                             a + i * lda, lda, b + j, ldb,
+                                             inner);
+    absentScalar(c, ldc, a, lda, b, ldb, inner, 0, tiled_rows, tiled_cols,
+                 cols);
+    absentScalar(c, ldc, a, lda, b, ldb, inner, tiled_rows, rows, 0, cols);
+}
+
+template <typename V>
+void
+macTileAbsentT(std::uint64_t *c, std::size_t ldc, const std::uint64_t *a,
+               std::size_t lda, const std::uint64_t *b, std::size_t ldb,
+               std::size_t rows, std::size_t inner, std::size_t cols)
+{
+    const WordScan sa = scanWordsT<V>(a, rows, inner, lda);
+    const WordScan sb = scanWordsT<V>(b, inner, cols, ldb);
+    const bool narrow = !(sa.wide || sb.wide);
+    const bool mask = sa.absent || sb.absent;
+    MacTileFn body = macTileAbsentBody<V, false, false>;
+    if (narrow)
+        body = mask ? macTileAbsentBody<V, true, true>
+                    : macTileAbsentBody<V, true, false>;
+    else if (mask)
+        body = macTileAbsentBody<V, false, true>;
+    body(c, ldc, a, lda, b, ldb, rows, inner, cols);
 }
 
 template <typename V>

@@ -27,7 +27,8 @@ constexpr KernelTable kNeonTable = {
     .addSatRow = addSatRowT<NeonVec>,
     .mulAccumRow = mulAccumRowT<NeonVec>,
     .andAccumRow = andAccumRowT<NeonVec>,
-    .macRow = macRowT<NeonVec>,
+    .macTile = macTileT<NeonVec>,
+    .macTileAbsent = macTileAbsentT<NeonVec>,
     .accumSumRow = accumSumRowT<NeonVec>,
     .accumMinRow = accumMinRowT<NeonVec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<NeonVec>,

@@ -27,7 +27,8 @@ constexpr KernelTable kScalarTable = {
     .addSatRow = addSatRowT<ScalarVec>,
     .mulAccumRow = mulAccumRowT<ScalarVec>,
     .andAccumRow = andAccumRowT<ScalarVec>,
-    .macRow = macRowT<ScalarVec>,
+    .macTile = macTileT<ScalarVec>,
+    .macTileAbsent = macTileAbsentT<ScalarVec>,
     .accumSumRow = accumSumRowT<ScalarVec>,
     .accumMinRow = accumMinRowT<ScalarVec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<ScalarVec>,

@@ -73,6 +73,8 @@ struct Avx2Vec
         return add(_mm256_mul_epu32(a, b), _mm256_slli_epi64(cross, 32));
     }
 
+    static Reg mulU32(Reg a, Reg b) { return _mm256_mul_epu32(a, b); }
+
     static Reg
     minU(Reg a, Reg b)
     {

@@ -52,6 +52,10 @@ struct NeonVec
 
     static Reg mulLoNarrow(Reg a, Reg b) { return mulLo(a, b); }
 
+    /** Kernels call mulU32 only on lanes below 2^32, where mulLo is
+     *  the same product. */
+    static Reg mulU32(Reg a, Reg b) { return mulLo(a, b); }
+
     static Reg
     minU(Reg a, Reg b)
     {

@@ -43,6 +43,14 @@ struct ScalarVec
     /** mulLo for a b whose lanes are all below 2^32 (may be cheaper). */
     static Reg mulLoNarrow(Reg a, Reg b) { return a * b; }
 
+    /** lo32(a) * lo32(b) per lane: one 32 x 32 -> 64 multiply, the
+     *  exact product when both lanes are below 2^32. */
+    static Reg
+    mulU32(Reg a, Reg b)
+    {
+        return (a & 0xffffffffu) * (b & 0xffffffffu);
+    }
+
     static Reg
     minU(Reg a, Reg b)
     {

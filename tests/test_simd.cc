@@ -537,11 +537,6 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
                 EXPECT_EQ(s, v) << "product row kernel out";
                 EXPECT_EQ(sacc, vacc) << "product row kernel acc";
             }
-            s = b;
-            v = b;
-            sc.macRow(s.data(), x, row.data(), n);
-            vec.macRow(v.data(), x, row.data(), n);
-            EXPECT_EQ(s, v) << "macRow";
         }
         for (auto fn : {&simd::KernelTable::accumSumRow,
                         &simd::KernelTable::accumMinRow}) {
@@ -582,6 +577,118 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
 // Odd lengths drive the scalar epilogues of the vector kernels.
 INSTANTIATE_TEST_SUITE_P(Sweep, KernelDifferential,
                          ::testing::Values(4, 5, 16, 17, 64, 256, 1024));
+
+/** Operand classes of the tile kernels' exactness rule. */
+enum class TileWords { Narrow, Mixed, Wide };
+
+/**
+ * A rows x cols block with row stride ld: words up to 2^32 - 1
+ * (Narrow; zeros, small words and words at the top of the range, so
+ * products and sums wrap), Narrow plus one word equal to 2^32 at
+ * (wide_i, wide_j) (Mixed; it must take the full multiply), or words
+ * anywhere below 2^64 (Wide).  With `nulls`, one word in three is
+ * kNullWord.  The stride padding holds wide words that a kernel must
+ * not read.
+ */
+std::vector<std::uint64_t>
+tileOperand(Rng &rng, std::size_t rows, std::size_t cols, std::size_t ld,
+            TileWords kind, bool nulls, std::size_t wide_i,
+            std::size_t wide_j)
+{
+    const std::uint64_t top = (std::uint64_t{1} << 32) - 1;
+    std::vector<std::uint64_t> m(rows * ld);
+    for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < ld; ++j) {
+            std::uint64_t &w = m[i * ld + j];
+            if (j >= cols) {
+                w = ~std::uint64_t{0} - rng.uniform(0, 1u << 20);
+                continue;
+            }
+            const std::uint64_t narrow[] = {0, rng.uniform(1, 9),
+                                            top - rng.uniform(0, 3),
+                                            rng.uniform(0, top)};
+            w = kind == TileWords::Wide
+                    ? rng.uniform(0, ~std::uint64_t{0} - 1)
+                    : narrow[rng.uniform(0, std::size(narrow) - 1)];
+            if (nulls && rng.uniform(0, 2) == 0)
+                w = simd::kNullWord;
+        }
+    if (kind == TileWords::Mixed)
+        m[wide_i * ld + wide_j] = std::uint64_t{1} << 32;
+    return m;
+}
+
+/**
+ * macTile and macTileAbsent on every table in `tables`, against a
+ * triple loop, for one rows x inner x cols shape with padded row
+ * strides.  The 2^32 word of a Mixed pair sits in a when rows is
+ * even, in b when it is odd.
+ */
+void
+checkTileKernels(const std::vector<const simd::KernelTable *> &tables,
+                 Rng &rng, std::size_t rows, std::size_t inner,
+                 std::size_t cols, TileWords kind, bool nulls)
+{
+    const std::size_t lda = inner + 3, ldb = cols + 2, ldc = cols + 1;
+    const bool in_a = rows % 2 == 0;
+    const TileWords other =
+        kind == TileWords::Mixed ? TileWords::Narrow : kind;
+    const auto a = tileOperand(rng, rows, inner, lda, in_a ? kind : other,
+                               nulls, rows - 1, inner / 2);
+    const auto b = tileOperand(rng, inner, cols, ldb, in_a ? other : kind,
+                               nulls, inner / 2, cols - 1);
+    const auto c0 = randomWords(rng, rows * ldc, ~std::uint64_t{0} - 1);
+
+    // macTile multiplies kNullWord like any word; macTileAbsent skips
+    // every term with an absent word.
+    for (bool absent : {false, true}) {
+        std::vector<std::uint64_t> expect = c0;
+        for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t j = 0; j < cols; ++j)
+                for (std::size_t k = 0; k < inner; ++k) {
+                    const std::uint64_t x = a[i * lda + k];
+                    const std::uint64_t y = b[k * ldb + j];
+                    if (!absent ||
+                        (x != simd::kNullWord && y != simd::kNullWord))
+                        expect[i * ldc + j] += x * y;
+                }
+        for (const simd::KernelTable *kt : tables) {
+            const simd::MacTileFn fn =
+                absent ? kt->macTileAbsent : kt->macTile;
+            std::vector<std::uint64_t> c = c0;
+            fn(c.data(), ldc, a.data(), lda, b.data(), ldb, rows, inner,
+               cols);
+            EXPECT_EQ(c, expect)
+                << (absent ? "macTileAbsent" : "macTile") << " on the "
+                << (kt == tables[0] ? "scalar" : "vector") << " table";
+        }
+    }
+}
+
+TEST(KernelDifferential, TileKernelsMatchScalarAndATripleLoop)
+{
+    std::vector<const simd::KernelTable *> tables = {&simd::scalarKernels()};
+    for (simd::Backend backend : vectorBackends())
+        tables.push_back(&simd::kernelsFor(backend));
+
+    // Row counts off the 4-row tile and column counts off the
+    // two-vector (and one-vector) tile.
+    Rng rng(2718);
+    for (std::size_t rows : {1, 2, 3, 4, 5, 13, 33})
+        for (std::size_t cols : {1, 2, 7, 8, 12, 19, 30})
+            for (TileWords kind :
+                 {TileWords::Narrow, TileWords::Mixed, TileWords::Wide})
+                for (bool nulls : {false, true}) {
+                    const std::size_t inner = (rows * cols) % 17 + 1;
+                    SCOPED_TRACE(::testing::Message()
+                                 << rows << "x" << inner << "x" << cols
+                                 << " kind " << static_cast<int>(kind)
+                                 << (nulls ? " with" : " without")
+                                 << " absent words");
+                    checkTileKernels(tables, rng, rows, inner, cols, kind,
+                                     nulls);
+                }
+}
 
 TEST(KernelDifferential, CompexLinearFullBitonicSchedule)
 {
@@ -1738,6 +1845,220 @@ TEST_P(NetworkDifferential, BoolMatMulOtcEmu)
                 return r.time;
             });
     });
+}
+
+// ----------------------------------------------------------------------
+// Whole-matrix products against their per-row formulation
+// ----------------------------------------------------------------------
+
+/** One product step as the per-row formulation runs it: the data path
+ *  and its accounting together. */
+void
+perRowStep(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &row,
+           bool boolean)
+{
+    net.setRowRootInputs(row);
+    net.batchRowBroadcast(Reg::A);
+    net.batchProductColSum(boolean ? 1 : net.cost().bitSerialMultiply(),
+                           boolean, Reg::A, Reg::B, Reg::C);
+}
+
+/** Row i of `out` from the column roots (0/1 when `boolean`). */
+void
+takeRow(const OrthogonalTreesNetwork &net, linalg::IntMatrix &out,
+        std::size_t i, bool boolean)
+{
+    for (std::size_t j = 0; j < out.cols(); ++j) {
+        const std::uint64_t w = net.colRootOutputs()[j];
+        out(i, j) = boolean ? (w != 0) : w;
+    }
+}
+
+/** The products and every model time a whole-matrix product reports. */
+using ProductRun =
+    std::pair<std::vector<linalg::IntMatrix>, std::vector<vlsi::ModelTime>>;
+
+/** matMulPipelined (or, with `boolean`, boolMatMulPipelined on 0/1
+ *  operands) written row by row. */
+ProductRun
+perRowPipelined(OrthogonalTreesNetwork &net, const linalg::IntMatrix &a,
+                const linalg::IntMatrix &b, bool boolean,
+                vlsi::ModelTime sep)
+{
+    const std::size_t m = a.rows();
+    linalg::IntMatrix product(m, m, 0);
+    const vlsi::ModelTime start = net.now();
+    sim::ScopedPhase phase(net.acct(),
+                           boolean ? "bool-matmul-otn" : "matmul-otn");
+    net.loadBase(Reg::B, b, true, sep);
+    perRowStep(net, a.row(0), boolean);
+    takeRow(net, product, 0, boolean);
+    const vlsi::ModelTime first = net.now() - start;
+    for (std::size_t i = 1; i < m; ++i) {
+        net.runUncharged([&] { perRowStep(net, a.row(i), boolean); });
+        takeRow(net, product, i, boolean);
+        net.charge(sep);
+    }
+    return {{product}, {net.now() - start, first, sep}};
+}
+
+/** boolMatMulReplicated written row by row (0/1 operands). */
+ProductRun
+perRowReplicated(OrthogonalTreesNetwork &net, const linalg::IntMatrix &a,
+                 const linalg::IntMatrix &b)
+{
+    const std::size_t m = a.rows();
+    linalg::IntMatrix product(m, m, 0);
+    const vlsi::ModelTime start = net.now();
+    sim::ScopedPhase phase(net.acct(), "bool-matmul-replicated");
+    net.loadBase(Reg::B, b, true, 1);
+    vlsi::ModelTime one = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+        const vlsi::ModelTime t =
+            net.runUncharged([&] { perRowStep(net, a.row(i), true); });
+        one = std::max(one, t);
+        takeRow(net, product, i, true);
+    }
+    net.charge(one);
+    return {{product}, {net.now() - start, net.now() - start, 0}};
+}
+
+/** matMulStream written row by row. */
+ProductRun
+perRowStream(OrthogonalTreesNetwork &net,
+             const std::vector<linalg::IntMatrix> &as,
+             const linalg::IntMatrix &b)
+{
+    const std::size_t m = b.rows();
+    const vlsi::ModelTime sep = net.cost().wordSeparation();
+    const vlsi::ModelTime start = net.now();
+    sim::ScopedPhase phase(net.acct(), "matmul-stream-otn");
+    net.loadBase(Reg::B, b);
+    std::vector<linalg::IntMatrix> products;
+    for (std::size_t idx = 0; idx < as.size(); ++idx) {
+        linalg::IntMatrix product(m, m, 0);
+        for (std::size_t i = 0; i < m; ++i) {
+            if (idx == 0 && i == 0) {
+                perRowStep(net, as[idx].row(0), false);
+            } else {
+                net.runUncharged(
+                    [&] { perRowStep(net, as[idx].row(i), false); });
+                net.charge(sep);
+            }
+            takeRow(net, product, i, false);
+        }
+        products.push_back(product);
+    }
+    return {products, {net.now() - start, m * sep}};
+}
+
+/** A 0/1 matrix as the bytes of a BoolMatrix. */
+linalg::BoolMatrix
+narrowToBool(const linalg::IntMatrix &m)
+{
+    linalg::BoolMatrix out(m.rows(), m.cols(), 0);
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        for (std::size_t j = 0; j < m.cols(); ++j)
+            out(i, j) = static_cast<std::uint8_t>(m(i, j));
+    return out;
+}
+
+/** What a whole-matrix product reports, as a ProductRun. */
+ProductRun
+pipelinedRun(const otn::MatMulResult &r)
+{
+    return {{r.product}, {r.time, r.firstRowLatency, r.rowInterval}};
+}
+
+using MakeNet = std::function<std::unique_ptr<OrthogonalTreesNetwork>()>;
+using RunOn = std::function<ProductRun(OrthogonalTreesNetwork &)>;
+
+/**
+ * `whole` and `per_row` on two fresh traced machines from `make`:
+ * the same products and model times, and the same registers (shapes,
+ * dirty planes, materializations, words), roots, counters and trace.
+ */
+void
+expectSameAsPerRow(const MakeNet &make, const RunOn &whole,
+                   const RunOn &per_row)
+{
+    std::unique_ptr<OrthogonalTreesNetwork> a = make(), b = make();
+    trace::Tracer ta, tb;
+    ta.setEnabled(true);
+    tb.setEnabled(true);
+    a->setTracer(&ta);
+    b->setTracer(&tb);
+    EXPECT_EQ(whole(*a), per_row(*b));
+    EXPECT_EQ(a->dirtyMask(), b->dirtyMask());
+    EXPECT_EQ(a->materializations(), b->materializations());
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        EXPECT_EQ(a->regShape(static_cast<Reg>(r)),
+                  b->regShape(static_cast<Reg>(r)))
+            << "register " << r;
+    expectSameOtnState(*a, *b);
+    expectSameTrace(ta, tb);
+}
+
+TEST(WholeMatrixProducts, MatchThePerRowFormulation)
+{
+    // m = 5 runs on an N = 8 machine, which leaves kNull padding in
+    // the row inputs and in B; m = 1 makes the first product the last.
+    for (std::size_t m : {1, 2, 5, 16}) {
+        const std::size_t n = m == 5 ? 8 : m;
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n);
+        Rng rng(4711 + m);
+        const linalg::IntMatrix a = randomMatrix(rng, m, 9);
+        const linalg::IntMatrix b = randomMatrix(rng, m, 9);
+        const linalg::IntMatrix a01 = randomMatrix(rng, m, 1);
+        const linalg::IntMatrix b01 = randomMatrix(rng, m, 1);
+        const linalg::BoolMatrix abool = narrowToBool(a01);
+        const linalg::BoolMatrix bbool = narrowToBool(b01);
+        const std::vector<linalg::IntMatrix> as = {
+            randomMatrix(rng, m, 9), a, randomMatrix(rng, m, 9)};
+        const CostModel cost(DelayModel::Logarithmic, WordFormat(16));
+        const auto make_otn = [&] {
+            return std::make_unique<OrthogonalTreesNetwork>(n, cost);
+        };
+        expectSameAsPerRow(
+            make_otn,
+            [&](OrthogonalTreesNetwork &net) {
+                return pipelinedRun(otn::matMulPipelined(net, a, b));
+            },
+            [&](OrthogonalTreesNetwork &net) {
+                return perRowPipelined(net, a, b, false,
+                                       net.cost().wordSeparation());
+            });
+        expectSameAsPerRow(
+            make_otn,
+            [&](OrthogonalTreesNetwork &net) {
+                return pipelinedRun(
+                    otn::boolMatMulPipelined(net, abool, bbool));
+            },
+            [&](OrthogonalTreesNetwork &net) {
+                return perRowPipelined(net, a01, b01, true, 1);
+            });
+        expectSameAsPerRow(
+            [&]() -> std::unique_ptr<OrthogonalTreesNetwork> {
+                return std::make_unique<otc::OtcEmulatedOtn>(n, cost, 4);
+            },
+            [&](OrthogonalTreesNetwork &net) {
+                return pipelinedRun(
+                    otn::boolMatMulReplicated(net, abool, bbool));
+            },
+            [&](OrthogonalTreesNetwork &net) {
+                return perRowReplicated(net, a01, b01);
+            });
+        expectSameAsPerRow(
+            make_otn,
+            [&](OrthogonalTreesNetwork &net) {
+                const otn::MatMulStreamResult r =
+                    otn::matMulStream(net, as, b);
+                return ProductRun{r.products, {r.totalTime, r.matrixInterval}};
+            },
+            [&](OrthogonalTreesNetwork &net) {
+                return perRowStream(net, as, b);
+            });
+    }
 }
 
 TEST_P(NetworkDifferential, CcOtn)

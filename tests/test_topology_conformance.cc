@@ -316,28 +316,46 @@ tripleLoopProduct(const linalg::IntMatrix &a, const linalg::IntMatrix &b,
     return c;
 }
 
+/** Operand classes of the tile kernels' exactness rule. */
+enum class Words {
+    Narrow, // every word below 2^32: one 32 x 32 -> 64 multiply per lane
+    Mixed,  // Narrow plus one word equal to 2^32: the full multiply
+    Wide,   // words across 2^32 and near 2^63
+};
+
 /**
- * An n x n operand of zeros, absent words, small words, words across
- * 2^32 and words near 2^63 (just below it when `narrow`, for machines
- * whose widest word is 2^63 - 1; also above it otherwise).
+ * An n x n operand of zeros, small words and words of class `kind`.
+ * Narrow words reach 2^32 - 1, so their products and sums wrap.  With
+ * `for_otn` (the OTN and the OTC) it holds absent words, which those
+ * machines skip (elsewhere kNull would be a wide word), and its wide
+ * words stay below 2^63, since their widest word is 2^63 - 1.
  */
 linalg::IntMatrix
-adversarialOperand(std::size_t n, sim::Rng &rng, bool narrow)
+adversarialOperand(std::size_t n, sim::Rng &rng, Words kind, bool for_otn)
 {
     const std::uint64_t half = std::uint64_t{1} << 63;
+    const std::uint64_t top = (std::uint64_t{1} << 32) - 1;
     linalg::IntMatrix m(n, n);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j) {
             const std::uint64_t r = rng.uniform(0, 1u << 20);
-            const std::uint64_t kinds[] = {
-                0,
-                otn::kNull,
-                rng.uniform(1, 9),
+            const std::uint64_t narrow[] = {0, rng.uniform(1, 9),
+                                            top - rng.uniform(0, 3),
+                                            rng.uniform(0, top)};
+            const std::uint64_t wide[] = {
+                0, rng.uniform(1, 9),
                 (std::uint64_t{1} << 32) - 2 + rng.uniform(0, 3),
-                half - 1 - r,
-                narrow ? half / 2 + r : half + r};
-            m(i, j) = kinds[rng.uniform(0, std::size(kinds) - 1)];
+                half - 1 - r, for_otn ? half / 2 + r : half + r};
+            m(i, j) = kind == Words::Wide
+                          ? wide[rng.uniform(0, std::size(wide) - 1)]
+                          : narrow[rng.uniform(0, std::size(narrow) - 1)];
+            if (for_otn && rng.uniform(0, 5) == 0)
+                m(i, j) = otn::kNull;
         }
+    if (kind == Words::Mixed) {
+        const std::size_t i = rng.uniform(0, n - 1);
+        m(i, rng.uniform(0, n - 1)) = std::uint64_t{1} << 32;
+    }
     return m;
 }
 
@@ -356,34 +374,89 @@ TEST(AdversarialMatMul, EveryProductPathMatchesATripleLoop)
 {
     // linalg::matMul (every matmul reference), the generic
     // Machine::runMatMul (fattree) and the mesh's Cannon product all
-    // run simd::KernelTable::macRow, so each is checked here against
-    // a triple loop that shares nothing with them, on words whose
-    // products and sums wrap.  The OTN and OTC-emulated products run
-    // mulAccumRow on 64-bit words (absent words contribute nothing):
-    // they are checked against the same loop, and against the
-    // reference on the operands with absent words zeroed, so a wrong
-    // macRow fails on those nets too.
+    // run simd::KernelTable::macTile; the OTN and OTC-emulated products
+    // run macTileAbsent (absent words contribute nothing).  Each is
+    // checked here against a triple loop that shares nothing with
+    // them, at sizes that leave partial register tiles (N = 2 and 4
+    // fill none), on each side of the exactness rule: all words below
+    // 2^32, one word of 2^32 among them, and words near 2^63.  The
+    // OTN and OTC products are also compared with the reference on
+    // the operands with absent words zeroed.
     for (const char *net : {"otn", "otc", "mesh", "fattree"})
-        for (std::size_t n : {16, 64}) {
-            SCOPED_TRACE(::testing::Message() << net << " n=" << n);
-            topo::MachineSpec spec = topo::resolveSpec(
-                net, topo::Algo::MatMul, n, vlsi::DelayModel::Logarithmic,
-                false);
-            spec.wordBits = 64;
-            const bool absent = spec.topo == "otn" || spec.topo == "otc-emu";
-            sim::Rng rng(6151 + n);
-            const linalg::IntMatrix a = adversarialOperand(n, rng, absent);
-            const linalg::IntMatrix b = adversarialOperand(n, rng, absent);
+        for (std::size_t n : {2, 4, 8, 16, 64})
+            for (Words kind : {Words::Narrow, Words::Mixed, Words::Wide}) {
+                SCOPED_TRACE(::testing::Message()
+                             << net << " n=" << n << " words "
+                             << static_cast<int>(kind));
+                topo::MachineSpec spec = topo::resolveSpec(
+                    net, topo::Algo::MatMul, n,
+                    vlsi::DelayModel::Logarithmic, false);
+                spec.wordBits = 64;
+                const bool absent =
+                    spec.topo == "otn" || spec.topo == "otc-emu";
+                sim::Rng rng(6151 + n + 97 * static_cast<int>(kind));
+                const linalg::IntMatrix a =
+                    adversarialOperand(n, rng, kind, absent);
+                const linalg::IntMatrix b =
+                    adversarialOperand(n, rng, kind, absent);
 
-            auto m = topo::registry().build(spec);
-            const linalg::IntMatrix product = m->runMatMul(a, b).product;
-            EXPECT_EQ(product, tripleLoopProduct(a, b, absent));
-            EXPECT_EQ(linalg::matMul(a, b), tripleLoopProduct(a, b, false));
-            if (absent) {
-                EXPECT_EQ(product,
-                          linalg::matMul(absentAsZero(a), absentAsZero(b)));
+                auto m = topo::registry().build(spec);
+                const linalg::IntMatrix product =
+                    m->runMatMul(a, b).product;
+                EXPECT_EQ(product, tripleLoopProduct(a, b, absent));
+                EXPECT_EQ(linalg::matMul(a, b),
+                          tripleLoopProduct(a, b, false));
+                if (absent) {
+                    EXPECT_EQ(product, linalg::matMul(absentAsZero(a),
+                                                      absentAsZero(b)));
+                }
             }
+}
+
+TEST(AdversarialMatMul, EveryBooleanProductPathMatchesATripleLoop)
+{
+    // The OTN's and OTC's Boolean products (an inner product of packed
+    // rows of A and packed columns of B), linalg::boolMatMul, the
+    // generic runBoolMatMul (fattree) and the mesh (ORs of packed rows
+    // of B) and the hex array's wavefront against a triple loop.  Any
+    // nonzero cell is true: the operands hold zeros, ones, other
+    // nonzero bytes and 0xff (an absent word cut to a byte).
+    for (std::size_t n : {2, 4, 8, 16, 64, 128}) {
+        sim::Rng rng(4099 + n);
+        linalg::BoolMatrix a(n, n), b(n, n);
+        for (linalg::BoolMatrix *m : {&a, &b})
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j) {
+                    const std::uint8_t cells[] = {0, 0, 0, 0, 0, 1, 2, 0xff};
+                    (*m)(i, j) = cells[rng.uniform(0, std::size(cells) - 1)];
+                }
+        // A row of A and a column of B that are all zero leave a zero
+        // row and a zero column.
+        for (std::size_t k = 0; k < n; ++k) {
+            a(n / 2, k) = 0;
+            b(k, n - 1) = 0;
         }
+        linalg::IntMatrix expect(n, n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                for (std::size_t k = 0; k < n; ++k)
+                    if (a(i, k) != 0 && b(k, j) != 0)
+                        expect(i, j) = 1;
+
+        const linalg::BoolMatrix ref = linalg::boolMatMul(a, b);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                EXPECT_EQ(ref(i, j), expect(i, j))
+                    << "linalg::boolMatMul n=" << n << " (" << i << ", "
+                    << j << ")";
+        for (const char *net : {"otn", "otc", "mesh", "fattree", "hex"}) {
+            SCOPED_TRACE(::testing::Message() << net << " n=" << n);
+            auto m = topo::registry().build(topo::resolveSpec(
+                net, topo::Algo::BoolMatMul, n,
+                vlsi::DelayModel::Logarithmic, false));
+            EXPECT_EQ(m->runBoolMatMul(a, b).product, expect);
+        }
+    }
 }
 
 /** The sort AT^2 row of one topology at n (time from a real run). */
