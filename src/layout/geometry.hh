@@ -26,15 +26,6 @@ struct Point
     bool operator==(const Point &other) const = default;
 };
 
-/** Manhattan distance — the length of a rectilinear wire between a, b. */
-inline WireLength
-manhattan(const Point &a, const Point &b)
-{
-    auto dx = a.x > b.x ? a.x - b.x : b.x - a.x;
-    auto dy = a.y > b.y ? a.y - b.y : b.y - a.y;
-    return static_cast<WireLength>(dx + dy);
-}
-
 /** Summary metrics of one chip layout. */
 struct LayoutMetrics
 {

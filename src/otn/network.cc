@@ -516,18 +516,6 @@ OrthogonalTreesNetwork::batchRowBroadcast(Reg dest)
 }
 
 ModelTime
-OrthogonalTreesNetwork::batchColSum(Reg src)
-{
-    // Modular sum is associative: accumulating row after row equals
-    // each column tree's pairwise sum bit for bit.
-    _kernels->fill(_colRoot.data(), _n, 0);
-    for (std::size_t i = 0; i < _n; ++i)
-        _kernels->accumSumRow(_colRoot.data(),
-                              readRow(src, i, rowScratch(0)), _n);
-    return replayColSum();
-}
-
-ModelTime
 OrthogonalTreesNetwork::batchProductColSum(ModelTime op_cost, bool boolean,
                                            Reg a, Reg b, Reg out)
 {

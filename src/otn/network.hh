@@ -428,14 +428,11 @@ class OrthogonalTreesNetwork
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
 
-    /** For each col j pardo: sumLeafToRoot(Col, j, all, src). */
-    ModelTime batchColSum(Reg src);
-
     /**
      * One vector-matrix product step: a baseOp of nominal `op_cost`
      * computing out = a * b (absent operand -> 0) or, when `boolean`,
      * out = (a && b) ? 1 : 0 (absent operand -> 0) at every BP, then
-     * batchColSum(out).  `a` must be RowConst (the row broadcast just
+     * the column sums of out.  `a` must be RowConst (the row broadcast just
      * before it), so row i is one scalar times row i of b: each row is
      * computed, written to out and added into the column roots in one
      * pass (simd::KernelTable::mulAccumRow, andAccumRow), and a row

@@ -1,7 +1,7 @@
 // otcheck:hotpath — kernel-table dispatch; keep allocation-free
 /**
  * @file
- * Backend resolution: cpuid/hwcap detection, the OT_SIMD override
+ * Backend resolution: cpuid detection, the OT_SIMD override
  * (hard error on bad values — differential CI depends on the override
  * never silently falling back), and the once-resolved kernel table.
  */
@@ -37,9 +37,6 @@ backendCompiled(Backend b)
 #if defined(OT_SIMD_HAVE_AVX2)
     compiled = compiled || b == Backend::Avx2;
 #endif
-#if defined(OT_SIMD_HAVE_NEON)
-    compiled = compiled || b == Backend::Neon;
-#endif
     return compiled;
 }
 
@@ -52,7 +49,7 @@ backendAvailable(Backend b)
     if (b == Backend::Avx2)
         return __builtin_cpu_supports("avx2") != 0;
 #endif
-    // Scalar always runs; NEON is architectural baseline on aarch64.
+    // Scalar always runs.
     return true;
 }
 
@@ -92,8 +89,6 @@ resolveBackendFromEnv()
         return backendFromSpec(spec);
     if (backendAvailable(Backend::Avx2))
         return Backend::Avx2;
-    if (backendAvailable(Backend::Neon))
-        return Backend::Neon;
     return Backend::Scalar;
 }
 
@@ -113,10 +108,6 @@ kernelsFor(Backend b)
 #if defined(OT_SIMD_HAVE_AVX2)
       case Backend::Avx2:
         return avx2Kernels();
-#endif
-#if defined(OT_SIMD_HAVE_NEON)
-      case Backend::Neon:
-        return neonKernels();
 #endif
       default:
         std::fprintf(stderr, "simd: backend '%s' not compiled in\n",

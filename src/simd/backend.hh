@@ -5,12 +5,13 @@
  *
  * The level-synchronous tree primitives are written once against a
  * compile-time vector "view" (see kernels_generic.hh) and instantiated
- * per instruction set; at startup one KernelTable of plain function
- * pointers is resolved — via cpuid on x86 (AVX2), hwcap-implied
- * baseline NEON on aarch64, or the OT_SIMD environment override — and
- * every hot loop indirects through that table.  No virtual dispatch,
- * no per-call detection, no allocation: the table is a static constant
- * per backend and the active pointer is set exactly once.
+ * per instruction set: scalar, and AVX2 on x86-64.  At startup one
+ * KernelTable of plain function pointers is resolved — AVX2 when cpuid
+ * reports it, else scalar (aarch64 runs the scalar table), or the
+ * OT_SIMD override — and every hot loop indirects through that table.
+ * No virtual dispatch, no per-call detection, no allocation: the
+ * table is a static constant per backend and the active pointer is set
+ * exactly once.
  *
  * OT_SIMD accepts `scalar`, `avx2` or `neon`.  Naming a backend that
  * was not compiled in, or is not supported by the host CPU, or any
@@ -29,7 +30,7 @@ namespace ot::simd {
 enum class Backend : std::uint8_t {
     Scalar, ///< portable C++ fallback, always compiled
     Avx2,   ///< x86-64 AVX2 (4 x u64 lanes)
-    Neon,   ///< aarch64 Advanced SIMD (2 x u64 lanes)
+    Neon,   ///< a name only: no table is built, so OT_SIMD=neon aborts
 };
 
 /** Stable lowercase name (`scalar`, `avx2`, `neon`). */

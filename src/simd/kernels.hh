@@ -200,11 +200,6 @@ const KernelTable &scalarKernels();
 const KernelTable &avx2Kernels();
 #endif
 
-#if defined(OT_SIMD_HAVE_NEON)
-/** NEON table (aarch64 baseline). */
-const KernelTable &neonKernels();
-#endif
-
 /** Table for `b`; aborts if `b` was not compiled in. */
 const KernelTable &kernelsFor(Backend b);
 

@@ -4,7 +4,7 @@
  * Batch kernels, written once against a vector view.
  *
  * Each kernel is a function template over a view type V (ScalarVec,
- * Avx2Vec, NeonVec) satisfying the contract documented in
+ * Avx2Vec) satisfying the contract documented in
  * vec_scalar.hh: kWidth lanes of u64, whole-lane masks, unsigned
  * compare/min/max, blend, the low word of a product (mulLo, and
  * mulU32's single 32 x 32 -> 64 multiply for narrow lanes), and

@@ -51,17 +51,6 @@ class FatTreeMachine final : public Machine
     static unsigned defaultPorts(std::size_t n);
 
     unsigned ports() const { return _ports; }
-    /** Nodes per edge switch: p/2. */
-    unsigned nodesPerSwitch() const { return _ports / 2; }
-    /** Edge switches actually populated. */
-    std::size_t edgeSwitches() const { return _edgeSwitches; }
-    /** Spine switches: p/2. */
-    unsigned spines() const { return _ports / 2; }
-
-    /** Wire from a node to its edge switch, lambda units. */
-    vlsi::WireLength nodeWire() const { return _blockPitch; }
-    /** Longest edge-to-spine wire, lambda units. */
-    vlsi::WireLength spineWire() const { return _spineWire; }
 
     void reset() override { _acct.reset(); }
     std::uint64_t area() const override;

@@ -99,7 +99,8 @@ Machine::runMatMul(const linalg::IntMatrix &a, const linalg::IntMatrix &b)
 }
 
 MatMulRun
-Machine::runBoolMatMul(const linalg::BoolMatrix &a, const linalg::BoolMatrix &b)
+Machine::runBoolMatMul(const linalg::BoolMatrix &a,
+                       const linalg::BoolMatrix &b)
 {
     const std::size_t m = a.rows();
     assert(b.rows() == m && a.cols() == m && b.cols() == m &&

@@ -30,7 +30,8 @@ neonSum(const std::uint64_t *src, std::size_t n)
         vdupq_n_u64(0); // expect: intrinsics
     std::size_t i = 0;
     for (; i + 2 <= n; i += 2)
-        acc = vaddq_u64(acc, vld1q_u64(src + i)); // expect: intrinsics, intrinsics
+        acc = vaddq_u64( // expect: intrinsics
+            acc, vld1q_u64(src + i)); // expect: intrinsics
     std::uint64_t total = vgetq_lane_u64(acc, 0) + // expect: intrinsics
                           vgetq_lane_u64(acc, 1); // expect: intrinsics
     for (; i < n; ++i)

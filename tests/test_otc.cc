@@ -338,7 +338,7 @@ std::vector<Backend>
 availableBackends()
 {
     std::vector<Backend> out;
-    for (Backend b : {Backend::Scalar, Backend::Avx2, Backend::Neon})
+    for (Backend b : {Backend::Scalar, Backend::Avx2})
         if (ot::simd::backendAvailable(b))
             out.push_back(b);
     return out;

@@ -351,9 +351,8 @@ expectCandidateStepsAgree(std::size_t n, const CostModel &cost,
     for (std::size_t i = 0; i < n; ++i)
         identity[i] = i;
     for (bool emulated : {false, true})
-        for (auto backend : {ot::simd::Backend::Scalar,
-                             ot::simd::Backend::Avx2,
-                             ot::simd::Backend::Neon}) {
+        for (auto backend :
+             {ot::simd::Backend::Scalar, ot::simd::Backend::Avx2}) {
             if (!ot::simd::backendAvailable(backend))
                 continue;
             for (bool traced : {false, true}) {

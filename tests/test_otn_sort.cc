@@ -170,8 +170,7 @@ makeNet(bool emulated, std::size_t n)
 TEST(SortOtn, MatchesPerTreeFormulation)
 {
     std::vector<ot::simd::Backend> backends;
-    for (auto b : {ot::simd::Backend::Scalar, ot::simd::Backend::Avx2,
-                   ot::simd::Backend::Neon})
+    for (auto b : {ot::simd::Backend::Scalar, ot::simd::Backend::Avx2})
         if (ot::simd::backendAvailable(b))
             backends.push_back(b);
     for (std::size_t n : {1, 2, 8, 64, 256}) {

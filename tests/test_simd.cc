@@ -70,9 +70,8 @@ std::vector<simd::Backend>
 vectorBackends()
 {
     std::vector<simd::Backend> out;
-    for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Neon})
-        if (simd::backendAvailable(b))
-            out.push_back(b);
+    if (simd::backendAvailable(simd::Backend::Avx2))
+        out.push_back(simd::Backend::Avx2);
     return out;
 }
 
@@ -925,6 +924,8 @@ TEST(SimdBackendDeathTest, UnknownSpecAborts)
 
 TEST(SimdBackendDeathTest, UnavailableBackendRefusesToFallBack)
 {
+    // Neon is a name with no kernel table on any architecture.
+    EXPECT_FALSE(simd::backendCompiled(simd::Backend::Neon));
     for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Neon}) {
         if (!simd::backendAvailable(b)) {
             EXPECT_DEATH(simd::backendFromSpec(simd::toString(b)),
@@ -1080,13 +1081,6 @@ batchCases()
              });
          },
          {Reg::A}},
-        {"batchColSum", [](auto &net) { net.batchColSum(Reg::C); },
-         [=](auto &net) {
-             pardo(net, [&](std::size_t j) {
-                 net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-             });
-         },
-         {Reg::C}},
         {"batchColMin", [](auto &net) { net.batchColMin(Reg::C); },
          [=](auto &net) {
              pardo(net, [&](std::size_t j) {

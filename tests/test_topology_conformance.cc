@@ -554,7 +554,8 @@ TEST(TopologyConformance, ResetRestartsEveryTopologyClock)
         for (topo::Algo algo : topo::allAlgos()) {
             auto m = topo::registry().build(topo::resolveSpec(
                 net, algo, n, vlsi::DelayModel::Logarithmic, false));
-            const std::string where = std::string(toString(algo)) + " on " + net;
+            const std::string where =
+                std::string(toString(algo)) + " on " + net;
             const AlgoRun first = runAlgo(*m, algo, in);
             const std::uint64_t steps = m->steps();
             m->reset();
@@ -715,7 +716,8 @@ TEST(TopologyConformance, RegisteredSortsWriteNoRegisterPlane)
         std::vector<std::uint64_t> want = values;
         std::sort(want.begin(), want.end());
         EXPECT_EQ(r.sorted, want) << net;
-        if (auto *otn_machine = dynamic_cast<topo::OtnTopoMachine *>(m.get())) {
+        if (auto *otn_machine =
+                dynamic_cast<topo::OtnTopoMachine *>(m.get())) {
             EXPECT_EQ(otn_machine->network().dirtyMask(), 0u) << net;
             EXPECT_EQ(otn_machine->network().materializations(), 0u) << net;
         } else {
