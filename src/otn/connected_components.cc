@@ -16,7 +16,8 @@ namespace {
  *   D  vertex label, authoritative copy on the diagonal
  *   B  D fanned out along rows        (B(i,j) = D(i))
  *   C  D fanned out down columns      (C(i,j) = D(j))
- *   T  candidate foreign labels in the base
+ *   T  candidate foreign labels: derived from A, B and C (Candidate),
+ *      never written
  *   E  per-vertex best candidate, fanned out along rows
  *   H  per-component hook target, fanned out down columns
  *   G  new component label (newC) on the diagonal
@@ -30,13 +31,9 @@ void
 loadAdjacency(OrthogonalTreesNetwork &net, const graph::Graph &g,
               bool charged)
 {
-    const std::size_t n = net.n();
-    linalg::IntMatrix adj(n, n, 0);
-    for (std::size_t i = 0; i < g.vertices(); ++i)
-        for (std::size_t j = 0; j < g.vertices(); ++j)
-            adj(i, j) = g.hasEdge(i, j) ? 1 : 0;
-    // Adjacency entries are single bits: unit pipeline separation.
-    net.loadBase(Reg::A, adj, charged, /*separation=*/1);
+    // Adjacency entries are single bits: unit pipeline separation.  The
+    // padding loads as kNull, which marks no edge, as 0 does.
+    net.loadBase(Reg::A, g.adjacency(), charged, /*separation=*/1);
 }
 
 } // namespace
@@ -44,17 +41,8 @@ loadAdjacency(OrthogonalTreesNetwork &net, const graph::Graph &g,
 ModelTime
 connectCandidatesOtn(OrthogonalTreesNetwork &net)
 {
-    const std::size_t n = net.n();
-    return net.baseOpByRow(
-        net.cost().bitSerialOp(), Reg::T, {Reg::A, Reg::B, Reg::C},
-        [n](std::size_t, std::uint64_t *t, const std::uint64_t *const *in) {
-            const std::uint64_t *edge = in[0];
-            const std::uint64_t *mine = in[1];
-            const std::uint64_t *theirs = in[2];
-            for (std::size_t j = 0; j < n; ++j)
-                t[j] = (edge[j] == 1 && theirs[j] != mine[j]) ? theirs[j]
-                                                              : kNull;
-        });
+    return net.batchCandidates({simd::CandidateRule::Kind::Label}, Reg::A,
+                               Reg::B, Reg::C, Reg::T);
 }
 
 ComponentsResult

@@ -51,8 +51,9 @@ struct ComponentsResult
 /**
  * CONNECT step (2), candidate foreign labels: at every BP(i, j),
  * T := C if A == 1 and C != B, else kNull (B and C hold the labels of
- * vertices i and j).  One base step; reads A, B and C through their
- * shapes and overwrites T.
+ * vertices i and j).  One base step.  B must be RowConst and C
+ * ColConst (the fan-outs of step 1); T is derived from A, B and C
+ * (OrthogonalTreesNetwork::batchCandidates) and never written.
  */
 ModelTime connectCandidatesOtn(OrthogonalTreesNetwork &net);
 

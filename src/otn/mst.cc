@@ -15,18 +15,14 @@ namespace {
  *   A  edge weights (kNull = no edge)
  *   D  component label on the diagonal
  *   B  D along rows, C  D down columns
- *   T  packed candidate edges in the base
+ *   T  packed candidate edges: derived from A, B and C (Candidate),
+ *      never written
  *   E  per-vertex best edge along rows
- *   H  per-component best edge down columns
+ *   H  per-component best edge on the diagonal, then the hook key
  *   G  newC on the diagonal;  X/R/Y/F gather scratch
  */
 
-/** Pack (w, u, v) so that numeric order is (w, u, v) lexicographic. */
-std::uint64_t
-packEdge(std::uint64_t w, std::uint64_t u, std::uint64_t v, unsigned idx_bits)
-{
-    return (w << (2 * idx_bits)) | (u << idx_bits) | v;
-}
+using simd::packEdge;
 
 std::uint64_t
 packedV(std::uint64_t packed, unsigned idx_bits)
@@ -60,19 +56,9 @@ mstWordFormat(std::size_t n, std::uint64_t max_weight)
 ModelTime
 mstCandidatesOtn(OrthogonalTreesNetwork &net, unsigned idx_bits)
 {
-    const std::size_t n = net.n();
-    return net.baseOpByRow(
-        net.cost().bitSerialOp(), Reg::T, {Reg::A, Reg::B, Reg::C},
-        [n, idx_bits](std::size_t i, std::uint64_t *t,
-                      const std::uint64_t *const *in) {
-            const std::uint64_t *w = in[0];
-            const std::uint64_t *mine = in[1];
-            const std::uint64_t *theirs = in[2];
-            for (std::size_t j = 0; j < n; ++j)
-                t[j] = (w[j] != kNull && mine[j] != theirs[j])
-                           ? packEdge(w[j], i, j, idx_bits)
-                           : kNull;
-        });
+    return net.batchCandidates(
+        {simd::CandidateRule::Kind::Edge, static_cast<std::uint8_t>(idx_bits)},
+        Reg::A, Reg::B, Reg::C, Reg::T);
 }
 
 MstResult
@@ -89,16 +75,11 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
 
     // Load the weight matrix (kNull marks absent edges), checking
     // that each edge's packed form fits the machine word.
-    {
-        linalg::IntMatrix w(n, n, kNull);
-        for (std::size_t i = 0; i < g.vertices(); ++i)
-            for (std::size_t j = 0; j < g.vertices(); ++j)
-                if (g.hasEdge(i, j)) {
-                    w(i, j) = g.weight(i, j);
-                    assert(net.fitsWord(packEdge(w(i, j), i, j, idx_bits)));
-                }
-        net.loadBase(Reg::A, w, charge_load);
-    }
+    for (std::size_t i = 0; i < g.vertices(); ++i)
+        for (std::size_t j = 0; j < g.vertices(); ++j)
+            assert(!g.hasEdge(i, j) ||
+                   net.fitsWord(packEdge(g.weight(i, j), i, j, idx_bits)));
+    net.loadBaseAbsent(Reg::A, g.weights(), graph::kNoEdge, charge_load);
 
     // Pure reads go through the const accessor, which resolves the
     // broadcast planes' shapes instead of materializing them.
@@ -130,22 +111,21 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
                                            Reg::H);
 
         // Record chosen edges (the roots output them) and derive the
-        // hook key: the far endpoint v of the chosen edge.
+        // hook key, the far endpoint v of the chosen edge, in place on
+        // H's diagonal (Dense: the reduction above wrote it).
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
-            std::uint64_t best = view.reg(Reg::H, i, i);
-            if (best == kNull) {
-                net.reg(Reg::X, i, i) = kNull;
+            std::uint64_t &best = net.reg(Reg::H, i, i);
+            if (best == kNull)
                 return;
-            }
             auto u = packedU(best, idx_bits);
             auto v = packedV(best, idx_bits);
             assert(packedW(best, idx_bits) == g.weight(u, v));
             chosen.insert({std::min(u, v), std::max(u, v)});
-            net.reg(Reg::X, i, i) = v;
+            best = v;
         });
 
         // newC(r) = D(v): label of the component at the far end.
-        diagToRows(net, Reg::X, Reg::X); // fan the key along rows
+        diagToRows(net, Reg::H, Reg::X); // fan the key along rows
         gatherAtIndex(net, Reg::X, Reg::C, Reg::Y, Reg::F);
         net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t j) {
             std::uint64_t target = view.reg(Reg::Y, j, j);

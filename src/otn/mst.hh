@@ -52,7 +52,9 @@ vlsi::WordFormat mstWordFormat(std::size_t n, std::uint64_t max_weight);
  * Boruvka's candidate step: at every BP(i, j), T := the edge (i, j)
  * packed (w, i, j) with idx_bits-bit indices if its weight A is not
  * kNull and its endpoints' labels B and C differ, else kNull.  One
- * base step; reads A, B and C through their shapes and overwrites T.
+ * base step.  B must be RowConst and C ColConst (the label fan-outs);
+ * T is derived from A, B and C
+ * (OrthogonalTreesNetwork::batchCandidates) and never written.
  */
 ModelTime mstCandidatesOtn(OrthogonalTreesNetwork &net, unsigned idx_bits);
 

@@ -358,6 +358,20 @@ OrthogonalTreesNetwork::loadBase(Reg r, const linalg::BoolMatrix &m,
         separation);
 }
 
+ModelTime
+OrthogonalTreesNetwork::loadBaseAbsent(Reg r, const linalg::IntMatrix &m,
+                                       std::uint64_t absent, bool charged,
+                                       ModelTime separation)
+{
+    return writeBase(
+        r, m,
+        [&](std::uint64_t v) {
+            assert(v == absent || fitsWord(v));
+            return v == absent ? kNull : v;
+        },
+        charged, separation);
+}
+
 linalg::IntMatrix
 OrthogonalTreesNetwork::readBase(Reg r) const
 {
@@ -491,7 +505,9 @@ OrthogonalTreesNetwork::baseOpRows(ModelTime op_cost, simd::BinaryRowFn fn,
 // The rank compare of two broadcasts is tagged RankCount, and counting
 // it ranks the two vectors by one stable radix order each
 // (simd::rankCounts): SORT-OTN writes no plane word and compares no
-// pair of words.
+// pair of words.  The graph candidate step is tagged Candidate, and its
+// row minima walk the graph plane's packed presence bits: CONNECT and
+// MST never write their candidate plane.
 // ----------------------------------------------------------------------
 
 ModelTime
@@ -616,6 +632,8 @@ OrthogonalTreesNetwork::batchMinRowsToLeaves(Reg src, const Sel &dst_sel,
         const std::uint64_t *v = _regs.shapeVec(static_cast<unsigned>(src));
         for (std::size_t i = 0; i < _n; ++i)
             _rowRoot[i] = v[i] < _n ? v[_n + i] : kNull;
+    } else if (regShape(src) == simd::Shape::Candidate) {
+        _regs.candidateRowMins(static_cast<unsigned>(src), _rowRoot.data());
     } else {
         for (std::size_t i = 0; i < _n; ++i)
             _rowRoot[i] =
@@ -750,6 +768,24 @@ OrthogonalTreesNetwork::batchSelectValAtKeyIndex(Reg key, Reg val, Reg out)
                                        readRow(key, i, rowScratch(0)),
                                        readRow(val, i, rowScratch(1)), _n);
     }
+    return chargeBaseOp(_cost.bitSerialOp());
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchCandidates(simd::CandidateRule rule, Reg a,
+                                        Reg b, Reg c, Reg out)
+{
+    assert(regShape(b) == simd::Shape::RowConst &&
+           regShape(c) == simd::Shape::ColConst);
+    assert(a != b && a != c && out != a && out != b && out != c);
+    const auto src = static_cast<unsigned>(a);
+    _regs.makeDense(src, *_kernels);
+    std::uint64_t *v =
+        _regs.tagCandidate(static_cast<unsigned>(out), src, rule);
+    std::memcpy(v, _regs.shapeVec(static_cast<unsigned>(b)),
+                _n * sizeof(std::uint64_t));
+    std::memcpy(v + _n, _regs.shapeVec(static_cast<unsigned>(c)),
+                _n * sizeof(std::uint64_t));
     return chargeBaseOp(_cost.bitSerialOp());
 }
 

@@ -423,7 +423,10 @@ class OrthogonalTreesNetwork
     // The rank compare of a row and a column broadcast tags its flags
     // RankCount, and counting such flags takes all N row counts from
     // one stable radix order of each vector (simd::rankCounts), with
-    // no pairwise compare.
+    // no pairwise compare.  The graph algorithms' candidate step tags
+    // its plane Candidate (derived from the graph's plane and the two
+    // label broadcasts), and a row minimum of it walks the graph's
+    // edges only (simd::RegFile::candidateRowMins).
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
@@ -481,7 +484,8 @@ class OrthogonalTreesNetwork
     /**
      * For each row i pardo: minLeafToRoot(Row, i, all, src) then
      * rootToLeaf(Row, i, dst_sel, dst), with dst_sel Sel::all() or
-     * Sel::diag().
+     * Sel::diag().  A Candidate src is not expanded: each row minimum
+     * walks the set bits of its source's presence mask.
      */
     ModelTime batchMinRowsToLeaves(Reg src, const Sel &dst_sel, Reg dst);
 
@@ -522,6 +526,19 @@ class OrthogonalTreesNetwork
      * RowOneHot (the gather scratch: one value per row).
      */
     ModelTime batchSelectValAtKeyIndex(Reg key, Reg val, Reg out);
+
+    /**
+     * baseOp computing out = simd::candidate(rule, a, mine, theirs, i, j)
+     * at every BP(i, j), with mine = b(i, j) and theirs = c(i, j):
+     * CONNECT's or MST's candidate step, charged one bit-serial op.  b
+     * must be RowConst and c ColConst (the label fan-outs just before
+     * the step), and out none of a, b, c.  No word of out is written:
+     * it is tagged Candidate on a (materialized first if tagged) with
+     * copies of the two label vectors, and a later write to a expands
+     * it (simd::RegFile).
+     */
+    ModelTime batchCandidates(simd::CandidateRule rule, Reg a, Reg b, Reg c,
+                              Reg out);
 
     /**
      * PERMUTE-LEAFTOLEAF: route dst(perm(k)) := src(k) along one
@@ -680,6 +697,12 @@ class OrthogonalTreesNetwork
     /** loadBase of a Boolean matrix: nonzero cells load as 1. */
     ModelTime loadBase(Reg r, const linalg::BoolMatrix &m,
                        bool charged = true, ModelTime separation = 0);
+
+    /** loadBase of a matrix whose `absent` cells (a weight matrix's
+     *  no-edge sentinel) load as kNull. */
+    ModelTime loadBaseAbsent(Reg r, const linalg::IntMatrix &m,
+                             std::uint64_t absent, bool charged = true,
+                             ModelTime separation = 0);
 
     /** Read base register r back into a matrix (host-side view). */
     linalg::IntMatrix readBase(Reg r) const;

@@ -58,6 +58,18 @@
  * RowConst row is one fill and a RankCount row one fill and one
  * cmpRankRow, the speed the OTN's row-wise primitives need.
  *
+ * A Candidate plane (CONNECT's and MST's candidate plane T) is derived
+ * from another plane, its source (the graph's A), besides its two label
+ * vectors, so the file guards the source: a write handed out for it
+ * (plane(), at(), overwrite(), tag()) first expands every Candidate
+ * plane derived from it, which keeps their old words.  Row minima of a
+ * Candidate plane (candidateRowMins) walk a packed presence mask of the
+ * source, one bit per word and ceil(K / 64) words per row, with ctz:
+ * the cost follows the edges, not the N^2 words.  The mask is built on
+ * the first such walk after the source was written, kept for the later
+ * ones, and dropped by the next write to the source and by clear(); its
+ * storage is allocated on first use, never at construction.
+ *
  * Planes of at least kHugePage bytes (2 MB; N >= 512 on the OTN) sit
  * on transparent huge pages where the host allows it:
  *  - The block is aligned to kHugePage and the plane stride rounded up
@@ -85,6 +97,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -118,7 +132,10 @@ namespace ot::simd {
  *    or equals with a larger global index (the enumeration sort's
  *    duplicate-safe tie-break, as in the cmpRankRow kernel and
  *    simd::outranks).  A row's sum over every block is the rank of its
- *    vec0 word among vec1 (simd::rankCounts ranks a whole vector).
+ *    vec0 word among vec1 (simd::rankCounts ranks a whole vector);
+ *  - Candidate (L = 1 only) is the candidate that the plane's
+ *    CandidateRule derives from word (i, j) of its source plane and the
+ *    labels mine = vec0[i] and theirs = vec1[j] (see candidate()).
  * With L = 1 (the OTN) g is i, a block is the one word vec1[j], and a
  * RankCount word is the 0/1 flag of comparing x(i) with x(j).
  */
@@ -128,7 +145,44 @@ enum class Shape : std::uint8_t {
     ColConst,
     RowOneHot,
     RankCount,
+    Candidate,
 };
+
+/** (w, u, v) packed so that numeric order is (w, u, v) lexicographic:
+ *  MST's candidate edge word, with `idx_bits` bits per endpoint. */
+inline constexpr std::uint64_t
+packEdge(std::uint64_t w, std::uint64_t u, std::uint64_t v, unsigned idx_bits)
+{
+    return (w << (2 * idx_bits)) | (u << idx_bits) | v;
+}
+
+/**
+ * How a Candidate plane derives its word at BP(i, j) from the word a of
+ * its source plane there (step (2) of CONNECT and of Boruvka's MST on
+ * the OTN).  The word is kNullWord unless (i, j) is an edge and its
+ * endpoints carry different labels (mine != theirs); then it is
+ *  - Label (CONNECT): theirs, where a == 1 marks an edge;
+ *  - Edge (MST): packEdge(a, i, j, idxBits), where a != kNullWord is
+ *    the edge's weight.
+ */
+struct CandidateRule
+{
+    enum class Kind : std::uint8_t { Label, Edge };
+    Kind kind = Kind::Label;
+    std::uint8_t idxBits = 0;
+};
+
+/** The word `rule` derives at BP(i, j) from source word `a` and the
+ *  labels `mine` (row i's) and `theirs` (column j's). */
+inline std::uint64_t
+candidate(CandidateRule rule, std::uint64_t a, std::uint64_t mine,
+          std::uint64_t theirs, std::size_t i, std::size_t j)
+{
+    if (rule.kind == CandidateRule::Kind::Label)
+        return a == 1 && theirs != mine ? theirs : kNullWord;
+    return a != kNullWord && mine != theirs ? packEdge(a, i, j, rule.idxBits)
+                                            : kNullWord;
+}
 
 /** A shaped file's geometry: `k` cells per side, `l` words per cell. */
 struct Grid
@@ -211,6 +265,7 @@ class RegFile
     plane(unsigned p)
     {
         assert(p < _planes && _shape[p] == Shape::Dense);
+        guardSource(p);
         _dirty |= 1u << p;
         return _data + p * _stride;
     }
@@ -228,6 +283,7 @@ class RegFile
     at(unsigned p, std::size_t i)
     {
         assert(p < _planes && i < _planeSize && _shape[p] == Shape::Dense);
+        guardSource(p);
         _dirty |= 1u << p;
         return _data[p * _stride + i];
     }
@@ -255,18 +311,31 @@ class RegFile
         return _shape[p];
     }
 
-    /** Tag plane `p` with the non-Dense shape `s` and return its two
-     *  shape vectors, vec0 then vec1, K * L words each, for the caller
-     *  to fill before the next read of `p`.  Neither reads nor writes
-     *  (nor dirties) the plane's own words. */
+    /** Tag plane `p` with the non-Dense shape `s` (not Candidate: see
+     *  tagCandidate) and return its two shape vectors, vec0 then vec1,
+     *  K * L words each, for the caller to fill before the next read of
+     *  `p`.  Neither reads nor writes (nor dirties) the plane's own
+     *  words. */
     std::uint64_t *
     tag(unsigned p, Shape s)
     {
-        assert(p < _planes && _side > 0 && s != Shape::Dense);
-        if (!_vecs)
-            _vecs.reset(new std::uint64_t[vecWords(_planes, _side)]);
-        _shape[p] = s;
-        return _vecs.get() + p * 2 * _side;
+        assert(s != Shape::Candidate);
+        return retag(p, s);
+    }
+
+    /** Tag plane `p` Candidate, derived from the Dense plane `source`
+     *  by `rule`, and return its two shape vectors for the caller to
+     *  fill with the labels: mine (vec0, one per row) and theirs (vec1,
+     *  one per column).  A grid with L = 1 only. */
+    std::uint64_t *
+    tagCandidate(unsigned p, unsigned source, CandidateRule rule)
+    {
+        assert(_l == 1 && source < _planes && source != p &&
+               _shape[source] == Shape::Dense);
+        std::uint64_t *v = retag(p, Shape::Candidate);
+        _derived[p] = {static_cast<std::uint8_t>(source), rule};
+        _sources |= 1u << source;
+        return v;
     }
 
     /** The shape vectors of tagged plane `p`. */
@@ -301,6 +370,12 @@ class RegFile
                 count += outranks(v[g], g, v[_side + h], h) ? 1 : 0;
             return count;
         }
+        case Shape::Candidate: {
+            const Derivation d = _derived[p];
+            const std::uint64_t *v = shapeVec(p);
+            const std::uint64_t a = _data[d.source * _stride + index(i, j, 0)];
+            return candidate(d.rule, a, v[i], v[_side + j], i, j);
+        }
         }
         return _data[p * _stride + index(i, j, q)];
     }
@@ -323,6 +398,7 @@ class RegFile
             return shapeVec(p) + j * _l;
         case Shape::RowOneHot:
         case Shape::RankCount:
+        case Shape::Candidate:
             break;
         }
         for (std::size_t q = 0; q < _l; ++q)
@@ -335,7 +411,8 @@ class RegFile
      * materializing it: the plane's own row (Dense), the column vector
      * (ColConst), or `buf` (K * L words) filled with the row.  On a grid
      * with L = 1 a RowConst or RankCount row takes `kt`'s fill and
-     * cmpRankRow kernels, the speed the OTN's row-wise primitives need.
+     * cmpRankRow kernels, the speed the OTN's row-wise primitives need;
+     * a Candidate row is one pass over its source's row.
      */
     const std::uint64_t *
     row(unsigned p, std::size_t i, std::uint64_t *buf,
@@ -356,6 +433,8 @@ class RegFile
             if (shape(p) == Shape::RankCount)
                 kt.cmpRankRow(buf, buf, shapeVec(p) + _k, _k, i);
             return buf;
+        case Shape::Candidate:
+            return candidateRow(p, i, buf);
         case Shape::RowOneHot:
             break;
         }
@@ -386,6 +465,39 @@ class RegFile
         return plane(p);
     }
 
+    /**
+     * out[i] = the minimum of row i of Candidate plane `p` (kNullWord if
+     * the row holds no candidate), for every row i: the words walked are
+     * the set bits of the source's presence mask, each taken with ctz
+     * and resolved by candidate() (a Label bit stands for a source word
+     * of 1, so only the Edge rule reads the source).  Builds the mask if
+     * the source was written since it was last built.
+     */
+    void
+    candidateRowMins(unsigned p, std::uint64_t *out)
+    {
+        assert(shape(p) == Shape::Candidate);
+        const Derivation d = _derived[p];
+        const std::size_t words = maskWords();
+        const std::uint64_t *bits = presenceMask(d.source, d.rule.kind);
+        const std::uint64_t *a = _data + d.source * _stride;
+        const std::uint64_t *mine = shapeVec(p);
+        const std::uint64_t *theirs = mine + _side;
+        const bool label = d.rule.kind == CandidateRule::Kind::Label;
+        for (std::size_t i = 0; i < _k; ++i, a += _side, bits += words) {
+            std::uint64_t best = kNullWord;
+            for (std::size_t w = 0; w < words; ++w)
+                for (std::uint64_t m = bits[w]; m != 0; m &= m - 1) {
+                    const std::size_t j =
+                        w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+                    best = std::min(best,
+                                    candidate(d.rule, label ? 1 : a[j],
+                                              mine[i], theirs[j], i, j));
+                }
+            out[i] = best;
+        }
+    }
+
     /** Tagged planes expanded into their words since construction. */
     std::uint64_t materializations() const { return _materializations; }
 
@@ -397,6 +509,8 @@ class RegFile
     void
     clear()
     {
+        _sources = 0;
+        _maskSource = kNoPlane;
         for (unsigned p = 0; p < _planes; ++p) {
             _shape[p] = Shape::Dense;
             std::uint64_t *lane = _data + p * _stride;
@@ -412,6 +526,129 @@ class RegFile
     }
 
   private:
+    /** Plane index meaning "none". */
+    static constexpr unsigned kNoPlane = 32;
+
+    /** What a Candidate plane is derived from. */
+    struct Derivation
+    {
+        std::uint8_t source;
+        CandidateRule rule;
+    };
+
+    /** Tag plane `p` with the non-Dense shape `s`; returns its vectors. */
+    std::uint64_t *
+    retag(unsigned p, Shape s)
+    {
+        assert(p < _planes && _side > 0 && s != Shape::Dense);
+        guardSource(p);
+        if (!_vecs)
+            _vecs.reset(new std::uint64_t[vecWords(_planes, _side)]);
+        _shape[p] = s;
+        return _vecs.get() + p * 2 * _side;
+    }
+
+    /** Plane `p`'s words are about to change: if a Candidate plane or
+     *  the presence mask is derived from it, release it first. */
+    void
+    guardSource(unsigned p)
+    {
+        if (_sources >> p & 1u) [[unlikely]]
+            releaseSource(p);
+    }
+
+    /** Expand every Candidate plane derived from plane `p` (they keep
+     *  the words they had) and drop `p`'s presence mask. */
+    [[gnu::noinline]] void
+    releaseSource(unsigned p)
+    {
+        _sources &= ~(1u << p);
+        if (_maskSource == p)
+            _maskSource = kNoPlane;
+        for (unsigned q = 0; q < _planes; ++q)
+            if (_shape[q] == Shape::Candidate && _derived[q].source == p) {
+                std::uint64_t *lane = _data + q * _stride;
+                for (std::size_t i = 0; i < _k; ++i)
+                    candidateRow(q, i, lane + i * _side);
+                markExpanded(q);
+            }
+    }
+
+    /** Row i of Candidate plane `p`, resolved into `buf` (K words). */
+    const std::uint64_t *
+    candidateRow(unsigned p, std::size_t i, std::uint64_t *buf) const
+    {
+        const Derivation d = _derived[p];
+        const std::uint64_t *a = _data + d.source * _stride + i * _side;
+        const std::uint64_t *v = shapeVec(p);
+        for (std::size_t j = 0; j < _k; ++j)
+            buf[j] = candidate(d.rule, a[j], v[i], v[_side + j], i, j);
+        return buf;
+    }
+
+    /** Words per row of the presence mask. */
+    std::size_t maskWords() const { return (_k + 63) / 64; }
+
+    /**
+     * The presence mask of plane `source` under `kind`: bit j % 64 of
+     * word j / 64 of row i is set iff word (i, j) marks an edge (== 1
+     * for Label, != kNullWord for Edge).  Built unless the mask already
+     * holds it; the storage is allocated on the first build.
+     */
+    const std::uint64_t *
+    presenceMask(unsigned source, CandidateRule::Kind kind)
+    {
+        if (_maskSource == source && _maskKind == kind)
+            return _mask.get();
+        if (!_mask)
+            _mask.reset(new std::uint64_t[_k * maskWords()]);
+        const std::uint64_t *a = _data + source * _stride;
+        if (kind == CandidateRule::Kind::Label)
+            packPresence(a, [](std::uint64_t w) { return w == 1; });
+        else
+            packPresence(a, [](std::uint64_t w) { return w != kNullWord; });
+        _maskSource = source;
+        _maskKind = kind;
+        _sources |= 1u << source;
+        return _mask.get();
+    }
+
+    /** Pack present(word) of the K x K plane at `a` into the mask: 64
+     *  words into 64 0/1 bytes, then each 8 bytes into 8 bits by one
+     *  multiply (bit q of the product's top byte is byte q; no two
+     *  partial products share a bit, so nothing carries). */
+    template <typename Present>
+    void
+    packPresence(const std::uint64_t *a, Present &&present)
+    {
+        static_assert(std::endian::native == std::endian::little);
+        std::uint64_t *bits = _mask.get();
+        for (std::size_t i = 0; i < _k; ++i, a += _side)
+            for (std::size_t base = 0; base < _k; base += 64) {
+                const std::size_t count = std::min<std::size_t>(64, _k - base);
+                unsigned char flags[64] = {};
+                for (std::size_t b = 0; b < count; ++b)
+                    flags[b] = present(a[base + b]);
+                std::uint64_t m = 0;
+                for (unsigned q = 0; q < 8; ++q) {
+                    std::uint64_t eight;
+                    std::memcpy(&eight, flags + 8 * q, sizeof eight);
+                    m |= (eight * 0x0102040810204080u) >> 56 << (8 * q);
+                }
+                *bits++ = m;
+            }
+    }
+
+    /** Plane `p`'s words now hold what its shape meant: tag it Dense,
+     *  mark it dirty and count the expansion. */
+    void
+    markExpanded(unsigned p)
+    {
+        _shape[p] = Shape::Dense;
+        _dirty |= 1u << p;
+        ++_materializations;
+    }
+
     /** Row i of plane `p` copied cell by cell into `buf`: the tagged
      *  rows without a kernel path.  Out of line, so that row() stays
      *  small enough to inline into the row-wise primitives. */
@@ -441,9 +678,7 @@ class RegFile
             if (words != dst)
                 std::memcpy(dst, words, _side * sizeof(std::uint64_t));
         }
-        _shape[p] = Shape::Dense;
-        _dirty |= 1u << p;
-        ++_materializations;
+        markExpanded(p);
     }
 
     /** Block and plane alignment, in bytes, for planes of `words`. */
@@ -512,9 +747,17 @@ class RegFile
     std::uint64_t _materializations = 0;
     // Not a character type, so stores to plane words cannot alias it.
     Shape _shape[32] = {};
+    Derivation _derived[32] = {}; // meaningful for Candidate planes only
+    // The presence mask of plane _maskSource (kNoPlane: none), built
+    // under _maskKind; ceil(K / 64) words per row.
+    std::unique_ptr<std::uint64_t[]> _mask;
+    unsigned _maskSource = kNoPlane;
+    CandidateRule::Kind _maskKind = CandidateRule::Kind::Label;
     // A uint32 on purpose: a uint64 member could alias the plane words
     // and force a reload and store on every at().
     std::uint32_t _dirty = 0;
+    // Bit p: a Candidate plane or the mask is derived from plane p.
+    std::uint32_t _sources = 0;
 };
 
 } // namespace ot::simd

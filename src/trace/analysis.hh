@@ -57,8 +57,8 @@ struct PhaseSegment
 /** The analyzer's result. */
 struct Summary
 {
-    ModelTime total = 0;       ///< sum of all charges == now()
-    std::uint64_t steps = 0;   ///< number of charges (clock ticks)
+    ModelTime total = 0;         ///< sum of all charges == now()
+    std::uint64_t steps = 0;     ///< number of charges (clock ticks)
     std::uint64_t rootWords = 0; ///< words through tree root ports
     std::uint64_t droppedEvents = 0;
 

@@ -63,15 +63,15 @@ struct Event
 {
     EventKind kind = EventKind::Span;
     TraceAxis axis = TraceAxis::None;
-    bool charged = true;   ///< false inside runUncharged (pipedo) blocks
-    ModelTime start = 0;   ///< model time the event begins
-    ModelTime dur = 0;     ///< charged model time (0 for instants)
-    const char *cat = "";  ///< subsystem: "otn", "otc", "sim"
-    const char *name = ""; ///< primitive name; "" for phase/charge events
-    std::string phase;     ///< phase name (Charge/PhaseBegin/PhaseEnd)
-    std::int64_t tree = -1;    ///< tree index on `axis`, -1 if n/a
-    std::uint32_t levels = 0;  ///< tree height the op traverses
-    std::uint64_t words = 0;   ///< words crossing the tree root port
+    bool charged = true;      ///< false inside runUncharged (pipedo) blocks
+    ModelTime start = 0;      ///< model time the event begins
+    ModelTime dur = 0;        ///< charged model time (0 for instants)
+    const char *cat = "";     ///< subsystem: "otn", "otc", "sim"
+    const char *name = "";    ///< primitive name; "" for phase/charge events
+    std::string phase;        ///< phase name (Charge/PhaseBegin/PhaseEnd)
+    std::int64_t tree = -1;   ///< tree index on `axis`, -1 if n/a
+    std::uint32_t levels = 0; ///< tree height the op traverses
+    std::uint64_t words = 0;  ///< words crossing the tree root port
 };
 
 /** Field-wise equality (names compared by content, not address). */

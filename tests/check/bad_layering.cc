@@ -7,11 +7,11 @@
 #include "sim/time_accountant.hh"
 #include "vlsi/delay.hh"
 
-#include "otn/sort.hh" // expect: layering
-#include "otc/network.hh" // expect: layering
-#include "graph/graph.hh" // expect: layering
-#include "layout/geometry.hh" // expect: layering
+#include "graph/graph.hh"         // expect: layering
+#include "layout/geometry.hh"     // expect: layering
 #include "orthotree/orthotree.hh" // expect: layering
+#include "otc/network.hh"         // expect: layering
+#include "otn/sort.hh"            // expect: layering
 
 int
 fixtureUnused()

@@ -7,10 +7,10 @@
 #include "topo/machine.hh"
 #include "vlsi/delay.hh"
 
-#include "workload/engine.hh" // expect: layering
-#include "scenario/spec.hh" // expect: layering
-#include "analysis/table.hh" // expect: layering
+#include "analysis/table.hh"      // expect: layering
 #include "orthotree/orthotree.hh" // expect: layering
+#include "scenario/spec.hh"       // expect: layering
+#include "workload/engine.hh"     // expect: layering
 
 int
 fixtureUnused()

@@ -334,11 +334,12 @@ counterValues(OrthogonalTreesNetwork &net)
 }
 
 /**
- * Run the per-cell step `spec` on one network and the row-wise step
- * `step` on another, from the same A and two rounds of labels (the
- * identity, as in the first iteration, then `labels`), on the OTN and
- * the OTC-emulated OTN, every compiled backend, traced and untraced;
- * every plane, root, clock, counter and trace event must agree.
+ * Run the per-cell step `spec` on one network and the derived step
+ * `step` on another, each followed by step (3)'s row minima of T, from
+ * the same A and two rounds of labels (the identity, as in the first
+ * iteration, then `labels`), on the OTN and the OTC-emulated OTN, every
+ * compiled backend, traced and untraced; every plane (T expanded from
+ * its shape), root, clock, counter and trace event must agree.
  */
 template <typename Spec, typename Step>
 void
@@ -384,6 +385,8 @@ expectCandidateStepsAgree(std::size_t n, const CostModel &cost,
                     loadCandidateState(*net, base, *round);
                     spec(*ref);
                     step(*net);
+                    ref->batchMinRowsToLeaves(Reg::T, Sel::all(), Reg::E);
+                    net->batchMinRowsToLeaves(Reg::T, Sel::all(), Reg::E);
                 }
                 for (unsigned r = 0; r < kNumRegs; ++r) {
                     const Reg reg = static_cast<Reg>(r);
@@ -429,7 +432,7 @@ randomLabels(std::size_t n, Rng &rng)
 
 TEST(CcOtn, CandidateStepMatchesPerCellFormulation)
 {
-    for (std::size_t n : {1, 2, 16, 64})
+    for (std::size_t n : {1, 2, 16, 32, 64})
         for (std::size_t m : vertexCounts(n)) {
             Rng rng(31 * n + m);
             auto g = randomGnp(m, 3.0 / static_cast<double>(m), rng);
@@ -449,7 +452,7 @@ TEST(CcOtn, CandidateStepMatchesPerCellFormulation)
 
 TEST(MstOtn, CandidateStepMatchesPerCellFormulation)
 {
-    for (std::size_t n : {1, 2, 16, 64})
+    for (std::size_t n : {1, 2, 16, 32, 64})
         for (std::size_t m : vertexCounts(n)) {
             Rng rng(37 * n + m);
             auto g = randomWeightedConnected(m, m, rng);

@@ -250,10 +250,28 @@ TEST(RegFile, OverflowingSizesThrowBadAlloc)
     EXPECT_THROW((void)simd::RegFile(2, SIZE_MAX / 8 - 1), std::bad_alloc);
 }
 
+/** The candidate simd::CandidateRule `rule` defines at BP(i, j),
+ *  written out: source word a, labels mine (row i) and theirs
+ *  (column j). */
+std::uint64_t
+candidateDefinition(simd::CandidateRule rule, std::uint64_t a,
+                    std::uint64_t mine, std::uint64_t theirs, std::size_t i,
+                    std::size_t j)
+{
+    if (mine == theirs)
+        return simd::kNullWord;
+    if (rule.kind == simd::CandidateRule::Kind::Label)
+        return a == 1 ? theirs : simd::kNullWord;
+    if (a == simd::kNullWord)
+        return simd::kNullWord;
+    return a << (2 * rule.idxBits) | std::uint64_t{i} << rule.idxBits | j;
+}
+
 /**
  * Word (i, j, q) of a plane of `shape` on grid (k, l) with shape
  * vectors `v` (vec0 then vec1) or, Dense, own words `dense`: the
- * definitions of simd::Shape, written out word by word.
+ * definitions of simd::Shape, written out word by word.  A Candidate
+ * plane (L = 1) is taken on the Label rule with `dense` its source.
  */
 std::uint64_t
 shapeDefinition(simd::Shape shape, const std::vector<std::uint64_t> &v,
@@ -279,6 +297,9 @@ shapeDefinition(simd::Shape shape, const std::vector<std::uint64_t> &v,
         }
         return count;
     }
+    case simd::Shape::Candidate:
+        return candidateDefinition({simd::CandidateRule::Kind::Label},
+                                   dense[i * k + j], v[i], v[side + j], i, j);
     }
     return 0;
 }
@@ -287,7 +308,8 @@ TEST(RegFile, ShapedReadsMatchTheMaterializedPlane)
 {
     // Plane 0 is Dense and planes 1-4 carry the four tagged shapes, on
     // an N x N grid (L = 1, the OTN's) and on K = 4, L = 3 (the OTC's
-    // kind: a row of 12 words, not a power of two).  Every point, cell
+    // kind: a row of 12 words, not a power of two); on the N x N grid
+    // plane 5 is Candidate, derived from plane 0.  Every point, cell
     // and row read, taken before materializing, must equal the
     // definition and then the materialized plane.
     constexpr simd::Shape kTagged[] = {
@@ -304,7 +326,13 @@ TEST(RegFile, ShapedReadsMatchTheMaterializedPlane)
                          << simd::toString(backend));
             const simd::KernelTable &kt = simd::kernelsFor(backend);
             Rng rng(613 + side);
-            simd::RegFile rf(5, grid);
+            const unsigned planes = l == 1 ? 6 : 5;
+            auto shapeOf = [&](unsigned p) {
+                return p == 0   ? simd::Shape::Dense
+                       : p == 5 ? simd::Shape::Candidate
+                                : kTagged[p - 1];
+            };
+            simd::RegFile rf(planes, grid);
             ASSERT_EQ(rf.planeSize(), words);
             std::vector<std::uint64_t> dense(words);
             for (std::size_t w = 0; w < words; ++w)
@@ -322,14 +350,22 @@ TEST(RegFile, ShapedReadsMatchTheMaterializedPlane)
                 std::copy(v.begin(), v.end(), rf.tag(s + 1, kTagged[s]));
                 vecs.push_back(v);
             }
+            if (planes == 6) {
+                std::vector<std::uint64_t> v(2 * side);
+                for (std::uint64_t &w : v)
+                    w = rng.uniform(0, 4);
+                std::copy(v.begin(), v.end(),
+                          rf.tagCandidate(5, 0,
+                                          {simd::CandidateRule::Kind::Label}));
+                vecs.push_back(v);
+            }
             EXPECT_EQ(rf.dirtyMask(), 1u); // tagging dirties no plane
 
             std::vector<std::uint64_t> cell_buf(l), row_buf(side);
-            for (unsigned p = 0; p < 5; ++p) {
+            for (unsigned p = 0; p < planes; ++p) {
                 SCOPED_TRACE(::testing::Message() << "plane " << p);
                 const simd::Shape shape = rf.shape(p);
-                ASSERT_EQ(shape,
-                          p == 0 ? simd::Shape::Dense : kTagged[p - 1]);
+                ASSERT_EQ(shape, shapeOf(p));
                 const std::vector<std::uint64_t> &v =
                     p == 0 ? dense : vecs[p - 1];
                 std::vector<std::uint64_t> points(words), cells(words),
@@ -384,10 +420,121 @@ TEST(RegFile, ShapedReadsMatchTheMaterializedPlane)
             // clear() resets every tag and zeroes what was written.
             rf.clear();
             EXPECT_EQ(rf.dirtyMask(), 0u);
-            for (unsigned p = 0; p < 5; ++p) {
+            for (unsigned p = 0; p < planes; ++p) {
                 EXPECT_EQ(rf.shape(p), simd::Shape::Dense) << "plane " << p;
                 EXPECT_TRUE(planeIsZero(rf, p)) << "plane " << p;
             }
+        }
+}
+
+TEST(RegFile, CandidateReadsFollowTheRuleAndTheCurrentSource)
+{
+    // Plane 0 is the source A, plane 1 the Candidate plane T.  On sides
+    // that fill part of one mask word, exactly one, and more than one,
+    // every point, cell and row read, the row minima and the expansion
+    // of T must equal the rule written out over A's words.  Rewriting A
+    // between two candidate steps must give the new A's candidates (a
+    // kept presence mask would give the old edges), and a T still
+    // tagged when A is written keeps the words it had.
+    const simd::KernelTable &kt = simd::scalarKernels();
+    const simd::CandidateRule rules[] = {
+        {simd::CandidateRule::Kind::Label},
+        {simd::CandidateRule::Kind::Edge, 8}};
+    for (std::size_t k : {1, 5, 32, 64, 100, 130})
+        for (simd::CandidateRule rule : rules) {
+            const bool label = rule.kind == simd::CandidateRule::Kind::Label;
+            SCOPED_TRACE(::testing::Message()
+                         << "K=" << k << (label ? " label" : " edge"));
+            Rng rng(877 + k);
+            simd::RegFile rf(3, simd::Grid{k, 1});
+            std::vector<std::uint64_t> a(k * k), labels(2 * k);
+            auto writeSource = [&] {
+                std::uint64_t *plane = rf.plane(0);
+                for (std::uint64_t &w : a) {
+                    const std::uint64_t edge = label ? 1 : rng.uniform(0, 20);
+                    const std::uint64_t kinds[] = {edge, edge, simd::kNullWord,
+                                                   label ? 0 : edge};
+                    w = kinds[rng.uniform(0, 3)];
+                }
+                std::copy(a.begin(), a.end(), plane);
+            };
+            // One candidate step: T tagged on the current A, with new
+            // labels (small, so that mine == theirs is common).
+            auto step = [&] {
+                for (std::uint64_t &l : labels)
+                    l = rng.uniform(0, 3);
+                std::copy(labels.begin(), labels.end(),
+                          rf.tagCandidate(1, 0, rule));
+            };
+            auto expected = [&] {
+                std::vector<std::uint64_t> t(k * k);
+                for (std::size_t i = 0; i < k; ++i)
+                    for (std::size_t j = 0; j < k; ++j)
+                        t[i * k + j] =
+                            candidateDefinition(rule, a[i * k + j], labels[i],
+                                                labels[k + j], i, j);
+                return t;
+            };
+            auto expectReads = [&] {
+                const std::vector<std::uint64_t> t = expected();
+                std::vector<std::uint64_t> row_buf(k), mins(k);
+                std::uint64_t cell_buf = 0;
+                rf.candidateRowMins(1, mins.data());
+                for (std::size_t i = 0; i < k; ++i) {
+                    const std::uint64_t *row =
+                        rf.row(1, i, row_buf.data(), kt);
+                    ASSERT_TRUE(std::equal(row, row + k, t.begin() + i * k))
+                        << "row " << i;
+                    const auto row_t = t.begin() + i * k;
+                    EXPECT_EQ(mins[i], *std::min_element(row_t, row_t + k))
+                        << "row " << i;
+                    for (std::size_t j = 0; j < k; ++j) {
+                        ASSERT_EQ(rf.word(1, i, j, 0), t[i * k + j])
+                            << i << ',' << j;
+                        ASSERT_EQ(*rf.cell(1, i, j, &cell_buf), t[i * k + j])
+                            << i << ',' << j;
+                    }
+                }
+            };
+
+            writeSource();
+            step();
+            EXPECT_EQ(rf.shape(1), simd::Shape::Candidate);
+            EXPECT_EQ(rf.dirtyMask(), 1u); // T is never handed out
+            expectReads();
+            step(); // the mask stays valid: A was not written
+            expectReads();
+
+            // A rewritten between two candidate steps: T, still tagged,
+            // is expanded with its old words first.
+            const std::vector<std::uint64_t> before = expected();
+            writeSource();
+            EXPECT_EQ(rf.shape(1), simd::Shape::Dense);
+            EXPECT_EQ(rf.materializations(), 1u);
+            const simd::RegFile &view = rf;
+            EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                                   view.plane(1)));
+            step();
+            expectReads();
+
+            // A rewritten while no plane is derived from it: the mask
+            // must still follow A.
+            rf.makeDense(1, kt);
+            EXPECT_EQ(rf.materializations(), 2u);
+            const std::vector<std::uint64_t> expanded = expected();
+            EXPECT_TRUE(std::equal(expanded.begin(), expanded.end(),
+                                   view.plane(1)));
+            writeSource();
+            EXPECT_EQ(rf.materializations(), 2u);
+            step();
+            expectReads();
+
+            // clear() drops the mask with the planes.
+            rf.clear();
+            EXPECT_EQ(rf.shape(1), simd::Shape::Dense);
+            writeSource();
+            step();
+            expectReads();
         }
 }
 
@@ -1058,6 +1205,46 @@ batchCases()
         net.batchProductColSum(boolean ? 1 : net.cost().bitSerialMultiply(),
                                boolean, Reg::A, Reg::B, Reg::C);
     };
+    // CONNECT's or MST's steps (1)-(3): the labels D fanned out along
+    // the rows (B) and down the columns (C), the candidate step into T
+    // and its row minima fanned along the rows into E.  B, C and E are
+    // only written, so their input shapes do not matter.
+    auto candidates = [](OrthogonalTreesNetwork &net, bool mst) {
+        net.batchDiagToRows(Reg::D, Reg::B);
+        net.batchDiagToCols(Reg::D, Reg::C);
+        if (mst)
+            otn::mstCandidatesOtn(net, vlsi::logCeilAtLeast1(net.n()));
+        else
+            otn::connectCandidatesOtn(net);
+        net.batchMinRowsToLeaves(Reg::T, Sel::all(), Reg::E);
+    };
+    auto candidatesPardo = [=](OrthogonalTreesNetwork &net, bool mst) {
+        pardo(net, [&](std::size_t i) {
+            net.leafToLeaf(Axis::Row, i, Sel::diag(), Reg::D, Sel::all(),
+                           Reg::B);
+        });
+        pardo(net, [&](std::size_t j) {
+            net.leafToLeaf(Axis::Col, j, Sel::diag(), Reg::D, Sel::all(),
+                           Reg::C);
+        });
+        const unsigned bits = vlsi::logCeilAtLeast1(net.n());
+        net.baseOp(net.cost().bitSerialOp(),
+                   [&](std::size_t i, std::size_t j) {
+                       const std::uint64_t a = net.reg(Reg::A, i, j);
+                       const std::uint64_t mine = net.reg(Reg::B, i, j);
+                       const std::uint64_t theirs = net.reg(Reg::C, i, j);
+                       std::uint64_t t = otn::kNull;
+                       if (mine != theirs && !mst && a == 1)
+                           t = theirs;
+                       if (mine != theirs && mst && a != otn::kNull)
+                           t = a << (2 * bits) | i << bits | j;
+                       net.reg(Reg::T, i, j) = t;
+                   });
+        pardo(net, [&](std::size_t i) {
+            net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
+            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
+        });
+    };
     auto productPardo = [=](OrthogonalTreesNetwork &net, bool boolean) {
         pardo(net, [&](std::size_t i) {
             net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
@@ -1136,6 +1323,14 @@ batchCases()
              });
          },
          {Reg::T, Reg::E}},
+        {"batchMinRowsToLeaves(connect candidates)",
+         [=](auto &net) { candidates(net, false); },
+         [=](auto &net) { candidatesPardo(net, false); },
+         {Reg::A, Reg::D, Reg::T}},
+        {"batchMinRowsToLeaves(mst candidates)",
+         [=](auto &net) { candidates(net, true); },
+         [=](auto &net) { candidatesPardo(net, true); },
+         {Reg::A, Reg::D, Reg::T}},
         {"batchDiagToRows",
          [](auto &net) { net.batchDiagToRows(Reg::D, Reg::X); },
          [=](auto &net) {
@@ -1344,8 +1539,8 @@ TEST(BatchVsPerTree, EveryBatchPrimitiveMatchesItsPardo)
 // ----------------------------------------------------------------------
 
 constexpr simd::Shape kShapes[] = {
-    simd::Shape::Dense, simd::Shape::RowConst, simd::Shape::ColConst,
-    simd::Shape::RowOneHot, simd::Shape::RankCount};
+    simd::Shape::Dense,     simd::Shape::RowConst,  simd::Shape::ColConst,
+    simd::Shape::RowOneHot, simd::Shape::RankCount, simd::Shape::Candidate};
 
 /**
  * Leave register r in `shape` through the producers that make it:
@@ -1354,11 +1549,13 @@ constexpr simd::Shape kShapes[] = {
  * RowConst key (r's diagonal, fanned into `scratch`), and RankCount
  * is the rank compare of r's diagonal fanned along the rows (into
  * `scratch`) with it fanned down the columns (into `scratch2`), as in
- * SORT-OTN.  Dense leaves r as seeded.
+ * SORT-OTN.  Candidate is CONNECT's candidate step on the edges of
+ * `source` (left as seeded) with those two fan-outs as the labels.
+ * Dense leaves r as seeded.
  */
 void
 shapeAs(OrthogonalTreesNetwork &net, Reg r, simd::Shape shape, Reg scratch,
-        Reg scratch2)
+        Reg scratch2, Reg source)
 {
     switch (shape) {
     case simd::Shape::Dense:
@@ -1377,6 +1574,12 @@ shapeAs(OrthogonalTreesNetwork &net, Reg r, simd::Shape shape, Reg scratch,
         net.batchDiagToRows(r, scratch);
         net.batchDiagToCols(r, scratch2);
         net.batchCompareRank(scratch, scratch2, r);
+        break;
+    case simd::Shape::Candidate:
+        net.batchDiagToRows(r, scratch);
+        net.batchDiagToCols(r, scratch2);
+        net.batchCandidates({simd::CandidateRule::Kind::Label}, source,
+                            scratch, scratch2, r);
         break;
     }
     ASSERT_EQ(net.regShape(r), shape);
@@ -1407,9 +1610,9 @@ TEST(BroadcastPlanes, EveryBatchPrimitiveOnEveryInputShape)
     backends.push_back(simd::Backend::Scalar);
     unsigned runs = 0, skipped = 0;
     for (const BatchCase &c : batchCases()) {
-        // The first two registers the case does not use.
-        Reg scratch[2];
-        for (unsigned r = 0, found = 0; found < 2; ++r)
+        // The first three registers the case does not use.
+        Reg scratch[3];
+        for (unsigned r = 0, found = 0; found < 3; ++r)
             if (std::find(c.regs.begin(), c.regs.end(),
                           static_cast<Reg>(r)) == c.regs.end())
                 scratch[found++] = static_cast<Reg>(r);
@@ -1444,7 +1647,7 @@ TEST(BroadcastPlanes, EveryBatchPrimitiveOnEveryInputShape)
                             seedRegisters(*m, 177 + n);
                             for (std::size_t k = 0; k < c.regs.size(); ++k)
                                 shapeAs(*m, c.regs[k], shapes[k],
-                                        scratch[0], scratch[1]);
+                                        scratch[0], scratch[1], scratch[2]);
                         }
                         if (c.uniqueKey && !keyIsUnique(*net, *c.uniqueKey)) {
                             ++skipped;

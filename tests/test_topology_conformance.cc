@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "graph/generators.hh"
+#include "graph/reference_algorithms.hh"
 #include "layout/baseline_layouts.hh"
 #include "linalg/reference.hh"
 #include "otn/registers.hh"
@@ -670,17 +671,15 @@ TEST(TopologyConformance, OtnResetAfterTaggedSortMatchesAFreshMachine)
     expectSamePlanes(net, std::as_const(fresh.network()), words);
 }
 
-TEST(TopologyConformance, RegisteredOtnRunsMaterializeOnlyMstsDiagonalWrite)
+TEST(TopologyConformance, RegisteredOtnRunsMaterializeNoPlane)
 {
     // Broadcasts leave tagged planes, and every registered run reads
-    // them without expanding them to N^2 words — except MST, whose
-    // diagonal write into X (a row broadcast since the previous
-    // iteration's diagToRows(G, X)) materializes X once per iteration
-    // after the first.  Native SORT-OTC runs on the OTC's own planes
+    // them without expanding them to N^2 words: MST writes its hook key
+    // into H's Dense diagonal, not into the row broadcast X.  Native
+    // SORT-OTC runs on the OTC's own planes
     // (RegisteredSortsWriteNoRegisterPlane pins it).
     const std::size_t n = 64;
     const AlgoInputs in(n);
-    const std::uint64_t log_n = 6;
     for (const char *net : {"otn", "otc"})
         for (topo::Algo algo : topo::allAlgos()) {
             const std::string where =
@@ -694,9 +693,44 @@ TEST(TopologyConformance, RegisteredOtnRunsMaterializeOnlyMstsDiagonalWrite)
                 continue;
             }
             runAlgo(*m, algo, in);
-            const std::uint64_t expected =
-                algo == topo::Algo::Mst ? log_n : 0;
-            EXPECT_EQ(otn_machine->network().materializations(), expected)
+            EXPECT_EQ(otn_machine->network().materializations(), 0u)
+                << where;
+        }
+}
+
+TEST(TopologyConformance, RegisteredGraphRunsNeverWriteTheCandidatePlane)
+{
+    // CONNECT's and MST's candidate plane T is derived from A and the
+    // two label broadcasts (simd::Shape::Candidate), and its row minima
+    // walk A's edges: a registered cc or mst run hands no word of T out
+    // for writing, and still matches the sequential reference.
+    const std::size_t n = 64;
+    const AlgoInputs in(n);
+    const auto bit = [](otn::Reg r) {
+        return std::uint32_t{1} << static_cast<unsigned>(r);
+    };
+    for (const char *net : {"otn", "otc-emu", "otc"})
+        for (topo::Algo algo :
+             {topo::Algo::ConnectedComponents, topo::Algo::Mst}) {
+            const std::string where =
+                std::string(toString(algo)) + " on " + net;
+            auto m = topo::registry().build(topo::resolveSpec(
+                net, algo, n, vlsi::DelayModel::Logarithmic, false));
+            auto *otn_machine = dynamic_cast<topo::OtnTopoMachine *>(m.get());
+            ASSERT_NE(otn_machine, nullptr) << where;
+            if (algo == topo::Algo::ConnectedComponents)
+                EXPECT_EQ(m->runConnectedComponents(in.g).labels,
+                          graph::connectedComponents(in.g))
+                    << where;
+            else
+                EXPECT_EQ(graph::totalWeight(m->runMst(in.wg).edges),
+                          graph::totalWeight(graph::kruskalMsf(in.wg)))
+                    << where;
+            const std::uint32_t dirty = otn_machine->network().dirtyMask();
+            EXPECT_EQ(dirty & bit(otn::Reg::T), 0u) << where;
+            EXPECT_NE(dirty & bit(otn::Reg::A), 0u) << where; // A was loaded
+            EXPECT_EQ(otn_machine->network().regShape(otn::Reg::T),
+                      simd::Shape::Candidate)
                 << where;
         }
 }
